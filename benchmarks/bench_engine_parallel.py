@@ -11,19 +11,13 @@ batch of registered scenario specs:
 * run it once more against the warm cache and record the hit-through
   time (zero jobs may execute).
 
-A second experiment (E1-remote) runs the same batch through
-``mode="remote"`` against two real ``repro worker`` subprocesses,
-recording remote-mode throughput next to the local numbers — the metric
-the distributed backend is judged by.
-
-The measured metrics land in the session's JSON report
-(``.benchmarks/engine_report.json``) via the shared ``report`` fixture,
-so CI can track engine throughput over time.
+The distributed backend's throughput on the same batch is experiment E2
+(``bench_service_queue.py``).  The measured metrics land in the
+session's JSON report (``.benchmarks/engine_report.json``) via the
+shared ``report`` fixture, so CI can track engine throughput over time.
 """
 
 import os
-import subprocess
-import sys
 import time
 
 import pytest
@@ -34,7 +28,6 @@ from repro.engine import (
     ResultCache,
     get_scenario,
     run_specs,
-    wait_for_workers,
 )
 
 #: Shrink factor applied to the registered specs (keeps the batch honest
@@ -118,93 +111,3 @@ def test_engine_parallel_throughput(benchmark, report):
         },
     )
 
-
-def _spawn_worker() -> tuple[subprocess.Popen, str]:
-    """Launch one ``repro worker`` subprocess on an ephemeral port and
-    parse its URL from the announced listening line."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    python_path = os.pathsep.join(
-        part
-        for part in (src, os.environ.get("PYTHONPATH"))
-        if part
-    )
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", "--port", "0"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env={**os.environ, "PYTHONPATH": python_path},
-    )
-    line = process.stdout.readline().strip()
-    if not line:
-        # Startup failure: surface the real cause, not an IndexError.
-        stderr = process.stderr.read()
-        process.wait(timeout=10)
-        raise RuntimeError(
-            f"repro worker exited {process.returncode} before "
-            f"announcing its URL; stderr:\n{stderr}"
-        )
-    return process, line.split()[-1]
-
-
-@pytest.mark.benchmark(group="engine")
-def test_engine_remote_throughput(benchmark, report):
-    """E1-remote: the same spec batch sharded over two worker processes.
-
-    Real subprocess workers (true multi-process parallelism, the full
-    wire/transport path), compared against a fresh serial run; results
-    must be identical, and the throughput lands in the JSON report as
-    the remote backend's tracked metric.
-    """
-    specs = _batch()
-    serial_results = run_specs(specs)
-
-    workers = [_spawn_worker() for _ in range(2)]
-    urls = tuple(url for _, url in workers)
-    try:
-        wait_for_workers(urls, timeout=30.0)
-        with ExperimentEngine(mode="remote", worker_urls=urls) as engine:
-            remote_results = benchmark.pedantic(
-                lambda: run_specs(specs, engine=engine),
-                rounds=1,
-                iterations=1,
-            )
-            remote_seconds = benchmark.stats.stats.total
-            remote_stats = engine.remote_stats
-            fallbacks = engine.stats.fallbacks
-    finally:
-        for process, _ in workers:
-            process.terminate()
-        for process, _ in workers:
-            process.wait(timeout=10)
-
-    # Remote execution must never change artefacts.
-    assert remote_results == serial_results
-    assert remote_stats is not None and remote_stats.failed_workers == 0
-
-    report.add(
-        f"E1-remote — remote-mode throughput ({len(specs)} spec jobs, "
-        "2 workers)",
-        render_table(
-            ["mode", "seconds", "jobs executed"],
-            [
-                [
-                    "remote x2",
-                    f"{remote_seconds:.2f}",
-                    remote_stats.executed,
-                ],
-            ],
-        ),
-    )
-    report.record(
-        "engine_remote",
-        {
-            "jobs": len(specs),
-            "workers": 2,
-            "remote_seconds": round(remote_seconds, 4),
-            "units": remote_stats.units,
-            "reassigned": remote_stats.reassigned,
-            "failed_workers": remote_stats.failed_workers,
-            "fallbacks": fallbacks,
-        },
-    )

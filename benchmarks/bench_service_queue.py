@@ -1,4 +1,4 @@
-"""Experiment E2: service-queue vs direct remote throughput.
+"""Experiment E2: service-queue vs local process-pool throughput.
 
 The analysis service adds a durable queue between the engine and its
 workers: batches become sqlite-backed jobs, workers lease warm-sharded
@@ -7,11 +7,15 @@ takes a lease round-trip and every state transition commits to disk —
 so this benchmark measures what the queue costs on the same sweep batch
 ``bench_engine_parallel.py`` uses:
 
-* run the batch through ``mode="remote"`` against two in-process push
-  workers (the direct path: client shards, workers execute);
+* run the batch through ``mode="process"`` with two pool workers (the
+  direct path: no queue, no wire);
 * run the identical batch through ``mode="service"`` — a coordinator
   with a file-backed store and two auto-registered pull workers — and
   record submit-to-complete throughput (units/sec) next to it.
+
+The pull workers run as threads of this process and share its
+interpreter lock, so the recorded ratio includes the parallelism the
+process pool has and the threads lack, on top of the queue's own cost.
 
 Results must be identical in both modes (and to serial — the invariant
 every backend is held to).  The measured metrics land in the session's
@@ -24,12 +28,7 @@ import time
 import pytest
 
 from repro.analysis.report import render_table
-from repro.engine import (
-    ExperimentEngine,
-    WorkerServer,
-    get_scenario,
-    run_specs,
-)
+from repro.engine import ExperimentEngine, get_scenario, run_specs
 from repro.service import (
     ChaosProxy,
     CoordinatorServer,
@@ -58,18 +57,11 @@ def test_service_queue_throughput(benchmark, report, tmp_path):
     specs = _batch()
     serial_results = run_specs(specs)
 
-    # Direct push path: two in-process workers, client-side sharding.
-    push_workers = [WorkerServer().start() for _ in range(2)]
-    urls = tuple(worker.url for worker in push_workers)
-    try:
-        with ExperimentEngine(mode="remote", worker_urls=urls) as engine:
-            start = time.perf_counter()
-            remote_results = run_specs(specs, engine=engine)
-            remote_seconds = time.perf_counter() - start
-            remote_units = engine.remote_stats.units
-    finally:
-        for worker in push_workers:
-            worker.stop()
+    # Direct path: a two-worker process pool, no queue.
+    with ExperimentEngine(mode="process", workers=2) as engine:
+        start = time.perf_counter()
+        process_results = run_specs(specs, engine=engine)
+        process_seconds = time.perf_counter() - start
 
     # Service path: durable coordinator queue, two pull workers.
     store = JobStore(tmp_path / "queue.sqlite")
@@ -90,6 +82,7 @@ def test_service_queue_throughput(benchmark, report, tmp_path):
             service_seconds = benchmark.stats.stats.total
             service_stats = engine.service_stats
             fallbacks = engine.stats.fallbacks
+        units = sum(record.total_units for record in store.jobs())
     finally:
         for worker in pull_workers:
             worker.stop()
@@ -97,15 +90,14 @@ def test_service_queue_throughput(benchmark, report, tmp_path):
         store.close()
 
     # The queue must never change artefacts.
-    assert remote_results == serial_results
+    assert process_results == serial_results
     assert service_results == serial_results
     assert fallbacks == 0
 
-    units = remote_units
     service_rate = units / service_seconds if service_seconds else 0.0
-    remote_rate = units / remote_seconds if remote_seconds else 0.0
+    process_rate = units / process_seconds if process_seconds else 0.0
     overhead = (
-        service_seconds / remote_seconds if remote_seconds else 0.0
+        service_seconds / process_seconds if process_seconds else 0.0
     )
 
     report.add(
@@ -114,8 +106,8 @@ def test_service_queue_throughput(benchmark, report, tmp_path):
         render_table(
             ["mode", "seconds", "units/sec"],
             [
-                ["remote x2 (direct)", f"{remote_seconds:.2f}",
-                 f"{remote_rate:.2f}"],
+                ["process x2 (direct)", f"{process_seconds:.2f}",
+                 f"{process_rate:.2f}"],
                 ["service x2 (queued)", f"{service_seconds:.2f}",
                  f"{service_rate:.2f}"],
                 ["queue overhead", f"{overhead:.2f}x", "-"],
@@ -128,9 +120,9 @@ def test_service_queue_throughput(benchmark, report, tmp_path):
             "jobs": len(specs),
             "workers": 2,
             "units": units,
-            "remote_seconds": round(remote_seconds, 4),
+            "process_seconds": round(process_seconds, 4),
             "service_seconds": round(service_seconds, 4),
-            "remote_units_per_second": round(remote_rate, 3),
+            "process_units_per_second": round(process_rate, 3),
             "service_units_per_second": round(service_rate, 3),
             "queue_overhead": round(overhead, 3),
             "service_batches": service_stats.batches,

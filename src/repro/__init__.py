@@ -20,7 +20,8 @@ useful names are re-exported here for convenience:
   data (any core count), whole parameter grids as registered
   :class:`~repro.engine.families.ScenarioFamily` generators
   (``repro families``), experiments as batches of independent jobs
-  fanned out serially or over thread/process pools, and a
+  run serially, on a local process pool or through the analysis
+  service (:mod:`repro.service`, workers on any host), and a
   content-addressed result cache that lets repeated sweeps skip
   re-simulation.
 * :mod:`repro.analysis` — MBTA protocol, platform characterisation and

@@ -18,13 +18,12 @@ Usage (after ``pip install -e .``, as ``repro`` or ``python -m repro``)::
     repro run scenario1-4core    # any registered spec, end to end
     repro matrix --jobs 4        # every model x every scenario spec
     repro platform               # Figure 1 block diagram
-    repro worker --port 8750     # serve engine jobs to remote clients
-    repro matrix --workers http://127.0.0.1:8750,http://127.0.0.1:8751
     repro serve --port 8751      # the analysis-service coordinator
     repro worker --coordinator http://127.0.0.1:8751   # dial-in worker
+    repro matrix --coordinator http://127.0.0.1:8751   # run on the workers
     repro submit --coordinator http://127.0.0.1:8751 figure4
     repro watch JOB --coordinator http://127.0.0.1:8751
-    repro jobs --workers-table --coordinator http://127.0.0.1:8751
+    repro jobs --workers --coordinator http://127.0.0.1:8751
     repro jobs --cancel JOB --coordinator http://127.0.0.1:8751
     repro chaos --upstream http://127.0.0.1:8751 --fault latency:times=5
     repro --profile out.prof figure4   # cProfile any command
@@ -40,14 +39,12 @@ shared per-invocation result cache deduplicates repeated work.  Passing
 ``--cache-dir PATH`` persists that cache to disk, making figure
 regeneration incremental *across* invocations and CI runs — and records
 every completed job into the result store beside it, so ``repro diff``
-can compare any two invocations afterwards.  ``--workers
-URL,...`` shards the batch over ``repro worker`` processes instead
-(``mode="remote"``; see :mod:`repro.engine.remote` for the two-terminal
-quickstart), and ``--coordinator URL`` queues it on a ``repro serve``
-coordinator whose registered workers execute it (``mode="service"``;
-see :mod:`repro.service` for the three-terminal quickstart).  Commands
-that run contention models accept ``--model`` with any registered name
-(see ``repro models``).
+can compare any two invocations afterwards.  ``--coordinator URL``
+queues the batch on a ``repro serve`` coordinator instead, whose
+registered ``repro worker`` processes — on this host or any other —
+execute it (``mode="service"``; see :mod:`repro.service` for the
+three-terminal quickstart).  Commands that run contention models accept
+``--model`` with any registered name (see ``repro models``).
 """
 
 from __future__ import annotations
@@ -97,19 +94,12 @@ from repro.platform.tc27x import tc277
 from repro.store import ResultStore
 
 
-def _worker_urls(args: argparse.Namespace) -> tuple[str, ...]:
-    """Parse ``--workers URL,...`` into a URL tuple (empty = local)."""
-    raw = getattr(args, "workers", None) or ""
-    return tuple(url.strip() for url in raw.split(",") if url.strip())
-
-
 def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
     """Build the execution engine a command asked for (None = serial).
 
-    ``--workers URL,...`` runs the batch on ``mode="remote"`` (sharded
-    over `repro worker` processes) and ``--coordinator URL`` on
-    ``mode="service"`` (queued on a `repro serve` coordinator);
-    otherwise ``--jobs N`` (N > 1) turns on the local process pool.
+    ``--coordinator URL`` runs the batch on ``mode="service"`` (queued
+    on a `repro serve` coordinator); otherwise ``--jobs N`` (N > 1)
+    turns on the local process pool.
     ``--cache-dir`` turns on disk-persistent result caching in every
     case (serial execution unless combined with one of the others) and
     attaches the directory's result store, so the invocation is recorded
@@ -119,16 +109,8 @@ def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
     jobs = getattr(args, "jobs", 1) or 1
     cache_dir = getattr(args, "cache_dir", None)
     store = ResultStore(cache_dir) if cache_dir is not None else None
-    urls = _worker_urls(args)
     coordinator = getattr(args, "coordinator", None)
-    if urls:
-        engine = ExperimentEngine(
-            mode="remote",
-            worker_urls=urls,
-            cache=ResultCache(directory=cache_dir),
-            store=store,
-        )
-    elif coordinator:
+    if coordinator:
         engine = ExperimentEngine(
             mode="service",
             coordinator_url=coordinator,
@@ -155,14 +137,6 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
         default=1,
         metavar="N",
         help="fan independent jobs out over N worker processes",
-    )
-    parser.add_argument(
-        "--workers",
-        metavar="URL[,URL...]",
-        help=(
-            "comma-separated `repro worker` URLs; shards the batch over "
-            "them (mode='remote', overrides --jobs)"
-        ),
     )
     parser.add_argument(
         "--coordinator",
@@ -414,18 +388,11 @@ def _cmd_platform(args: argparse.Namespace) -> str:
 
 
 def _cmd_worker(args: argparse.Namespace) -> str:
-    if args.coordinator:
-        from repro.service.pull import serve_pull
+    from repro.service.pull import serve_pull
 
-        serve_pull(
-            args.coordinator,
-            name=args.name or "",
-            cache_dir=args.cache_dir,
-        )
-        return "worker stopped"
-    from repro.engine.remote.worker import serve
-
-    serve(host=args.host, port=args.port, cache_dir=args.cache_dir)
+    serve_pull(
+        args.coordinator, name=args.name or "", cache_dir=args.cache_dir
+    )
     return "worker stopped"
 
 
@@ -983,25 +950,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "worker",
-        help=(
-            "execute engine jobs: push server (default) or, with "
-            "--coordinator, a dial-in analysis-service worker"
-        ),
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=8750,
-        help="TCP port (0 binds an ephemeral one; default 8750)",
+        help="execute engine jobs leased from an analysis-service coordinator",
     )
     p.add_argument(
         "--coordinator",
         metavar="URL",
-        help=(
-            "register with a `repro serve` coordinator and pull leased "
-            "units from its queue instead of listening for pushes"
-        ),
+        required=True,
+        help="the `repro serve` coordinator to register with and lease from",
     )
     p.add_argument(
         "--name",

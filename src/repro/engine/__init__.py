@@ -17,11 +17,12 @@ The engine layer decouples *what* an experiment is from *how* it runs:
   regimes the paper scopes out;
 * :mod:`repro.engine.batch` / :mod:`repro.engine.runner` — experiments as
   batches of independent ``(scenario, workload, model)`` jobs, executed
-  serially (deterministic default), fanned out over threads/processes,
-  sharded across a pool of HTTP workers (``mode="remote"``, see
-  :mod:`repro.engine.remote`), or queued on the analysis-service
-  coordinator's durable queue (``mode="service"``, see
-  :mod:`repro.service`), with results always in job order;
+  serially (deterministic default), fanned out over a local process
+  pool (``mode="process"``), or queued on the analysis-service
+  coordinator's durable queue for workers on any host
+  (``mode="service"``, see :mod:`repro.service`; the envelopes they
+  exchange live in :mod:`repro.engine.remote`), with results always in
+  job order;
 * :mod:`repro.engine.cache` — a content-addressed result cache keyed by a
   stable hash of the job inputs, so repeated sweeps and figure
   regenerations skip re-simulation; ``ResultCache(directory=...)``
@@ -58,13 +59,6 @@ from repro.engine.families import (
     run_family,
     temporary_families,
 )
-from repro.engine.remote import (
-    RemoteExecutor,
-    RemoteStats,
-    WorkerServer,
-    wait_for_workers,
-    worker_health,
-)
 from repro.engine.registry import (
     ScenarioRegistry,
     builtin_specs,
@@ -93,12 +87,9 @@ __all__ = [
     "FamilyRegistry",
     "FamilyRunResult",
     "Job",
-    "RemoteExecutor",
-    "RemoteStats",
     "ResultCache",
     "ScenarioFamily",
     "ScenarioRegistry",
-    "WorkerServer",
     "ScenarioRunResult",
     "ScenarioSpec",
     "WorkloadRef",
@@ -125,7 +116,5 @@ __all__ = [
     "stable_hash",
     "temporary_families",
     "temporary_scenarios",
-    "wait_for_workers",
     "warm_units",
-    "worker_health",
 ]

@@ -110,16 +110,32 @@ def as_jobs(jobs: Iterable[Job]) -> tuple[Job, ...]:
     return materialised
 
 
+def job_cache_key(item: Job) -> str | None:
+    """The job's content address, or ``None`` when it has none.
+
+    ``None`` covers jobs that opted out of caching and jobs whose
+    arguments cannot be content-addressed (closure-backed state); both
+    run uncached.  The engine's cache lookup and the service client's
+    cache-key passthrough share this one rule.
+    """
+    if not item.cacheable:
+        return None
+    try:
+        return item.resolved_cache_key()
+    except EngineError:
+        return None
+
+
 def warm_units(batch: Sequence[Job], pending: Iterable[int]) -> list[list[int]]:
     """Partition job indices into submission units.
 
     Jobs with the same ``warm_group`` form one unit (in batch order);
     every other job is its own unit.  A unit is the granularity at which
-    the pooled and remote execution backends place work on a worker:
-    executing one unit sequentially on one worker lets its batch-ILP
-    warm-start pool accumulate across the unit's structurally identical
-    solves.  Shared by the process-pool runner and the remote client so
-    both backends shard identically.
+    the process pool and the service place work on a worker: executing
+    one unit sequentially on one worker lets its batch-ILP warm-start
+    pool accumulate across the unit's structurally identical solves.
+    Shared by the process-pool runner and the service coordinator so
+    both split a batch identically.
     """
     units: list[list[int]] = []
     grouped: dict[str, list[int]] = {}

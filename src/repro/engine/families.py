@@ -648,8 +648,8 @@ def run_family(
             grid) — the CLI's ``--member`` and CI's tiny-grid hook.
         engine: execution engine; ``None`` runs serially.  Members are
             warm-grouped per (family, base, model) when they are
-            solve-heavy, so pooled and remote backends shard them onto
-            one worker's warm solver.
+            solve-heavy, so the process pool and the service place them
+            on one worker's warm solver.
     """
     if isinstance(family, str):
         family = get_family(family)

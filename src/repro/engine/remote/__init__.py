@@ -1,88 +1,33 @@
-"""Remote execution backend: engine batches over a pool of HTTP workers.
+"""What crosses the wire when an engine batch runs off-process.
 
-``mode="remote"`` is the engine's fourth execution mode: instead of
-fanning jobs out over local threads or processes, the batch is sharded
-over a pool of ``repro worker`` processes — on one host or many — via a
-thin, versioned JSON-over-HTTP protocol.  The moving parts:
+The analysis service (:mod:`repro.service`, engine ``mode="service"``)
+is the engine's one distributed backend.  This package holds the two
+pieces of it that belong to the engine layer:
 
-* :mod:`~repro.engine.remote.wire` — versioned job/result envelopes
-  (JSON carrying base64 pickles) with cache-key passthrough, so workers
-  dedupe against a shared disk :class:`~repro.engine.cache.ResultCache`;
-* :mod:`~repro.engine.remote.worker` — a single-threaded stdlib HTTP
-  server executing batches sequentially, which keeps its thread-local
-  batch-ILP warm-start pool alive across every request it serves;
-* :mod:`~repro.engine.remote.client` — :class:`RemoteExecutor`, which
-  shards units across the pool (``warm_group`` is the shard key: one
-  sweep's structurally identical ILPs always land on one worker),
-  retries and reassigns units when workers die, hang or corrupt, and
-  collects results in job order so output stays byte-identical to
-  ``mode="serial"``.
+* :mod:`~repro.engine.remote.wire` — the versioned JSON envelopes
+  (base64 pickles inside) that carry jobs, results and service control
+  documents, with cache-key passthrough so workers dedupe against a
+  shared disk :class:`~repro.engine.cache.ResultCache`;
+* :mod:`~repro.engine.remote.worker` — the per-job execution path every
+  pull worker runs (:func:`execute_wire_job`) and the counters it keeps
+  (:class:`WorkerStats`).
 
-Two-terminal quickstart (one host; swap loopback for real addresses to
-span machines — on trusted networks only, the protocol is
-unauthenticated pickle)::
+Running a batch on other machines takes three commands (swap loopback
+for real addresses to span hosts — on trusted networks only, the
+protocol is unauthenticated pickle)::
 
-    # terminal 1 — start two workers, sharing one disk cache
-    repro worker --port 8750 --cache-dir /tmp/repro-cache &
-    repro worker --port 8751 --cache-dir /tmp/repro-cache
-
-    # terminal 2 — run the model x scenario matrix on them
-    repro matrix --workers http://127.0.0.1:8750,http://127.0.0.1:8751
-
-Programmatic use mirrors the other modes::
-
-    from repro.engine import ExperimentEngine
-    engine = ExperimentEngine(
-        mode="remote",
-        worker_urls=("http://127.0.0.1:8750", "http://127.0.0.1:8751"),
-    )
-    rows = figure4_paper_mode(engine=engine)   # identical to serial
-
-Fault tolerance: a worker that dies, hangs past the request timeout or
-returns garbage is dropped from the pool and its queued units are
-redistributed over the survivors; with no survivors left the engine
-finishes the batch in-process.  Results are pure functions of job
-inputs, so every recovery path yields the same artefacts.
+    repro serve --port 8751
+    repro worker --coordinator http://127.0.0.1:8751   # one per host/core
+    repro matrix --coordinator http://127.0.0.1:8751
 """
 
-from repro.engine.remote.client import (
-    DEFAULT_TIMEOUT,
-    RemoteExecutor,
-    RemoteStats,
-    wait_for_workers,
-    worker_health,
-)
-from repro.engine.remote.wire import (
-    PROTOCOL_VERSION,
-    WireJob,
-    WireResult,
-    decode_jobs,
-    decode_results,
-    encode_jobs,
-    encode_results,
-)
-from repro.engine.remote.worker import (
-    DEFAULT_WORKER_PORT,
-    WorkerServer,
-    WorkerStats,
-    serve,
-)
+from repro.engine.remote.wire import PROTOCOL_VERSION, WireJob, WireResult
+from repro.engine.remote.worker import WorkerStats, execute_wire_job
 
 __all__ = [
-    "DEFAULT_TIMEOUT",
-    "DEFAULT_WORKER_PORT",
     "PROTOCOL_VERSION",
-    "RemoteExecutor",
-    "RemoteStats",
     "WireJob",
     "WireResult",
-    "WorkerServer",
     "WorkerStats",
-    "decode_jobs",
-    "decode_results",
-    "encode_jobs",
-    "encode_results",
-    "serve",
-    "wait_for_workers",
-    "worker_health",
+    "execute_wire_job",
 ]

@@ -1,40 +1,39 @@
-"""Versioned job/result serialization of the remote execution backend.
+"""Versioned job/result serialization of the analysis-service protocol.
 
-The remote protocol is JSON-over-HTTP: every request and response body is
-a JSON *envelope* carrying a ``protocol`` version, a ``kind`` tag and a
-list of items.  Engine jobs and their results are arbitrary picklable
-Python objects (dataclass records, enums, numpy-free plain data), so each
-item's payload is a pickle, base64-armoured inside the JSON document.
-The envelope keeps the parts a worker must read *without* unpickling —
-the protocol version, the job labels, the content-addressed cache keys —
-as plain JSON fields.
+The service (:mod:`repro.service`) speaks JSON-over-HTTP: every request
+and response body is a JSON *envelope* carrying a ``protocol`` version,
+a ``kind`` tag and the kind's fields.  Engine jobs and their results are
+arbitrary picklable Python objects (dataclass records, enums, numpy-free
+plain data), so each job or result payload is a pickle, base64-armoured
+inside the JSON document.  The envelope keeps the parts the coordinator
+must read *without* unpickling — the protocol version, the job labels,
+the content-addressed cache keys — as plain JSON fields.
 
-Two backends share this format.  The original push path (``mode="remote"``)
-speaks job-batch/result-batch envelopes directly between client and
-worker.  The analysis service (:mod:`repro.service`) adds coordinator
-envelopes on top: job submission (``job-submit``/``job-accepted``),
+The envelope kinds: job submission (``job-submit``/``job-accepted``),
 worker registration (``worker-register``/``worker-registered``), unit
 leasing (``lease-request``/``lease-grant``), progress
 (``heartbeat``/``job-status``) and result upload/download
-(``unit-result``/``job-results``).  All of them reuse the same job/result
-*entry* encoding — :func:`encode_job_entries` / :func:`encode_result_entries`
-— so a job pickled for a push worker is byte-identical on the queue.
+(``unit-result``/``job-results``).  The job- and result-carrying ones
+share one *entry* encoding — :func:`encode_job_entries` /
+:func:`encode_result_entries` — so a job is byte-identical on the
+client, on the queue and on the worker.
 
-Versioning: both sides speak exactly :data:`PROTOCOL_VERSION`.  A worker
-(or client) receiving any other version rejects the envelope with a
-:class:`~repro.errors.RemoteError` naming both versions, so mixed-version
-pools fail loudly instead of computing garbage.
+Versioning: both sides speak exactly :data:`PROTOCOL_VERSION`.  A
+coordinator, worker or client receiving any other version rejects the
+envelope with a :class:`~repro.errors.RemoteError` naming both versions,
+so mixed-version fleets fail loudly instead of computing garbage.
 
 Cache-key passthrough: the client resolves each job's content-addressed
-cache key once (see :meth:`~repro.engine.batch.Job.resolved_cache_key`)
-and ships it alongside the pickle.  A worker holding a shared disk
+cache key once (:func:`~repro.engine.batch.job_cache_key`) and ships it
+alongside the pickle.  A coordinator or worker holding a shared disk
 :class:`~repro.engine.cache.ResultCache` answers repeated keys from the
 cache without re-executing — and without recomputing the hash — which is
 what lets a worker fleet dedupe against one cache directory.
 
 Security note: payloads are pickles, and unpickling executes code.  Run
-workers only on hosts and networks where every client is trusted — the
-protocol authenticates nothing (same trust model as a shared SSH box).
+the service only on hosts and networks where every client is trusted —
+the protocol authenticates nothing (same trust model as a shared SSH
+box).
 """
 
 from __future__ import annotations
@@ -54,8 +53,6 @@ from repro.errors import RemoteError
 #: registration, leasing, progress, result up/download).
 PROTOCOL_VERSION = 2
 
-_JOBS_KIND = "job-batch"
-_RESULTS_KIND = "result-batch"
 _SUBMIT_KIND = "job-submit"
 _LEASE_KIND = "lease-grant"
 _UNIT_RESULT_KIND = "unit-result"
@@ -145,7 +142,7 @@ def _envelope(data: bytes, kind: str) -> dict:
 
 def encode_job_entries(items: Sequence[WireJob]) -> list[dict]:
     """Serialise jobs into the entry dicts every job-carrying envelope
-    shares (``job-batch``, ``job-submit``, ``lease-grant``)."""
+    shares (``job-submit``, ``lease-grant``)."""
     return [
         {
             "label": item.job.describe(),
@@ -178,7 +175,7 @@ def decode_job_entries(entries: Any) -> list[WireJob]:
 
 def encode_result_entries(items: Sequence[WireResult]) -> list[dict]:
     """Serialise results into the entry dicts every result-carrying
-    envelope shares (``result-batch``, ``unit-result``, ``job-results``).
+    envelope shares (``unit-result``, ``job-results``).
 
     An unpicklable *value* raises (pickling is the same contract
     process-pool mode imposes on results); an unpicklable *exception*
@@ -248,40 +245,6 @@ def decode_result_entries(
                 )
             items.append(WireResult(ok=False, error=error))
     return items
-
-
-def encode_jobs(items: Sequence[WireJob]) -> bytes:
-    """Serialise one job batch into a request body."""
-    return encode_document(_JOBS_KIND, {"jobs": encode_job_entries(items)})
-
-
-def decode_jobs(data: bytes) -> list[WireJob]:
-    """Parse a request body back into :class:`WireJob` items."""
-    document = _envelope(data, _JOBS_KIND)
-    return decode_job_entries(document.get("jobs"))
-
-
-def encode_results(items: Sequence[WireResult]) -> bytes:
-    """Serialise one result batch into a response body."""
-    return encode_document(
-        _RESULTS_KIND, {"results": encode_result_entries(items)}
-    )
-
-
-def decode_results(
-    data: bytes, expected: int | None = None
-) -> list[WireResult]:
-    """Parse a response body back into :class:`WireResult` items.
-
-    Args:
-        data: the response body.
-        expected: when given, the number of results the batch must carry;
-            a mismatch (truncated or padded response) raises
-            :class:`RemoteError` so the client treats the worker as
-            failed rather than mis-aligning results with jobs.
-    """
-    document = _envelope(data, _RESULTS_KIND)
-    return decode_result_entries(document.get("results"), expected)
 
 
 # ----------------------------------------------------------------------

@@ -1,84 +1,44 @@
-"""The remote worker: a stdlib HTTP server that executes engine jobs.
+"""The worker-side execution path every service pull worker shares.
 
-One :class:`WorkerServer` is one execution slot.  It is deliberately
-**single-threaded** (plain :class:`http.server.HTTPServer`, no thread per
-request): batches execute sequentially on the serving thread, so the
-thread-local batch-ILP warm-start pool
-(:func:`repro.ilp.batch.default_batch_solver`) accumulates across every
-request the worker ever serves — the whole point of routing one
-``warm_group`` to one worker — and a busy worker exerts natural
-backpressure instead of oversubscribing its host.
-
-Endpoints:
-
-* ``POST /batch`` — execute a :func:`~repro.engine.remote.wire.decode_jobs`
-  envelope, answering with the order-aligned result envelope.  Jobs whose
-  cache key hits the worker's (optionally disk-backed, fleet-shared)
-  :class:`~repro.engine.cache.ResultCache` are answered without executing.
-  Wire-format violations return 400; unexpected worker faults return 500
-  (the client treats both as a worker failure and reassigns the unit).
-* ``GET /healthz`` — protocol version plus execution statistics (batches
-  served, jobs executed, shared-cache hits, warm-solver reuses), used by
-  clients and CI to wait for worker readiness and by the analysis
-  service to surface per-worker counters in ``repro jobs --workers``.
-
-Run one from a shell with ``repro worker`` (see the package docstring for
-the two-terminal quickstart) or in-process via ``WorkerServer().start()``
-— the test-suite's fault-injection harness subclasses
-:meth:`WorkerServer.handle_batch` to simulate dying, hanging and
-corrupting workers.
+A :class:`~repro.service.pull.PullWorker` leases a unit of wire jobs
+from the coordinator and runs each one through
+:func:`execute_wire_job`: consult the worker's (optionally disk-backed,
+fleet-shared) :class:`~repro.engine.cache.ResultCache` first, execute on
+a miss, and count what happened in :class:`WorkerStats`.  Jobs run on
+the worker's one lease-loop thread, so the thread-local batch-ILP
+warm-start pool (:func:`repro.ilp.batch.default_batch_solver`)
+accumulates across every unit the worker ever leases — the reason the
+coordinator keeps one ``warm_group`` on one worker.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 from repro.engine.cache import ResultCache, is_miss
-from repro.engine.remote.wire import (
-    PROTOCOL_VERSION,
-    WireJob,
-    WireResult,
-    decode_jobs,
-    encode_results,
-)
-from repro.errors import RemoteError
-
-#: Default TCP port of ``repro worker`` (port 0 binds an ephemeral one).
-DEFAULT_WORKER_PORT = 8750
-
-#: URL paths of the two endpoints.
-BATCH_PATH = "/batch"
-HEALTH_PATH = "/healthz"
+from repro.engine.remote.wire import WireJob, WireResult
 
 
 @dataclasses.dataclass
 class WorkerStats:
     """Cumulative statistics of one worker instance.
 
-    Shared by the push server below and the service's pull worker
-    (:class:`repro.service.pull.PullWorker`); the full record is exposed
-    on ``GET /healthz`` and shipped in service heartbeats, so
-    ``repro jobs --workers`` renders the same counters either way.
+    Shipped in every service heartbeat, so ``repro jobs --workers``
+    renders live per-worker counters.
 
     Attributes:
-        batches: batch requests (push) / leased units (pull) served.
+        batches: leased units served.
         executed: jobs actually run.
         cached: jobs answered from the shared result cache.
         warm_reuses: ILP solves that reused the worker's warm-start pool
             (the thread-local batch solver's ``warm_hits`` — the counter
-            warm-group sharding exists to maximise).
-        failures: requests that failed at the protocol or worker level.
+            sticky warm-group scheduling exists to maximise).
     """
 
     batches: int = 0
     executed: int = 0
     cached: int = 0
     warm_reuses: int = 0
-    failures: int = 0
 
 
 def execute_wire_job(
@@ -86,10 +46,9 @@ def execute_wire_job(
 ) -> WireResult:
     """Run one wire job, consulting the shared result cache first.
 
-    The single execution path both worker flavours share: the push
-    server's ``POST /batch`` handler and the service pull worker's lease
-    loop call this per job, so cache dedupe and statistics behave
-    identically whichever direction the work travelled.
+    A job that raises comes back as a failed :class:`WireResult`
+    carrying the exception, which the client re-raises — exactly what
+    serial execution would have raised.
     """
     key = item.cache_key if item.job.cacheable else None
     if cache is not None and key is not None:
@@ -117,158 +76,3 @@ def snapshot_warm_reuses(stats: WorkerStats) -> None:
     from repro.ilp.batch import default_batch_solver
 
     stats.warm_reuses = default_batch_solver().stats.warm_hits
-
-
-class _WorkerHandler(BaseHTTPRequestHandler):
-    """Request handler delegating all real work to the server object."""
-
-    server: "WorkerServer"
-
-    def log_message(self, format: str, *args: object) -> None:
-        """Quiet per-request logging (the engine narrates progress)."""
-
-    def _send(self, code: int, body: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path != HEALTH_PATH:
-            self._send(404, b'{"error":"not found"}')
-            return
-        document = {
-            "protocol": PROTOCOL_VERSION,
-            "status": "ok",
-            "pid": os.getpid(),
-            **dataclasses.asdict(self.server.stats),
-        }
-        self._send(200, json.dumps(document).encode("utf-8"))
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path != BATCH_PATH:
-            self._send(404, b'{"error":"not found"}')
-            return
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
-        try:
-            response = self.server.handle_batch(body)
-        except RemoteError as exc:
-            self.server.stats.failures += 1
-            self._send(400, json.dumps({"error": str(exc)}).encode("utf-8"))
-            return
-        except Exception as exc:  # repro: ignore[broad-except] the 500 boundary: a worker fault answers the client, which reassigns
-            self.server.stats.failures += 1
-            message = f"{type(exc).__name__}: {exc}"
-            self._send(500, json.dumps({"error": message}).encode("utf-8"))
-            return
-        self._send(200, response)
-
-
-class WorkerServer(HTTPServer):
-    """One remote execution slot over HTTP.
-
-    Args:
-        host: bind address (default loopback; bind non-loopback only on
-            trusted networks — the wire format is unauthenticated pickle).
-        port: TCP port; ``0`` binds an ephemeral one (read :attr:`url`).
-        cache: optional :class:`ResultCache`.  Construct it with
-            ``directory=`` pointing at a shared path and a whole worker
-            fleet dedupes against one disk cache: a job any worker (or
-            any past run) completed is answered without re-executing.
-    """
-
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        cache: ResultCache | None = None,
-    ) -> None:
-        super().__init__((host, port), _WorkerHandler)
-        self.cache = cache
-        self.stats = WorkerStats()
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        """The base URL clients address this worker under."""
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def handle_error(self, request, client_address) -> None:
-        """Quiet client disconnects; keep real faults visible.
-
-        A fault-tolerant client abandons requests that exceed its
-        timeout, so the eventual write to its closed socket is expected
-        operation, not a worker error worth a traceback.
-        """
-        import sys
-
-        exc = sys.exc_info()[1]  # sys.exception() needs 3.11; CI runs 3.10
-        if isinstance(exc, (ConnectionError, TimeoutError)):
-            return
-        super().handle_error(request, client_address)
-
-    # ------------------------------------------------------------------
-    def handle_batch(self, body: bytes) -> bytes:
-        """Decode, execute and re-encode one job batch.
-
-        The fault-injection test harness overrides this to simulate
-        worker failure modes; the override point sits *inside* the HTTP
-        plumbing, so injected faults exercise the real transport paths.
-        """
-        items = decode_jobs(body)
-        self.stats.batches += 1
-        results = [self.execute_job(item) for item in items]
-        snapshot_warm_reuses(self.stats)
-        return encode_results(results)
-
-    def execute_job(self, item: WireJob) -> WireResult:
-        """Run one job, consulting the shared result cache first."""
-        return execute_wire_job(item, self.cache, self.stats)
-
-    # ------------------------------------------------------------------
-    def start(self) -> "WorkerServer":
-        """Serve in a daemon thread (in-process workers for tests/benchmarks)."""
-        thread = threading.Thread(
-            target=self.serve_forever,
-            name=f"repro-worker:{self.url}",
-            daemon=True,
-        )
-        thread.start()
-        self._thread = thread
-        return self
-
-    def stop(self) -> None:
-        """Stop serving and release the socket."""
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
-
-
-def serve(
-    host: str = "127.0.0.1",
-    port: int = DEFAULT_WORKER_PORT,
-    *,
-    cache_dir: str | os.PathLike | None = None,
-) -> None:
-    """Run one worker in the foreground (the ``repro worker`` command).
-
-    Prints the listening URL (the line scripts and the benchmark harness
-    parse to discover ephemeral ports), then serves until interrupted.
-    """
-    cache = ResultCache(directory=cache_dir) if cache_dir else None
-    server = WorkerServer(host, port, cache=cache)
-    print(f"repro worker listening on {server.url}", flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()

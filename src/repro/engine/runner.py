@@ -7,23 +7,20 @@ Every analysis driver expresses its experiment as a batch of independent
 * consults its :class:`~repro.engine.cache.ResultCache` first — a job
   whose content hash was seen before returns instantly, without touching
   the simulator or a solver;
-* executes the remaining jobs in one of five modes: ``"serial"`` (the
-  deterministic fallback and the default), ``"thread"`` or ``"process"``
-  (``concurrent.futures`` fan-out over CPU cores), ``"remote"``
-  (fan-out over a pool of ``repro worker`` HTTP processes, on one host
-  or many — see :mod:`repro.engine.remote`), or ``"service"`` (each
-  batch is queued on a ``repro serve`` coordinator and executed by
-  whatever workers have registered — see :mod:`repro.service`);
+* executes the remaining jobs in one of three modes: ``"serial"`` (the
+  deterministic fallback and the default), ``"process"`` (a
+  ``concurrent.futures`` process pool over the local CPU cores) or
+  ``"service"`` (each batch is queued on a ``repro serve`` coordinator
+  and executed by whatever workers have registered, on one host or
+  many — see :mod:`repro.service`);
 * always returns results **in job order**, so driver output is identical
   in every mode — parallelism changes wall-clock time, never artefacts.
 
-Robustness: process pools and remote workers need picklable jobs.  Jobs
+Robustness: the process pool and the service need picklable jobs.  Jobs
 that cannot be pickled (e.g. carrying a closure-backed
-:class:`~repro.sim.program.TaskProgram`), pool start-up failures and
-dead remote pools silently degrade to in-process execution;
-``stats.fallbacks`` records how often that happened.  A remote worker
-that dies, hangs or corrupts mid-batch is dropped and its jobs are
-retried on the surviving workers (``remote_stats`` records it).
+:class:`~repro.sim.program.TaskProgram`), a pool that cannot start and
+a coordinator that cannot be reached all degrade to in-process
+execution; ``stats.fallbacks`` counts every job demoted that way.
 """
 
 from __future__ import annotations
@@ -32,24 +29,19 @@ import dataclasses
 import os
 import pickle
 import warnings
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.engine.batch import Job, as_jobs, warm_units
+from repro.engine.batch import Job, as_jobs, job_cache_key, warm_units
 from repro.engine.cache import ResultCache, is_miss
-from repro.engine.remote.client import RemoteExecutor, RemoteStats
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # runtime import deferred: store <-> engine layering
+    from repro.service.client import ServiceExecutor, ServiceStats
     from repro.store import ResultStore
 
 #: Supported execution modes.
-EXECUTION_MODES = ("serial", "thread", "process", "remote", "service")
+EXECUTION_MODES = ("serial", "process", "service")
 
 
 @dataclasses.dataclass
@@ -61,8 +53,9 @@ class EngineStats:
             "zero re-simulations" assertion watches this counter.
         cached: jobs answered from the result cache.
         batches: number of :meth:`ExperimentEngine.run` calls.
-        fallbacks: jobs that were demoted from a worker pool to in-process
-            execution (unpicklable payload or pool start-up failure).
+        fallbacks: jobs that were demoted from the pool or the service
+            to in-process execution (unpicklable payload, pool start-up
+            failure or unreachable coordinator), each counted once.
         recorded: result-store rows written by the recording hook.
     """
 
@@ -93,24 +86,19 @@ class ExperimentEngine:
     """Runs job batches with optional parallelism and result caching.
 
     Args:
-        mode: ``"serial"`` (default), ``"thread"``, ``"process"`` or
-            ``"remote"``.
-        workers: worker count for the pooled modes; defaults to the CPU
-            count.  The pool is created lazily on the first pooled batch
-            and reused until :meth:`close` (or context-manager exit).
+        mode: ``"serial"`` (default), ``"process"`` or ``"service"``.
+        workers: worker count for ``"process"`` mode; defaults to the
+            CPU count.  The pool is created lazily on the first pooled
+            batch and reused until :meth:`close` (or context-manager
+            exit).
         cache: shared :class:`ResultCache`; ``None`` disables caching.
-        worker_urls: base URLs of ``repro worker`` processes; required
-            by (and only valid with) ``mode="remote"``.
-        remote_timeout: per-request timeout for remote mode, in seconds;
-            a worker exceeding it is dropped and its jobs reassigned
-            (``None`` keeps the client's generous default).
         coordinator_url: base URL of a ``repro serve`` coordinator;
             required by (and only valid with) ``mode="service"``.
         store: optional :class:`~repro.store.ResultStore`; when attached,
             every batch this engine runs is recorded — one provenance-
             stamped row per result cell, cache hits included, so a run's
-            recorded cell set always covers its whole matrix.  All five
-            execution modes funnel through :meth:`run`, so one hook
+            recorded cell set always covers its whole matrix.  Every
+            execution mode funnels through :meth:`run`, so one hook
             covers them all.  Recording is best-effort: a store failure
             warns and the batch's results are returned regardless.
     """
@@ -121,8 +109,6 @@ class ExperimentEngine:
         mode: str = "serial",
         workers: int | None = None,
         cache: ResultCache | None = None,
-        worker_urls: Sequence[str] | None = None,
-        remote_timeout: float | None = None,
         coordinator_url: str | None = None,
         store: "ResultStore | None" = None,
     ) -> None:
@@ -133,17 +119,6 @@ class ExperimentEngine:
             )
         if workers is not None and workers < 1:
             raise EngineError("worker count must be at least 1")
-        if mode == "remote":
-            if not worker_urls:
-                raise EngineError(
-                    "mode='remote' needs worker_urls=(...); start workers "
-                    "with `repro worker` and pass their URLs"
-                )
-        elif worker_urls:
-            raise EngineError(
-                "worker_urls only applies to mode='remote', "
-                f"not mode={mode!r}"
-            )
         if mode == "service":
             if not coordinator_url:
                 raise EngineError(
@@ -158,14 +133,11 @@ class ExperimentEngine:
         self.mode = mode
         self.workers = workers
         self.cache = cache
-        self.worker_urls = tuple(worker_urls) if worker_urls else ()
-        self.remote_timeout = remote_timeout
         self.coordinator_url = coordinator_url
         self.store = store
         self.stats = EngineStats()
-        self._executor: Executor | None = None
-        self._remote: RemoteExecutor | None = None
-        self._service = None
+        self._executor: ProcessPoolExecutor | None = None
+        self._service: "ServiceExecutor | None" = None
         self._run_id: str | None = None
 
     # ------------------------------------------------------------------
@@ -175,13 +147,7 @@ class ExperimentEngine:
         return self.stats.executed
 
     @property
-    def remote_stats(self) -> RemoteStats | None:
-        """The remote executor's statistics (``None`` until the first
-        remote batch, or in the local modes)."""
-        return self._remote.stats if self._remote is not None else None
-
-    @property
-    def service_stats(self):
+    def service_stats(self) -> "ServiceStats | None":
         """The service executor's statistics (``None`` until the first
         service batch, or in the other modes)."""
         return self._service.stats if self._service is not None else None
@@ -216,12 +182,7 @@ class ExperimentEngine:
         else:
             representative: dict[str, int] = {}
             for index, item in enumerate(batch):
-                key: str | None = None
-                if item.cacheable:
-                    try:
-                        key = item.resolved_cache_key()
-                    except EngineError:
-                        key = None  # closure-backed args: run uncached
+                key = job_cache_key(item)
                 keys[index] = key
                 if key is None:
                     pending.append(index)
@@ -294,55 +255,48 @@ class ExperimentEngine:
     def _execute(
         self, batch: Sequence[Job], pending: list[int], results: list[Any]
     ) -> None:
-        # Remote and service modes ship even single-job batches: the
-        # worker may hold warm solver state or a shared disk cache the
-        # client lacks.
+        """Run the pending jobs in-process, on the pool or on the service.
+
+        Process mode runs a lone job in-process (a pool round trip costs
+        more than it saves).  Service mode ships even single-job
+        batches: a worker may hold warm solver state or a shared disk
+        cache the client lacks.
+        """
         if self.mode == "serial" or (
-            len(pending) == 1 and self.mode not in ("remote", "service")
+            self.mode == "process" and len(pending) == 1
         ):
             self._execute_serial(batch, pending, results)
             return
-        if self.mode in ("process", "remote", "service"):
-            pooled, local = self._split_picklable(batch, pending)
-        else:
-            pooled, local = list(pending), []
-        if self.mode in ("remote", "service"):
-            if pooled:
-                if self.mode == "remote":
-                    leftover = self._remote_execute(batch, pooled, results)
-                else:
-                    leftover = self._service_execute(batch, pooled, results)
-                if leftover:
-                    # The whole worker pool (or the coordinator) died:
-                    # finish in-process.
-                    self.stats.fallbacks += len(leftover)
-                    local = sorted(local + leftover)
-            if local:
-                self._execute_serial(batch, local, results)
-            return
-        if pooled and not self._pool_execute(batch, pooled, results):
-            # No pool on this platform: degrade to in-process execution.
-            # Jobs are pure, so re-running any that completed before the
-            # pool broke is safe.
-            self.stats.fallbacks += len(pooled)
-            local = sorted(local + pooled)
+        pooled, local = self._split_picklable(batch, pending)
+        if pooled:
+            if self.mode == "process":
+                leftover = self._pool_execute(batch, pooled, results)
+            else:
+                leftover = self._service_execute(batch, pooled, results)
+            self.stats.executed += len(pooled) - len(leftover)
+            local += leftover
         if local:
-            self._execute_serial(batch, local, results)
+            # Unpicklable jobs, a pool that could not start and a batch
+            # the service could not take all finish here.  Jobs are
+            # pure, so re-running one that completed elsewhere is safe.
+            self.stats.fallbacks += len(local)
+            self._execute_serial(batch, sorted(local), results)
 
     def _pool_execute(
         self, batch: Sequence[Job], pooled: Sequence[int], results: list[Any]
-    ) -> bool:
-        """Run ``pooled`` jobs on the worker pool; False if no pool worked.
+    ) -> list[int]:
+        """Run ``pooled`` jobs on the process pool.
 
-        The pool is created lazily and kept for the engine's lifetime, so
-        multi-phase drivers (measure, then model) pay worker start-up
-        once per engine, not once per batch.  Pool *infrastructure*
-        failures — construction, worker spawning (ProcessPoolExecutor
-        forks lazily, so a sandbox that forbids it surfaces as
-        OSError/BrokenExecutor from submit()/result()) — discard the pool
-        and return ``False`` so the caller can degrade to serial
-        execution.  Exceptions raised by a job function itself propagate
-        unchanged, exactly as they would in serial mode.
+        Returns the indices the pool could not run: none, or all of
+        them when the pool broke.  The pool is created lazily and kept
+        for the engine's lifetime, so multi-phase drivers (measure, then
+        model) pay worker start-up once per engine, not once per batch.
+        Pool *infrastructure* failures — construction, worker spawning
+        (ProcessPoolExecutor forks lazily, so a sandbox that forbids it
+        surfaces as OSError/BrokenExecutor from submit()/result()) —
+        discard the pool so the caller can finish in-process.
+        Exceptions raised by a job function itself propagate unchanged,
+        exactly as they would in serial mode.
 
         Jobs sharing a ``warm_group`` are submitted as one sequential
         unit so they land on one worker and its batch-ILP warm-start
@@ -352,15 +306,16 @@ class ExperimentEngine:
         """
         try:
             if self._executor is None:
-                self._executor = self._make_executor()
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self._worker_count()
+                )
             executor = self._executor
         except (OSError, ValueError, PermissionError):
-            return False
-        units = self._warm_units(batch, pooled)
+            return list(pooled)
         broken = False
         futures: list[tuple[list[int], Any]] = []
         try:
-            for unit in units:
+            for unit in warm_units(batch, pooled):
                 if len(unit) == 1:
                     future = executor.submit(_run_job, batch[unit[0]])
                 else:
@@ -390,29 +345,8 @@ class ExperimentEngine:
         if broken:
             executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
-            return False
-        self.stats.executed += len(pooled)
-        return True
-
-    def _remote_execute(
-        self, batch: Sequence[Job], pooled: Sequence[int], results: list[Any]
-    ) -> list[int]:
-        """Run ``pooled`` jobs on the remote worker pool.
-
-        The executor shards warm groups across workers, retries units
-        whose worker failed on the survivors, and preserves job order.
-        Returns the indices no live worker could run (the caller
-        finishes those in-process); job exceptions propagate unchanged,
-        exactly as in serial mode.
-        """
-        if self._remote is None:
-            kwargs = {}
-            if self.remote_timeout is not None:
-                kwargs["timeout"] = self.remote_timeout
-            self._remote = RemoteExecutor(self.worker_urls, **kwargs)
-        leftover = self._remote.execute(batch, pooled, results)
-        self.stats.executed += len(pooled) - len(leftover)
-        return leftover
+            return list(pooled)
+        return []
 
     def _service_execute(
         self, batch: Sequence[Job], pooled: Sequence[int], results: list[Any]
@@ -432,21 +366,7 @@ class ExperimentEngine:
             from repro.service.client import ServiceExecutor
 
             self._service = ServiceExecutor(self.coordinator_url)
-        leftover = self._service.execute(batch, pooled, results)
-        self.stats.executed += len(pooled) - len(leftover)
-        return leftover
-
-    @staticmethod
-    def _warm_units(
-        batch: Sequence[Job], pooled: Sequence[int]
-    ) -> list[list[int]]:
-        """Partition pooled job indices into submission units.
-
-        Delegates to :func:`repro.engine.batch.warm_units`, the shared
-        partition the remote client also shards by, preserving the
-        historical one-job-per-future fan-out for ungrouped jobs.
-        """
-        return warm_units(batch, pooled)
+        return self._service.execute(batch, pooled, results)
 
     def _execute_serial(
         self, batch: Sequence[Job], pending: Sequence[int], results: list[Any]
@@ -455,8 +375,9 @@ class ExperimentEngine:
             results[index] = batch[index].run()
             self.stats.executed += 1
 
+    @staticmethod
     def _split_picklable(
-        self, batch: Sequence[Job], pending: Sequence[int]
+        batch: Sequence[Job], pending: Sequence[int]
     ) -> tuple[list[int], list[int]]:
         """Partition pending jobs into pool-safe and local-only sets.
 
@@ -473,16 +394,9 @@ class ExperimentEngine:
                 pickle.dumps(batch[index])
             except Exception:  # repro: ignore[broad-except] probing picklability: pickling arbitrary jobs can raise anything
                 local.append(index)
-                self.stats.fallbacks += 1
             else:
                 pooled.append(index)
         return pooled, local
-
-    def _make_executor(self) -> Executor:
-        workers = self._worker_count()
-        if self.mode == "thread":
-            return ThreadPoolExecutor(max_workers=workers)
-        return ProcessPoolExecutor(max_workers=workers)
 
 
 def run_jobs(

@@ -81,12 +81,13 @@ class JobCancelledError(EngineError):
 
 
 class RemoteError(EngineError):
-    """The remote execution backend failed at the protocol level.
+    """The analysis-service protocol was violated.
 
     Raised for wire-format violations (undecodable envelopes, protocol
-    version mismatches, truncated result batches) and for remote job
-    failures whose original exception could not be reconstructed on the
-    client.  Transport-level worker failures (connection refused, request
-    timeout) are *not* surfaced as errors — the client retries them on
-    surviving workers and, with none left, the engine falls back to
-    in-process execution."""
+    version mismatches, result counts that do not match their jobs) and
+    for job failures on a worker whose original exception could not be
+    reconstructed on the client.  Transport faults (connection refused,
+    coordinator restarting) are *not* surfaced as errors — clients and
+    workers retry them under :mod:`repro.service.retry`, and a
+    coordinator that stays unreachable hands the batch back to the
+    engine for in-process execution."""

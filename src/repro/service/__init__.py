@@ -1,20 +1,18 @@
 """Analysis as a service: a durable job queue with dial-in workers.
 
-Where ``mode="remote"`` is a *client-driven* fan-out (one CLI process
-pushes batches at a static worker list and must stay alive for the
-answer), this package inverts the arrangement into a long-running
-service:
+This package is the engine's distributed backend (``mode="service"``):
+a long-running service that any number of workers, on any number of
+hosts, join and leave at will:
 
 * the **coordinator** (:mod:`~repro.service.coordinator`) owns a
   sqlite-backed queue (:mod:`~repro.service.store`) — submitted jobs,
   their warm-group-sharded units, leases and results all survive a
   coordinator restart;
 * **workers** (:mod:`~repro.service.pull`) dial *in*: they
-  auto-register, lease units, execute them through the same path as the
-  push backend (shared :class:`~repro.engine.cache.ResultCache` dedupe
-  included) and heartbeat; a worker that vanishes has its leases
-  re-queued under a bumped fence, so nothing is lost and nothing is
-  double-counted;
+  auto-register, lease units, execute them (shared
+  :class:`~repro.engine.cache.ResultCache` dedupe included) and
+  heartbeat; a worker that vanishes has its leases re-queued under a
+  bumped fence, so nothing is lost and nothing is double-counted;
 * **clients** (:mod:`~repro.service.client`) submit and walk away: a
   named job set (:mod:`~repro.service.jobsets`) or any engine batch via
   ``mode="service"`` comes back byte-identical to serial execution.
@@ -34,9 +32,9 @@ Three-terminal quickstart::
     repro jobs --workers   --coordinator http://127.0.0.1:8751
 
 Any existing driver runs through the service unchanged by passing
-``--coordinator URL`` instead of ``--workers URL,...`` (engine
-``mode="service"``); multi-phase drivers submit one queue job per
-engine batch.  Results are byte-identical to serial runs either way.
+``--coordinator URL`` (engine ``mode="service"``); multi-phase drivers
+submit one queue job per engine batch.  Results are byte-identical to
+serial runs.
 
 Robustness layer: every networked loop in the package waits under the
 shared :mod:`~repro.service.retry` policy (exponential backoff, jitter,

@@ -60,6 +60,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Sequence
 
 from repro.errors import EngineError
+from repro.service.coordinator import SERVE_POLL_SECONDS
 
 #: The fault kinds a :class:`FaultRule` may inject.
 FAULT_KINDS = frozenset(
@@ -426,6 +427,7 @@ class ChaosProxy(ThreadingHTTPServer):
         """Serve in a daemon thread (in-process proxies for tests)."""
         thread = threading.Thread(
             target=self.serve_forever,
+            args=(SERVE_POLL_SECONDS,),
             name=f"repro-chaos:{self.url}",
             daemon=True,
         )

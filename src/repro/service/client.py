@@ -32,8 +32,7 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Sequence
 
-from repro.engine.batch import Job
-from repro.engine.remote.client import _cache_key
+from repro.engine.batch import Job, job_cache_key
 from repro.engine.remote.wire import (
     WireJob,
     WireResult,
@@ -105,7 +104,7 @@ def submit_jobs(
     jobs are pure and the coordinator's cache dedupes repeats, so a
     duplicate submission wastes work but never corrupts results.
     """
-    items = [WireJob(item, _cache_key(item)) for item in jobs]
+    items = [WireJob(item, job_cache_key(item)) for item in jobs]
     body = encode_submit(items, label=label, meta=meta)
 
     def _attempt() -> bytes:

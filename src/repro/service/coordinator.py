@@ -11,8 +11,8 @@ envelopes (:mod:`repro.engine.remote.wire`) over plain HTTP:
 * **workers** dial *in*: POST ``/register`` once, then loop POST
   ``/lease`` → execute → POST ``/complete``, renewing their leases with
   POST ``/heartbeat`` — no static worker list anywhere.  A worker whose
-  heartbeats stop has its leases expire and re-queued (fence bumped), the
-  service analogue of the push backend's dead-worker reassignment.
+  heartbeats stop has its leases expire and re-queued (fence bumped), so
+  another worker picks its units up.
 
 Scheduling preserves the engine's warm-group discipline in a dynamic
 pool: the first worker to lease a unit of a warm group becomes the
@@ -65,6 +65,12 @@ from repro.store import ResultStore
 
 #: Default TCP port of ``repro serve`` (port 0 binds an ephemeral one).
 DEFAULT_COORDINATOR_PORT = 8751
+
+#: ``serve_forever`` poll interval of in-process servers (coordinator
+#: and chaos proxy): ``stop()`` waits up to one interval for the serving
+#: loop to notice, and the stdlib default of 0.5 s would make every stop
+#: of a test or benchmark fleet take that long.
+SERVE_POLL_SECONDS = 0.05
 
 #: URL paths of the coordinator endpoints.
 HEALTH_PATH = "/healthz"
@@ -657,6 +663,7 @@ class CoordinatorServer(ThreadingHTTPServer):
         """Serve in a daemon thread (in-process coordinators for tests)."""
         thread = threading.Thread(
             target=self.serve_forever,
+            args=(SERVE_POLL_SECONDS,),
             name=f"repro-coordinator:{self.url}",
             daemon=True,
         )

@@ -1,18 +1,15 @@
 """The pull worker: dial in, lease units, execute, report back.
 
-:class:`PullWorker` is the service-side flavour of ``repro worker`` —
-started with ``repro worker --coordinator URL`` instead of a listen
-port.  Where the push :class:`~repro.engine.remote.worker.WorkerServer`
-waits for a client to POST batches at it, the pull worker *initiates*
+:class:`PullWorker` is what ``repro worker --coordinator URL`` runs.  It
+needs no listen port and no pre-shared worker list; it *initiates*
 everything:
 
 1. **register** — POST ``/register``, receiving a coordinator-issued
-   worker id (no pre-shared worker list anywhere);
+   worker id;
 2. **lease loop** — POST ``/lease`` for the next unit; an empty queue
    backs off briefly and asks again, a grant executes each job through
-   the exact same :func:`~repro.engine.remote.worker.execute_wire_job`
-   path the push server uses (shared :class:`ResultCache` consult, warm
-   thread-local batch solver, identical statistics);
+   :func:`~repro.engine.remote.worker.execute_wire_job` (shared
+   :class:`ResultCache` consult, warm thread-local batch solver);
 3. **complete** — POST ``/complete`` with the unit's results and its
    lease fence; the coordinator refuses a stale fence, which is what
    makes a re-leased unit safe;
@@ -20,8 +17,7 @@ everything:
    ships its :class:`~repro.engine.remote.worker.WorkerStats` counters,
    so ``repro jobs --workers`` shows live per-worker numbers.
 
-Fault behaviour mirrors the push backend from the other side: an
-unreachable coordinator is retried under the shared
+Fault behaviour: an unreachable coordinator is retried under the shared
 :class:`~repro.service.retry.RetryPolicy` backoff (the worker survives
 a coordinator restart), and a lease or heartbeat answered
 "unregistered" triggers transparent re-registration — in-flight units
@@ -33,6 +29,7 @@ nobody will accept.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 import urllib.request
@@ -82,8 +79,10 @@ class PullWorker:
         coordinator_url: base URL of the ``repro serve`` process.
         name: human-readable registration name (defaults to ``host:pid``
             style is the CLI's job; here it defaults to empty).
-        cache: optional shared :class:`ResultCache` — same dedupe
-            contract as the push worker.
+        cache: optional :class:`ResultCache`.  Construct it with
+            ``directory=`` pointing at a shared path and a whole worker
+            fleet dedupes against one disk cache: a job any worker (or
+            any past run) completed is answered without re-executing.
         idle_poll: seconds between lease attempts on an empty queue.
         timeout: per-request HTTP timeout.
 
@@ -179,13 +178,7 @@ class PullWorker:
             HEARTBEAT_KIND,
             {
                 "worker_id": self.worker_id,
-                "stats": {
-                    "batches": self.stats.batches,
-                    "executed": self.stats.executed,
-                    "cached": self.stats.cached,
-                    "warm_reuses": self.stats.warm_reuses,
-                    "failures": self.stats.failures,
-                },
+                "stats": dataclasses.asdict(self.stats),
             },
         )
         document = decode_document(

@@ -1,10 +1,9 @@
 """The shared retry policy: backoff, jitter, deadlines, classification.
 
-Before this module every networked component owned its own sleep loop —
-fixed ``time.sleep(poll)`` in the service client, a hand-rolled doubling
-delay in the pull worker, another one in ``wait_for_workers`` — and each
-classified failures slightly differently.  :class:`RetryPolicy` unifies
-all of them:
+Every networked loop waits under it — the service client's polls, the
+pull worker's lease and completion loops, worker registration — so they
+all back off and classify failures the same way.  :class:`RetryPolicy`
+provides:
 
 * **exponential backoff with jitter** — delays start at ``initial`` and
   multiply up to ``max_delay``; a ``jitter`` fraction decorrelates a

@@ -341,8 +341,8 @@ class JobStore:
         """Re-queue every lease past its expiry (fence bumped).
 
         Returns the reclaimed ``(job_id, unit_index)`` pairs — the
-        heartbeat-loss reassignment the remote backend's dead-worker
-        semantics map onto.  ``now`` and the stored expiries are
+        heartbeat-loss reassignment that hands a dead worker's units to
+        the rest of the fleet.  ``now`` and the stored expiries are
         ``time.monotonic()`` readings; expiries past
         :data:`LEASE_HORIZON_SECONDS` are stale stamps from a previous
         boot's clock and are reclaimed too.

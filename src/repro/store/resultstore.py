@@ -13,7 +13,7 @@ git revision, UTC timestamp and run id.
 Rows arrive three ways, all landing in the same tables:
 
 * the engine's ``record_result`` hook — every execution mode
-  (serial/thread/process/remote/service) funnels through
+  (serial/process/service) funnels through
   :meth:`repro.engine.runner.ExperimentEngine.run`, which records each
   batch automatically when a store is attached;
 * coordinator-side recording — fire-and-forget service submissions

@@ -1,4 +1,5 @@
-"""Shared fixtures: Table 2 profile, scenarios, paper readings, workloads."""
+"""Shared fixtures: Table 2 profile, scenarios, paper readings, workloads,
+and the in-process service fleet (coordinator + pull workers)."""
 
 from __future__ import annotations
 
@@ -45,6 +46,65 @@ def scenario_sandbox():
     """
     with temporary_scenarios() as registry:
         yield registry
+
+
+@pytest.fixture
+def start_coordinator(request, tmp_path):
+    """Factory: a coordinator over a file-backed store in ``tmp_path``."""
+    from repro.service.coordinator import CoordinatorServer
+    from repro.service.store import JobStore
+
+    def _start(
+        port=0, lease_seconds=30.0, worker_ttl=30.0, cache=None, results=None
+    ):
+        store = JobStore(tmp_path / "queue.sqlite")
+        server = CoordinatorServer(
+            port=port,
+            store=store,
+            cache=cache,
+            results=results,
+            lease_seconds=lease_seconds,
+            worker_ttl=worker_ttl,
+        ).start()
+        request.addfinalizer(server.stop)
+        request.addfinalizer(store.close)
+        return server
+
+    return _start
+
+
+@pytest.fixture
+def start_pull(request):
+    """Factory: an in-process pull worker, stopped on teardown."""
+    from repro.service.pull import PullWorker
+
+    def _start(url, name="", cache=None, idle_poll=0.02, cls=PullWorker):
+        worker = cls(url, name=name, cache=cache, idle_poll=idle_poll).start()
+        request.addfinalizer(worker.stop)
+        return worker
+
+    return _start
+
+
+@pytest.fixture
+def service_fleet(start_coordinator, start_pull):
+    """Factory: a coordinator plus ``workers`` registered pull workers.
+
+    Returns ``(coordinator, pull_workers)``; keyword options go to
+    :func:`start_coordinator`.  Everything stops on teardown.
+    """
+    from service_jobs import wait_workers
+
+    def _start(workers=2, **options):
+        coordinator = start_coordinator(**options)
+        pulls = [
+            start_pull(coordinator.url, name=f"w{index}")
+            for index in range(workers)
+        ]
+        wait_workers(coordinator.url, workers)
+        return coordinator, pulls
+
+    return _start
 
 
 @pytest.fixture()

@@ -32,24 +32,27 @@ SIM_SCALE = 1 / 128
 
 
 @pytest.fixture()
-def thread_engine():
-    return ExperimentEngine(mode="thread", workers=4, cache=ResultCache())
+def process_engine():
+    with ExperimentEngine(
+        mode="process", workers=2, cache=ResultCache()
+    ) as engine:
+        yield engine
 
 
 class TestParallelEqualsSerial:
-    def test_figure4_paper_mode(self, thread_engine):
+    def test_figure4_paper_mode(self, process_engine):
         serial = figure4_paper_mode()
-        parallel = figure4_paper_mode(engine=thread_engine)
+        parallel = figure4_paper_mode(engine=process_engine)
         assert parallel == serial
         # Byte-identical rendered artefact, not just equal rows.
         assert render_figure4(parallel) == render_figure4(serial)
 
-    def test_figure4_sim_mode(self, thread_engine):
+    def test_figure4_sim_mode(self, process_engine):
         serial = figure4_sim_mode(scale=SIM_SCALE)
-        parallel = figure4_sim_mode(scale=SIM_SCALE, engine=thread_engine)
+        parallel = figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
         assert parallel == serial
 
-    def test_contender_scale_sweep(self, thread_engine):
+    def test_contender_scale_sweep(self, process_engine):
         args = (
             paper.table6("scenario1", "app"),
             paper.table6("scenario1", "H-Load"),
@@ -60,24 +63,24 @@ class TestParallelEqualsSerial:
             isolation_cycles=paper.ISOLATION_CYCLES["scenario1"],
         )
         assert contender_scale_sweep(
-            *args, engine=thread_engine, **kwargs
+            *args, engine=process_engine, **kwargs
         ) == contender_scale_sweep(*args, **kwargs)
 
-    def test_three_core(self, thread_engine):
+    def test_three_core(self, process_engine):
         serial = three_core_experiment(
             "scenario1", [("H", "L")], scale=1 / 128
         )
         parallel = three_core_experiment(
-            "scenario1", [("H", "L")], scale=1 / 128, engine=thread_engine
+            "scenario1", [("H", "L")], scale=1 / 128, engine=process_engine
         )
         assert parallel == serial
 
-    def test_soundness(self, thread_engine):
+    def test_soundness(self, process_engine):
         serial = random_soundness_sweep(
             scenario_1(), pairs=3, max_requests=300
         )
         parallel = random_soundness_sweep(
-            scenario_1(), pairs=3, max_requests=300, engine=thread_engine
+            scenario_1(), pairs=3, max_requests=300, engine=process_engine
         )
         assert parallel.cases == serial.cases
 
@@ -92,39 +95,39 @@ class TestParallelEqualsSerial:
 
 
 class TestCacheSkipsResimulation:
-    def test_second_sim_mode_run_executes_zero_jobs(self, thread_engine):
-        first = figure4_sim_mode(scale=SIM_SCALE, engine=thread_engine)
-        executed = thread_engine.run_count
+    def test_second_sim_mode_run_executes_zero_jobs(self, process_engine):
+        first = figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
+        executed = process_engine.run_count
         assert executed > 0
-        second = figure4_sim_mode(scale=SIM_SCALE, engine=thread_engine)
+        second = figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
         assert second == first
-        assert thread_engine.run_count == executed  # zero re-simulations
-        assert thread_engine.stats.cached > 0
+        assert process_engine.run_count == executed  # zero re-simulations
+        assert process_engine.stats.cached > 0
 
-    def test_table6_reuses_figure4_measurements(self, thread_engine):
+    def test_table6_reuses_figure4_measurements(self, process_engine):
         from repro.analysis.experiments import table6_sim_mode
 
-        figure4_sim_mode(scale=SIM_SCALE, engine=thread_engine)
-        executed = thread_engine.run_count
-        rows = table6_sim_mode(scale=SIM_SCALE, engine=thread_engine)
+        figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
+        executed = process_engine.run_count
+        rows = table6_sim_mode(scale=SIM_SCALE, engine=process_engine)
         # The isolation measurements are shared: Table 6 adds no
         # simulation jobs on top of Figure 4's.
-        assert thread_engine.run_count == executed
+        assert process_engine.run_count == executed
         assert len(rows) == 4
 
-    def test_sweep_reuses_cached_solves_point_by_point(self, thread_engine):
+    def test_sweep_reuses_cached_solves_point_by_point(self, process_engine):
         args = (
             paper.table6("scenario1", "app"),
             paper.table6("scenario1", "H-Load"),
             scenario_1(),
         )
-        contender_scale_sweep(*args, scales=(0.5, 1.0), engine=thread_engine)
-        executed = thread_engine.run_count
+        contender_scale_sweep(*args, scales=(0.5, 1.0), engine=process_engine)
+        executed = process_engine.run_count
         # A wider sweep re-uses the ceiling and the two shared points.
         contender_scale_sweep(
-            *args, scales=(0.5, 1.0, 2.0), engine=thread_engine
+            *args, scales=(0.5, 1.0, 2.0), engine=process_engine
         )
-        assert thread_engine.run_count == executed + 1
+        assert process_engine.run_count == executed + 1
 
     def test_spec_run_is_cached_under_its_content_hash(self):
         engine = ExperimentEngine(cache=ResultCache())

@@ -13,7 +13,7 @@ The load-bearing claims:
 * the priority-arbitration family measures the equivalence the paper's
   same-class scoping relies on: single-outstanding cores observe
   identical victim times under round-robin and fixed priority;
-* serial, process-pool and two-worker remote runs of a family are
+* serial, process-pool and two-worker service runs of a family are
   byte-identical, member specs are picklable, and their engine cache
   keys are stable across processes.
 """
@@ -49,7 +49,6 @@ from repro.engine import (
     temporary_families,
     temporary_scenarios,
 )
-from repro.engine.remote.worker import WorkerServer
 from repro.errors import EngineError, ModelError
 from repro.platform.targets import Target
 
@@ -488,9 +487,10 @@ class TestFamilyCli:
 
 
 class TestModeParity:
-    """Serial, --jobs 2 and two-worker remote runs are byte-identical."""
+    """Serial, --jobs 2 and runs on two remote workers (an in-process
+    coordinator with two pull workers) are byte-identical."""
 
-    def test_serial_process_remote_parity(self):
+    def test_serial_process_remote_parity(self, service_fleet):
         family = tiny_family("parity")
         serial = run_family(family)
 
@@ -498,17 +498,13 @@ class TestModeParity:
             pooled = run_family(family, engine=engine)
         assert pooled == serial
 
-        servers = [WorkerServer().start() for _ in range(2)]
-        try:
-            with ExperimentEngine(
-                mode="remote",
-                worker_urls=tuple(server.url for server in servers),
-            ) as engine:
-                remote = run_family(family, engine=engine)
-        finally:
-            for server in servers:
-                server.stop()
+        coordinator, _workers = service_fleet()
+        engine = ExperimentEngine(
+            mode="service", coordinator_url=coordinator.url
+        )
+        remote = run_family(family, engine=engine)
         assert remote == serial
+        assert engine.stats.fallbacks == 0
 
         # Byte-identical rendered artefact, not merely equal rows.
         from repro.analysis.export import family_artifact

@@ -1,15 +1,22 @@
-"""Fault-injection harness for the remote execution backend.
+"""The engine's remote-execution contract, on the service path.
 
-Real in-process workers (actual HTTP servers on loopback sockets, not
-mocks) serve real engine batches — Figure 4, the model × scenario
-matrix, soundness sweeps — while the harness kills, hangs or corrupts
-one of them mid-batch.  The contract under test: whatever fails, the
-client retries and reassigns the affected units, and the final results
-(and the rendered artefacts) are byte-identical to ``mode="serial"``.
+Remote execution means the batch leaves the client process: it is
+queued on a ``repro serve`` coordinator and leased by pull workers that
+may run anywhere (engine ``mode="service"``).  Real in-process
+coordinators and workers (HTTP servers and clients on loopback sockets,
+not mocks) run real engine batches — Figure 4, the model × scenario
+matrix, soundness sweeps — while the harness stops a worker holding a
+lease or takes the whole service away mid-batch.  The contract under
+test: the results (and the rendered artefacts) are byte-identical to
+``mode="serial"``, work that cannot go remote finishes in-process and
+is counted once, and one warm group stays on one worker.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import os
 import time
 
 import pytest
@@ -21,13 +28,29 @@ from repro.analysis.experiments import (
 from repro.analysis.export import matrix_artifact
 from repro.analysis.report import render_artifact, render_figure4
 from repro.analysis.validation import random_soundness_sweep
-from repro.engine import ExperimentEngine, ResultCache, get_scenario
+from repro.engine import (
+    EXECUTION_MODES,
+    ExperimentEngine,
+    ResultCache,
+    get_scenario,
+)
 from repro.engine.batch import job
-from repro.engine.remote.client import RemoteExecutor, worker_health
-from repro.engine.remote.wire import WireJob
-from repro.engine.remote.worker import WorkerServer
+from repro.engine.remote.wire import PROTOCOL_VERSION
+from repro.engine.remote.worker import WorkerStats
 from repro.errors import EngineError
 from repro.platform.deployment import scenario_1
+from repro.service.client import (
+    ServiceExecutor,
+    coordinator_health,
+    job_status,
+    list_jobs,
+    list_workers,
+    submit_jobs,
+    wait_for_job,
+)
+from repro.service.pull import PullWorker
+from repro.service.store import LEASED, QUEUED
+from service_jobs import wait_workers
 
 #: Small-but-real matrix slice: two specs x two models, scaled down.
 MATRIX_MODELS = ("ftc-refined", "ilp-ptac")
@@ -41,113 +64,82 @@ def _matrix_specs():
     ]
 
 
-# ----------------------------------------------------------------------
-# Fault-injection worker subclasses.  They override handle_batch INSIDE
-# the HTTP plumbing, so every injected fault travels the real transport
-# and error-handling paths the client sees in production.
-# ----------------------------------------------------------------------
-class RecordingServer(WorkerServer):
-    """Healthy worker that records the labels of the jobs it executed."""
+class DyingPullWorker(PullWorker):
+    """Leases one unit, then dies holding it: no completion, no further
+    heartbeats — what a killed worker process looks like to the
+    coordinator.  ``on_death`` runs once the worker is gone."""
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, on_death=None, **kwargs):
         super().__init__(*args, **kwargs)
-        self.labels: list[str] = []
+        self.on_death = on_death
+        self.abandoned: dict | None = None
 
-    def execute_job(self, item: WireJob):
-        self.labels.append(item.job.describe())
-        return super().execute_job(item)
-
-
-class DyingServer(WorkerServer):
-    """Serves ``healthy_batches`` batch requests, then crashes on every
-    later one (HTTP 500 — what an OOM-killed or panicking worker's
-    front-end reports, and what a fully dead socket degrades to)."""
-
-    def __init__(self, *args, healthy_batches=1, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.healthy_batches = healthy_batches
-        self.served = 0
-
-    def handle_batch(self, body):
-        if self.served >= self.healthy_batches:
-            raise RuntimeError("injected worker crash")
-        self.served += 1
-        return super().handle_batch(body)
+    def _execute_grant(self, grant):
+        self.abandoned = grant
+        self._stop.set()
+        if self.on_death is not None:
+            self.on_death()
 
 
-class HangingServer(WorkerServer):
-    """Serves ``healthy_batches`` requests, then hangs past any client
-    timeout before answering."""
-
-    def __init__(self, *args, healthy_batches=0, hang=5.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.healthy_batches = healthy_batches
-        self.hang = hang
-        self.served = 0
-
-    def handle_batch(self, body):
-        if self.served >= self.healthy_batches:
-            time.sleep(self.hang)  # repro: ignore[bare-sleep-loop] workload deliberately hangs to exercise the timeout path
-        self.served += 1
-        return super().handle_batch(body)
+def _gated(label: str, gate: str) -> str:
+    """Job: hold the lease until the test creates the ``gate`` file."""
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(gate):
+        assert time.monotonic() < deadline, f"gate {gate} never opened"
+        time.sleep(0.01)  # repro: ignore[bare-sleep-loop] holds the lease open until the test opens the gate
+    return label
 
 
-class CorruptingServer(WorkerServer):
-    """Serves ``healthy_batches`` requests, then answers with garbage
-    bytes (a truncated/corrupted response as seen after e.g. a proxy
-    failure or torn connection)."""
-
-    def __init__(self, *args, healthy_batches=0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.healthy_batches = healthy_batches
-        self.served = 0
-
-    def handle_batch(self, body):
-        self.served += 1
-        if self.served > self.healthy_batches:
-            return b"\x00garbage, not a result envelope"
-        return super().handle_batch(body)
-
-
-@pytest.fixture
-def start_worker(request):
-    """Factory fixture: start an in-process worker, stopped on teardown."""
-
-    def _start(cls=WorkerServer, **kwargs):
-        server = cls(**kwargs).start()
-        request.addfinalizer(server.stop)
-        return server
-
-    return _start
-
-
-def _remote_engine(*servers, timeout=None, cache=None):
-    return ExperimentEngine(
-        mode="remote",
-        worker_urls=tuple(server.url for server in servers),
-        remote_timeout=timeout,
-        cache=cache,
+def _submit_gated(url: str, gate) -> str:
+    """Submit one gated job of warm group ``g``; returns the job id."""
+    return submit_jobs(
+        url, [job(_gated, gate.name, str(gate), warm_group="g")]
     )
 
 
+def _unit(url: str, job_id: str) -> dict:
+    """The status entry of a single-unit job's unit."""
+    [unit] = job_status(url, job_id)["units"]
+    return unit
+
+
+def _lessee(url: str, job_id: str, timeout: float = 10.0) -> str:
+    """The worker id holding the job's unit once it is leased."""
+    deadline = time.monotonic() + timeout
+    while (unit := _unit(url, job_id))["state"] != LEASED:
+        assert time.monotonic() < deadline, f"{job_id} never leased: {unit}"
+        time.sleep(0.01)  # repro: ignore[bare-sleep-loop] test-local poll of an in-process coordinator
+    return unit["worker"]
+
+
+def _service_engine(coordinator):
+    return ExperimentEngine(mode="service", coordinator_url=coordinator.url)
+
+
 # ----------------------------------------------------------------------
-# Healthy-pool parity: remote == serial, byte for byte
+# Healthy fleet parity: remote == serial, byte for byte
 # ----------------------------------------------------------------------
 class TestRemoteMatchesSerial:
-    def test_figure4_paper_batch(self, start_worker):
-        serial = figure4_paper_mode()
-        engine = _remote_engine(start_worker(), start_worker())
-        remote = figure4_paper_mode(engine=engine)
-        assert remote == serial
-        assert render_figure4(remote) == render_figure4(serial)
-        assert engine.stats.executed == len(serial)
-        assert engine.stats.fallbacks == 0
+    def test_figure4_paper_batch(self, service_fleet, capsys):
+        """``--coordinator`` on a batch command renders the same bytes
+        as the serial command."""
+        from repro.cli import main
 
-    def test_matrix_batch(self, start_worker):
+        assert main(["figure4"]) == 0
+        serial_out = capsys.readouterr().out
+        coordinator, _workers = service_fleet()
+        assert main(["figure4", "--coordinator", coordinator.url]) == 0
+        assert capsys.readouterr().out == serial_out
+        # The batch really went through the queue.
+        submitted = list_jobs(coordinator.url)
+        assert submitted and all(entry["complete"] for entry in submitted)
+
+    def test_matrix_batch(self, service_fleet):
         serial = model_scenario_matrix(
             models=MATRIX_MODELS, specs=_matrix_specs()
         )
-        engine = _remote_engine(start_worker(), start_worker())
+        coordinator, _workers = service_fleet()
+        engine = _service_engine(coordinator)
         remote = model_scenario_matrix(
             models=MATRIX_MODELS, specs=_matrix_specs(), engine=engine
         )
@@ -155,169 +147,196 @@ class TestRemoteMatchesSerial:
         assert render_artifact(matrix_artifact(remote)) == render_artifact(
             matrix_artifact(serial)
         )
+        assert engine.stats.fallbacks == 0
 
-    def test_soundness_batch(self, start_worker):
+    def test_soundness_batch(self, service_fleet):
         scenario = scenario_1()
         serial = random_soundness_sweep(scenario, pairs=2, max_requests=300)
-        engine = _remote_engine(start_worker(), start_worker())
+        coordinator, _workers = service_fleet()
+        engine = _service_engine(coordinator)
         remote = random_soundness_sweep(
             scenario, pairs=2, max_requests=300, engine=engine
         )
         assert remote == serial
         assert remote.all_sound
+        assert engine.stats.fallbacks == 0
 
-    def test_health_endpoint_reports_protocol_and_stats(self, start_worker):
-        server = start_worker()
-        engine = _remote_engine(server)
-        engine.run([job(max, 1, 2)])
-        health = worker_health(server.url)
+    def test_health_endpoint_reports_protocol_and_stats(self, service_fleet):
+        # A short lease makes the worker heartbeat every 0.3 s.
+        coordinator, [worker] = service_fleet(workers=1, lease_seconds=0.9)
+        assert _service_engine(coordinator).run([job(max, 1, 2)]) == [2]
+        health = coordinator_health(coordinator.url)
         assert health["status"] == "ok"
-        assert health["protocol"] == 2
-        assert health["executed"] == 1
-        # The counters the analysis service surfaces per worker.
-        assert health["batches"] == 1
-        assert "cached" in health and "warm_reuses" in health
+        assert health["protocol"] == PROTOCOL_VERSION
+        assert health["workers"] == 1
+        # Heartbeats ship the worker's whole WorkerStats record.
+        expected = dataclasses.asdict(worker.stats)
+        assert expected["batches"] == expected["executed"] == 1
+        deadline = time.monotonic() + 10
+        while True:
+            [listed] = list_workers(coordinator.url)
+            if listed["stats"] == expected:
+                break
+            assert time.monotonic() < deadline, f"no heartbeat: {listed}"
+            time.sleep(0.02)  # repro: ignore[bare-sleep-loop] waits for the worker's next heartbeat
+        assert set(listed["stats"]) == {
+            field.name for field in dataclasses.fields(WorkerStats)
+        }
 
 
 # ----------------------------------------------------------------------
-# Warm-group sharding
+# Sticky warm groups: the coordinator keeps one group on one worker
 # ----------------------------------------------------------------------
 class TestWarmGroupSharding:
-    def test_one_group_lands_on_one_worker(self, start_worker):
-        servers = [start_worker(RecordingServer) for _ in range(3)]
-        engine = _remote_engine(*servers)
-        rows = figure4_paper_mode(engine=engine)
-        assert rows == figure4_paper_mode()
-        # Every ilp-ptac (scenario, model) family is one warm group; all
-        # of its bars must have executed on a single worker.
-        for scenario in ("scenario1", "scenario2"):
-            prefix = f"figure4-paper:{scenario}:ilp-ptac:"
-            hosting = [
-                server
-                for server in servers
-                if any(label.startswith(prefix) for label in server.labels)
-            ]
-            assert len(hosting) == 1, prefix
-            hosted = [
-                label
-                for label in hosting[0].labels
-                if label.startswith(prefix)
-            ]
-            assert len(hosted) == 3  # H, M, L — the whole group
+    def test_one_group_lands_on_one_worker(
+        self, start_coordinator, start_pull, tmp_path
+    ):
+        """Two queued units of one warm group, two live workers: the
+        group's owner leases both, even while the other worker is idle."""
+        coordinator = start_coordinator()
+        url = coordinator.url
+        gates = [tmp_path / "first", tmp_path / "second"]
+        first, second = (_submit_gated(url, gate) for gate in gates)
+        for name in ("a", "b"):
+            start_pull(url, name=name)
+        owner = _lessee(url, first)
+        wait_workers(url, 2)
+        # The idle worker keeps polling; the unit stays held for the
+        # owner, which is busy with the first one.
+        time.sleep(0.2)  # repro: ignore[bare-sleep-loop] gives the idle worker lease polls to (wrongly) take the unit
+        assert _unit(url, second)["state"] == QUEUED
+        gates[0].touch()
+        assert _lessee(url, second) == owner
+        gates[1].touch()
+        for job_id in (first, second):
+            wait_for_job(url, job_id, poll=0.05, timeout=30)
 
-    def test_sharding_is_deterministic_across_batches(self, start_worker):
-        servers = [start_worker(RecordingServer) for _ in range(2)]
-        engine = ExperimentEngine(
-            mode="remote",
-            worker_urls=tuple(server.url for server in servers),
-        )
-
-        def batch():
-            return [
-                job(max, i, 10 - i, label=f"g{i % 2}:{i}",
-                    warm_group=f"group-{i % 2}")
-                for i in range(6)
-            ]
-
-        engine.run(batch())
-        first = [tuple(server.labels) for server in servers]
-        engine.run(batch())
-        second = [tuple(server.labels[len(f):])
-                  for server, f in zip(servers, first)]
-        assert [sorted(f) for f in first] == [sorted(s) for s in second]
+    def test_group_moves_on_when_its_owner_stops(
+        self, start_coordinator, start_pull, tmp_path
+    ):
+        coordinator = start_coordinator(worker_ttl=0.5)
+        url = coordinator.url
+        workers = [start_pull(url, name=name) for name in ("a", "b")]
+        wait_workers(url, 2)
+        gates = [tmp_path / "first", tmp_path / "second"]
+        first = _submit_gated(url, gates[0])
+        owner_id = _lessee(url, first)
+        gates[0].touch()
+        wait_for_job(url, first, poll=0.05, timeout=30)
+        [owner] = [w for w in workers if w.worker_id == owner_id]
+        [other] = [w for w in workers if w is not owner]
+        owner.stop()
+        # Held for the owner until its registration ages past the TTL,
+        # then claimed by the live worker.
+        second = _submit_gated(url, gates[1])
+        assert _lessee(url, second) == other.worker_id
+        gates[1].touch()
+        wait_for_job(url, second, poll=0.05, timeout=30)
 
 
 # ----------------------------------------------------------------------
-# Fault injection: kill / hang / corrupt one worker mid-batch
+# Fault injection: a worker dies holding a lease, or the service dies
 # ----------------------------------------------------------------------
+def _kill_one_worker_mid_batch(start_coordinator, start_pull, driver):
+    """Run ``driver(engine)`` while the first worker dies holding a
+    lease; a survivor joins once it is gone.  Returns the rows and the
+    coordinator."""
+    # A dead worker's lease expires after lease_seconds, and its sticky
+    # warm groups free up once its registration ages past worker_ttl.
+    coordinator = start_coordinator(lease_seconds=0.5, worker_ttl=0.5)
+    survivor = functools.partial(
+        start_pull, coordinator.url, name="survivor"
+    )
+    dying = start_pull(
+        coordinator.url,
+        name="dying",
+        cls=functools.partial(DyingPullWorker, on_death=survivor),
+    )
+    wait_workers(coordinator.url, 1)
+    engine = _service_engine(coordinator)
+    rows = driver(engine)
+    assert dying.abandoned is not None
+    assert engine.stats.fallbacks == 0  # the survivor absorbed the load
+    return rows, coordinator
+
+
 class TestFaultInjection:
-    def test_worker_killed_mid_matrix_batch(self, start_worker):
-        """The acceptance criterion: matrix through 2 workers with one
-        killed mid-batch still produces byte-identical artefacts."""
+    def test_worker_killed_mid_matrix_batch(
+        self, start_coordinator, start_pull
+    ):
+        """Matrix through the service with a worker killed mid-batch
+        still produces byte-identical artefacts."""
         serial = model_scenario_matrix(
             models=MATRIX_MODELS, specs=_matrix_specs()
         )
-        dying = start_worker(DyingServer, healthy_batches=1)
-        engine = _remote_engine(dying, start_worker())
-        remote = model_scenario_matrix(
-            models=MATRIX_MODELS, specs=_matrix_specs(), engine=engine
+        remote, coordinator = _kill_one_worker_mid_batch(
+            start_coordinator,
+            start_pull,
+            lambda engine: model_scenario_matrix(
+                models=MATRIX_MODELS, specs=_matrix_specs(), engine=engine
+            ),
         )
         assert remote == serial
         assert render_artifact(matrix_artifact(remote)) == render_artifact(
             matrix_artifact(serial)
         )
-        assert engine.remote_stats.failed_workers == 1
-        assert engine.remote_stats.reassigned >= 1
-        assert engine.stats.fallbacks == 0  # survivors absorbed the load
+        shares = {
+            worker["name"]: worker["completed_units"]
+            for worker in list_workers(coordinator.url)
+        }
+        assert shares["dying"] == 0 and shares["survivor"] > 0
 
-    def test_worker_killed_mid_figure4_batch(self, start_worker):
+    def test_worker_killed_mid_figure4_batch(
+        self, start_coordinator, start_pull
+    ):
         serial = figure4_paper_mode()
-        dying = start_worker(DyingServer, healthy_batches=1)
-        engine = _remote_engine(dying, start_worker())
-        remote = figure4_paper_mode(engine=engine)
+        remote, _coordinator = _kill_one_worker_mid_batch(
+            start_coordinator,
+            start_pull,
+            lambda engine: figure4_paper_mode(engine=engine),
+        )
         assert remote == serial
         assert render_figure4(remote) == render_figure4(serial)
-        assert engine.remote_stats.failed_workers == 1
 
-    def test_worker_killed_mid_soundness_batch(self, start_worker):
+    def test_worker_killed_mid_soundness_batch(
+        self, start_coordinator, start_pull
+    ):
         scenario = scenario_1()
         serial = random_soundness_sweep(scenario, pairs=3, max_requests=300)
-        dying = start_worker(DyingServer, healthy_batches=1)
-        engine = _remote_engine(dying, start_worker())
-        remote = random_soundness_sweep(
-            scenario, pairs=3, max_requests=300, engine=engine
+        remote, _coordinator = _kill_one_worker_mid_batch(
+            start_coordinator,
+            start_pull,
+            lambda engine: random_soundness_sweep(
+                scenario, pairs=3, max_requests=300, engine=engine
+            ),
         )
         assert remote == serial
-        assert engine.remote_stats.failed_workers == 1
 
-    def test_hanging_worker_is_reassigned(self, start_worker):
-        # The healthy worker's real units must fit the timeout with a
-        # wide margin even on a loaded CI box; only the injected hang
-        # (far past the timeout) may trip it.
-        hanging = start_worker(HangingServer, hang=5.0)
-        engine = _remote_engine(hanging, start_worker(), timeout=1.5)
-        rows = figure4_paper_mode(engine=engine)
-        assert rows == figure4_paper_mode()
-        assert engine.remote_stats.failed_workers == 1
-        assert engine.remote_stats.reassigned >= 1
-
-    def test_corrupting_worker_is_reassigned(self, start_worker):
-        corrupting = start_worker(CorruptingServer, healthy_batches=1)
-        engine = _remote_engine(corrupting, start_worker())
-        rows = figure4_paper_mode(engine=engine)
-        assert rows == figure4_paper_mode()
-        assert engine.remote_stats.failed_workers == 1
-
-    def test_whole_pool_dead_falls_back_in_process(self, start_worker):
-        dying = start_worker(DyingServer, healthy_batches=0)
-        engine = _remote_engine(dying)
-        rows = figure4_paper_mode(engine=engine)
-        assert rows == figure4_paper_mode()
-        assert engine.stats.fallbacks > 0
-        assert engine.remote_stats.executed == 0
-
-    def test_unreachable_worker_from_the_start(self, start_worker):
-        good = start_worker()
-        stopped = WorkerServer().start()
-        url = stopped.url
-        stopped.stop()  # connection refused from the first request
-        engine = ExperimentEngine(
-            mode="remote", worker_urls=(url, good.url)
+    def test_whole_pool_dead_falls_back_in_process(
+        self, start_coordinator, start_pull
+    ):
+        """The coordinator dies mid-batch and stays down: past the
+        unreachable grace the batch comes back and finishes in-process,
+        every job counted once as a fallback."""
+        coordinator = start_coordinator()
+        start_pull(
+            coordinator.url,
+            cls=functools.partial(
+                DyingPullWorker, on_death=coordinator.stop
+            ),
         )
-        assert engine.run([job(max, i, i + 1) for i in range(4)]) == [
-            max(i, i + 1) for i in range(4)
-        ]
-        assert engine.remote_stats.failed_workers == 1
-
-    def test_dead_worker_stays_dead_across_batches(self, start_worker):
-        dying = start_worker(DyingServer, healthy_batches=0)
-        good = start_worker()
-        engine = _remote_engine(dying, good)
-        engine.run([job(max, 1, 2)])
-        engine.run([job(max, 3, 4)])
-        # One failure total: later batches never re-try the dead worker.
-        assert engine.remote_stats.failed_workers == 1
-        assert dying.stats.failures == 1
+        wait_workers(coordinator.url, 1)
+        engine = _service_engine(coordinator)
+        # A short grace keeps the test fast; the default rides out a
+        # coordinator restart.
+        engine._service = ServiceExecutor(
+            coordinator.url, unreachable_grace=0.3
+        )
+        rows = figure4_paper_mode(engine=engine)
+        assert rows == figure4_paper_mode()
+        assert engine.service_stats.abandoned == 1
+        assert engine.service_stats.executed == 0
+        assert engine.stats.fallbacks == engine.stats.executed > 0
 
 
 # ----------------------------------------------------------------------
@@ -327,37 +346,47 @@ def _raise_value_error():
     raise ValueError("bad model input")
 
 
-def _raise_key_error():
+def _raise_key_error_late(delay: float):
+    time.sleep(delay)  # repro: ignore[bare-sleep-loop] makes this failure finish after a later-indexed one
     raise KeyError("missing reading")
 
 
 class TestRemoteSemantics:
     def test_job_exceptions_propagate_and_are_not_worker_failures(
-        self, start_worker
+        self, service_fleet
     ):
-        engine = _remote_engine(start_worker(), start_worker())
+        coordinator, _workers = service_fleet()
+        engine = _service_engine(coordinator)
         with pytest.raises(ValueError, match="bad model input"):
             engine.run([job(max, 1, 2), job(_raise_value_error)])
-        assert engine.remote_stats.failed_workers == 0
+        # The job's error, not the fleet's: nothing fell back, nobody
+        # was quarantined, and the next batch runs remotely as usual.
+        assert engine.stats.fallbacks == 0
+        assert engine.service_stats.abandoned == 0
+        assert coordinator.quarantined_workers == {}
+        assert engine.run([job(max, 3, 4)]) == [4]
+        assert engine.service_stats.executed == 2
 
     def test_lowest_indexed_job_error_wins_deterministically(
-        self, start_worker
+        self, service_fleet
     ):
         """Two failing jobs in different units on different workers:
         the raised error must be the lowest-indexed one — the same job
-        serial execution surfaces — not whichever unit finished first."""
-        engine = _remote_engine(start_worker(), start_worker())
+        serial execution surfaces — even though it finishes last."""
+        coordinator, _workers = service_fleet()
+        engine = _service_engine(coordinator)
         batch = [
             job(max, 1, 2),
-            job(_raise_key_error),     # index 1: the error serial sees
+            job(_raise_key_error_late, 0.3, cacheable=False),  # serial's
             job(max, 3, 4),
-            job(_raise_value_error),   # index 3: may finish first
+            job(_raise_value_error, cacheable=False),  # finishes first
         ]
         with pytest.raises(KeyError):
             engine.run(batch)
 
-    def test_unpicklable_jobs_fall_back_in_process(self, start_worker):
-        engine = _remote_engine(start_worker())
+    def test_unpicklable_jobs_fall_back_in_process(self, service_fleet):
+        coordinator, _workers = service_fleet()
+        engine = _service_engine(coordinator)
         calls = []
 
         def local_job():
@@ -367,51 +396,46 @@ class TestRemoteSemantics:
         results = engine.run([job(local_job), job(max, 1, 2)])
         assert results == ["ran-locally", 2]
         assert calls == [1]
-        assert engine.stats.fallbacks >= 1
+        assert engine.stats.fallbacks == 1
+        assert engine.service_stats.executed == 1  # the picklable one
 
-    def test_single_job_batches_still_go_remote(self, start_worker):
-        server = start_worker()
-        engine = _remote_engine(server)
+    def test_single_job_batches_still_go_remote(self, service_fleet):
+        coordinator, workers = service_fleet()
+        engine = _service_engine(coordinator)
         assert engine.run([job(max, 7, 8)]) == [8]
-        assert server.stats.executed == 1
+        assert engine.service_stats.batches == 1
+        assert engine.service_stats.executed == 1
+        assert sum(worker.stats.executed for worker in workers) == 1
 
     def test_workers_dedupe_through_a_shared_disk_cache(
-        self, start_worker, tmp_path
+        self, start_coordinator, start_pull, tmp_path
     ):
-        def fleet():
-            return [
-                start_worker(cache=ResultCache(directory=tmp_path))
-                for _ in range(2)
-            ]
-
-        batch = lambda: _solve_free_jobs()  # noqa: E731
-        first = fleet()
-        engine = _remote_engine(*first)
+        coordinator = start_coordinator()
+        cache = ResultCache(directory=tmp_path / "cache")
+        workers = [
+            start_pull(coordinator.url, name=name, cache=cache)
+            for name in ("a", "b")
+        ]
+        wait_workers(coordinator.url, 2)
+        engine = _service_engine(coordinator)
+        batch = lambda: [  # noqa: E731
+            job(pow, 2, exponent, label=f"pow:{exponent}")
+            for exponent in range(5)
+        ]
         results = engine.run(batch())
-        executed = sum(server.stats.executed for server in first)
-        assert executed == len(results)
+        assert sum(w.stats.executed for w in workers) == len(results)
 
-        # A *fresh* fleet sharing the same directory answers everything
-        # from the cache: the keys travelled with the jobs.
-        second = fleet()
-        engine2 = _remote_engine(*second)
-        assert engine2.run(batch()) == results
-        assert sum(server.stats.executed for server in second) == 0
-        assert sum(server.stats.cached for server in second) == len(results)
-        assert engine2.remote_stats.remote_cached == len(results)
+        # The resubmitted batch is answered from the fleet's shared
+        # cache: the keys travelled with the jobs.
+        assert engine.run(batch()) == results
+        assert sum(w.stats.executed for w in workers) == len(results)
+        assert sum(w.stats.cached for w in workers) == len(results)
+        assert engine.service_stats.remote_cached == len(results)
 
     def test_engine_validates_remote_configuration(self):
-        with pytest.raises(EngineError, match="worker_urls"):
-            ExperimentEngine(mode="remote")
-        with pytest.raises(EngineError, match="only applies"):
-            ExperimentEngine(mode="process", worker_urls=("http://x",))
-        with pytest.raises(EngineError, match="at least one"):
-            RemoteExecutor([])
-        with pytest.raises(EngineError, match="positive"):
-            RemoteExecutor(["http://x"], timeout=0)
-
-
-def _solve_free_jobs():
-    """A cacheable all-picklable batch of cheap jobs."""
-    return [job(pow, 2, exponent, label=f"pow:{exponent}")
-            for exponent in range(5)]
+        assert EXECUTION_MODES == ("serial", "process", "service")
+        for mode in ("remote", "thread"):
+            with pytest.raises(EngineError) as excinfo:
+                ExperimentEngine(mode=mode)
+            for known in EXECUTION_MODES:
+                assert repr(known) in str(excinfo.value)

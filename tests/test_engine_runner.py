@@ -4,7 +4,7 @@ import pytest
 
 from repro import paper
 from repro.core.ilp_ptac import IlpPtacOptions
-from repro.engine.batch import Job, as_jobs, job
+from repro.engine.batch import Job, as_jobs, job, warm_units
 from repro.engine.cache import ResultCache
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.errors import EngineError
@@ -70,7 +70,7 @@ class TestEngineModes:
     def test_run_jobs_defaults_to_serial(self):
         assert run_jobs([job(max, 1, 2), job(max, 3, 4)]) == [2, 4]
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_modes_agree_and_preserve_order(self, mode):
         scales = (0.25, 1.0, 2.0)
         serial = ExperimentEngine().run(_solve_jobs(scales))
@@ -119,7 +119,7 @@ class TestEngineCache:
         assert engine.stats.cached == 2
 
     def test_pool_is_reused_across_batches(self):
-        with ExperimentEngine(mode="thread", workers=2) as engine:
+        with ExperimentEngine(mode="process", workers=2) as engine:
             engine.run([job(max, 1, 2), job(max, 3, 4)])
             pool = engine._executor
             engine.run([job(max, 5, 6), job(max, 7, 8)])
@@ -144,7 +144,7 @@ def _raise_value_error():
 
 
 class TestJobExceptions:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_job_exceptions_propagate_in_every_mode(self, mode):
         engine = ExperimentEngine(mode=mode, workers=2)
         with pytest.raises(ValueError, match="bad model input"):
@@ -153,7 +153,7 @@ class TestJobExceptions:
     def test_job_exception_is_not_a_pool_fallback(self):
         # A failing job must not demote the whole batch to serial
         # re-execution: it is the job's error, not the pool's.
-        engine = ExperimentEngine(mode="thread", workers=2)
+        engine = ExperimentEngine(mode="process", workers=2)
         with pytest.raises(ValueError):
             engine.run([job(max, 1, 2), job(_raise_value_error)])
         assert engine.stats.fallbacks == 0
@@ -186,16 +186,16 @@ class TestWarmGroups:
                 job(max, 9, 10, warm_group="b"),
             ]
         )
-        units = ExperimentEngine._warm_units(batch, range(len(batch)))
+        units = warm_units(batch, range(len(batch)))
         assert units == [[0, 3], [1], [2, 4]]
 
     def test_units_respect_pending_subset(self):
         batch = as_jobs(
             [job(max, i, i + 1, warm_group="a") for i in range(4)]
         )
-        assert ExperimentEngine._warm_units(batch, [1, 3]) == [[1, 3]]
+        assert warm_units(batch, [1, 3]) == [[1, 3]]
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_grouped_batches_keep_result_order(self, mode):
         engine = ExperimentEngine(mode=mode, workers=2)
         jobs = [
@@ -224,7 +224,7 @@ class TestWarmGroups:
             ]
 
         serial = run_jobs(solve_batch(None))
-        with ExperimentEngine(mode="thread", workers=2) as engine:
+        with ExperimentEngine(mode="process", workers=2) as engine:
             grouped = engine.run(solve_batch("sweep:scenario1"))
         assert grouped == serial
 

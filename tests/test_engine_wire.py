@@ -1,9 +1,10 @@
-"""Property tests for the remote backend's versioned wire format.
+"""Property tests for the service's versioned wire format.
 
 The contract: any picklable job/result payload survives
-serialize→deserialize bit-exactly, and malformed or version-mismatched
-envelopes are rejected with a clear :class:`RemoteError` — never decoded
-into garbage.
+serialize→deserialize bit-exactly — jobs through the submission
+envelope, results through the job-results envelope clients download —
+and malformed or version-mismatched envelopes are rejected with a clear
+:class:`RemoteError`, never decoded into garbage.
 """
 
 from __future__ import annotations
@@ -20,10 +21,12 @@ from repro.engine.remote.wire import (
     PROTOCOL_VERSION,
     WireJob,
     WireResult,
-    decode_jobs,
-    decode_results,
-    encode_jobs,
-    encode_results,
+    decode_job_results,
+    decode_result_entries,
+    decode_submit,
+    encode_job_results,
+    encode_result_entries,
+    encode_submit,
 )
 from repro.errors import RemoteError
 
@@ -57,6 +60,30 @@ def _job_of(args, kwargs, label, warm_group) -> Job:
     return job(max, *args, label=label, warm_group=warm_group, **kwargs)
 
 
+def _submit_round_trip(items):
+    """Jobs through a submission envelope and back."""
+    decoded, _label, _meta = decode_submit(encode_submit(items))
+    return decoded
+
+
+def _results_envelope(results):
+    """One job's results as the coordinator serves them for download."""
+    unit = {
+        "unit": 0,
+        "indices": list(range(len(results))),
+        "results": encode_result_entries(results),
+    }
+    return encode_job_results("j1", complete=True, units=[unit])
+
+
+def _results_round_trip(results):
+    """Results through a job-results envelope and back."""
+    _complete, _cancelled, [(_indices, decoded)] = decode_job_results(
+        _results_envelope(results)
+    )
+    return decoded
+
+
 class TestJobRoundTrip:
     @given(
         args=st.lists(_payloads, max_size=3),
@@ -77,7 +104,7 @@ class TestJobRoundTrip:
             job=_job_of(args, kwargs, label, warm_group),
             cache_key=cache_key,
         )
-        [decoded] = decode_jobs(encode_jobs([item]))
+        [decoded] = _submit_round_trip([item])
         assert decoded.job == item.job
         assert decoded.job.args == tuple(args)
         assert dict(decoded.job.kwargs) == kwargs
@@ -88,11 +115,11 @@ class TestJobRoundTrip:
         items = [
             WireJob(job(max, i, i + 1, label=f"j{i}")) for i in range(7)
         ]
-        decoded = decode_jobs(encode_jobs(items))
+        decoded = _submit_round_trip(items)
         assert [d.job.label for d in decoded] == [f"j{i}" for i in range(7)]
 
     def test_function_identity_survives(self):
-        [decoded] = decode_jobs(encode_jobs([WireJob(job(max, 3, 5))]))
+        [decoded] = _submit_round_trip([WireJob(job(max, 3, 5))])
         assert decoded.job.run() == 5
 
 
@@ -100,8 +127,8 @@ class TestResultRoundTrip:
     @given(value=_payloads, cached=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_values_survive(self, value, cached):
-        [decoded] = decode_results(
-            encode_results([WireResult(ok=True, value=value, cached=cached)])
+        [decoded] = _results_round_trip(
+            [WireResult(ok=True, value=value, cached=cached)]
         )
         assert decoded.ok
         assert decoded.value == value
@@ -109,23 +136,19 @@ class TestResultRoundTrip:
 
     def test_special_floats_survive_exactly(self):
         values = [math.inf, -math.inf, 1e-323, -0.0]
-        decoded = decode_results(
-            encode_results([WireResult(ok=True, value=v) for v in values])
+        decoded = _results_round_trip(
+            [WireResult(ok=True, value=v) for v in values]
         )
         assert [d.value for d in decoded] == values
         # pickle round-trips NaN too; assert via isnan, not equality.
-        [nan] = decode_results(
-            encode_results([WireResult(ok=True, value=math.nan)])
-        )
+        [nan] = _results_round_trip([WireResult(ok=True, value=math.nan)])
         assert math.isnan(nan.value)
 
     @given(message=st.text(max_size=40))
     @settings(max_examples=30, deadline=None)
     def test_exceptions_survive_with_type_and_message(self, message):
-        [decoded] = decode_results(
-            encode_results(
-                [WireResult(ok=False, error=ValueError(message))]
-            )
+        [decoded] = _results_round_trip(
+            [WireResult(ok=False, error=ValueError(message))]
         )
         assert not decoded.ok
         assert isinstance(decoded.error, ValueError)
@@ -135,8 +158,8 @@ class TestResultRoundTrip:
         class Local(Exception):
             """Defined in a function scope: unpicklable by design."""
 
-        [decoded] = decode_results(
-            encode_results([WireResult(ok=False, error=Local("boom"))])
+        [decoded] = _results_round_trip(
+            [WireResult(ok=False, error=Local("boom"))]
         )
         assert not decoded.ok
         assert isinstance(decoded.error, RemoteError)
@@ -144,31 +167,31 @@ class TestResultRoundTrip:
         assert "boom" in str(decoded.error)
 
     def test_expected_count_mismatch_rejected(self):
-        data = encode_results([WireResult(ok=True, value=1)])
+        entries = encode_result_entries([WireResult(ok=True, value=1)])
         with pytest.raises(RemoteError, match="1 results for 2 jobs"):
-            decode_results(data, expected=2)
+            decode_result_entries(entries, expected=2)
 
 
 class TestEnvelopeValidation:
     @given(version=st.one_of(st.integers(), st.text(max_size=8), st.none()))
     @settings(max_examples=40, deadline=None)
     def test_unknown_protocol_versions_rejected(self, version):
-        document = json.loads(encode_jobs([WireJob(job(max, 1, 2))]))
+        document = json.loads(encode_submit([WireJob(job(max, 1, 2))]))
         document["protocol"] = version
         data = json.dumps(document).encode()
         if version == PROTOCOL_VERSION:
-            assert decode_jobs(data)
+            assert decode_submit(data)
             return
         with pytest.raises(RemoteError) as excinfo:
-            decode_jobs(data)
+            decode_submit(data)
         # The error must name both versions so mixed fleets are debuggable.
         assert str(PROTOCOL_VERSION) in str(excinfo.value)
         assert repr(version) in str(excinfo.value)
 
     def test_wrong_kind_rejected(self):
-        data = encode_results([WireResult(ok=True, value=1)])
-        with pytest.raises(RemoteError, match="job-batch"):
-            decode_jobs(data)
+        data = _results_envelope([WireResult(ok=True, value=1)])
+        with pytest.raises(RemoteError, match="job-submit"):
+            decode_submit(data)
 
     @pytest.mark.parametrize(
         "payload",
@@ -177,22 +200,22 @@ class TestEnvelopeValidation:
             b"not json at all",
             b"[1, 2, 3]",
             b'{"protocol": 2}',
-            b'{"protocol": 2, "kind": "job-batch", "jobs": "nope"}',
-            b'{"protocol": 2, "kind": "job-batch", "jobs": [{"payload": "!bad!"}]}',
+            b'{"protocol": 2, "kind": "job-submit", "jobs": "nope"}',
+            b'{"protocol": 2, "kind": "job-submit", "jobs": [{"payload": "!bad!"}]}',
         ],
     )
     def test_malformed_envelopes_rejected(self, payload):
         with pytest.raises(RemoteError):
-            decode_jobs(payload)
+            decode_submit(payload)
 
     def test_tampered_payload_rejected_not_misdecoded(self):
-        document = json.loads(encode_jobs([WireJob(job(max, 1, 2))]))
+        document = json.loads(encode_submit([WireJob(job(max, 1, 2))]))
         document["jobs"][0]["payload"] = "AAAA"
         with pytest.raises(RemoteError):
-            decode_jobs(json.dumps(document).encode())
+            decode_submit(json.dumps(document).encode())
 
     def test_non_job_payload_rejected(self):
-        document = json.loads(encode_jobs([WireJob(job(max, 1, 2))]))
+        document = json.loads(encode_submit([WireJob(job(max, 1, 2))]))
         import base64
         import pickle
 
@@ -200,7 +223,7 @@ class TestEnvelopeValidation:
             pickle.dumps("not a job")
         ).decode()
         with pytest.raises(RemoteError, match="not a Job"):
-            decode_jobs(json.dumps(document).encode())
+            decode_submit(json.dumps(document).encode())
 
 
 class TestServiceEnvelopes:

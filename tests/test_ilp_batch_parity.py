@@ -412,19 +412,19 @@ class TestDriverParity:
         assert cold_rows == warm_rows
 
     def test_sweep_identical_across_engine_modes(self):
-        """Serial (one shared pool) and threaded (grouped warm units)
+        """Serial (one shared pool) and process-pool (grouped warm units)
         execution must agree point for point."""
         scenario = scenario_1()
         readings_a = paper.table6("scenario1", "app")
         contender = paper.table6("scenario1", "H-Load")
         serial = contender_scale_sweep(readings_a, contender, scenario)
         with ExperimentEngine(
-            mode="thread", workers=4, cache=ResultCache()
+            mode="process", workers=2, cache=ResultCache()
         ) as engine:
-            threaded = contender_scale_sweep(
+            pooled = contender_scale_sweep(
                 readings_a, contender, scenario, engine=engine
             )
-        assert serial == threaded
+        assert serial == pooled
 
     def test_matrix_driver_covers_all_counter_models(self):
         models = counter_based_model_names()
@@ -456,47 +456,36 @@ class TestDriverParity:
         with pytest.raises(ModelError, match="counter-based"):
             model_scenario_matrix(models=("ideal",))
 
-    def test_remote_warm_groups_bit_identical_to_cold(self):
-        """Warm-group sharding over *remote* workers preserves the
-        warm ≡ cold guarantee: whole warm groups land on one worker's
-        batch solver (its pool accumulates real warm-start state across
-        the unit), yet every bar matches a cold, serial solve bit for
-        bit."""
-        from repro.engine.remote.worker import WorkerServer
-
+    def test_remote_warm_groups_bit_identical_to_cold(self, service_fleet):
+        """Warm groups leased by *remote* workers (two pull workers on
+        an in-process coordinator) preserve the warm ≡ cold guarantee:
+        whole warm groups land on one worker's batch solver (its pool
+        accumulates real warm-start state across the unit), yet every
+        bar matches a cold, serial solve bit for bit."""
         cold_rows = figure4_paper_mode(options=COLD)
-        servers = [WorkerServer().start() for _ in range(2)]
-        try:
-            with ExperimentEngine(
-                mode="remote",
-                worker_urls=tuple(server.url for server in servers),
-            ) as engine:
-                remote_warm = figure4_paper_mode(engine=engine)
-                assert engine.stats.fallbacks == 0  # really ran remotely
-        finally:
-            for server in servers:
-                server.stop()
+        coordinator, _workers = service_fleet()
+        engine = ExperimentEngine(
+            mode="service", coordinator_url=coordinator.url
+        )
+        remote_warm = figure4_paper_mode(engine=engine)
+        assert engine.stats.fallbacks == 0  # really ran remotely
         assert remote_warm == cold_rows
 
-    def test_remote_sweep_identical_across_engine_modes(self):
+    def test_remote_sweep_identical_across_engine_modes(self, service_fleet):
         """The contender sweep — one warm group end to end — agrees
-        point for point between serial and remote execution."""
-        from repro.engine.remote.worker import WorkerServer
-
+        point for point between serial and remote (service) execution."""
         scenario = scenario_1()
         readings_a = paper.table6("scenario1", "app")
         contender = paper.table6("scenario1", "H-Load")
         serial = contender_scale_sweep(readings_a, contender, scenario)
-        server = WorkerServer().start()
-        try:
-            with ExperimentEngine(
-                mode="remote", worker_urls=(server.url,)
-            ) as engine:
-                remote = contender_scale_sweep(
-                    readings_a, contender, scenario, engine=engine
-                )
-        finally:
-            server.stop()
+        coordinator, _workers = service_fleet()
+        engine = ExperimentEngine(
+            mode="service", coordinator_url=coordinator.url
+        )
+        remote = contender_scale_sweep(
+            readings_a, contender, scenario, engine=engine
+        )
+        assert engine.stats.fallbacks == 0
         assert serial == remote
 
 

@@ -24,7 +24,6 @@ import pytest
 from repro.analysis.experiments import figure4_paper_mode
 from repro.analysis.report import render_figure4
 from repro.engine import ExperimentEngine
-from repro.engine.batch import job
 from repro.engine.remote.wire import (
     WireResult,
     encode_unit_result,
@@ -59,77 +58,11 @@ from repro.service.retry import (
     retryable_fault,
 )
 from repro.service.store import LEASED, QUEUED, JobStore, UnitSpec
-
-
-def _slow_record(label: str, delay: float, path: str) -> str:
-    """Job: sleep, then append the label to a log file (the detector)."""
-    time.sleep(delay)  # repro: ignore[bare-sleep-loop] helper polls a test-local predicate, not a networked service
-    with open(path, "a") as handle:
-        handle.write(label + "\n")
-    return label
-
-
-def _slow_jobs(path, count=6, delay=0.1, cacheable=True):
-    return [
-        job(
-            _slow_record,
-            f"unit{i}",
-            delay,
-            str(path),
-            label=f"slow:{i}",
-            cacheable=cacheable,
-        )
-        for i in range(count)
-    ]
-
-
-def _collect(url: str, job_id: str, total: int) -> list:
-    complete, _cancelled, units = fetch_results(url, job_id)
-    assert complete
-    results = [None] * total
-    for indices, outcomes in units:
-        for index, outcome in zip(indices, outcomes):
-            assert outcome.ok, outcome.error
-            results[index] = outcome.value
-    return results
+from service_jobs import collect, slow_jobs, wait_workers
 
 
 def _http_error(code: int) -> urllib.error.HTTPError:
     return urllib.error.HTTPError("http://x", code, "status", None, None)
-
-
-@pytest.fixture
-def start_coordinator(request, tmp_path):
-    """Factory: a coordinator over a file-backed store in ``tmp_path``."""
-
-    def _start(port=0, lease_seconds=30.0, worker_ttl=30.0, cache=None):
-        store = JobStore(tmp_path / "queue.sqlite")
-        server = CoordinatorServer(
-            port=port,
-            store=store,
-            cache=cache,
-            lease_seconds=lease_seconds,
-            worker_ttl=worker_ttl,
-        ).start()
-        request.addfinalizer(server.stop)
-        request.addfinalizer(store.close)
-        return server
-
-    return _start
-
-
-@pytest.fixture
-def start_pull(request):
-    """Factory: an in-process pull worker, stopped on teardown."""
-
-    def _start(url, name="", cache=None, idle_poll=0.02):
-        worker = PullWorker(
-            url, name=name, cache=cache, idle_poll=idle_poll
-        ).start()
-        request.addfinalizer(worker.stop)
-        return worker
-
-    return _start
 
 
 @pytest.fixture
@@ -142,13 +75,6 @@ def start_proxy(request):
         return proxy
 
     return _start
-
-
-def _wait_workers(url, count, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while coordinator_health(url)["workers"] < count:
-        assert time.monotonic() < deadline, "workers never registered"
-        time.sleep(0.02)  # repro: ignore[bare-sleep-loop] chaos worker deliberately stalls mid-job
 
 
 # ----------------------------------------------------------------------
@@ -637,7 +563,7 @@ class TestWorkerQuarantine:
         saboteur = PullWorker(coordinator.url, name="saboteur")
         saboteur.register()
         job_id = submit_jobs(
-            coordinator.url, _slow_jobs(log, count=4), label="quarantine"
+            coordinator.url, slow_jobs(log, count=4), label="quarantine"
         )
         grants = [saboteur._lease() for _ in range(3)]
         assert all(g and not g.get("unregistered") for g in grants)
@@ -668,13 +594,13 @@ class TestWorkerQuarantine:
         # An honest worker finishes the whole job exactly once.
         start_pull(coordinator.url, name="honest")
         wait_for_job(coordinator.url, job_id, poll=0.05, timeout=30)
-        assert _collect(coordinator.url, job_id, 4) == [
+        assert collect(coordinator.url, job_id, 4) == [
             f"unit{i}" for i in range(4)
         ]
         assert sorted(log.read_text().split()) == sorted(
             f"unit{i}" for i in range(4)
         )
-        results = _collect(coordinator.url, job_id, 4)
+        results = collect(coordinator.url, job_id, 4)
         assert "forged" not in results
 
 
@@ -690,10 +616,10 @@ class TestCancellation:
         log = tmp_path / "runs.log"
         coordinator = start_coordinator(lease_seconds=self.LEASE)
         start_pull(coordinator.url, name="steady")
-        _wait_workers(coordinator.url, 1)
+        wait_workers(coordinator.url, 1)
         job_id = submit_jobs(
             coordinator.url,
-            _slow_jobs(log, count=6, delay=0.25, cacheable=False),
+            slow_jobs(log, count=6, delay=0.25, cacheable=False),
             label="doomed",
         )
         deadline = time.monotonic() + 20
@@ -733,10 +659,10 @@ class TestCancellation:
         log = tmp_path / "runs.log"
         coordinator = start_coordinator(lease_seconds=self.LEASE)
         start_pull(coordinator.url, name="cli")
-        _wait_workers(coordinator.url, 1)
+        wait_workers(coordinator.url, 1)
         job_id = submit_jobs(
             coordinator.url,
-            _slow_jobs(log, count=6, delay=0.3, cacheable=False),
+            slow_jobs(log, count=6, delay=0.3, cacheable=False),
             label="doomed",
         )
         assert main(
@@ -792,7 +718,7 @@ class TestChaosEndToEnd:
         proxy = start_proxy(coordinator.url, plan=plan)
         start_pull(proxy.url, name="chaos-a")
         start_pull(proxy.url, name="chaos-b")
-        _wait_workers(coordinator.url, 2)
+        wait_workers(coordinator.url, 2)
 
         engine = ExperimentEngine(mode="service", coordinator_url=proxy.url)
         rows = figure4_paper_mode(engine=engine)
@@ -804,12 +730,12 @@ class TestChaosEndToEnd:
         log = tmp_path / f"runs-{fault}.log"
         job_id = submit_jobs(
             proxy.url,
-            _slow_jobs(log, count=4, delay=0.05),
+            slow_jobs(log, count=4, delay=0.05),
             label=fault,
             retry=REQUEST_POLICY.with_deadline(10.0),
         )
         wait_for_job(proxy.url, job_id, poll=0.05, timeout=30)
-        assert _collect(proxy.url, job_id, 4) == [
+        assert collect(proxy.url, job_id, 4) == [
             f"unit{i}" for i in range(4)
         ]
         assert sorted(log.read_text().split()) == sorted(
@@ -844,12 +770,12 @@ class TestChaosEndToEnd:
         proxy = start_proxy(coordinator.url, plan=plan, kill=kill)
         start_pull(proxy.url, name="kill-a")
         start_pull(proxy.url, name="kill-b")
-        _wait_workers(coordinator.url, 2)
+        wait_workers(coordinator.url, 2)
 
         log = tmp_path / "runs.log"
         job_id = submit_jobs(
             proxy.url,
-            _slow_jobs(log, count=6, delay=0.1),
+            slow_jobs(log, count=6, delay=0.1),
             label="kill",
             retry=REQUEST_POLICY.with_deadline(10.0),
         )
@@ -860,7 +786,7 @@ class TestChaosEndToEnd:
         assert engine.stats.fallbacks == 0
 
         wait_for_job(proxy.url, job_id, poll=0.05, timeout=60)
-        assert _collect(proxy.url, job_id, 6) == [
+        assert collect(proxy.url, job_id, 6) == [
             f"unit{i}" for i in range(6)
         ]
         # The kill really happened, and despite it no unit ran twice.

@@ -18,7 +18,6 @@ from repro.analysis.experiments import figure4_paper_mode
 from repro.analysis.report import render_figure4
 from repro.engine import ExperimentEngine, ResultCache
 from repro.engine.batch import job
-from repro.engine.remote.client import wait_for_workers
 from repro.engine.remote.wire import (
     WireResult,
     decode_document,
@@ -26,8 +25,6 @@ from repro.engine.remote.wire import (
 )
 from repro.errors import EngineError
 from repro.service.client import (
-    coordinator_health,
-    fetch_results,
     job_status,
     list_workers,
     submit_jobs,
@@ -47,89 +44,11 @@ from repro.service.store import (
     JobStore,
     UnitSpec,
 )
-
-
-def _slow_record(label: str, delay: float, path: str) -> str:
-    """Job: sleep, then append the label to a log file.
-
-    The log is the double-execution detector: a label appearing twice
-    means a unit ran twice, which lease fencing must prevent in every
-    scenario these tests stage.
-    """
-    time.sleep(delay)  # repro: ignore[bare-sleep-loop] helper polls a test-local predicate, not a networked service
-    with open(path, "a") as handle:
-        handle.write(label + "\n")
-    return label
-
-
-def _slow_jobs(path, count=6, delay=0.1, cacheable=True):
-    return [
-        job(
-            _slow_record,
-            f"unit{i}",
-            delay,
-            str(path),
-            label=f"slow:{i}",
-            cacheable=cacheable,
-        )
-        for i in range(count)
-    ]
+from service_jobs import collect, slow_jobs, wait_workers
 
 
 def _boom(message: str) -> None:
     raise ValueError(message)
-
-
-def _collect(url: str, job_id: str, total: int) -> list:
-    complete, _cancelled, units = fetch_results(url, job_id)
-    assert complete
-    results = [None] * total
-    for indices, outcomes in units:
-        for index, outcome in zip(indices, outcomes):
-            assert outcome.ok, outcome.error
-            results[index] = outcome.value
-    return results
-
-
-@pytest.fixture
-def start_coordinator(request, tmp_path):
-    """Factory: a coordinator over a file-backed store in ``tmp_path``."""
-
-    def _start(port=0, lease_seconds=30.0, worker_ttl=30.0, cache=None):
-        store = JobStore(tmp_path / "queue.sqlite")
-        server = CoordinatorServer(
-            port=port,
-            store=store,
-            cache=cache,
-            lease_seconds=lease_seconds,
-            worker_ttl=worker_ttl,
-        ).start()
-        request.addfinalizer(server.stop)
-        request.addfinalizer(store.close)
-        return server
-
-    return _start
-
-
-@pytest.fixture
-def start_pull(request):
-    """Factory: an in-process pull worker, stopped on teardown."""
-
-    def _start(url, name="", cache=None, idle_poll=0.02):
-        worker = PullWorker(
-            url, name=name, cache=cache, idle_poll=idle_poll
-        ).start()
-        request.addfinalizer(worker.stop)
-        return worker
-
-    return _start
-
-
-def _wait_workers(url, count, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while coordinator_health(url)["workers"] < count:
-        assert time.monotonic() < deadline, "workers never registered"
-        time.sleep(0.02)  # repro: ignore[bare-sleep-loop] worker deliberately stalls so the test can observe a live lease
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +175,7 @@ class TestServiceMatchesSerial:
         coordinator = start_coordinator()
         start_pull(coordinator.url, name="alpha")
         start_pull(coordinator.url, name="beta")
-        _wait_workers(coordinator.url, 2)
+        wait_workers(coordinator.url, 2)
         engine = ExperimentEngine(
             mode="service", coordinator_url=coordinator.url
         )
@@ -273,12 +192,12 @@ class TestServiceMatchesSerial:
         coordinator = start_coordinator()
         start_pull(coordinator.url, name="alpha")
         start_pull(coordinator.url, name="beta")
-        _wait_workers(coordinator.url, 2)
+        wait_workers(coordinator.url, 2)
         job_id = submit_jobs(
-            coordinator.url, _slow_jobs(log), label="spread"
+            coordinator.url, slow_jobs(log), label="spread"
         )
         wait_for_job(coordinator.url, job_id, poll=0.05, timeout=30)
-        results = _collect(coordinator.url, job_id, 6)
+        results = collect(coordinator.url, job_id, 6)
         assert results == [f"unit{i}" for i in range(6)]
         # Every unit ran exactly once...
         assert sorted(log.read_text().split()) == sorted(
@@ -299,14 +218,14 @@ class TestServiceMatchesSerial:
         log = tmp_path / "runs.log"
         coordinator = start_coordinator()
         start_pull(coordinator.url)
-        _wait_workers(coordinator.url, 1)
+        wait_workers(coordinator.url, 1)
         job_id = submit_jobs(
-            coordinator.url, _slow_jobs(log, count=3), label="detached"
+            coordinator.url, slow_jobs(log, count=3), label="detached"
         )
         time.sleep(1.0)  # no client in the loop at all  # repro: ignore[bare-sleep-loop] test waits out a real lease expiry
         status = job_status(coordinator.url, job_id)
         assert status["complete"]
-        assert _collect(coordinator.url, job_id, 3) == [
+        assert collect(coordinator.url, job_id, 3) == [
             "unit0", "unit1", "unit2",
         ]
 
@@ -326,7 +245,7 @@ class TestWorkerLoss:
         crasher.register()
         assert crasher._lease() is None  # empty queue: no grant
         job_id = submit_jobs(
-            coordinator.url, _slow_jobs(log, count=4), label="loss"
+            coordinator.url, slow_jobs(log, count=4), label="loss"
         )
         grant = crasher._lease()
         assert grant is not None and not grant.get("unregistered")
@@ -334,7 +253,7 @@ class TestWorkerLoss:
         # unit is re-leased (fence bumped) to the survivor.
         start_pull(coordinator.url, name="survivor")
         wait_for_job(coordinator.url, job_id, poll=0.05, timeout=30)
-        assert _collect(coordinator.url, job_id, 4) == [
+        assert collect(coordinator.url, job_id, 4) == [
             f"unit{i}" for i in range(4)
         ]
         assert sorted(log.read_text().split()) == sorted(
@@ -357,7 +276,7 @@ class TestWorkerLoss:
         answer = decode_document(body, UNIT_ACCEPTED_KIND)
         assert answer["accepted"] is False
         # And the recorded results are the survivor's, not the forgery.
-        results = _collect(coordinator.url, job_id, 4)
+        results = collect(coordinator.url, job_id, 4)
         assert "forged" not in results
 
 
@@ -379,11 +298,11 @@ class TestCoordinatorRestart:
             coordinator.url, name="steady", idle_poll=0.02
         ).start()
         request.addfinalizer(worker.stop)
-        _wait_workers(coordinator.url, 1)
+        wait_workers(coordinator.url, 1)
 
         job_id = submit_jobs(
             coordinator.url,
-            _slow_jobs(log, count=6, delay=0.15),
+            slow_jobs(log, count=6, delay=0.15),
             label="durable",
         )
         # Let some units finish, then kill the coordinator mid-job
@@ -408,7 +327,7 @@ class TestCoordinatorRestart:
         assert status["total_units"] == 6  # queued units recovered
 
         wait_for_job(restarted.url, job_id, poll=0.05, timeout=30)
-        assert _collect(restarted.url, job_id, 6) == [
+        assert collect(restarted.url, job_id, 6) == [
             f"unit{i}" for i in range(6)
         ]
         # Lease fencing + durable leases: despite the crash, restart and
@@ -429,16 +348,16 @@ class TestCoordinatorCache:
         cache = ResultCache(directory=tmp_path / "cache")
         coordinator = start_coordinator(cache=cache)
         start_pull(coordinator.url, name="only")
-        _wait_workers(coordinator.url, 1)
-        first = submit_jobs(coordinator.url, _slow_jobs(log), label="one")
+        wait_workers(coordinator.url, 1)
+        first = submit_jobs(coordinator.url, slow_jobs(log), label="one")
         wait_for_job(coordinator.url, first, poll=0.05, timeout=30)
         executed_once = log.read_text().split()
 
         # Same batch again: every unit is born done at submission.
-        second = submit_jobs(coordinator.url, _slow_jobs(log), label="two")
+        second = submit_jobs(coordinator.url, slow_jobs(log), label="two")
         status = job_status(coordinator.url, second)
         assert status["complete"] and status["queued"] == 0
-        assert _collect(coordinator.url, second, 6) == _collect(
+        assert collect(coordinator.url, second, 6) == collect(
             coordinator.url, first, 6
         )
         assert log.read_text().split() == executed_once  # nothing re-ran
@@ -453,7 +372,7 @@ class TestServiceErrors:
     ):
         coordinator = start_coordinator()
         start_pull(coordinator.url)
-        _wait_workers(coordinator.url, 1)
+        wait_workers(coordinator.url, 1)
         engine = ExperimentEngine(
             mode="service", coordinator_url=coordinator.url
         )
@@ -481,23 +400,6 @@ class TestServiceErrors:
 
 
 # ----------------------------------------------------------------------
-# wait_for_workers: total deadline, all failures named
-# ----------------------------------------------------------------------
-class TestWaitForWorkers:
-    def test_deadline_error_names_every_unreachable_url(self):
-        urls = ["http://127.0.0.1:9", "http://127.0.0.1:19"]
-        started = time.monotonic()
-        with pytest.raises(EngineError) as excinfo:
-            wait_for_workers(urls, timeout=0.3)
-        elapsed = time.monotonic() - started
-        message = str(excinfo.value)
-        assert "2 worker(s) not reachable after 0.3s" in message
-        for url in urls:
-            assert url in message
-        assert elapsed < 5.0  # one total deadline, not per-URL timeouts
-
-
-# ----------------------------------------------------------------------
 # Worker counters surfaced through the coordinator
 # ----------------------------------------------------------------------
 class TestWorkerCounters:
@@ -507,8 +409,8 @@ class TestWorkerCounters:
         log = tmp_path / "runs.log"
         coordinator = start_coordinator(lease_seconds=0.9)
         start_pull(coordinator.url, name="counted")
-        _wait_workers(coordinator.url, 1)
-        job_id = submit_jobs(coordinator.url, _slow_jobs(log, count=3))
+        wait_workers(coordinator.url, 1)
+        job_id = submit_jobs(coordinator.url, slow_jobs(log, count=3))
         wait_for_job(coordinator.url, job_id, poll=0.05, timeout=30)
         deadline = time.monotonic() + 10
         while True:
@@ -541,7 +443,7 @@ class TestServiceCli:
         coordinator = start_coordinator()
         start_pull(coordinator.url, name="cli-a")
         start_pull(coordinator.url, name="cli-b")
-        _wait_workers(coordinator.url, 2)
+        wait_workers(coordinator.url, 2)
 
         out = self._run(
             capsys, "submit", "--coordinator", coordinator.url, "figure4"

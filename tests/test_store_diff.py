@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sqlite3
-import time
 
 import pytest
 
@@ -25,10 +24,7 @@ from repro.analysis.experiments import (
 )
 from repro.engine import ExperimentEngine, ResultCache
 from repro.errors import StoreError
-from repro.service.client import coordinator_health, submit_jobs, wait_for_job
-from repro.service.coordinator import CoordinatorServer
-from repro.service.pull import PullWorker
-from repro.service.store import JobStore
+from repro.service.client import submit_jobs, wait_for_job
 from repro.store import (
     STORE_FILENAME,
     ResultStore,
@@ -36,6 +32,7 @@ from repro.store import (
     diff_rows,
     diff_runs,
 )
+from service_jobs import wait_workers
 
 
 def _cell(cell="figure4/s1/m/H", **overrides):
@@ -185,7 +182,7 @@ class TestDiffArtifact:
 # Mode parity: same inputs, same revision -> empty diff, every mode
 # ----------------------------------------------------------------------
 class TestModeParity:
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_two_runs_diff_empty(self, mode, tmp_path):
         store = ResultStore(tmp_path)
         cache = ResultCache()
@@ -208,16 +205,15 @@ class TestModeParity:
     def test_every_local_mode_matches_serial(self, tmp_path):
         store = ResultStore(tmp_path)
         run_ids = {}
-        for mode in ("serial", "thread", "process"):
+        for mode in ("serial", "process"):
             engine = ExperimentEngine(mode=mode, workers=2, store=store)
             try:
                 figure4_paper_mode(engine=engine)
             finally:
                 engine.close()
             run_ids[mode] = engine.run_id
-        for mode in ("thread", "process"):
-            report = diff_runs(store, run_ids["serial"], run_ids[mode])
-            assert report.diffs == (), f"{mode} drifted from serial"
+        report = diff_runs(store, run_ids["serial"], run_ids["process"])
+        assert report.diffs == (), "process drifted from serial"
         store.close()
 
     def test_matrix_cells_diff_empty_across_runs(self, tmp_path):
@@ -244,30 +240,22 @@ class TestModeParity:
 
 
 class TestServiceParity:
-    def _start_service(self, request, tmp_path, results=None, cache=None):
-        store = JobStore(tmp_path / "queue.sqlite")
-        server = CoordinatorServer(
-            port=0,
-            store=store,
-            cache=cache,
-            results=results,
-            lease_seconds=30.0,
-            worker_ttl=30.0,
-        ).start()
-        request.addfinalizer(server.stop)
-        request.addfinalizer(store.close)
-        worker = PullWorker(
-            server.url, name="w1", cache=cache, idle_poll=0.02
-        ).start()
-        request.addfinalizer(worker.stop)
-        deadline = time.monotonic() + 10.0
-        while coordinator_health(server.url)["workers"] < 1:
-            assert time.monotonic() < deadline, "worker never registered"
-            time.sleep(0.02)  # repro: ignore[bare-sleep-loop] deliberate pause so mtimes differ across runs
-        return server
+    @pytest.fixture
+    def start_service(self, start_coordinator, start_pull):
+        """Factory: a coordinator and one pull worker sharing ``cache``."""
 
-    def test_service_mode_engine_matches_serial(self, request, tmp_path):
-        server = self._start_service(request, tmp_path)
+        def _start(results=None, cache=None):
+            server = start_coordinator(cache=cache, results=results)
+            start_pull(server.url, name="w1", cache=cache)
+            wait_workers(server.url, 1)
+            return server
+
+        return _start
+
+    def test_service_mode_engine_matches_serial(
+        self, start_service, tmp_path
+    ):
+        server = start_service()
         store = ResultStore(tmp_path / "results")
         serial = ExperimentEngine(mode="serial", store=store)
         figure4_paper_mode(engine=serial)
@@ -284,11 +272,13 @@ class TestServiceParity:
         assert report.unchanged == 8
         store.close()
 
-    def test_coordinator_records_fire_and_forget_jobs(self, request, tmp_path):
+    def test_coordinator_records_fire_and_forget_jobs(
+        self, start_service, tmp_path
+    ):
         """No client engine attached: the coordinator itself records
         completions under the job id, which then works as a selector."""
         results = ResultStore(tmp_path / "results")
-        server = self._start_service(request, tmp_path, results=results)
+        server = start_service(results=results)
         jobs = figure4_paper_jobs()
         job_id = submit_jobs(server.url, jobs, label="figure4:paper")
         wait_for_job(server.url, job_id, timeout=60.0)
@@ -302,14 +292,14 @@ class TestServiceParity:
         assert report.diffs == ()
         results.close()
 
-    def test_born_done_units_are_recorded_at_submit(self, request, tmp_path):
+    def test_born_done_units_are_recorded_at_submit(
+        self, start_service, tmp_path
+    ):
         """A resubmission fully deduped by the coordinator cache still
         produces a complete, diffable run record."""
         cache = ResultCache()
         results = ResultStore(tmp_path / "results")
-        server = self._start_service(
-            request, tmp_path, results=results, cache=cache
-        )
+        server = start_service(results=results, cache=cache)
         jobs = figure4_paper_jobs()
         first = submit_jobs(server.url, jobs, label="figure4:paper")
         wait_for_job(server.url, first, timeout=60.0)
