@@ -2,12 +2,13 @@
 
 The batch solver's pitch (ROADMAP "batch-aware ILP solving"): sweep
 points over one (model, scenario) pair share their whole constraint
-structure, so reusing the previous point's simplex basis and incumbent
-should cut solve effort severalfold *without changing a single result*.
+structure, so chaining from the previous point's root tableau and
+incumbent should cut solve effort severalfold *without changing a single
+result*.
 This benchmark quantifies the claim on the Figure 4 contender ladder —
 the exact repeated-structure regime the layer targets:
 
-* solve every sweep instance cold (``warm_start=False``), counting
+* solve every sweep instance cold (:meth:`IlpModel.solve`), counting
   simplex iterations, branch-and-bound nodes and wall-clock time;
 * solve the identical instances through one warm :class:`BatchSolver`
   chain and count again;
@@ -41,9 +42,9 @@ SWEEP_SCALES = (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0)
 MIN_ITERATION_REDUCTION = 3.0
 
 #: Acceptance criterion: the iteration savings must survive contact with
-#: the wall clock.  Requires the vectorised simplex kernels and the
-#: scatter-layout ``instantiate`` — per-row Python pivots used to eat
-#: the warm start's advantage in constant overhead.
+#: the wall clock.  Requires the vectorised simplex kernels — per-row
+#: Python pivots used to eat the warm start's advantage in constant
+#: overhead.
 MIN_WALL_CLOCK_SPEEDUP = 3.0
 
 

@@ -1,8 +1,8 @@
 """Experiment E2: service-queue vs local process-pool throughput.
 
 The analysis service adds a durable queue between the engine and its
-workers: batches become sqlite-backed jobs, workers lease warm-sharded
-units and complete them fenced.  Durability is not free — every unit
+workers: batches become sqlite-backed jobs of one-job units, which
+workers lease and complete fenced.  Durability is not free — every unit
 takes a lease round-trip and every state transition commits to disk —
 so this benchmark measures what the queue costs on the same sweep batch
 ``bench_engine_parallel.py`` uses:

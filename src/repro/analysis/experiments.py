@@ -78,19 +78,6 @@ def _model_loads(model: str) -> tuple[str, ...]:
     return ("-",)
 
 
-def _warm_group(tag: str, scenario_name: str, model: str) -> str | None:
-    """Warm-group tag for one (scenario, model) job family.
-
-    All jobs of one (scenario, model) pair solve structurally identical
-    ILPs, so the engine routes them to one worker whose batch solver
-    warm-starts each solve from the previous one.  Models that solve no
-    ILP fan out ungrouped.
-    """
-    if not get_model(model).capabilities.needs_ilp:
-        return None
-    return f"{tag}:{scenario_name}:{model}"
-
-
 def reference_scenario(name: str) -> DeploymentScenario:
     """Resolve one of the paper's two reference scenarios by name.
 
@@ -208,9 +195,6 @@ def figure4_paper_jobs(
                         options,
                         label=(
                             f"figure4-paper:{scenario_name}:{model}:{load}"
-                        ),
-                        warm_group=_warm_group(
-                            "figure4", scenario_name, model
                         ),
                     )
                 )
@@ -444,9 +428,6 @@ def figure4_sim_mode(
                         profile,
                         options,
                         label=f"figure4-sim:{scenario_name}:{model}:{load}",
-                        warm_group=_warm_group(
-                            "figure4-sim", scenario_name, model
-                        ),
                     )
                 )
     return run_jobs(model_jobs, engine)
@@ -585,11 +566,9 @@ def model_scenario_matrix(
     order — ``repro matrix`` renders them grouped per spec, so the
     models' joint bounds line up for comparison.
 
-    Cell jobs fan out ungrouped — a cell is simulation-dominated, so
-    parallel width beats cross-cell solver reuse (see
-    :func:`~repro.engine.experiment.spec_job`) — but each cell's own
-    pairwise and joint ILPs share its worker's warm-start pool.  With a
-    caching engine the matrix is also incremental: cells are
+    Cell jobs fan out one per (spec, model); each cell's pairwise and
+    joint ILPs share its worker's warm-start pool.  With a caching
+    engine the matrix is also incremental: cells are
     content-addressed by (spec, model), and repeated invocations only
     compute what changed.
 

@@ -102,10 +102,6 @@ def contender_scale_sweep(
     profile = profile or tc27x_latency_profile()
     options = options or IlpPtacOptions()
 
-    # Every point of the sweep solves the same constraint template, so
-    # the jobs share a warm group: pooled engine modes route them to one
-    # worker whose batch solver warm-starts each solve from the last.
-    warm_group = f"sweep:{scenario.name}"
     jobs = [
         job(
             _ilp_delta,
@@ -115,7 +111,6 @@ def contender_scale_sweep(
             scenario,
             dataclasses.replace(options, contender_constraints=False),
             label=f"sweep:{scenario.name}:ceiling",
-            warm_group=warm_group,
         )
     ]
     for scale in scales:
@@ -133,7 +128,6 @@ def contender_scale_sweep(
                 scenario,
                 options,
                 label=f"sweep:{scenario.name}:x{scale:g}",
-                warm_group=warm_group,
             )
         )
     results = run_jobs(jobs, engine)
@@ -193,9 +187,6 @@ def deployment_sweep(
                 profile,
                 scenarios[name],
                 options,
-                # No warm group: candidate deployments differ
-                # structurally, so the jobs have no solver state to
-                # share and fan out individually.
                 label=f"deployment:{name}",
             )
             for name in names
@@ -257,8 +248,6 @@ def dirty_latency_sensitivity(
         scenario, dirty_targets=frozenset()
     )
     options = options or IlpPtacOptions()
-    # Removing the dirty latency changes coefficients, not structure, so
-    # both solves share a template and warm-start off each other.
     with_dirty, without_dirty = run_jobs(
         [
             job(
@@ -269,7 +258,6 @@ def dirty_latency_sensitivity(
                 scenario,
                 options,
                 label=f"dirty:{scenario.name}:with",
-                warm_group=f"dirty:{scenario.name}",
             ),
             job(
                 _ilp_delta,
@@ -279,7 +267,6 @@ def dirty_latency_sensitivity(
                 clean_scenario,
                 options,
                 label=f"dirty:{scenario.name}:without",
-                warm_group=f"dirty:{scenario.name}",
             ),
         ],
         engine,

@@ -482,10 +482,9 @@ def _cmd_status(args: argparse.Namespace) -> str:
     lines = [_status_line(status)]
     for unit in status.get("units", []):
         worker = unit.get("worker") or "-"
-        group = unit.get("warm_group") or "-"
         lines.append(
             f"  unit {unit['unit']:>3}  {unit['state']:<7} "
-            f"jobs={unit['jobs']:<4} group={group} worker={worker}"
+            f"jobs={unit['jobs']:<4} worker={worker}"
         )
     return "\n".join(lines)
 
@@ -589,13 +588,12 @@ def _cmd_jobs(args: argparse.Namespace) -> str:
                     stats.get("batches", 0),
                     stats.get("executed", 0),
                     stats.get("cached", 0),
-                    stats.get("warm_reuses", 0),
                 ]
             )
         return render_table(
             [
                 "worker", "name", "live", "units",
-                "batches", "executed", "cached", "warm reuses",
+                "batches", "executed", "cached",
             ],
             rows,
             title=f"Registered workers ({len(rows)})",
@@ -1012,7 +1010,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=30.0,
         metavar="S",
-        help="registry liveness window for warm-group stickiness",
+        help="how long a silent worker still counts as live",
     )
 
     p = sub.add_parser(

@@ -74,13 +74,6 @@ class IlpPtacOptions:
         backend: ILP backend (``"bnb"``, ``"scipy"`` or ``"lp"`` for the
             relaxation bound, which is also sound and ≥ the ILP optimum).
         node_limit: branch-and-bound node budget.
-        warm_start: solve through the per-worker
-            :class:`~repro.ilp.batch.BatchSolver`, reusing the previous
-            same-structure solve's basis and incumbent (``"bnb"``
-            backend only).  Results are bit-identical to cold solves —
-            the simplex reports the canonical optimal vertex either
-            way — so this is purely a performance knob; disable it to
-            benchmark cold solving.
     """
 
     stall_budget: str = "minimum"
@@ -88,7 +81,6 @@ class IlpPtacOptions:
     use_exact_code_counts: bool = True
     backend: str = "bnb"
     node_limit: int = 100_000
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         if self.stall_budget not in ("minimum", "exact"):
@@ -311,14 +303,15 @@ def solve_contention_ilp(model: IlpModel, options: IlpPtacOptions) -> Solution:
     """Solve a contention ILP honouring the options' solver knobs.
 
     The shared dispatch of every ILP-backed model (single-contender,
-    time-composable, multi-contender, FSB reduction): with the default
-    ``bnb`` backend and ``warm_start`` enabled, the solve goes through
-    the per-worker :class:`~repro.ilp.batch.BatchSolver`, so batches of
-    same-structure instances (sweep points, matrix cells) reuse each
-    other's simplex bases and incumbents.  Any other configuration is
-    handed to :meth:`~repro.ilp.model.IlpModel.solve` unchanged.
+    time-composable, multi-contender, FSB reduction): every ``bnb``
+    solve goes through the calling thread's
+    :func:`~repro.ilp.batch.default_batch_solver`, so same-structure
+    instances solved in one process (sweep points, matrix cells) chain
+    from each other's root tableaus and incumbents, with results
+    bit-identical to a cold :meth:`~repro.ilp.model.IlpModel.solve`.
+    The ``scipy`` and ``lp`` backends go to ``IlpModel.solve`` unchanged.
     """
-    if options.backend == "bnb" and options.warm_start:
+    if options.backend == "bnb":
         from repro.ilp.batch import default_batch_solver
 
         return default_batch_solver().solve(

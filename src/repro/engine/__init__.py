@@ -40,7 +40,7 @@ bit for bit.
 """
 
 from repro.engine.artifact import ExperimentArtifact, artifact
-from repro.engine.batch import Job, as_jobs, job, warm_units
+from repro.engine.batch import Job, as_jobs, job
 from repro.engine.cache import CacheStats, ResultCache, stable_hash
 from repro.engine.experiment import ScenarioRunResult, run_spec, run_specs
 from repro.engine.families import (
@@ -116,5 +116,4 @@ __all__ = [
     "stable_hash",
     "temporary_families",
     "temporary_scenarios",
-    "warm_units",
 ]

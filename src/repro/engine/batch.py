@@ -14,12 +14,15 @@ scenario 2 at scale 1/16".  Jobs carry everything needed to
 Experiment drivers build flat lists of jobs and hand them to
 :class:`~repro.engine.runner.ExperimentEngine`, which preserves order: the
 result list always aligns with the job list, whatever executed where.
+Jobs carry no placement hints: every pooled job is its own pool task and
+its own service unit, and the warm ILP state it may benefit from belongs
+to whichever worker process runs it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.engine.cache import stable_hash
 from repro.errors import EngineError
@@ -40,14 +43,6 @@ class Job:
             from the function's dotted name and the arguments.
         cacheable: opt out of result caching (for jobs whose arguments
             carry closures or other non-addressable state).
-        warm_group: jobs sharing a warm group are executed *sequentially
-            on one worker* by the pooled engine modes, so per-worker
-            solver state (the batch ILP solver's warm-start pool, keyed
-            by constraint-structure hash) accumulates across them.
-            Drivers set it to a proxy of the constraint structure —
-            typically ``scenario:model`` — for jobs whose solves share a
-            template.  Purely a performance hint: results are identical
-            with or without it, whatever the engine mode.
     """
 
     fn: Callable[..., Any]
@@ -56,7 +51,6 @@ class Job:
     label: str = ""
     cache_key: str | None = None
     cacheable: bool = True
-    warm_group: str | None = None
 
     def resolved_cache_key(self) -> str:
         """The content-address of this job's result."""
@@ -78,15 +72,13 @@ def job(
     label: str = "",
     cache_key: str | None = None,
     cacheable: bool = True,
-    warm_group: str | None = None,
     **kwargs: Any,
 ) -> Job:
     """Build a :class:`Job` with ergonomic call syntax.
 
     ``job(solve, readings, scenario, backend="bnb")`` reads like the call
-    it defers.  ``label``, ``cache_key``, ``cacheable`` and
-    ``warm_group`` are reserved keywords; any other keyword is forwarded
-    to ``fn``.
+    it defers.  ``label``, ``cache_key`` and ``cacheable`` are reserved
+    keywords; any other keyword is forwarded to ``fn``.
     """
     if not callable(fn):
         raise EngineError(f"job function must be callable, got {fn!r}")
@@ -97,7 +89,6 @@ def job(
         label=label,
         cache_key=cache_key,
         cacheable=cacheable,
-        warm_group=warm_group,
     )
 
 
@@ -124,30 +115,3 @@ def job_cache_key(item: Job) -> str | None:
         return item.resolved_cache_key()
     except EngineError:
         return None
-
-
-def warm_units(batch: Sequence[Job], pending: Iterable[int]) -> list[list[int]]:
-    """Partition job indices into submission units.
-
-    Jobs with the same ``warm_group`` form one unit (in batch order);
-    every other job is its own unit.  A unit is the granularity at which
-    the process pool and the service place work on a worker: executing
-    one unit sequentially on one worker lets its batch-ILP warm-start
-    pool accumulate across the unit's structurally identical solves.
-    Shared by the process-pool runner and the service coordinator so
-    both split a batch identically.
-    """
-    units: list[list[int]] = []
-    grouped: dict[str, list[int]] = {}
-    for index in pending:
-        group = batch[index].warm_group
-        if group is None:
-            units.append([index])
-            continue
-        bucket = grouped.get(group)
-        if bucket is None:
-            grouped[group] = bucket = [index]
-            units.append(bucket)
-        else:
-            bucket.append(index)
-    return units

@@ -302,18 +302,13 @@ def spec_job(
     options: IlpPtacOptions | None = None,
     *,
     dma_model: str = "dma-occupancy",
-    warm_group: str | None = None,
 ):
     """One :func:`run_spec` engine job.
 
-    By default *not* warm-grouped: a scenario run is dominated by its
-    simulations (the ILP solves are ~1% of the job), so serialising
-    same-template jobs onto one worker would cost far more fan-out than
-    the warm starts save.  Each job still warm-starts internally — its
-    own pairwise and joint solves share the worker's batch solver pool.
-    Callers whose batches *are* solve-heavy (the family drivers route
-    many structurally identical member solves through one worker) pass
-    an explicit ``warm_group``.
+    A scenario run is dominated by its simulations (the ILP solves are
+    ~1% of the job).  Its own pairwise and joint solves share the
+    running worker's batch solver pool, as does every later job that
+    worker runs.
     """
     return job(
         run_spec,
@@ -324,5 +319,4 @@ def spec_job(
         timing=timing,
         options=options,
         label=f"run-spec:{spec.name}:{model}",
-        warm_group=warm_group,
     )

@@ -542,53 +542,6 @@ def _member_subset(
     return tuple(by_name[name] for name in names)
 
 
-def _family_warm_group(
-    family: ScenarioFamily, spec: ScenarioSpec, model: str
-) -> str | None:
-    """Warm-group tag for one member job.
-
-    Members on one *reference* base that solve ILPs against contender
-    readings share their entire constraint template, so the engine
-    routes them to one worker whose batch solver warm-starts across the
-    family (purely a performance hint — results are identical, and the
-    grouping trades fan-out width for solver-state reuse exactly like
-    :attr:`~repro.engine.batch.Job.warm_group` documents).  Custom-base
-    members each describe a *different* deployment, hence a different
-    ILP structure: grouping those would serialise unrelated solves on
-    one worker for no warm-start benefit, so they fan out ungrouped —
-    as do members without contenders (nothing to solve) and
-    non-ILP models.
-    """
-    if not spec.contenders or spec.base == "custom":
-        return None
-    if not get_model(model).capabilities.needs_ilp:
-        return None
-    return f"family:{family.name}:{spec.base}:{model}"
-
-
-def _member_jobs(
-    family: ScenarioFamily,
-    members: tuple[FamilyMember, ...],
-    model: str,
-    dma_model: str,
-    profile: LatencyProfile | None,
-    timing: SimTiming | None,
-    options: IlpPtacOptions | None,
-):
-    return [
-        spec_job(
-            member.spec,
-            model,
-            profile,
-            timing,
-            options,
-            dma_model=dma_model,
-            warm_group=_family_warm_group(family, member.spec, model),
-        )
-        for member in members
-    ]
-
-
 def _resolve_models(
     family: ScenarioFamily, model: str | None, dma_model: str | None
 ) -> tuple[str, str]:
@@ -646,20 +599,20 @@ def run_family(
             (two DMA bounds for one run would be ambiguous).
         members: restrict to these member names (default: the full
             grid) — the CLI's ``--member`` and CI's tiny-grid hook.
-        engine: execution engine; ``None`` runs serially.  Members are
-            warm-grouped per (family, base, model) when they are
-            solve-heavy, so the process pool and the service place them
-            on one worker's warm solver.
+        engine: execution engine; ``None`` runs serially.
     """
     if isinstance(family, str):
         family = get_family(family)
     resolved_model, resolved_dma = _resolve_models(family, model, dma_model)
     selected = _member_subset(expand_family(family), members)
     results = run_jobs(
-        _member_jobs(
-            family, selected, resolved_model, resolved_dma,
-            profile, timing, options,
-        ),
+        [
+            spec_job(
+                member.spec, resolved_model, profile, timing, options,
+                dma_model=resolved_dma,
+            )
+            for member in selected
+        ],
         engine,
     )
     return [
@@ -702,10 +655,10 @@ def family_matrix(
     for member in selected:
         for name in names:
             pairs.append((member, name))
-            jobs.extend(
-                _member_jobs(
-                    family, (member,), name, resolved_dma,
-                    profile, timing, options,
+            jobs.append(
+                spec_job(
+                    member.spec, name, profile, timing, options,
+                    dma_model=resolved_dma,
                 )
             )
     results = run_jobs(jobs, engine)

@@ -7,8 +7,8 @@ fleet-shared) :class:`~repro.engine.cache.ResultCache` first, execute on
 a miss, and count what happened in :class:`WorkerStats`.  Jobs run on
 the worker's one lease-loop thread, so the thread-local batch-ILP
 warm-start pool (:func:`repro.ilp.batch.default_batch_solver`)
-accumulates across every unit the worker ever leases — the reason the
-coordinator keeps one ``warm_group`` on one worker.
+accumulates across every unit the worker ever leases, whatever the
+coordinator hands it.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ class WorkerStats:
         batches: leased units served.
         executed: jobs actually run.
         cached: jobs answered from the shared result cache.
-        warm_reuses: ILP solves that reused the worker's warm-start pool
-            (the thread-local batch solver's ``warm_hits`` — the counter
-            sticky warm-group scheduling exists to maximise).
     """
 
     batches: int = 0
     executed: int = 0
     cached: int = 0
-    warm_reuses: int = 0
 
 
 def execute_wire_job(
@@ -64,15 +60,3 @@ def execute_wire_job(
     if cache is not None and key is not None:
         cache.store(key, value)
     return WireResult(ok=True, value=value)
-
-
-def snapshot_warm_reuses(stats: WorkerStats) -> None:
-    """Refresh ``stats.warm_reuses`` from the calling thread's solver.
-
-    Must run on the thread that executes jobs — the batch solver pool is
-    thread-local, which is exactly why one warm group stays on one
-    worker.
-    """
-    from repro.ilp.batch import default_batch_solver
-
-    stats.warm_reuses = default_batch_solver().stats.warm_hits

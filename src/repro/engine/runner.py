@@ -32,7 +32,7 @@ import warnings
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.engine.batch import Job, as_jobs, job_cache_key, warm_units
+from repro.engine.batch import Job, as_jobs, job_cache_key
 from repro.engine.cache import ResultCache, is_miss
 from repro.errors import EngineError
 
@@ -69,17 +69,6 @@ class EngineStats:
 def _run_job(item: Job) -> Any:
     """Module-level trampoline so process workers can execute jobs."""
     return item.run()
-
-
-def _run_job_group(items: tuple[Job, ...]) -> list[Any]:
-    """Trampoline for a warm group: run sequentially on one worker.
-
-    Jobs sharing a :attr:`~repro.engine.batch.Job.warm_group` solve
-    structurally identical ILPs; executing them back-to-back in one
-    process lets the per-worker batch solver reuse its warm-start pool
-    across them.  Results are order-aligned with ``items``.
-    """
-    return [item.run() for item in items]
 
 
 class ExperimentEngine:
@@ -260,7 +249,8 @@ class ExperimentEngine:
         Process mode runs a lone job in-process (a pool round trip costs
         more than it saves).  Service mode ships even single-job
         batches: a worker may hold warm solver state or a shared disk
-        cache the client lacks.
+        cache the client lacks.  Every pooled job is scheduled on its
+        own; warm ILP state stays with the worker process that built it.
         """
         if self.mode == "serial" or (
             self.mode == "process" and len(pending) == 1
@@ -298,11 +288,10 @@ class ExperimentEngine:
         Exceptions raised by a job function itself propagate unchanged,
         exactly as they would in serial mode.
 
-        Jobs sharing a ``warm_group`` are submitted as one sequential
-        unit so they land on one worker and its batch-ILP warm-start
-        pool; ungrouped jobs fan out individually.  Grouping trades
-        fan-out width for solver-state reuse within the group — results
-        are identical either way.
+        Every job is its own pool task.  Each pool process keeps its own
+        warm ILP pool, so a structure it has solved before starts warm
+        there whichever task brings it back; results never depend on
+        which process ran what.
         """
         try:
             if self._executor is None:
@@ -313,26 +302,16 @@ class ExperimentEngine:
         except (OSError, ValueError, PermissionError):
             return list(pooled)
         broken = False
-        futures: list[tuple[list[int], Any]] = []
+        futures: list[tuple[int, Any]] = []
         try:
-            for unit in warm_units(batch, pooled):
-                if len(unit) == 1:
-                    future = executor.submit(_run_job, batch[unit[0]])
-                else:
-                    future = executor.submit(
-                        _run_job_group, tuple(batch[i] for i in unit)
-                    )
-                futures.append((unit, future))
+            for index in pooled:
+                futures.append((index, executor.submit(_run_job, batch[index])))
         except (OSError, RuntimeError, BrokenExecutor):
             broken = True
         if not broken:
             try:
-                for unit, future in futures:
-                    if len(unit) == 1:
-                        results[unit[0]] = future.result()
-                    else:
-                        for index, value in zip(unit, future.result()):
-                            results[index] = value
+                for index, future in futures:
+                    results[index] = future.result()
             except BrokenExecutor:
                 broken = True
             except BaseException:
@@ -353,8 +332,8 @@ class ExperimentEngine:
     ) -> list[int]:
         """Run ``pooled`` jobs through the analysis-service coordinator.
 
-        The batch is submitted as one coordinator job; registered
-        workers lease its warm-group units and the executor polls until
+        The batch is submitted as one coordinator job of one-job units;
+        registered workers lease the units and the executor polls until
         the queue drains.  Returns the indices the service could not
         take (unreachable coordinator — the caller finishes those
         in-process); job exceptions propagate unchanged, exactly as in

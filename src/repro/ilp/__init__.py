@@ -8,17 +8,18 @@ relaxations, a best-first branch-and-bound MILP solver, and an optional
 ``scipy.optimize.milp`` backend used for cross-validation.
 
 Batched workloads (sweeps, the model × scenario matrix) additionally get
-a warm-start layer (:mod:`repro.ilp.batch`): consecutive solves of
-structurally identical instances reuse the previous optimal basis and
-incumbent, cutting simplex iterations several-fold while returning
-bit-identical solutions — the simplex always reports the canonical
-optimal vertex, so solver state never influences results.
+a warm-start layer (:mod:`repro.ilp.batch`): each process keeps one
+solver pool per thread, and consecutive solves of structurally identical
+instances chain from the previous root tableau and incumbent, cutting
+simplex iterations several-fold while returning bit-identical solutions
+— the simplex always reports the canonical optimal vertex, so solver
+state never influences results.  :meth:`IlpModel.solve` is the cold
+reference.
 """
 
 from repro.ilp.batch import (
     BatchSolver,
     BatchSolverStats,
-    ParametricForm,
     default_batch_solver,
     reset_default_batch_solver,
     structure_signature,
@@ -38,7 +39,6 @@ __all__ = [
     "LinExpr",
     "LpResult",
     "LpStatus",
-    "ParametricForm",
     "Sense",
     "Solution",
     "SolveStats",

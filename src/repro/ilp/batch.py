@@ -1,4 +1,4 @@
-"""Batch-aware ILP solving: structure templates and warm-started solves.
+"""Batch-aware ILP solving: structure signatures and warm-started solves.
 
 Sweep-style experiments (Figure 4's contender ladder, the contender-scale
 sweep, the model × scenario matrix) solve long runs of ILPs that share
@@ -14,17 +14,13 @@ This module is the reuse layer:
   :class:`~repro.ilp.model.StandardForm`'s structure — shapes, sparsity
   patterns, integrality, variable names — while ignoring every
   coefficient value, so all points of one sweep hash alike;
-* :class:`ParametricForm` factors a form into that immutable template
-  plus a flat mutable coefficient vector, and can re-instantiate a
-  ``StandardForm`` from template + coefficients (the round-trip the
-  parity suite checks);
 * :class:`BatchSolver` holds one
   :class:`~repro.ilp.branch_and_bound.BnbWarmStart` per structure
   signature and threads it through consecutive
   :func:`~repro.ilp.branch_and_bound.solve_bnb_warm` calls: the previous
-  optimal basis warm-starts the next root relaxation (dual-simplex
-  recovery instead of Phase 1) and the previous optimum seeds the next
-  incumbent.
+  root tableau chains the next root relaxation (a right-hand-side shift
+  and a few dual pivots instead of Phase 1) and the previous optimum
+  seeds the next incumbent.
 
 Determinism: warm-started solves return **bit-identical** solutions to
 cold ones — the simplex lands every LP on the canonical optimal vertex
@@ -35,15 +31,15 @@ holds.  Results therefore never depend on batch order, engine mode or
 worker placement; only the iteration counts do.
 
 Per-worker usage: :func:`default_batch_solver` keeps one solver per
-thread.  Engine jobs marked with the same ``warm_group`` are routed to
-one worker by the runner (see :mod:`repro.engine.runner`), so
-same-structure jobs actually meet the same pool.
+thread, so warm state is a property of the process that solves, not of
+the schedule.  Once a worker process has solved a structure, every
+later instance of it that lands there starts warm, whichever jobs the
+engine or the service happened to route to it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import threading
 
@@ -57,7 +53,6 @@ from repro.ilp.solution import Solution, SolveStatus
 __all__ = [
     "BatchSolver",
     "BatchSolverStats",
-    "ParametricForm",
     "default_batch_solver",
     "reset_default_batch_solver",
     "structure_signature",
@@ -110,285 +105,6 @@ def structure_signature(model_or_form: IlpModel | StandardForm) -> str:
     digest = hasher.hexdigest()
     form._structure_signature = digest
     return digest
-
-
-@dataclasses.dataclass(frozen=True)
-class ParametricForm:
-    """A :class:`StandardForm` factored into template and coefficients.
-
-    The *template* (everything except :attr:`coefficients`) is immutable
-    and shared by all instances of one structure; the coefficient vector
-    is the flat concatenation of the values that actually vary across a
-    sweep: the objective's non-zeros and constant, each constraint row's
-    non-zeros, every right-hand side, and the variable bounds.
-    :meth:`instantiate` rebuilds a full ``StandardForm`` from the
-    template plus any compatible coefficient vector — the round trip
-    ``ParametricForm.from_form(f).instantiate()`` reproduces ``f``
-    exactly.
-
-    Attributes:
-        signature: the shared :func:`structure_signature`.
-        variables: model variables in column order.
-        integer_mask: integrality of each column.
-        c_pattern: non-zero columns of the objective.
-        ub_pattern: per-row non-zero columns of ``a_ub``.
-        eq_pattern: per-row non-zero columns of ``a_eq``.
-        bounded_above: columns with a finite upper bound.
-        bounded_below: columns with a positive lower bound.
-        coefficients: the instance's coefficient vector.
-    """
-
-    signature: str
-    variables: tuple
-    integer_mask: tuple[bool, ...]
-    c_pattern: tuple[int, ...]
-    ub_pattern: tuple[tuple[int, ...], ...]
-    eq_pattern: tuple[tuple[int, ...], ...]
-    bounded_above: tuple[int, ...]
-    bounded_below: tuple[int, ...]
-    coefficients: np.ndarray
-
-    @classmethod
-    def from_form(
-        cls, model_or_form: IlpModel | StandardForm
-    ) -> "ParametricForm":
-        """Factor a form (or a model's form) into template + vector."""
-        form = _as_form(model_or_form)
-        c_pattern = tuple(int(j) for j in np.flatnonzero(form.c))
-        ub_pattern = tuple(
-            tuple(int(j) for j in np.flatnonzero(row)) for row in form.a_ub
-        )
-        eq_pattern = tuple(
-            tuple(int(j) for j in np.flatnonzero(row)) for row in form.a_eq
-        )
-        bounded_above = tuple(
-            int(j) for j in np.flatnonzero(np.isfinite(form.upper))
-        )
-        bounded_below = tuple(
-            int(j) for j in np.flatnonzero(form.lower > 0)
-        )
-        parts: list[np.ndarray] = [
-            np.asarray([form.objective_constant], dtype=float),
-            form.c[list(c_pattern)],
-        ]
-        for row, pattern in zip(form.a_ub, ub_pattern):
-            parts.append(row[list(pattern)])
-        parts.append(np.asarray(form.b_ub, dtype=float).reshape(-1))
-        for row, pattern in zip(form.a_eq, eq_pattern):
-            parts.append(row[list(pattern)])
-        parts.append(np.asarray(form.b_eq, dtype=float).reshape(-1))
-        parts.append(form.lower[list(bounded_below)])
-        parts.append(form.upper[list(bounded_above)])
-        coefficients = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=float)
-        )
-        return cls(
-            signature=structure_signature(form),
-            variables=form.variables,
-            integer_mask=tuple(bool(b) for b in form.integer_mask),
-            c_pattern=c_pattern,
-            ub_pattern=ub_pattern,
-            eq_pattern=eq_pattern,
-            bounded_above=bounded_above,
-            bounded_below=bounded_below,
-            coefficients=coefficients,
-        )
-
-    @property
-    def n_coefficients(self) -> int:
-        return int(self.coefficients.shape[0])
-
-    @functools.cached_property
-    def _layout(self) -> "_ScatterLayout":
-        """Precomputed scatter indices mapping the flat coefficient
-        vector onto the dense ``StandardForm`` arrays (see
-        :class:`_ScatterLayout`).  Computed once per template; every
-        :meth:`instantiate` of a sweep reuses it."""
-        return _ScatterLayout.build(self)
-
-    def _reference_instantiate(
-        self, coefficients: np.ndarray | None = None
-    ) -> StandardForm:
-        """Scalar (pre-vectorisation) rebuild, kept as the parity oracle
-        for :meth:`instantiate` (asserted identical by the property
-        suite in ``tests/test_vectorized_kernels.py``)."""
-        vector = self._check_vector(coefficients)
-        n = len(self.variables)
-        cursor = 0
-
-        def take(count: int) -> np.ndarray:
-            nonlocal cursor
-            piece = vector[cursor : cursor + count]
-            cursor += count
-            return piece
-
-        form = object.__new__(StandardForm)
-        form.variables = self.variables
-        form.objective_constant = float(take(1)[0])
-        form.c = np.zeros(n)
-        form.c[list(self.c_pattern)] = take(len(self.c_pattern))
-        rows = []
-        for pattern in self.ub_pattern:
-            row = np.zeros(n)
-            row[list(pattern)] = take(len(pattern))
-            rows.append(row)
-        form.a_ub = np.array(rows) if rows else np.empty((0, n))
-        form.b_ub = np.array(take(len(self.ub_pattern)))
-        rows = []
-        for pattern in self.eq_pattern:
-            row = np.zeros(n)
-            row[list(pattern)] = take(len(pattern))
-            rows.append(row)
-        form.a_eq = np.array(rows) if rows else np.empty((0, n))
-        form.b_eq = np.array(take(len(self.eq_pattern)))
-        form.integer_mask = np.array(self.integer_mask)
-        form.lower = np.zeros(n)
-        form.lower[list(self.bounded_below)] = take(len(self.bounded_below))
-        form.upper = np.full(n, np.inf)
-        form.upper[list(self.bounded_above)] = take(len(self.bounded_above))
-        return form
-
-    def _check_vector(
-        self, coefficients: np.ndarray | None
-    ) -> np.ndarray:
-        vector = (
-            self.coefficients
-            if coefficients is None
-            else np.asarray(coefficients, dtype=float).reshape(-1)
-        )
-        if vector.shape[0] != self.n_coefficients:
-            raise IlpError(
-                f"coefficient vector has {vector.shape[0]} entries; the "
-                f"structure template needs {self.n_coefficients}"
-            )
-        return vector
-
-    def instantiate(
-        self, coefficients: np.ndarray | None = None
-    ) -> StandardForm:
-        """Rebuild a :class:`StandardForm` from the template.
-
-        One flat-coefficient scatter per dense array (indices precomputed
-        in :attr:`_layout`) instead of per-constraint row rebuilds; the
-        values land in the same positions from the same vector slots, so
-        the result is identical to :meth:`_reference_instantiate`.
-
-        Args:
-            coefficients: replacement coefficient vector (defaults to
-                this instance's own); must have :attr:`n_coefficients`
-                entries.
-        """
-        vector = self._check_vector(coefficients)
-        lay = self._layout
-        n = len(self.variables)
-
-        form = object.__new__(StandardForm)
-        form.variables = self.variables
-        form.objective_constant = float(vector[0])
-        form.c = np.zeros(n)
-        form.c[lay.c_idx] = vector[lay.c_lo : lay.c_hi]
-        m_ub = len(self.ub_pattern)
-        form.a_ub = np.zeros((m_ub, n)) if m_ub else np.empty((0, n))
-        form.a_ub[lay.ub_rows, lay.ub_cols] = vector[lay.ub_lo : lay.ub_hi]
-        form.b_ub = vector[lay.b_ub_lo : lay.b_ub_hi].copy()
-        m_eq = len(self.eq_pattern)
-        form.a_eq = np.zeros((m_eq, n)) if m_eq else np.empty((0, n))
-        form.a_eq[lay.eq_rows, lay.eq_cols] = vector[lay.eq_lo : lay.eq_hi]
-        form.b_eq = vector[lay.b_eq_lo : lay.b_eq_hi].copy()
-        form.integer_mask = np.array(self.integer_mask)
-        form.lower = np.zeros(n)
-        form.lower[lay.below_idx] = vector[lay.below_lo : lay.below_hi]
-        form.upper = np.full(n, np.inf)
-        form.upper[lay.above_idx] = vector[lay.above_lo : lay.above_hi]
-        return form
-
-
-@dataclasses.dataclass(frozen=True)
-class _ScatterLayout:
-    """Index plan of one :class:`ParametricForm` template.
-
-    The flat coefficient vector is laid out as ``[constant | c non-zeros
-    | a_ub non-zeros (row-major) | b_ub | a_eq non-zeros (row-major) |
-    b_eq | lower bounds | upper bounds]``; this records, for each dense
-    destination array, the fancy-index targets plus the source slice, so
-    an instantiate is a handful of whole-array scatters.
-    """
-
-    c_idx: np.ndarray
-    c_lo: int
-    c_hi: int
-    ub_rows: np.ndarray
-    ub_cols: np.ndarray
-    ub_lo: int
-    ub_hi: int
-    b_ub_lo: int
-    b_ub_hi: int
-    eq_rows: np.ndarray
-    eq_cols: np.ndarray
-    eq_lo: int
-    eq_hi: int
-    b_eq_lo: int
-    b_eq_hi: int
-    below_idx: np.ndarray
-    below_lo: int
-    below_hi: int
-    above_idx: np.ndarray
-    above_lo: int
-    above_hi: int
-
-    @classmethod
-    def build(cls, template: "ParametricForm") -> "_ScatterLayout":
-        def row_scatter(
-            patterns: tuple[tuple[int, ...], ...]
-        ) -> tuple[np.ndarray, np.ndarray]:
-            lengths = [len(p) for p in patterns]
-            rows = np.repeat(np.arange(len(patterns), dtype=int), lengths)
-            cols = (
-                np.concatenate([np.asarray(p, dtype=int) for p in patterns])
-                if patterns
-                else np.empty(0, dtype=int)
-            )
-            return rows, cols
-
-        ub_rows, ub_cols = row_scatter(template.ub_pattern)
-        eq_rows, eq_cols = row_scatter(template.eq_pattern)
-        cursor = 1  # slot 0 is the objective constant
-        spans: list[tuple[int, int]] = []
-        for count in (
-            len(template.c_pattern),
-            int(ub_cols.shape[0]),
-            len(template.ub_pattern),
-            int(eq_cols.shape[0]),
-            len(template.eq_pattern),
-            len(template.bounded_below),
-            len(template.bounded_above),
-        ):
-            spans.append((cursor, cursor + count))
-            cursor += count
-        (c_sp, ub_sp, b_ub_sp, eq_sp, b_eq_sp, below_sp, above_sp) = spans
-        return cls(
-            c_idx=np.asarray(template.c_pattern, dtype=int),
-            c_lo=c_sp[0],
-            c_hi=c_sp[1],
-            ub_rows=ub_rows,
-            ub_cols=ub_cols,
-            ub_lo=ub_sp[0],
-            ub_hi=ub_sp[1],
-            b_ub_lo=b_ub_sp[0],
-            b_ub_hi=b_ub_sp[1],
-            eq_rows=eq_rows,
-            eq_cols=eq_cols,
-            eq_lo=eq_sp[0],
-            eq_hi=eq_sp[1],
-            b_eq_lo=b_eq_sp[0],
-            b_eq_hi=b_eq_sp[1],
-            below_idx=np.asarray(template.bounded_below, dtype=int),
-            below_lo=below_sp[0],
-            below_hi=below_sp[1],
-            above_idx=np.asarray(template.bounded_above, dtype=int),
-            above_lo=above_sp[0],
-            above_hi=above_sp[1],
-        )
 
 
 @dataclasses.dataclass
@@ -507,9 +223,11 @@ _LOCAL = threading.local()
 def default_batch_solver() -> BatchSolver:
     """The per-thread solver the ILP-backed models share.
 
-    One instance per thread keeps the pool safe under the engine's
-    thread mode while letting every solve in a worker process (or a
-    serial run) reuse the accumulated state.
+    Every solve in a worker process (or a serial run) reuses the state
+    this solver accumulates.  The pool is per thread rather than per
+    process because :class:`BatchSolver` is not thread-safe, and pull
+    workers may share one interpreter as threads (the service tests and
+    ``benchmarks/bench_service_queue.py`` run them that way).
     """
     solver = getattr(_LOCAL, "solver", None)
     if solver is None:

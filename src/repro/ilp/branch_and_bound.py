@@ -44,7 +44,7 @@ INTEGRALITY_TOLERANCE = 1e-6
 #: Warm mode hands each child its parent's solver state only for this
 #: many explored nodes.  Each child retains its parent's final tableau
 #: until popped (extending it skips both the child-matrix assembly and
-#: the basis refactorisation); on the small trees the contention
+#: the cold two-phase solve); on the small trees the contention
 #: instances normally produce that is a handful of tiny arrays, but on
 #: a pathological plateau blow-up the retained tableaus would pile up,
 #: so past the cap children simply cold-solve.  Purely a cost knob: the
@@ -61,16 +61,16 @@ class BnbWarmStart:
     constraint rows — only coefficients changed, the sweep situation).
 
     Attributes:
-        basis: the root relaxation's optimal basis; the next root LP
-            recovers from it by dual simplex instead of Phase 1.
+        basis: the root relaxation's optimal basis, the one
+            :attr:`root_tableau` is reduced against.
         incumbent: the previous optimal point; when still feasible it
             seeds the next search with a proven lower bound on the
             optimum, pruning strictly-worse subtrees immediately.
         root_tableau: the root relaxation's final reduced tableau
             (``[x | slacks | rhs]``, warm-path convention — rows never
             negated), when one was produced; the next root *chains* from
-            it by shifting the right-hand column instead of
-            refactorising the basis.
+            it by shifting the right-hand column instead of solving the
+            root cold.
         root_arrays: the ``(a_ub, b_ub, a_eq, b_eq)`` the stored root
             tableau solved.  Chaining verifies the matrices are equal
             (structure signatures only pledge equal sparsity) and uses
@@ -96,16 +96,15 @@ class _Node:
     ``priority`` is the negated parent LP bound so that ``heapq`` pops the
     most promising node first; ``counter`` breaks ties FIFO.  In warm
     mode ``ext`` carries the parent LP's final tableau plus the one
-    bound-row edit that turns it into this node (the fast path), and
-    ``basis`` the remapped parent basis (the fallback when no parent
-    tableau was available).
+    bound-row edit that turns it into this node; without it (cold mode,
+    a parent that kept no tableau, past the reuse cap) the node solves
+    cold.
     """
 
     priority: float
     counter: int
     lower: np.ndarray = dataclasses.field(compare=False)
     upper: np.ndarray = dataclasses.field(compare=False)
-    basis: np.ndarray | None = dataclasses.field(compare=False, default=None)
     ext: tuple | None = dataclasses.field(compare=False, default=None)
 
 
@@ -116,7 +115,8 @@ def _bound_rows(
 
     Row order is column-ascending with each column's upper-bound row
     before its lower-bound row — the same order :func:`_bound_codes`
-    encodes, which is what lets a parent basis remap onto a child.
+    encodes, which is what locates a child's bound row in its parent's
+    tableau.
     """
     n = form.n_variables
     rows = [form.a_ub] if form.a_ub.size else []
@@ -178,8 +178,8 @@ def _chained_root(form, warm, c_min, eq_cache):
     stored one plus ``B^-1 @ (b_new - b_old)`` — assembled from the
     tableau's own slack columns (inequality deltas) and the cached
     equality-row columns — followed by the usual dual-simplex recovery.
-    Returns ``None`` (fall back to a basis refactorisation or cold
-    solve) whenever the stored state does not provably apply.
+    Returns ``None`` (fall back to a cold solve) whenever the stored
+    state does not provably apply.
     """
     tableau = warm.root_tableau
     basis = warm.basis
@@ -263,8 +263,7 @@ def _bound_codes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     A row's key is the integer ``2 * column + kind`` (kind 0 for an
     upper-bound row, 1 for a lower-bound row); sorting the codes gives
     exactly the column-ascending, upper-before-lower row order, and the
-    sorted array supports ``searchsorted`` remapping of a parent basis
-    onto a child whose bound-row set grew by one.
+    sorted array locates a branching row by ``searchsorted``.
     """
     codes = np.concatenate(
         [
@@ -274,81 +273,6 @@ def _bound_codes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     )
     codes.sort()
     return codes
-
-
-def _locate(
-    sorted_codes: np.ndarray, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of ``queries`` in a sorted code array plus a found mask."""
-    pos = np.searchsorted(sorted_codes, queries)
-    if sorted_codes.shape[0] == 0:
-        return pos, np.zeros(queries.shape[0], dtype=bool)
-    inside = pos < sorted_codes.shape[0]
-    found = inside.copy()
-    found[inside] = sorted_codes[pos[inside]] == queries[inside]
-    return pos, found
-
-
-def _child_warm_basis(
-    form: StandardForm,
-    parent_basis: np.ndarray | None,
-    parent_lower: np.ndarray,
-    parent_upper: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray | None:
-    """Remap a parent node's optimal basis onto a child node's rows.
-
-    Branching only ever *adds* a bound row or tightens an existing one,
-    so every parent row persists in the child; a fresh bound row enters
-    with its own slack as the basic column.  The result is dual-feasible
-    for the unchanged objective and one dual pivot (the violated branch
-    bound) away from optimality in the common case.  The whole remap is
-    array arithmetic on the bound-row codes — no per-row Python.
-    Returns ``None`` whenever the mapping cannot be built (residual
-    artificials, shape drift, a parent slack whose bound row vanished),
-    letting the child fall back to a cold solve.
-    """
-    if parent_basis is None:
-        return None
-    n = form.n_variables
-    m0 = form.a_ub.shape[0]
-    m_eq = form.a_eq.shape[0]
-    parent_codes = _bound_codes(parent_lower, parent_upper)
-    child_codes = _bound_codes(lower, upper)
-    m_ub_parent = m0 + parent_codes.shape[0]
-    if parent_basis.shape[0] != m_ub_parent + m_eq:
-        return None
-    if parent_basis.max(initial=0) >= n + m_ub_parent:
-        return None  # residual artificial column: not reusable
-
-    # Position of every parent bound row in the child (both code arrays
-    # are sorted, so one searchsorted resolves all of them).
-    in_child, present = _locate(child_codes, parent_codes)
-
-    # Remap every parent basis entry at once: structural columns and
-    # shared-row slacks (< n + m0) keep their index, bound-row slacks
-    # move to their child position.
-    mapped = parent_basis.astype(int, copy=True)
-    is_bound_slack = mapped >= n + m0
-    slot = mapped[is_bound_slack] - (n + m0)
-    if not np.all(present[slot]):
-        return None  # a basic slack's bound row has no child counterpart
-    mapped[is_bound_slack] = n + m0 + in_child[slot]
-
-    # Assemble the child basis: shared rows and eq rows carry over in
-    # place; each child bound row inherits its parent row's (remapped)
-    # basic column, or enters with its own slack when the row is new.
-    in_parent, has_parent = _locate(parent_codes, child_codes)
-    m_bound_child = child_codes.shape[0]
-    bound_part = n + m0 + np.arange(m_bound_child)  # new rows: own slack
-    bound_part[has_parent] = mapped[m0 + in_parent[has_parent]]
-    child = np.concatenate(
-        [mapped[:m0], bound_part, mapped[m_ub_parent:]]
-    )
-    if np.unique(child).shape[0] != child.shape[0]:
-        return None
-    return child
 
 
 def _feasible_incumbent(
@@ -425,14 +349,15 @@ def solve_bnb_warm(
     """Warm-started :func:`solve_bnb`, for batched same-structure solves.
 
     Reuses three kinds of work (see :mod:`repro.ilp.batch` for the
-    grouping layer that feeds this):
+    per-structure pool that feeds this):
 
-    * the previous solve's root basis warm-starts this root relaxation
-      (dual-simplex recovery instead of a Phase-1 restart);
+    * the previous solve's root tableau *chains* this root relaxation:
+      its right-hand column shifts by the rhs delta and a few dual
+      pivots recover (a root whose matrices changed solves cold);
     * within the tree, each child LP *extends its parent's final
-      tableau* by the one branching bound row (falling back to a basis
-      remap, then to a cold solve, when that state is unavailable) —
-      typically a single dual pivot instead of a full solve;
+      tableau* by the one branching bound row (a child whose parent
+      kept no tableau solves cold) — typically a single dual pivot
+      instead of a full solve;
     * the previous optimum, when still feasible, seeds the incumbent as
       a proven lower bound just below its value — subtrees that cannot
       reach it are pruned without affecting which optimal point the
@@ -491,7 +416,6 @@ def _solve(
         counter=next(counter),
         lower=np.zeros(n),
         upper=np.full(n, np.inf),
-        basis=warm.basis if warm is not None else None,
     )
     heap = [root]
 
@@ -513,11 +437,11 @@ def _solve(
             and warm.root_tableau is not None
         ):
             # Fast path: chain this root from the previous sweep point's
-            # root tableau — a rhs-column shift instead of refactorising.
+            # root tableau — a rhs-column shift instead of a cold solve.
             result = _chained_root(form, warm, c_min, eq_cache)
         if node.ext is not None:
             # Fast path: extend the parent's final tableau by the one
-            # bound-row edit — no child matrices, no refactorisation.
+            # bound-row edit — no child matrices, no Phase 1.
             tableau, parent_basis, op = node.ext
             if op[0] == "insert":
                 result = warm_solve_insert_row(
@@ -535,7 +459,6 @@ def _solve(
             a_ub, b_ub = _bound_rows(form, node.lower, node.upper)
             result = solve_lp(
                 c_min, a_ub, b_ub, form.a_eq, form.b_eq,
-                basis=node.basis,
                 keep_tableau=reuse_bases,
             )
         nodes_explored += 1
@@ -610,40 +533,33 @@ def _solve(
             upper=node.upper.copy(),
         )
         up.lower[branch_j] = math.ceil(value)
-        if reuse_bases and nodes_explored <= BASIS_REUSE_NODE_LIMIT:
-            if result.tableau is not None:
-                m0 = form.a_ub.shape[0]
-                codes = _bound_codes(node.lower, node.upper)
-                # Down child: upper-bound row (code 2j); up child:
-                # lower-bound row (code 2j+1, rhs -ceil).  Branching is
-                # always strict (floor < upper, ceil > lower), so a
-                # tighten's delta is a negative integer.
-                for child, code, sigma, bound in (
-                    (down, 2 * branch_j, 1.0, float(math.floor(value))),
-                    (up, 2 * branch_j + 1, -1.0, float(-math.ceil(value))),
-                ):
-                    pos = int(np.searchsorted(codes, code))
-                    row_pos = m0 + pos
-                    if pos < codes.shape[0] and codes[pos] == code:
-                        old = (
-                            node.upper[branch_j]
-                            if sigma > 0
-                            else -node.lower[branch_j]
-                        )
-                        op = ("shift", row_pos, bound - float(old))
-                    else:
-                        op = ("insert", row_pos, branch_j, sigma, bound)
-                    child.ext = (result.tableau, result.basis, op)
-            else:
-                for child in (down, up):
-                    child.basis = _child_warm_basis(
-                        form,
-                        result.basis,
-                        node.lower,
-                        node.upper,
-                        child.lower,
-                        child.upper,
+        if (
+            reuse_bases
+            and nodes_explored <= BASIS_REUSE_NODE_LIMIT
+            and result.tableau is not None
+        ):
+            m0 = form.a_ub.shape[0]
+            codes = _bound_codes(node.lower, node.upper)
+            # Down child: upper-bound row (code 2j); up child:
+            # lower-bound row (code 2j+1, rhs -ceil).  Branching is
+            # always strict (floor < upper, ceil > lower), so a
+            # tighten's delta is a negative integer.
+            for child, code, sigma, bound in (
+                (down, 2 * branch_j, 1.0, float(math.floor(value))),
+                (up, 2 * branch_j + 1, -1.0, float(-math.ceil(value))),
+            ):
+                pos = int(np.searchsorted(codes, code))
+                row_pos = m0 + pos
+                if pos < codes.shape[0] and codes[pos] == code:
+                    old = (
+                        node.upper[branch_j]
+                        if sigma > 0
+                        else -node.lower[branch_j]
                     )
+                    op = ("shift", row_pos, bound - float(old))
+                else:
+                    op = ("insert", row_pos, branch_j, sigma, bound)
+                child.ext = (result.tableau, result.basis, op)
         heapq.heappush(heap, down)
         heapq.heappush(heap, up)
 

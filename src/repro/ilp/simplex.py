@@ -18,10 +18,11 @@ bounds are reduced to this form by :mod:`repro.ilp.model`.
 
 Two properties serve the batch-solving layer (:mod:`repro.ilp.batch`):
 
-* **warm starts** — ``solve_lp(..., basis=)`` rebuilds the tableau from
-  a previous optimal basis and recovers primal feasibility with a dual
-  simplex instead of restarting Phase 1 (every result carries its final
-  basis for exactly this);
+* **tableau extension** — ``solve_lp(..., keep_tableau=True)`` hands back
+  the final reduced tableau and basis, and the ``warm_solve_*`` entry
+  points re-optimise an edited copy of it (one added bound row, one
+  moved right-hand side) with a few dual-simplex pivots instead of a
+  Phase-1 restart;
 * **canonical vertices** — every optimal solve finishes on the
   lexicographically greatest optimal point, so the reported vertex is a
   function of the instance alone, never of the pivot path.  Warm and
@@ -65,13 +66,10 @@ class LpResult:
         objective: objective value ``c @ x`` (minimisation).
         iterations: simplex pivots performed across both phases.
         basis: the final basis (column indices into ``[x | slacks]``,
-            one per constraint row) when the solve produced one.  Feed it
-            back as ``solve_lp(..., basis=)`` to warm-start a solve of a
-            structurally identical instance.  Entries ``>= n + m_ub``
-            denote residual artificial columns pinned in degenerate rows;
-            such a basis is rejected by the warm-start path and triggers
-            a cold solve.
-        warm: whether the result was produced by the warm-start path.
+            one per constraint row) when the solve produced one; it
+            pairs with :attr:`tableau` for the extension entry points.
+            Entries ``>= n + m_ub`` denote residual artificial columns
+            pinned in degenerate rows.
         tableau: the final reduced tableau over ``[x | slacks | rhs]``
             (artificial columns trimmed), captured only when the solve
             was asked to ``keep_tableau``.  Branch-and-bound extends it
@@ -84,7 +82,6 @@ class LpResult:
     objective: float
     iterations: int
     basis: np.ndarray | None = None
-    warm: bool = False
     tableau: np.ndarray | None = None
 
 
@@ -250,10 +247,10 @@ def _dual_iterate(
 ) -> tuple[LpStatus, int]:
     """Run dual-simplex pivots until primal feasibility (or infeasibility).
 
-    Requires a dual-feasible starting basis (no negative reduced cost);
-    used by the warm-start path to recover from right-hand-side changes
-    without a Phase-1 restart.  Bland's rule on both the leaving basic
-    variable (smallest basis index among infeasible rows) and the
+    Expects a dual-feasible starting basis (no negative reduced cost);
+    used by the tableau-extension paths to recover from right-hand-side
+    changes without a Phase-1 restart.  Bland's rule on both the leaving
+    basic variable (smallest basis index among infeasible rows) and the
     entering column (smallest index among ratio-test ties) precludes
     cycling, mirroring the primal iterator.
 
@@ -415,26 +412,23 @@ def _recover(
     c: np.ndarray,
     max_iterations: int,
     keep_tableau: bool,
-    trusted_dual: bool = False,
 ) -> LpResult | None:
     """Re-optimise an already-reduced ``[x | slacks | rhs]`` tableau.
 
-    The shared tail of every warm path: dual-simplex pivots restore
+    The shared tail of every extension path: dual-simplex pivots restore
     primal feasibility (right-hand sides moved), primal pivots restore
     optimality (they rarely fire — the objective did not move), and the
     canonical polish lands on the lexicographically greatest optimal
-    vertex so the result matches a cold solve bit for bit.  ``None``
-    signals the caller to fall back to a cold two-phase solve (the
-    tableau is neither primal- nor dual-feasible, or pivoting stalled
+    vertex so the result matches a cold solve bit for bit.  The callers
+    hand over an edit of an *optimal* tableau, so there is no
+    dual-feasibility screen: a one-row extension is dual-feasible by
+    construction (the new slack's reduced cost is exactly zero, every
+    other column's is unchanged), and correctness never leans on it —
+    an infeasibility verdict is a primal certificate (a violated row
+    with no negative coefficient), the primal pivots re-establish
+    optimality, and the polish re-verifies it.  ``None`` signals the
+    caller to fall back to a cold two-phase solve (pivoting stalled
     numerically).  Mutates ``tableau`` and ``basis`` in place.
-
-    ``trusted_dual`` skips the dual-feasibility pre-screen.  The tableau
-    extension entry points pass it: a one-row extension of an *optimal*
-    parent tableau is dual-feasible by construction (the new slack's
-    reduced cost is exactly zero, every other column's is unchanged), so
-    the screen's matrix-vector product would only re-prove that.
-    Correctness does not lean on the flag — a stalled recovery still
-    raises and falls back cold, and the polish re-verifies optimality.
     """
     n = c.shape[0]
     total_cols = tableau.shape[1] - 1
@@ -443,12 +437,6 @@ def _recover(
     iterations = 0
     try:
         if np.any(tableau[:, -1] < -TOLERANCE):
-            if not trusted_dual:
-                reduced = cost[:-1] - cost[basis] @ tableau[:, :-1]
-                if np.any(reduced < -TOLERANCE):
-                    # Neither primal- nor dual-feasible: a cold two-phase
-                    # solve is the reliable route.
-                    return None
             status, its = _dual_iterate(
                 tableau, basis, cost, max_iterations
             )
@@ -460,7 +448,6 @@ def _recover(
                     np.inf,
                     iterations,
                     basis=basis.copy(),
-                    warm=True,
                 )
         status, its, reduced_row = _iterate(
             tableau, basis, cost, max_iterations - iterations
@@ -473,7 +460,6 @@ def _recover(
                 -np.inf,
                 iterations,
                 basis=basis.copy(),
-                warm=True,
             )
         iterations += _canonical_polish(
             tableau,
@@ -492,7 +478,6 @@ def _recover(
         objective,
         iterations,
         basis=basis.copy(),
-        warm=True,
         tableau=tableau if keep_tableau else None,
     )
 
@@ -575,10 +560,7 @@ def warm_solve_insert_row(
     new_basis[:row_position] = shifted[:row_position]
     new_basis[row_position] = column_at
     new_basis[row_position + 1 :] = shifted[row_position:]
-    return _recover(
-        extended, new_basis, c, max_iterations, keep_tableau,
-        trusted_dual=True,
-    )
+    return _recover(extended, new_basis, c, max_iterations, keep_tableau)
 
 
 def warm_solve_shift_rhs(
@@ -604,10 +586,7 @@ def warm_solve_shift_rhs(
     n = c.shape[0]
     extended = tableau.copy()
     extended[:, -1] += delta * extended[:, n + row_position]
-    return _recover(
-        extended, basis.copy(), c, max_iterations, keep_tableau,
-        trusted_dual=True,
-    )
+    return _recover(extended, basis.copy(), c, max_iterations, keep_tableau)
 
 
 def warm_solve_rhs_delta(
@@ -631,76 +610,7 @@ def warm_solve_rhs_delta(
     """
     extended = tableau.copy()
     extended[:, -1] += shift
-    return _recover(
-        extended, basis.copy(), c, max_iterations, keep_tableau,
-        trusted_dual=True,
-    )
-
-
-def _warm_start(
-    c: np.ndarray,
-    a_ub: np.ndarray,
-    b_ub: np.ndarray,
-    a_eq: np.ndarray,
-    b_eq: np.ndarray,
-    basis: np.ndarray,
-    max_iterations: int,
-    keep_tableau: bool = False,
-) -> LpResult | None:
-    """Attempt a warm solve from a previous basis; ``None`` falls back cold.
-
-    The basis must index into ``[x | slacks]`` of an instance with the
-    same shape (row/column counts).  Recovery strategy:
-
-    * factor the basis and rebuild the reduced tableau in one shot
-      (``B^-1 [A | S | b]``) instead of pivoting from scratch;
-    * if the point is primal-infeasible but dual-feasible (the typical
-      sweep situation — right-hand sides moved, objective did not), run
-      the dual simplex until feasibility is restored;
-    * if it is primal-feasible (objective moved, activities did not),
-      jump straight into primal Phase-2 pivots;
-    * anything else — singular or ill-conditioned basis, residual
-      artificials, a numerically stalled recovery — abandons the warm
-      attempt so the caller can fall back to the two-phase cold path.
-    """
-    n = c.shape[0]
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
-    total_cols = n + m_ub
-
-    basis = np.asarray(basis, dtype=int)
-    if basis.shape != (m,):
-        return None
-    if m == 0 or basis.min() < 0 or basis.max() >= total_cols:
-        return None
-    if np.unique(basis).shape[0] != m:
-        return None
-
-    # Assemble [A | slacks | rhs] by direct placement into one buffer
-    # (this runs once per warm root solve — block stacking cost here is
-    # pure warm-side overhead).
-    full = np.zeros((m, total_cols + 1))
-    full[:m_ub, :n] = a_ub
-    full[m_ub:, :n] = a_eq
-    diag = np.arange(m_ub)
-    full[diag, n + diag] = 1.0
-    full[:m_ub, -1] = b_ub
-    full[m_ub:, -1] = b_eq
-    try:
-        tableau = np.linalg.solve(full[:, basis], full)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(tableau)):
-        return None
-    # An ill-conditioned factorisation shows up as basis columns failing
-    # to reduce to the identity; such a basis cannot seed pivots safely.
-    residual = tableau[:, basis]
-    rows_idx = np.arange(m)
-    residual[rows_idx, rows_idx] -= 1.0
-    if np.abs(residual, out=residual).max() > 1e-7:
-        return None
-
-    return _recover(tableau, basis.copy(), c, max_iterations, keep_tableau)
+    return _recover(extended, basis.copy(), c, max_iterations, keep_tableau)
 
 
 def solve_lp(
@@ -711,7 +621,6 @@ def solve_lp(
     b_eq: np.ndarray,
     *,
     max_iterations: int = MAX_ITERATIONS,
-    basis: np.ndarray | None = None,
     keep_tableau: bool = False,
 ) -> LpResult:
     """Minimise ``c @ x`` subject to ``a_ub x <= b_ub``, ``a_eq x == b_eq``,
@@ -724,12 +633,6 @@ def solve_lp(
         a_eq: equality matrix, shape ``(m_eq, n)`` (may be empty).
         b_eq: equality right-hand sides, shape ``(m_eq,)``.
         max_iterations: pivot budget shared by both phases.
-        basis: optional warm-start basis from a previous
-            :attr:`LpResult.basis` of a structurally identical instance
-            (same row and column counts).  Primal feasibility is
-            recovered with the dual simplex instead of a Phase-1
-            restart; an unusable basis silently falls back to the cold
-            two-phase path.
         keep_tableau: attach the final reduced tableau (artificial
             columns trimmed) to an optimal result, for
             :func:`warm_solve_insert_row` /
@@ -767,13 +670,6 @@ def solve_lp(
             0,
             basis=np.empty(0, dtype=int),
         )
-
-    if basis is not None:
-        result = _warm_start(
-            c, a_ub, b_ub, a_eq, b_eq, basis, max_iterations, keep_tableau
-        )
-        if result is not None:
-            return result
 
     # Assemble [A | slacks | artificials | rhs] with all rhs >= 0.
     rows = np.vstack([a_ub, a_eq])
@@ -868,8 +764,8 @@ def solve_lp(
             basis=basis.copy(),
         )
 
-    # Land on the canonical optimal vertex so warm-started re-solves of
-    # the same instance report the identical point (see _canonical_polish).
+    # Land on the canonical optimal vertex so warm re-solves of the same
+    # instance report the identical point (see _canonical_polish).
     iterations += _canonical_polish(
         tableau,
         basis,

@@ -6,13 +6,14 @@ hosts, join and leave at will:
 
 * the **coordinator** (:mod:`~repro.service.coordinator`) owns a
   sqlite-backed queue (:mod:`~repro.service.store`) — submitted jobs,
-  their warm-group-sharded units, leases and results all survive a
-  coordinator restart;
+  their one-job units, leases and results all survive a coordinator
+  restart, and a lease takes the oldest queued unit;
 * **workers** (:mod:`~repro.service.pull`) dial *in*: they
   auto-register, lease units, execute them (shared
-  :class:`~repro.engine.cache.ResultCache` dedupe included) and
-  heartbeat; a worker that vanishes has its leases re-queued under a
-  bumped fence, so nothing is lost and nothing is double-counted;
+  :class:`~repro.engine.cache.ResultCache` dedupe included, and a warm
+  ILP solver that lives as long as the worker) and heartbeat; a worker
+  that vanishes has its leases re-queued under a bumped fence, so
+  nothing is lost and nothing is double-counted;
 * **clients** (:mod:`~repro.service.client`) submit and walk away: a
   named job set (:mod:`~repro.service.jobsets`) or any engine batch via
   ``mode="service"`` comes back byte-identical to serial execution.

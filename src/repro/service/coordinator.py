@@ -14,16 +14,16 @@ envelopes (:mod:`repro.engine.remote.wire`) over plain HTTP:
   heartbeats stop has its leases expire and re-queued (fence bumped), so
   another worker picks its units up.
 
-Scheduling preserves the engine's warm-group discipline in a dynamic
-pool: the first worker to lease a unit of a warm group becomes the
-group's sticky *owner*, and every later unit of that group is held for
-the owner while it lives — so a sweep's structurally identical ILPs keep
-landing on one warm solver even though workers come and go.  Ungrouped
-units go to whoever asks first.
+Scheduling is first come, first served: every job of a submitted batch
+becomes its own unit, and a lease takes the oldest queued unit.
+Placement needs no affinity, because warm ILP state lives in each worker
+process: a worker that has solved a structure before warm-starts it
+again whichever unit brings it back, and results never depend on who
+ran what.
 
 The coordinator's optional :class:`~repro.engine.cache.ResultCache`
-dedupes at the queue: a submitted unit whose every job already has a
-cached result is born ``done`` without ever reaching a worker, and every
+dedupes at the queue: a submitted unit whose job already has a cached
+result is born ``done`` without ever reaching a worker, and every
 completed value is stored back, so repeated submissions answer from
 disk.  All state transitions land in sqlite before they are
 acknowledged — kill the coordinator mid-job, restart it on the same
@@ -43,7 +43,6 @@ import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
-from repro.engine.batch import warm_units
 from repro.engine.cache import ResultCache, is_miss
 from repro.engine.remote.wire import (
     PROTOCOL_VERSION,
@@ -208,12 +207,11 @@ class CoordinatorServer(ThreadingHTTPServer):
             queries, addressable by the id ``repro status`` shows.
         lease_seconds: how long a leased unit stays assigned without a
             heartbeat before it is re-queued to another worker.
-        worker_ttl: how long a silent worker counts as live (sticky
-            warm-group owners past this age are replaced).
+        worker_ttl: how long a silent worker counts as live in the
+            worker list and the health document.
         quarantine_limit: how many malformed completions a worker may
-            upload before it is evicted — its registration dropped, its
-            warm groups released and its live leases re-queued to the
-            rest of the fleet.
+            upload before it is evicted — its registration dropped and
+            its live leases re-queued to the rest of the fleet.
     """
 
     daemon_threads = True
@@ -243,9 +241,6 @@ class CoordinatorServer(ThreadingHTTPServer):
         #: uploading malformed completions.  A quarantined id is dead;
         #: the process behind it may re-register under a fresh id.
         self.quarantined_workers: dict[str, str] = {}
-        #: warm group -> sticky owning worker id (in-memory: affinity is
-        #: an optimisation, correctness never depends on it surviving).
-        self.group_owners: dict[str, str] = {}
         self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
 
@@ -272,47 +267,28 @@ class CoordinatorServer(ThreadingHTTPServer):
         items, label, meta = decode_submit(body)
         if not items:
             raise RemoteError("cannot submit an empty batch")
-        batch = [item.job for item in items]
         units: list[UnitSpec] = []
         born_done: list[tuple[str, Any, str | None]] = []
-        for unit in warm_units(batch, range(len(batch))):
-            unit_items = [items[i] for i in unit]
+        for index, item in enumerate(items):
             result = None
-            if self.cache is not None:
-                values = []
-                for item in unit_items:
-                    key = item.cache_key if item.job.cacheable else None
-                    value = (
-                        self.cache.lookup(key) if key is not None else None
-                    )
-                    if key is None or is_miss(value):
-                        values = None
-                        break
-                    values.append(value)
-                if values is not None:
-                    # Every job in the unit is already answered: the
-                    # unit is born done and never reaches a worker.
+            key = item.cache_key if item.job.cacheable else None
+            if self.cache is not None and key is not None:
+                value = self.cache.lookup(key)
+                if not is_miss(value):
+                    # Already answered: the unit is born done and never
+                    # reaches a worker.
                     result = encode_result_entries(
-                        [
-                            WireResult(ok=True, value=value, cached=True)
-                            for value in values
-                        ]
+                        [WireResult(ok=True, value=value, cached=True)]
                     )
-                    born_done.extend(
-                        (item.job.describe(), value, item.cache_key)
-                        for item, value in zip(unit_items, values)
-                    )
+                    born_done.append((item.job.describe(), value, key))
             units.append(
                 UnitSpec(
-                    entries=encode_job_entries(unit_items),
-                    indices=list(unit),
-                    warm_group=batch[unit[0]].warm_group,
+                    entries=encode_job_entries([item]),
+                    indices=[index],
                     result=result,
                 )
             )
-        job_id = self.store.submit(
-            units, label=label, meta=meta, total_jobs=len(batch)
-        )
+        job_id = self.store.submit(units, label=label, meta=meta)
         # The run record is opened at submission (even with nothing born
         # done yet), so the job id is a valid `repro diff` selector the
         # moment `repro submit` prints it.
@@ -329,7 +305,6 @@ class CoordinatorServer(ThreadingHTTPServer):
             {
                 "unit": view.unit_index,
                 "state": view.state,
-                "warm_group": view.warm_group,
                 "worker": view.lease_owner,
                 "jobs": view.jobs,
             }
@@ -472,7 +447,7 @@ class CoordinatorServer(ThreadingHTTPServer):
                 return encode_lease({"unregistered": True})
             info.last_seen = now
             self.store.reclaim_expired(now)
-            choice = self._pick_unit(worker_id, now)
+            choice = self.store.oldest_queued_unit()
             if choice is None:
                 return encode_lease(None)
             job_id, unit_index = choice
@@ -492,42 +467,17 @@ class CoordinatorServer(ThreadingHTTPServer):
             }
         )
 
-    def _pick_unit(
-        self, worker_id: str, now: float
-    ) -> tuple[str, int] | None:
-        """Choose the next unit for ``worker_id``, warm-group sticky.
-
-        Preference order: a unit of a group this worker already owns →
-        a unit of an unowned (or dead-owned) group, claiming ownership →
-        an ungrouped unit.  Units of groups owned by *another live*
-        worker are held back for their owner.  Caller holds the lock.
-        """
-        claim: tuple[str, int, str] | None = None
-        ungrouped: tuple[str, int] | None = None
-        for job_id, unit_index, group in self.store.queued_units():
-            if group is None:
-                if ungrouped is None:
-                    ungrouped = (job_id, unit_index)
-                continue
-            owner = self.group_owners.get(group)
-            if owner == worker_id:
-                return job_id, unit_index
-            info = self.workers.get(owner) if owner else None
-            if info is None or not self._is_live(info, now):
-                if claim is None:
-                    claim = (job_id, unit_index, group)
-        if claim is not None:
-            self.group_owners[claim[2]] = worker_id
-            return claim[0], claim[1]
-        return ungrouped
-
     def handle_complete(self, body: bytes) -> bytes:
         """Record one executed unit, fenced and shape-validated.
 
         A completion whose result entries fail :func:`validate_result_entries`
         (wrong count, undecodable payloads — a corrupting worker or a
-        mangling network) is rejected *without* touching the unit, and
-        counts against the uploading worker's quarantine budget."""
+        mangling network) records nothing and counts against the
+        uploading worker's quarantine budget.  Its unit goes straight
+        back to the queue when it is still leased under the upload's
+        fence: the uploader has already dropped it (a 4xx is final for a
+        pull worker), while its heartbeats would otherwise keep renewing
+        the lease.  A stale fence leaves the current lease alone."""
         document = decode_unit_result(body)
         job_id = document["job_id"]
         unit_index = document["unit"]
@@ -537,6 +487,7 @@ class CoordinatorServer(ThreadingHTTPServer):
             self.store.unit_job_count(job_id, unit_index),
         )
         if defect is not None:
+            self.store.requeue(job_id, unit_index, document["fence"])
             self._record_invalid_completion(worker_id, defect)
             raise RemoteError(
                 f"rejected completion of {job_id}/{unit_index}: {defect}"
@@ -561,9 +512,9 @@ class CoordinatorServer(ThreadingHTTPServer):
         """Count one malformed upload; evict the worker past the limit.
 
         Eviction drops the registration (the worker's next lease attempt
-        answers ``unregistered``), releases its sticky warm groups and
-        re-queues its live leases so the rest of the fleet picks the
-        work up immediately instead of waiting out the lease expiry.
+        answers ``unregistered``) and re-queues its live leases so the
+        rest of the fleet picks the work up immediately instead of
+        waiting out the lease expiry.
         """
         with self._lock:
             info = self.workers.get(worker_id)
@@ -577,9 +528,6 @@ class CoordinatorServer(ThreadingHTTPServer):
                 f"evicted after {info.invalid_completions} invalid "
                 f"completions (last: {defect})"
             )
-            for group, owner in list(self.group_owners.items()):
-                if owner == worker_id:
-                    del self.group_owners[group]
         self.store.release_worker(worker_id)
 
     def _store_results(

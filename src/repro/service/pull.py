@@ -9,10 +9,12 @@ everything:
 2. **lease loop** — POST ``/lease`` for the next unit; an empty queue
    backs off briefly and asks again, a grant executes each job through
    :func:`~repro.engine.remote.worker.execute_wire_job` (shared
-   :class:`ResultCache` consult, warm thread-local batch solver);
+   :class:`ResultCache` consult, then the job on this thread, whose
+   batch ILP solver stays warm across every unit the worker runs);
 3. **complete** — POST ``/complete`` with the unit's results and its
    lease fence; the coordinator refuses a stale fence, which is what
-   makes a re-leased unit safe;
+   makes a re-leased unit safe, and re-queues a unit whose completion
+   it rejects as malformed;
 4. **heartbeat** — a background thread renews the worker's leases and
    ships its :class:`~repro.engine.remote.worker.WorkerStats` counters,
    so ``repro jobs --workers`` shows live per-worker numbers.
@@ -41,11 +43,7 @@ from repro.engine.remote.wire import (
     encode_document,
     encode_unit_result,
 )
-from repro.engine.remote.worker import (
-    WorkerStats,
-    execute_wire_job,
-    snapshot_warm_reuses,
-)
+from repro.engine.remote.worker import WorkerStats, execute_wire_job
 from repro.errors import RemoteError
 from repro.service.coordinator import (
     COMPLETE_PATH,
@@ -240,7 +238,8 @@ class PullWorker:
         fence-rejected, so giving up is safe (jobs are pure, and a
         shared cache answers the rerun without recomputing).  A
         non-retryable rejection (the coordinator answered 4xx — it
-        refused this completion deliberately) is dropped immediately.
+        refused this completion deliberately) is dropped immediately;
+        the coordinator has already put the unit back in the queue.
         """
         job_id = grant["job_id"]
         results = []
@@ -249,7 +248,6 @@ class PullWorker:
                 return
             results.append(execute_wire_job(item, self.cache, self.stats))
         self.stats.batches += 1
-        snapshot_warm_reuses(self.stats)
         policy = RetryPolicy(
             initial=self.idle_poll,
             multiplier=2.0,

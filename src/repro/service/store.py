@@ -1,13 +1,18 @@
 """The durable job queue: sqlite-backed jobs, units and leases.
 
 One :class:`JobStore` is the coordinator's only persistent state.  A
-*job* is one submitted batch; it is split into *units* (the engine's
-warm-group partition, see :func:`repro.engine.batch.warm_units`) and
+*job* is one submitted batch; it is split into *units* (the coordinator
+makes one per batch job, stored as a one-entry list, the wire shape) and
 each unit moves through three states::
 
     queued ──lease──▶ leased ──complete──▶ done
        ▲                 │
-       └──lease expiry───┘   (fence += 1 on every lease)
+       └──lease expiry───┘   (fence += 1 on every lease and re-queue)
+
+A lease expiry, a quarantined worker's release and a rejected
+completion all re-queue a unit through one fenced statement.  A queue
+file written before units lost their scheduling-group column keeps that
+column; nothing reads it, so it needs no migration.
 
 Durability and fencing:
 
@@ -82,7 +87,6 @@ CREATE TABLE IF NOT EXISTS units (
     job_id       TEXT NOT NULL,
     unit_index   INTEGER NOT NULL,
     state        TEXT NOT NULL,
-    warm_group   TEXT,
     entries      TEXT NOT NULL,
     indices      TEXT NOT NULL,
     fence        INTEGER NOT NULL DEFAULT 0,
@@ -123,14 +127,12 @@ class UnitSpec:
     Attributes:
         entries: the unit's wire job entries (JSON-ready dicts).
         indices: positions of the unit's jobs in the submitted batch.
-        warm_group: shared warm group of the unit's jobs, if any.
         result: pre-computed result entries (coordinator-cache hits
             dedupe at submission: the unit is born ``done``).
     """
 
     entries: Sequence[dict]
     indices: Sequence[int]
-    warm_group: str | None = None
     result: Sequence[dict] | None = None
 
 
@@ -172,7 +174,6 @@ class UnitView:
     job_id: str
     unit_index: int
     state: str
-    warm_group: str | None
     fence: int
     lease_owner: str | None
     lease_expiry: float | None
@@ -286,17 +287,12 @@ class JobStore:
         *,
         label: str = "",
         meta: dict | None = None,
-        total_jobs: int | None = None,
     ) -> str:
         """Record one submitted batch; returns its fresh job id."""
         if not units:
             raise EngineError("cannot submit a job with no units")
         job_id = secrets.token_hex(6)
-        jobs = (
-            total_jobs
-            if total_jobs is not None
-            else sum(len(unit.indices) for unit in units)
-        )
+        jobs = sum(len(unit.indices) for unit in units)
         # One clock reading for both spellings: `created` stays a float
         # (ordering), `created_utc` is the portable cross-host
         # provenance form.  Both are persisted, so both come from the
@@ -320,13 +316,11 @@ class JobStore:
                 done = unit.result is not None
                 self._conn.execute(
                     "INSERT INTO units (job_id, unit_index, state, "
-                    "warm_group, entries, indices, result) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    "entries, indices, result) VALUES (?, ?, ?, ?, ?, ?)",
                     (
                         job_id,
                         index,
                         DONE if done else QUEUED,
-                        unit.warm_group,
                         json.dumps(list(unit.entries)),
                         json.dumps(list(unit.indices)),
                         json.dumps(list(unit.result)) if done else None,
@@ -350,28 +344,51 @@ class JobStore:
         now = time.monotonic() if now is None else now
         with self._lock, self._conn:
             rows = self._conn.execute(
-                "SELECT job_id, unit_index FROM units "
+                "SELECT job_id, unit_index, fence FROM units "
                 "WHERE state = ? AND (lease_expiry < ? OR lease_expiry > ?)",
                 (LEASED, now, now + LEASE_HORIZON_SECONDS),
             ).fetchall()
-            for job_id, unit_index in rows:
-                self._conn.execute(
-                    "UPDATE units SET state = ?, fence = fence + 1, "
-                    "lease_owner = NULL, lease_expiry = NULL "
-                    "WHERE job_id = ? AND unit_index = ?",
-                    (QUEUED, job_id, unit_index),
-                )
-        return [(job_id, unit_index) for job_id, unit_index in rows]
+            for job_id, unit_index, fence in rows:
+                self._requeue(job_id, unit_index, fence)
+        return [(job_id, unit_index) for job_id, unit_index, _ in rows]
 
-    def queued_units(self) -> list[tuple[str, int, str | None]]:
-        """Queued ``(job_id, unit_index, warm_group)`` in FIFO order."""
+    def _requeue(self, job_id: str, unit_index: int, fence: int) -> bool:
+        """The one re-queue statement (caller holds lock and transaction).
+
+        Puts the unit back in the queue only while it is still leased
+        under ``fence``, bumping the fence and clearing owner and
+        expiry, so a re-queue ends exactly the lease instance its caller
+        saw.  Lease expiry, worker release and rejected completions all
+        go through it.
+        """
+        cursor = self._conn.execute(
+            "UPDATE units SET state = ?, fence = fence + 1, "
+            "lease_owner = NULL, lease_expiry = NULL "
+            "WHERE job_id = ? AND unit_index = ? AND state = ? AND fence = ?",
+            (QUEUED, job_id, unit_index, LEASED, fence),
+        )
+        return cursor.rowcount == 1
+
+    def requeue(self, job_id: str, unit_index: int, fence: int) -> bool:
+        """Re-queue one unit if it is still leased under ``fence``.
+
+        Returns whether it was.  The coordinator calls this when it
+        rejects a completion: the uploader has dropped the unit, so
+        waiting for the lease to expire would strand it for as long as
+        the uploader's heartbeats keep renewing the lease.
+        """
+        with self._lock, self._conn:
+            return self._requeue(job_id, unit_index, fence)
+
+    def oldest_queued_unit(self) -> tuple[str, int] | None:
+        """The ``(job_id, unit_index)`` queued first, or ``None``."""
         with self._lock:
-            rows = self._conn.execute(
-                "SELECT job_id, unit_index, warm_group FROM units "
-                "WHERE state = ? ORDER BY rowid",
+            row = self._conn.execute(
+                "SELECT job_id, unit_index FROM units "
+                "WHERE state = ? ORDER BY rowid LIMIT 1",
                 (QUEUED,),
-            ).fetchall()
-        return [tuple(row) for row in rows]
+            ).fetchone()
+        return None if row is None else (row[0], row[1])
 
     def lease(
         self,
@@ -505,18 +522,13 @@ class JobStore:
         worker's units dangling."""
         with self._lock, self._conn:
             rows = self._conn.execute(
-                "SELECT job_id, unit_index FROM units "
+                "SELECT job_id, unit_index, fence FROM units "
                 "WHERE state = ? AND lease_owner = ?",
                 (LEASED, worker_id),
             ).fetchall()
-            for job_id, unit_index in rows:
-                self._conn.execute(
-                    "UPDATE units SET state = ?, fence = fence + 1, "
-                    "lease_owner = NULL, lease_expiry = NULL "
-                    "WHERE job_id = ? AND unit_index = ?",
-                    (QUEUED, job_id, unit_index),
-                )
-        return [(job_id, unit_index) for job_id, unit_index in rows]
+            for job_id, unit_index, fence in rows:
+                self._requeue(job_id, unit_index, fence)
+        return [(job_id, unit_index) for job_id, unit_index, _ in rows]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -587,13 +599,13 @@ class JobStore:
         """Per-unit progress of one job (payloads omitted)."""
         with self._lock:
             rows = self._conn.execute(
-                "SELECT job_id, unit_index, state, warm_group, fence, "
+                "SELECT job_id, unit_index, state, fence, "
                 "lease_owner, lease_expiry, indices FROM units "
                 "WHERE job_id = ? ORDER BY unit_index",
                 (job_id,),
             ).fetchall()
         return [
-            UnitView(*row[:7], jobs=len(json.loads(row[7]))) for row in rows
+            UnitView(*row[:6], jobs=len(json.loads(row[6]))) for row in rows
         ]
 
     def unit_job_count(self, job_id: str, unit_index: int) -> int | None:

@@ -54,9 +54,7 @@ def start_coordinator(request, tmp_path):
     from repro.service.coordinator import CoordinatorServer
     from repro.service.store import JobStore
 
-    def _start(
-        port=0, lease_seconds=30.0, worker_ttl=30.0, cache=None, results=None
-    ):
+    def _start(port=0, lease_seconds=30.0, cache=None, results=None):
         store = JobStore(tmp_path / "queue.sqlite")
         server = CoordinatorServer(
             port=port,
@@ -64,7 +62,6 @@ def start_coordinator(request, tmp_path):
             cache=cache,
             results=results,
             lease_seconds=lease_seconds,
-            worker_ttl=worker_ttl,
         ).start()
         request.addfinalizer(server.stop)
         request.addfinalizer(store.close)

@@ -418,30 +418,6 @@ class TestFamilyDrivers:
                 members=["dma-pressure/scenario1-qd1-p24-c8000"],
             )
 
-    def test_custom_base_members_fan_out_ungrouped(self):
-        """Regression: cacheability members each describe a different
-        deployment (hence ILP structure); grouping them would serialise
-        the whole family onto one worker for no warm-start benefit."""
-        from repro.engine.families import _family_warm_group
-
-        cache_family = get_family("cacheability")
-        for member in BUILTIN_MEMBERS["cacheability"]:
-            assert (
-                _family_warm_group(cache_family, member.spec, "ilp-ptac")
-                is None
-            )
-        prio_family = get_family("priority-arbitration")
-        groups = {
-            _family_warm_group(prio_family, member.spec, "ilp-ptac")
-            for member in BUILTIN_MEMBERS["priority-arbitration"]
-        }
-        # Reference-base members with contenders share one template per
-        # base and are grouped; nothing else is.
-        assert groups == {
-            "family:priority-arbitration:scenario1:ilp-ptac",
-            "family:priority-arbitration:scenario2:ilp-ptac",
-        }
-
 
 class TestReadmeFamiliesSection:
     """The README's families table claims to be generated from the

@@ -8,15 +8,14 @@ not mocks) run real engine batches — Figure 4, the model × scenario
 matrix, soundness sweeps — while the harness stops a worker holding a
 lease or takes the whole service away mid-batch.  The contract under
 test: the results (and the rendered artefacts) are byte-identical to
-``mode="serial"``, work that cannot go remote finishes in-process and
-is counted once, and one warm group stays on one worker.
+``mode="serial"``, and work that cannot go remote finishes in-process
+and is counted once.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import os
 import time
 
 import pytest
@@ -42,14 +41,10 @@ from repro.platform.deployment import scenario_1
 from repro.service.client import (
     ServiceExecutor,
     coordinator_health,
-    job_status,
     list_jobs,
     list_workers,
-    submit_jobs,
-    wait_for_job,
 )
 from repro.service.pull import PullWorker
-from repro.service.store import LEASED, QUEUED
 from service_jobs import wait_workers
 
 #: Small-but-real matrix slice: two specs x two models, scaled down.
@@ -79,37 +74,6 @@ class DyingPullWorker(PullWorker):
         self._stop.set()
         if self.on_death is not None:
             self.on_death()
-
-
-def _gated(label: str, gate: str) -> str:
-    """Job: hold the lease until the test creates the ``gate`` file."""
-    deadline = time.monotonic() + 30.0
-    while not os.path.exists(gate):
-        assert time.monotonic() < deadline, f"gate {gate} never opened"
-        time.sleep(0.01)  # repro: ignore[bare-sleep-loop] holds the lease open until the test opens the gate
-    return label
-
-
-def _submit_gated(url: str, gate) -> str:
-    """Submit one gated job of warm group ``g``; returns the job id."""
-    return submit_jobs(
-        url, [job(_gated, gate.name, str(gate), warm_group="g")]
-    )
-
-
-def _unit(url: str, job_id: str) -> dict:
-    """The status entry of a single-unit job's unit."""
-    [unit] = job_status(url, job_id)["units"]
-    return unit
-
-
-def _lessee(url: str, job_id: str, timeout: float = 10.0) -> str:
-    """The worker id holding the job's unit once it is leased."""
-    deadline = time.monotonic() + timeout
-    while (unit := _unit(url, job_id))["state"] != LEASED:
-        assert time.monotonic() < deadline, f"{job_id} never leased: {unit}"
-        time.sleep(0.01)  # repro: ignore[bare-sleep-loop] test-local poll of an in-process coordinator
-    return unit["worker"]
 
 
 def _service_engine(coordinator):
@@ -185,65 +149,14 @@ class TestRemoteMatchesSerial:
 
 
 # ----------------------------------------------------------------------
-# Sticky warm groups: the coordinator keeps one group on one worker
-# ----------------------------------------------------------------------
-class TestWarmGroupSharding:
-    def test_one_group_lands_on_one_worker(
-        self, start_coordinator, start_pull, tmp_path
-    ):
-        """Two queued units of one warm group, two live workers: the
-        group's owner leases both, even while the other worker is idle."""
-        coordinator = start_coordinator()
-        url = coordinator.url
-        gates = [tmp_path / "first", tmp_path / "second"]
-        first, second = (_submit_gated(url, gate) for gate in gates)
-        for name in ("a", "b"):
-            start_pull(url, name=name)
-        owner = _lessee(url, first)
-        wait_workers(url, 2)
-        # The idle worker keeps polling; the unit stays held for the
-        # owner, which is busy with the first one.
-        time.sleep(0.2)  # repro: ignore[bare-sleep-loop] gives the idle worker lease polls to (wrongly) take the unit
-        assert _unit(url, second)["state"] == QUEUED
-        gates[0].touch()
-        assert _lessee(url, second) == owner
-        gates[1].touch()
-        for job_id in (first, second):
-            wait_for_job(url, job_id, poll=0.05, timeout=30)
-
-    def test_group_moves_on_when_its_owner_stops(
-        self, start_coordinator, start_pull, tmp_path
-    ):
-        coordinator = start_coordinator(worker_ttl=0.5)
-        url = coordinator.url
-        workers = [start_pull(url, name=name) for name in ("a", "b")]
-        wait_workers(url, 2)
-        gates = [tmp_path / "first", tmp_path / "second"]
-        first = _submit_gated(url, gates[0])
-        owner_id = _lessee(url, first)
-        gates[0].touch()
-        wait_for_job(url, first, poll=0.05, timeout=30)
-        [owner] = [w for w in workers if w.worker_id == owner_id]
-        [other] = [w for w in workers if w is not owner]
-        owner.stop()
-        # Held for the owner until its registration ages past the TTL,
-        # then claimed by the live worker.
-        second = _submit_gated(url, gates[1])
-        assert _lessee(url, second) == other.worker_id
-        gates[1].touch()
-        wait_for_job(url, second, poll=0.05, timeout=30)
-
-
-# ----------------------------------------------------------------------
 # Fault injection: a worker dies holding a lease, or the service dies
 # ----------------------------------------------------------------------
 def _kill_one_worker_mid_batch(start_coordinator, start_pull, driver):
     """Run ``driver(engine)`` while the first worker dies holding a
     lease; a survivor joins once it is gone.  Returns the rows and the
     coordinator."""
-    # A dead worker's lease expires after lease_seconds, and its sticky
-    # warm groups free up once its registration ages past worker_ttl.
-    coordinator = start_coordinator(lease_seconds=0.5, worker_ttl=0.5)
+    # A dead worker's lease expires after lease_seconds.
+    coordinator = start_coordinator(lease_seconds=0.5)
     survivor = functools.partial(
         start_pull, coordinator.url, name="survivor"
     )

@@ -4,7 +4,7 @@ import pytest
 
 from repro import paper
 from repro.core.ilp_ptac import IlpPtacOptions
-from repro.engine.batch import Job, as_jobs, job, warm_units
+from repro.engine.batch import Job, as_jobs, job
 from repro.engine.cache import ResultCache
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.errors import EngineError
@@ -175,41 +175,21 @@ class TestProcessFallback:
         assert engine.run_count == 2
 
 
-class TestWarmGroups:
-    def test_units_group_by_tag_preserving_batch_order(self):
-        batch = as_jobs(
-            [
-                job(max, 1, 2, warm_group="a"),
-                job(max, 3, 4),
-                job(max, 5, 6, warm_group="b"),
-                job(max, 7, 8, warm_group="a"),
-                job(max, 9, 10, warm_group="b"),
-            ]
-        )
-        units = warm_units(batch, range(len(batch)))
-        assert units == [[0, 3], [1], [2, 4]]
-
-    def test_units_respect_pending_subset(self):
-        batch = as_jobs(
-            [job(max, i, i + 1, warm_group="a") for i in range(4)]
-        )
-        assert warm_units(batch, [1, 3]) == [[1, 3]]
-
+class TestPooledSolves:
     @pytest.mark.parametrize("mode", ["serial", "process"])
-    def test_grouped_batches_keep_result_order(self, mode):
+    def test_pooled_batches_keep_result_order(self, mode):
         engine = ExperimentEngine(mode=mode, workers=2)
-        jobs = [
-            job(max, i, 100 - i, warm_group="even" if i % 2 == 0 else "odd")
-            for i in range(8)
-        ]
+        jobs = [job(max, i, 100 - i) for i in range(8)]
         assert engine.run(jobs) == [max(i, 100 - i) for i in range(8)]
 
-    def test_grouped_solves_match_serial(self):
+    def test_pooled_solves_match_serial(self):
+        """Same-structure solves spread over two pool processes, each
+        with its own warm pool, agree with one serial warm chain."""
         profile = tc27x_latency_profile()
         scenario = scenario_1()
         scales = (0.5, 1.0, 2.0)
 
-        def solve_batch(warm_group):
+        def solve_batch():
             return [
                 job(
                     _ilp_delta,
@@ -218,17 +198,11 @@ class TestWarmGroups:
                     profile,
                     scenario,
                     IlpPtacOptions(),
-                    warm_group=warm_group,
                 )
                 for scale in scales
             ]
 
-        serial = run_jobs(solve_batch(None))
+        serial = run_jobs(solve_batch())
         with ExperimentEngine(mode="process", workers=2) as engine:
-            grouped = engine.run(solve_batch("sweep:scenario1"))
-        assert grouped == serial
-
-    def test_warm_group_does_not_change_cache_key(self):
-        tagged = job(max, 1, 2, warm_group="g")
-        untagged = job(max, 1, 2)
-        assert tagged.resolved_cache_key() == untagged.resolved_cache_key()
+            pooled = engine.run(solve_batch())
+        assert pooled == serial

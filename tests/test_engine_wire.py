@@ -56,8 +56,8 @@ _labels = st.text(max_size=30)
 _keys = st.one_of(st.none(), st.text(min_size=1, max_size=64))
 
 
-def _job_of(args, kwargs, label, warm_group) -> Job:
-    return job(max, *args, label=label, warm_group=warm_group, **kwargs)
+def _job_of(args, kwargs, label) -> Job:
+    return job(max, *args, label=label, **kwargs)
 
 
 def _submit_round_trip(items):
@@ -93,22 +93,17 @@ class TestJobRoundTrip:
             max_size=3,
         ),
         label=_labels,
-        warm_group=st.one_of(st.none(), st.text(min_size=1, max_size=16)),
         cache_key=_keys,
     )
     @settings(max_examples=60, deadline=None)
     def test_arbitrary_job_arguments_survive(
-        self, args, kwargs, label, warm_group, cache_key
+        self, args, kwargs, label, cache_key
     ):
-        item = WireJob(
-            job=_job_of(args, kwargs, label, warm_group),
-            cache_key=cache_key,
-        )
+        item = WireJob(job=_job_of(args, kwargs, label), cache_key=cache_key)
         [decoded] = _submit_round_trip([item])
         assert decoded.job == item.job
         assert decoded.job.args == tuple(args)
         assert dict(decoded.job.kwargs) == kwargs
-        assert decoded.job.warm_group == warm_group
         assert decoded.cache_key == cache_key
 
     def test_batch_order_is_preserved(self):

