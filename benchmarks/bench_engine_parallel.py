@@ -68,7 +68,7 @@ def test_engine_parallel_throughput(benchmark, report):
         )
         parallel_seconds = benchmark.stats.stats.total
 
-        executed_before_rerun = parallel_engine.run_count
+        executed_before_rerun = parallel_engine.stats.executed
         start = time.perf_counter()
         cached_results = run_specs(specs, engine=parallel_engine)
         cached_seconds = time.perf_counter() - start
@@ -77,7 +77,7 @@ def test_engine_parallel_throughput(benchmark, report):
     assert parallel_results == serial_results
     assert cached_results == serial_results
     # The warm rerun hits the cache instead of re-simulating.
-    assert parallel_engine.run_count == executed_before_rerun
+    assert parallel_engine.stats.executed == executed_before_rerun
     assert all(result.sound for result in serial_results)
 
     speedup = serial_seconds / parallel_seconds if parallel_seconds else 0.0

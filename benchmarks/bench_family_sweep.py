@@ -47,7 +47,7 @@ def test_family_sweep_throughput(benchmark, report):
         )
         parallel_seconds = benchmark.stats.stats.total
 
-        executed_before_rerun = engine.run_count
+        executed_before_rerun = engine.stats.executed
         start = time.perf_counter()
         cached_results = run_family(FAMILY, engine=engine)
         cached_seconds = time.perf_counter() - start
@@ -55,7 +55,7 @@ def test_family_sweep_throughput(benchmark, report):
     # Parallelism and caching never change family artefacts.
     assert parallel_results == serial_results
     assert cached_results == serial_results
-    assert engine.run_count == executed_before_rerun
+    assert engine.stats.executed == executed_before_rerun
     assert all(result.sound for result in serial_results)
 
     def rate(seconds):

@@ -2,9 +2,8 @@
 
 The batch solver's pitch (ROADMAP "batch-aware ILP solving"): sweep
 points over one (model, scenario) pair share their whole constraint
-structure, so chaining from the previous point's root tableau and
-incumbent should cut solve effort severalfold *without changing a single
-result*.
+structure, so chaining from the previous point's root tableau should
+cut solve effort severalfold *without changing a single result*.
 This benchmark quantifies the claim on the Figure 4 contender ladder —
 the exact repeated-structure regime the layer targets:
 

@@ -86,7 +86,6 @@ from repro.core.priority import (
 )
 from repro.core.ptac import AccessProfile, profile_from_pairs
 from repro.core.registry import (
-    ModelRegistry,
     builtin_models,
     default_model_registry,
     get_model,
@@ -113,7 +112,6 @@ __all__ = [
     "IlpPtacResult",
     "ModelCapabilities",
     "ModelKind",
-    "ModelRegistry",
     "ModelSpec",
     "MultiContenderResult",
     "WcetEstimate",

@@ -307,7 +307,7 @@ def solve_contention_ilp(model: IlpModel, options: IlpPtacOptions) -> Solution:
     solve goes through the calling thread's
     :func:`~repro.ilp.batch.default_batch_solver`, so same-structure
     instances solved in one process (sweep points, matrix cells) chain
-    from each other's root tableaus and incumbents, with results
+    from each other's root tableaus, with results
     bit-identical to a cold :meth:`~repro.ilp.model.IlpModel.solve`.
     The ``scipy`` and ``lp`` backends go to ``IlpModel.solve`` unchanged.
     """

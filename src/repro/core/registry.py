@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import Iterable, Iterator
+import functools
 
 from repro.core.fsb import (
     fsb_closed_form,
@@ -67,61 +67,7 @@ from repro.core.priority import dma_victim_bound, priority_victim_bound
 from repro.core.results import ContentionBound
 from repro.errors import ModelError
 from repro.platform.targets import Operation, Target
-
-
-class ModelRegistry:
-    """An ordered name → :class:`~repro.core.model.ContentionModel` map."""
-
-    def __init__(self, models: Iterable[ContentionModel] = ()) -> None:
-        self._models: dict[str, ContentionModel] = {}
-        for model in models:
-            self.register(model)
-
-    def register(
-        self, model: ContentionModel, *, replace: bool = False
-    ) -> ContentionModel:
-        """Add a model under its name; re-registration needs ``replace``."""
-        if not isinstance(model, ContentionModel):
-            raise ModelError(
-                f"expected a ContentionModel (name/description/"
-                f"capabilities/bound), got {type(model).__qualname__}"
-            )
-        if model.name in self._models and not replace:
-            raise ModelError(
-                f"model {model.name!r} is already registered "
-                "(pass replace=True to overwrite)"
-            )
-        self._models[model.name] = model
-        return model
-
-    def unregister(self, name: str) -> None:
-        if name not in self._models:
-            raise ModelError(f"model {name!r} is not registered")
-        del self._models[name]
-
-    def get(self, name: str) -> ContentionModel:
-        try:
-            return self._models[name]
-        except KeyError as exc:
-            raise ModelError(
-                f"unknown model {name!r}; "
-                f"registered: {', '.join(self.names()) or '(none)'}"
-            ) from exc
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._models)
-
-    def specs(self) -> tuple[ContentionModel, ...]:
-        return tuple(self._models.values())
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._models
-
-    def __len__(self) -> int:
-        return len(self._models)
-
-    def __iter__(self) -> Iterator[ContentionModel]:
-        return iter(self._models.values())
+from repro.registry import Registry
 
 
 # ----------------------------------------------------------------------
@@ -488,15 +434,19 @@ def builtin_models() -> tuple[ModelSpec, ...]:
     )
 
 
-_DEFAULT: ModelRegistry | None = None
+def _model_problem(model: object) -> str | None:
+    if isinstance(model, ContentionModel):
+        return None
+    return (
+        "expected a ContentionModel (name/description/capabilities/"
+        f"bound), got {type(model).__qualname__}"
+    )
 
 
-def default_model_registry() -> ModelRegistry:
+@functools.cache
+def default_model_registry() -> Registry[ContentionModel]:
     """The process-wide registry, created with the builtin models."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ModelRegistry(builtin_models())
-    return _DEFAULT
+    return Registry("model", ModelError, _model_problem, builtin_models())
 
 
 def register_model(
@@ -506,29 +456,12 @@ def register_model(
     return default_model_registry().register(model, replace=replace)
 
 
-@contextlib.contextmanager
 def temporary_models(
     *models: ContentionModel, replace: bool = False
-) -> Iterator[ModelRegistry]:
-    """Scope model registrations to a ``with`` block.
-
-    The model-registry analogue of
-    :func:`repro.engine.registry.temporary_scenarios`: snapshots the
-    process-wide default registry, registers ``models``, and restores
-    the exact prior contents on exit, exception or not — so a test or
-    example that registers a model cannot leak it into everything that
-    runs later in the process.  The ``registry-leak`` lint rule flags
-    tests that mutate a default registry outside one of these scopes.
-    """
-    registry = default_model_registry()
-    snapshot = dict(registry._models)
-    try:
-        for model in models:
-            registry.register(model, replace=replace)
-        yield registry
-    finally:
-        registry._models.clear()
-        registry._models.update(snapshot)
+) -> contextlib.AbstractContextManager[Registry[ContentionModel]]:
+    """Scope model registrations to a ``with`` block
+    (:meth:`repro.registry.Registry.temporary` on the default registry)."""
+    return default_model_registry().temporary(*models, replace=replace)
 
 
 def get_model(name: str) -> ContentionModel:
@@ -574,7 +507,6 @@ def model_bound(model: str, context: AnalysisContext) -> ContentionBound:
 
 
 __all__ = [
-    "ModelRegistry",
     "builtin_models",
     "counter_based_model_names",
     "default_model_registry",

@@ -41,11 +41,10 @@ bit for bit.
 
 from repro.engine.artifact import ExperimentArtifact, artifact
 from repro.engine.batch import Job, as_jobs, job
-from repro.engine.cache import CacheStats, ResultCache, stable_hash
+from repro.engine.cache import ResultCache, stable_hash
 from repro.engine.experiment import ScenarioRunResult, run_spec, run_specs
 from repro.engine.families import (
     FamilyMember,
-    FamilyRegistry,
     FamilyRunResult,
     ScenarioFamily,
     builtin_families,
@@ -60,7 +59,6 @@ from repro.engine.families import (
     temporary_families,
 )
 from repro.engine.registry import (
-    ScenarioRegistry,
     builtin_specs,
     default_registry,
     get_scenario,
@@ -78,18 +76,15 @@ from repro.engine.scenario import DmaSpec, ScenarioSpec, WorkloadRef
 
 __all__ = [
     "EXECUTION_MODES",
-    "CacheStats",
     "DmaSpec",
     "EngineStats",
     "ExperimentArtifact",
     "ExperimentEngine",
     "FamilyMember",
-    "FamilyRegistry",
     "FamilyRunResult",
     "Job",
     "ResultCache",
     "ScenarioFamily",
-    "ScenarioRegistry",
     "ScenarioRunResult",
     "ScenarioSpec",
     "WorkloadRef",

@@ -35,7 +35,7 @@ import tempfile
 import threading
 from collections.abc import Mapping, Set
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import EngineError
 
@@ -135,27 +135,6 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclasses.dataclass
-class CacheStats:
-    """Hit/miss counters of one cache instance.
-
-    ``disk_hits`` counts the subset of ``hits`` answered from the
-    persistent directory rather than process memory.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class ResultCache:
     """Content-addressed store of completed job results.
 
@@ -179,7 +158,6 @@ class ResultCache:
     def __init__(self, directory: str | os.PathLike | None = None) -> None:
         self._store: dict[str, Any] = {}
         self._lock = threading.Lock()
-        self.stats = CacheStats()
         self._directory: Path | None = None
         if directory is not None:
             from repro import __version__  # deferred: package-init cycle
@@ -219,11 +197,6 @@ class ResultCache:
                 value = self._load(key)
                 if value is not _MISS:
                     self._store[key] = value
-                    self.stats.disk_hits += 1
-            if value is _MISS:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
             return value
 
     def _load(self, key: str) -> Any:
@@ -294,19 +267,10 @@ class ResultCache:
                 except OSError:
                     pass
 
-    def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
-        """Convenience: lookup, computing and storing on a miss."""
-        value = self.lookup(key)
-        if value is _MISS:
-            value = compute()
-            self.store(key, value)
-        return value
-
     def clear(self) -> None:
         """Drop every entry, in memory and (when persistent) on disk."""
         with self._lock:
             self._store.clear()
-            self.stats = CacheStats()
             if self._directory is not None:
                 for path in self._directory.glob("*.pkl"):
                     try:

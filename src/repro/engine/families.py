@@ -6,7 +6,7 @@ build function mapping one grid point to a
 :class:`~repro.engine.scenario.ScenarioSpec` (or ``None`` to skip an
 illegal point — the cacheability family filters Table 3 violations that
 way).  ``expand_family`` materialises the grid, ``register_family``
-mirrors the scenario/model registries, and :func:`run_family` /
+registers it by name, and :func:`run_family` /
 :func:`family_matrix` batch every member through the experiment engine,
 so "add a sweep" is three lines of axes instead of a new driver::
 
@@ -49,13 +49,14 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.registry import counter_based_model_names, get_model
 from repro.engine.experiment import ScenarioRunResult, spec_job
-from repro.engine.registry import ScenarioRegistry, default_registry
+from repro.engine.registry import default_registry
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.engine.scenario import DmaSpec, ScenarioSpec, WorkloadRef
 from repro.errors import EngineError, ModelError
@@ -66,6 +67,7 @@ from repro.platform.cacheability import (
 )
 from repro.platform.latency import LatencyProfile
 from repro.platform.targets import Operation, Target
+from repro.registry import Registry
 from repro.sim.timing import SimTiming
 
 #: Workload scale of the builtin families (keeps full expansions fast).
@@ -242,63 +244,6 @@ def expand_family(
 
 
 # ----------------------------------------------------------------------
-# Family registry (mirrors the scenario and model registries)
-# ----------------------------------------------------------------------
-class FamilyRegistry:
-    """An ordered name → :class:`ScenarioFamily` mapping."""
-
-    def __init__(self, families: "Sequence[ScenarioFamily]" = ()) -> None:
-        self._families: dict[str, ScenarioFamily] = {}
-        for family in families:
-            self.register(family)
-
-    def register(
-        self, family: ScenarioFamily, *, replace: bool = False
-    ) -> ScenarioFamily:
-        """Add a family under its name; re-registration needs ``replace``."""
-        if not isinstance(family, ScenarioFamily):
-            raise EngineError(
-                f"expected a ScenarioFamily, got {type(family).__qualname__}"
-            )
-        if family.name in self._families and not replace:
-            raise EngineError(
-                f"family {family.name!r} is already registered "
-                "(pass replace=True to overwrite)"
-            )
-        self._families[family.name] = family
-        return family
-
-    def unregister(self, name: str) -> None:
-        if name not in self._families:
-            raise EngineError(f"family {name!r} is not registered")
-        del self._families[name]
-
-    def get(self, name: str) -> ScenarioFamily:
-        try:
-            return self._families[name]
-        except KeyError as exc:
-            raise EngineError(
-                f"unknown family {name!r}; "
-                f"registered: {', '.join(self.names()) or '(none)'}"
-            ) from exc
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._families)
-
-    def families(self) -> tuple[ScenarioFamily, ...]:
-        return tuple(self._families.values())
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._families
-
-    def __len__(self) -> int:
-        return len(self._families)
-
-    def __iter__(self) -> Iterator[ScenarioFamily]:
-        return iter(self._families.values())
-
-
-# ----------------------------------------------------------------------
 # Builtin families
 # ----------------------------------------------------------------------
 def _build_dma_pressure(
@@ -448,15 +393,18 @@ def builtin_families() -> tuple[ScenarioFamily, ...]:
     )
 
 
-_DEFAULT: FamilyRegistry | None = None
+def _family_problem(family: object) -> str | None:
+    if isinstance(family, ScenarioFamily):
+        return None
+    return f"expected a ScenarioFamily, got {type(family).__qualname__}"
 
 
-def default_family_registry() -> FamilyRegistry:
+@functools.cache
+def default_family_registry() -> Registry[ScenarioFamily]:
     """The process-wide registry, created with the builtin families."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = FamilyRegistry(builtin_families())
-    return _DEFAULT
+    return Registry(
+        "family", EngineError, _family_problem, builtin_families()
+    )
 
 
 def register_family(
@@ -466,29 +414,12 @@ def register_family(
     return default_family_registry().register(family, replace=replace)
 
 
-@contextlib.contextmanager
 def temporary_families(
     *families: ScenarioFamily, replace: bool = False
-) -> Iterator[FamilyRegistry]:
-    """Scope family registrations to a ``with`` block.
-
-    The family mirror of
-    :func:`~repro.engine.registry.temporary_scenarios`: ``register_family``
-    mutates the process-wide registry, so a test or example following the
-    module docstring's recipe would otherwise leak its family into
-    everything that runs later in the process.  Registers ``families``
-    (more can be added inside the block) and restores the exact prior
-    contents on exit, exception or not.
-    """
-    registry = default_family_registry()
-    snapshot = dict(registry._families)
-    try:
-        for family in families:
-            registry.register(family, replace=replace)
-        yield registry
-    finally:
-        registry._families.clear()
-        registry._families.update(snapshot)
+) -> contextlib.AbstractContextManager[Registry[ScenarioFamily]]:
+    """Scope family registrations to a ``with`` block
+    (:meth:`repro.registry.Registry.temporary` on the default registry)."""
+    return default_family_registry().temporary(*families, replace=replace)
 
 
 def get_family(name: str) -> ScenarioFamily:
@@ -504,7 +435,7 @@ def family_names() -> tuple[str, ...]:
 def register_family_members(
     family: "ScenarioFamily | str",
     *,
-    registry: ScenarioRegistry | None = None,
+    registry: Registry[ScenarioSpec] | None = None,
     replace: bool = False,
 ) -> tuple[ScenarioSpec, ...]:
     """Expand a family and register every member spec en masse.

@@ -28,67 +28,14 @@ diversity is no longer capped at the paper's two figures.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterable, Iterator
+import functools
 
 from repro.engine.scenario import ScenarioSpec, WorkloadRef
 from repro.errors import EngineError
+from repro.registry import Registry
 
 #: Workload scale of the bundled multi-core specs (keeps them fast).
 _BUILTIN_SCALE = 1 / 32
-
-
-class ScenarioRegistry:
-    """An ordered name → :class:`ScenarioSpec` mapping."""
-
-    def __init__(self, specs: Iterable[ScenarioSpec] = ()) -> None:
-        self._specs: dict[str, ScenarioSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(
-        self, spec: ScenarioSpec, *, replace: bool = False
-    ) -> ScenarioSpec:
-        """Add a spec under its name; re-registration needs ``replace``."""
-        if not isinstance(spec, ScenarioSpec):
-            raise EngineError(
-                f"expected a ScenarioSpec, got {type(spec).__qualname__}"
-            )
-        if spec.name in self._specs and not replace:
-            raise EngineError(
-                f"scenario {spec.name!r} is already registered "
-                "(pass replace=True to overwrite)"
-            )
-        self._specs[spec.name] = spec
-        return spec
-
-    def unregister(self, name: str) -> None:
-        if name not in self._specs:
-            raise EngineError(f"scenario {name!r} is not registered")
-        del self._specs[name]
-
-    def get(self, name: str) -> ScenarioSpec:
-        try:
-            return self._specs[name]
-        except KeyError as exc:
-            raise EngineError(
-                f"unknown scenario {name!r}; "
-                f"registered: {', '.join(self.names()) or '(none)'}"
-            ) from exc
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._specs)
-
-    def specs(self) -> tuple[ScenarioSpec, ...]:
-        return tuple(self._specs.values())
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._specs
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __iter__(self) -> Iterator[ScenarioSpec]:
-        return iter(self._specs.values())
 
 
 def builtin_specs() -> tuple[ScenarioSpec, ...]:
@@ -150,15 +97,18 @@ def builtin_specs() -> tuple[ScenarioSpec, ...]:
     return tuple(specs)
 
 
-_DEFAULT: ScenarioRegistry | None = None
+def _scenario_problem(spec: object) -> str | None:
+    if isinstance(spec, ScenarioSpec):
+        return None
+    return f"expected a ScenarioSpec, got {type(spec).__qualname__}"
 
 
-def default_registry() -> ScenarioRegistry:
+@functools.cache
+def default_registry() -> Registry[ScenarioSpec]:
     """The process-wide registry, created with the builtin specs."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = ScenarioRegistry(builtin_specs())
-    return _DEFAULT
+    return Registry(
+        "scenario", EngineError, _scenario_problem, builtin_specs()
+    )
 
 
 def register_scenario(
@@ -168,19 +118,15 @@ def register_scenario(
     return default_registry().register(spec, replace=replace)
 
 
-@contextlib.contextmanager
 def temporary_scenarios(
     *specs: ScenarioSpec, replace: bool = False
-) -> Iterator[ScenarioRegistry]:
+) -> contextlib.AbstractContextManager[Registry[ScenarioSpec]]:
     """Scope registrations to a ``with`` block.
 
-    Registration mutates the *process-wide* registry, so an example or
-    test that registers specs would otherwise leak them into everything
-    that runs later in the process.  This context manager snapshots the
-    registry, registers ``specs`` (more can be added inside the block —
     ``register_scenario`` and :func:`~repro.engine.families.
-    register_family_members` both target the same default registry) and
-    restores the exact prior contents on exit, exception or not::
+    register_family_members` both target the default registry, so specs
+    registered inside the block are dropped again on exit, exception or
+    not (:meth:`repro.registry.Registry.temporary`)::
 
         with temporary_scenarios(my_spec) as registry:
             run_spec(my_spec.name)
@@ -189,15 +135,7 @@ def temporary_scenarios(
     The accompanying pytest fixture (``scenario_sandbox`` in
     ``tests/conftest.py``) wraps whole tests in one.
     """
-    registry = default_registry()
-    snapshot = dict(registry._specs)
-    try:
-        for spec in specs:
-            registry.register(spec, replace=replace)
-        yield registry
-    finally:
-        registry._specs.clear()
-        registry._specs.update(snapshot)
+    return default_registry().temporary(*specs, replace=replace)
 
 
 def get_scenario(name: str) -> ScenarioSpec:

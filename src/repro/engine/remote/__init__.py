@@ -9,8 +9,7 @@ pieces of it that belong to the engine layer:
   documents, with cache-key passthrough so workers dedupe against a
   shared disk :class:`~repro.engine.cache.ResultCache`;
 * :mod:`~repro.engine.remote.worker` — the per-job execution path every
-  pull worker runs (:func:`execute_wire_job`) and the counters it keeps
-  (:class:`WorkerStats`).
+  pull worker runs (:func:`execute_wire_job`).
 
 Running a batch on other machines takes three commands (swap loopback
 for real addresses to span hosts — on trusted networks only, the
@@ -22,12 +21,11 @@ protocol is unauthenticated pickle)::
 """
 
 from repro.engine.remote.wire import PROTOCOL_VERSION, WireJob, WireResult
-from repro.engine.remote.worker import WorkerStats, execute_wire_job
+from repro.engine.remote.worker import execute_wire_job
 
 __all__ = [
     "PROTOCOL_VERSION",
     "WireJob",
     "WireResult",
-    "WorkerStats",
     "execute_wire_job",
 ]

@@ -4,41 +4,22 @@ A :class:`~repro.service.pull.PullWorker` leases a unit of wire jobs
 from the coordinator and runs each one through
 :func:`execute_wire_job`: consult the worker's (optionally disk-backed,
 fleet-shared) :class:`~repro.engine.cache.ResultCache` first, execute on
-a miss, and count what happened in :class:`WorkerStats`.  Jobs run on
-the worker's one lease-loop thread, so the thread-local batch-ILP
-warm-start pool (:func:`repro.ilp.batch.default_batch_solver`)
-accumulates across every unit the worker ever leases, whatever the
-coordinator hands it.
+a miss, and count what happened in the worker's
+:class:`~repro.engine.runner.EngineStats`.  Jobs run on the worker's
+one lease-loop thread, so the thread-local batch-ILP warm-start pool
+(:func:`repro.ilp.batch.default_batch_solver`) accumulates across every
+unit the worker ever leases, whatever the coordinator hands it.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.engine.cache import ResultCache, is_miss
 from repro.engine.remote.wire import WireJob, WireResult
-
-
-@dataclasses.dataclass
-class WorkerStats:
-    """Cumulative statistics of one worker instance.
-
-    Shipped in every service heartbeat, so ``repro jobs --workers``
-    renders live per-worker counters.
-
-    Attributes:
-        batches: leased units served.
-        executed: jobs actually run.
-        cached: jobs answered from the shared result cache.
-    """
-
-    batches: int = 0
-    executed: int = 0
-    cached: int = 0
+from repro.engine.runner import EngineStats
 
 
 def execute_wire_job(
-    item: WireJob, cache: ResultCache | None, stats: WorkerStats
+    item: WireJob, cache: ResultCache | None, stats: EngineStats
 ) -> WireResult:
     """Run one wire job, consulting the shared result cache first.
 

@@ -37,7 +37,7 @@ from repro.engine.cache import ResultCache, is_miss
 from repro.errors import EngineError
 
 if TYPE_CHECKING:  # runtime import deferred: store <-> engine layering
-    from repro.service.client import ServiceExecutor, ServiceStats
+    from repro.service.client import ServiceExecutor
     from repro.store import ResultStore
 
 #: Supported execution modes.
@@ -46,24 +46,38 @@ EXECUTION_MODES = ("serial", "process", "service")
 
 @dataclasses.dataclass
 class EngineStats:
-    """Cumulative execution statistics of one engine instance.
+    """Cumulative execution counters — the one stats record.
+
+    Each executor holds its own instance: the engine
+    (:attr:`ExperimentEngine.stats`), its service executor
+    (:attr:`ExperimentEngine.service_stats`) and every pull worker,
+    whose heartbeats ship it to ``repro jobs --workers``.  A counter an
+    executor has no use for stays zero.
 
     Attributes:
-        executed: jobs actually run (cache misses).  The test-suite's
-            "zero re-simulations" assertion watches this counter.
-        cached: jobs answered from the result cache.
-        batches: number of :meth:`ExperimentEngine.run` calls.
-        fallbacks: jobs that were demoted from the pool or the service
+        batches: batches handled — engine :meth:`ExperimentEngine.run`
+            calls, coordinator jobs submitted, or leased units served.
+        executed: jobs that ran, wherever they ran.  The test-suite's
+            "zero re-simulations" assertion watches the engine's
+            counter.
+        cached: jobs answered from a result cache instead — the
+            engine's own, or a service-side one for jobs the engine
+            sent there.  Never also counted in ``executed``.
+        fallbacks: jobs the engine demoted from the pool or the service
             to in-process execution (unpicklable payload, pool start-up
             failure or unreachable coordinator), each counted once.
-        recorded: result-store rows written by the recording hook.
+        recorded: result-store rows the engine's recording hook wrote.
+        abandoned: batches the service executor gave back to the
+            engine after the coordinator stayed unreachable past the
+            grace window.
     """
 
+    batches: int = 0
     executed: int = 0
     cached: int = 0
-    batches: int = 0
     fallbacks: int = 0
     recorded: int = 0
+    abandoned: int = 0
 
 
 def _run_job(item: Job) -> Any:
@@ -131,12 +145,7 @@ class ExperimentEngine:
 
     # ------------------------------------------------------------------
     @property
-    def run_count(self) -> int:
-        """Jobs executed so far (excludes cache hits)."""
-        return self.stats.executed
-
-    @property
-    def service_stats(self) -> "ServiceStats | None":
+    def service_stats(self) -> EngineStats | None:
         """The service executor's statistics (``None`` until the first
         service batch, or in the other modes)."""
         return self._service.stats if self._service is not None else None
@@ -261,9 +270,9 @@ class ExperimentEngine:
         if pooled:
             if self.mode == "process":
                 leftover = self._pool_execute(batch, pooled, results)
+                self.stats.executed += len(pooled) - len(leftover)
             else:
                 leftover = self._service_execute(batch, pooled, results)
-            self.stats.executed += len(pooled) - len(leftover)
             local += leftover
         if local:
             # Unpicklable jobs, a pool that could not start and a batch
@@ -345,7 +354,12 @@ class ExperimentEngine:
             from repro.service.client import ServiceExecutor
 
             self._service = ServiceExecutor(self.coordinator_url)
-        return self._service.execute(batch, pooled, results)
+        service = self._service.stats
+        executed, cached = service.executed, service.cached
+        leftover = self._service.execute(batch, pooled, results)
+        self.stats.executed += service.executed - executed
+        self.stats.cached += service.cached - cached
+        return leftover
 
     def _execute_serial(
         self, batch: Sequence[Job], pending: Sequence[int], results: list[Any]

@@ -10,8 +10,8 @@ relaxations, a best-first branch-and-bound MILP solver, and an optional
 Batched workloads (sweeps, the model × scenario matrix) additionally get
 a warm-start layer (:mod:`repro.ilp.batch`): each process keeps one
 solver pool per thread, and consecutive solves of structurally identical
-instances chain from the previous root tableau and incumbent, cutting
-simplex iterations several-fold while returning bit-identical solutions
+instances chain from the previous root tableau, cutting simplex
+iterations several-fold while returning bit-identical solutions
 — the simplex always reports the canonical optimal vertex, so solver
 state never influences results.  :meth:`IlpModel.solve` is the cold
 reference.

@@ -19,8 +19,7 @@ This module is the reuse layer:
   signature and threads it through consecutive
   :func:`~repro.ilp.branch_and_bound.solve_bnb_warm` calls: the previous
   root tableau chains the next root relaxation (a right-hand-side shift
-  and a few dual pivots instead of Phase 1) and the previous optimum
-  seeds the next incumbent.
+  and a few dual pivots instead of Phase 1).
 
 Determinism: warm-started solves return **bit-identical** solutions to
 cold ones — the simplex lands every LP on the canonical optimal vertex
@@ -175,7 +174,7 @@ class BatchSolver:
 
         Mirrors ``model.solve(backend="bnb")`` — including the
         feasibility re-check of the returned point — while reusing the
-        pooled basis/incumbent of the model's structure signature and
+        pooled root state of the model's structure signature and
         banking the refreshed state for the next same-structure solve.
         """
         form = model.standard_form()
@@ -184,23 +183,18 @@ class BatchSolver:
         if warm is None:
             self.stats.structures += 1
         solution, state = solve_bnb_warm(form, warm, node_limit=node_limit)
-        if warm is not None:
+        if warm is not None and state.basis is None:
             # An infeasible/degenerate point may produce no fresh state;
-            # keep the previous basis and incumbent for the next point.
-            # The root tableau rides along only with its own basis: the
-            # chaining path pairs the two, so restoring one without the
-            # other would chain from inconsistent state.
-            if state.basis is None:
-                state = dataclasses.replace(
-                    state,
-                    basis=warm.basis,
-                    root_tableau=warm.root_tableau,
-                    root_arrays=warm.root_arrays,
-                )
-            if state.incumbent is None:
-                state = dataclasses.replace(
-                    state, incumbent=warm.incumbent
-                )
+            # keep the previous basis for the next point.  The root
+            # tableau rides along only with its own basis: the chaining
+            # path pairs the two, so restoring one without the other
+            # would chain from inconsistent state.
+            state = dataclasses.replace(
+                state,
+                basis=warm.basis,
+                root_tableau=warm.root_tableau,
+                root_arrays=warm.root_arrays,
+            )
         self._pool[signature] = state
         self.stats.solves += 1
         self.stats.warm_hits += 1 if warm is not None else 0

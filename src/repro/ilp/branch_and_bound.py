@@ -63,9 +63,6 @@ class BnbWarmStart:
     Attributes:
         basis: the root relaxation's optimal basis, the one
             :attr:`root_tableau` is reduced against.
-        incumbent: the previous optimal point; when still feasible it
-            seeds the next search with a proven lower bound on the
-            optimum, pruning strictly-worse subtrees immediately.
         root_tableau: the root relaxation's final reduced tableau
             (``[x | slacks | rhs]``, warm-path convention — rows never
             negated), when one was produced; the next root *chains* from
@@ -83,7 +80,6 @@ class BnbWarmStart:
     """
 
     basis: np.ndarray | None = None
-    incumbent: np.ndarray | None = None
     root_tableau: np.ndarray | None = None
     root_arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
     eq_cache: dict | None = None
@@ -275,31 +271,6 @@ def _bound_codes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _feasible_incumbent(
-    form: StandardForm, x: np.ndarray | None
-) -> tuple[np.ndarray, float] | None:
-    """Validate a candidate point against the (possibly changed) form.
-
-    Used to seed a warm search with the previous sweep point's optimum;
-    a point that the moved coefficients made infeasible is discarded.
-    """
-    if x is None:
-        return None
-    x = np.asarray(x, dtype=float)
-    if x.shape != (form.n_variables,):
-        return None
-    if np.any(x < -INTEGRALITY_TOLERANCE):
-        return None
-    mask = form.integer_mask
-    if np.any(np.abs(x[mask] - np.round(x[mask])) > INTEGRALITY_TOLERANCE):
-        return None
-    if form.a_ub.size and np.any(form.a_ub @ x > form.b_ub + 1e-6):
-        return None
-    if form.a_eq.size and np.any(np.abs(form.a_eq @ x - form.b_eq) > 1e-6):
-        return None
-    return x.copy(), float(form.c @ x)
-
-
 def _most_fractional(x: np.ndarray, integer_mask: np.ndarray) -> int | None:
     """Index of the integer column farthest from integrality, or ``None``.
 
@@ -348,7 +319,7 @@ def solve_bnb_warm(
 ) -> tuple[Solution, BnbWarmStart]:
     """Warm-started :func:`solve_bnb`, for batched same-structure solves.
 
-    Reuses three kinds of work (see :mod:`repro.ilp.batch` for the
+    Reuses two kinds of work (see :mod:`repro.ilp.batch` for the
     per-structure pool that feeds this):
 
     * the previous solve's root tableau *chains* this root relaxation:
@@ -357,15 +328,11 @@ def solve_bnb_warm(
     * within the tree, each child LP *extends its parent's final
       tableau* by the one branching bound row (a child whose parent
       kept no tableau solves cold) — typically a single dual pivot
-      instead of a full solve;
-    * the previous optimum, when still feasible, seeds the incumbent as
-      a proven lower bound just below its value — subtrees that cannot
-      reach it are pruned without affecting which optimal point the
-      search reports (the returned bound and solution are identical to a
-      cold :func:`solve_bnb`).
+      instead of a full solve.
 
-    Returns the solution together with the state to feed into the next
-    same-structure solve.
+    The returned bound and solution are identical to a cold
+    :func:`solve_bnb`.  Returns the solution together with the state to
+    feed into the next same-structure solve.
     """
     return _solve(form, node_limit, warm=warm, reuse_bases=True)
 
@@ -384,22 +351,6 @@ def _solve(
 
     incumbent_x: np.ndarray | None = None
     incumbent_value = -np.inf
-    seed_x: np.ndarray | None = None
-    seed_value = -np.inf
-    if warm is not None:
-        seed = _feasible_incumbent(form, warm.incumbent)
-        if seed is not None:
-            # Seed the incumbent *just below* the proven lower bound:
-            # subtrees strictly below the previous optimum are pruned,
-            # while any node that can still tie it is explored, so the
-            # search reports the same optimal point a cold solve would.
-            seed_x, seed_value = seed
-            incumbent_x = seed_x
-            incumbent_value = (
-                seed_value - 1.0
-                if integral_data
-                else seed_value - 10 * INTEGRALITY_TOLERANCE
-            )
     root_basis: np.ndarray | None = None
     root_tableau: np.ndarray | None = None
     eq_cache: dict = (
@@ -569,34 +520,23 @@ def _solve(
         backend="bnb",
     )
 
-    def next_state(incumbent: np.ndarray | None = None) -> BnbWarmStart:
-        return BnbWarmStart(
-            basis=root_basis,
-            incumbent=incumbent,
-            root_tableau=root_tableau,
-            root_arrays=(
-                (form.a_ub, form.b_ub, form.a_eq, form.b_eq)
-                if root_tableau is not None
-                else None
-            ),
-            eq_cache=eq_cache,
-        )
-
-    if incumbent_x is seed_x and seed_x is not None:
-        # The previous optimum was never beaten: it *is* the optimum
-        # (the seed floor sits strictly below it, so every tying node
-        # was explored); restore its true value.
-        incumbent_value = seed_value
+    state = BnbWarmStart(
+        basis=root_basis,
+        root_tableau=root_tableau,
+        root_arrays=(
+            (form.a_ub, form.b_ub, form.a_eq, form.b_eq)
+            if root_tableau is not None
+            else None
+        ),
+        eq_cache=eq_cache,
+    )
     if incumbent_x is None:
         if heap:  # ran out of node budget with no incumbent
             return (
                 Solution(status=SolveStatus.NODE_LIMIT, stats=stats),
-                next_state(),
+                state,
             )
-        return (
-            Solution(status=SolveStatus.INFEASIBLE, stats=stats),
-            next_state(),
-        )
+        return Solution(status=SolveStatus.INFEASIBLE, stats=stats), state
     status = SolveStatus.OPTIMAL
     if heap and nodes_explored >= node_limit:
         status = SolveStatus.NODE_LIMIT
@@ -605,4 +545,4 @@ def _solve(
         objective=float(incumbent_value + form.objective_constant),
         values=form.assignment(incumbent_x),
         stats=stats,
-    ), next_state(incumbent=incumbent_x.copy())
+    ), state

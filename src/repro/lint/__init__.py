@@ -13,9 +13,9 @@ Architecture (each piece mirrors an existing library idiom):
 * :class:`~repro.lint.core.LintRule` — one invariant: a name, a
   description, a scope (``library``/``tests``/``all``) and an AST
   ``check``; cross-file rules accumulate and report from ``finish()``;
-* :class:`~repro.lint.core.RuleRegistry` + ``register_rule`` /
-  ``default_rule_registry`` / ``temporary_rules`` — rules are
-  registered data, exactly like contention models and scenarios;
+* ``register_rule`` / ``default_rule_registry`` / ``temporary_rules``
+  — rules are registered data in a :class:`~repro.registry.Registry`,
+  exactly like contention models and scenarios;
 * suppression — a deliberate violation is annotated where it lives:
   ``# repro: ignore[rule-id] reason`` on the offending line;
 * reporters — human text or schema-versioned JSON, with the
@@ -31,7 +31,6 @@ from repro.lint.core import (
     Finding,
     LintError,
     LintRule,
-    RuleRegistry,
     SourceFile,
     run_rules,
 )
@@ -39,13 +38,11 @@ from repro.lint.registry import (
     default_rule_registry,
     register_rule,
     rule_names,
+    select_rules,
     temporary_rules,
 )
 from repro.lint.report import REPORT_VERSION, json_report, text_report
 from repro.lint.runner import LintRun, collect_files, lint_paths
-
-# The builtin rules register on import.
-from repro.lint import rules as _rules  # noqa: F401
 
 __all__ = [
     "Finding",
@@ -53,7 +50,6 @@ __all__ = [
     "LintRule",
     "LintRun",
     "REPORT_VERSION",
-    "RuleRegistry",
     "SourceFile",
     "collect_files",
     "default_rule_registry",
@@ -62,6 +58,7 @@ __all__ = [
     "register_rule",
     "rule_names",
     "run_rules",
+    "select_rules",
     "temporary_rules",
     "text_report",
 ]

@@ -2,8 +2,8 @@
 
 The moving parts mirror the rest of the library.  A rule is a small
 class implementing :class:`LintRule` (name, description, scope, an AST
-``check``), registered in a :class:`RuleRegistry` exactly like
-contention models and scenarios are (``register_rule`` /
+``check``), registered by name exactly like contention models and
+scenarios are (:mod:`repro.lint.registry`: ``register_rule`` /
 ``default_rule_registry`` / ``temporary_rules``).  The engine parses
 each file once into a :class:`SourceFile` — AST, line table, test-ness,
 dotted module name, suppression comments — and hands it to every
@@ -153,95 +153,6 @@ class LintRule:
     def finish(self) -> Iterator[Finding]:
         """Project-level findings, after every file has been checked."""
         return iter(())
-
-
-class RuleRegistry:
-    """An ordered name → :class:`LintRule` *class* map.
-
-    Stores classes, not instances: every :func:`run_rules` call
-    instantiates fresh rules, so cross-file accumulator state can never
-    leak between runs.  Same shape as the model/scenario registries.
-    """
-
-    def __init__(self, rules: Iterable[type[LintRule]] = ()) -> None:
-        self._rules: dict[str, type[LintRule]] = {}
-        for rule in rules:
-            self.register(rule)
-
-    def register(
-        self, rule: type[LintRule], *, replace: bool = False
-    ) -> type[LintRule]:
-        if not (isinstance(rule, type) and issubclass(rule, LintRule)):
-            raise LintError(
-                f"expected a LintRule subclass, got {rule!r}"
-            )
-        if not rule.name or not rule.description:
-            raise LintError(
-                f"rule {rule.__qualname__} must set name and description"
-            )
-        if rule.scope not in ("library", "tests", "all"):
-            raise LintError(
-                f"rule {rule.name!r} scope must be library/tests/all, "
-                f"got {rule.scope!r}"
-            )
-        if rule.name in self._rules and not replace:
-            raise LintError(
-                f"lint rule {rule.name!r} is already registered "
-                "(pass replace=True to overwrite)"
-            )
-        self._rules[rule.name] = rule
-        return rule
-
-    def unregister(self, name: str) -> None:
-        if name not in self._rules:
-            raise LintError(f"lint rule {name!r} is not registered")
-        del self._rules[name]
-
-    def get(self, name: str) -> type[LintRule]:
-        try:
-            return self._rules[name]
-        except KeyError as exc:
-            raise LintError(
-                f"unknown lint rule {name!r}; "
-                f"registered: {', '.join(self.names()) or '(none)'}"
-            ) from exc
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._rules)
-
-    def specs(self) -> tuple[type[LintRule], ...]:
-        return tuple(self._rules.values())
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._rules
-
-    def __len__(self) -> int:
-        return len(self._rules)
-
-    def __iter__(self) -> Iterator[type[LintRule]]:
-        return iter(self._rules.values())
-
-    def select(
-        self,
-        select: Iterable[str] | None = None,
-        ignore: Iterable[str] | None = None,
-    ) -> tuple[type[LintRule], ...]:
-        """The rule classes a run should instantiate.
-
-        Unknown names in either list raise — a typo silently selecting
-        nothing would read as a clean run.
-        """
-        chosen = list(select) if select is not None else list(self.names())
-        for name in list(chosen) + list(ignore or ()):
-            if name not in self:
-                raise LintError(
-                    f"unknown lint rule {name!r}; "
-                    f"registered: {', '.join(self.names())}"
-                )
-        dropped = set(ignore or ())
-        return tuple(
-            self._rules[name] for name in chosen if name not in dropped
-        )
 
 
 def run_rules(

@@ -14,7 +14,6 @@ import ast
 from typing import Iterator
 
 from repro.lint.core import Finding, LintRule, SourceFile
-from repro.lint.registry import register_rule
 
 
 def dotted(node: ast.AST) -> str | None:
@@ -36,7 +35,6 @@ def _module_allowed(source: SourceFile, allowed: tuple[str, ...]) -> bool:
     )
 
 
-@register_rule
 class NaiveTimeRule(LintRule):
     """Persisted or wire-visible timestamps must be provenance-stamped.
 
@@ -90,7 +88,6 @@ class NaiveTimeRule(LintRule):
                 )
 
 
-@register_rule
 class BareSleepLoopRule(LintRule):
     """Retry waits go through the shared backoff, not raw sleeps.
 
@@ -133,7 +130,6 @@ class BareSleepLoopRule(LintRule):
                 )
 
 
-@register_rule
 class RoundedExportRule(LintRule):
     """Recorded floats are repr-exact; digit-truncating round() is banned.
 
@@ -171,11 +167,10 @@ class RoundedExportRule(LintRule):
                 )
 
 
-@register_rule
 class RawSqliteRule(LintRule):
-    """sqlite is opened only through the two hardened store modules.
+    """sqlite is opened only through the one hardened opener.
 
-    ``service/store.py`` and ``store/resultstore.py`` open connections
+    :func:`repro.sqlitedb.open_database` opens every store's connection
     with the WAL + busy-timeout + ``quick_check`` quarantine discipline
     (PR 8); a raw ``sqlite3.connect`` elsewhere bypasses all three and
     reintroduces ``database is locked`` and crash-torn files.
@@ -183,12 +178,11 @@ class RawSqliteRule(LintRule):
 
     name = "raw-sqlite"
     description = (
-        "sqlite3.connect outside the two hardened store modules "
-        "(service/store.py, store/resultstore.py)"
+        "sqlite3.connect outside the hardened opener (repro.sqlitedb)"
     )
     scope = "all"
 
-    allowed_modules = ("repro.service.store", "repro.store.resultstore")
+    allowed_modules = ("repro.sqlitedb",)
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
         if _module_allowed(source, self.allowed_modules):
@@ -204,13 +198,12 @@ class RawSqliteRule(LintRule):
                     rule=self.name,
                     message=(
                         "raw sqlite3.connect bypasses the WAL/busy-"
-                        "timeout/quarantine discipline: go through "
-                        "JobStore or ResultStore"
+                        "timeout/quarantine discipline: open through "
+                        "repro.sqlitedb.open_database"
                     ),
                 )
 
 
-@register_rule
 class BroadExceptRule(LintRule):
     """``except Exception`` must re-raise or be annotated with a reason.
 
@@ -267,7 +260,6 @@ class BroadExceptRule(LintRule):
             )
 
 
-@register_rule
 class RegistryLeakRule(LintRule):
     """Tests must not leak registrations into the process-wide registries.
 
@@ -362,7 +354,6 @@ class RegistryLeakRule(LintRule):
         yield from findings
 
 
-@register_rule
 class UnpicklableDefaultRule(LintRule):
     """Dataclass fields must not default to lambdas.
 
@@ -427,7 +418,6 @@ class UnpicklableDefaultRule(LintRule):
                     )
 
 
-@register_rule
 class WireVersionRule(LintRule):
     """Every wire envelope kind is handled on both sides.
 
@@ -512,3 +502,18 @@ class WireVersionRule(LintRule):
                         "side ignores (or can never produce) it"
                     ),
                 )
+
+
+def builtin_rules() -> tuple[type[LintRule], ...]:
+    """The rules every registry starts from, in ``repro lint --list``
+    order."""
+    return (
+        NaiveTimeRule,
+        BareSleepLoopRule,
+        RoundedExportRule,
+        RawSqliteRule,
+        BroadExceptRule,
+        RegistryLeakRule,
+        UnpicklableDefaultRule,
+        WireVersionRule,
+    )

@@ -14,14 +14,9 @@ import dataclasses
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.core import (
-    Finding,
-    LintError,
-    RuleRegistry,
-    SourceFile,
-    run_rules,
-)
-from repro.lint.registry import default_rule_registry
+from repro.lint.core import Finding, LintError, LintRule, SourceFile, run_rules
+from repro.lint.registry import default_rule_registry, select_rules
+from repro.registry import Registry
 
 #: Directory names never descended into.  ``lint_fixtures`` holds the
 #: deliberate-violation fixtures the framework's own tests lint in
@@ -74,13 +69,13 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
-    registry: RuleRegistry | None = None,
+    registry: Registry[type[LintRule]] | None = None,
 ) -> LintRun:
     """Lint every Python file under ``paths`` with the selected rules."""
     registry = (
         registry if registry is not None else default_rule_registry()
     )
-    rules = registry.select(select, ignore)
+    rules = select_rules(registry, select, ignore)
     files = collect_files(paths)
     sources = [SourceFile.parse(path) for path in files]
     findings = run_rules(rules, sources)

@@ -57,7 +57,6 @@ from repro.service.chaos import (
 )
 from repro.service.client import (
     ServiceExecutor,
-    ServiceStats,
     cancel_job,
     coordinator_health,
     fetch_results,
@@ -100,7 +99,6 @@ __all__ = [
     "PullWorker",
     "RetryPolicy",
     "ServiceExecutor",
-    "ServiceStats",
     "UnitSpec",
     "cancel_job",
     "coordinator_health",

@@ -25,7 +25,6 @@ every waiter — there is nothing left to wait for.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 import urllib.error
@@ -41,6 +40,7 @@ from repro.engine.remote.wire import (
     encode_document,
     encode_submit,
 )
+from repro.engine.runner import EngineStats
 from repro.errors import EngineError, JobCancelledError, RemoteError
 from repro.service.coordinator import (
     ACCEPTED_KIND,
@@ -242,29 +242,6 @@ def wait_for_job(
         backoff.sleep(poll)
 
 
-@dataclasses.dataclass
-class ServiceStats:
-    """Cumulative statistics of one :class:`ServiceExecutor`.
-
-    Attributes:
-        batches: engine batches submitted as coordinator jobs.
-        executed: jobs completed through the service (cache answers
-            included).
-        remote_cached: the subset answered from a shared result cache
-            (worker- or coordinator-side).
-        abandoned: batches given back to the engine after the
-            coordinator stayed unreachable past the grace window.
-    """
-
-    batches: int = 0
-    executed: int = 0
-    remote_cached: int = 0
-    abandoned: int = 0
-
-    #: Job ids submitted by this executor, in order.
-    job_ids: list[str] = dataclasses.field(default_factory=list)
-
-
 class ServiceExecutor:
     """Executes engine batches through the analysis-service coordinator.
 
@@ -295,7 +272,7 @@ class ServiceExecutor:
         self.poll = poll
         self.timeout = timeout
         self.unreachable_grace = unreachable_grace
-        self.stats = ServiceStats()
+        self.stats = EngineStats()
 
     def execute(
         self,
@@ -323,7 +300,6 @@ class ServiceExecutor:
         except TRANSPORT_ERRORS + (RemoteError,):
             return sorted(pending)
         self.stats.batches += 1
-        self.stats.job_ids.append(job_id)
 
         backoff = _poll_policy(self.poll).backoff()
         last_contact = time.monotonic()
@@ -361,9 +337,10 @@ class ServiceExecutor:
                 index = pending[local_index]
                 if outcome.ok:
                     results[index] = outcome.value
-                    self.stats.executed += 1
                     if outcome.cached:
-                        self.stats.remote_cached += 1
+                        self.stats.cached += 1
+                    else:
+                        self.stats.executed += 1
                 else:
                     job_errors.append((index, outcome.error))
         if job_errors:

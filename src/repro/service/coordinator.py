@@ -15,7 +15,11 @@ envelopes (:mod:`repro.engine.remote.wire`) over plain HTTP:
   another worker picks its units up.
 
 Scheduling is first come, first served: every job of a submitted batch
-becomes its own unit, and a lease takes the oldest queued unit.
+becomes its own unit, and a lease takes the oldest queued unit.  A
+worker holds at most one unit at a time — it leases again only after
+completing or dropping its unit — so a lease request re-queues (fence
+bumped) whatever the requester still holds: a grant lost in transit
+never strands its unit behind the worker's heartbeats.
 Placement needs no affinity, because warm ILP state lives in each worker
 process: a worker that has solved a structure before warm-starts it
 again whichever unit brings it back, and results never depend on who
@@ -446,6 +450,11 @@ class CoordinatorServer(ThreadingHTTPServer):
                 # it still executes completes by fence, not by id.
                 return encode_lease({"unregistered": True})
             info.last_seen = now
+            # A worker holds one unit at a time and asks again only
+            # after completing or dropping it, so any unit still leased
+            # to it was lost in transit (a grant it never received) —
+            # re-queue it now instead of letting heartbeats renew it.
+            self.store.release_worker(worker_id)
             self.store.reclaim_expired(now)
             choice = self.store.oldest_queued_unit()
             if choice is None:

@@ -16,8 +16,8 @@ everything:
    makes a re-leased unit safe, and re-queues a unit whose completion
    it rejects as malformed;
 4. **heartbeat** — a background thread renews the worker's leases and
-   ships its :class:`~repro.engine.remote.worker.WorkerStats` counters,
-   so ``repro jobs --workers`` shows live per-worker numbers.
+   ships its :class:`~repro.engine.runner.EngineStats` counters, so
+   ``repro jobs --workers`` shows live per-worker numbers.
 
 Fault behaviour: an unreachable coordinator is retried under the shared
 :class:`~repro.service.retry.RetryPolicy` backoff (the worker survives
@@ -43,7 +43,8 @@ from repro.engine.remote.wire import (
     encode_document,
     encode_unit_result,
 )
-from repro.engine.remote.worker import WorkerStats, execute_wire_job
+from repro.engine.remote.worker import execute_wire_job
+from repro.engine.runner import EngineStats
 from repro.errors import RemoteError
 from repro.service.coordinator import (
     COMPLETE_PATH,
@@ -102,7 +103,7 @@ class PullWorker:
         self.cache = cache
         self.idle_poll = idle_poll
         self.timeout = timeout
-        self.stats = WorkerStats()
+        self.stats = EngineStats()
         self.worker_id: str | None = None
         self.lease_seconds = 60.0
         #: Job ids the coordinator reported cancelled (heartbeat acks);

@@ -37,7 +37,7 @@ import http.client
 import random
 import time
 import urllib.error
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import RemoteError
 
@@ -133,7 +133,6 @@ class RetryPolicy:
         *,
         description: str = "request",
         sleep: Callable[[float], object] = time.sleep,
-        on_retry: Callable[[BaseException, float], None] | None = None,
     ):
         """Invoke ``fn`` until it succeeds, the error stops being
         retryable, or the deadline runs out.
@@ -156,17 +155,7 @@ class RetryPolicy:
                         f"{description} still failing after "
                         f"{self.deadline:g}s of retries: {exc}"
                     ) from exc
-                if on_retry is not None:
-                    on_retry(exc, delay)
                 sleep(delay)
-
-    def delays(self) -> Iterator[float]:
-        """The deterministic (jitter-free) delay sequence, for tests
-        and documentation; infinite unless exhausted by the caller."""
-        delay = self.initial
-        while True:
-            yield delay
-            delay = min(delay * self.multiplier, self.max_delay)
 
 
 class Backoff:
@@ -195,23 +184,6 @@ class Backoff:
             None
             if policy.deadline is None
             else clock() + policy.deadline
-        )
-
-    @property
-    def deadline(self) -> float | None:
-        """Absolute deadline on the backoff's clock (``None`` = never)."""
-        return self._deadline
-
-    def remaining(self) -> float | None:
-        """Seconds left in the budget (``None`` = unbounded)."""
-        if self._deadline is None:
-            return None
-        return max(self._deadline - self._clock(), 0.0)
-
-    def expired(self) -> bool:
-        return (
-            self._deadline is not None
-            and self._clock() >= self._deadline
         )
 
     def reset(self) -> None:
@@ -260,8 +232,3 @@ class Backoff:
 #: Default policy for request retries (submit, register, complete):
 #: quick first retry, 2 s cap, no deadline (callers add one).
 REQUEST_POLICY = RetryPolicy()
-
-#: Default policy for idle poll loops (job status, lease attempts):
-#: starts fast so short jobs return promptly, decays to a 1 s cap so a
-#: long-running job is not hammered with status requests.
-POLL_POLICY = RetryPolicy(initial=0.05, multiplier=1.6, max_delay=1.0)

@@ -45,15 +45,12 @@ Payloads are stored as the wire format's job/result *entry* lists
 :mod:`repro.engine.remote.wire`), so the store never unpickles anything
 and leases can be served byte-identically to what was submitted.
 
-Crash safety: file-backed stores run under ``journal_mode=WAL`` with a
-``busy_timeout``, so the coordinator's threaded handlers never see
-``database is locked`` under concurrent lease/complete traffic and a
-killed process leaves a consistent database behind.  Opening runs a
-``PRAGMA quick_check`` first; a corrupt database (torn by a disk fault
-or an unclean shutdown mid-checkpoint) is *quarantined* — renamed to
-``<path>.corrupt-<timestamp>`` next to its WAL sidecars — and a fresh
-queue is rebuilt in its place, so the coordinator comes back serving
-instead of crash-looping on an unhandled ``sqlite3`` exception.  The
+Crash safety: the queue opens through :func:`repro.sqlitedb.open_database`
+— WAL journal and a ``busy_timeout``, so the coordinator's threaded
+handlers never see ``database is locked`` under concurrent
+lease/complete traffic, and a ``PRAGMA quick_check`` whose failure
+quarantines the corrupt file and rebuilds an empty queue in its place,
+so the coordinator comes back serving instead of crash-looping.  The
 quarantined file is kept for forensics (:attr:`JobStore.quarantined`).
 """
 
@@ -66,11 +63,11 @@ import secrets
 import sqlite3
 import threading
 import time
-import warnings
 from typing import Any, Sequence
 
 from repro.errors import EngineError
-from repro.provenance import epoch_now, iso_from_epoch, utc_file_stamp
+from repro.provenance import epoch_now, iso_from_epoch
+from repro.sqlitedb import open_database
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -103,11 +100,6 @@ CREATE INDEX IF NOT EXISTS units_by_state ON units (state);
 #: completion requires ``state = leased`` under a matching fence, every
 #: in-flight completion of a cancelled unit is rejected automatically.
 QUEUED, LEASED, DONE, CANCELLED = "queued", "leased", "done", "cancelled"
-
-#: How long the store waits on a locked database before failing
-#: (milliseconds).  Generous: writers hold the lock for single-row
-#: transactions only.
-BUSY_TIMEOUT_MS = 10_000
 
 #: Sanity horizon on lease expiries, in seconds.  Lease arithmetic runs
 #: on ``time.monotonic()`` (a wall clock stepping backwards under NTP
@@ -199,38 +191,13 @@ class JobStore:
 
     def __init__(self, path: str | os.PathLike) -> None:
         self._lock = threading.RLock()
-        self._path = str(path)
-        self.quarantined: str | None = None
-        try:
-            self._conn = self._open()
-        except sqlite3.DatabaseError as exc:
-            if self._path == ":memory:":
-                raise
-            self.quarantined = self._quarantine(exc)
-            self._conn = self._open()
-
-    def _open(self) -> sqlite3.Connection:
-        """Connect, apply durability PRAGMAs, verify, migrate."""
-        conn = sqlite3.connect(self._path, check_same_thread=False)
-        try:
-            # WAL lets the threaded HTTP handlers read while a writer
-            # commits, and busy_timeout turns residual lock contention
-            # into a bounded wait instead of "database is locked".
-            conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            verdict = conn.execute("PRAGMA quick_check").fetchone()
-            if verdict is None or verdict[0] != "ok":
-                raise sqlite3.DatabaseError(
-                    f"integrity check failed: {verdict!r}"
-                )
-            with conn:
-                conn.executescript(_SCHEMA)
-                self._migrate(conn)
-        except BaseException:
-            conn.close()
-            raise
-        return conn
+        self._conn, self.quarantined = open_database(
+            str(path),
+            _SCHEMA,
+            self._migrate,
+            "submitted jobs before the corruption are lost, but the "
+            "coordinator is serving again",
+        )
 
     @staticmethod
     def _migrate(conn: sqlite3.Connection) -> None:
@@ -245,34 +212,6 @@ class JobStore:
                 "ALTER TABLE jobs ADD COLUMN created_utc "
                 "TEXT NOT NULL DEFAULT ''"
             )
-
-    def _quarantine(self, cause: Exception) -> str:
-        """Move the corrupt database (and WAL sidecars) out of the way."""
-        # UTC, not local wall-clock: quarantine stamps from different
-        # hosts must sort consistently (see repro.provenance).
-        stamp = utc_file_stamp()
-        target = f"{self._path}.corrupt-{stamp}"
-        suffix = 0
-        while os.path.exists(target):
-            suffix += 1
-            target = f"{self._path}.corrupt-{stamp}.{suffix}"
-        os.replace(self._path, target)
-        for sidecar in ("-wal", "-shm"):
-            try:
-                os.replace(
-                    self._path + sidecar, target + sidecar
-                )
-            except FileNotFoundError:
-                pass
-        warnings.warn(
-            f"job queue database {self._path} failed its integrity "
-            f"check ({cause}); quarantined to {target} and rebuilt "
-            "empty — submitted jobs before the corruption are lost, "
-            "but the coordinator is serving again",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return target
 
     def close(self) -> None:
         with self._lock:

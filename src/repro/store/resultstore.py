@@ -12,21 +12,22 @@ git revision, UTC timestamp and run id.
 
 Rows arrive three ways, all landing in the same tables:
 
-* the engine's ``record_result`` hook — every execution mode
+* the engine's recording hook — every execution mode
   (serial/process/service) funnels through
   :meth:`repro.engine.runner.ExperimentEngine.run`, which records each
-  batch automatically when a store is attached;
+  batch through :meth:`ResultStore.record_batch` when a store is
+  attached;
 * coordinator-side recording — fire-and-forget service submissions
   complete on the coordinator while no client engine is attached, so the
   coordinator records unit completions itself;
 * :meth:`ResultStore.backfill` — existing disk-cache pickles from
   before the store existed are described into rows after the fact.
 
-Durability mirrors :class:`repro.service.store.JobStore`: WAL journal,
-bounded busy timeout, ``PRAGMA quick_check`` on open with
-quarantine-and-rebuild of corrupt files, and additive ``ALTER TABLE``
-migration so old databases open under newer libraries instead of being
-discarded.  All timestamps are UTC ISO-8601 via :mod:`repro.provenance`.
+The database opens through :func:`repro.sqlitedb.open_database` (WAL,
+busy timeout, ``quick_check`` with quarantine-and-rebuild), and its
+migration is additive ``ALTER TABLE`` so old databases open under newer
+libraries instead of being discarded.  All timestamps are UTC ISO-8601
+via :mod:`repro.provenance`.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ import pickle
 import secrets
 import sqlite3
 import threading
-import warnings
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.errors import StoreError
-from repro.provenance import run_metadata, utc_file_stamp, utc_now_iso
+from repro.provenance import run_metadata, utc_now_iso
+from repro.sqlitedb import open_database
 from repro.store.describe import CELL_FIELDS, describe_result
 
 #: Database file name, created beside the cache's ``v<version>/``
@@ -52,10 +53,6 @@ STORE_FILENAME = "results.sqlite"
 #: / ``platform`` identity columns and the run-level ``engine_mode``;
 #: opening a v1 database migrates it in place (see :meth:`_migrate`).
 SCHEMA_VERSION = 2
-
-#: Same rationale as the job queue: writers hold the lock for
-#: single-batch transactions only, so a bounded wait beats failing.
-BUSY_TIMEOUT_MS = 10_000
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS schema_info (
@@ -122,37 +119,17 @@ class ResultStore:
                 as_path.parent.mkdir(parents=True, exist_ok=True)
             target = str(as_path)
         self._path = target
-        self.quarantined: str | None = None
-        try:
-            self._conn = self._open()
-        except sqlite3.DatabaseError as exc:
-            if self._path == ":memory:":
-                raise
-            self.quarantined = self._quarantine(exc)
-            self._conn = self._open()
+        self._conn, self.quarantined = open_database(
+            target,
+            _SCHEMA,
+            self._migrate,
+            "recorded runs before the corruption are preserved there but "
+            "no longer queryable",
+        )
 
     @property
     def path(self) -> str:
         return self._path
-
-    def _open(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self._path, check_same_thread=False)
-        try:
-            conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            verdict = conn.execute("PRAGMA quick_check").fetchone()
-            if verdict is None or verdict[0] != "ok":
-                raise sqlite3.DatabaseError(
-                    f"integrity check failed: {verdict!r}"
-                )
-            with conn:
-                conn.executescript(_SCHEMA)
-                self._migrate(conn)
-        except BaseException:
-            conn.close()
-            raise
-        return conn
 
     @staticmethod
     def _migrate(conn: sqlite3.Connection) -> None:
@@ -202,30 +179,6 @@ class ResultStore:
             )
         conn.execute("UPDATE schema_info SET version = ?", (SCHEMA_VERSION,))
 
-    def _quarantine(self, cause: Exception) -> str:
-        """Move the corrupt database (and WAL sidecars) out of the way."""
-        stamp = utc_file_stamp()
-        target = f"{self._path}.corrupt-{stamp}"
-        suffix = 0
-        while os.path.exists(target):
-            suffix += 1
-            target = f"{self._path}.corrupt-{stamp}.{suffix}"
-        os.replace(self._path, target)
-        for sidecar in ("-wal", "-shm"):
-            try:
-                os.replace(self._path + sidecar, target + sidecar)
-            except FileNotFoundError:
-                pass
-        warnings.warn(
-            f"result store {self._path} failed its integrity check "
-            f"({cause}); quarantined to {target} and rebuilt empty — "
-            "recorded runs before the corruption are preserved there "
-            "but no longer queryable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return target
-
     def close(self) -> None:
         with self._lock:
             self._conn.close()
@@ -264,19 +217,6 @@ class ResultStore:
                 ),
             )
         return run_id
-
-    def record_result(
-        self,
-        run_id: str,
-        label: str,
-        value: Any,
-        *,
-        cache_key: str | None = None,
-    ) -> int:
-        """Record one completed job's cells; returns rows written."""
-        return self.record_batch(
-            run_id, [(label, value, cache_key)]
-        )
 
     def record_batch(
         self,

@@ -37,7 +37,6 @@ from repro.core.fsb import (
     fsb_via_crossbar_ilp,
 )
 from repro.core.priority import dma_traffic_profile, dma_victim_bound
-from repro.core.registry import ModelRegistry, builtin_models
 from repro.core.results import ContentionBound
 from repro.core.wcet import ModelKind
 from repro.engine import ExperimentEngine, ResultCache, job
@@ -84,13 +83,6 @@ class TestRegistryContents:
             assert isinstance(spec, ContentionModel)
             assert spec.name and spec.description
 
-    def test_unknown_name_lists_registered_models(self):
-        with pytest.raises(ModelError) as excinfo:
-            get_model("magic")
-        message = str(excinfo.value)
-        for name in model_names():
-            assert name in message
-
     def test_model_kind_parse_lists_valid_names(self):
         with pytest.raises(ModelError) as excinfo:
             ModelKind.parse("magic")
@@ -98,16 +90,6 @@ class TestRegistryContents:
         for kind in ModelKind:
             assert kind.value in message
         assert "ilp-ptac-multi" in message  # registry-only names too
-
-    def test_duplicate_registration_rejected(self):
-        registry = ModelRegistry(builtin_models())
-        with pytest.raises(ModelError):
-            registry.register(registry.get("ideal"))
-        registry.register(registry.get("ideal"), replace=True)
-
-    def test_non_model_rejected(self):
-        with pytest.raises(ModelError):
-            ModelRegistry().register(object())
 
     def test_register_custom_model_resolves_via_facade(
         self, app_sc1, profile, sc1
@@ -134,37 +116,6 @@ class TestRegistryContents:
             bound = contention_bound("zero", app_sc1, profile, sc1)
             assert bound.delta_cycles == 0
         assert "zero" not in model_names()
-
-    def test_temporary_models_restores_after_an_exception(self):
-        spec = ModelSpec(
-            name="doomed",
-            description="registration scoped past a crash",
-            capabilities=ModelCapabilities(
-                needs_profile=False, needs_scenario=False
-            ),
-            fn=lambda context: None,
-        )
-        before = model_names()
-        with pytest.raises(RuntimeError, match="boom"):
-            with temporary_models(spec):
-                assert "doomed" in model_names()
-                raise RuntimeError("boom")
-        assert model_names() == before
-
-    def test_temporary_models_replace_shadows_then_restores(self):
-        original = default_model_registry().get("ideal")
-        shadow = ModelSpec(
-            name="ideal",
-            description="shadowing the builtin for one block",
-            capabilities=ModelCapabilities(
-                needs_profile=False, needs_scenario=False
-            ),
-            fn=lambda context: None,
-        )
-        with temporary_models(shadow, replace=True):
-            assert default_model_registry().get("ideal") is shadow
-        assert default_model_registry().get("ideal") is original
-
 
 class TestReadmeModelsSection:
     """The README's Models table is generated from the registry and must

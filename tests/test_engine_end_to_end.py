@@ -97,22 +97,22 @@ class TestParallelEqualsSerial:
 class TestCacheSkipsResimulation:
     def test_second_sim_mode_run_executes_zero_jobs(self, process_engine):
         first = figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
-        executed = process_engine.run_count
+        executed = process_engine.stats.executed
         assert executed > 0
         second = figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
         assert second == first
-        assert process_engine.run_count == executed  # zero re-simulations
+        assert process_engine.stats.executed == executed  # zero re-simulations
         assert process_engine.stats.cached > 0
 
     def test_table6_reuses_figure4_measurements(self, process_engine):
         from repro.analysis.experiments import table6_sim_mode
 
         figure4_sim_mode(scale=SIM_SCALE, engine=process_engine)
-        executed = process_engine.run_count
+        executed = process_engine.stats.executed
         rows = table6_sim_mode(scale=SIM_SCALE, engine=process_engine)
         # The isolation measurements are shared: Table 6 adds no
         # simulation jobs on top of Figure 4's.
-        assert process_engine.run_count == executed
+        assert process_engine.stats.executed == executed
         assert len(rows) == 4
 
     def test_sweep_reuses_cached_solves_point_by_point(self, process_engine):
@@ -122,21 +122,21 @@ class TestCacheSkipsResimulation:
             scenario_1(),
         )
         contender_scale_sweep(*args, scales=(0.5, 1.0), engine=process_engine)
-        executed = process_engine.run_count
+        executed = process_engine.stats.executed
         # A wider sweep re-uses the ceiling and the two shared points.
         contender_scale_sweep(
             *args, scales=(0.5, 1.0, 2.0), engine=process_engine
         )
-        assert process_engine.run_count == executed + 1
+        assert process_engine.stats.executed == executed + 1
 
     def test_spec_run_is_cached_under_its_content_hash(self):
         engine = ExperimentEngine(cache=ResultCache())
         spec = get_scenario("scenario1-pair-L").scaled(1 / 4)
         first = run_specs([spec], engine=engine)
-        assert engine.run_count == 1
+        assert engine.stats.executed == 1
         second = run_specs([spec], engine=engine)
         assert second == first
-        assert engine.run_count == 1
+        assert engine.stats.executed == 1
 
 
 class TestFourCoreEndToEnd:

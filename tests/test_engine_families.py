@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro.engine import (
     ExperimentEngine,
-    FamilyRegistry,
     ResultCache,
     ScenarioFamily,
     ScenarioSpec,
@@ -204,28 +203,6 @@ class TestExpansion:
 
 
 class TestFamilyRegistry:
-    def test_register_replace_and_unregister(self):
-        registry = FamilyRegistry()
-        family = tiny_family()
-        registry.register(family)
-        assert "tiny" in registry
-        with pytest.raises(EngineError):
-            registry.register(family)
-        registry.register(family, replace=True)
-        assert len(registry) == 1
-        registry.unregister("tiny")
-        assert "tiny" not in registry
-        with pytest.raises(EngineError):
-            registry.unregister("tiny")
-
-    def test_get_unknown_lists_alternatives(self):
-        with pytest.raises(EngineError, match="dma-pressure"):
-            get_family("nope")
-
-    def test_register_rejects_non_families(self):
-        with pytest.raises(EngineError):
-            FamilyRegistry().register("dma-pressure")  # type: ignore[arg-type]
-
     def test_register_family_members_en_masse(self):
         before = default_registry().names()
         with temporary_scenarios() as registry:

@@ -29,13 +29,13 @@ from repro.analysis.report import render_artifact, render_figure4
 from repro.analysis.validation import random_soundness_sweep
 from repro.engine import (
     EXECUTION_MODES,
+    EngineStats,
     ExperimentEngine,
     ResultCache,
     get_scenario,
 )
 from repro.engine.batch import job
 from repro.engine.remote.wire import PROTOCOL_VERSION
-from repro.engine.remote.worker import WorkerStats
 from repro.errors import EngineError
 from repro.platform.deployment import scenario_1
 from repro.service.client import (
@@ -133,7 +133,7 @@ class TestRemoteMatchesSerial:
         assert health["status"] == "ok"
         assert health["protocol"] == PROTOCOL_VERSION
         assert health["workers"] == 1
-        # Heartbeats ship the worker's whole WorkerStats record.
+        # Heartbeats ship the worker's whole EngineStats record.
         expected = dataclasses.asdict(worker.stats)
         assert expected["batches"] == expected["executed"] == 1
         deadline = time.monotonic() + 10
@@ -144,7 +144,7 @@ class TestRemoteMatchesSerial:
             assert time.monotonic() < deadline, f"no heartbeat: {listed}"
             time.sleep(0.02)  # repro: ignore[bare-sleep-loop] waits for the worker's next heartbeat
         assert set(listed["stats"]) == {
-            field.name for field in dataclasses.fields(WorkerStats)
+            field.name for field in dataclasses.fields(EngineStats)
         }
 
 
@@ -343,7 +343,10 @@ class TestRemoteSemantics:
         assert engine.run(batch()) == results
         assert sum(w.stats.executed for w in workers) == len(results)
         assert sum(w.stats.cached for w in workers) == len(results)
-        assert engine.service_stats.remote_cached == len(results)
+        # Each job counts once, in the service executor and the engine
+        # alike: run the first time, cached the second.
+        for stats in (engine.service_stats, engine.stats):
+            assert stats.executed == stats.cached == len(results)
 
     def test_engine_validates_remote_configuration(self):
         assert EXECUTION_MODES == ("serial", "process", "service")

@@ -83,7 +83,7 @@ class TestEngineModes:
     def test_executed_counter(self):
         engine = ExperimentEngine()
         engine.run(_solve_jobs((0.5,)))
-        assert engine.run_count == 1
+        assert engine.stats.executed == 1
         assert engine.stats.batches == 1
 
 
@@ -91,10 +91,10 @@ class TestEngineCache:
     def test_second_identical_batch_executes_nothing(self):
         engine = ExperimentEngine(cache=ResultCache())
         first = engine.run(_solve_jobs((0.5, 1.0)))
-        assert engine.run_count == 2
+        assert engine.stats.executed == 2
         second = engine.run(_solve_jobs((0.5, 1.0)))
         assert second == first
-        assert engine.run_count == 2  # zero re-executions
+        assert engine.stats.executed == 2  # zero re-executions
         assert engine.stats.cached == 2
 
     def test_cache_is_shared_across_engines(self):
@@ -102,20 +102,20 @@ class TestEngineCache:
         ExperimentEngine(cache=cache).run(_solve_jobs((1.0,)))
         warm = ExperimentEngine(mode="process", workers=2, cache=cache)
         warm.run(_solve_jobs((1.0,)))
-        assert warm.run_count == 0
+        assert warm.stats.executed == 0
 
     def test_uncacheable_jobs_always_run(self):
         engine = ExperimentEngine(cache=ResultCache())
         item = job(max, 1, 2, cacheable=False)
         assert engine.run([item]) == [2]
         assert engine.run([item]) == [2]
-        assert engine.run_count == 2
+        assert engine.stats.executed == 2
 
     def test_duplicate_jobs_in_one_batch_execute_once(self):
         engine = ExperimentEngine(cache=ResultCache())
         results = engine.run(_solve_jobs((1.0, 1.0, 1.0)))
         assert results[0] == results[1] == results[2]
-        assert engine.run_count == 1
+        assert engine.stats.executed == 1
         assert engine.stats.cached == 2
 
     def test_pool_is_reused_across_batches(self):
@@ -172,7 +172,7 @@ class TestProcessFallback:
         assert results[0] == "ran-locally"
         assert calls == [1]
         assert engine.stats.fallbacks >= 1
-        assert engine.run_count == 2
+        assert engine.stats.executed == 2
 
 
 class TestPooledSolves:

@@ -5,9 +5,7 @@ import pickle
 import pytest
 
 from repro.engine.registry import (
-    ScenarioRegistry,
     builtin_specs,
-    default_registry,
     get_scenario,
     scenario_names,
 )
@@ -225,25 +223,3 @@ class TestRegistry:
     def test_builtin_four_core_spec(self):
         spec = get_scenario("scenario1-4core")
         assert spec.core_count == 4
-
-    def test_get_unknown_lists_alternatives(self):
-        with pytest.raises(EngineError, match="scenario1-pair-H"):
-            default_registry().get("nope")
-
-    def test_register_replace_and_unregister(self):
-        registry = ScenarioRegistry()
-        spec = ScenarioSpec(name="mine")
-        registry.register(spec)
-        assert "mine" in registry
-        with pytest.raises(EngineError):
-            registry.register(spec)
-        registry.register(spec, replace=True)
-        assert len(registry) == 1
-        registry.unregister("mine")
-        assert "mine" not in registry
-        with pytest.raises(EngineError):
-            registry.unregister("mine")
-
-    def test_register_rejects_non_specs(self):
-        with pytest.raises(EngineError):
-            ScenarioRegistry().register("scenario1")  # type: ignore[arg-type]

@@ -25,7 +25,6 @@ from repro.lint import (
     Finding,
     LintError,
     LintRule,
-    RuleRegistry,
     SourceFile,
     collect_files,
     default_rule_registry,
@@ -33,6 +32,7 @@ from repro.lint import (
     lint_paths,
     rule_names,
     run_rules,
+    select_rules,
     temporary_rules,
 )
 from repro.lint.core import is_test_path, module_name, parse_suppressions
@@ -107,6 +107,21 @@ class TestBuiltinRules:
         messages = " ".join(item.message for item in found)
         assert "register_scenario" in messages
         assert "default_registry().register" in messages
+
+    @pytest.mark.parametrize(
+        "module, flagged",
+        [
+            ("src/repro/service/store.py", True),
+            ("src/repro/store/resultstore.py", True),
+            ("src/repro/sqlitedb.py", False),
+        ],
+    )
+    def test_raw_sqlite_allows_only_the_opener(self, module, flagged):
+        text = (FIXTURES / "sqlite_bad.py").read_text(encoding="utf-8")
+        found = findings_for("raw-sqlite", SourceFile.parse(module, text=text))
+        assert bool(found) is flagged
+        if flagged:
+            assert "repro.sqlitedb.open_database" in found[0].message
 
     def test_wire_version_names_the_missing_side(self):
         found = findings_for(
@@ -200,7 +215,8 @@ class TestFramework:
             pass
 
         with pytest.raises(LintError, match="must set name"):
-            RuleRegistry().register(Nameless)
+            with temporary_rules(Nameless):
+                pass
 
     def test_register_validates_scope(self):
         class BadScope(LintRule):
@@ -209,44 +225,21 @@ class TestFramework:
             scope = "everywhere"
 
         with pytest.raises(LintError, match="scope"):
-            RuleRegistry().register(BadScope)
-
-    def test_duplicate_registration_needs_replace(self):
-        class One(LintRule):
-            name = "dup"
-            description = "x"
-
-        registry = RuleRegistry([One])
-        with pytest.raises(LintError, match="already registered"):
-            registry.register(One)
-        registry.register(One, replace=True)
-        assert registry.names() == ("dup",)
+            with temporary_rules(BadScope):
+                pass
 
     def test_select_unknown_rule_raises(self):
         with pytest.raises(LintError, match="unknown lint rule"):
-            default_rule_registry().select(["no-such-rule"])
+            select_rules(default_rule_registry(), ["no-such-rule"])
         with pytest.raises(LintError, match="unknown lint rule"):
-            default_rule_registry().select(None, ["no-such-rule"])
+            select_rules(default_rule_registry(), None, ["no-such-rule"])
 
     def test_select_and_ignore_compose(self):
-        registry = default_rule_registry()
-        chosen = registry.select(
-            ["naive-time", "raw-sqlite"], ["raw-sqlite"]
+        chosen = select_rules(
+            default_rule_registry(), ["naive-time", "raw-sqlite"],
+            ["raw-sqlite"],
         )
         assert [rule.name for rule in chosen] == ["naive-time"]
-
-    def test_temporary_rules_restores_registry(self):
-        class Extra(LintRule):
-            name = "extra-temp-rule"
-            description = "scoped"
-
-            def check(self, source):
-                return iter(())
-
-        before = rule_names()
-        with temporary_rules(Extra):
-            assert "extra-temp-rule" in rule_names()
-        assert rule_names() == before
 
     def test_fresh_instances_per_run(self):
         # wire-version accumulates cross-file state; two runs over the

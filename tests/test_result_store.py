@@ -36,6 +36,7 @@ from repro.engine.cache import (
 from repro.engine.runner import ExperimentEngine
 from repro.errors import ReproError, StoreError
 from repro.provenance import GIT_REV_ENV
+from repro.service.store import JobStore, UnitSpec
 from repro.store import (
     SCHEMA_VERSION,
     STORE_FILENAME,
@@ -145,8 +146,8 @@ class TestResultStore:
     def test_record_and_query_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path)
         run = store.begin_run(engine_mode="serial", label="unit test")
-        written = store.record_result(
-            run, "figure4:s1", _fig_row(), cache_key="abc123"
+        written = store.record_batch(
+            run, [("figure4:s1", _fig_row(), "abc123")]
         )
         assert written == 1
         rows = store.rows(run)
@@ -166,7 +167,7 @@ class TestResultStore:
     def test_timestamps_are_utc_iso8601(self, tmp_path):
         store = ResultStore(tmp_path)
         run = store.begin_run()
-        store.record_result(run, "f:x", _fig_row())
+        store.record_batch(run, [("f:x", _fig_row(), None)])
         started = store.runs()[0]["started_utc"]
         recorded = store.rows(run)[0]["recorded_utc"]
         for stamp in (started, recorded):
@@ -178,8 +179,8 @@ class TestResultStore:
     def test_rerecording_is_idempotent(self, tmp_path):
         store = ResultStore(tmp_path)
         run = store.begin_run()
-        store.record_result(run, "f:x", _fig_row())
-        store.record_result(run, "f:x", _fig_row())
+        store.record_batch(run, [("f:x", _fig_row(), None)])
+        store.record_batch(run, [("f:x", _fig_row(), None)])
         assert len(store.rows(run)) == 1
         assert store.runs()[0]["cells"] == 1
         store.close()
@@ -213,9 +214,9 @@ class TestResultStore:
     def test_rows_merge_latest_cell_wins(self, tmp_path):
         store = ResultStore(tmp_path)
         old = store.begin_run()
-        store.record_result(old, "f:x", _fig_row(delta=100))
+        store.record_batch(old, [("f:x", _fig_row(delta=100), None)])
         new = store.begin_run()
-        store.record_result(new, "f:x", _fig_row(delta=200))
+        store.record_batch(new, [("f:x", _fig_row(delta=200), None)])
         merged = store.rows([old, new])
         assert len(merged) == 1
         assert merged[0]["bound"] == 200.0
@@ -224,7 +225,7 @@ class TestResultStore:
     def test_delete_runs_and_vacuum(self, tmp_path):
         store = ResultStore(tmp_path)
         run = store.begin_run()
-        store.record_result(run, "f:x", _fig_row())
+        store.record_batch(run, [("f:x", _fig_row(), None)])
         assert store.delete_runs([run]) == 1
         assert store.runs() == []
         store.vacuum()
@@ -302,7 +303,7 @@ class TestSchemaMigration:
         self._write_v1(tmp_path)
         store = ResultStore(tmp_path)
         run = store.begin_run(engine_mode="serial")
-        store.record_result(run, "figure4:new", _fig_row())
+        store.record_batch(run, [("figure4:new", _fig_row(), None)])
         merged = store.rows(["old-run", run])
         assert {row["cell"] for row in merged} == {
             "figure4/s1/m/H",
@@ -321,19 +322,48 @@ class TestSchemaMigration:
             ResultStore(tmp_path)
 
 
+def _seed_queue(store: JobStore) -> None:
+    store.submit([UnitSpec(entries=[{"payload": "p"}], indices=[0])])
+
+
+def _seed_results(store: ResultStore) -> None:
+    store.record_batch(store.begin_run(), [("f:x", _fig_row(), None)])
+
+
 class TestQuarantine:
-    def test_corrupt_database_quarantined_and_rebuilt(self, tmp_path):
-        (tmp_path / STORE_FILENAME).write_bytes(b"this is not sqlite" * 64)
-        with pytest.warns(RuntimeWarning, match="quarantined"):
-            store = ResultStore(tmp_path)
-        assert store.quarantined is not None
-        assert Path(store.quarantined).is_file()
-        assert "corrupt" in Path(store.quarantined).name
-        # The rebuilt store is immediately usable.
-        run = store.begin_run()
-        store.record_result(run, "f:x", _fig_row())
-        assert len(store.rows(run)) == 1
+    @pytest.mark.parametrize(
+        "store_type, seed, contents",
+        [
+            pytest.param(
+                JobStore, _seed_queue, JobStore.jobs, id="JobStore"
+            ),
+            pytest.param(
+                ResultStore, _seed_results, ResultStore.runs,
+                id="ResultStore",
+            ),
+        ],
+    )
+    def test_corrupt_database_quarantined_and_rebuilt(
+        self, tmp_path, store_type, seed, contents
+    ):
+        path = tmp_path / "store.sqlite"
+        store = store_type(path)
+        seed(store)
         store.close()
+        path.write_bytes(b"\x00chaos" * max(64, len(path.read_bytes()) // 6))
+
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            rebuilt = store_type(path)
+        # The corrupt file is preserved for forensics; the store is
+        # empty but immediately usable again.
+        assert Path(rebuilt.quarantined).is_file()
+        assert Path(rebuilt.quarantined).name.startswith(
+            "store.sqlite.corrupt-"
+        )
+        assert contents(rebuilt) == []
+        seed(rebuilt)
+        assert len(contents(rebuilt)) == 1
+        rebuilt.close()
 
 
 class TestCrossProcessConcurrency:
@@ -350,7 +380,7 @@ for i in range(40):
         scenario="s%d" % i, load="H", model="m" + tag,
         delta_cycles=i, slowdown=1.0 + i, observed_slowdown=1.0,
     )
-    store.record_result(run, "conc:%s:%d" % (tag, i), row)
+    store.record_batch(run, [("conc:%s:%d" % (tag, i), row, None)])
 store.close()
 """
 
@@ -577,8 +607,9 @@ class TestExactFloats:
         store = ResultStore(tmp_path)
         run = store.begin_run()
         for i, value in enumerate(self.AWKWARD):
-            store.record_result(
-                run, f"f:{i}", _fig_row(scenario=f"s{i}", slowdown=value)
+            store.record_batch(
+                run,
+                [(f"f:{i}", _fig_row(scenario=f"s{i}", slowdown=value), None)],
             )
         by_scenario = {
             row["scenario"]: row["predicted"] for row in store.rows(run)

@@ -280,6 +280,38 @@ class TestWorkerLoss:
         assert "forged" not in results
 
 
+    def test_lost_lease_answer_is_regranted_at_once(
+        self, start_coordinator, tmp_path
+    ):
+        """A grant lost in transit leaves its unit leased to a worker
+        that never saw it.  A worker holds one unit at a time, so its
+        next lease request re-queues that unit and is granted it again,
+        instead of its heartbeats renewing a lease nobody works on."""
+        coordinator = start_coordinator()
+        worker = PullWorker(coordinator.url, name="unlucky")
+        worker.register()
+        job_id = submit_jobs(
+            coordinator.url,
+            slow_jobs(tmp_path / "runs.log", count=2, delay=0.0),
+            label="lost-lease",
+        )
+        lost = worker._lease()  # the answer that never arrives
+        regrant = worker._lease()
+        assert (regrant["job_id"], regrant["unit"]) == (job_id, lost["unit"])
+        # One fence bump for the re-queue, one for the new lease.
+        assert regrant["fence"] == lost["fence"] + 2
+        assert worker._heartbeat()
+        leased = [
+            (view.unit_index, view.fence)
+            for view in coordinator.store.units(job_id)
+            if view.state == LEASED
+        ]
+        assert leased == [(regrant["unit"], regrant["fence"])]
+        results = [WireResult(ok=True, value="done")]
+        assert worker._complete(lost, results) is False
+        assert worker._complete(regrant, results) is True
+
+
 # ----------------------------------------------------------------------
 # Coordinator crash-restart durability
 # ----------------------------------------------------------------------

@@ -168,9 +168,9 @@ class TestDiffArtifact:
             slowdown=1.1,
         )
         first = store.begin_run()
-        store.record_result(first, "f:x", row)
+        store.record_batch(first, [("f:x", row, None)])
         second = store.begin_run()
-        store.record_result(second, "f:x", row)
+        store.record_batch(second, [("f:x", row, None)])
         report = diff_runs(store, "latest~1", "latest")
         assert report.diffs == ()
         with pytest.raises(StoreError):

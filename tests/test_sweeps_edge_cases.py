@@ -52,7 +52,7 @@ class TestScalesValidation:
             contender_scale_sweep(
                 app, contender, sc1, scales=(0.5, -1.0), engine=engine
             )
-        assert engine.run_count == 0
+        assert engine.stats.executed == 0
 
 
 class TestScalesAsIterable:
