@@ -8,11 +8,12 @@ execution times, and (beyond real hardware) ground-truth access profiles.
 Two engines share one event model (``SIM_ENGINES``):
 
 * ``engine="compiled"`` (the default) executes a
-  :class:`~repro.sim.program.CompiledProgram` — each task's step stream
-  flattened once (:func:`~repro.sim.program.compile_program`, memoised
-  per program) into numpy gap/request-id arrays over a deduplicated
-  request table, with runs of gap-only steps merged into the following
-  request's gap and uncontended transactions completed inline, off the
+  :class:`~repro.sim.program.CompiledProgram` — numpy gap/request-id
+  arrays over a deduplicated request table, built once per program
+  (:func:`~repro.sim.program.compile_program`): workload specs build
+  them straight from their block columns, other programs flatten their
+  step stream with runs of gap-only steps merged into the following
+  request's gap; uncontended transactions complete inline, off the
   event heap;
 * ``engine="reference"`` replays the original per-step object stream.
 

@@ -10,6 +10,11 @@ Programs are replayable on purpose: the MBTA protocol runs the same task
 once in isolation (to collect counters) and again against contenders (to
 validate that model predictions upper-bound observed times), and both runs
 must see identical streams.
+
+A program is given either as a step-stream factory (hand-written and
+composed programs) or as an array builder that yields its
+:class:`CompiledProgram` directly (workload specs, which never
+materialise per-request steps); each form can produce the other.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ class CompiledProgram:
     compose them freely) but expensive to *execute*: every simulated
     transaction costs a generator resumption and a tuple unpack, and
     gap-only steps cost one heap event each.  Compiling flattens the
-    stream once into flat arrays over the program's **requests**:
+    stream once (workload specs build the arrays directly, without a
+    stream) into flat arrays over the program's **requests**:
 
     * ``gaps[k]`` — computation cycles before request ``k``, with any
       run of gap-only steps merged into the following request's gap
@@ -100,6 +106,20 @@ class CompiledProgram:
     def compute_cycles(self) -> int:
         return int(self.gaps.sum()) + self.final_gap
 
+    def steps(self) -> Iterator[Step]:
+        """A step stream with these arrays' timing.
+
+        One step per request (its merged gap, its table entry), then the
+        trailing gap as one gap-only step.  For a workload spec, whose
+        only gap-only step is its epilogue, this is exactly the stream
+        the spec describes.
+        """
+        requests = self.requests
+        for gap, rid in zip(self.gap_list, self.rid_list):
+            yield gap, requests[rid]
+        if self.final_gap:
+            yield self.final_gap, None
+
 
 #: Compiled streams, keyed weakly by program so workload caches don't
 #: grow pickles (process-mode jobs ship TaskPrograms) or leak memory.
@@ -109,16 +129,26 @@ _COMPILE_CACHE: "weakref.WeakKeyDictionary[TaskProgram, CompiledProgram]" = (
 
 
 def compile_program(program: "TaskProgram") -> CompiledProgram:
-    """Flatten a program's step stream into a :class:`CompiledProgram`.
+    """The :class:`CompiledProgram` of ``program`` (memoised per program).
 
-    One full pass over ``program.steps()`` per program (memoised): gap
-    runs merge into the next request's gap, requests dedupe into a table
-    in first-appearance order.  Negative gaps are rejected here with the
+    A program with an array builder is compiled by calling it.  Any other
+    program takes one full pass over its ``steps()``: gap runs merge into
+    the next request's gap, requests dedupe into a table in
+    first-appearance order.  Negative gaps are rejected here with the
     same error the step-by-step walk raised.
     """
     cached = _COMPILE_CACHE.get(program)
     if cached is not None:
         return cached
+    if program.array_builder is not None:
+        compiled = program.array_builder()
+    else:
+        compiled = _compile_steps(program)
+    _COMPILE_CACHE[program] = compiled
+    return compiled
+
+
+def _compile_steps(program: "TaskProgram") -> CompiledProgram:
     gaps: list[int] = []
     rids: list[int] = []
     table: dict[SriRequest, int] = {}
@@ -140,32 +170,46 @@ def compile_program(program: "TaskProgram") -> CompiledProgram:
         gaps.append(pending_gap)
         rids.append(rid)
         pending_gap = 0
-    compiled = CompiledProgram(
+    return CompiledProgram(
         name=program.name,
         gaps=np.asarray(gaps, dtype=np.int64),
         request_ids=np.asarray(rids, dtype=np.int64),
         requests=tuple(requests),
         final_gap=pending_gap,
     )
-    _COMPILE_CACHE[program] = compiled
-    return compiled
 
 
 @dataclasses.dataclass(frozen=True)
 class TaskProgram:
     """A replayable per-core access program.
 
+    Exactly one of ``stream_factory`` and ``array_builder`` is given.
+
     Attributes:
         name: task name, carried into counter readings and reports.
         stream_factory: zero-argument callable returning a fresh step
-            iterator; called once per simulation run.
+            iterator; walked once by :func:`compile_program` and once per
+            reference-engine run.
+        array_builder: zero-argument callable returning the program's
+            :class:`CompiledProgram` directly; :meth:`steps` then replays
+            the arrays.
     """
 
     name: str
-    stream_factory: Callable[[], Iterator[Step]]
+    stream_factory: Callable[[], Iterator[Step]] | None = None
+    array_builder: Callable[[], CompiledProgram] | None = None
+
+    def __post_init__(self) -> None:
+        if (self.stream_factory is None) == (self.array_builder is None):
+            raise SimulationError(
+                f"{self.name!r}: give exactly one of stream_factory and "
+                "array_builder"
+            )
 
     def steps(self) -> Iterator[Step]:
         """A fresh iterator over the program's steps."""
+        if self.stream_factory is None:
+            return self.compiled().steps()
         return self.stream_factory()
 
     def compiled(self) -> CompiledProgram:

@@ -176,18 +176,25 @@ class _CoreState:
 #: keep the hot-loop comparisons int-vs-int).
 _BLOCKING_MAX_SENTINEL = 1 << 62
 
+#: The compiled engine's counter accumulators are lists indexed by a
+#: counter's position here (an int index, not an enum hash, per update).
+_COUNTERS = tuple(DebugCounter)
+_COUNTER_INDEX = {counter: index for index, counter in enumerate(_COUNTERS)}
+
 
 class _CompiledCoreState:
     """Mutable execution state of one core on the compiled-program path.
 
     Everything the per-transaction hot path needs is pre-resolved per
     *distinct* request (``*_by_rid`` lists) when the run starts, and
-    every observable is accumulated in plain-int per-rid cells; the
-    :class:`CounterBank`, ground-truth counts and per-key
-    :class:`TransactionStats` are folded out once in :meth:`finalize` —
-    in the same key order and with the same values as the reference
-    engine's per-event updates (all the folds commute: sums, saturating
-    sums, and min/max extremes).
+    every observable is accumulated in plain-int per-rid cells.  Counter
+    updates go to ``acc``, a list indexed by position in ``_COUNTERS``:
+    ``stall_by_rid`` and ``miss_by_rid`` hold those positions, −1 for a
+    request that counts no miss.  The :class:`CounterBank`, ground-truth
+    counts and per-key :class:`TransactionStats` are folded out once in
+    :meth:`finalize` — in the same key order and with the same values as
+    the reference engine's per-event updates (all the folds commute:
+    sums, saturating sums, and min/max extremes).
     """
 
     __slots__ = (
@@ -245,12 +252,18 @@ class _CompiledCoreState:
         self.overlap_by_rid = [
             timing.device(r.target).overlap(r) for r in requests
         ]
-        self.stall_by_rid = [r.stall_counter for r in requests]
-        self.miss_by_rid = [r.miss_kind.counter for r in requests]
+        self.stall_by_rid = [
+            _COUNTER_INDEX[r.stall_counter] for r in requests
+        ]
+        self.miss_by_rid = [
+            -1 if r.miss_kind.counter is None
+            else _COUNTER_INDEX[r.miss_kind.counter]
+            for r in requests
+        ]
         self.key_by_rid = [(r.target, r.operation) for r in requests]
         self.solo_by_rid = [r.target in solo_targets for r in requests]
         n = len(requests)
-        self.acc = {counter: 0 for counter in DebugCounter}
+        self.acc = [0] * len(_COUNTERS)
         self.agg_count = [0] * n
         self.agg_wait = [0] * n
         self.agg_bmin = [_BLOCKING_MAX_SENTINEL] * n
@@ -265,7 +278,7 @@ class _CompiledCoreState:
         iterate identically.
         """
         bank = CounterBank()
-        for counter, amount in self.acc.items():
+        for counter, amount in zip(_COUNTERS, self.acc):
             if amount:
                 bank.increment(counter, amount)
         self.bank = bank
@@ -602,7 +615,7 @@ class SystemSimulator:
                 cursor += 1
                 if solo[rid]:
                     miss = misses[rid]
-                    if miss is not None:
+                    if miss >= 0:
                         acc[miss] += 1
                     service = services[rid]
                     overlap = overlaps[rid]
@@ -692,7 +705,7 @@ class SystemSimulator:
                 state = cores[payload]
                 rid = state.pending_rid
                 miss = state.miss_by_rid[rid]
-                if miss is not None:
+                if miss >= 0:
                     state.acc[miss] += 1
                 device = state.device_by_rid[rid]
                 device.queue.append(

@@ -22,6 +22,8 @@ builders can pad tasks to a target CCNT.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.platform.targets import Operation, Target
 from repro.sim.program import TaskProgram
@@ -172,24 +174,32 @@ def isolation_cycles(
 ) -> int:
     """Exact single-core execution time of a program, computed directly.
 
-    In isolation the core never waits on arbitration, so timing reduces to
-    a running sum over steps: ``t += max(0, gap − credit) + blocking``.
-    Matches :func:`repro.sim.system.run_isolation` cycle-for-cycle (a
-    property the test-suite asserts) at a fraction of the cost — used by
-    workload builders to pad programs to a target CCNT.
+    In isolation the core never waits on arbitration, so over the
+    compiled arrays the time is ``Σ max(0, gap − credit) + Σ service +
+    max(0, final_gap − credit_last)``, where a request's credit is the
+    overlap of the request before it (zero for the first).  The core's
+    next step waits for transaction *completion* (one outstanding
+    request); the overlap only discounts the next gap.  Merging gap runs
+    in the compile step is timing-exact, so this matches
+    :func:`repro.sim.system.run_isolation` cycle-for-cycle (a property
+    the test-suite asserts) at a fraction of the cost — used by workload
+    builders to pad programs to a target CCNT.
     """
     timing = timing or tc27x_sim_timing()
-    time = 0
-    credit = 0
-    for gap, request in program.steps():
-        effective = max(0, gap - credit)
-        credit = max(0, credit - gap)
-        time += effective
-        if request is None:
-            continue
-        # The core's next step waits for transaction *completion* (one
-        # outstanding request); the overlap only discounts the stall
-        # counters and the next gap.  Wall time advances by the service.
-        time += timing.service_time(request)
-        credit = timing.device(request.target).overlap(request)
-    return time
+    compiled = program.compiled()
+    if not compiled.n_requests:
+        return compiled.final_gap
+    requests = compiled.requests
+    service = np.array(
+        [timing.service_time(r) for r in requests], dtype=np.int64
+    )
+    overlap = np.array(
+        [timing.device(r.target).overlap(r) for r in requests],
+        dtype=np.int64,
+    )
+    rids = compiled.request_ids
+    credit = np.zeros(len(rids), dtype=np.int64)
+    credit[1:] = overlap[rids[:-1]]
+    gap_time = np.maximum(compiled.gaps - credit, 0).sum()
+    trailing = max(0, compiled.final_gap - int(overlap[rids[-1]]))
+    return int(gap_time + service[rids].sum()) + trailing

@@ -6,36 +6,53 @@ between" — and compiled into replayable
 :class:`~repro.sim.program.TaskProgram` streams.
 
 Mix fractions (sequential/random, read/write, clean/dirty) are realised
-with deterministic error-accumulator (Bresenham) sequencing instead of
-random sampling, so a block's counter footprint is *exact* and identical
+with deterministic error-accumulator sequencing instead of random
+sampling, so a block's counter footprint is *exact* and identical
 across runs and scales — important because the experiment drivers tune
 blocks to hit the paper's Table 6 readings.
+
+A spec compiles straight to the simulator's
+:class:`~repro.sim.program.CompiledProgram` arrays: each block yields its
+per-request mix decisions as one numpy column of variant codes plus the
+few distinct requests those codes name, so no
+:class:`~repro.sim.requests.SriRequest` is built per transaction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.core.ptac import AccessProfile, profile_from_pairs
 from repro.errors import WorkloadError
 from repro.platform.targets import Operation, Target, check_pair
-from repro.sim.program import Step, TaskProgram
+from repro.sim.program import CompiledProgram, Step, TaskProgram
 from repro.sim.requests import MissKind, SriRequest
+
+#: Bits of a block's per-request variant codes (see RequestBlock.columns).
+_SEQUENTIAL = 1
+_WRITE = 2
+_DIRTY = 4
 
 
 class _FractionSequencer:
-    """Deterministic Bresenham-style boolean sequence with a given density.
+    """Deterministic error-accumulator boolean sequence with a given density.
 
-    Emits ``True`` with exact long-run frequency ``fraction``; the k-th
-    decision is ``floor((k+1)·f) > floor(k·f)``, so any prefix of length n
-    contains ``round-ish(n·f)`` Trues with error < 1.
+    Each decision adds ``fraction`` to a float accumulator; once the
+    accumulator reaches ``1 − 1e-12`` the decision is ``True`` and 1 is
+    taken back off.  The accumulator therefore stays in
+    ``[−1e-12, 1 − 1e-12)``, and the number of Trues in any prefix of n
+    decisions is within 1 of ``n·f``.  Float rounding makes the sequence
+    differ from the closed form ``floor((k+1)·f) > floor(k·f)`` (first
+    at f = 1/197, decision 196), so only a replay of the accumulator
+    reproduces it.
     """
 
     def __init__(self, fraction: float) -> None:
-        if not 0.0 <= fraction <= 1.0:
-            raise WorkloadError(f"fraction {fraction} outside [0, 1]")
         self.fraction = fraction
         self._accumulator = 0.0
 
@@ -45,6 +62,26 @@ class _FractionSequencer:
             self._accumulator -= 1.0
             return True
         return False
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` decisions as a bool array.
+
+        A fraction of exactly 0 or 1 is a constant fill (every decision
+        is the same and the accumulator ends where it began); any other
+        fraction replays :meth:`next`'s arithmetic inline.
+        """
+        fraction = self.fraction
+        if fraction == 0.0 or fraction == 1.0:
+            return np.full(n, fraction == 1.0)
+        decisions = bytearray(n)
+        accumulator = self._accumulator
+        for k in range(n):
+            accumulator += fraction
+            if accumulator >= 1.0 - 1e-12:
+                accumulator -= 1.0
+                decisions[k] = 1
+        self._accumulator = accumulator
+        return np.frombuffer(decisions, dtype=np.bool_)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +117,13 @@ class RequestBlock:
             raise WorkloadError("block count must be non-negative")
         if self.gap < 0:
             raise WorkloadError("block gap must be non-negative")
+        for fraction in (
+            self.sequential_fraction,
+            self.write_fraction,
+            self.dirty_fraction,
+        ):
+            if not 0.0 <= fraction <= 1.0:  # also rejects NaN
+                raise WorkloadError(f"fraction {fraction} outside [0, 1]")
         if self.operation is Operation.CODE:
             if self.write_fraction or self.dirty_fraction:
                 raise WorkloadError("code blocks cannot write or dirty-evict")
@@ -96,35 +140,76 @@ class RequestBlock:
                 "dirty evictions require a data-cache miss kind"
             )
 
+    def columns(self) -> tuple[np.ndarray, dict[int, SriRequest]]:
+        """The block's requests as variant codes, in one numpy pass.
+
+        ``codes[k]`` packs request k's mix decisions: bit 0 sequential,
+        bit 1 write, bit 2 dirty eviction.  The sequential sequencer
+        advances on every request, the dirty sequencer on every data
+        request and the write sequencer on every data request that is not
+        dirty; code blocks never write or dirty-evict.  The dict maps each
+        code that occurs, in first-appearance order, to its
+        :class:`SriRequest`, built once.
+        """
+        count = self.count
+        if not count:
+            return np.zeros(0, dtype=np.uint8), {}
+        fractions = (
+            self.sequential_fraction,
+            self.write_fraction,
+            self.dirty_fraction,
+        )
+        if all(fraction in (0.0, 1.0) for fraction in fractions):
+            # Constant fills (every control-loop and load block): one
+            # variant, and a dirty block never advances its writes.
+            code = _SEQUENTIAL if self.sequential_fraction else 0
+            if self.dirty_fraction:
+                code |= _DIRTY
+            elif self.write_fraction:
+                code |= _WRITE
+            return np.full(count, code, dtype=np.uint8), {
+                code: self._variant(code)
+            }
+        codes = _FractionSequencer(self.sequential_fraction).take(count)
+        codes = codes.astype(np.uint8)
+        if self.operation is Operation.DATA:
+            dirty = _FractionSequencer(self.dirty_fraction).take(count)
+            clean = ~dirty
+            write = np.zeros(count, dtype=bool)
+            write[clean] = _FractionSequencer(self.write_fraction).take(
+                int(np.count_nonzero(clean))
+            )
+            codes[write] |= _WRITE
+            codes[dirty] |= _DIRTY
+        unique, first = np.unique(codes, return_index=True)
+        variants = {
+            code: self._variant(code)
+            for code in unique[np.argsort(first)].tolist()
+        }
+        return codes, variants
+
+    def _variant(self, code: int) -> SriRequest:
+        """The request a variant code stands for."""
+        dirty = bool(code & _DIRTY)
+        miss_kind = self.miss_kind
+        if dirty:
+            miss_kind = MissKind.DCACHE_MISS_DIRTY
+        elif miss_kind is MissKind.DCACHE_MISS_DIRTY:
+            miss_kind = MissKind.DCACHE_MISS_CLEAN
+        return SriRequest(
+            target=self.target,
+            operation=self.operation,
+            miss_kind=miss_kind,
+            sequential=bool(code & _SEQUENTIAL),
+            write=bool(code & _WRITE),
+            dirty_eviction=dirty,
+        )
+
     def steps(self) -> Iterator[Step]:
-        """Generate the block's steps deterministically."""
-        sequential = _FractionSequencer(self.sequential_fraction)
-        writes = _FractionSequencer(self.write_fraction)
-        dirty = _FractionSequencer(self.dirty_fraction)
-        for _ in range(self.count):
-            is_dirty = (
-                self.operation is Operation.DATA and dirty.next()
-            )
-            miss_kind = self.miss_kind
-            if is_dirty:
-                miss_kind = MissKind.DCACHE_MISS_DIRTY
-            elif miss_kind is MissKind.DCACHE_MISS_DIRTY:
-                miss_kind = MissKind.DCACHE_MISS_CLEAN
-            yield (
-                self.gap,
-                SriRequest(
-                    target=self.target,
-                    operation=self.operation,
-                    miss_kind=miss_kind,
-                    sequential=sequential.next(),
-                    write=(
-                        self.operation is Operation.DATA
-                        and not is_dirty
-                        and writes.next()
-                    ),
-                    dirty_eviction=is_dirty,
-                ),
-            )
+        """The block's steps, one per request (a view over :meth:`columns`)."""
+        codes, variants = self.columns()
+        gap = self.gap
+        return ((gap, variants[code]) for code in codes.tolist())
 
     def scaled(self, factor: float) -> "RequestBlock":
         """The same block with ``count`` scaled (rounded half-up)."""
@@ -158,17 +243,43 @@ class WorkloadSpec:
             raise WorkloadError("epilogue gap must be non-negative")
 
     def program(self) -> TaskProgram:
-        """Compile into a replayable simulator program."""
-        spec = self
+        """A replayable simulator program, compiled from the block columns
+        on first use (see :meth:`_compile`)."""
+        # A partial, not the bound method: a bound method compares and
+        # hashes by the spec's value, and the compile memo is meant to be
+        # keyed on each program object, cheaply.
+        return TaskProgram(
+            name=self.name, array_builder=functools.partial(self._compile)
+        )
 
-        def factory() -> Iterator[Step]:
-            for _ in range(spec.iterations):
-                for block in spec.blocks:
-                    yield from block.steps()
-            if spec.epilogue_gap:
-                yield (spec.epilogue_gap, None)
+    def _compile(self) -> CompiledProgram:
+        """The spec's program as arrays, built from the block columns.
 
-        return TaskProgram(name=self.name, stream_factory=factory)
+        Each block's variants join one request table in first-appearance
+        order, as the step walk would meet them.  Every iteration restarts
+        the sequencers, so one iteration's arrays are tiled over
+        ``iterations``; the epilogue is the trailing gap.
+        """
+        table: dict[SriRequest, int] = {}
+        # Seeded with an empty array so a spec without requests concatenates.
+        rids: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        rid_of_code = np.zeros(_DIRTY << 1, dtype=np.int64)
+        for block in self.blocks:
+            codes, variants = block.columns()
+            for code, request in variants.items():
+                rid_of_code[code] = table.setdefault(request, len(table))
+            rids.append(rid_of_code[codes])
+        gaps = np.repeat(
+            np.array([block.gap for block in self.blocks], dtype=np.int64),
+            [block.count for block in self.blocks],
+        )
+        return CompiledProgram(
+            name=self.name,
+            gaps=np.tile(gaps, self.iterations),
+            request_ids=np.tile(np.concatenate(rids), self.iterations),
+            requests=tuple(table),
+            final_gap=self.epilogue_gap,
+        )
 
     def expected_profile(self) -> AccessProfile:
         """The exact PTAC the compiled program will exhibit."""

@@ -97,6 +97,21 @@ class TestRequestBlock:
                 miss_kind=MissKind.UNCACHED,
             )
 
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    @pytest.mark.parametrize(
+        "field", ["sequential_fraction", "write_fraction", "dirty_fraction"]
+    )
+    def test_fraction_outside_unit_interval_rejected(self, field, value):
+        # Rejected when the block is built, not when it is simulated.
+        with pytest.raises(WorkloadError, match=r"outside \[0, 1\]"):
+            RequestBlock(
+                target=Target.LMU,
+                operation=Operation.DATA,
+                count=10,
+                miss_kind=MissKind.DCACHE_MISS_CLEAN,
+                **{field: value},
+            )
+
     def test_scaled(self):
         block = RequestBlock(
             target=Target.LMU, operation=Operation.DATA, count=100
