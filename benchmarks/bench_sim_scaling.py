@@ -6,11 +6,12 @@ co-runs across workload sizes, so regressions in the hot loop show up in
 benchmark history.
 
 Since the compiled-program engine landed, this file also carries its
-acceptance benchmark: run the same scenario-1 workloads through both
-``engine="compiled"`` and ``engine="reference"``, assert the results are
+acceptance benchmark: run the same scenario-1 workloads through
+:class:`SystemSimulator` and the step-generator oracle
+(``tests/oracles/sim_reference.py``), assert the results are
 **byte-identical** (pickled :class:`SimResult` bytes compare equal), and
-assert the compiled engine delivers **at least 3x** the co-run
-requests-per-second of the reference engine.  The measured numbers land
+assert the library engine delivers **at least 3x** the co-run
+requests-per-second of the oracle.  The measured numbers land
 in the session's JSON report (``.benchmarks/engine_report.json``) via
 the shared ``report`` fixture and seed the repo's ``BENCH_SIM.json``.
 """
@@ -20,14 +21,18 @@ import time
 
 import pytest
 
+from oracles.sim_reference import ReferenceSimulator
 from repro.analysis.report import render_table
 from repro.platform.deployment import scenario_1
-from repro.sim.system import SIM_ENGINES, SystemSimulator
+from repro.sim.system import SystemSimulator
 from repro.workloads.control_loop import build_control_loop
 from repro.workloads.loads import build_load
 
-#: Acceptance criterion: the compiled engine must simulate the co-run
-#: case at least this many times faster than the reference engine.
+#: The library engine and its oracle, under the report's labels.
+ENGINES = {"compiled": SystemSimulator, "reference": ReferenceSimulator}
+
+#: Acceptance criterion: the library engine must simulate the co-run
+#: case at least this many times faster than the step-generator oracle.
 MIN_CORUN_SPEEDUP = 3.0
 
 
@@ -72,7 +77,7 @@ def _best_seconds(run, repeats=3):
 
 @pytest.mark.benchmark(group="sim-throughput")
 def test_engine_equivalence_and_speedup(benchmark, report):
-    """Compiled engine = reference engine, only >= 3x faster on co-runs."""
+    """Library engine = oracle, only >= 3x faster on co-runs."""
     scale = 1 / 16
     scenario = scenario_1()
     app, _ = build_control_loop(scenario, scale=scale)
@@ -91,8 +96,8 @@ def test_engine_equivalence_and_speedup(benchmark, report):
         requests = iso_requests if label == "isolation" else corun_requests
         seconds = {}
         pickles = {}
-        for engine in SIM_ENGINES:
-            sim = SystemSimulator(engine=engine)
+        for engine, simulator in ENGINES.items():
+            sim = simulator()
             # Warm once outside the timed region: the first compiled run
             # pays the one-off step-stream flattening that later runs
             # (and every sweep in practice) amortise away.
@@ -112,12 +117,12 @@ def test_engine_equivalence_and_speedup(benchmark, report):
         # The engines must be indistinguishable to every consumer:
         # identical pickled bytes covers counters, stats and artifacts.
         assert pickles["compiled"] == pickles["reference"], (
-            f"{label}: compiled and reference engines diverged"
+            f"{label}: the library engine and the oracle diverged"
         )
 
         rps = {
             engine: requests / seconds[engine] if seconds[engine] else 0.0
-            for engine in SIM_ENGINES
+            for engine in ENGINES
         }
         speedup = seconds["reference"] / max(seconds["compiled"], 1e-12)
         speedups[label] = speedup
@@ -142,8 +147,8 @@ def test_engine_equivalence_and_speedup(benchmark, report):
 
     benchmark.extra_info["sri_requests"] = corun_requests
     assert speedups["corun"] >= MIN_CORUN_SPEEDUP, (
-        f"compiled engine ran the co-run only {speedups['corun']:.2f}x "
-        f"faster than the reference engine; the compiled-program engine "
+        f"library engine ran the co-run only {speedups['corun']:.2f}x "
+        f"faster than the oracle; the compiled-program engine "
         f"promises >= {MIN_CORUN_SPEEDUP}x"
     )
 

@@ -19,8 +19,13 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
 
 import pytest
+
+# Benchmarks compare against the reference implementations in tests/oracles.
+_TESTS = pathlib.Path(__file__).resolve().parents[1] / "tests"
+sys.path.insert(0, str(_TESTS))
 
 #: Default location of the session's machine-readable benchmark report.
 DEFAULT_JSON_PATH = ".benchmarks/engine_report.json"

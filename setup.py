@@ -5,8 +5,9 @@
     repro figure4            # console script
     python -m repro figure4  # module execution
 
-The library is pure Python with no runtime dependencies; the optional
-``scipy`` ILP backend is used only when scipy is importable.
+The library is pure Python with one runtime dependency, ``numpy``.  The
+optional ``scipy`` ILP backend is used only when scipy is importable;
+the ``test`` extra installs it, because the tests cross-check against it.
 """
 
 import pathlib
@@ -34,12 +35,13 @@ setup(
     packages=find_packages("src"),
     package_data={"repro": ["py.typed"]},
     python_requires=">=3.10",
+    install_requires=["numpy"],
     entry_points={
         "console_scripts": [
             "repro = repro.cli:main",
         ],
     },
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis", "pytest-benchmark", "scipy"],
     },
 )

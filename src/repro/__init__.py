@@ -68,7 +68,6 @@ from repro.core import (
     ContentionModel,
     IlpPtacOptions,
     ModelCapabilities,
-    ModelKind,
     ModelSpec,
     WcetEstimate,
     access_count_bounds,
@@ -127,7 +126,6 @@ __all__ = [
     "IlpPtacOptions",
     "LatencyProfile",
     "ModelCapabilities",
-    "ModelKind",
     "ModelSpec",
     "Operation",
     "DmaSpec",

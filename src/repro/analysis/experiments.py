@@ -167,8 +167,7 @@ def figure4_paper_jobs(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
     profile: LatencyProfile | None = None,
-    backend: str = "bnb",
-    options: IlpPtacOptions | None = None,
+    options: IlpPtacOptions = IlpPtacOptions(),
 ) -> list:
     """The job batch behind paper-counters Figure 4.
 
@@ -178,9 +177,6 @@ def figure4_paper_jobs(
     figure from the collected results.
     """
     profile = profile or tc27x_latency_profile()
-    # `backend` is shorthand for options=IlpPtacOptions(backend=...);
-    # an explicit `options` takes precedence over it.
-    options = options or IlpPtacOptions(backend=backend)
     jobs = []
     for scenario_name in SCENARIOS:
         for model in models:
@@ -205,8 +201,7 @@ def figure4_paper_mode(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
     profile: LatencyProfile | None = None,
-    backend: str = "bnb",
-    options: IlpPtacOptions | None = None,
+    options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
     """Figure 4 from the published Table 6 readings.
@@ -216,9 +211,7 @@ def figure4_paper_mode(
     accepts any registered counter-based model names.
     """
     return run_jobs(
-        figure4_paper_jobs(
-            models=models, profile=profile, backend=backend, options=options
-        ),
+        figure4_paper_jobs(models=models, profile=profile, options=options),
         engine,
     )
 
@@ -398,8 +391,7 @@ def figure4_sim_mode(
     scale: float = 1 / 16,
     profile: LatencyProfile | None = None,
     timing: SimTiming | None = None,
-    backend: str = "bnb",
-    options: IlpPtacOptions | None = None,
+    options: IlpPtacOptions = IlpPtacOptions(),
     with_coruns: bool = True,
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
@@ -411,8 +403,6 @@ def figure4_sim_mode(
     (any registered counter-based model via ``models=``).
     """
     profile = profile or tc27x_latency_profile()
-    # `backend` is shorthand; an explicit `options` takes precedence.
-    options = options or IlpPtacOptions(backend=backend)
     datasets = _simulate_datasets(scale, timing, with_coruns, engine)
     model_jobs = []
     for scenario_name, data in zip(SCENARIOS, datasets):
@@ -635,8 +625,7 @@ def information_ablation(
     *,
     models: Sequence[str] = DEFAULT_ABLATION_MODELS,
     scale: float = 1 / 32,
-    backend: str = "bnb",
-    options: IlpPtacOptions | None = None,
+    options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[AblationRow]:
     """Quantify what each level of information buys (experiment A1).
@@ -649,8 +638,6 @@ def information_ablation(
     """
     for model in models:
         get_model(model)  # fail fast on unknown names, before any job
-    # `backend` is shorthand; an explicit `options` takes precedence.
-    options = options or IlpPtacOptions(backend=backend)
     row_lists = run_jobs(
         [
             job(

@@ -21,7 +21,7 @@ import dataclasses
 from typing import Callable, Mapping, Sequence
 
 from repro.core.results import WcetEstimate
-from repro.core.wcet import ModelKind, wcet_estimate
+from repro.core.wcet import wcet_estimate
 from repro.counters.readings import TaskReadings
 from repro.errors import SimulationError
 from repro.platform.deployment import DeploymentScenario
@@ -90,7 +90,7 @@ def measure_isolation(
 
 def analyse(
     measurement: IsolationMeasurement,
-    model: ModelKind | str,
+    model: str,
     profile: LatencyProfile,
     scenario: DeploymentScenario,
     contender: TaskReadings | None = None,

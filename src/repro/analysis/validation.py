@@ -14,7 +14,6 @@ import dataclasses
 from typing import Sequence
 
 from repro.analysis.mbta import measure_isolation, observe_corun
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.results import WcetEstimate
 from repro.core.wcet import contention_bound
 from repro.engine.batch import job
@@ -73,7 +72,6 @@ def check_soundness(
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
     profile: LatencyProfile | None = None,
     timing: SimTiming | None = None,
-    backend: str = "bnb",
     name: str = "",
 ) -> SoundnessCase:
     """Full pipeline soundness check for one (τa, τb) pair.
@@ -83,7 +81,6 @@ def check_soundness(
     pair, and compares predictions against the observation.
     """
     profile = profile or tc27x_latency_profile()
-    options = IlpPtacOptions(backend=backend)
     measurement_a = measure_isolation(task, timing=timing)
     measurement_b = measure_isolation(contender, core=2, timing=timing)
 
@@ -94,7 +91,6 @@ def check_soundness(
             profile,
             scenario,
             measurement_b.readings,
-            options=options,
         )
         for model in models
     }
@@ -152,7 +148,6 @@ def soundness_sweep(
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
     profile: LatencyProfile | None = None,
     timing: SimTiming | None = None,
-    backend: str = "bnb",
     engine: ExperimentEngine | None = None,
 ) -> SoundnessSweep:
     """Run :func:`check_soundness` over many task pairs.
@@ -172,7 +167,6 @@ def soundness_sweep(
                 models=tuple(models),
                 profile=profile,
                 timing=timing,
-                backend=backend,
                 name=f"{task.name} vs {contender.name}",
                 label=f"soundness:{task.name} vs {contender.name}",
                 cacheable=False,
@@ -191,7 +185,6 @@ def _random_soundness_case(
     models: tuple[str, ...],
     profile: LatencyProfile | None,
     timing: SimTiming | None,
-    backend: str,
 ) -> SoundnessCase:
     """Job: one seeded pair through the full soundness pipeline."""
     task, contender = random_task_pair(
@@ -204,7 +197,6 @@ def _random_soundness_case(
         models=models,
         profile=profile,
         timing=timing,
-        backend=backend,
         name=f"{task.name} vs {contender.name}",
     )
 
@@ -217,7 +209,6 @@ def random_soundness_jobs(
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
     profile: LatencyProfile | None = None,
     timing: SimTiming | None = None,
-    backend: str = "bnb",
 ) -> list:
     """The job batch behind :func:`random_soundness_sweep`.
 
@@ -234,7 +225,6 @@ def random_soundness_jobs(
             tuple(models),
             profile,
             timing,
-            backend,
             label=f"soundness:{scenario.name}:seed={seed}",
         )
         for seed in range(pairs)
@@ -249,7 +239,6 @@ def random_soundness_sweep(
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
     profile: LatencyProfile | None = None,
     timing: SimTiming | None = None,
-    backend: str = "bnb",
     engine: ExperimentEngine | None = None,
 ) -> SoundnessSweep:
     """Seeded randomized soundness sweep, fully engine-parallel.
@@ -268,7 +257,6 @@ def random_soundness_sweep(
             models=models,
             profile=profile,
             timing=timing,
-            backend=backend,
         ),
         engine,
     )

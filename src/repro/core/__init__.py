@@ -96,7 +96,7 @@ from repro.core.registry import (
     temporary_models,
 )
 from repro.core.results import ContentionBound, WcetEstimate
-from repro.core.wcet import ModelKind, contention_bound, wcet_estimate
+from repro.core.wcet import contention_bound, wcet_estimate
 
 __all__ = [
     "AccessCountBound",
@@ -111,7 +111,6 @@ __all__ = [
     "IlpPtacOptions",
     "IlpPtacResult",
     "ModelCapabilities",
-    "ModelKind",
     "ModelSpec",
     "MultiContenderResult",
     "WcetEstimate",

@@ -123,8 +123,6 @@ def fsb_via_crossbar_ilp(
     readings_a: TaskReadings,
     readings_b: TaskReadings,
     timing: FsbTiming,
-    *,
-    backend: str = "bnb",
 ) -> IlpPtacResult:
     """The generic ILP-PTAC model instantiated on the FSB scenario.
 
@@ -136,7 +134,7 @@ def fsb_via_crossbar_ilp(
         readings_b,
         fsb_latency_profile(timing),
         fsb_scenario(),
-        IlpPtacOptions(backend=backend, use_exact_code_counts=False),
+        IlpPtacOptions(use_exact_code_counts=False),
     )
 
 

@@ -48,7 +48,7 @@ from repro.core.results import ContentionBound
 from repro.counters.readings import TaskReadings
 from repro.errors import ModelError
 from repro.ilp.expr import Var, lin_sum
-from repro.ilp.model import IlpModel
+from repro.ilp.model import ILP_BACKENDS, IlpModel
 from repro.ilp.solution import Solution
 from repro.platform.deployment import DeploymentScenario
 from repro.platform.latency import LatencyProfile
@@ -72,8 +72,9 @@ class IlpPtacOptions:
         use_exact_code_counts: honour the scenario's "P$_MISS is exact"
             semantics (Table 5's ``Σ n^{t,co} = PM`` rows).
         backend: ILP backend (``"bnb"``, ``"scipy"`` or ``"lp"`` for the
-            relaxation bound, which is also sound and ≥ the ILP optimum).
-        node_limit: branch-and-bound node budget.
+            relaxation bound, which is also sound and ≥ the ILP optimum);
+            one of :data:`~repro.ilp.model.ILP_BACKENDS`.
+        node_limit: branch-and-bound node budget, at least 1.
     """
 
     stall_budget: str = "minimum"
@@ -86,6 +87,15 @@ class IlpPtacOptions:
         if self.stall_budget not in ("minimum", "exact"):
             raise ModelError(
                 f"unknown stall budget mode {self.stall_budget!r}"
+            )
+        if self.backend not in ILP_BACKENDS:
+            raise ModelError(
+                f"unknown ILP backend {self.backend!r}; "
+                f"expected one of {ILP_BACKENDS}"
+            )
+        if self.node_limit < 1:
+            raise ModelError(
+                f"node_limit must be at least 1, got {self.node_limit}"
             )
 
 

@@ -1,7 +1,6 @@
 """Named contention-model registry: models as data, not an enum.
 
-Adding a contention model used to mean growing the ``ModelKind`` enum and
-its if-chain; now it means registering a
+Adding a contention model means registering a
 :class:`~repro.core.model.ModelSpec`::
 
     from repro.core import (

@@ -15,58 +15,22 @@ name (see ``repro models`` or
 :func:`~repro.core.registry.model_names`), the remaining arguments are
 folded into an :class:`~repro.core.model.AnalysisContext`, and the
 registered model's capabilities decide which of them are required.
-
-:class:`ModelKind` is the deprecated enum the facade used to dispatch
-on; it survives as an alias layer (its members name the same four
-registry entries) so existing callers keep working.
 """
 
 from __future__ import annotations
 
-import enum
-
 from repro.core.model import AnalysisContext
-from repro.core.registry import get_model, model_names
+from repro.core.registry import get_model
 from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.ptac import AccessProfile
 from repro.core.results import ContentionBound, WcetEstimate
 from repro.counters.readings import TaskReadings
-from repro.errors import ModelError
 from repro.platform.deployment import DeploymentScenario
 from repro.platform.latency import LatencyProfile
 
 
-class ModelKind(enum.Enum):
-    """Deprecated closed enumeration of the facade's original models.
-
-    Kept as an alias layer: each member's value is the registry name of
-    the same model.  New code should pass registry names (strings)
-    directly — the registry also knows the models this enum never
-    learned about (``ilp-ptac-multi``, ``ideal``, the occupancy and FSB
-    bounds, and anything registered downstream).
-    """
-
-    FTC_BASELINE = "ftc-baseline"
-    FTC_REFINED = "ftc-refined"
-    ILP_PTAC = "ilp-ptac"
-    ILP_PTAC_TC = "ilp-ptac-tc"  # ILP without contender information
-
-    @classmethod
-    def parse(cls, name: str) -> "ModelKind":
-        """Parse a model name as used in reports/CLI arguments."""
-        for kind in cls:
-            if kind.value == name:
-                return kind
-        raise ModelError(
-            f"unknown model kind {name!r}; "
-            f"valid kinds: {', '.join(kind.value for kind in cls)} "
-            f"(the model registry additionally knows: "
-            f"{', '.join(n for n in model_names() if n not in cls._value2member_map_)})"
-        )
-
-
 def contention_bound(
-    model: "ModelKind | str",
+    model: str,
     readings_a: TaskReadings | None = None,
     profile: LatencyProfile | None = None,
     scenario: DeploymentScenario | None = None,
@@ -84,8 +48,7 @@ def contention_bound(
     """Compute Δcont with any registered model.
 
     Args:
-        model: a registered model name (see ``repro models``) or a
-            deprecated :class:`ModelKind` member.
+        model: a registered model name (see ``repro models``).
         readings_a: isolation readings of the task under analysis
             (required by the counter-based models).
         profile: Table 2 constants.
@@ -109,8 +72,7 @@ def contention_bound(
         ModelError: unknown model name (the message lists the registered
             names), or the chosen model's declared inputs are missing.
     """
-    name = model.value if isinstance(model, ModelKind) else str(model)
-    spec = get_model(name)
+    spec = get_model(model)
     all_contenders = tuple(contenders)
     if readings_b is not None:
         all_contenders = (readings_b,) + all_contenders
@@ -133,7 +95,7 @@ def contention_bound(
 
 
 def wcet_estimate(
-    model: "ModelKind | str",
+    model: str,
     readings_a: TaskReadings,
     profile: LatencyProfile | None = None,
     scenario: DeploymentScenario | None = None,

@@ -21,7 +21,10 @@ from repro.errors import IlpError
 from repro.ilp.expr import Constraint, LinExpr, Sense, Var, lin_sum
 from repro.ilp.solution import Solution, SolveStats, SolveStatus
 
-__all__ = ["IlpModel", "StandardForm", "lin_sum"]
+__all__ = ["ILP_BACKENDS", "IlpModel", "StandardForm", "lin_sum"]
+
+#: Solver backends :meth:`IlpModel.solve` accepts.
+ILP_BACKENDS = ("bnb", "scipy", "lp")
 
 
 class StandardForm:
@@ -300,6 +303,10 @@ class IlpModel:
             A :class:`~repro.ilp.solution.Solution` in maximisation
             convention.
         """
+        if backend not in ILP_BACKENDS:
+            raise IlpError(
+                f"unknown backend {backend!r}; expected one of {ILP_BACKENDS}"
+            )
         if backend == "bnb":
             from repro.ilp.branch_and_bound import solve_bnb
 
@@ -308,10 +315,8 @@ class IlpModel:
             from repro.ilp.scipy_backend import solve_scipy
 
             solution = solve_scipy(self.standard_form())
-        elif backend == "lp":
-            solution = self._solve_relaxation()
         else:
-            raise IlpError(f"unknown backend {backend!r}")
+            solution = self._solve_relaxation()
 
         if verify and solution.status is SolveStatus.OPTIMAL and backend != "lp":
             violations = self.check(dict(solution.values))

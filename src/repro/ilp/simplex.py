@@ -85,36 +85,15 @@ class LpResult:
     tableau: np.ndarray | None = None
 
 
-def _reference_pivot(
-    tableau: np.ndarray, basis: np.ndarray, row: int, col: int
-) -> None:
-    """Scalar (pre-vectorisation) pivot, kept as the parity oracle.
-
-    The property suite (``tests/test_vectorized_kernels.py``) asserts
-    that :func:`_pivot` produces an identical tableau and basis on every
-    pivot of random LP solves.
-    """
-    pivot_value = tableau[row, col]
-    if abs(pivot_value) <= TOLERANCE:
-        raise IlpNumericalError(
-            f"pivot on a (near-)zero element at row {row}, column {col} "
-            f"(|pivot| = {abs(pivot_value):.3e} <= {TOLERANCE:g})"
-        )
-    tableau[row] /= pivot_value
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0.0:
-            tableau[i] -= tableau[i, col] * tableau[row]
-    basis[row] = col
-
-
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     """Perform one pivot: make column ``col`` basic in row ``row``.
 
     The row elimination is one broadcast rank-1 update instead of a
     per-row Python loop; every element still sees the identical
     ``x - factor * pivot_row`` IEEE operations, so tableaus stay
-    bit-identical to :func:`_reference_pivot` (rows whose factor is an
-    exact zero subtract an exact zero, which cannot change a value).
+    bit-identical to the scalar loop in ``tests/oracles/simplex_kernels.py``
+    (rows whose factor is an exact zero subtract an exact zero, which
+    cannot change a value).
     """
     pivot_value = tableau[row, col]
     if abs(pivot_value) <= TOLERANCE:
@@ -129,26 +108,6 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _reference_ratio_test(
-    tableau: np.ndarray, basis: np.ndarray, entering: int
-) -> int:
-    """Scalar (pre-vectorisation) primal ratio test, kept as the parity
-    oracle for :func:`_ratio_test`.  Returns the leaving row or ``-1``."""
-    best_ratio = np.inf
-    leaving = -1
-    for i in range(tableau.shape[0]):
-        coef = tableau[i, entering]
-        if coef > TOLERANCE:
-            ratio = tableau[i, -1] / coef
-            if ratio < best_ratio - TOLERANCE or (
-                abs(ratio - best_ratio) <= TOLERANCE
-                and (leaving < 0 or basis[i] < basis[leaving])
-            ):
-                best_ratio = ratio
-                leaving = i
-    return leaving
-
-
 def _ratio_test(
     tableau: np.ndarray, basis: np.ndarray, entering: int
 ) -> int:
@@ -157,9 +116,10 @@ def _ratio_test(
     The candidate rows and their ratios are computed as whole-array
     operations; the tolerance fold over the (few) candidates then runs
     on plain Python floats in the original row order, reproducing the
-    sequential accept/reject semantics of :func:`_reference_ratio_test`
-    exactly — including its chained-tolerance tie behaviour.  Returns
-    the leaving row index, or ``-1`` when the column is unbounded.
+    sequential accept/reject semantics of the scalar row scan in
+    ``tests/oracles/simplex_kernels.py`` exactly — including its
+    chained-tolerance tie behaviour.  Returns the leaving row index, or
+    ``-1`` when the column is unbounded.
     """
     column = tableau[:, entering]
     candidates = np.flatnonzero(column > TOLERANCE)
@@ -182,18 +142,10 @@ def _ratio_test(
     return leaving
 
 
-def _reference_entering_index(reduced: np.ndarray) -> int:
-    """Scalar (pre-vectorisation) Bland entering scan: the smallest
-    column index with a negative reduced cost, or ``-1``."""
-    for j, r in enumerate(reduced):
-        if r < -TOLERANCE:
-            return j
-    return -1
-
-
 def _entering_index(reduced: np.ndarray) -> int:
     """Bland entering scan as one masked ``flatnonzero`` (first negative
-    reduced cost); semantics identical to the scalar scan."""
+    reduced cost); semantics identical to the scalar scan in
+    ``tests/oracles/simplex_kernels.py``."""
     negative = np.flatnonzero(reduced < -TOLERANCE)
     return int(negative[0]) if negative.size else -1
 

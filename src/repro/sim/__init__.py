@@ -5,23 +5,19 @@ round-robin arbitration and Table 2-consistent device timing, producing
 the observables the paper's methodology needs: DSU counter readings,
 execution times, and (beyond real hardware) ground-truth access profiles.
 
-Two engines share one event model (``SIM_ENGINES``):
+The engine executes a :class:`~repro.sim.program.CompiledProgram` —
+numpy gap/request-id arrays over a deduplicated request table, built
+once per program (:func:`~repro.sim.program.compile_program`): workload
+specs build them straight from their block columns, other programs
+flatten their step stream with runs of gap-only steps merged into the
+following request's gap; uncontended transactions complete inline, off
+the event heap.
 
-* ``engine="compiled"`` (the default) executes a
-  :class:`~repro.sim.program.CompiledProgram` — numpy gap/request-id
-  arrays over a deduplicated request table, built once per program
-  (:func:`~repro.sim.program.compile_program`): workload specs build
-  them straight from their block columns, other programs flatten their
-  step stream with runs of gap-only steps merged into the following
-  request's gap; uncontended transactions complete inline, off the
-  event heap;
-* ``engine="reference"`` replays the original per-step object stream.
-
-The engines are **byte-identical** — same pickled :class:`SimResult`
-down to counters, stats and artifacts — which the equivalence suite
-(``tests/test_vectorized_kernels.py``) and the acceptance benchmark
-(``benchmarks/bench_sim_scaling.py``) both assert; the compiled engine
-is purely a throughput change.
+Its semantics oracle, a step-generator walk that replays the per-step
+object stream, lives in ``tests/oracles/sim_reference.py``.  The
+equivalence suite (``tests/test_vectorized_kernels.py``) and the
+acceptance benchmark (``benchmarks/bench_sim_scaling.py``) both assert
+that the two produce byte-identical pickled :class:`SimResult`\\ s.
 """
 
 from repro.sim.dma import DmaAgent, DmaResult
@@ -44,7 +40,6 @@ from repro.sim.program import (
 from repro.sim.requests import MissKind, SriRequest, code_fetch, data_access
 from repro.sim.system import (
     ARBITRATION_POLICIES,
-    SIM_ENGINES,
     CoreResult,
     SimResult,
     SystemSimulator,
@@ -64,7 +59,6 @@ __all__ = [
     "CoreResult",
     "DeviceTiming",
     "MissKind",
-    "SIM_ENGINES",
     "SetAssociativeCache",
     "SimResult",
     "SimTiming",

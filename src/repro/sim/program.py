@@ -189,7 +189,7 @@ class TaskProgram:
         name: task name, carried into counter readings and reports.
         stream_factory: zero-argument callable returning a fresh step
             iterator; walked once by :func:`compile_program` and once per
-            reference-engine run.
+            :meth:`steps` call.
         array_builder: zero-argument callable returning the program's
             :class:`CompiledProgram` directly; :meth:`steps` then replays
             the arrays.

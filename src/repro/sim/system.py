@@ -26,26 +26,24 @@ per-request interference is bounded by ``l^{t,o}`` of the contender's
 request — the exact alignment assumption of the models.  The validation
 suite leans on this.
 
-Two engines produce **byte-identical** results (the equivalence suite
-pins this on pickled :class:`SimResult`\\ s):
-
-* ``engine="compiled"`` (default) walks each program's
-  :class:`~repro.sim.program.CompiledProgram` arrays with integer
-  cursors, pre-resolves every per-request timing/counter lookup per
-  distinct request, only heap-schedules transactions on *shared*
-  devices (a core alone on a device advances through whole request runs
-  closed-form, and an isolation run never touches the heap at all), and
-  batches counter/statistics updates into per-request accumulators;
-* ``engine="reference"`` is the retained step-generator walk — one
-  generator resumption per step, one heap event per step/issue/grant/
-  completion — kept as the semantics oracle for the equivalence tests.
+The simulator walks each program's
+:class:`~repro.sim.program.CompiledProgram` arrays with integer cursors,
+pre-resolves every per-request timing/counter lookup per distinct
+request, only heap-schedules transactions on *shared* devices (a core
+alone on a device advances through whole request runs closed-form, and
+an isolation run never touches the heap at all), and batches
+counter/statistics updates into per-request accumulators.  Its semantics
+oracle, a step-generator walk with one heap event per step, issue, grant
+and completion, lives in ``tests/oracles/sim_reference.py``; the
+equivalence suite pins the two byte-identical on pickled
+:class:`SimResult`\\ s.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.core.ptac import AccessProfile, profile_from_pairs
 from repro.counters.dsu import CounterBank, DebugCounter
@@ -53,8 +51,7 @@ from repro.counters.readings import TaskReadings
 from repro.errors import SimulationError
 from repro.platform.targets import Operation, Target
 from repro.sim.dma import DmaAgent, DmaResult
-from repro.sim.program import Step, TaskProgram
-from repro.sim.requests import SriRequest
+from repro.sim.program import TaskProgram
 from repro.sim.timing import SimTiming, tc27x_sim_timing
 
 
@@ -143,47 +140,18 @@ class SimResult:
             ) from exc
 
 
-class _CoreState:
-    """Mutable execution state of one core."""
-
-    __slots__ = (
-        "core_id",
-        "steps",
-        "bank",
-        "true_counts",
-        "pending",
-        "issue_time",
-        "overlap_credit",
-        "finish_time",
-        "wait_cycles",
-        "name",
-    )
-
-    def __init__(self, core_id: int, program: TaskProgram) -> None:
-        self.core_id = core_id
-        self.name = program.name
-        self.steps: Iterator[Step] = program.steps()
-        self.bank = CounterBank()
-        self.true_counts: dict[tuple[Target, Operation], int] = {}
-        self.pending: SriRequest | None = None
-        self.issue_time = 0
-        self.overlap_credit = 0
-        self.finish_time: int | None = None
-        self.wait_cycles = 0
-
-
 #: Blocking-extreme sentinels of the per-request aggregation (plain ints
 #: keep the hot-loop comparisons int-vs-int).
 _BLOCKING_MAX_SENTINEL = 1 << 62
 
-#: The compiled engine's counter accumulators are lists indexed by a
-#: counter's position here (an int index, not an enum hash, per update).
+#: Counter accumulators are lists indexed by a counter's position here
+#: (an int index, not an enum hash, per update).
 _COUNTERS = tuple(DebugCounter)
 _COUNTER_INDEX = {counter: index for index, counter in enumerate(_COUNTERS)}
 
 
 class _CompiledCoreState:
-    """Mutable execution state of one core on the compiled-program path.
+    """Mutable execution state of one core, walking its compiled program.
 
     Everything the per-transaction hot path needs is pre-resolved per
     *distinct* request (``*_by_rid`` lists) when the run starts, and
@@ -193,8 +161,8 @@ class _CompiledCoreState:
     request that counts no miss.  The :class:`CounterBank`, ground-truth
     counts and per-key :class:`TransactionStats` are folded out once in
     :meth:`finalize` — in the same key order and with the same values as
-    the reference engine's per-event updates (all the folds commute:
-    sums, saturating sums, and min/max extremes).
+    per-transaction updates would give (all the folds commute: sums,
+    saturating sums, and min/max extremes).
     """
 
     __slots__ = (
@@ -270,12 +238,12 @@ class _CompiledCoreState:
         self.agg_bmax = [-1] * n
 
     def finalize(self) -> dict[tuple[Target, Operation], "TransactionStats"]:
-        """Fold the per-rid accumulators into the reference observables.
+        """Fold the per-rid accumulators into the run's observables.
 
         Key order: the deduped request table is in first-appearance
         order, so each (target, operation) key is first seen here at the
-        same point the reference engine first completed it — the dicts
-        iterate identically.
+        point the program first completed it — the dicts iterate as a
+        per-transaction walk would build them.
         """
         bank = CounterBank()
         for counter, amount in zip(_COUNTERS, self.acc):
@@ -325,9 +293,9 @@ class _CompiledCoreState:
 class _DmaState:
     """Mutable execution state of one DMA agent.
 
-    ``service`` and ``device`` are resolved once by the compiled engine
-    (the agent issues one fixed transaction template, so its timing and
-    target never change); the reference engine leaves them unset.
+    ``service`` and ``device`` are resolved once when the run starts (the
+    agent issues one fixed transaction template, so its timing and target
+    never change).
     """
 
     __slots__ = (
@@ -356,16 +324,17 @@ class _DmaState:
         return self.agent.master_id
 
 
-#: A queued transaction: (requester state, request, issue time).
-_QueueEntry = tuple[object, SriRequest, int]
+#: A queued transaction: (requester state, request id, issue time,
+#: service time).  The request id indexes the requesting core's request
+#: table; it is −1 for a DMA agent.
+_QueueEntry = tuple[object, int, int, int]
 
 
 class _DeviceState:
     """Mutable state of one SRI slave: in-flight transaction and queue.
 
-    ``key`` (heap payload index) and ``grant_pending`` (an arbitration
-    event is already queued for this cycle) are used by the compiled
-    engine only; the reference engine schedules one grant per enqueue.
+    ``key`` is the device's heap payload index; ``grant_pending`` says an
+    arbitration event is already queued for this cycle.
     """
 
     __slots__ = ("target", "current", "queue", "last_served", "key", "grant_pending")
@@ -383,16 +352,14 @@ _STEP = 0
 _ISSUE = 1
 _COMPLETE = 2
 _DMA_TICK = 3
-# Grants sort after every other event kind at the same timestamp, so all
-# same-cycle requests are enqueued before the slave arbitrates — matching
-# hardware, where arbitration sees every request raised in the cycle.
+# An idle device's arbitration event sorts after every other event kind
+# at the same timestamp, so it sees every request raised in the cycle.  A
+# busy device arbitrates inline at its completion instead, among the
+# requests queued by then.
 _GRANT = 4
 
 #: Supported arbitration policies of the SRI slave interfaces.
 ARBITRATION_POLICIES = ("round-robin", "priority")
-
-#: Supported execution engines (see the module docstring).
-SIM_ENGINES = ("compiled", "reference")
 
 
 class SystemSimulator:
@@ -407,10 +374,6 @@ class SystemSimulator:
             classes.
         priorities: master id → priority class (lower value wins);
             unspecified masters default to class 0.
-        engine: ``"compiled"`` (default, walks pre-flattened program
-            arrays) or ``"reference"`` (the retained step-generator
-            walk).  Both produce byte-identical results; the choice is
-            purely a speed/oracle trade (see the module docstring).
     """
 
     def __init__(
@@ -419,7 +382,6 @@ class SystemSimulator:
         *,
         arbitration: str = "round-robin",
         priorities: Mapping[int, int] | None = None,
-        engine: str = "compiled",
     ) -> None:
         self.timing = timing or tc27x_sim_timing()
         if arbitration not in ARBITRATION_POLICIES:
@@ -427,14 +389,8 @@ class SystemSimulator:
                 f"unknown arbitration policy {arbitration!r}; "
                 f"expected one of {ARBITRATION_POLICIES}"
             )
-        if engine not in SIM_ENGINES:
-            raise SimulationError(
-                f"unknown simulation engine {engine!r}; "
-                f"expected one of {SIM_ENGINES}"
-            )
         self.arbitration = arbitration
         self.priorities = dict(priorities or {})
-        self.engine = engine
 
     def _priority(self, master_id: int) -> int:
         return self.priorities.get(master_id, 0)
@@ -456,20 +412,9 @@ class SystemSimulator:
 
         Returns:
             A :class:`SimResult` with per-core (and per-agent) observables.
-        """
-        if self.engine == "reference":
-            return self._run_reference(programs, dma_agents)
-        return self._run_compiled(programs, dma_agents)
 
-    # ------------------------------------------------------------------
-    def _run_compiled(
-        self,
-        programs: Mapping[int, TaskProgram],
-        dma_agents: Sequence[DmaAgent] = (),
-    ) -> SimResult:
-        """The compiled-program engine (see the module docstring).
-
-        Equivalence to :meth:`_run_reference` rests on four facts, each
+        Equivalence to the step-generator oracle
+        (``tests/oracles/sim_reference.py``) rests on four facts, each
         pinned by the equivalence suite:
 
         * merging a run of gap-only steps into the next request's gap is
@@ -478,12 +423,18 @@ class SystemSimulator:
           closed form);
         * a transaction on a device with a single master never waits
           (the issuing master is single-outstanding), so its completion
-          is ``issue + service`` and it can be processed inline without
-          touching the heap or the device state nobody else observes;
+          is ``issue + service`` and it is processed inline, without a
+          heap event.  That fixes the same-cycle rule: a single-master
+          completion comes before every shared completion of its cycle.
+          When the master's next request follows with zero effective gap
+          and goes to a shared device whose transaction also completes
+          in that cycle, the request is queued before that completion
+          arbitrates.  The oracle states the rule with an event kind of
+          its own, sorted before the shared completions;
         * scheduling an arbitration event only when the device is idle
           drops exactly the grant events that were no-ops (a busy
-          device's next grant happens inline at its completion, in both
-          engines), and event *sequence numbers* only break heap ties —
+          device's next grant happens inline at its completion, in the
+          oracle too), and event *sequence numbers* only break heap ties —
           same-cycle issues still all enqueue before the grant fires;
         * every observable aggregation (counters, stats extremes, wait
           sums, ground-truth counts) commutes, so batching them per
@@ -641,8 +592,12 @@ class SystemSimulator:
                 return
 
         def grant(device: _DeviceState, now: int) -> None:
-            """Start serving the next queued request (same selection rule
-            as the reference engine's arbitration — see its docstring)."""
+            """Start serving the next queued request.
+
+            Selection: highest priority class first (under ``"priority"``
+            arbitration), round-robin distance from the last served master
+            within a class.  Ties keep the earliest-queued entry.
+            """
             nonlocal seq
             if device.current is not None:
                 return
@@ -776,222 +731,9 @@ class SystemSimulator:
         return self._collect(cores, stats, dma)
 
     # ------------------------------------------------------------------
-    def _run_reference(
-        self,
-        programs: Mapping[int, TaskProgram],
-        dma_agents: Sequence[DmaAgent] = (),
-    ) -> SimResult:
-        """The retained step-generator engine — the semantics oracle the
-        compiled engine is pinned byte-identical against."""
-        if not programs:
-            raise SimulationError("no programs to run")
-        cores = {
-            core_id: _CoreState(core_id, program)
-            for core_id, program in programs.items()
-        }
-        dma = {}
-        for agent in dma_agents:
-            if agent.master_id in cores or agent.master_id in dma:
-                raise SimulationError(
-                    f"duplicate SRI master id {agent.master_id}"
-                )
-            dma[agent.master_id] = _DmaState(agent)
-        devices = {target: _DeviceState(target) for target in Target}
-        stats: dict[int, dict[tuple[Target, Operation], TransactionStats]] = {
-            core_id: {} for core_id in cores
-        }
-
-        heap: list[tuple[int, int, int, int]] = []  # (time, kind, seq, id)
-        seq = 0
-        for core_id in sorted(cores):
-            heapq.heappush(heap, (0, _STEP, seq, core_id))
-            seq += 1
-        for master_id, state in sorted(dma.items()):
-            if state.remaining:
-                heapq.heappush(
-                    heap, (state.agent.start_time, _DMA_TICK, seq, master_id)
-                )
-                seq += 1
-
-        all_ids = list(cores) + list(dma)
-        rr_modulus = max(all_ids) + 2  # cyclic distance for round-robin
-        device_keys = {target: i for i, target in enumerate(Target)}
-        key_devices = {i: target for target, i in device_keys.items()}
-        # Arbitration constants, hoisted out of the per-grant hot path:
-        # every master's priority class is fixed for the run, and the
-        # policy check reduces to one bool instead of a string compare
-        # (and a key-closure allocation) per grant.
-        use_priority = self.arbitration == "priority"
-        priority_of = {
-            master_id: self._priority(master_id) for master_id in all_ids
-        }
-
-        def advance(state: _CoreState, now: int) -> None:
-            """Fetch the core's next step and schedule its issue/idle end."""
-            nonlocal seq
-            try:
-                gap, request = next(state.steps)
-            except StopIteration:
-                state.finish_time = now
-                return
-            if gap < 0:
-                raise SimulationError(
-                    f"{state.name!r}: negative gap in program"
-                )
-            # Overlap credit: computation hidden under the previous
-            # transaction's tail shortens this gap.
-            effective_gap = max(0, gap - state.overlap_credit)
-            state.overlap_credit = max(0, state.overlap_credit - gap)
-            when = now + effective_gap
-            if request is None:
-                heapq.heappush(heap, (when, _STEP, seq, state.core_id))
-            else:
-                state.pending = request
-                state.issue_time = when
-                heapq.heappush(heap, (when, _ISSUE, seq, state.core_id))
-            seq += 1
-
-        def grant(device: _DeviceState, now: int) -> None:
-            """Start serving the next queued request.
-
-            Selection: highest priority class first (under ``"priority"``
-            arbitration), round-robin distance from the last served master
-            within a class.  Ties keep the earliest-queued entry (strict
-            ``<`` mirrors ``min()``'s first-minimum rule), so the chosen
-            grants — and hence the traces — are identical to the former
-            closure-based ``min(range(len(queue)), key=...)`` selection;
-            the inline scan just stops allocating a closure and re-keying
-            the arbitration policy on every grant.
-            """
-            nonlocal seq
-            queue = device.queue
-            if device.current is not None or not queue:
-                return
-
-            chosen = 0
-            if len(queue) > 1:
-                last_served = device.last_served
-                best_priority = best_distance = -1
-                for index, entry in enumerate(queue):
-                    master_id: int = entry[0].core_id  # type: ignore[attr-defined]
-                    distance = (master_id - last_served - 1) % rr_modulus
-                    if use_priority:
-                        priority = priority_of[master_id]
-                        if best_distance < 0 or (
-                            (priority, distance)
-                            < (best_priority, best_distance)
-                        ):
-                            best_priority = priority
-                            best_distance = distance
-                            chosen = index
-                    elif best_distance < 0 or distance < best_distance:
-                        best_distance = distance
-                        chosen = index
-
-            entry = queue.pop(chosen)
-            device.current = entry
-            device.last_served = entry[0].core_id  # type: ignore[attr-defined]
-            completion = now + self.timing.service_time(entry[1])
-            heapq.heappush(
-                heap,
-                (completion, _COMPLETE, seq, device_keys[entry[1].target]),
-            )
-            seq += 1
-
-        def schedule_grant(target: Target, now: int) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (now, _GRANT, seq, device_keys[target]))
-            seq += 1
-
-        def dma_issue(state: _DmaState, now: int) -> None:
-            """Put one DMA transaction on the wire."""
-            state.outstanding += 1
-            state.remaining -= 1
-            device = devices[state.agent.request.target]
-            device.queue.append((state, state.agent.request, now))
-            schedule_grant(state.agent.request.target, now)
-
-        while heap:
-            now, kind, _, payload = heapq.heappop(heap)
-            if kind == _STEP:
-                advance(cores[payload], now)
-            elif kind == _GRANT:
-                grant(devices[key_devices[payload]], now)
-            elif kind == _ISSUE:
-                state = cores[payload]
-                request = state.pending
-                assert request is not None
-                counter = request.miss_kind.counter
-                if counter is not None:
-                    state.bank.increment(counter)
-                device = devices[request.target]
-                device.queue.append((state, request, state.issue_time))
-                schedule_grant(request.target, now)
-            elif kind == _DMA_TICK:
-                agent_state = dma[payload]
-                if agent_state.remaining > 0:
-                    if agent_state.outstanding < agent_state.agent.queue_depth:
-                        dma_issue(agent_state, now)
-                    else:
-                        agent_state.deferred += 1
-                    if agent_state.remaining > 0:
-                        heapq.heappush(
-                            heap,
-                            (
-                                now + agent_state.agent.period,
-                                _DMA_TICK,
-                                seq,
-                                payload,
-                            ),
-                        )
-                        seq += 1
-            else:  # _COMPLETE
-                device = devices[key_devices[payload]]
-                assert device.current is not None
-                requester, request, issue_time = device.current
-                device.current = None
-                service = self.timing.service_time(request)
-                wait = now - service - issue_time
-                if wait < 0:
-                    raise SimulationError("causality violation in simulator")
-                if isinstance(requester, _DmaState):
-                    requester.outstanding -= 1
-                    requester.served += 1
-                    requester.wait_cycles += wait
-                    if requester.deferred and requester.remaining:
-                        requester.deferred -= 1
-                        dma_issue(requester, now)
-                    if (
-                        requester.remaining == 0
-                        and requester.outstanding == 0
-                    ):
-                        requester.finish_time = now
-                else:
-                    state = requester
-                    overlap = self.timing.device(request.target).overlap(
-                        request
-                    )
-                    blocking = max(0, now - issue_time - overlap)
-                    state.bank.increment(request.stall_counter, blocking)
-                    state.overlap_credit = overlap
-                    state.wait_cycles += wait
-                    key_ = (request.target, request.operation)
-                    state.true_counts[key_] = (
-                        state.true_counts.get(key_, 0) + 1
-                    )
-                    stats[state.core_id].setdefault(
-                        key_, TransactionStats()
-                    ).record(service, blocking, wait)
-                    state.pending = None
-                    advance(state, now)
-                grant(device, now)
-
-        return self._collect(cores, stats, dma)
-
-    # ------------------------------------------------------------------
     def _collect(
         self,
-        cores: dict[int, _CoreState],
+        cores: dict[int, _CompiledCoreState],
         stats: dict[int, dict[tuple[Target, Operation], TransactionStats]],
         dma: dict[int, _DmaState] | None = None,
     ) -> SimResult:
@@ -1046,20 +788,17 @@ def run_isolation(
     *,
     core: int = 1,
     timing: SimTiming | None = None,
-    engine: str = "compiled",
 ) -> CoreResult:
     """Run one task alone (the paper's measurement protocol, step 1)."""
-    sim = SystemSimulator(timing, engine=engine)
-    return sim.run({core: program}).core(core)
+    return SystemSimulator(timing).run({core: program}).core(core)
 
 
 def run_corun(
     programs: Mapping[int, TaskProgram],
     *,
     timing: SimTiming | None = None,
-    engine: str = "compiled",
 ) -> SimResult:
     """Co-run tasks on different cores, contending on the SRI."""
     if len(programs) < 2:
         raise SimulationError("a co-run needs at least two programs")
-    return SystemSimulator(timing, engine=engine).run(programs)
+    return SystemSimulator(timing).run(programs)

@@ -106,6 +106,19 @@ class TestModelStructure:
         with pytest.raises(ModelError):
             IlpPtacOptions(stall_budget="median")
 
+    @pytest.mark.parametrize(
+        ("knobs", "named"),
+        [
+            ({"backend": "gurobi"}, "gurobi"),
+            ({"backend": "BNB"}, "BNB"),
+            ({"node_limit": 0}, "node_limit"),
+            ({"node_limit": -5}, "node_limit"),
+        ],
+    )
+    def test_invalid_solver_knobs_rejected(self, knobs, named):
+        with pytest.raises(ModelError, match=named):
+            IlpPtacOptions(**knobs)
+
 
 class TestWitnessConsistency:
     """The optimiser's witness must satisfy the paper's constraints."""

@@ -38,7 +38,6 @@ from repro.core.fsb import (
 )
 from repro.core.priority import dma_traffic_profile, dma_victim_bound
 from repro.core.results import ContentionBound
-from repro.core.wcet import ModelKind
 from repro.engine import ExperimentEngine, ResultCache, job
 from repro.errors import ModelError
 from repro.platform.targets import Operation, Target
@@ -74,22 +73,10 @@ class TestRegistryContents:
     def test_at_least_eight_models(self):
         assert len(model_names()) >= 8
 
-    def test_model_kind_values_are_registered(self):
-        for kind in ModelKind:
-            assert kind.value in default_model_registry()
-
     def test_specs_satisfy_the_protocol(self):
         for spec in default_model_registry():
             assert isinstance(spec, ContentionModel)
             assert spec.name and spec.description
-
-    def test_model_kind_parse_lists_valid_names(self):
-        with pytest.raises(ModelError) as excinfo:
-            ModelKind.parse("magic")
-        message = str(excinfo.value)
-        for kind in ModelKind:
-            assert kind.value in message
-        assert "ilp-ptac-multi" in message  # registry-only names too
 
     def test_register_custom_model_resolves_via_facade(
         self, app_sc1, profile, sc1
@@ -190,13 +177,6 @@ class TestParityPaperCounters:
         assert bound.delta_cycles == paper.EXPECTED_DELTA[
             ("scenario1", "ilp-ptac", "H")
         ]
-
-    def test_legacy_modelkind_still_dispatches(
-        self, app_sc1, profile, sc1, hload_sc1
-    ):
-        assert contention_bound(
-            ModelKind.ILP_PTAC, app_sc1, profile, sc1, hload_sc1
-        ) == contention_bound("ilp-ptac", app_sc1, profile, sc1, hload_sc1)
 
 
 class TestParitySimulatorModels:

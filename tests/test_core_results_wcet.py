@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.results import ContentionBound, WcetEstimate
-from repro.core.wcet import ModelKind, contention_bound, wcet_estimate
+from repro.core.wcet import contention_bound, wcet_estimate
 from repro.errors import ModelError
 from repro.platform.targets import Operation, Target
 
@@ -78,11 +78,6 @@ class TestWcetEstimate:
 
 
 class TestFacade:
-    def test_model_kind_parse(self):
-        assert ModelKind.parse("ilp-ptac") is ModelKind.ILP_PTAC
-        with pytest.raises(ModelError):
-            ModelKind.parse("magic")
-
     @pytest.mark.parametrize(
         "model", ["ftc-baseline", "ftc-refined", "ilp-ptac", "ilp-ptac-tc"]
     )

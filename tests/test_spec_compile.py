@@ -17,10 +17,11 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles.sim_reference import ReferenceSimulator
 from repro.platform.targets import VALID_PAIRS, Operation, Target
 from repro.sim.program import compile_program, program_from_steps
 from repro.sim.requests import MissKind, SriRequest, code_fetch, data_access
-from repro.sim.system import SIM_ENGINES, run_isolation
+from repro.sim.system import SystemSimulator, run_isolation
 from repro.workloads.footprint import isolation_cycles
 from repro.workloads.spec import RequestBlock, WorkloadSpec, _FractionSequencer
 
@@ -31,6 +32,9 @@ SETTINGS = settings(
 )
 
 _DATA_MISS_KINDS = (MissKind.DCACHE_MISS_CLEAN, MissKind.DCACHE_MISS_DIRTY)
+
+#: The library engine and its step-generator oracle.
+_SIMULATORS = (SystemSimulator(), ReferenceSimulator())
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +217,8 @@ def test_spec_compiles_like_its_step_walk(spec):
 def test_spec_isolation_cycles_match_both_engines(spec):
     program = spec.program()
     cycles = isolation_cycles(program)
-    for engine in SIM_ENGINES:
-        readings = run_isolation(program, engine=engine).readings
+    for simulator in _SIMULATORS:
+        readings = simulator.run({1: program}).readings(1)
         assert cycles == (readings.ccnt or 0)
 
 
@@ -269,8 +273,8 @@ step_lists = st.lists(
 def test_isolation_cycles_on_gap_only_runs(steps):
     program = program_from_steps("steps", steps)
     cycles = isolation_cycles(program)
-    for engine in SIM_ENGINES:
-        readings = run_isolation(program, engine=engine).readings
+    for simulator in _SIMULATORS:
+        readings = simulator.run({1: program}).readings(1)
         assert cycles == (readings.ccnt or 0)
 
 

@@ -7,20 +7,19 @@ three ways:
 
 * **kernel parity** — the whole-array ``_pivot`` / ``_ratio_test`` /
   ``_entering_index`` kernels produce bit-identical tableaus and
-  identical index choices to their kept scalar oracles
-  (``_reference_pivot`` / ``_reference_ratio_test`` /
-  ``_reference_entering_index``) on random inputs, and whole LP solves
-  driven by either kernel set agree exactly;
+  identical index choices to their scalar oracles
+  (``tests/oracles/simplex_kernels.py``) on random inputs, and whole LP
+  solves driven by either kernel set agree exactly;
 * **warm-extension equivalence** — the tableau-extension entry points
   (``warm_solve_insert_row`` / ``warm_solve_shift_rhs`` /
   ``warm_solve_rhs_delta``) land on the same optimum as a cold solve of
   the explicitly assembled child instance (the canonical polish makes
   the vertex independent of the solve path);
-* **engine equivalence** — ``engine="compiled"`` and
-  ``engine="reference"`` simulator runs produce byte-identical pickled
-  :class:`SimResult` objects on builtin families, random workloads, DMA
-  co-runs and gap-merging edge cases (the compiled engine's one
-  documented hazard).
+* **engine equivalence** — :class:`SystemSimulator` and the
+  step-generator oracle (``tests/oracles/sim_reference.py``) produce
+  byte-identical pickled :class:`SimResult` objects on builtin families,
+  random workloads, generated multi-core DMA co-runs and gap-merging
+  edge cases (the compiled arrays' one documented hazard).
 
 Equality here is deliberately strict: ``np.array_equal`` / pickle-bytes
 comparison, not ``approx`` — except where two *different pivot paths*
@@ -30,12 +29,19 @@ legitimate and a tight tolerance is used instead.
 
 import functools
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles.sim_reference import ReferenceSimulator
+from oracles.simplex_kernels import (
+    reference_entering_index,
+    reference_pivot,
+    reference_ratio_test,
+)
 from repro.errors import IlpNumericalError
 from repro.ilp import simplex
 from repro.ilp.simplex import (
@@ -44,9 +50,6 @@ from repro.ilp.simplex import (
     _entering_index,
     _pivot,
     _ratio_test,
-    _reference_entering_index,
-    _reference_pivot,
-    _reference_ratio_test,
     solve_lp,
     warm_solve_insert_row,
     warm_solve_rhs_delta,
@@ -57,7 +60,8 @@ from repro.platform.targets import Target
 from repro.sim.dma import DmaAgent
 from repro.sim.program import program_from_steps
 from repro.sim.requests import code_fetch, data_access
-from repro.sim.system import SIM_ENGINES, SystemSimulator
+from repro.sim.system import SystemSimulator
+from repro.sim.timing import tc27x_sim_timing
 from repro.workloads.control_loop import build_control_loop
 from repro.workloads.loads import build_load
 from repro.workloads.synthetic import random_task_pair
@@ -109,7 +113,7 @@ def test_pivot_matches_reference(data, row_seed):
     t_vec, b_vec = tableau.copy(), basis.copy()
     t_ref, b_ref = tableau.copy(), basis.copy()
     _pivot(t_vec, b_vec, row, col)
-    _reference_pivot(t_ref, b_ref, row, col)
+    reference_pivot(t_ref, b_ref, row, col)
 
     assert np.array_equal(t_vec, t_ref)
     assert np.array_equal(b_vec, b_ref)
@@ -125,7 +129,7 @@ def test_pivot_rejects_near_zero_like_reference(data, row_seed):
     with pytest.raises(IlpNumericalError):
         _pivot(tableau.copy(), basis.copy(), row, 0)
     with pytest.raises(IlpNumericalError):
-        _reference_pivot(tableau.copy(), basis.copy(), row, 0)
+        reference_pivot(tableau.copy(), basis.copy(), row, 0)
 
 
 @SETTINGS
@@ -133,7 +137,7 @@ def test_pivot_rejects_near_zero_like_reference(data, row_seed):
 def test_ratio_test_matches_reference(data, col_seed):
     tableau, basis = data
     entering = col_seed % (tableau.shape[1] - 1)
-    assert _ratio_test(tableau, basis, entering) == _reference_ratio_test(
+    assert _ratio_test(tableau, basis, entering) == reference_ratio_test(
         tableau, basis, entering
     )
 
@@ -145,7 +149,7 @@ def test_ratio_test_matches_reference(data, col_seed):
 )
 def test_entering_index_matches_reference(cells, jitter):
     reduced = np.array(cells, dtype=float) / 4.0 + jitter
-    assert _entering_index(reduced) == _reference_entering_index(reduced)
+    assert _entering_index(reduced) == reference_entering_index(reduced)
 
 
 @st.composite
@@ -201,9 +205,9 @@ def test_full_solves_identical_under_reference_kernels(lp):
     """
     vectorised = _solve_outcome(lp)
     originals = (simplex._pivot, simplex._ratio_test, simplex._entering_index)
-    simplex._pivot = _reference_pivot
-    simplex._ratio_test = _reference_ratio_test
-    simplex._entering_index = _reference_entering_index
+    simplex._pivot = reference_pivot
+    simplex._ratio_test = reference_ratio_test
+    simplex._entering_index = reference_entering_index
     try:
         scalar = _solve_outcome(lp)
     finally:
@@ -343,24 +347,14 @@ def test_extension_entry_points_do_not_mutate_inputs():
 
 
 # ---------------------------------------------------------------------------
-# Compiled vs reference simulation engine: byte-identical results.
+# Simulator vs its step-generator oracle: byte-identical results.
 # ---------------------------------------------------------------------------
 
 
-def _engine_pickles(programs, dma_agents=(), **sim_kwargs):
-    return {
-        engine: pickle.dumps(
-            SystemSimulator(engine=engine, **sim_kwargs).run(
-                programs, dma_agents
-            )
-        )
-        for engine in SIM_ENGINES
-    }
-
-
 def _assert_engines_agree(programs, dma_agents=(), **sim_kwargs):
-    pickles = _engine_pickles(programs, dma_agents, **sim_kwargs)
-    assert pickles["compiled"] == pickles["reference"]
+    library = SystemSimulator(**sim_kwargs).run(programs, dma_agents)
+    oracle = ReferenceSimulator(**sim_kwargs).run(programs, dma_agents)
+    assert pickle.dumps(library) == pickle.dumps(oracle)
 
 
 class TestEngineByteEquivalence:
@@ -383,7 +377,7 @@ class TestEngineByteEquivalence:
 
     def test_dma_corun_multi_outstanding(self):
         # A deep-queue DMA master exercises the one path where the
-        # compiled engine cannot take its no-contention shortcut.
+        # library engine cannot take its no-contention shortcut.
         program = program_from_steps(
             "victim", [(2, code_fetch(Target.PF0))] * 40
         )
@@ -431,3 +425,132 @@ class TestEngineByteEquivalence:
             "right", [(0, data_access(Target.LMU))] * 25
         )
         _assert_engines_agree({1: left, 2: right})
+
+
+# ---------------------------------------------------------------------------
+# Generated multi-core runs, with and without DMA agents.
+# ---------------------------------------------------------------------------
+
+_TIMING = tc27x_sim_timing()
+
+#: DMA transaction templates.  No core program of either reference
+#: scenario touches the DFL, so a DFL agent is alone on its target; with
+#: a period of at least its service time it takes the library's
+#: closed-form shortcut.
+_DMA_REQUESTS = (
+    data_access(Target.LMU),
+    data_access(Target.DFL),
+    code_fetch(Target.PF1),
+)
+
+_SCENARIOS = {"scenario1": scenario_1, "scenario2": scenario_2}
+
+
+class GeneratedRun(NamedTuple):
+    """One drawn simulation run.
+
+    ``cores`` lists, for cores 1, 2, ..., which side of
+    ``random_task_pair`` runs there (``"task"`` or ``"contender"``) and
+    the pair's seed and ``max_requests``.  ``priorities`` is ``None``
+    for round-robin arbitration.
+    """
+
+    scenario: str
+    cores: tuple[tuple[str, int, int], ...]
+    dma: tuple[DmaAgent, ...]
+    priorities: dict[int, int] | None
+
+
+@st.composite
+def generated_runs(draw):
+    cores = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(("task", "contender")),
+                st.integers(0, 10**6),
+                st.integers(20, 300),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    dma = []
+    for master_id in range(10, 10 + draw(st.integers(0, 2))):
+        request = draw(st.sampled_from(_DMA_REQUESTS))
+        service = _TIMING.service_time(request)
+        dma.append(
+            DmaAgent(
+                master_id,
+                request,
+                count=draw(st.integers(0, 40)),
+                period=draw(st.sampled_from((1, 2, service, service + 7))),
+                queue_depth=draw(st.integers(1, 8)),
+                start_time=draw(st.integers(0, 50)),
+            )
+        )
+    priorities = None
+    if draw(st.booleans()):
+        masters = [*range(1, len(cores) + 1), *(a.master_id for a in dma)]
+        priorities = {master: draw(st.integers(0, 2)) for master in masters}
+    return GeneratedRun(
+        draw(st.sampled_from(sorted(_SCENARIOS))),
+        tuple(cores),
+        tuple(dma),
+        priorities,
+    )
+
+
+# The three pinned runs each end a single-master transaction and a
+# shared one in the same cycle, with the single master's next request
+# due at once on the shared device.  An oracle that orders the two
+# completions by sequence number alone lets the shared grant miss that
+# request on these runs.
+@SETTINGS
+@example(
+    run=GeneratedRun(
+        "scenario1",
+        (("task", 902926, 298), ("contender", 789814, 44)),
+        (
+            DmaAgent(
+                10,
+                code_fetch(Target.PF1),
+                count=32,
+                period=23,
+                queue_depth=6,
+                start_time=30,
+            ),
+        ),
+        None,
+    )
+)
+@example(
+    run=GeneratedRun(
+        "scenario2",
+        (("task", 681240, 42), ("contender", 119195, 118), ("task", 249001, 62)),
+        (),
+        {1: 0, 2: 2, 3: 1},
+    )
+)
+@example(
+    run=GeneratedRun(
+        "scenario1",
+        (("task", 593196, 172), ("contender", 274620, 115), ("task", 673520, 260)),
+        (),
+        None,
+    )
+)
+@given(run=generated_runs())
+def test_generated_runs_match_oracle(run):
+    scenario = _SCENARIOS[run.scenario]()
+    programs = {}
+    for core, (side, seed, max_requests) in enumerate(run.cores, start=1):
+        task, contender = random_task_pair(
+            scenario, seed=seed, max_requests=max_requests
+        )
+        programs[core] = task if side == "task" else contender
+    sim_kwargs = (
+        {}
+        if run.priorities is None
+        else {"arbitration": "priority", "priorities": run.priorities}
+    )
+    _assert_engines_agree(programs, run.dma, **sim_kwargs)
