@@ -14,7 +14,9 @@ options).  The default :mod:`repro.core.registry` ships the full family:
   model (Section 3.5, Eqs. 9-23 + Table 5) and its time-composable
   variant;
 * ``ilp-ptac-multi`` — the joint ILP over several simultaneous
-  contenders (Section 2's extension);
+  contenders (Section 2's extension).  All three come from one
+  builder in :mod:`repro.core.ilp_ptac`, for one, zero or several
+  contenders, and share its readout;
 * ``ideal`` — the ideal model (Eq. 1), usable only with ground-truth
   access profiles (our simulator provides them);
 * ``priority-occupancy`` / ``dma-occupancy`` — sound companion bounds

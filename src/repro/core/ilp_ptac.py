@@ -7,6 +7,13 @@ say, and (ii) maximises the contention inflicted on τa.  Because it
 maximises over *all* consistent mappings, the result is a sound bound even
 though the true mapping is unknown.
 
+One builder assembles the model for zero, one or several contenders:
+none gives the time-composable variant (``ilp-ptac-tc``), one the
+paper's model (``ilp-ptac``), several Section 2's joint extension
+(``ilp-ptac-multi``, :mod:`repro.core.multicontender`), in which every
+contender gets its own ``n_b``/``n_ba`` families and caps against one
+shared τa mapping.
+
 Model anatomy (names refer to the paper's equations):
 
 * Variables ``n_a[t,o]``, ``n_b[t,o]`` — candidate per-target access counts
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.core.results import ContentionBound
 from repro.counters.readings import TaskReadings
@@ -122,24 +129,50 @@ class IlpPtacResult:
     solution: Solution
 
 
+@dataclasses.dataclass(frozen=True)
+class _Readout:
+    """A solved contention ILP, read back by :meth:`_IlpPtacBuilder.solve`.
+
+    Attributes:
+        bound: the contention bound over every ``n_ba`` family.
+        interference: per ``n_ba`` family (one per contender, or the
+            time-composable one), the worst-case interfering counts.
+        cycles: per ``n_ba`` family, the interference cycles it carries.
+        solution: raw solver result.
+    """
+
+    bound: ContentionBound
+    interference: tuple[dict[Pair, int], ...]
+    cycles: tuple[int, ...]
+    solution: Solution
+
+
 class _IlpPtacBuilder:
-    """Constructs the ILP of Section 3.5 for one (τa, τb, scenario) triple."""
+    """Constructs the ILP of Section 3.5 for τa against zero, one or
+    several contenders.
+
+    No contender builds the time-composable variant: one ``n_ba`` family
+    capped by τa's exposure alone, and no ``n_b``.  One contender builds
+    the paper's model.  Several build Section 2's joint model: each
+    contender ``i`` gets its own ``n_b``/``n_ba`` families, stall budget,
+    tailoring and per-target caps (``n_{bi→a} ≤ n_{bi}`` and
+    ``Σ_o n_{bi→a} ≤ Σ_o n_a``), while all of them share τa's one
+    mapping, so the joint optimum can be *smaller* than the sum of the
+    single-contender optima.  With two or more contenders each
+    contender's variables and rows carry ``[name]``
+    (``n_ba[H-Load][pf0,co]``); with fewer, names carry no tag.
+    """
 
     def __init__(
         self,
         readings_a: TaskReadings,
-        readings_b: TaskReadings | None,
+        contenders: Sequence[TaskReadings],
         profile: LatencyProfile,
         scenario: DeploymentScenario,
         options: IlpPtacOptions,
     ) -> None:
-        if options.contender_constraints and readings_b is None:
-            raise ModelError(
-                "contender constraints requested but no contender readings "
-                "given; pass readings_b or set contender_constraints=False"
-            )
         self.readings_a = readings_a
-        self.readings_b = readings_b
+        self.contenders = tuple(contenders)
         self.profile = profile
         self.scenario = scenario
         self.options = options
@@ -148,13 +181,21 @@ class _IlpPtacBuilder:
             raise ModelError(
                 f"scenario {scenario.name!r} admits no SRI traffic"
             )
+        names = ", ".join(c.name for c in self.contenders) or "<any>"
         self.model = IlpModel(
-            name=f"ilp-ptac[{readings_a.name} vs "
-            f"{readings_b.name if readings_b else '<any>'}; {scenario.name}]"
+            name=f"ilp-ptac[{readings_a.name} vs {names}; {scenario.name}]"
         )
         self.n_a: dict[Pair, Var] = {}
-        self.n_b: dict[Pair, Var] = {}
-        self.n_ba: dict[Pair, Var] = {}
+        # One n_ba family per contender (a single one without contenders)
+        # and one n_b family per contender, in contender order.
+        self.n_ba: list[dict[Pair, Var]] = []
+        self.n_b: list[dict[Pair, Var]] = []
+        # (name tag of a family's variables and cap rows, ``who`` of its
+        # task rows) per n_ba family.
+        if len(self.contenders) > 1:
+            self._tags = [(f"[{c.name}]", c.name) for c in self.contenders]
+        else:
+            self._tags = [("", "b")]
 
     # ------------------------------------------------------------------
     def build(self) -> IlpModel:
@@ -162,44 +203,52 @@ class _IlpPtacBuilder:
         self._add_variables()
         self._add_objective()
         self._add_interference_caps()
-        self._add_stall_profile(
-            "a", self.readings_a, self.n_a
-        )
-        self._add_tailoring("a", self.readings_a, self.n_a)
-        if self.options.contender_constraints:
-            assert self.readings_b is not None
-            self._add_stall_profile("b", self.readings_b, self.n_b)
-            self._add_tailoring("b", self.readings_b, self.n_b)
+        tasks = [("a", self.readings_a, self.n_a)] + [
+            (who, readings, n_b)
+            for (_, who), readings, n_b in zip(
+                self._tags, self.contenders, self.n_b
+            )
+        ]
+        for who, readings, variables in tasks:
+            self._add_stall_profile(who, readings, variables)
+            self._add_tailoring(who, readings, variables)
         return self.model
 
     def _add_variables(self) -> None:
-        # Per-class total variables first (Eq. 5's n^co / n^da): they are
-        # redundant for the LP but give branch-and-bound integral *sums*
-        # to branch on, collapsing the pf0/pf1 symmetry plateau (the two
-        # banks share one latency, so fractions can otherwise hop between
+        # Column order: per-class totals of τa, then of each contender's
+        # n_ba and n_b; then per pair n_a followed by each contender's
+        # n_ba and n_b.  The totals (Eq. 5's n^co / n^da) are redundant
+        # for the LP but give branch-and-bound integral *sums* to branch
+        # on, collapsing the pf0/pf1 symmetry plateau (the two banks
+        # share one latency, so fractions can otherwise hop between
         # their columns without changing the bound).
-        self._totals: dict[tuple[str, Operation], Var] = {}
-        families = ["a", "ba"] + (
-            ["b"] if self.options.contender_constraints else []
-        )
-        for family in families:
-            for op in (Operation.CODE, Operation.DATA):
-                if any(o is op for _, o in self.pairs):
-                    self._totals[(family, op)] = self.model.add_var(
-                        f"n_{family}^{op.value}"
-                    )
-        for target, op in self.pairs:
-            label = pair_label(target, op)
-            self.n_a[(target, op)] = self.model.add_var(f"n_a[{label}]")
-            self.n_ba[(target, op)] = self.model.add_var(f"n_ba[{label}]")
-            if self.options.contender_constraints:
-                self.n_b[(target, op)] = self.model.add_var(f"n_b[{label}]")
-        for (family, op), total in self._totals.items():
-            variables = {
-                "a": self.n_a,
-                "b": self.n_b,
-                "ba": self.n_ba,
-            }[family]
+        families: list[tuple[str, dict[Pair, Var]]] = [("a", self.n_a)]
+        for tag, _ in self._tags:
+            self.n_ba.append({})
+            families.append((f"ba{tag}", self.n_ba[-1]))
+            if self.contenders:
+                self.n_b.append({})
+                families.append((f"b{tag}", self.n_b[-1]))
+        ops = [
+            op
+            for op in (Operation.CODE, Operation.DATA)
+            if any(o is op for _, o in self.pairs)
+        ]
+        totals = [
+            (
+                family,
+                variables,
+                op,
+                self.model.add_var(f"n_{family}^{op.value}"),
+            )
+            for family, variables in families
+            for op in ops
+        ]
+        for pair in self.pairs:
+            label = pair_label(*pair)
+            for family, variables in families:
+                variables[pair] = self.model.add_var(f"n_{family}[{label}]")
+        for family, variables, op, total in totals:
             self.model.add_constraint(
                 lin_sum(
                     variables[(t, o)] for (t, o) in self.pairs if o is op
@@ -209,10 +258,12 @@ class _IlpPtacBuilder:
             )
 
     def _add_objective(self) -> None:
-        """Equation 9: maximise Δcs^co_a + Δcs^da_a."""
+        """Equation 9: maximise Δcs^co_a + Δcs^da_a over all contenders."""
         self.model.maximize(
             lin_sum(
-                self.n_ba[pair] * self._latency(pair) for pair in self.pairs
+                n_ba[pair] * self._latency(pair)
+                for n_ba in self.n_ba
+                for pair in self.pairs
             )
         )
 
@@ -221,31 +272,37 @@ class _IlpPtacBuilder:
         return self.scenario.interference_latency(self.profile, target, op)
 
     def _add_interference_caps(self) -> None:
-        """Equations 10-19 (linearised; Eq. 15-16 typos corrected)."""
-        targets = {target for target, _ in self.pairs}
-        for target in targets:
+        """Equations 10-19 (linearised; Eq. 15-16 typos corrected), per
+        contender."""
+        # Targets in valid_pairs() order: a set would emit the rows in
+        # string-hash order, making solver effort depend on the seed.
+        for target in dict.fromkeys(target for target, _ in self.pairs):
             ops = [op for t, op in self.pairs if t is target]
             exposure = lin_sum(self.n_a[(target, op)] for op in ops)
-            for op in ops:
-                pair = (target, op)
-                label = pair_label(target, op)
-                # n_ba <= τa's exposure on the target (Eqs. 11a/12a/...).
-                self.model.add_constraint(
-                    self.n_ba[pair] <= exposure, name=f"cap_a[{label}]"
-                )
-                # n_ba <= what τb issues there (Eqs. 11b/12b/...); absent
-                # without contender info, leaving only the τa-side caps.
-                if self.options.contender_constraints:
+            for k, (tag, _) in enumerate(self._tags):
+                n_ba = self.n_ba[k]
+                for op in ops:
+                    pair = (target, op)
+                    label = pair_label(target, op)
+                    # n_ba <= τa's exposure on the target (Eqs. 11a/12a/...).
                     self.model.add_constraint(
-                        self.n_ba[pair] <= self.n_b[pair],
-                        name=f"cap_b[{label}]",
+                        n_ba[pair] <= exposure, name=f"cap_a{tag}[{label}]"
                     )
-            # Cumulative per-target cap (Eqs. 13/16/19): τa's requests on a
-            # target can each be delayed at most once by this contender.
-            self.model.add_constraint(
-                lin_sum(self.n_ba[(target, op)] for op in ops) <= exposure,
-                name=f"cumulative[{target.value}]",
-            )
+                    # n_ba <= what τb issues there (Eqs. 11b/12b/...);
+                    # absent without contender info, leaving only the
+                    # τa-side caps.
+                    if self.n_b:
+                        self.model.add_constraint(
+                            n_ba[pair] <= self.n_b[k][pair],
+                            name=f"cap_b{tag}[{label}]",
+                        )
+                # Cumulative per-target cap (Eqs. 13/16/19): τa's requests
+                # on a target can each be delayed at most once by each
+                # contender.
+                self.model.add_constraint(
+                    lin_sum(n_ba[(target, op)] for op in ops) <= exposure,
+                    name=f"cumulative{tag}[{target.value}]",
+                )
 
     def _add_stall_profile(
         self,
@@ -308,12 +365,69 @@ class _IlpPtacBuilder:
                 name=f"data_count_lb[{who}]",
             )
 
+    # ------------------------------------------------------------------
+    def counts(
+        self, solution: Solution, variables: Mapping[Pair, Var]
+    ) -> dict[Pair, int]:
+        """One variable family's counts at the optimum.
+
+        With the ``lp`` backend the relaxation optimum is fractional;
+        rounding each count *up* keeps the reported bound sound (the LP
+        optimum already dominates the ILP optimum).
+        """
+        if self.options.backend == "lp":
+            return {
+                pair: int(math.ceil(solution.value(var) - 1e-9))
+                for pair, var in variables.items()
+            }
+        return {
+            pair: solution.int_value(var) for pair, var in variables.items()
+        }
+
+    def solve(self, model_name: str) -> _Readout:
+        """Build, solve and read the bound back, named ``model_name``.
+
+        Cycles are attributed per pair and ``n_ba`` family, so the bound
+        is the sum of what the rounded counts carry.
+        """
+        solution = solve_contention_ilp(
+            self.build(), self.options
+        ).require_optimal()
+        interference = tuple(
+            self.counts(solution, n_ba) for n_ba in self.n_ba
+        )
+        latency = {pair: self._latency(pair) for pair in self.pairs}
+        breakdown: dict[Pair, int] = {}
+        op_totals = {Operation.CODE: 0, Operation.DATA: 0}
+        for pair in self.pairs:
+            cycles = sum(counts[pair] for counts in interference)
+            cycles *= latency[pair]
+            if cycles:
+                breakdown[pair] = cycles
+            op_totals[pair[1]] += cycles
+        bound = ContentionBound(
+            model=model_name,
+            task=self.readings_a.name,
+            contenders=tuple(c.name for c in self.contenders),
+            delta_cycles=sum(op_totals.values()),
+            op_breakdown=op_totals,
+            breakdown=breakdown,
+            scenario=self.scenario.name,
+            time_composable=not self.contenders,
+        )
+        per_family = tuple(
+            sum(counts[pair] * latency[pair] for pair in self.pairs)
+            for counts in interference
+        )
+        return _Readout(bound, interference, per_family, solution)
+
 
 def solve_contention_ilp(model: IlpModel, options: IlpPtacOptions) -> Solution:
     """Solve a contention ILP honouring the options' solver knobs.
 
-    The shared dispatch of every ILP-backed model (single-contender,
-    time-composable, multi-contender, FSB reduction): every ``bnb``
+    The shared dispatch of every ILP-backed model (the one ILP-PTAC
+    builder's zero-, one- and many-contender forms and the FSB
+    reduction, which instantiates it): every ``bnb``
     solve goes through the calling thread's
     :func:`~repro.ilp.batch.default_batch_solver`, so same-structure
     instances solved in one process (sweep points, matrix cells) chain
@@ -332,6 +446,28 @@ def solve_contention_ilp(model: IlpModel, options: IlpPtacOptions) -> Solution:
     )
 
 
+def _single_contender_builder(
+    readings_a: TaskReadings,
+    readings_b: TaskReadings | None,
+    profile: LatencyProfile,
+    scenario: DeploymentScenario,
+    options: IlpPtacOptions,
+) -> _IlpPtacBuilder:
+    """The builder behind :func:`build_ilp_ptac` and
+    :func:`ilp_ptac_bound`: τb's readings count only under
+    ``contender_constraints``."""
+    if not options.contender_constraints:
+        return _IlpPtacBuilder(readings_a, (), profile, scenario, options)
+    if readings_b is None:
+        raise ModelError(
+            "contender constraints requested but no contender readings "
+            "given; pass readings_b or set contender_constraints=False"
+        )
+    return _IlpPtacBuilder(
+        readings_a, (readings_b,), profile, scenario, options
+    )
+
+
 def build_ilp_ptac(
     readings_a: TaskReadings,
     readings_b: TaskReadings | None,
@@ -342,7 +478,7 @@ def build_ilp_ptac(
     """Build (without solving) the ILP of Section 3.5 — useful for
     inspecting the generated constraints in tests and reports."""
     options = options or IlpPtacOptions()
-    return _IlpPtacBuilder(
+    return _single_contender_builder(
         readings_a, readings_b, profile, scenario, options
     ).build()
 
@@ -369,65 +505,20 @@ def ilp_ptac_bound(
         worst-case contention in cycles.
     """
     options = options or IlpPtacOptions()
-    builder = _IlpPtacBuilder(
+    builder = _single_contender_builder(
         readings_a, readings_b, profile, scenario, options
     )
-    model = builder.build()
-    solution = solve_contention_ilp(model, options).require_optimal()
-
-    # With the "lp" backend the relaxation optimum is fractional; rounding
-    # each interference term *up* keeps the reported bound sound (the LP
-    # optimum already dominates the ILP optimum).
-    relaxed = options.backend == "lp"
-
-    def count_of(pair: Pair) -> int:
-        if relaxed:
-            return int(math.ceil(solution.value(builder.n_ba[pair]) - 1e-9))
-        return solution.int_value(builder.n_ba[pair])
-
-    interference: dict[Pair, int] = {}
-    breakdown: dict[Pair, int] = {}
-    op_totals = {Operation.CODE: 0, Operation.DATA: 0}
-    for pair in builder.pairs:
-        count = count_of(pair)
-        latency = builder._latency(pair)
-        interference[pair] = count
-        cycles = count * latency
-        if cycles:
-            breakdown[pair] = cycles
-        op_totals[pair[1]] += cycles
-
-    contenders: tuple[str, ...] = ()
-    if options.contender_constraints and readings_b is not None:
-        contenders = (readings_b.name,)
-    bound = ContentionBound(
-        model="ilp-ptac"
-        if options.contender_constraints
-        else "ilp-ptac-tc",
-        task=readings_a.name,
-        contenders=contenders,
-        delta_cycles=sum(op_totals.values()),
-        op_breakdown=op_totals,
-        breakdown=breakdown,
-        scenario=scenario.name,
-        time_composable=not options.contender_constraints,
+    readout = builder.solve(
+        "ilp-ptac" if builder.contenders else "ilp-ptac-tc"
     )
-
-    def witness(variables: dict[Pair, Var]) -> dict[Pair, int]:
-        if relaxed:
-            return {
-                pair: int(math.ceil(solution.value(var) - 1e-9))
-                for pair, var in variables.items()
-            }
-        return {
-            pair: solution.int_value(var) for pair, var in variables.items()
-        }
-
+    solution = readout.solution
     return IlpPtacResult(
-        bound=bound,
-        interference=interference,
-        worst_profile_a=witness(builder.n_a),
-        worst_profile_b=witness(builder.n_b),
-        model=model,
+        bound=readout.bound,
+        interference=readout.interference[0],
+        worst_profile_a=builder.counts(solution, builder.n_a),
+        worst_profile_b=(
+            builder.counts(solution, builder.n_b[0]) if builder.n_b else {}
+        ),
+        model=builder.model,
         solution=solution,
     )

@@ -2,11 +2,12 @@
 
 The paper analyses one contender and notes the model "can be easily
 extended to consider more contenders at the same time" (Section 2).  This
-module is that extension: with contenders τb1..τbk, each request of τa to a
-target can — under round-robin arbitration — wait once for *each* other
-core's in-flight request per round, so the per-target caps of Eqs. 10-19
-apply *per contender* while all contenders share one consistent choice of
-τa's per-target access mapping.
+module is that extension's entry point, a wrapper over the one ILP-PTAC
+builder (:mod:`repro.core.ilp_ptac`): with contenders τb1..τbk, each
+request of τa to a target can — under round-robin arbitration — wait once
+for *each* other core's in-flight request per round, so the per-target
+caps of Eqs. 10-19 apply *per contender* while all contenders share one
+consistent choice of τa's per-target access mapping.
 
 Formally, for every contender ``i`` and target ``t``:
 
@@ -16,14 +17,8 @@ Formally, for every contender ``i`` and target ``t``:
 and the objective sums interference over contenders.  Because the τa
 variables are shared, the joint optimum can be *smaller* than the sum of
 the k single-contender optima (each of which may pick a different τa
-mapping) — a tightness gain the ablation benchmark quantifies.
-
-Like the single-contender builder, the model declares redundant
-per-class *total* variables first (``n_a^co``, ``n_ba[b1]^da``, …):
-branch-and-bound and the canonical-vertex polish then operate on
-integral sums before per-bank splits, which collapses the symmetric
-pf0/pf1 plateau (observed: a 4-core instance dropped from ~2k to ~13
-nodes when the totals were introduced).
+mapping) — a tightness gain the ablation benchmark quantifies.  With one
+contender the joint model is exactly the ``ilp-ptac`` ILP.
 """
 
 from __future__ import annotations
@@ -31,16 +26,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Mapping, Sequence
 
-from repro.core.ilp_ptac import IlpPtacOptions, Pair, solve_contention_ilp
+from repro.core.ilp_ptac import IlpPtacOptions, Pair, _IlpPtacBuilder
 from repro.core.results import ContentionBound
 from repro.counters.readings import TaskReadings
 from repro.errors import ModelError
-from repro.ilp.expr import Var, lin_sum
 from repro.ilp.model import IlpModel
 from repro.ilp.solution import Solution
 from repro.platform.deployment import DeploymentScenario
 from repro.platform.latency import LatencyProfile
-from repro.platform.targets import Operation, pair_label
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,166 +88,14 @@ def multi_contender_bound(
     if len(set(names)) != len(names):
         raise ModelError("contender names must be unique")
 
-    pairs = scenario.valid_pairs()
-    model = IlpModel(
-        name=f"ilp-ptac-multi[{readings_a.name} vs {', '.join(names)}]"
+    builder = _IlpPtacBuilder(
+        readings_a, contenders, profile, scenario, options
     )
-
-    # Per-class total variables first, mirroring the single-contender
-    # builder: they are redundant for the LP, but they give both the
-    # branch-and-bound and the canonical-vertex polish integral *sums*
-    # as the leading columns, collapsing the symmetric pf0/pf1 plateau
-    # (the banks share one latency, so fractional mass could otherwise
-    # hop between their columns without changing the bound).
-    operations = tuple(
-        op
-        for op in (Operation.CODE, Operation.DATA)
-        if any(o is op for _, o in pairs)
-    )
-    totals: dict[tuple[str, str, Operation], Var] = {}
-    for op in operations:
-        totals[("a", "a", op)] = model.add_var(f"n_a^{op.value}")
-    for contender in contenders:
-        for family in ("ba", "b"):
-            for op in operations:
-                totals[(family, contender.name, op)] = model.add_var(
-                    f"n_{family}[{contender.name}]^{op.value}"
-                )
-
-    n_a: dict[Pair, Var] = {
-        pair: model.add_var(f"n_a[{pair_label(*pair)}]") for pair in pairs
-    }
-    n_b: dict[str, dict[Pair, Var]] = {}
-    n_ba: dict[str, dict[Pair, Var]] = {}
-    for contender in contenders:
-        n_b[contender.name] = {
-            pair: model.add_var(f"n_b[{contender.name}][{pair_label(*pair)}]")
-            for pair in pairs
-        }
-        n_ba[contender.name] = {
-            pair: model.add_var(f"n_ba[{contender.name}][{pair_label(*pair)}]")
-            for pair in pairs
-        }
-    for (family, owner, op), total in totals.items():
-        variables = (
-            n_a
-            if family == "a"
-            else (n_b if family == "b" else n_ba)[owner]
-        )
-        model.add_constraint(
-            lin_sum(
-                variables[(t, o)] for (t, o) in pairs if o is op
-            )
-            == total,
-            name=f"total_{family}[{owner}]_{op.value}",
-        )
-
-    def latency(pair: Pair) -> int:
-        return scenario.interference_latency(profile, *pair)
-
-    model.maximize(
-        lin_sum(
-            n_ba[name][pair] * latency(pair)
-            for name in names
-            for pair in pairs
-        )
-    )
-
-    # Interference caps, per contender (Eqs. 10-19 generalised).
-    targets = {target for target, _ in pairs}
-    for target in targets:
-        ops = [op for t, op in pairs if t is target]
-        exposure = lin_sum(n_a[(target, op)] for op in ops)
-        for name in names:
-            for op in ops:
-                pair = (target, op)
-                model.add_constraint(
-                    n_ba[name][pair] <= n_b[name][pair],
-                    name=f"cap_b[{name}][{pair_label(*pair)}]",
-                )
-                model.add_constraint(
-                    n_ba[name][pair] <= exposure,
-                    name=f"cap_a[{name}][{pair_label(*pair)}]",
-                )
-            model.add_constraint(
-                lin_sum(n_ba[name][(target, op)] for op in ops) <= exposure,
-                name=f"cumulative[{name}][{target.value}]",
-            )
-
-    # Stall profiles and tailoring, per task (Eqs. 20-23 + Table 5).
-    def add_task_constraints(
-        who: str, readings: TaskReadings, variables: dict[Pair, Var]
-    ) -> None:
-        for op, budget in (
-            (Operation.CODE, readings.ps),
-            (Operation.DATA, readings.ds),
-        ):
-            terms = [
-                variables[(target, o)] * profile.stall_cycles(target, o)
-                for (target, o) in pairs
-                if o is op
-            ]
-            if not terms:
-                continue
-            expr = lin_sum(terms)
-            if options.stall_budget == "exact":
-                model.add_constraint(expr == budget, name=f"stall_{op.value}[{who}]")
-            else:
-                model.add_constraint(expr <= budget, name=f"stall_{op.value}[{who}]")
-        code_vars = [
-            variables[(t, o)] for (t, o) in pairs if o is Operation.CODE
-        ]
-        if options.use_exact_code_counts and scenario.code_count_exact and code_vars:
-            model.add_constraint(
-                lin_sum(code_vars) == readings.pm, name=f"code_count[{who}]"
-            )
-        data_vars = [
-            variables[(t, o)] for (t, o) in pairs if o is Operation.DATA
-        ]
-        if scenario.data_count_lower_bounded and data_vars:
-            model.add_constraint(
-                lin_sum(data_vars) >= readings.data_cache_misses,
-                name=f"data_count_lb[{who}]",
-            )
-
-    add_task_constraints("a", readings_a, n_a)
-    for contender in contenders:
-        add_task_constraints(contender.name, contender, n_b[contender.name])
-
-    solution = solve_contention_ilp(model, options).require_optimal()
-
-    per_contender: dict[str, int] = {}
-    interference: dict[str, dict[Pair, int]] = {}
-    op_totals = {Operation.CODE: 0, Operation.DATA: 0}
-    breakdown: dict[Pair, int] = {}
-    for name in names:
-        cycles = 0
-        counts: dict[Pair, int] = {}
-        for pair in pairs:
-            count = solution.int_value(n_ba[name][pair])
-            counts[pair] = count
-            contribution = count * latency(pair)
-            cycles += contribution
-            op_totals[pair[1]] += contribution
-            if contribution:
-                breakdown[pair] = breakdown.get(pair, 0) + contribution
-        per_contender[name] = cycles
-        interference[name] = counts
-
-    bound = ContentionBound(
-        model="ilp-ptac-multi",
-        task=readings_a.name,
-        contenders=tuple(names),
-        delta_cycles=int(round(solution.objective)),
-        op_breakdown=op_totals,
-        breakdown=breakdown,
-        scenario=scenario.name,
-        time_composable=False,
-    )
+    readout = builder.solve("ilp-ptac-multi")
     return MultiContenderResult(
-        bound=bound,
-        per_contender_cycles=per_contender,
-        interference=interference,
-        model=model,
-        solution=solution,
+        bound=readout.bound,
+        per_contender_cycles=dict(zip(names, readout.cycles)),
+        interference=dict(zip(names, readout.interference)),
+        model=builder.model,
+        solution=readout.solution,
     )

@@ -18,8 +18,9 @@ This module is the reuse layer:
   :class:`~repro.ilp.branch_and_bound.BnbWarmStart` per structure
   signature and threads it through consecutive
   :func:`~repro.ilp.branch_and_bound.solve_bnb_warm` calls: the previous
-  root tableau chains the next root relaxation (a right-hand-side shift
-  and a few dual pivots instead of Phase 1).
+  root tableau chains the next root relaxation (the new right-hand side
+  written into its rhs column and a few dual pivots instead of Phase 1;
+  a chained root that is not optimal solves cold).
 
 Determinism: warm-started solves return **bit-identical** solutions to
 cold ones — the simplex lands every LP on the canonical optimal vertex

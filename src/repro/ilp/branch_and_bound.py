@@ -33,7 +33,7 @@ from repro.ilp.simplex import (
     LpStatus,
     solve_lp,
     warm_solve_insert_row,
-    warm_solve_rhs_delta,
+    warm_solve_rhs,
     warm_solve_shift_rhs,
 )
 from repro.ilp.solution import Solution, SolveStats, SolveStatus
@@ -66,12 +66,11 @@ class BnbWarmStart:
         root_tableau: the root relaxation's final reduced tableau
             (``[x | slacks | rhs]``, warm-path convention — rows never
             negated), when one was produced; the next root *chains* from
-            it by shifting the right-hand column instead of solving the
+            it by rewriting the right-hand column instead of solving the
             root cold.
-        root_arrays: the ``(a_ub, b_ub, a_eq, b_eq)`` the stored root
-            tableau solved.  Chaining verifies the matrices are equal
-            (structure signatures only pledge equal sparsity) and uses
-            the rhs vectors to form the delta.
+        root_arrays: the ``(a_ub, a_eq)`` the stored root tableau
+            solved.  Chaining verifies the matrices are equal (structure
+            signatures only pledge equal sparsity).
         eq_cache: maps a basis (as bytes) to ``B^-1 E_eq`` — the
             equality rows carry no slack column, so their ``B^-1 e_i``
             needs one small linear solve; root bases repeat across a
@@ -81,7 +80,7 @@ class BnbWarmStart:
 
     basis: np.ndarray | None = None
     root_tableau: np.ndarray | None = None
-    root_arrays: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
+    root_arrays: tuple[np.ndarray, np.ndarray] | None = None
     eq_cache: dict | None = None
 
 
@@ -139,8 +138,9 @@ def _basis_eq_inverse(
     """``B^-1 E_eq`` for a ``[x | slacks]`` basis (None when singular).
 
     The warm tableau's slack columns hand out ``B^-1 e_i`` for free on
-    inequality rows; equality rows have no slack, so shifting their
-    right-hand sides needs these columns solved explicitly.
+    inequality rows; equality rows have no slack, so carrying their
+    right-hand sides into the rhs column needs these columns solved
+    explicitly.
     """
     n = form.n_variables
     m_ub = form.a_ub.shape[0]
@@ -170,25 +170,24 @@ def _chained_root(form, warm, c_min, eq_cache):
     """Solve the root relaxation by chaining from the previous root.
 
     Same-structure sweep points share their constraint matrices and move
-    only right-hand sides, so the new root's reduced rhs column is the
-    stored one plus ``B^-1 @ (b_new - b_old)`` — assembled from the
-    tableau's own slack columns (inequality deltas) and the cached
+    only right-hand sides, so the new root's reduced rhs column is
+    ``B^-1 @ b`` for the stored basis — assembled from the tableau's own
+    slack columns (``B^-1`` on the inequality rows) and the cached
     equality-row columns — followed by the usual dual-simplex recovery.
-    Returns ``None`` (fall back to a cold solve) whenever the stored
-    state does not provably apply.
+    The column is computed from ``b`` itself, never as the stored column
+    plus ``B^-1 @ (b_new - b_old)``: shifting would carry each point's
+    rounding error into the next, and along a long sweep a zero row
+    drifted past the dual ratio test's tolerance and read as a
+    certificate of infeasibility.  Returns ``None`` (fall back to a cold
+    solve) whenever the stored state does not provably apply.
     """
     tableau = warm.root_tableau
     basis = warm.basis
-    prev_a_ub, prev_b_ub, prev_a_eq, prev_b_eq = warm.root_arrays
+    prev_a_ub, prev_a_eq = warm.root_arrays
     n = form.n_variables
     m_ub = form.a_ub.shape[0]
     m = m_ub + form.a_eq.shape[0]
-    if (
-        basis is None
-        or tableau.shape != (m, n + m_ub + 1)
-        or form.b_ub.shape != prev_b_ub.shape
-        or form.b_eq.shape != prev_b_eq.shape
-    ):
+    if basis is None or tableau.shape != (m, n + m_ub + 1):
         return None
     # Signatures only pledge matching sparsity; chaining additionally
     # needs the coefficients themselves unchanged.  (The objective may
@@ -202,14 +201,9 @@ def _chained_root(form, warm, c_min, eq_cache):
     ):
         return None
 
-    shift = np.zeros(m)
-    delta_ub = form.b_ub - prev_b_ub
-    moved = np.flatnonzero(delta_ub)
-    if moved.size:
-        shift += tableau[:, n + moved] @ delta_ub[moved]
-    delta_eq = form.b_eq - prev_b_eq
-    moved = np.flatnonzero(delta_eq)
-    if moved.size:
+    rhs = tableau[:, n : n + m_ub] @ form.b_ub
+    nonzero = np.flatnonzero(form.b_eq)
+    if nonzero.size:
         key = basis.tobytes()
         eq_inverse = eq_cache.get(key)
         if eq_inverse is None:
@@ -217,10 +211,8 @@ def _chained_root(form, warm, c_min, eq_cache):
             if eq_inverse is None:
                 return None
             eq_cache[key] = eq_inverse
-        shift += eq_inverse[:, moved] @ delta_eq[moved]
-    return warm_solve_rhs_delta(
-        tableau, basis, c_min, shift, keep_tableau=True
-    )
+        rhs += eq_inverse[:, nonzero] @ form.b_eq[nonzero]
+    return warm_solve_rhs(tableau, basis, c_min, rhs, keep_tableau=True)
 
 
 def _floor_heuristic(
@@ -323,8 +315,9 @@ def solve_bnb_warm(
     per-structure pool that feeds this):
 
     * the previous solve's root tableau *chains* this root relaxation:
-      its right-hand column shifts by the rhs delta and a few dual
-      pivots recover (a root whose matrices changed solves cold);
+      its right-hand column is recomputed from the new ``b`` and a few
+      dual pivots recover (a root whose matrices changed, or whose
+      chained relaxation is not optimal, solves cold);
     * within the tree, each child LP *extends its parent's final
       tableau* by the one branching bound row (a child whose parent
       kept no tableau solves cold) — typically a single dual pivot
@@ -388,8 +381,14 @@ def _solve(
             and warm.root_tableau is not None
         ):
             # Fast path: chain this root from the previous sweep point's
-            # root tableau — a rhs-column shift instead of a cold solve.
+            # root tableau — a rhs-column write instead of a cold solve.
             result = _chained_root(form, warm, c_min, eq_cache)
+            if result is not None and result.status is not LpStatus.OPTIMAL:
+                # Only a cold solve may declare the root infeasible or
+                # unbounded: recovery reads a row's signs against a
+                # tolerance, so a verdict from chained state is not final.
+                total_iterations += result.iterations
+                result = None
         if node.ext is not None:
             # Fast path: extend the parent's final tableau by the one
             # bound-row edit — no child matrices, no Phase 1.
@@ -524,9 +523,7 @@ def _solve(
         basis=root_basis,
         root_tableau=root_tableau,
         root_arrays=(
-            (form.a_ub, form.b_ub, form.a_eq, form.b_eq)
-            if root_tableau is not None
-            else None
+            (form.a_ub, form.a_eq) if root_tableau is not None else None
         ),
         eq_cache=eq_cache,
     )

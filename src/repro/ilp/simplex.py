@@ -541,27 +541,27 @@ def warm_solve_shift_rhs(
     return _recover(extended, basis.copy(), c, max_iterations, keep_tableau)
 
 
-def warm_solve_rhs_delta(
+def warm_solve_rhs(
     tableau: np.ndarray,
     basis: np.ndarray,
     c: np.ndarray,
-    shift: np.ndarray,
+    rhs: np.ndarray,
     *,
     max_iterations: int = MAX_ITERATIONS,
     keep_tableau: bool = False,
 ) -> LpResult | None:
-    """Solve an instance whose reduced right-hand column moved by ``shift``.
+    """Solve an instance whose reduced right-hand column is now ``rhs``.
 
-    The vector form of :func:`warm_solve_shift_rhs`, for callers that
-    already hold ``B^-1 @ (b_new - b_old)`` — the batch layer's
+    The whole-column form of :func:`warm_solve_shift_rhs`, for callers
+    that hold ``B^-1 @ b`` for the new ``b`` — the batch layer's
     root-to-root chaining assembles it from the tableau's own slack
-    columns (inequality rows) plus a cached ``B^-1 e_i`` solve (equality
-    rows), turning a sweep-point root solve into one column update and a
-    few dual pivots.  Inputs are not mutated; ``None`` falls back to a
-    cold solve.
+    columns (inequality rows) plus a cached ``B^-1 E_eq`` solve
+    (equality rows), turning a sweep-point root solve into one column
+    write and a few dual pivots.  Inputs are not mutated; ``None``
+    falls back to a cold solve.
     """
     extended = tableau.copy()
-    extended[:, -1] += shift
+    extended[:, -1] = rhs
     return _recover(extended, basis.copy(), c, max_iterations, keep_tableau)
 
 

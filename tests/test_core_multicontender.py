@@ -1,12 +1,27 @@
 """Tests for the multi-contender extension."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import paper
-from repro.core.ilp_ptac import IlpPtacOptions, ilp_ptac_bound
+from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac, ilp_ptac_bound
 from repro.core.multicontender import multi_contender_bound
 from repro.counters.readings import TaskReadings
-from repro.errors import ModelError
+from repro.engine.experiment import run_spec
+from repro.errors import IlpError, ModelError
+from repro.ilp.model import IlpModel
+from repro.platform.deployment import scenario_1, scenario_2
+from repro.platform.latency import tc27x_latency_profile
+
+PROFILE = tc27x_latency_profile()
+SCENARIOS = {"scenario1": scenario_1, "scenario2": scenario_2}
+PAPER_INSTANCES = [
+    (scenario, load) for scenario in SCENARIOS for load in ("H", "M", "L")
+]
 
 
 @pytest.fixture()
@@ -115,3 +130,120 @@ class TestScaling:
         one = multi_contender_bound(app_sc1, contenders[:1], profile, sc1)
         two = multi_contender_bound(app_sc1, contenders, profile, sc1)
         assert two.bound.delta_cycles >= one.bound.delta_cycles
+
+
+class TestLpBackend:
+    """``backend="lp"`` is a sound relaxation bound on every path: counts
+    are rounded up, never read as integers."""
+
+    @pytest.mark.parametrize("scenario_name, load", PAPER_INSTANCES)
+    def test_one_contender_matches_single(self, scenario_name, load):
+        scenario = SCENARIOS[scenario_name]()
+        app = paper.table6(scenario_name, "app")
+        contender = paper.contender_readings(scenario_name, load)
+        options = IlpPtacOptions(backend="lp")
+        joint = multi_contender_bound(
+            app, [contender], PROFILE, scenario, options
+        )
+        single = ilp_ptac_bound(app, contender, PROFILE, scenario, options)
+        assert joint.bound.delta_cycles == single.bound.delta_cycles
+        assert joint.interference == {contender.name: single.interference}
+        assert joint.per_contender_cycles == {
+            contender.name: single.bound.delta_cycles
+        }
+
+    def test_joint_spec_bound_dominates_the_ilp(self):
+        exact = run_spec("scenario1-3core")
+        relaxed = run_spec(
+            "scenario1-3core", options=IlpPtacOptions(backend="lp")
+        )
+        assert relaxed.joint_delta >= exact.joint_delta
+
+
+@st.composite
+def _readings(draw, name):
+    """Counter readings a measurement could produce: every code miss
+    costs at least 6 stall cycles, every data miss at least 11."""
+    ps = draw(st.integers(0, 60_000))
+    ds = draw(st.integers(0, 60_000))
+    clean = draw(st.integers(0, ds // 11))
+    return TaskReadings(
+        name,
+        pmem_stall=ps,
+        dmem_stall=ds,
+        pcache_miss=draw(st.integers(0, ps // 6)),
+        dcache_miss_clean=clean,
+        dcache_miss_dirty=draw(st.integers(0, ds // 11 - clean)),
+    )
+
+
+def _solved_models(bound):
+    """The ILPs ``bound()`` solves (every backend reads the model's
+    standard form), and its outcome: the result, or the message of an
+    ``IlpError``."""
+    models = []
+    standard_form = IlpModel.standard_form
+
+    def recording(model):
+        if model not in models:
+            models.append(model)
+        return standard_form(model)
+
+    with mock.patch.object(IlpModel, "standard_form", recording):
+        try:
+            outcome = bound()
+        except IlpError as exc:
+            outcome = str(exc)
+    return models, outcome
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    scenario_name=st.sampled_from(sorted(SCENARIOS)),
+    stall_budget=st.sampled_from(("minimum", "exact")),
+    exact_codes=st.booleans(),
+    backend=st.sampled_from(("bnb", "lp")),
+    app=_readings("app"),
+    contender=_readings("rival"),
+)
+def test_one_contender_builds_the_single_contender_ilp(
+    scenario_name, stall_budget, exact_codes, backend, app, contender
+):
+    """``ilp-ptac-multi`` with one contender is the ``ilp-ptac`` ILP,
+    column for column, and reads the same bound back."""
+    scenario = SCENARIOS[scenario_name]()
+    options = IlpPtacOptions(
+        stall_budget=stall_budget,
+        use_exact_code_counts=exact_codes,
+        backend=backend,
+        node_limit=2_000,
+    )
+    single = build_ilp_ptac(
+        app, contender, PROFILE, scenario, options
+    ).standard_form()
+    models, joint = _solved_models(
+        lambda: multi_contender_bound(
+            app, [contender], PROFILE, scenario, options
+        )
+    )
+    assert len(models) == 1
+    form = models[0].standard_form()
+    assert [v.name for v in form.variables] == [
+        v.name for v in single.variables
+    ]
+    for field in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "integer_mask"):
+        assert np.array_equal(getattr(form, field), getattr(single, field))
+
+    if stall_budget == "minimum":
+        _, pairwise = _solved_models(
+            lambda: ilp_ptac_bound(app, contender, PROFILE, scenario, options)
+        )
+        if isinstance(pairwise, str):
+            assert joint == pairwise
+        else:
+            assert joint.bound.delta_cycles == pairwise.bound.delta_cycles
+            assert joint.interference == {"rival": pairwise.interference}

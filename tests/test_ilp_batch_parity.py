@@ -15,6 +15,10 @@ from __future__ import annotations
 import contextlib
 import copy
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from repro.analysis.experiments import (
     simulate_scenario,
 )
 from repro.analysis.sweeps import contender_scale_sweep
+from repro.analysis.validation import soundness_sweep
 from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac, ilp_ptac_bound
 from repro.core.multicontender import multi_contender_bound
 from repro.engine import ExperimentEngine, ResultCache
@@ -42,6 +47,7 @@ from repro.ilp.model import IlpModel
 from repro.ilp.simplex import LpStatus, solve_lp
 from repro.platform.deployment import scenario_1, scenario_2
 from repro.platform.latency import tc27x_latency_profile
+from repro.workloads.synthetic import random_task_pair
 
 SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
@@ -118,6 +124,48 @@ class TestStructureSignature:
         assert len(
             {tuple(vector) for vector in coefficient_vectors}
         ) == len(SCALES)
+
+    def test_signatures_stable_across_hash_seeds(self):
+        """Interpreters with different string-hash seeds build the same
+        rows in the same order, with zero, one and two contenders (the
+        cap rows once followed set order over hash-keyed targets)."""
+        script = (
+            "from repro import paper\n"
+            "from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac\n"
+            "from repro.core.multicontender import multi_contender_bound\n"
+            "from repro.ilp.batch import structure_signature\n"
+            "from repro.platform.deployment import scenario_2\n"
+            "from repro.platform.latency import tc27x_latency_profile\n"
+            "profile, scenario = tc27x_latency_profile(), scenario_2()\n"
+            "app = paper.table6('scenario2', 'app')\n"
+            "h, l = (paper.contender_readings('scenario2', load)"
+            " for load in 'HL')\n"
+            "tc = IlpPtacOptions(contender_constraints=False)\n"
+            "print(structure_signature("
+            "build_ilp_ptac(app, None, profile, scenario, tc)))\n"
+            "print(structure_signature("
+            "build_ilp_ptac(app, h, profile, scenario)))\n"
+            "print(structure_signature("
+            "multi_contender_bound(app, [h, l], profile, scenario).model))\n"
+        )
+        root = pathlib.Path(__file__).resolve().parent.parent
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ)
+            env["PYTHONPATH"] = str(root / "src")
+            env["PYTHONHASHSEED"] = seed
+            outputs.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    env=env,
+                    cwd=str(root),
+                ).stdout.split()
+            )
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
     def test_distinct_structures_hash_apart(self, profile):
         readings_a = paper.table6("scenario1", "app")
@@ -293,9 +341,7 @@ class TestWarmStartMachinery:
         def no_chaining(*args, **kwargs):
             raise AssertionError("the root chained from the stored tableau")
 
-        monkeypatch.setattr(
-            branch_and_bound, "warm_solve_rhs_delta", no_chaining
-        )
+        monkeypatch.setattr(branch_and_bound, "warm_solve_rhs", no_chaining)
         cold = solve_bnb(changed)
         warm, _ = solve_bnb_warm(changed, state)
         assert_identical(cold, warm)
@@ -370,6 +416,45 @@ class TestWarmStartMachinery:
             again.stats.simplex_iterations
             <= first.stats.simplex_iterations // 2
         )
+
+    def test_long_chain_then_new_structure_matches_cold(self, monkeypatch):
+        """Ninety chained sweep roots followed by a soundness sweep: every
+        warm solve reports the status and objective of a cold solve.
+
+        Chaining used to shift the stored rhs column by ``B^-1 db``, so
+        rounding error built up along the sweep; on the third soundness
+        solve a zero row read -1.05e-9, past the dual ratio test's
+        tolerance, and the warm root declared a feasible ILP infeasible
+        (a cold solve is optimal at 19,136)."""
+        reset_default_batch_solver()
+        solved = []
+        warm_solve = BatchSolver.solve
+
+        def checked(self, model, **kwargs):
+            warm = warm_solve(self, model, **kwargs)
+            cold = model.solve("bnb")
+            solved.append(model.name)
+            assert (warm.status, warm.objective) == (
+                cold.status, cold.objective
+            ), f"warm solve {len(solved)} ({model.name})"
+            return warm
+
+        monkeypatch.setattr(BatchSolver, "solve", checked)
+        scenario = scenario_1()
+        app = paper.table6("scenario1", "app")
+        hload = paper.table6("scenario1", "H-Load")
+        for _ in range(10):
+            contender_scale_sweep(app, hload, scenario)
+        assert len(solved) == 90
+        sweep = soundness_sweep(
+            [
+                random_task_pair(scenario, seed=seed, max_requests=1500)
+                for seed in range(10)
+            ],
+            scenario,
+        )
+        assert len(sweep.cases) == 10
+        assert len(solved) > 92
 
     def test_warm_state_round_trips_through_pool(self, profile):
         solver = default_batch_solver()

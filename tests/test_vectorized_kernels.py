@@ -12,7 +12,7 @@ three ways:
   solves driven by either kernel set agree exactly;
 * **warm-extension equivalence** — the tableau-extension entry points
   (``warm_solve_insert_row`` / ``warm_solve_shift_rhs`` /
-  ``warm_solve_rhs_delta``) land on the same optimum as a cold solve of
+  ``warm_solve_rhs``) land on the same optimum as a cold solve of
   the explicitly assembled child instance (the canonical polish makes
   the vertex independent of the solve path);
 * **engine equivalence** — :class:`SystemSimulator` and the
@@ -52,7 +52,7 @@ from repro.ilp.simplex import (
     _ratio_test,
     solve_lp,
     warm_solve_insert_row,
-    warm_solve_rhs_delta,
+    warm_solve_rhs,
     warm_solve_shift_rhs,
 )
 from repro.platform.deployment import scenario_1, scenario_2
@@ -311,16 +311,15 @@ def test_shift_rhs_matches_cold_child(row, delta_num):
 @SETTINGS
 @given(deltas=st.lists(st.integers(-16, 16), min_size=3, max_size=3))
 def test_rhs_delta_matches_cold_child(deltas):
-    """The vector form with ``B^-1 db`` assembled from the tableau's own
-    slack columns — exactly how the batch layer's root chaining uses it."""
+    """The whole-column form with ``B^-1 b`` assembled from the
+    tableau's own slack columns — exactly how the batch layer's root
+    chaining uses it."""
     parent = _solved_parent()
     delta = np.array(deltas, dtype=float) / 4.0
     n = PARENT_C.shape[0]
-    shift = parent.tableau[:, n : n + 3] @ delta
+    rhs = parent.tableau[:, n : n + 3] @ (PARENT_B_UB + delta)
 
-    warm = warm_solve_rhs_delta(
-        parent.tableau, parent.basis, PARENT_C, shift
-    )
+    warm = warm_solve_rhs(parent.tableau, parent.basis, PARENT_C, rhs)
     if warm is None:
         return
 
@@ -338,9 +337,7 @@ def test_extension_entry_points_do_not_mutate_inputs():
         rhs=2.0,
     )
     warm_solve_shift_rhs(tableau, basis, PARENT_C, 0, -1.5)
-    warm_solve_rhs_delta(
-        tableau, basis, PARENT_C, np.array([0.25, -0.5, 0.0])
-    )
+    warm_solve_rhs(tableau, basis, PARENT_C, np.array([0.25, -0.5, 0.0]))
 
     assert np.array_equal(tableau, parent.tableau)
     assert np.array_equal(basis, parent.basis)
