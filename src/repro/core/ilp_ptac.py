@@ -43,18 +43,33 @@ Dropping the τb-side constraints (Eqs. 22-23 and τb's tailoring) makes the
 bound fully time-composable again, as the paper remarks after Eq. 23 —
 exposed as ``contender_constraints=False`` and exercised by the ablation
 benchmark.
+
+Templates: which rows and columns exist, and every coefficient, follow
+from the scenario's valid pairs, their latencies and stall cycles, the
+Table 5 flags, the stall-budget mode and the contenders' count (their
+names too, from two on); the counter readings reach only the right-hand
+sides of the stall-budget and Table 5 rows.  So the expression code
+assembles each such *structure* once, into a per-process memoised
+template (its standard form built and its structure signature hashed
+once), and every model is an instance of it: a full :class:`IlpModel`
+sharing the template's variables and read-only arrays, with only the
+counter rows rewritten.  A sweep of thousands of points builds a handful
+of templates, and the batch solver chains their roots without comparing
+matrices, since every instance carries the template's very ``a_ub``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Mapping, Sequence
 
 from repro.core.results import ContentionBound
 from repro.counters.readings import TaskReadings
 from repro.errors import ModelError
-from repro.ilp.expr import Var, lin_sum
+from repro.ilp.batch import structure_signature
+from repro.ilp.expr import Constraint, Var, lin_sum
 from repro.ilp.model import ILP_BACKENDS, IlpModel
 from repro.ilp.solution import Solution
 from repro.platform.deployment import DeploymentScenario
@@ -147,9 +162,50 @@ class _Readout:
     solution: Solution
 
 
-class _IlpPtacBuilder:
-    """Constructs the ILP of Section 3.5 for τa against zero, one or
-    several contenders.
+#: Contention-ILP templates kept in memory per process, one per
+#: structure.  A sweep touches a handful (six serve ``ilp-explore``'s
+#: 3039 solves), so the bound only caps a long-lived worker.
+TEMPLATE_CACHE_SIZE = 32
+
+
+@dataclasses.dataclass(frozen=True)
+class _Structure:
+    """What a contention ILP's rows, columns and coefficients read.
+
+    The memo key of :func:`_template`, compared by value: every sweep
+    point, pool job and service unit brings fresh profile and scenario
+    objects (and :class:`LatencyProfile` hashes by identity).  The
+    readings and the solver knobs are not part of it.
+
+    Attributes:
+        pairs: the scenario's valid ``(target, operation)`` pairs.
+        latencies: each pair's interference latency (Eq. 9's
+            ``l^{t,o}``).
+        stall_cycles: each pair's minimum stall cycles (Eqs. 20-23's
+            ``cs^{t,o}``).
+        stall_budget: the stall-budget mode of Eqs. 20-23.
+        code_count_exact: whether Table 5's ``Σ_t n[t,co] = PM`` rows
+            apply (the scenario allows them and the options use them).
+        data_count_lower_bounded: whether Table 5's
+            ``Σ_t n[t,da] ≥ DMC + DMD`` rows apply.
+        contenders: how many contenders the model has.
+        names: the contenders' names, which tag their variables and
+            rows; empty with fewer than two contenders.
+    """
+
+    pairs: tuple[Pair, ...]
+    latencies: tuple[int, ...]
+    stall_cycles: tuple[int, ...]
+    stall_budget: str
+    code_count_exact: bool
+    data_count_lower_bounded: bool
+    contenders: int
+    names: tuple[str, ...]
+
+
+class _Template:
+    """The ILP of Section 3.5 for one :class:`_Structure`, for τa against
+    zero, one or several contenders.
 
     No contender builds the time-composable variant: one ``n_ba`` family
     capped by τa's exposure alone, and no ``n_b``.  One contender builds
@@ -161,58 +217,50 @@ class _IlpPtacBuilder:
     single-contender optima.  With two or more contenders each
     contender's variables and rows carry ``[name]``
     (``n_ba[H-Load][pf0,co]``); with fewer, names carry no tag.
+
+    Assembled from the structure alone, so the rows that read the
+    counters (the stall budgets and the Table 5 counts) carry a
+    placeholder right-hand side of 0; each one is recorded in
+    :attr:`reading_rows` as it is added, and
+    :meth:`_IlpPtacBuilder.build` fills them in per instance.
+
+    Attributes:
+        model: the template ILP; its standard form is built and its
+            structure signature hashed once, here.
+        n_a, n_ba, n_b: the variable families (``n_ba`` one per
+            contender, or the time-composable one; ``n_b`` one per
+            contender), shared by every instance.
+        reading_rows: per counter-reading row, ``(position, task,
+            reading)``: the constraint's position in the model, the task
+            whose readings it uses (0 for τa, ``i`` for the ``i``-th
+            contender) and the :class:`TaskReadings` attribute.
     """
 
-    def __init__(
-        self,
-        readings_a: TaskReadings,
-        contenders: Sequence[TaskReadings],
-        profile: LatencyProfile,
-        scenario: DeploymentScenario,
-        options: IlpPtacOptions,
-    ) -> None:
-        self.readings_a = readings_a
-        self.contenders = tuple(contenders)
-        self.profile = profile
-        self.scenario = scenario
-        self.options = options
-        self.pairs: tuple[Pair, ...] = scenario.valid_pairs()
-        if not self.pairs:
-            raise ModelError(
-                f"scenario {scenario.name!r} admits no SRI traffic"
-            )
-        names = ", ".join(c.name for c in self.contenders) or "<any>"
-        self.model = IlpModel(
-            name=f"ilp-ptac[{readings_a.name} vs {names}; {scenario.name}]"
-        )
+    def __init__(self, structure: _Structure) -> None:
+        self.structure = structure
+        self.pairs = structure.pairs
+        self.model = IlpModel(name="ilp-ptac template")
         self.n_a: dict[Pair, Var] = {}
-        # One n_ba family per contender (a single one without contenders)
-        # and one n_b family per contender, in contender order.
         self.n_ba: list[dict[Pair, Var]] = []
         self.n_b: list[dict[Pair, Var]] = []
+        self.reading_rows: list[tuple[int, int, str]] = []
         # (name tag of a family's variables and cap rows, ``who`` of its
         # task rows) per n_ba family.
-        if len(self.contenders) > 1:
-            self._tags = [(f"[{c.name}]", c.name) for c in self.contenders]
+        if structure.contenders > 1:
+            self._tags = [(f"[{name}]", name) for name in structure.names]
         else:
             self._tags = [("", "b")]
-
-    # ------------------------------------------------------------------
-    def build(self) -> IlpModel:
-        """Assemble variables, objective and all constraint families."""
         self._add_variables()
         self._add_objective()
         self._add_interference_caps()
-        tasks = [("a", self.readings_a, self.n_a)] + [
-            (who, readings, n_b)
-            for (_, who), readings, n_b in zip(
-                self._tags, self.contenders, self.n_b
-            )
+        tasks = [("a", self.n_a)] + [
+            (who, n_b) for (_, who), n_b in zip(self._tags, self.n_b)
         ]
-        for who, readings, variables in tasks:
-            self._add_stall_profile(who, readings, variables)
-            self._add_tailoring(who, readings, variables)
-        return self.model
+        for task, (who, variables) in enumerate(tasks):
+            self._add_stall_profile(task, who, variables)
+            self._add_tailoring(task, who, variables)
+        # Memoised on the form, which every instance's form copies.
+        structure_signature(self.model.standard_form())
 
     def _add_variables(self) -> None:
         # Column order: per-class totals of τa, then of each contender's
@@ -226,7 +274,7 @@ class _IlpPtacBuilder:
         for tag, _ in self._tags:
             self.n_ba.append({})
             families.append((f"ba{tag}", self.n_ba[-1]))
-            if self.contenders:
+            if self.structure.contenders:
                 self.n_b.append({})
                 families.append((f"b{tag}", self.n_b[-1]))
         ops = [
@@ -261,15 +309,13 @@ class _IlpPtacBuilder:
         """Equation 9: maximise Δcs^co_a + Δcs^da_a over all contenders."""
         self.model.maximize(
             lin_sum(
-                n_ba[pair] * self._latency(pair)
+                n_ba[pair] * latency
                 for n_ba in self.n_ba
-                for pair in self.pairs
+                for pair, latency in zip(
+                    self.pairs, self.structure.latencies
+                )
             )
         )
-
-    def _latency(self, pair: Pair) -> int:
-        target, op = pair
-        return self.scenario.interference_latency(self.profile, target, op)
 
     def _add_interference_caps(self) -> None:
         """Equations 10-19 (linearised; Eq. 15-16 typos corrected), per
@@ -304,36 +350,42 @@ class _IlpPtacBuilder:
                     name=f"cumulative{tag}[{target.value}]",
                 )
 
-    def _add_stall_profile(
-        self,
-        who: str,
-        readings: TaskReadings,
-        variables: dict[Pair, Var],
+    def _add_reading_row(
+        self, constraint: Constraint, name: str, task: int, reading: str
     ) -> None:
-        """Equations 20-23: consistency with PMEM_STALL / DMEM_STALL."""
-        for op, budget in (
-            (Operation.CODE, readings.ps),
-            (Operation.DATA, readings.ds),
-        ):
+        """Add a row whose right-hand side, 0 in the template, is
+        ``task``'s ``reading`` in every instance."""
+        self.reading_rows.append(
+            (len(self.model.constraints), task, reading)
+        )
+        self.model.add_constraint(constraint, name=name)
+
+    def _add_stall_profile(
+        self, task: int, who: str, variables: dict[Pair, Var]
+    ) -> None:
+        """Equations 20-23: consistency with PMEM_STALL (``ps``) /
+        DMEM_STALL (``ds``)."""
+        for op, reading in ((Operation.CODE, "ps"), (Operation.DATA, "ds")):
             terms = [
-                variables[(target, o)] * self.profile.stall_cycles(target, o)
-                for (target, o) in self.pairs
-                if o is op
+                variables[pair] * stall
+                for pair, stall in zip(
+                    self.pairs, self.structure.stall_cycles
+                )
+                if pair[1] is op
             ]
             if not terms:
                 continue
             expr = lin_sum(terms)
-            name = f"stall_{op.value}[{who}]"
-            if self.options.stall_budget == "exact":
-                self.model.add_constraint(expr == budget, name=name)
+            if self.structure.stall_budget == "exact":
+                constraint = expr == 0
             else:
-                self.model.add_constraint(expr <= budget, name=name)
+                constraint = expr <= 0
+            self._add_reading_row(
+                constraint, f"stall_{op.value}[{who}]", task, reading
+            )
 
     def _add_tailoring(
-        self,
-        who: str,
-        readings: TaskReadings,
-        variables: dict[Pair, Var],
+        self, task: int, who: str, variables: dict[Pair, Var]
     ) -> None:
         """Table 5: scenario-specific PTAC constraints.
 
@@ -345,27 +397,112 @@ class _IlpPtacBuilder:
             for (target, op) in self.pairs
             if op is Operation.CODE
         ]
-        if (
-            self.options.use_exact_code_counts
-            and self.scenario.code_count_exact
-            and code_vars
-        ):
-            self.model.add_constraint(
-                lin_sum(code_vars) == readings.pm,
-                name=f"code_count[{who}]",
+        if self.structure.code_count_exact and code_vars:
+            # Σ_t n[t,co] = PM.
+            self._add_reading_row(
+                lin_sum(code_vars) == 0, f"code_count[{who}]", task, "pm"
             )
         data_vars = [
             variables[(target, op)]
             for (target, op) in self.pairs
             if op is Operation.DATA
         ]
-        if self.scenario.data_count_lower_bounded and data_vars:
-            self.model.add_constraint(
-                lin_sum(data_vars) >= readings.data_cache_misses,
-                name=f"data_count_lb[{who}]",
+        if self.structure.data_count_lower_bounded and data_vars:
+            # Σ_t n[t,da] >= DMC + DMD.
+            self._add_reading_row(
+                lin_sum(data_vars) >= 0,
+                f"data_count_lb[{who}]",
+                task,
+                "data_cache_misses",
             )
 
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def _template(structure: _Structure) -> _Template:
+    """The one template of ``structure``, assembled on first use.
+
+    ``lru_cache`` is thread-safe, which matters because pull workers may
+    share one interpreter as threads; the template is complete, form
+    and signature included, before it is shared.  ``__wrapped__`` is
+    the unmemoised assembly.
+    """
+    return _Template(structure)
+
+
+class _IlpPtacBuilder:
+    """Instantiates the contention ILP of τa against zero, one or several
+    contenders (see :class:`_Template`), solves it and reads it back.
+    """
+
+    def __init__(
+        self,
+        readings_a: TaskReadings,
+        contenders: Sequence[TaskReadings],
+        profile: LatencyProfile,
+        scenario: DeploymentScenario,
+        options: IlpPtacOptions,
+    ) -> None:
+        self.readings_a = readings_a
+        self.contenders = tuple(contenders)
+        self.profile = profile
+        self.scenario = scenario
+        self.options = options
+        self.pairs: tuple[Pair, ...] = scenario.valid_pairs()
+        if not self.pairs:
+            raise ModelError(
+                f"scenario {scenario.name!r} admits no SRI traffic"
+            )
+        names = ", ".join(c.name for c in self.contenders) or "<any>"
+        self.name = f"ilp-ptac[{readings_a.name} vs {names}; {scenario.name}]"
+
     # ------------------------------------------------------------------
+    def structure(self) -> _Structure:
+        """The memo key of this instance's template."""
+        profile, scenario = self.profile, self.scenario
+        return _Structure(
+            pairs=self.pairs,
+            latencies=tuple(
+                scenario.interference_latency(profile, target, op)
+                for target, op in self.pairs
+            ),
+            stall_cycles=tuple(
+                profile.stall_cycles(target, op) for target, op in self.pairs
+            ),
+            stall_budget=self.options.stall_budget,
+            code_count_exact=(
+                self.options.use_exact_code_counts
+                and scenario.code_count_exact
+            ),
+            data_count_lower_bounded=scenario.data_count_lower_bounded,
+            contenders=len(self.contenders),
+            names=(
+                tuple(c.name for c in self.contenders)
+                if len(self.contenders) > 1
+                else ()
+            ),
+        )
+
+    def build(self) -> IlpModel:
+        """This instance of its structure's template.
+
+        The template is assembled on the structure's first use and
+        memoised; every instance is the template with the rows that read
+        the counters rewritten to this instance's readings
+        (:meth:`~repro.ilp.model.IlpModel.with_rhs`).  The returned model
+        is a full :class:`IlpModel`, named after the tasks and scenario,
+        that shares the template's variables and read-only arrays.
+        """
+        self.template = template = _template(self.structure())
+        readings = (self.readings_a, *self.contenders)
+        self.model = template.model.with_rhs(
+            {
+                position: getattr(readings[task], reading)
+                for position, task, reading in template.reading_rows
+            },
+            name=self.name,
+        )
+        return self.model
+
     def counts(
         self, solution: Solution, variables: Mapping[Pair, Var]
     ) -> dict[Pair, int]:
@@ -394,9 +531,9 @@ class _IlpPtacBuilder:
             self.build(), self.options
         ).require_optimal()
         interference = tuple(
-            self.counts(solution, n_ba) for n_ba in self.n_ba
+            self.counts(solution, n_ba) for n_ba in self.template.n_ba
         )
-        latency = {pair: self._latency(pair) for pair in self.pairs}
+        latency = dict(zip(self.pairs, self.template.structure.latencies))
         breakdown: dict[Pair, int] = {}
         op_totals = {Operation.CODE: 0, Operation.DATA: 0}
         for pair in self.pairs:
@@ -512,12 +649,13 @@ def ilp_ptac_bound(
         "ilp-ptac" if builder.contenders else "ilp-ptac-tc"
     )
     solution = readout.solution
+    template = builder.template
     return IlpPtacResult(
         bound=readout.bound,
         interference=readout.interference[0],
-        worst_profile_a=builder.counts(solution, builder.n_a),
+        worst_profile_a=builder.counts(solution, template.n_a),
         worst_profile_b=(
-            builder.counts(solution, builder.n_b[0]) if builder.n_b else {}
+            builder.counts(solution, template.n_b[0]) if template.n_b else {}
         ),
         model=builder.model,
         solution=solution,

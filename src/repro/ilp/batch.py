@@ -80,7 +80,9 @@ def structure_signature(model_or_form: IlpModel | StandardForm) -> str:
     # Memoised on the form instance: forms are themselves memoised per
     # model, so every warm solve of a sweep would otherwise re-serialise
     # and re-hash an identical payload (a fixed cost that dominates once
-    # the pivots are vectorised).
+    # the pivots are vectorised).  Forms made by ``StandardForm.with_rhs``
+    # carry their source's digest, so the contention-ILP templates hash
+    # once per template, not once per instance.
     cached = getattr(form, "_structure_signature", None)
     if cached is not None:
         return cached

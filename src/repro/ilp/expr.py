@@ -241,6 +241,19 @@ class Constraint:
         """Return the same constraint carrying a display name."""
         return Constraint(self._expr, self._sense, name)
 
+    def with_rhs(self, rhs: float) -> "Constraint":
+        """The same terms, sense and name with ``rhs`` on the right.
+
+        The folded constant is the one comparing the bare terms against
+        ``rhs`` yields (``0.0 - rhs``, signed zeros included), so the
+        copy lowers to exactly the row a fresh comparison would.
+        """
+        expr = LinExpr.__new__(LinExpr)
+        # Expressions never mutate their terms, so the copy shares them.
+        expr._terms = self._expr._terms
+        expr._constant = 0.0 - float(rhs)
+        return Constraint(expr, self._sense, self.name)
+
     def is_satisfied(
         self, assignment: Mapping[Var, float], *, tolerance: float = 1e-6
     ) -> bool:

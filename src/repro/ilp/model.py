@@ -15,6 +15,9 @@ bounds, optional upper bounds, integer or continuous domains, ``<=``,
 
 from __future__ import annotations
 
+import copy
+from typing import Mapping
+
 import numpy as np
 
 from repro.errors import IlpError
@@ -39,6 +42,11 @@ class StandardForm:
         integer_mask: boolean array marking integral columns.
         lower, upper: the original per-variable bounds (used by the scipy
             backend, which handles bounds natively).
+        constraint_rows: per model constraint, in order, the
+            ``(block, row, sign)`` that holds it: ``block`` is ``"ub"``
+            or ``"eq"``, and the row's right-hand side is ``sign`` times
+            the constraint's (``-1.0`` for a ``>=`` row folded into
+            ``a_ub``).  :meth:`with_rhs` rewrites rows through it.
     """
 
     def __init__(self, model: "IlpModel") -> None:
@@ -55,6 +63,7 @@ class StandardForm:
         ub_rhs: list[float] = []
         eq_rows: list[np.ndarray] = []
         eq_rhs: list[float] = []
+        constraint_rows: list[tuple[str, int, float]] = []
         for constraint in model.constraints:
             row = np.zeros(n)
             for var, coef in constraint.terms().items():
@@ -66,14 +75,18 @@ class StandardForm:
                         f"{var.name!r} not declared in this model"
                     ) from exc
             if constraint.sense is Sense.LE:
+                constraint_rows.append(("ub", len(ub_rows), 1.0))
                 ub_rows.append(row)
                 ub_rhs.append(constraint.rhs)
             elif constraint.sense is Sense.GE:
+                constraint_rows.append(("ub", len(ub_rows), -1.0))
                 ub_rows.append(-row)
                 ub_rhs.append(-constraint.rhs)
             else:
+                constraint_rows.append(("eq", len(eq_rows), 1.0))
                 eq_rows.append(row)
                 eq_rhs.append(constraint.rhs)
+        self.constraint_rows = tuple(constraint_rows)
 
         # Fold variable bounds into rows for the bundled solver, which works
         # on x >= 0.
@@ -107,6 +120,31 @@ class StandardForm:
     @property
     def n_variables(self) -> int:
         return len(self.variables)
+
+    def with_rhs(self, rhs: Mapping[int, float]) -> "StandardForm":
+        """This form with constraint ``k``'s right-hand side set to
+        ``rhs[k]`` (``k`` counts constraints in model order).
+
+        The copy gets fresh ``b_ub`` and ``b_eq`` and shares every other
+        array with this form, along with its memoised structure
+        signature.  This form's arrays become read-only first, so a
+        write into one fails loudly instead of reaching every form that
+        shares it.
+        """
+        if self.c.flags.writeable:  # they are frozen together
+            for array in (
+                self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
+                self.integer_mask, self.lower, self.upper,
+            ):
+                array.flags.writeable = False
+        b_ub = self.b_ub.copy()
+        b_eq = self.b_eq.copy()
+        for k, value in rhs.items():
+            block, row, sign = self.constraint_rows[k]
+            (b_ub if block == "ub" else b_eq)[row] = sign * value
+        form = copy.copy(self)
+        form.b_ub, form.b_eq = b_ub, b_eq
+        return form
 
     def assignment(self, x: np.ndarray) -> dict[Var, float]:
         """Zip a solution vector back onto the model variables."""
@@ -209,12 +247,41 @@ class IlpModel:
         Memoised: repeated solves (and the batch solver's structure
         fingerprinting) reuse one construction; any mutation —
         ``add_var``, ``add_constraint``, ``maximize`` — invalidates the
-        cached form.  Callers must treat the returned arrays as
-        read-only (every backend does).
+        cached form.  A model made by :meth:`with_rhs` starts with its
+        form already built, sharing every array but the right-hand
+        sides with its source's form.  The returned arrays are
+        therefore read-only by contract (every backend only reads
+        them), and shared ones are flagged ``writeable=False``.
         """
         if self._form is None:
             self._form = StandardForm(self)
         return self._form
+
+    def with_rhs(
+        self, rhs: Mapping[int, float], *, name: str | None = None
+    ) -> "IlpModel":
+        """A copy of this model whose constraint ``k`` has right-hand side
+        ``rhs[k]`` (``k`` counts :attr:`constraints` in order).
+
+        The copy shares this model's variables, objective and untouched
+        constraints, and comes with its standard form already built
+        (:meth:`StandardForm.with_rhs`): only ``b_ub`` and ``b_eq`` are
+        new.  It owns its variable, name and constraint lists, so
+        ``add_var``, ``add_constraint`` or ``maximize`` on it never
+        reach this model.  It is named ``name``, or this model's name.
+        """
+        constraints = list(self._constraints)
+        for k, value in rhs.items():
+            constraints[k] = constraints[k].with_rhs(value)
+        model = IlpModel(self.name if name is None else name)
+        model._variables = list(self._variables)
+        model._names = set(self._names)
+        model._constraints = constraints
+        model._objective = self._objective
+        model._form = self.standard_form().with_rhs(
+            {k: constraints[k].rhs for k in rhs}
+        )
+        return model
 
     def check(self, values: dict[Var, float], *, tolerance: float = 1e-6) -> list[str]:
         """Return human-readable violations of ``values`` (empty = feasible).

@@ -16,7 +16,13 @@ from repro.ilp.solution import Solution, SolveStats, SolveStatus
 
 
 def solve_scipy(form: StandardForm) -> Solution:
-    """Solve a :class:`StandardForm` maximisation MILP with SciPy/HiGHS."""
+    """Solve a :class:`StandardForm` maximisation MILP with SciPy/HiGHS.
+
+    HiGHS runs to a zero relative MIP gap.  Its default gap (1e-4)
+    stops at any point within that of the bound and reports success, so
+    an "optimal" point could sit below the true worst case and make a
+    ``backend="scipy"`` contention bound under-report it.
+    """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
     constraints = []
@@ -32,6 +38,7 @@ def solve_scipy(form: StandardForm) -> Solution:
         constraints=constraints,
         integrality=form.integer_mask.astype(int),
         bounds=Bounds(form.lower, form.upper),
+        options={"mip_rel_gap": 0.0},
     )
 
     stats = SolveStats(backend="scipy")

@@ -1,5 +1,7 @@
 """Tests for the ILP-PTAC model (Eqs. 9-23 + Table 5 tailoring)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.ilp_ptac import (
@@ -8,7 +10,8 @@ from repro.core.ilp_ptac import (
     ilp_ptac_bound,
 )
 from repro.counters.readings import TaskReadings
-from repro.errors import ModelError
+from repro.errors import IlpError, ModelError
+from repro.ilp import batch, branch_and_bound
 from repro.ilp.solution import SolveStatus
 from repro.platform.targets import Operation, Target
 
@@ -43,6 +46,29 @@ class TestPaperInstances:
             app_sc2, hload_sc2, profile, sc2, IlpPtacOptions(backend=backend)
         )
         assert result.bound.delta_cycles == 3_829_026
+
+    def test_scipy_solves_to_a_zero_gap(self, profile, sc2):
+        """HiGHS's default 1e-4 relative gap once stopped at 165,322
+        here (gap 9.7e-5) and reported it optimal, under-reporting the
+        worst case that branch-and-bound finds."""
+        a = TaskReadings(
+            "a", pmem_stall=24133, dmem_stall=52237, pcache_miss=3196,
+            dcache_miss_clean=2214, dcache_miss_dirty=79,
+        )
+        b = TaskReadings(
+            "b", pmem_stall=54812, dmem_stall=38741, pcache_miss=4610,
+            dcache_miss_clean=726, dcache_miss_dirty=90,
+        )
+        results = {
+            backend: ilp_ptac_bound(
+                a, b, profile, sc2,
+                IlpPtacOptions(use_exact_code_counts=False, backend=backend),
+            )
+            for backend in ("bnb", "scipy", "lp")
+        }
+        assert results["bnb"].bound.delta_cycles == 165_338
+        assert results["scipy"].bound.delta_cycles == 165_338
+        assert results["lp"].solution.objective >= 165_338
 
     def test_lp_relaxation_is_a_looser_sound_bound(
         self, app_sc1, hload_sc1, profile, sc1
@@ -165,6 +191,46 @@ class TestWitnessConsistency:
             for (t, o), count in result.interference.items()
         )
         assert recomputed == result.bound.delta_cycles
+
+
+def _with_n_ba_past_its_cap(solution):
+    """``solution`` with its first ``n_ba`` count raised past every cap."""
+    var = next(v for v in solution.values if v.name.startswith("n_ba["))
+    values = dict(solution.values)
+    values[var] += 10**6
+    return dataclasses.replace(solution, values=values)
+
+
+class TestFeasibilityRecheck:
+    """A solver that returns an infeasible point is caught, not trusted."""
+
+    def test_warm_solve_of_a_bound(
+        self, app_sc1, hload_sc1, profile, sc1, monkeypatch
+    ):
+        solve_bnb_warm = batch.solve_bnb_warm
+
+        def corrupt(form, warm, **kwargs):
+            solution, state = solve_bnb_warm(form, warm, **kwargs)
+            return _with_n_ba_past_its_cap(solution), state
+
+        monkeypatch.setattr(batch, "solve_bnb_warm", corrupt)
+        with pytest.raises(IlpError, match="infeasible point"):
+            ilp_ptac_bound(app_sc1, hload_sc1, profile, sc1)
+
+    def test_cold_model_solve(
+        self, app_sc1, hload_sc1, profile, sc1, monkeypatch
+    ):
+        solve_bnb = branch_and_bound.solve_bnb
+        monkeypatch.setattr(
+            branch_and_bound,
+            "solve_bnb",
+            lambda form, **kwargs: _with_n_ba_past_its_cap(
+                solve_bnb(form, **kwargs)
+            ),
+        )
+        model = build_ilp_ptac(app_sc1, hload_sc1, profile, sc1)
+        with pytest.raises(IlpError, match="infeasible point"):
+            model.solve()
 
 
 class TestVariantsAndFlags:

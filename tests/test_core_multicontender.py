@@ -8,12 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import paper
+from repro.core import ilp_ptac
 from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac, ilp_ptac_bound
 from repro.core.multicontender import multi_contender_bound
 from repro.counters.readings import TaskReadings
 from repro.engine.experiment import run_spec
 from repro.errors import IlpError, ModelError
-from repro.ilp.model import IlpModel
 from repro.platform.deployment import scenario_1, scenario_2
 from repro.platform.latency import tc27x_latency_profile
 
@@ -178,18 +178,18 @@ def _readings(draw, name):
 
 
 def _solved_models(bound):
-    """The ILPs ``bound()`` solves (every backend reads the model's
-    standard form), and its outcome: the result, or the message of an
-    ``IlpError``."""
+    """The ILPs ``bound()`` solves (every backend's solve goes through
+    ``solve_contention_ilp``), and its outcome: the result, or the
+    message of an ``IlpError``."""
     models = []
-    standard_form = IlpModel.standard_form
+    solve = ilp_ptac.solve_contention_ilp
 
-    def recording(model):
+    def recording(model, options):
         if model not in models:
             models.append(model)
-        return standard_form(model)
+        return solve(model, options)
 
-    with mock.patch.object(IlpModel, "standard_form", recording):
+    with mock.patch.object(ilp_ptac, "solve_contention_ilp", recording):
         try:
             outcome = bound()
         except IlpError as exc:

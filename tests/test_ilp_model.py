@@ -1,10 +1,15 @@
 """Tests for the ILP model builder and solve dispatch."""
 
+import numpy as np
 import pytest
 
 from repro.errors import IlpError
-from repro.ilp.model import IlpModel
+from repro.ilp.model import IlpModel, StandardForm
 from repro.ilp.solution import SolveStatus
+
+FORM_ARRAYS = (
+    "c", "a_ub", "b_ub", "a_eq", "b_eq", "integer_mask", "lower", "upper"
+)
 
 
 class TestConstruction:
@@ -110,6 +115,78 @@ class TestSolving:
         model = IlpModel()
         x = model.add_var("x")
         assert any("integral" in v for v in model.check({x: 1.5}))
+
+
+class TestWithRhs:
+    """``IlpModel.with_rhs``: a copy with new right-hand sides and a
+    standard form that shares everything else."""
+
+    def _model(self) -> IlpModel:
+        model = IlpModel("source")
+        x = model.add_var("x", upper=10)
+        y = model.add_var("y")
+        model.add_constraint(x + 2 * y <= 8, name="le")
+        model.add_constraint(x - y >= 1, name="ge")
+        model.add_constraint(x + y == 6, name="eq")
+        model.maximize(3 * x + 2 * y)
+        return model
+
+    def test_form_matches_a_fresh_lowering(self):
+        source = self._model()
+        copy = source.with_rhs({0: 9, 1: 0, 2: 5}, name="copy")
+        assert copy.name == "copy"
+        assert [(c.name, c.sense, c.rhs) for c in copy.constraints] == [
+            (c.name, c.sense, rhs)
+            for c, rhs in zip(source.constraints, (9.0, 0.0, 5.0))
+        ]
+        form, fresh = copy.standard_form(), StandardForm(copy)
+        for field in FORM_ARRAYS:
+            assert getattr(form, field).tobytes() == (
+                getattr(fresh, field).tobytes()
+            ), field
+        assert copy.solve().objective == source.with_rhs(
+            {0: 9, 1: 0, 2: 5}
+        ).solve().objective
+
+    def test_shares_all_but_the_right_hand_sides(self):
+        source = self._model()
+        form = source.with_rhs({0: 9}).standard_form()
+        shared = source.standard_form()
+        assert form.variables is shared.variables
+        for field in ("c", "a_ub", "a_eq", "integer_mask", "lower", "upper"):
+            assert getattr(form, field) is getattr(shared, field)
+            assert not getattr(form, field).flags.writeable
+        assert form.b_ub is not shared.b_ub
+        assert form.b_eq is not shared.b_eq
+        with pytest.raises(ValueError, match="read-only"):
+            form.a_ub[0, 0] = 2.0
+
+    def test_building_on_a_copy_leaves_the_source_alone(self):
+        source = self._model()
+        variables, constraints = source.variables, source.constraints
+        objective = source.objective
+        arrays = {
+            field: getattr(source.standard_form(), field).tobytes()
+            for field in FORM_ARRAYS
+        }
+        copy = source.with_rhs({0: 9})
+        z = copy.add_var("z", upper=1)
+        copy.add_constraint(z <= 1, name="extra")
+        copy.maximize(z + 0)
+        assert copy.solve().objective == 1.0
+        assert _same(source.variables, variables)
+        assert _same(source.constraints, constraints)
+        assert source.objective is objective
+        for field, data in arrays.items():
+            assert getattr(source.standard_form(), field).tobytes() == data
+        assert source.solve().objective == 18.0
+
+
+def _same(items, others):
+    """Element-wise identity (``Var.__eq__`` builds a constraint)."""
+    return len(items) == len(others) and all(
+        a is b for a, b in zip(items, others)
+    )
 
 
 class TestSolutionApi:

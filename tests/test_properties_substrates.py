@@ -3,15 +3,23 @@
 The paper-level properties live in ``test_properties_soundness``; these
 pin the invariants of the building blocks the models and the simulator
 rest on: cache bookkeeping, deterministic mix sequencing, apportionment,
-address resolution, the LP solver and the fast isolation-time calculator.
+address resolution, the LP solver, branch-and-bound on contention ILPs
+and the fast isolation-time calculator.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.ilp_ptac import IlpPtacOptions, ilp_ptac_bound
+from repro.core.multicontender import multi_contender_bound
+from repro.counters.readings import TaskReadings
+from repro.errors import IlpError
+from repro.platform.deployment import scenario_1, scenario_2
+from repro.platform.latency import tc27x_latency_profile
 from repro.platform.memory_map import MemoryMap
+from repro.platform.targets import Operation
 from repro.platform.tc27x import CacheGeometry
 from repro.sim.caches import SetAssociativeCache
 from repro.workloads.spec import _FractionSequencer, spread_counts
@@ -167,6 +175,93 @@ def test_simplex_with_equalities_matches_scipy(seed):
     else:
         assert ours.status is LpStatus.OPTIMAL
         assert ours.objective == pytest.approx(reference.fun, abs=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Contention ILPs: branch-and-bound against HiGHS
+# ----------------------------------------------------------------------
+#: Branch-and-bound node budget of the differential test.  Some drawn
+#: readings put the search on the pf0/pf1 plateau (two banks, one
+#: latency), where it can take thousands of nodes; those draws are
+#: assumed away, since an unfinished search has no optimum to compare.
+DIFFERENTIAL_NODE_LIMIT = 300
+
+
+def _explained_readings(data, name, scenario, profile, stall_budget):
+    """Readings that drawn per-target counts explain, so every model
+    built from them is feasible: ``pm`` is the code count, ``ps``/``ds``
+    the counts' minimum stalls (plus slack under the ``minimum``
+    budget), and ``DMC + DMD`` at most the data count."""
+    code = data_count = ps = ds = 0
+    for target, op in scenario.valid_pairs():
+        count = data.draw(
+            st.integers(0, 4_000), label=f"{name} {target.value}"
+        )
+        stalls = count * profile.stall_cycles(target, op)
+        if op is Operation.CODE:
+            code, ps = code + count, ps + stalls
+        else:
+            data_count, ds = data_count + count, ds + stalls
+    if stall_budget == "minimum":
+        ps += data.draw(st.integers(0, 5_000), label=f"{name} ps slack")
+        ds += data.draw(st.integers(0, 5_000), label=f"{name} ds slack")
+    misses = data.draw(st.integers(0, data_count), label=f"{name} misses")
+    dirty = data.draw(st.integers(0, misses), label=f"{name} dirty")
+    return TaskReadings(
+        name, pmem_stall=ps, dmem_stall=ds, pcache_miss=code,
+        dcache_miss_clean=misses - dirty, dcache_miss_dirty=dirty,
+    )
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    scenario=st.sampled_from((scenario_1, scenario_2)),
+    stall_budget=st.sampled_from(("minimum", "exact")),
+    exact_codes=st.booleans(),
+    n_contenders=st.integers(0, 2),
+    data=st.data(),
+)
+def test_contention_ilps_branch_and_bound_matches_highs(
+    scenario, stall_budget, exact_codes, n_contenders, data
+):
+    """Branch-and-bound and HiGHS agree on generated contention ILPs
+    with zero, one and two contenders, and the LP relaxation bounds
+    both from above."""
+    scenario = scenario()
+    profile = tc27x_latency_profile()
+    app, *contenders = (
+        _explained_readings(data, name, scenario, profile, stall_budget)
+        for name in ("a", "b1", "b2")[: n_contenders + 1]
+    )
+
+    def optimum(backend):
+        options = IlpPtacOptions(
+            stall_budget=stall_budget,
+            use_exact_code_counts=exact_codes,
+            contender_constraints=bool(contenders),
+            backend=backend,
+            node_limit=DIFFERENTIAL_NODE_LIMIT,
+        )
+        if len(contenders) > 1:
+            result = multi_contender_bound(
+                app, contenders, profile, scenario, options
+            )
+        else:
+            rival = contenders[0] if contenders else None
+            result = ilp_ptac_bound(app, rival, profile, scenario, options)
+        return result.solution.objective
+
+    try:
+        bnb = optimum("bnb")
+    except IlpError as exc:
+        assume("node_limit" not in str(exc))
+        raise
+    assert optimum("scipy") == bnb
+    assert optimum("lp") >= bnb - 1e-6
 
 
 # ----------------------------------------------------------------------
