@@ -172,9 +172,9 @@ def figure4_paper_jobs(
     """The job batch behind paper-counters Figure 4.
 
     One engine job per bar, ready for :func:`run_jobs` — or for the
-    analysis service, which submits the same batch to a coordinator
-    queue (:mod:`repro.service.jobsets`) and renders the identical
-    figure from the collected results.
+    analysis service: ``repro submit figure4`` queues the same batch on
+    a coordinator, and ``repro watch`` renders the identical figure
+    from the collected results.
     """
     profile = profile or tc27x_latency_profile()
     jobs = []

@@ -475,7 +475,11 @@ def write(
     format: str | None = None,
     columns: Sequence[str] | None = None,
 ) -> None:
-    """Write records to ``path`` (format inferred from the extension)."""
+    """Write records to ``path`` (format inferred from the extension).
+
+    A path that cannot be opened for writing raises :class:`ReproError`
+    naming it, so ``repro ... --export`` exits 2 instead of tracing back.
+    """
     if format is None:
         if path.endswith(".json"):
             format = "json"
@@ -491,7 +495,13 @@ def write(
         payload = to_csv(records, columns=columns)
     else:
         raise ReproError(f"unknown export format {format!r}")
-    with open(path, "w", encoding="utf-8") as handle:
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ReproError(
+            f"cannot write export {path!r}: {exc.strerror or exc}"
+        ) from exc
+    with handle:
         handle.write(payload)
 
 

@@ -210,8 +210,8 @@ def render_ablation(rows: Sequence[AblationRow]) -> str:
 def render_soundness(sweep, scenario_name: str) -> str:
     """Render a soundness sweep (A4) with its per-case verdicts.
 
-    Shared by ``repro soundness`` and the analysis service's soundness
-    job set, so the two produce byte-identical artefacts.  ``sweep`` is
+    ``repro soundness`` renders through it whether the sweep ran
+    directly or was queued with ``repro submit``.  ``sweep`` is
     a :class:`~repro.analysis.validation.SoundnessSweep` (typed loosely
     to keep this rendering module import-light).
     """

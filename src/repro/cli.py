@@ -21,7 +21,7 @@ Usage (after ``pip install -e .``, as ``repro`` or ``python -m repro``)::
     repro serve --port 8751      # the analysis-service coordinator
     repro worker --coordinator http://127.0.0.1:8751   # dial-in worker
     repro matrix --coordinator http://127.0.0.1:8751   # run on the workers
-    repro submit --coordinator http://127.0.0.1:8751 figure4
+    repro submit --coordinator http://127.0.0.1:8751 family dma-pressure
     repro watch JOB --coordinator http://127.0.0.1:8751
     repro jobs --workers --coordinator http://127.0.0.1:8751
     repro jobs --cancel JOB --coordinator http://127.0.0.1:8751
@@ -45,6 +45,13 @@ registered ``repro worker`` processes — on this host or any other —
 execute it (``mode="service"``; see :mod:`repro.service` for the
 three-terminal quickstart).  Commands that run contention models accept
 ``--model`` with any registered name (see ``repro models``).
+
+``figure4`` (paper mode), ``matrix``, ``family`` and ``soundness`` run
+as one engine batch each, so they can also be queued fire-and-forget:
+``repro submit NAME ARGV...`` parses ``NAME ARGV...`` exactly as the
+direct command does and queues the same jobs, and ``repro watch``
+renders the results with the direct command's renderer.  Each of them
+is defined once — its subparser, its job builder and its renderer.
 """
 
 from __future__ import annotations
@@ -52,15 +59,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro import paper
 from repro.analysis.characterization import characterize
 from repro.analysis.experiments import (
-    figure4_paper_mode,
+    figure4_paper_jobs,
     figure4_sim_mode,
     information_ablation,
-    model_scenario_matrix,
+    model_scenario_matrix_jobs,
     table6_sim_mode,
 )
 from repro.analysis.report import (
@@ -76,16 +83,18 @@ from repro.analysis.report import (
 )
 from repro.analysis.sweeps import contender_scale_sweep
 from repro.analysis.three_core import three_core_experiment
-from repro.analysis.validation import random_soundness_sweep
+from repro.analysis.validation import SoundnessSweep, random_soundness_jobs
 from repro.core.registry import default_model_registry
 from repro.engine import (
+    ExperimentArtifact,
     ExperimentEngine,
     ResultCache,
     default_family_registry,
     default_registry,
     expand_family,
-    family_matrix,
-    run_family,
+    family_jobs,
+    family_results,
+    run_jobs,
     run_specs,
 )
 from repro.errors import ReproError
@@ -106,7 +115,7 @@ def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
     as one diffable run.  The instance is remembered on ``args`` so
     :func:`main` can shut its worker pool down once the command returns.
     """
-    jobs = getattr(args, "jobs", 1) or 1
+    jobs = getattr(args, "jobs", 1)
     cache_dir = getattr(args, "cache_dir", None)
     store = ResultStore(cache_dir) if cache_dir is not None else None
     coordinator = getattr(args, "coordinator", None)
@@ -130,16 +139,40 @@ def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
     return engine
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags (``--scale``, ``--pairs``,
+    ``--jobs``): an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+#: The engine flags (dest → flag).  They stay unset unless given, which
+#: is how `repro submit` spots and refuses them.
+_ENGINE_FLAGS = {
+    "jobs": "--jobs",
+    "coordinator": "--coordinator",
+    "cache_dir": "--cache-dir",
+}
+
+
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
-        default=1,
+        type=_positive_int,
+        default=argparse.SUPPRESS,
         metavar="N",
         help="fan independent jobs out over N worker processes",
     )
     parser.add_argument(
         "--coordinator",
+        default=argparse.SUPPRESS,
         metavar="URL",
         help=(
             "`repro serve` coordinator URL; queues the batch on the "
@@ -148,12 +181,33 @@ def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir",
+        default=argparse.SUPPRESS,
         metavar="PATH",
         help=(
             "persist the result cache under PATH so repeated invocations "
             "skip already-computed jobs"
         ),
     )
+
+
+def _render_or_write(
+    args: argparse.Namespace,
+    item: ExperimentArtifact,
+    noun: str,
+    render: Callable[[], str] | None = None,
+) -> str:
+    """Write ``item``'s records to ``--export PATH`` when given, else
+    render it (``render_artifact`` unless the command has its own)."""
+    if args.export:
+        from repro.analysis.export import write_artifact
+
+        write_artifact(item, args.export)
+        return f"wrote {len(item)} {noun} to {args.export}"
+    return render() if render is not None else render_artifact(item)
+
+
+def _scenario(args: argparse.Namespace):
+    return scenario_1() if args.scenario == 1 else scenario_2()
 
 
 def _cmd_table2(args: argparse.Namespace) -> str:
@@ -174,24 +228,149 @@ def _cmd_table6(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_figure4(args: argparse.Namespace) -> str:
-    engine = _engine(args)
-    models = tuple(args.model) if args.model else None
-    model_kwargs = {"models": models} if models else {}
+# ----------------------------------------------------------------------
+# Single-batch commands: `repro submit` queues them, `repro watch`
+# renders them.  Each has one subparser, one job builder and one
+# renderer, shared by all three ways of running it.
+# ----------------------------------------------------------------------
+def _figure4_models(args: argparse.Namespace) -> dict:
+    return {"models": tuple(args.model)} if args.model else {}
+
+
+def _figure4_jobs(args: argparse.Namespace) -> list:
+    if args.mode == "sim":
+        raise ReproError(
+            "figure4 --mode sim runs in two phases (its measurements "
+            "feed the models), so it cannot be queued as one job; run "
+            "`repro figure4 --mode sim --coordinator URL` instead"
+        )
+    return figure4_paper_jobs(**_figure4_models(args))
+
+
+def _figure4_render(rows: Sequence[Any], args: argparse.Namespace) -> str:
+    from repro.analysis.export import figure4_artifact
+
     if args.mode == "paper":
-        rows = figure4_paper_mode(engine=engine, **model_kwargs)
         title = "Figure 4 (paper-counters mode)"
     else:
-        rows = figure4_sim_mode(
-            scale=1 / args.scale, engine=engine, **model_kwargs
-        )
         title = f"Figure 4 (simulation mode, scale 1/{args.scale})"
-    if args.export:
-        from repro.analysis.export import figure4_artifact, write_artifact
+    return _render_or_write(
+        args,
+        figure4_artifact(rows, title=title),
+        "rows",
+        lambda: render_figure4(rows, title=title),
+    )
 
-        write_artifact(figure4_artifact(rows, title=title), args.export)
-        return f"wrote {len(rows)} rows to {args.export}"
-    return render_figure4(rows, title=title)
+
+def _matrix_jobs(args: argparse.Namespace) -> list:
+    return model_scenario_matrix_jobs(
+        models=tuple(args.model) if args.model else None,
+        specs=tuple(args.spec) if args.spec else None,
+    )
+
+
+def _matrix_render(results: Sequence[Any], args: argparse.Namespace) -> str:
+    from repro.analysis.export import matrix_artifact
+
+    item = matrix_artifact(
+        results,
+        title=(
+            "Model × scenario matrix "
+            f"({len({r.model for r in results})} models × "
+            f"{len({r.spec_name for r in results})} specs)"
+        ),
+    )
+    return _render_or_write(args, item, "matrix cells")
+
+
+def _family_jobs(args: argparse.Namespace) -> list:
+    return family_jobs(
+        args.family,
+        models=args.model,
+        matrix=args.matrix,
+        members=args.member,
+    )
+
+
+def _family_render(results: Sequence[Any], args: argparse.Namespace) -> str:
+    from repro.analysis.export import family_artifact
+
+    rows = family_results(args.family, results)
+    # --matrix, or several counter-based models, ran the family matrix.
+    if args.matrix or len({row.run.model for row in rows}) > 1:
+        title = f"Family matrix ({args.family}, {len(rows)} cells)"
+    else:
+        title = f"Family run ({args.family}, {len(rows)} member runs)"
+    return _render_or_write(
+        args, family_artifact(rows, title=title), "member runs"
+    )
+
+
+def _soundness_jobs(args: argparse.Namespace) -> list:
+    return random_soundness_jobs(
+        _scenario(args),
+        pairs=args.pairs,
+        max_requests=args.requests,
+    )
+
+
+def _soundness_render(
+    results: Sequence[Any], args: argparse.Namespace
+) -> str:
+    return render_soundness(
+        SoundnessSweep(cases=tuple(results)), _scenario(args).name
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _Batch:
+    """A command whose work is one engine batch.
+
+    Attributes:
+        help: the one-line description (``repro --help``, ``repro
+            submit --list``).
+        jobs: parsed namespace → engine job list.
+        render: (results in job order, parsed namespace) → the output,
+            honouring ``--export`` where the command has it.
+    """
+
+    help: str
+    jobs: Callable[[argparse.Namespace], list]
+    render: Callable[[Sequence[Any], argparse.Namespace], str]
+
+
+_BATCHES = {
+    "figure4": _Batch(
+        "Figure 4 model predictions", _figure4_jobs, _figure4_render
+    ),
+    "matrix": _Batch(
+        "every counter-based model × every registered scenario spec",
+        _matrix_jobs,
+        _matrix_render,
+    ),
+    "family": _Batch(
+        "run one scenario family's grid end to end",
+        _family_jobs,
+        _family_render,
+    ),
+    "soundness": _Batch(
+        "randomized soundness sweep (A4)", _soundness_jobs, _soundness_render
+    ),
+}
+
+
+def _run_batch(args: argparse.Namespace) -> str:
+    batch = _BATCHES[args.command]
+    return batch.render(run_jobs(batch.jobs(args), _engine(args)), args)
+
+
+def _cmd_figure4(args: argparse.Namespace) -> str:
+    if args.mode == "paper":
+        return _run_batch(args)
+    rows = figure4_sim_mode(
+        scale=1 / args.scale, engine=_engine(args), **_figure4_models(args)
+    )
+    return _figure4_render(rows, args)
 
 
 def _cmd_ablation(args: argparse.Namespace) -> str:
@@ -200,19 +379,10 @@ def _cmd_ablation(args: argparse.Namespace) -> str:
     )
 
 
-def _cmd_soundness(args: argparse.Namespace) -> str:
-    scenario = scenario_1() if args.scenario == 1 else scenario_2()
-    sweep = random_soundness_sweep(
-        scenario,
-        pairs=args.pairs,
-        max_requests=args.requests,
-        engine=_engine(args),
-    )
-    return render_soundness(sweep, scenario.name)
-
-
 def _cmd_sweep(args: argparse.Namespace) -> str:
-    scenario = scenario_1() if args.scenario == 1 else scenario_2()
+    from repro.analysis.export import sweep_artifact
+
+    scenario = _scenario(args)
     readings_a = paper.table6(scenario.name, "app")
     contender = paper.table6(scenario.name, "H-Load")
     points = contender_scale_sweep(
@@ -222,18 +392,18 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
         isolation_cycles=paper.ISOLATION_CYCLES[scenario.name],
         engine=_engine(args),
     )
-    if args.export:
-        from repro.analysis.export import sweep_artifact, write_artifact
-
-        write_artifact(sweep_artifact(points), args.export)
-        return f"wrote {len(points)} points to {args.export}"
-    return render_table(
-        ["contender scale", "Δcont (cyc)", "pred", "saturated"],
-        [
-            [p.scale, p.delta_cycles, p.slowdown, p.saturated]
-            for p in points
-        ],
-        title=f"Contender-load sweep ({scenario.name}, x of H-Load)",
+    return _render_or_write(
+        args,
+        sweep_artifact(points),
+        "points",
+        lambda: render_table(
+            ["contender scale", "Δcont (cyc)", "pred", "saturated"],
+            [
+                [p.scale, p.delta_cycles, p.slowdown, p.saturated]
+                for p in points
+            ],
+            title=f"Contender-load sweep ({scenario.name}, x of H-Load)",
+        ),
     )
 
 
@@ -268,13 +438,15 @@ def _cmd_scenarios(args: argparse.Namespace) -> str:
 
 
 def _cmd_models(args: argparse.Namespace) -> str:
-    registry = default_model_registry()
-    if args.export:
-        from repro.analysis.export import models_artifact, write_artifact
+    from repro.analysis.export import models_artifact
 
-        write_artifact(models_artifact(registry.specs()), args.export)
-        return f"wrote {len(registry)} models to {args.export}"
-    return render_models(registry.specs())
+    registry = default_model_registry()
+    return _render_or_write(
+        args,
+        models_artifact(registry.specs()),
+        "models",
+        lambda: render_models(registry.specs()),
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
@@ -283,37 +455,12 @@ def _cmd_run(args: argparse.Namespace) -> str:
     if not names:
         return "nothing to run (name scenarios or pass --all)"
     results = run_specs(names, model=args.model, engine=_engine(args))
-    from repro.analysis.export import scenario_run_artifact, write_artifact
+    from repro.analysis.export import scenario_run_artifact
 
     item = scenario_run_artifact(
         results, title=f"Scenario runs ({len(results)} specs)"
     )
-    if args.export:
-        write_artifact(item, args.export)
-        return f"wrote {len(results)} runs to {args.export}"
-    return render_artifact(item)
-
-
-def _cmd_matrix(args: argparse.Namespace) -> str:
-    results = model_scenario_matrix(
-        models=tuple(args.model) if args.model else None,
-        specs=tuple(args.spec) if args.spec else None,
-        engine=_engine(args),
-    )
-    from repro.analysis.export import matrix_artifact, write_artifact
-
-    item = matrix_artifact(
-        results,
-        title=(
-            "Model × scenario matrix "
-            f"({len({r.model for r in results})} models × "
-            f"{len({r.spec_name for r in results})} specs)"
-        ),
-    )
-    if args.export:
-        write_artifact(item, args.export)
-        return f"wrote {len(results)} matrix cells to {args.export}"
-    return render_artifact(item)
+    return _render_or_write(args, item, "runs")
 
 
 def _cmd_families(args: argparse.Namespace) -> str:
@@ -331,56 +478,6 @@ def _cmd_families(args: argparse.Namespace) -> str:
         ],
         title=f"Registered scenario families ({len(registry)})",
     )
-
-
-def _cmd_family(args: argparse.Namespace) -> str:
-    from repro.analysis.export import family_artifact, write_artifact
-    from repro.core.registry import get_model
-
-    members = tuple(args.member) if args.member else None
-    models = tuple(args.model) if args.model else ()
-    # Descriptor models bound the members' DMA traffic; several of them
-    # run the grid once per bound (`--model dma-occupancy --model
-    # dma-rr-alignment` is the natural sound/unsound comparison), while
-    # several counter-based models (or --matrix) run the family matrix.
-    descriptor = tuple(
-        name
-        for name in models
-        if get_model(name).capabilities.needs_dma_agents
-    )
-    counter = tuple(name for name in models if name not in descriptor)
-    dma_models: tuple[str | None, ...] = descriptor or (None,)
-    engine = _engine(args)
-    results = []
-    if args.matrix or len(counter) > 1:
-        for dma_model in dma_models:
-            results.extend(
-                family_matrix(
-                    args.family,
-                    models=counter or None,
-                    dma_model=dma_model,
-                    members=members,
-                    engine=engine,
-                )
-            )
-        title = f"Family matrix ({args.family}, {len(results)} cells)"
-    else:
-        for dma_model in dma_models:
-            results.extend(
-                run_family(
-                    args.family,
-                    model=counter[0] if counter else None,
-                    dma_model=dma_model,
-                    members=members,
-                    engine=engine,
-                )
-            )
-        title = f"Family run ({args.family}, {len(results)} member runs)"
-    item = family_artifact(results, title=title)
-    if args.export:
-        write_artifact(item, args.export)
-        return f"wrote {len(results)} member runs to {args.export}"
-    return render_artifact(item)
 
 
 def _cmd_platform(args: argparse.Namespace) -> str:
@@ -420,26 +517,37 @@ def _require_coordinator(args: argparse.Namespace) -> str:
     return url
 
 
+def _parse_batch(name: str, argv: Sequence[str]) -> argparse.Namespace:
+    """Parse a queued command line exactly as the direct command would
+    (at submit time, and again when ``repro watch`` renders it)."""
+    if name not in _BATCHES:
+        raise ReproError(
+            f"{name!r} is not a single-batch command: repro submit "
+            f"takes {', '.join(_BATCHES)}"
+        )
+    return build_parser().parse_args([name, *argv])
+
+
 def _cmd_submit(args: argparse.Namespace) -> str:
-    from repro.service import (
-        get_job_set,
-        job_set_names,
-        parse_job_set_args,
-        submit_jobs,
-    )
+    from repro.service import submit_jobs
 
-    if args.list or not args.jobset:
-        from repro.service.jobsets import _JOB_SETS
-
+    if args.list or not args.name:
         return render_table(
             ["name", "description"],
-            [[js.name, js.help] for js in _JOB_SETS.values()],
-            title="Submittable job sets (repro submit <name> ...)",
+            [[name, batch.help] for name, batch in _BATCHES.items()],
+            title="Submittable commands (repro submit NAME ARGV...)",
+        )
+    command = _parse_batch(args.name, args.argv)
+    given = [
+        flag for dest, flag in _ENGINE_FLAGS.items() if hasattr(command, dest)
+    ]
+    if given:
+        raise ReproError(
+            f"{', '.join(given)} cannot be queued: the coordinator's "
+            "workers run the job (put --coordinator before the name)"
         )
     url = _require_coordinator(args)
-    job_set = get_job_set(args.jobset)
-    set_args = parse_job_set_args(args.jobset, args.args)
-    jobs = job_set.build(set_args)
+    jobs = _BATCHES[args.name].jobs(command)
     from repro.service.retry import REQUEST_POLICY
 
     # Submission retries through transient faults: jobs are pure and
@@ -447,8 +555,8 @@ def _cmd_submit(args: argparse.Namespace) -> str:
     job_id = submit_jobs(
         url,
         jobs,
-        label=args.jobset,
-        meta={"jobset": args.jobset, "argv": list(args.args)},
+        label=args.name,
+        meta={"jobset": args.name, "argv": list(args.argv)},
         retry=REQUEST_POLICY.with_deadline(30.0),
     )
     return (
@@ -525,11 +633,7 @@ def _watch_results(url: str, status: dict) -> list:
 
 
 def _cmd_watch(args: argparse.Namespace) -> str:
-    from repro.service import (
-        get_job_set,
-        parse_job_set_args,
-        wait_for_job,
-    )
+    from repro.service import wait_for_job
 
     url = _require_coordinator(args)
     seen: list[str] = []
@@ -548,19 +652,23 @@ def _cmd_watch(args: argparse.Namespace) -> str:
         progress=progress,
     )
     meta = status.get("meta") or {}
-    jobset_name = meta.get("jobset")
+    name = meta.get("jobset")
     results = _watch_results(url, status)
-    if not jobset_name:
+    if not name:
         return (
             f"job {status['job_id']} complete "
-            f"({status['total_jobs']} jobs); no job-set metadata to "
-            "render — submitted via mode='service'?"
+            f"({status['total_jobs']} jobs); no submitted command to "
+            "render — queued via mode='service'?"
         )
-    job_set = get_job_set(jobset_name)
-    set_args = parse_job_set_args(jobset_name, meta.get("argv") or [])
+    command = _parse_batch(name, meta.get("argv") or [])
     if args.export is not None:
-        set_args.export = args.export
-    return job_set.render(results, set_args)
+        if not hasattr(command, "export"):
+            raise ReproError(
+                f"`repro {name}` has no --export; watch job "
+                f"{status['job_id']} without one"
+            )
+        command.export = args.export
+    return _BATCHES[name].render(results, command)
 
 
 def _cmd_jobs(args: argparse.Namespace) -> str:
@@ -675,15 +783,10 @@ def _cmd_diff(args: argparse.Namespace) -> str:
         f"{counts['sound-flip']} sound flips, "
         f"{counts['missing']} missing, {counts['new']} new"
     )
-    item = diff_artifact(report)
-    if args.export:
-        from repro.analysis.export import write_artifact
-
-        write_artifact(item, args.export)
-        return f"wrote {len(item)} diff rows to {args.export}\n{summary}"
-    if not report.diffs:
+    if not report.diffs and not args.export:
         return f"{summary}\nno differences"
-    return f"{render_artifact(item)}\n{summary}"
+    rendered = _render_or_write(args, diff_artifact(report), "diff rows")
+    return f"{rendered}\n{summary}"
 
 
 def _cmd_lint(args: argparse.Namespace) -> str:
@@ -819,12 +922,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table3", help="Table 3 placement matrix")
 
     p = sub.add_parser("table6", help="Table 6 counter readings (simulated)")
-    p.add_argument("--scale", type=int, default=16, help="scale denominator")
+    p.add_argument(
+        "--scale", type=_positive_int, default=16, help="scale denominator"
+    )
     _add_jobs_flag(p)
 
-    p = sub.add_parser("figure4", help="Figure 4 model predictions")
+    p = sub.add_parser("figure4", help=_BATCHES["figure4"].help)
     p.add_argument("--mode", choices=("paper", "sim"), default="paper")
-    p.add_argument("--scale", type=int, default=32, help="sim-mode scale denominator")
+    p.add_argument(
+        "--scale",
+        type=_positive_int,
+        default=32,
+        help="sim-mode scale denominator",
+    )
     p.add_argument(
         "--model",
         action="append",
@@ -840,11 +950,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_flag(p)
 
     p = sub.add_parser("ablation", help="information-degree ablation (A1)")
-    p.add_argument("--scale", type=int, default=32)
+    p.add_argument("--scale", type=_positive_int, default=32)
     _add_jobs_flag(p)
 
-    p = sub.add_parser("soundness", help="randomized soundness sweep (A4)")
-    p.add_argument("--pairs", type=int, default=5)
+    p = sub.add_parser("soundness", help=_BATCHES["soundness"].help)
+    p.add_argument("--pairs", type=_positive_int, default=5)
     p.add_argument("--requests", type=int, default=1_000)
     p.add_argument("--scenario", type=int, choices=(1, 2), default=1)
     _add_jobs_flag(p)
@@ -860,16 +970,16 @@ def build_parser() -> argparse.ArgumentParser:
         "three-core", help="TC277 three-core joint-contention evaluation"
     )
     p.add_argument("--scenario", type=int, choices=(1, 2), default=1)
-    p.add_argument("--scale", type=int, default=32, help="scale denominator")
+    p.add_argument(
+        "--scale", type=_positive_int, default=32, help="scale denominator"
+    )
     _add_jobs_flag(p)
 
     sub.add_parser("scenarios", help="list registered scenario specs")
 
     sub.add_parser("families", help="list registered scenario families")
 
-    p = sub.add_parser(
-        "family", help="run one scenario family's grid end to end"
-    )
+    p = sub.add_parser("family", help=_BATCHES["family"].help)
     p.add_argument("family", help="registered family name (see 'families')")
     p.add_argument(
         "--model",
@@ -922,10 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_jobs_flag(p)
 
-    p = sub.add_parser(
-        "matrix",
-        help="every counter-based model × every registered scenario spec",
-    )
+    p = sub.add_parser("matrix", help=_BATCHES["matrix"].help)
     p.add_argument(
         "--model",
         action="append",
@@ -1015,22 +1122,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "submit",
-        help="queue a named job set on the coordinator, fire-and-forget",
-    )
-    p.add_argument(
-        "jobset",
-        nargs="?",
-        help="job set name (omit or --list to see them)",
-    )
-    p.add_argument(
-        "args",
-        nargs=argparse.REMAINDER,
         help=(
-            "job-set arguments (everything after the name; put "
+            "queue a single-batch command (see --list) on the "
+            "coordinator, fire-and-forget"
+        ),
+    )
+    p.add_argument(
+        "name",
+        nargs="?",
+        metavar="NAME",
+        help="command to queue (omit or --list to see them)",
+    )
+    p.add_argument(
+        "argv",
+        nargs=argparse.REMAINDER,
+        metavar="ARGV",
+        help=(
+            "the command's own arguments, as for `repro NAME` (put "
             "--coordinator BEFORE the name)"
         ),
     )
-    p.add_argument("--list", action="store_true", help="list job sets")
+    p.add_argument(
+        "--list", action="store_true", help="list the submittable commands"
+    )
     p.add_argument("--coordinator", metavar="URL")
 
     p = sub.add_parser("status", help="one queued job's progress")
@@ -1054,7 +1168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--export",
         metavar="PATH.{json,csv}",
-        help="override the job set's --export destination",
+        help="override the queued command's --export destination",
     )
 
     p = sub.add_parser(
@@ -1234,15 +1348,15 @@ _COMMANDS = {
     "table6": _cmd_table6,
     "figure4": _cmd_figure4,
     "ablation": _cmd_ablation,
-    "soundness": _cmd_soundness,
+    "soundness": _run_batch,
     "sweep": _cmd_sweep,
     "three-core": _cmd_three_core,
     "scenarios": _cmd_scenarios,
     "models": _cmd_models,
     "families": _cmd_families,
-    "family": _cmd_family,
+    "family": _run_batch,
     "run": _cmd_run,
-    "matrix": _cmd_matrix,
+    "matrix": _run_batch,
     "platform": _cmd_platform,
     "worker": _cmd_worker,
     "serve": _cmd_serve,

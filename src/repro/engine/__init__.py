@@ -12,9 +12,9 @@ The engine layer decouples *what* an experiment is from *how* it runs:
 * :mod:`repro.engine.families` — declarative :class:`ScenarioFamily`
   grids expanded into many member specs (``expand_family``,
   ``register_family_members``) and batched end to end
-  (``run_family`` / ``family_matrix``); the builtin dma-pressure /
-  priority-arbitration / cacheability families probe the contention
-  regimes the paper scopes out;
+  (``run_family`` / ``family_matrix``, both built by ``family_jobs``);
+  the builtin dma-pressure / priority-arbitration / cacheability
+  families probe the contention regimes the paper scopes out;
 * :mod:`repro.engine.batch` / :mod:`repro.engine.runner` — experiments as
   batches of independent ``(scenario, workload, model)`` jobs, executed
   serially (deterministic default), fanned out over a local process
@@ -50,8 +50,10 @@ from repro.engine.families import (
     builtin_families,
     default_family_registry,
     expand_family,
+    family_jobs,
     family_matrix,
     family_names,
+    family_results,
     get_family,
     register_family,
     register_family_members,
@@ -95,8 +97,10 @@ __all__ = [
     "default_family_registry",
     "default_registry",
     "expand_family",
+    "family_jobs",
     "family_matrix",
     "family_names",
+    "family_results",
     "get_family",
     "get_scenario",
     "job",

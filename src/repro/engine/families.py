@@ -7,8 +7,9 @@ build function mapping one grid point to a
 illegal point — the cacheability family filters Table 3 violations that
 way).  ``expand_family`` materialises the grid, ``register_family``
 registers it by name, and :func:`run_family` /
-:func:`family_matrix` batch every member through the experiment engine,
-so "add a sweep" is three lines of axes instead of a new driver::
+:func:`family_matrix` batch every member through the experiment engine
+(:func:`family_jobs` builds that batch for them and for the CLI), so
+"add a sweep" is three lines of axes instead of a new driver::
 
     from repro.engine import ScenarioFamily, register_family, run_family
 
@@ -473,37 +474,114 @@ def _member_subset(
     return tuple(by_name[name] for name in names)
 
 
+def _require_counter_based(names: Sequence[str]) -> None:
+    for name in names:
+        if not get_model(name).capabilities.counter_based:
+            raise ModelError(
+                f"model {name!r} cannot join a family matrix: member "
+                "runs measure counter readings only, so pick "
+                f"counter-based models ({', '.join(counter_based_model_names())})"
+            )
+
+
 def _resolve_models(
-    family: ScenarioFamily, model: str | None, dma_model: str | None
-) -> tuple[str, str]:
-    """Split a caller's model choice into (counter model, DMA model).
+    family: ScenarioFamily,
+    models: Sequence[str] | None,
+    dma_model: str | None,
+    matrix: bool,
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Split a caller's model names into (counter models, DMA models).
 
     ``repro family dma-pressure --model dma-occupancy`` names a
     *descriptor* model; routing it to the DMA side (with the family's
     default driving the core contenders) keeps the CLI surface a single
-    ``--model`` flag for both kinds.  Naming a descriptor model in both
-    slots is rejected rather than silently resolved: the caller asked
-    for two different DMA bounds at once.
+    ``--model`` flag for both kinds.  Naming a descriptor model next to
+    a *different* explicit ``dma_model`` is rejected rather than
+    silently resolved: the caller asked for two different DMA bounds at
+    once.
     """
-    resolved = model or family.default_model
-    resolved_dma = dma_model or family.default_dma_model
-    if get_model(resolved).capabilities.needs_dma_agents:
-        if dma_model is not None and dma_model != resolved:
-            raise ModelError(
-                f"family {family.name!r}: model={resolved!r} is a "
-                f"DMA-descriptor model and routes to the DMA side, but "
-                f"dma_model={dma_model!r} was also given — pass one or "
-                "the other"
-            )
-        resolved_dma = resolved
-        resolved = family.default_model
-    if get_model(resolved).capabilities.needs_dma_agents:
+    names = tuple(models or ())
+    descriptor = tuple(
+        name for name in names if get_model(name).capabilities.needs_dma_agents
+    )
+    counter = tuple(name for name in names if name not in descriptor)
+    clash = [name for name in descriptor if dma_model not in (None, name)]
+    if clash:
         raise ModelError(
-            f"family {family.name!r}: default model {resolved!r} "
-            "consumes DMA descriptors; families need a counter-based "
-            "default for the core contenders"
+            f"family {family.name!r}: model={clash[0]!r} is a "
+            f"DMA-descriptor model and routes to the DMA side, but "
+            f"dma_model={dma_model!r} was also given — pass one or "
+            "the other"
         )
-    return resolved, resolved_dma
+    dma_models = descriptor or (dma_model or family.default_dma_model,)
+    if matrix or len(counter) > 1:
+        counter = counter or counter_based_model_names()
+        _require_counter_based(counter)
+    elif not counter:
+        counter = (family.default_model,)
+        if get_model(family.default_model).capabilities.needs_dma_agents:
+            raise ModelError(
+                f"family {family.name!r}: default model "
+                f"{family.default_model!r} consumes DMA descriptors; "
+                "families need a counter-based default for the core "
+                "contenders"
+            )
+    return counter, dma_models
+
+
+def family_jobs(
+    family: "ScenarioFamily | str",
+    *,
+    models: Sequence[str] | None = None,
+    dma_model: str | None = None,
+    matrix: bool = False,
+    members: Sequence[str] | None = None,
+    profile: LatencyProfile | None = None,
+    timing: SimTiming | None = None,
+    options: IlpPtacOptions | None = None,
+) -> list:
+    """The one family batch: behind :func:`run_family`,
+    :func:`family_matrix` and ``repro family`` (direct or queued).
+
+    One :func:`~repro.engine.experiment.spec_job` per (DMA model,
+    member, counter model), in that order, members in grid order;
+    :func:`family_results` pairs the results back with their members.
+
+    Args:
+        family: a :class:`ScenarioFamily` or registered name.
+        models: registered names of either kind.  DMA-descriptor models
+            (``dma-occupancy``, ``dma-rr-alignment``) bound the members'
+            DMA traffic, the grid running once per bound; the others
+            bound the core contenders (default: the family's model).
+        dma_model: the DMA bound when ``models`` names none (default:
+            the family's).
+        matrix: run the family matrix — every counter-based model in
+            ``models`` (all registered ones if it names none) over every
+            member.  Naming several counter-based models implies it.
+        members: restrict to these member names (default: the full
+            grid) — the CLI's ``--member`` and CI's tiny-grid hook.
+    """
+    if isinstance(family, str):
+        family = get_family(family)
+    counter, dma_models = _resolve_models(family, models, dma_model, matrix)
+    selected = _member_subset(expand_family(family), members)
+    return [
+        spec_job(member.spec, model, profile, timing, options, dma_model=dma)
+        for dma in dma_models
+        for member in selected
+        for model in counter
+    ]
+
+
+def family_results(
+    family: "ScenarioFamily | str", runs: Sequence[ScenarioRunResult]
+) -> list[FamilyRunResult]:
+    """Pair a :func:`family_jobs` batch's runs with their members, by
+    spec name (so results collected later, elsewhere, pair back too)."""
+    by_name = {member.name: member for member in expand_family(family)}
+    return [
+        FamilyRunResult(member=by_name[run.spec_name], run=run) for run in runs
+    ]
 
 
 def run_family(
@@ -519,37 +597,22 @@ def run_family(
 ) -> list[FamilyRunResult]:
     """Run every member of a family as one engine batch.
 
-    Args:
-        family: a :class:`ScenarioFamily` or registered name.
-        model: contention model for the members' contender bounds; a
-            DMA-descriptor model (``dma-occupancy``,
-            ``dma-rr-alignment``) is routed to the DMA side instead,
-            with the family default driving the cores.
-        dma_model: explicit DMA-descriptor model.  Passing a *different*
-            descriptor model as ``model`` at the same time is rejected
-            (two DMA bounds for one run would be ambiguous).
-        members: restrict to these member names (default: the full
-            grid) — the CLI's ``--member`` and CI's tiny-grid hook.
-        engine: execution engine; ``None`` runs serially.
+    ``model`` is one registered name of either kind: a DMA-descriptor
+    model is routed to the DMA side, with the family default driving
+    the cores, and passing a *different* descriptor model as
+    ``dma_model`` at the same time is rejected.  The other arguments
+    are :func:`family_jobs`'s; ``engine=None`` runs serially.
     """
-    if isinstance(family, str):
-        family = get_family(family)
-    resolved_model, resolved_dma = _resolve_models(family, model, dma_model)
-    selected = _member_subset(expand_family(family), members)
-    results = run_jobs(
-        [
-            spec_job(
-                member.spec, resolved_model, profile, timing, options,
-                dma_model=resolved_dma,
-            )
-            for member in selected
-        ],
-        engine,
+    jobs = family_jobs(
+        family,
+        models=(model,) if model else None,
+        dma_model=dma_model,
+        members=members,
+        profile=profile,
+        timing=timing,
+        options=options,
     )
-    return [
-        FamilyRunResult(member=member, run=run)
-        for member, run in zip(selected, results)
-    ]
+    return family_results(family, run_jobs(jobs, engine))
 
 
 def family_matrix(
@@ -568,32 +631,19 @@ def family_matrix(
     Rows come back member-major in grid order (models in the given
     order within each member), mirroring
     :func:`~repro.analysis.experiments.model_scenario_matrix`.
+    ``models`` must all be counter-based: unlike ``repro family``, the
+    matrix does not route a descriptor model to the DMA side.
     """
-    if isinstance(family, str):
-        family = get_family(family)
-    names = tuple(models) if models is not None else counter_based_model_names()
-    for name in names:
-        if not get_model(name).capabilities.counter_based:
-            raise ModelError(
-                f"model {name!r} cannot join a family matrix: member "
-                "runs measure counter readings only, so pick "
-                f"counter-based models ({', '.join(counter_based_model_names())})"
-            )
-    resolved_dma = dma_model or family.default_dma_model
-    selected = _member_subset(expand_family(family), members)
-    jobs = []
-    pairs: list[tuple[FamilyMember, str]] = []
-    for member in selected:
-        for name in names:
-            pairs.append((member, name))
-            jobs.append(
-                spec_job(
-                    member.spec, name, profile, timing, options,
-                    dma_model=resolved_dma,
-                )
-            )
-    results = run_jobs(jobs, engine)
-    return [
-        FamilyRunResult(member=member, run=run)
-        for (member, _), run in zip(pairs, results)
-    ]
+    if models is not None:
+        _require_counter_based(models)
+    jobs = family_jobs(
+        family,
+        models=models,
+        dma_model=dma_model,
+        matrix=True,
+        members=members,
+        profile=profile,
+        timing=timing,
+        options=options,
+    )
+    return family_results(family, run_jobs(jobs, engine))

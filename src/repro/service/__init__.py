@@ -14,9 +14,10 @@ hosts, join and leave at will:
   ILP solver that lives as long as the worker) and heartbeat; a worker
   that vanishes has its leases re-queued under a bumped fence, so
   nothing is lost and nothing is double-counted;
-* **clients** (:mod:`~repro.service.client`) submit and walk away: a
-  named job set (:mod:`~repro.service.jobsets`) or any engine batch via
-  ``mode="service"`` comes back byte-identical to serial execution.
+* **clients** (:mod:`~repro.service.client`) submit and walk away:
+  ``repro submit`` queues one of the CLI's single-batch commands, and
+  any engine batch runs through the queue via ``mode="service"``; both
+  come back byte-identical to serial execution.
 
 Three-terminal quickstart::
 
@@ -26,8 +27,9 @@ Three-terminal quickstart::
     # terminal 2 (and 3, 4, ...) — workers, wherever there are cores
     repro worker --coordinator http://127.0.0.1:8751
 
-    # terminal 3 — submit, poll, render
-    repro submit figure4 --coordinator http://127.0.0.1:8751
+    # terminal 3 — submit, poll, render (--coordinator before the name:
+    # what follows the name is the command's own argument list)
+    repro submit --coordinator http://127.0.0.1:8751 figure4
     repro status  <job-id> --coordinator http://127.0.0.1:8751
     repro watch   <job-id> --coordinator http://127.0.0.1:8751
     repro jobs --workers   --coordinator http://127.0.0.1:8751
@@ -71,12 +73,6 @@ from repro.service.coordinator import (
     CoordinatorServer,
     serve,
 )
-from repro.service.jobsets import (
-    JobSet,
-    get_job_set,
-    job_set_names,
-    parse_job_set_args,
-)
 from repro.service.pull import PullWorker, serve_pull
 from repro.service.retry import (
     Backoff,
@@ -94,7 +90,6 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "JobRecord",
-    "JobSet",
     "JobStore",
     "PullWorker",
     "RetryPolicy",
@@ -103,13 +98,10 @@ __all__ = [
     "cancel_job",
     "coordinator_health",
     "fetch_results",
-    "get_job_set",
-    "job_set_names",
     "job_status",
     "list_jobs",
     "list_workers",
     "parse_fault_spec",
-    "parse_job_set_args",
     "retryable_exchange",
     "retryable_fault",
     "serve",

@@ -1,14 +1,14 @@
 """The service client: submit batches, poll progress, collect results.
 
 Two consumers share this module.  The ``repro submit`` / ``status`` /
-``watch`` / ``jobs`` commands use the plain functions — submit a named
-job set, read back progress documents, download results.  The engine's
-``mode="service"`` uses :class:`ServiceExecutor`, which makes any
-existing analysis driver run through the coordinator unchanged: each
-engine batch becomes one submitted job, the executor polls until the
-queue drains it, and results scatter back into job order — so driver
-output stays byte-identical to ``mode="serial"`` whichever registered
-worker executed what.
+``watch`` / ``jobs`` commands use the plain functions — submit one CLI
+command's job batch, read back progress documents, download results.
+The engine's ``mode="service"`` uses :class:`ServiceExecutor`, which
+makes any existing analysis driver run through the coordinator
+unchanged: each engine batch becomes one submitted job, the executor
+polls until the queue drains it, and results scatter back into job
+order — so driver output stays byte-identical to ``mode="serial"``
+whichever registered worker executed what.
 
 Fault behaviour: a coordinator that cannot be reached at submission
 time falls back to in-process execution (the engine counts it in

@@ -212,3 +212,36 @@ class TestCli:
         path = tmp_path / "sweep.csv"
         self.run(capsys, "sweep", "--export", str(path))
         assert "scale,delta_cycles" in path.read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table6", "--scale", "0"],
+            ["ablation", "--scale", "0"],
+            ["three-core", "--scale", "0"],
+            ["figure4", "--mode", "sim", "--scale", "0"],
+            ["soundness", "--pairs", "0"],
+            ["soundness", "--pairs", "-1"],
+            ["figure4", "--jobs", "-2"],
+            ["matrix", "--jobs", "0"],
+            [
+                "submit", "--coordinator", "http://127.0.0.1:1",
+                "soundness", "--pairs", "0",
+            ],
+        ],
+        ids=" ".join,
+    )
+    def test_count_flags_reject_less_than_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["figure4", "models"])
+    def test_unwritable_export_path_is_a_usage_error(
+        self, capsys, tmp_path, command
+    ):
+        path = tmp_path / "missing" / "out.json"
+        assert main([command, "--export", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write export" in err and str(path) in err

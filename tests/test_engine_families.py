@@ -438,6 +438,25 @@ class TestFamilyCli:
         assert "dma-rr-alignment" in output
         assert "2 member runs" in output
 
+    def test_several_counter_models_run_the_family_matrix(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "family",
+                "cacheability",
+                "--model",
+                "ilp-ptac",
+                "--model",
+                "ftc-refined",
+                "--member",
+                "cacheability/co-pf0-da-pf1-c",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert output.startswith("Family matrix (cacheability, 2 cells)")
+
 
 class TestModeParity:
     """Serial, --jobs 2 and runs on two remote workers (an in-process

@@ -26,6 +26,7 @@ from repro.engine.remote.wire import (
 from repro.errors import EngineError
 from repro.service.client import (
     job_status,
+    list_jobs,
     list_workers,
     submit_jobs,
     wait_for_job,
@@ -461,6 +462,42 @@ class TestWorkerCounters:
 # ----------------------------------------------------------------------
 # The CLI: submit / status / watch / jobs against a live coordinator
 # ----------------------------------------------------------------------
+#: Queued command lines covering every submittable command: each must
+#: render through `repro watch` exactly as the direct command prints it.
+_QUEUED_COMMANDS = {
+    "figure4": ["figure4"],
+    "figure4-ilp-models": [
+        "figure4",
+        "--model", "ilp-ptac-multi",
+        "--model", "ilp-ptac-tc",
+        "--model", "ilp-ptac",
+    ],
+    "matrix": [
+        "matrix",
+        "--spec", "scenario1-pair-H",
+        "--spec", "scenario1-pair-L",
+        "--model", "ilp-ptac",
+    ],
+    "soundness": ["soundness", "--pairs", "2"],
+    "family-descriptor-models": [
+        "family", "dma-pressure",
+        "--model", "dma-occupancy",
+        "--model", "dma-rr-alignment",
+        "--member", "dma-pressure/scenario1-qd1-p24-c8000",
+    ],
+    "family-matrix": [
+        "family", "cacheability",
+        "--matrix",
+        "--member", "cacheability/co-pf0-da-pf1-c",
+    ],
+    "family-default": [
+        "family", "dma-pressure",
+        "--member", "dma-pressure/scenario1-qd1-p24-c8000",
+        "--member", "dma-pressure/scenario1-qd8-p2-c8000",
+    ],
+}
+
+
 class TestServiceCli:
     def _run(self, capsys, *argv):
         from repro.cli import main
@@ -468,32 +505,47 @@ class TestServiceCli:
         assert main(list(argv)) == 0
         return capsys.readouterr().out
 
+    def _submit(self, capsys, url, *argv):
+        out = self._run(capsys, "submit", "--coordinator", url, *argv)
+        assert out.startswith("submitted ")
+        return out.split()[4]
+
+    @pytest.mark.parametrize(
+        "argv", list(_QUEUED_COMMANDS.values()), ids=list(_QUEUED_COMMANDS)
+    )
     def test_submit_watch_renders_identical_artifact(
-        self, capsys, start_coordinator, start_pull
+        self, capsys, tmp_path, start_coordinator, start_pull, argv
     ):
-        serial_out = self._run(capsys, "figure4")
+        name = argv[0]
+        exports = name != "soundness"
+        serial_out = self._run(capsys, *argv)
+        if exports:
+            serial_export = tmp_path / "serial.json"
+            self._run(capsys, *argv, "--export", str(serial_export))
         coordinator = start_coordinator()
         start_pull(coordinator.url, name="cli-a")
         start_pull(coordinator.url, name="cli-b")
         wait_workers(coordinator.url, 2)
 
-        out = self._run(
-            capsys, "submit", "--coordinator", coordinator.url, "figure4"
-        )
-        assert out.startswith("submitted ")
-        job_id = out.split()[4]
-
+        job_id = self._submit(capsys, coordinator.url, *argv)
         watched = self._run(
             capsys, "watch", job_id, "--coordinator", coordinator.url
         )
         # The artefact a queued job renders is byte-identical to the
-        # direct command's.
+        # direct command's, on stdout and through --export.
         assert watched == serial_out
+        if exports:
+            watched_export = tmp_path / "watched.json"
+            self._run(
+                capsys, "watch", job_id, "--coordinator", coordinator.url,
+                "--export", str(watched_export),
+            )
+            assert watched_export.read_bytes() == serial_export.read_bytes()
 
         status_out = self._run(
             capsys, "status", job_id, "--coordinator", coordinator.url
         )
-        assert f"job {job_id} [figure4] complete" in status_out
+        assert f"job {job_id} [{name}] complete" in status_out
         assert "unit" in status_out
 
         jobs_out = self._run(
@@ -506,6 +558,73 @@ class TestServiceCli:
         )
         assert "cli-a" in workers_out and "cli-b" in workers_out
         assert "executed" in workers_out and "cached" in workers_out
+
+    def test_job_queued_with_the_stored_meta_shape_renders(
+        self, capsys, service_fleet
+    ):
+        """Jobs carry ``{"jobset": NAME, "argv": [...]}``; one queued by
+        any client in that shape renders like the direct command."""
+        from repro.engine import family_jobs
+
+        member = "dma-pressure/scenario1-qd1-p24-c8000"
+        argv = ["dma-pressure", "--model", "dma-occupancy", "--member", member]
+        serial_out = self._run(capsys, "family", *argv)
+        coordinator, _ = service_fleet()
+        job_id = submit_jobs(
+            coordinator.url,
+            family_jobs(
+                "dma-pressure", models=["dma-occupancy"], members=[member]
+            ),
+            label="family",
+            meta={"jobset": "family", "argv": argv},
+        )
+        watched = self._run(
+            capsys, "watch", job_id, "--coordinator", coordinator.url
+        )
+        assert watched == serial_out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table6"], "'table6' is not a single-batch command"),
+            (["figure4", "--mode", "sim"], "two phases"),
+            (["figure4", "--jobs", "2"], "--jobs cannot be queued"),
+            (["matrix", "--cache-dir", "cache"], "--cache-dir cannot be"),
+            (
+                ["soundness", "--coordinator", "http://127.0.0.1:1"],
+                "--coordinator cannot be",
+            ),
+        ],
+        ids=["not-a-batch", "sim-mode", "jobs", "cache-dir", "coordinator"],
+    )
+    def test_submit_refuses_what_cannot_be_queued(
+        self, capsys, start_coordinator, argv, message
+    ):
+        from repro.cli import main
+
+        coordinator = start_coordinator()
+        assert main(["submit", "--coordinator", coordinator.url, *argv]) == 2
+        assert message in capsys.readouterr().err
+        assert list_jobs(coordinator.url) == []
+
+    def test_watch_export_refused_when_the_command_has_none(
+        self, capsys, tmp_path, service_fleet
+    ):
+        from repro.cli import main
+
+        coordinator, _ = service_fleet()
+        job_id = self._submit(
+            capsys, coordinator.url, "soundness", "--pairs", "1"
+        )
+        path = tmp_path / "soundness.json"
+        assert main(
+            [
+                "watch", job_id, "--coordinator", coordinator.url,
+                "--export", str(path),
+            ]
+        ) == 2
+        assert "`repro soundness` has no --export" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_submit_list_names_every_job_set(self, capsys):
         out = self._run(capsys, "submit", "--list")
