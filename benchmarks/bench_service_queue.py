@@ -27,15 +27,10 @@ import time
 
 import pytest
 
+from chaos_proxy import ChaosProxy, FaultPlan, FaultRule
 from repro.analysis.report import render_table
 from repro.engine import ExperimentEngine, get_scenario, run_specs
-from repro.service import (
-    ChaosProxy,
-    CoordinatorServer,
-    FaultPlan,
-    FaultRule,
-    PullWorker,
-)
+from repro.service import CoordinatorServer, PullWorker
 from repro.service.store import JobStore
 
 #: Same shrink factor and sweep as E1 — the numbers are comparable.

@@ -256,19 +256,7 @@ _ARTIFACT_COLUMNS = {
         "observed_slowdown",
         "sound",
     ),
-    "table6": ("scenario", "core", "task", "counter", "simulated", "reference"),
-    "ablation": ("scenario", "load", "model", "delta_cycles", "slowdown"),
     "sweep": ("scale", "delta_cycles", "slowdown", "saturated"),
-    "deployment": ("scenario", "delta_cycles", "slowdown"),
-    "soundness": (
-        "case",
-        "model",
-        "isolation_cycles",
-        "observed_cycles",
-        "predicted_wcet",
-        "sound",
-        "tightness",
-    ),
     "three-core": (
         "scenario",
         "loads",
@@ -341,21 +329,6 @@ def figure4_artifact(
     return _build_artifact("figure4", title, figure4_rows(rows), **meta)
 
 
-def table6_artifact(
-    rows: Sequence[Table6Row], *, title: str = "Table 6", **meta: Any
-) -> ExperimentArtifact:
-    return _build_artifact("table6", title, table6_rows(rows), **meta)
-
-
-def ablation_artifact(
-    rows: Sequence[AblationRow],
-    *,
-    title: str = "Information-degree ablation",
-    **meta: Any,
-) -> ExperimentArtifact:
-    return _build_artifact("ablation", title, ablation_rows(rows), **meta)
-
-
 def sweep_artifact(
     points: Sequence[SweepPoint],
     *,
@@ -363,24 +336,6 @@ def sweep_artifact(
     **meta: Any,
 ) -> ExperimentArtifact:
     return _build_artifact("sweep", title, sweep_rows(points), **meta)
-
-
-def deployment_artifact(
-    rows: Sequence[DeploymentComparison],
-    *,
-    title: str = "Deployment sweep",
-    **meta: Any,
-) -> ExperimentArtifact:
-    return _build_artifact("deployment", title, deployment_rows(rows), **meta)
-
-
-def soundness_artifact(
-    cases: Sequence[SoundnessCase],
-    *,
-    title: str = "Soundness sweep",
-    **meta: Any,
-) -> ExperimentArtifact:
-    return _build_artifact("soundness", title, soundness_rows(cases), **meta)
 
 
 def three_core_artifact(

@@ -25,7 +25,6 @@ Usage (after ``pip install -e .``, as ``repro`` or ``python -m repro``)::
     repro watch JOB --coordinator http://127.0.0.1:8751
     repro jobs --workers --coordinator http://127.0.0.1:8751
     repro jobs --cancel JOB --coordinator http://127.0.0.1:8751
-    repro chaos --upstream http://127.0.0.1:8751 --fault latency:times=5
     repro --profile out.prof figure4   # cProfile any command
     repro store --cache-dir .cache    # recorded runs in the result store
     repro diff latest~1 latest --cache-dir .cache   # regression report
@@ -57,9 +56,10 @@ is defined once — its subparser, its job builder and its renderer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro import paper
 from repro.analysis.characterization import characterize
@@ -517,6 +517,23 @@ def _require_coordinator(args: argparse.Namespace) -> str:
     return url
 
 
+@contextlib.contextmanager
+def _reaching(url: str) -> Iterator[None]:
+    """Report a coordinator that cannot be reached (or answers an HTTP
+    error) as one error line naming its URL, not a traceback."""
+    import urllib.error
+
+    from repro.service.retry import TRANSPORT_ERRORS
+
+    try:
+        yield
+    except urllib.error.HTTPError as exc:
+        raise ReproError(f"coordinator {url} answered {exc}") from exc
+    except TRANSPORT_ERRORS as exc:
+        reason = getattr(exc, "reason", exc)
+        raise ReproError(f"cannot reach coordinator {url}: {reason}") from exc
+
+
 def _parse_batch(name: str, argv: Sequence[str]) -> argparse.Namespace:
     """Parse a queued command line exactly as the direct command would
     (at submit time, and again when ``repro watch`` renders it)."""
@@ -586,7 +603,8 @@ def _cmd_status(args: argparse.Namespace) -> str:
     from repro.service import job_status
 
     url = _require_coordinator(args)
-    status = job_status(url, args.job_id)
+    with _reaching(url):
+        status = job_status(url, args.job_id)
     lines = [_status_line(status)]
     for unit in status.get("units", []):
         worker = unit.get("worker") or "-"
@@ -597,43 +615,8 @@ def _cmd_status(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _watch_results(url: str, status: dict) -> list:
-    """Download and order one completed job's results (errors re-raised
-    exactly as serial execution would surface them)."""
-    from repro.service import fetch_results
-    from repro.service.retry import REQUEST_POLICY, retryable_exchange
-
-    # The download is an idempotent read: a garbled or torn response
-    # (a lossy network, a restarting coordinator) is re-asked rather
-    # than surfaced, under the shared retry policy's deadline.
-    policy = dataclasses.replace(
-        REQUEST_POLICY, deadline=30.0, retryable=retryable_exchange
-    )
-    complete, _cancelled, units = policy.call(
-        lambda: fetch_results(url, status["job_id"]),
-        description="results download",
-    )
-    if not complete:
-        raise ReproError(
-            f"job {status['job_id']} reported complete but results "
-            "are still partial; retry `repro watch`"
-        )
-    results: list = [None] * status["total_jobs"]
-    errors: list[tuple[int, BaseException]] = []
-    for indices, outcomes in units:
-        for index, outcome in zip(indices, outcomes):
-            if outcome.ok:
-                results[index] = outcome.value
-            else:
-                errors.append((index, outcome.error))
-    if errors:
-        errors.sort(key=lambda pair: pair[0])
-        raise errors[0][1]
-    return results
-
-
 def _cmd_watch(args: argparse.Namespace) -> str:
-    from repro.service import wait_for_job
+    from repro.service import job_values, wait_for_results
 
     url = _require_coordinator(args)
     seen: list[str] = []
@@ -644,16 +627,17 @@ def _cmd_watch(args: argparse.Namespace) -> str:
             seen.append(line)
             print(line, file=sys.stderr, flush=True)
 
-    status = wait_for_job(
-        url,
-        args.job_id,
-        poll=args.poll,
-        timeout=args.timeout,
-        progress=progress,
-    )
+    with _reaching(url):
+        status, outcomes = wait_for_results(
+            url,
+            args.job_id,
+            poll=args.poll,
+            timeout=args.timeout,
+            progress=progress,
+        )
+    results = job_values(outcomes)
     meta = status.get("meta") or {}
     name = meta.get("jobset")
-    results = _watch_results(url, status)
     if not name:
         return (
             f"job {status['job_id']} complete "
@@ -676,7 +660,8 @@ def _cmd_jobs(args: argparse.Namespace) -> str:
 
     url = _require_coordinator(args)
     if args.cancel:
-        status = cancel_job(url, args.cancel)
+        with _reaching(url):
+            status = cancel_job(url, args.cancel)
         return (
             f"cancelled job {args.cancel}: "
             f"{status.get('done', '?')}/{status.get('total_units', '?')} "
@@ -684,8 +669,10 @@ def _cmd_jobs(args: argparse.Namespace) -> str:
             f"{status.get('cancelled_units', '?')} cancelled"
         )
     if args.workers_table:
+        with _reaching(url):
+            workers = list_workers(url)
         rows = []
-        for worker in list_workers(url):
+        for worker in workers:
             stats = worker.get("stats") or {}
             rows.append(
                 [
@@ -714,6 +701,8 @@ def _cmd_jobs(args: argparse.Namespace) -> str:
             return "cancelled"
         return "running"
 
+    with _reaching(url):
+        jobs = list_jobs(url)
     rows = [
         [
             job["job_id"],
@@ -722,35 +711,13 @@ def _cmd_jobs(args: argparse.Namespace) -> str:
             job["total_jobs"],
             _state(job),
         ]
-        for job in list_jobs(url)
+        for job in jobs
     ]
     return render_table(
         ["job", "label", "units", "jobs", "state"],
         rows,
         title=f"Coordinator jobs ({len(rows)})",
     )
-
-
-def _cmd_chaos(args: argparse.Namespace) -> str:
-    from repro.service.chaos import FaultPlan, serve_chaos
-
-    if args.plan:
-        import json as _json
-
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = FaultPlan.from_json(_json.load(handle))
-        if args.seed is not None:
-            plan = FaultPlan(plan.rules, seed=args.seed)
-    else:
-        plan = FaultPlan.from_specs(args.fault or [], seed=args.seed or 0)
-    serve_chaos(
-        args.upstream,
-        host=args.host,
-        port=args.port,
-        plan=plan,
-        kill_command=args.kill_cmd,
-    )
-    return "chaos proxy stopped"
 
 
 def _result_store(args: argparse.Namespace) -> ResultStore:
@@ -1190,58 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p = sub.add_parser(
-        "chaos",
-        help=(
-            "fault-injecting proxy in front of a coordinator "
-            "(point clients and workers at the proxy URL)"
-        ),
-    )
-    p.add_argument(
-        "--upstream",
-        required=True,
-        metavar="URL",
-        help="the real coordinator URL to forward to",
-    )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (default 0: ephemeral, printed at startup)",
-    )
-    p.add_argument(
-        "--fault",
-        action="append",
-        metavar="SPEC",
-        help=(
-            "scripted fault as kind[:key=value,...] (repeatable, fires "
-            "in order); kinds: refuse, error, latency, truncate, "
-            "corrupt, kill, drop; e.g. 'latency:path=/lease,times=3' "
-            "or 'error:status=502,probability=0.2,times='"
-        ),
-    )
-    p.add_argument(
-        "--plan",
-        metavar="PATH.json",
-        help="load a FaultPlan JSON document instead of --fault specs",
-    )
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="RNG seed for probabilistic faults (deterministic replay)",
-    )
-    p.add_argument(
-        "--kill-cmd",
-        metavar="CMD",
-        help=(
-            "shell command run by 'kill' faults (e.g. a pkill of the "
-            "serve process; pair with a restart loop to demonstrate "
-            "durable-queue recovery)"
-        ),
-    )
-
     sub.add_parser("platform", help="Figure 1 block diagram")
 
     p = sub.add_parser(
@@ -1364,7 +1279,6 @@ _COMMANDS = {
     "status": _cmd_status,
     "watch": _cmd_watch,
     "jobs": _cmd_jobs,
-    "chaos": _cmd_chaos,
     "diff": _cmd_diff,
     "lint": _cmd_lint,
     "store": _cmd_store,

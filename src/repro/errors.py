@@ -41,14 +41,6 @@ class IlpError(ReproError):
     """Base class for ILP-substrate failures."""
 
 
-class IlpInfeasibleError(IlpError):
-    """The ILP instance admits no feasible point."""
-
-
-class IlpUnboundedError(IlpError):
-    """The ILP objective can be improved without bound."""
-
-
 class IlpNumericalError(IlpError):
     """The solver lost numerical precision (ill-conditioned instance)."""
 

@@ -16,8 +16,10 @@ hosts, join and leave at will:
   nothing is lost and nothing is double-counted;
 * **clients** (:mod:`~repro.service.client`) submit and walk away:
   ``repro submit`` queues one of the CLI's single-batch commands, and
-  any engine batch runs through the queue via ``mode="service"``; both
-  come back byte-identical to serial execution.
+  any engine batch runs through the queue via ``mode="service"``.  Both
+  wait and collect the same way — one poll loop, then one results
+  download in job order — and come back byte-identical to serial
+  execution.
 
 Three-terminal quickstart::
 
@@ -44,29 +46,24 @@ shared :mod:`~repro.service.retry` policy (exponential backoff, jitter,
 total deadlines, retryable-fault classification); the store runs WAL
 with quarantine-and-rebuild of corrupt databases; jobs are cancellable
 (``repro jobs --cancel``) and workers that upload malformed completions
-are quarantined.  The :mod:`~repro.service.chaos` proxy injects
-scripted network and process faults (``repro chaos``), and the chaos
-test suite is the standing proof that the exactly-once and
-byte-identity guarantees survive them.
+are quarantined.  The chaos suite (``tests/test_service_chaos.py``,
+with the fault-injecting proxy in ``tests/chaos_proxy.py``) is the
+standing proof that the exactly-once and byte-identity guarantees
+survive scripted network and process faults.
 """
 
-from repro.service.chaos import (
-    ChaosProxy,
-    FaultPlan,
-    FaultRule,
-    parse_fault_spec,
-    serve_chaos,
-)
 from repro.service.client import (
     ServiceExecutor,
     cancel_job,
     coordinator_health,
     fetch_results,
     job_status,
+    job_values,
     list_jobs,
     list_workers,
     submit_jobs,
     wait_for_job,
+    wait_for_results,
 )
 from repro.service.coordinator import (
     DEFAULT_COORDINATOR_PORT,
@@ -84,11 +81,8 @@ from repro.service.store import JobRecord, JobStore, UnitSpec
 
 __all__ = [
     "Backoff",
-    "ChaosProxy",
     "CoordinatorServer",
     "DEFAULT_COORDINATOR_PORT",
-    "FaultPlan",
-    "FaultRule",
     "JobRecord",
     "JobStore",
     "PullWorker",
@@ -99,14 +93,14 @@ __all__ = [
     "coordinator_health",
     "fetch_results",
     "job_status",
+    "job_values",
     "list_jobs",
     "list_workers",
-    "parse_fault_spec",
     "retryable_exchange",
     "retryable_fault",
     "serve",
-    "serve_chaos",
     "serve_pull",
     "submit_jobs",
     "wait_for_job",
+    "wait_for_results",
 ]

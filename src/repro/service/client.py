@@ -1,30 +1,34 @@
 """The service client: submit batches, poll progress, collect results.
 
-Two consumers share this module.  The ``repro submit`` / ``status`` /
-``watch`` / ``jobs`` commands use the plain functions — submit one CLI
-command's job batch, read back progress documents, download results.
-The engine's ``mode="service"`` uses :class:`ServiceExecutor`, which
-makes any existing analysis driver run through the coordinator
-unchanged: each engine batch becomes one submitted job, the executor
-polls until the queue drains it, and results scatter back into job
-order — so driver output stays byte-identical to ``mode="serial"``
-whichever registered worker executed what.
+The ``repro submit`` / ``status`` / ``jobs`` commands use the plain
+functions — submit one CLI command's job batch, read back progress
+documents, list jobs and workers.  Waiting has one path:
+:func:`wait_for_job` is the only loop that polls a job, and
+:func:`wait_for_results` waits through it and then downloads the
+results once, in job order.  ``repro watch`` renders what it returns;
+the engine's ``mode="service"`` runs through :class:`ServiceExecutor`,
+which makes any existing analysis driver run through the coordinator
+unchanged — each engine batch becomes one submitted job whose results
+scatter back into job order, so driver output stays byte-identical to
+``mode="serial"`` whichever registered worker executed what.
 
 Fault behaviour: a coordinator that cannot be reached at submission
 time falls back to in-process execution (the engine counts it in
-``stats.fallbacks``), and one that disappears *mid-poll* is retried for
+``stats.fallbacks``), and one that disappears *mid-wait* is retried for
 an unreachable-grace window — long enough to ride out a coordinator
 restart, after which the executor gives the batch back to the engine.
 All waiting uses the shared :mod:`repro.service.retry` backoff, so idle
 polls decay instead of hammering the coordinator at a fixed interval.
 Job-level exceptions drain the whole batch first and re-raise the
-lowest-indexed failing job's error, the same one serial mode surfaces.
-A cancelled job raises :class:`~repro.errors.JobCancelledError` from
-every waiter — there is nothing left to wait for.
+lowest-indexed failing job's error (:func:`job_values`), the same one
+serial mode surfaces.  A cancelled job raises
+:class:`~repro.errors.JobCancelledError` from every waiter — there is
+nothing left to wait for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 import urllib.error
@@ -55,10 +59,17 @@ from repro.service.coordinator import (
     WORKERS_PATH,
 )
 from repro.service.retry import (
+    REQUEST_POLICY,
     TRANSPORT_ERRORS,
     RetryPolicy,
     retryable_exchange,
 )
+
+#: HTTP timeout of a batch submission and of a results download.
+_REQUEST_TIMEOUT = 60.0
+
+#: ``mode="service"``'s first interval between status polls.
+_SERVICE_POLL = 0.1
 
 
 def _post(url: str, path: str, body: bytes, *, timeout: float) -> bytes:
@@ -90,7 +101,7 @@ def submit_jobs(
     *,
     label: str = "",
     meta: dict | None = None,
-    timeout: float = 60.0,
+    timeout: float = _REQUEST_TIMEOUT,
     retry: RetryPolicy | None = None,
 ) -> str:
     """Submit one batch to the coordinator; returns the job id.
@@ -155,7 +166,7 @@ def list_workers(url: str, *, timeout: float = 30.0) -> list[dict]:
 
 
 def fetch_results(
-    url: str, job_id: str, *, timeout: float = 60.0
+    url: str, job_id: str, *, timeout: float = _REQUEST_TIMEOUT
 ) -> tuple[bool, bool, list[tuple[list[int], list[WireResult]]]]:
     """Download a job's finished units:
     ``(complete, cancelled, [(indices, results)])``.
@@ -167,13 +178,6 @@ def fetch_results(
     """
     data = _get(url, f"{JOBS_PATH}/{job_id}/results", timeout=timeout)
     return decode_job_results(data)
-
-
-def _poll_policy(poll: float) -> RetryPolicy:
-    """Decaying poll intervals starting at the caller's ``poll``."""
-    return RetryPolicy(
-        initial=poll, multiplier=1.6, max_delay=max(poll, 1.0)
-    )
 
 
 def wait_for_job(
@@ -191,7 +195,8 @@ def wait_for_job(
     a 1 s ceiling, snapping back whenever the done-unit count moves.  An
     unreachable coordinator is retried for ``unreachable_grace`` seconds
     (the queue is durable — a restart picks the job straight back up)
-    before the transport fault propagates.
+    before the transport fault propagates.  The ``timeout`` deadline is
+    checked on every poll, answered or not.
 
     Args:
         poll: initial seconds between status requests.
@@ -205,7 +210,9 @@ def wait_for_job(
         JobCancelledError: the job was cancelled and will never complete.
     """
     deadline = None if timeout is None else time.monotonic() + timeout
-    backoff = _poll_policy(poll).backoff()
+    backoff = RetryPolicy(
+        initial=poll, multiplier=1.6, max_delay=max(poll, 1.0)
+    ).backoff()
     last_contact = time.monotonic()
     last_done: int | None = None
     while True:
@@ -217,29 +224,94 @@ def wait_for_job(
                 or time.monotonic() - last_contact > unreachable_grace
             ):
                 raise
-            backoff.sleep(poll)
-            continue
-        last_contact = time.monotonic()
-        if progress is not None:
-            progress(status)
-        if status.get("complete"):
-            return status
-        if status.get("cancelled"):
-            raise JobCancelledError(
-                f"job {job_id} was cancelled "
-                f"({status.get('done')}/{status.get('total_units')} "
-                "units had finished)"
+            state = f"coordinator {url} unreachable: {exc}"
+        else:
+            last_contact = time.monotonic()
+            if progress is not None:
+                progress(status)
+            if status.get("complete"):
+                return status
+            if status.get("cancelled"):
+                raise JobCancelledError(
+                    f"job {job_id} was cancelled "
+                    f"({status.get('done')}/{status.get('total_units')} "
+                    "units had finished)"
+                )
+            state = (
+                f"{status.get('done')}/{status.get('total_units')} units"
             )
+            done = status.get("done")
+            if done != last_done:
+                last_done = done
+                backoff.reset()
         if deadline is not None and time.monotonic() >= deadline:
             raise EngineError(
-                f"job {job_id} not complete after {timeout:g}s "
-                f"({status.get('done')}/{status.get('total_units')} units)"
+                f"job {job_id} not complete after {timeout:g}s ({state})"
             )
-        done = status.get("done")
-        if done != last_done:
-            last_done = done
-            backoff.reset()
         backoff.sleep(poll)
+
+
+def wait_for_results(
+    url: str,
+    job_id: str,
+    *,
+    poll: float = 0.5,
+    timeout: float | None = None,
+    progress: Callable[[dict], object] | None = None,
+    unreachable_grace: float = 60.0,
+) -> tuple[dict, list[WireResult]]:
+    """Wait for one job (:func:`wait_for_job`), then download its
+    results once: ``(final status document, outcomes in job order)``.
+
+    The download is an idempotent read, so a garbled or torn response
+    (a lossy network, a restarting coordinator) is re-asked rather than
+    surfaced, for up to ``unreachable_grace`` seconds.  Failed jobs stay
+    outcomes here; :func:`job_values` re-raises them.
+    """
+    status = wait_for_job(
+        url,
+        job_id,
+        poll=poll,
+        timeout=timeout,
+        progress=progress,
+        unreachable_grace=unreachable_grace,
+    )
+
+    def download() -> list[tuple[list[int], list[WireResult]]]:
+        complete, _cancelled, units = fetch_results(url, job_id)
+        if not complete:
+            raise RemoteError(
+                f"job {job_id} reported complete but its results are "
+                "partial"
+            )
+        return units
+
+    policy = dataclasses.replace(
+        REQUEST_POLICY,
+        deadline=unreachable_grace,
+        retryable=retryable_exchange,
+    )
+    units = policy.call(
+        download, description=f"results download from {url}"
+    )
+    placed = {
+        index: outcome
+        for indices, outcomes in units
+        for index, outcome in zip(indices, outcomes)
+    }
+    return status, [placed[index] for index in sorted(placed)]
+
+
+def job_values(outcomes: Sequence[WireResult]) -> list[Any]:
+    """The values of a job's outcomes, in job order.
+
+    A failed job re-raises its error — the lowest-indexed one, which is
+    the failure serial execution surfaces.
+    """
+    error = next((item.error for item in outcomes if not item.ok), None)
+    if error is not None:
+        raise error
+    return [item.value for item in outcomes]
 
 
 class ServiceExecutor:
@@ -247,20 +319,13 @@ class ServiceExecutor:
 
     Args:
         coordinator_url: base URL of the ``repro serve`` process.
-        poll: seconds between result polls.
-        timeout: per-request HTTP timeout.
         unreachable_grace: how long the coordinator may stay unreachable
-            mid-poll before the batch is abandoned back to the engine
+            mid-wait before the batch is abandoned back to the engine
             (generous enough to ride out a coordinator restart).
     """
 
     def __init__(
-        self,
-        coordinator_url: str,
-        *,
-        poll: float = 0.1,
-        timeout: float = 60.0,
-        unreachable_grace: float = 60.0,
+        self, coordinator_url: str, *, unreachable_grace: float = 60.0
     ) -> None:
         url = coordinator_url.strip().rstrip("/")
         if not url:
@@ -269,8 +334,6 @@ class ServiceExecutor:
                 "with `repro serve` and pass --coordinator"
             )
         self.coordinator_url = url
-        self.poll = poll
-        self.timeout = timeout
         self.unreachable_grace = unreachable_grace
         self.stats = EngineStats()
 
@@ -295,55 +358,27 @@ class ServiceExecutor:
                 self.coordinator_url,
                 items,
                 label=items[0].describe() if items else "",
-                timeout=self.timeout,
             )
         except TRANSPORT_ERRORS + (RemoteError,):
             return sorted(pending)
         self.stats.batches += 1
-
-        backoff = _poll_policy(self.poll).backoff()
-        last_contact = time.monotonic()
-        last_done: int | None = None
-        while True:
-            try:
-                complete, cancelled, units = fetch_results(
-                    self.coordinator_url, job_id, timeout=self.timeout
-                )
-            except TRANSPORT_ERRORS + (RemoteError,):
-                # Coordinator down or restarting.  The queue is durable,
-                # so keep polling for the grace window before giving the
-                # batch back (jobs are pure — a local re-run is safe).
-                if time.monotonic() - last_contact > self.unreachable_grace:
-                    self.stats.abandoned += 1
-                    return sorted(pending)
-                backoff.sleep(self.poll)
-                continue
-            last_contact = time.monotonic()
-            if complete:
-                break
-            if cancelled:
-                raise JobCancelledError(
-                    f"service job {job_id} was cancelled while the "
-                    "engine was waiting on it"
-                )
-            if len(units) != last_done:
-                last_done = len(units)
-                backoff.reset()
-            backoff.sleep(self.poll)
-
-        job_errors: list[tuple[int, BaseException]] = []
-        for indices, outcomes in units:
-            for local_index, outcome in zip(indices, outcomes):
-                index = pending[local_index]
-                if outcome.ok:
-                    results[index] = outcome.value
-                    if outcome.cached:
-                        self.stats.cached += 1
-                    else:
-                        self.stats.executed += 1
-                else:
-                    job_errors.append((index, outcome.error))
-        if job_errors:
-            job_errors.sort(key=lambda pair: pair[0])
-            raise job_errors[0][1]
+        try:
+            _status, outcomes = wait_for_results(
+                self.coordinator_url,
+                job_id,
+                poll=_SERVICE_POLL,
+                unreachable_grace=self.unreachable_grace,
+            )
+        except TRANSPORT_ERRORS + (RemoteError,):
+            # Coordinator gone past the grace window: give the batch
+            # back (jobs are pure — a local re-run is safe).
+            self.stats.abandoned += 1
+            return sorted(pending)
+        for outcome in outcomes:
+            if outcome.ok and outcome.cached:
+                self.stats.cached += 1
+            elif outcome.ok:
+                self.stats.executed += 1
+        for index, value in zip(pending, job_values(outcomes)):
+            results[index] = value
         return []

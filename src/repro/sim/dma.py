@@ -65,10 +65,6 @@ class DmaAgent:
         """Display name (defaults to ``dma<master_id>``)."""
         return self.name or f"dma{self.master_id}"
 
-    def occupancy_cycles(self, service_time: int) -> int:
-        """Total SRI occupancy the agent can generate (count x service)."""
-        return self.count * service_time
-
     def uncontended_result(self, service_time: int) -> "DmaResult":
         """Closed-form :class:`DmaResult` of an *uncontended* run.
 

@@ -3,7 +3,6 @@
 from repro.workloads.control_loop import (
     ControlLoopLayout,
     build_control_loop,
-    control_loop_task,
     split_code_misses,
     split_data_rw,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "compile_kernel",
     "code_blocks",
     "code_random_fraction",
-    "control_loop_task",
     "dflash_data_block",
     "fir_filter_kernel",
     "isolation_cycles",

@@ -28,11 +28,7 @@ import math
 from repro import paper
 from repro.counters.readings import TaskReadings
 from repro.errors import WorkloadError
-from repro.platform.deployment import (
-    DeploymentScenario,
-    scenario_1,
-    scenario_2,
-)
+from repro.platform.deployment import DeploymentScenario
 from repro.platform.targets import Operation, Target
 from repro.sim.program import TaskProgram
 from repro.sim.requests import MissKind
@@ -273,17 +269,3 @@ def build_control_loop(
     layout = dataclasses.replace(layout, epilogue_gap=epilogue)
     spec = dataclasses.replace(spec, epilogue_gap=epilogue)
     return spec.program(), layout
-
-
-def control_loop_task(
-    scenario_name: str, *, scale: float = 1.0, name: str = "app"
-) -> TaskProgram:
-    """Convenience wrapper: build the application by scenario name."""
-    scenario = {
-        "scenario1": scenario_1,
-        "scenario2": scenario_2,
-    }.get(scenario_name)
-    if scenario is None:
-        raise WorkloadError(f"unknown scenario {scenario_name!r}")
-    program, _ = build_control_loop(scenario(), scale=scale, name=name)
-    return program

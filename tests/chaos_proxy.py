@@ -8,6 +8,16 @@ suite routes real submissions and real workers through a proxy with a
 deterministic :class:`FaultPlan` and asserts the exactly-once and
 byte-identity guarantees hold anyway.
 
+It is a test harness, not part of the library: the service suites
+import it from ``tests/`` (the benchmarks too, whose ``conftest.py``
+puts ``tests/`` on ``sys.path``), and run as a script it proxies a live
+coordinator from the command line::
+
+    PYTHONPATH=src python tests/chaos_proxy.py \\
+        --upstream http://127.0.0.1:8751 --port 8752 \\
+        --fault 'latency:times=5' --fault 'kill:path=/lease,after=10' \\
+        --kill-cmd 'pkill -9 -f "repro [s]erve --port 8751"'
+
 Fault kinds (:data:`FAULT_KINDS`):
 
 ``refuse``
@@ -41,7 +51,7 @@ Scripting: a :class:`FaultPlan` is an ordered list of
 the first ``after`` matches, firing a bounded number of ``times`` with
 a ``probability`` drawn from a *seeded* RNG — so a plan replays the
 same fault sequence on every run.  Plans round-trip through JSON
-(``repro chaos --plan plan.json``) or terse CLI specs
+(``--plan plan.json``) or terse command-line specs
 (``--fault 'latency:path=/lease,times=3,latency=0.5'``), and the proxy
 records every injection in :attr:`FaultPlan.injections` so tests can
 assert the faults actually happened.
@@ -49,9 +59,11 @@ assert the faults actually happened.
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import random
+import subprocess
 import threading
 import time
 import urllib.error
@@ -339,7 +351,7 @@ class _ChaosHandler(BaseHTTPRequestHandler):
                 self._sever()
                 return
             if rule.kind == "latency":
-                time.sleep(rule.latency)
+                time.sleep(rule.latency)  # repro: ignore[bare-sleep-loop] the latency fault deliberately stalls this response
         try:
             status, payload = self._forward(body)
         except Exception as exc:  # repro: ignore[broad-except] the 502 boundary: any upstream fault becomes a bad-gateway answer
@@ -444,34 +456,83 @@ class ChaosProxy(ThreadingHTTPServer):
             self._thread = None
 
 
-def serve_chaos(
-    upstream: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    plan: FaultPlan | None = None,
-    kill_command: str | None = None,
-) -> None:
-    """Run the chaos proxy in the foreground (the ``repro chaos``
-    command).
+def main(argv: Sequence[str] | None = None) -> None:
+    """Run the chaos proxy in the foreground until interrupted.
 
-    Prints the listening URL (the line scripts parse to discover
-    ephemeral ports), then proxies until interrupted.  ``kill_command``
-    is a shell command run by ``kill`` faults — typically a ``pkill``
-    of the coordinator process, letting a restart-loop wrapper
-    demonstrate durable-queue recovery.
+    Prints the listening URL first (the line scripts parse to discover
+    an ephemeral port).  ``--kill-cmd`` is a shell command run by
+    ``kill`` faults — typically a ``pkill`` of the coordinator process,
+    letting a restart-loop wrapper demonstrate durable-queue recovery.
     """
+    parser = argparse.ArgumentParser(
+        description=(
+            "fault-injecting proxy in front of a coordinator (point "
+            "clients and workers at the proxy URL)"
+        )
+    )
+    parser.add_argument(
+        "--upstream",
+        required=True,
+        metavar="URL",
+        help="the real coordinator URL to forward to",
+    )
+    parser.add_argument("--host", default="127.0.0.1", help="bind address")
+    parser.add_argument(
+        "--port",
+        type=int,
+        default=0,
+        help="TCP port (default 0: ephemeral, printed at startup)",
+    )
+    parser.add_argument(
+        "--fault",
+        action="append",
+        metavar="SPEC",
+        help=(
+            "scripted fault as kind[:key=value,...] (repeatable, fires "
+            "in order); kinds: refuse, error, latency, truncate, "
+            "corrupt, kill, drop; e.g. 'latency:path=/lease,times=3' "
+            "or 'error:status=502,probability=0.2,times='"
+        ),
+    )
+    parser.add_argument(
+        "--plan",
+        metavar="PATH.json",
+        help="load a FaultPlan JSON document instead of --fault specs",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="RNG seed for probabilistic faults (deterministic replay)",
+    )
+    parser.add_argument(
+        "--kill-cmd",
+        metavar="CMD",
+        help=(
+            "shell command run by 'kill' faults (e.g. a pkill of the "
+            "serve process; pair with a restart loop to demonstrate "
+            "durable-queue recovery)"
+        ),
+    )
+    args = parser.parse_args(argv)
+    if args.plan:
+        with open(args.plan, "r", encoding="utf-8") as handle:
+            plan = FaultPlan.from_json(json.load(handle))
+        if args.seed is not None:
+            plan = FaultPlan(plan.rules, seed=args.seed)
+    else:
+        plan = FaultPlan.from_specs(args.fault or [], seed=args.seed or 0)
     kill: Callable[[], None] | None = None
-    if kill_command:
-        import subprocess
+    if args.kill_cmd:
 
         def kill() -> None:
-            subprocess.run(kill_command, shell=True, check=False)
+            subprocess.run(args.kill_cmd, shell=True, check=False)
 
-    proxy = ChaosProxy(upstream, host, port, plan=plan, kill=kill)
+    proxy = ChaosProxy(
+        args.upstream, args.host, args.port, plan=plan, kill=kill
+    )
     print(
-        f"repro chaos proxy listening on {proxy.url} "
-        f"(upstream {proxy.upstream})",
+        f"chaos proxy listening on {proxy.url} (upstream {proxy.upstream})",
         flush=True,
     )
     try:
@@ -480,3 +541,7 @@ def serve_chaos(
         pass
     finally:
         proxy.server_close()
+
+
+if __name__ == "__main__":
+    main()

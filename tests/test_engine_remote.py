@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from chaos_proxy import ChaosProxy, FaultPlan, FaultRule
 from repro.analysis.experiments import (
     figure4_paper_mode,
     model_scenario_matrix,
@@ -311,6 +312,34 @@ class TestRemoteSemantics:
         assert calls == [1]
         assert engine.stats.fallbacks == 1
         assert engine.service_stats.executed == 1  # the picklable one
+
+    def test_a_batch_downloads_its_results_once(self, service_fleet):
+        """The executor polls the job's status and downloads its results
+        once it is complete — never once per poll.  A zero-latency fault
+        on every results GET counts the downloads."""
+        coordinator, _workers = service_fleet()
+        plan = FaultPlan(
+            [
+                FaultRule(
+                    "latency",
+                    path="/results",
+                    method="GET",
+                    latency=0.0,
+                    times=None,
+                )
+            ]
+        )
+        proxy = ChaosProxy(coordinator.url, plan=plan).start()
+        try:
+            engine = ExperimentEngine(
+                mode="service", coordinator_url=proxy.url
+            )
+            assert figure4_paper_mode(engine=engine) == figure4_paper_mode()
+        finally:
+            proxy.stop()
+        batches = engine.service_stats.batches
+        assert batches >= 1 and engine.stats.fallbacks == 0
+        assert len(plan.injections) == batches
 
     def test_single_job_batches_still_go_remote(self, service_fleet):
         coordinator, workers = service_fleet()

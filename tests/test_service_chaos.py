@@ -20,6 +20,7 @@ import urllib.request
 
 import pytest
 
+from chaos_proxy import ChaosProxy, FaultPlan, FaultRule, parse_fault_spec
 from repro.analysis.experiments import figure4_paper_mode
 from repro.analysis.report import render_figure4
 from repro.engine import ExperimentEngine
@@ -29,12 +30,6 @@ from repro.engine.remote.wire import (
     validate_result_entries,
 )
 from repro.errors import EngineError, JobCancelledError, RemoteError
-from repro.service.chaos import (
-    ChaosProxy,
-    FaultPlan,
-    FaultRule,
-    parse_fault_spec,
-)
 from repro.service.client import (
     cancel_job,
     coordinator_health,

@@ -431,6 +431,21 @@ class TestServiceErrors:
         with pytest.raises(EngineError, match="coordinator_url"):
             ExperimentEngine(mode="serial", coordinator_url="http://x")
 
+    def test_wait_timeout_holds_while_the_coordinator_is_unreachable(self):
+        """The deadline is checked on every poll, answered or not: a
+        dead coordinator cannot stretch a 0.3 s timeout into the
+        unreachable grace."""
+        started = time.monotonic()
+        with pytest.raises(EngineError, match="not complete after 0.3s"):
+            wait_for_job(
+                "http://127.0.0.1:1",
+                "x",
+                poll=0.05,
+                timeout=0.3,
+                unreachable_grace=5,
+            )
+        assert time.monotonic() - started < 2.0
+
 
 # ----------------------------------------------------------------------
 # Worker counters surfaced through the coordinator
@@ -637,3 +652,18 @@ class TestServiceCli:
         assert main(["status", "deadbeef"]) != 0
         err = capsys.readouterr().err
         assert "--coordinator" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["status", "abc"], ["jobs"], ["watch", "abc", "--timeout", "0.5"]],
+        ids=["status", "jobs", "watch"],
+    )
+    def test_unreachable_coordinator_is_one_error_line(self, capsys, argv):
+        from repro.cli import main
+
+        url = "http://127.0.0.1:1"
+        assert main([*argv, "--coordinator", url]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("repro: error: ") and url in line
