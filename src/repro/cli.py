@@ -141,7 +141,7 @@ def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
 
 def _positive_int(text: str) -> int:
     """argparse type of the count flags (``--scale``, ``--pairs``,
-    ``--jobs``): an integer of at least 1."""
+    ``--requests``, ``--jobs``): an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -922,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("soundness", help=_BATCHES["soundness"].help)
     p.add_argument("--pairs", type=_positive_int, default=5)
-    p.add_argument("--requests", type=int, default=1_000)
+    p.add_argument("--requests", type=_positive_int, default=1_000)
     p.add_argument("--scenario", type=int, choices=(1, 2), default=1)
     _add_jobs_flag(p)
 

@@ -10,8 +10,11 @@ numpy gap/request-id arrays over a deduplicated request table, built
 once per program (:func:`~repro.sim.program.compile_program`): workload
 specs build them straight from their block columns, other programs
 flatten their step stream with runs of gap-only steps merged into the
-following request's gap; uncontended transactions complete inline, off
-the event heap.
+following request's gap.  An isolation run is computed in closed form
+over those arrays (:meth:`~repro.sim.program.CompiledProgram.isolation_time`,
+which :func:`repro.workloads.footprint.isolation_cycles` shares); in a
+co-run, uncontended transactions complete inline, off the event heap,
+and an issue alone in its cycle is granted without an arbitration event.
 
 Its semantics oracle, a step-generator walk that replays the per-step
 object stream, lives in ``tests/oracles/sim_reference.py``.  The

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import weakref
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -105,6 +105,44 @@ class CompiledProgram:
 
     def compute_cycles(self) -> int:
         return int(self.gaps.sum()) + self.final_gap
+
+    def isolation_time(
+        self,
+        service: Sequence[int],
+        overlap: Sequence[int],
+        counts: Sequence[int],
+    ) -> int:
+        """Finish time of this program alone on the SRI, in closed form.
+
+        With no other master every transaction is served the cycle it is
+        issued, so the time is ``Σ max(0, gap − credit) + Σ service +
+        max(0, final_gap − credit_last)``, where a request's credit is
+        the overlap of the request before it (zero for the first).  The
+        core waits for each transaction's *completion* (one outstanding
+        request); the overlap only discounts the next gap.
+
+        Args:
+            service: service time of each distinct request, by rid.
+            overlap: pipeline overlap of each distinct request, by rid.
+            counts: :meth:`rid_counts`.
+        """
+        rid_list = self.rid_list
+        if not rid_list:
+            return self.final_gap
+        gaps = self.gaps
+        # One temporary: the credit each request after the first starts
+        # with, turned in place into its uncovered gap.
+        credit = np.asarray(overlap, dtype=np.int64)[self.request_ids[:-1]]
+        np.subtract(gaps[1:], credit, out=credit)
+        np.maximum(credit, 0, out=credit)
+        busy = sum(count * cycles for count, cycles in zip(counts, service))
+        trailing = self.final_gap - overlap[rid_list[-1]]
+        return (
+            int(gaps[0])
+            + int(credit.sum())
+            + busy
+            + (trailing if trailing > 0 else 0)
+        )
 
     def steps(self) -> Iterator[Step]:
         """A step stream with these arrays' timing.

@@ -26,17 +26,22 @@ per-request interference is bounded by ``l^{t,o}`` of the contender's
 request — the exact alignment assumption of the models.  The validation
 suite leans on this.
 
-The simulator walks each program's
-:class:`~repro.sim.program.CompiledProgram` arrays with integer cursors,
-pre-resolves every per-request timing/counter lookup per distinct
-request, only heap-schedules transactions on *shared* devices (a core
-alone on a device advances through whole request runs closed-form, and
-an isolation run never touches the heap at all), and batches
-counter/statistics updates into per-request accumulators.  Its semantics
-oracle, a step-generator walk with one heap event per step, issue, grant
-and completion, lives in ``tests/oracles/sim_reference.py``; the
-equivalence suite pins the two byte-identical on pickled
-:class:`SimResult`\\ s.
+The simulator works on each program's
+:class:`~repro.sim.program.CompiledProgram` arrays and pre-resolves
+every per-request timing/counter lookup per distinct request.  An
+isolation run (one core, no DMA agent) is computed in closed form over
+the arrays: per-request counts from one ``np.bincount``, observables per
+distinct request, the finish time from
+:meth:`~repro.sim.program.CompiledProgram.isolation_time` — no walk, no
+heap.  A co-run walks the arrays with integer cursors and heap-schedules
+only transactions on *shared* devices (a core alone on a device advances
+through whole request runs inline); an issue that finds its device idle
+and nothing else due in its cycle is granted on the spot instead of
+through an arbitration event, and counter/statistics updates go to
+per-request accumulators.  Its semantics oracle, a step-generator walk
+with one heap event per step, issue, grant and completion, lives in
+``tests/oracles/sim_reference.py``; the equivalence suite pins the two
+byte-identical on pickled :class:`SimResult`\\ s.
 """
 
 from __future__ import annotations
@@ -70,26 +75,6 @@ class TransactionStats:
     min_blocking: int | None = None
     max_blocking: int | None = None
     total_wait: int = 0
-
-    def record(self, service: int, blocking: int, wait: int) -> None:
-        self.count += 1
-        self.min_service = (
-            service if self.min_service is None else min(self.min_service, service)
-        )
-        self.max_service = (
-            service if self.max_service is None else max(self.max_service, service)
-        )
-        self.min_blocking = (
-            blocking
-            if self.min_blocking is None
-            else min(self.min_blocking, blocking)
-        )
-        self.max_blocking = (
-            blocking
-            if self.max_blocking is None
-            else max(self.max_blocking, blocking)
-        )
-        self.total_wait += wait
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +136,7 @@ _COUNTER_INDEX = {counter: index for index, counter in enumerate(_COUNTERS)}
 
 
 class _CompiledCoreState:
-    """Mutable execution state of one core, walking its compiled program.
+    """Mutable execution state of one core over its compiled program.
 
     Everything the per-transaction hot path needs is pre-resolved per
     *distinct* request (``*_by_rid`` lists) when the run starts, and
@@ -168,6 +153,7 @@ class _CompiledCoreState:
     __slots__ = (
         "core_id",
         "name",
+        "compiled",
         "requests",
         "gap_list",
         "rid_list",
@@ -199,6 +185,7 @@ class _CompiledCoreState:
         compiled = program.compiled()
         self.core_id = core_id
         self.name = program.name
+        self.compiled = compiled
         self.requests = compiled.requests
         self.gap_list = compiled.gap_list
         self.rid_list = compiled.rid_list
@@ -213,7 +200,7 @@ class _CompiledCoreState:
         self.bank: CounterBank | None = None
         self.true_counts: dict[tuple[Target, Operation], int] | None = None
 
-    def prepare(self, timing: SimTiming, solo_targets: set[Target]) -> None:
+    def prepare(self, timing: SimTiming) -> None:
         """Resolve per-rid timing/counter tables for this run."""
         requests = self.requests
         self.service_by_rid = [timing.service_time(r) for r in requests]
@@ -229,13 +216,42 @@ class _CompiledCoreState:
             for r in requests
         ]
         self.key_by_rid = [(r.target, r.operation) for r in requests]
-        self.solo_by_rid = [r.target in solo_targets for r in requests]
         n = len(requests)
         self.acc = [0] * len(_COUNTERS)
         self.agg_count = [0] * n
         self.agg_wait = [0] * n
         self.agg_bmin = [_BLOCKING_MAX_SENTINEL] * n
         self.agg_bmax = [-1] * n
+
+    def run_alone(self) -> None:
+        """Execute the whole program with no other master on the SRI.
+
+        Every transaction is then served the cycle it is issued: its wait
+        is zero and its blocking the constant ``max(0, service −
+        overlap)`` of its distinct request.  So each distinct request's
+        counter increments, count and blocking extremes follow from its
+        number of occurrences (one ``np.bincount``), and the finish time
+        is :meth:`~repro.sim.program.CompiledProgram.isolation_time`.
+        """
+        counts = self.compiled.rid_counts()
+        acc = self.acc
+        services = self.service_by_rid
+        overlaps = self.overlap_by_rid
+        for rid, count in enumerate(counts):
+            miss = self.miss_by_rid[rid]
+            if miss >= 0:
+                acc[miss] += count
+            blocking = services[rid] - overlaps[rid]
+            if blocking < 0:
+                blocking = 0
+            elif blocking:
+                acc[self.stall_by_rid[rid]] += blocking * count
+            self.agg_count[rid] = count
+            self.agg_bmin[rid] = blocking
+            self.agg_bmax[rid] = blocking
+        self.finish_time = self.compiled.isolation_time(
+            services, overlaps, counts
+        )
 
     def finalize(self) -> dict[tuple[Target, Operation], "TransactionStats"]:
         """Fold the per-rid accumulators into the run's observables.
@@ -355,7 +371,8 @@ _DMA_TICK = 3
 # An idle device's arbitration event sorts after every other event kind
 # at the same timestamp, so it sees every request raised in the cycle.  A
 # busy device arbitrates inline at its completion instead, among the
-# requests queued by then.
+# requests queued by then, and an issue with nothing else due in its
+# cycle is granted inline, since its arbitration event would pop next.
 _GRANT = 4
 
 #: Supported arbitration policies of the SRI slave interfaces.
@@ -414,7 +431,7 @@ class SystemSimulator:
             A :class:`SimResult` with per-core (and per-agent) observables.
 
         Equivalence to the step-generator oracle
-        (``tests/oracles/sim_reference.py``) rests on four facts, each
+        (``tests/oracles/sim_reference.py``) rests on six facts, each
         pinned by the equivalence suite:
 
         * merging a run of gap-only steps into the next request's gap is
@@ -431,11 +448,25 @@ class SystemSimulator:
           in that cycle, the request is queued before that completion
           arbitrates.  The oracle states the rule with an event kind of
           its own, sorted before the shared completions;
+        * an isolation run (one core, no DMA agent) has only
+          single-master devices, so it is one chain of inline
+          transactions, each with zero wait and the constant blocking
+          ``max(0, service − overlap)`` of its distinct request.  It is
+          computed in closed form, with no walk: per-request counts from
+          one ``np.bincount``, the finish time from
+          :meth:`~repro.sim.program.CompiledProgram.isolation_time`;
         * scheduling an arbitration event only when the device is idle
           drops exactly the grant events that were no-ops (a busy
           device's next grant happens inline at its completion, in the
           oracle too), and event *sequence numbers* only break heap ties —
           same-cycle issues still all enqueue before the grant fires;
+        * an issue that finds its device idle, no arbitration event
+          queued for it and no other event at its cycle arbitrates
+          inline.  The arbitration event it would queue sorts after
+          every other kind at its cycle, none is pending, and the issue
+          handler queues nothing after it, so that event would be popped
+          next; skipping the push shifts later sequence numbers but not
+          their order;
         * every observable aggregation (counters, stats extremes, wait
           sums, ground-truth counts) commutes, so batching them per
           distinct request changes no final value, and the deduped
@@ -456,6 +487,12 @@ class SystemSimulator:
                     f"duplicate SRI master id {agent.master_id}"
                 )
             dma[agent.master_id] = _DmaState(agent)
+
+        if not dma and len(cores) == 1:
+            (alone,) = cores.values()
+            alone.prepare(timing)
+            alone.run_alone()
+            return self._collect(cores, {alone.core_id: alone.finalize()})
 
         # Master census: a device with a single master needs no
         # arbitration — its transactions are served the cycle they
@@ -480,7 +517,10 @@ class SystemSimulator:
             device.target: device for device in device_list
         }
         for state in cores.values():
-            state.prepare(timing, solo_targets)
+            state.prepare(timing)
+            state.solo_by_rid = [
+                r.target in solo_targets for r in state.requests
+            ]
             state.device_by_rid = [
                 device_by_target[r.target] for r in state.requests
             ]
@@ -490,10 +530,12 @@ class SystemSimulator:
                 dma_state.agent.request.target
             ]
 
+        push = heapq.heappush
+        pop = heapq.heappop
         heap: list[tuple[int, int, int, int]] = []  # (time, kind, seq, id)
         seq = 0
         for core_id in sorted(cores):
-            heapq.heappush(heap, (0, _STEP, seq, core_id))
+            push(heap, (0, _STEP, seq, core_id))
             seq += 1
         for master_id, dma_state in sorted(dma.items()):
             agent = dma_state.agent
@@ -509,9 +551,7 @@ class SystemSimulator:
                     dma_state.service
                 ).finish_time
             elif dma_state.remaining:
-                heapq.heappush(
-                    heap, (agent.start_time, _DMA_TICK, seq, master_id)
-                )
+                push(heap, (agent.start_time, _DMA_TICK, seq, master_id))
                 seq += 1
 
         all_ids = list(cores) + list(dma)
@@ -587,23 +627,21 @@ class SystemSimulator:
                 state.overlap_credit = credit
                 state.pending_rid = rid
                 state.issue_time = when
-                heapq.heappush(heap, (when, _ISSUE, seq, state.core_id))
+                push(heap, (when, _ISSUE, seq, state.core_id))
                 seq += 1
                 return
 
         def grant(device: _DeviceState, now: int) -> None:
-            """Start serving the next queued request.
+            """Start serving the next request queued on an idle device.
 
-            Selection: highest priority class first (under ``"priority"``
-            arbitration), round-robin distance from the last served master
-            within a class.  Ties keep the earliest-queued entry.
+            Callers check that the device is idle and its queue is not
+            empty.  Selection: highest priority class first (under
+            ``"priority"`` arbitration), round-robin distance from the
+            last served master within a class.  Ties keep the
+            earliest-queued entry.
             """
             nonlocal seq
-            if device.current is not None:
-                return
             queue = device.queue
-            if not queue:
-                return
             chosen = 0
             if len(queue) > 1:
                 last_served = device.last_served
@@ -626,9 +664,7 @@ class SystemSimulator:
             entry = queue.pop(chosen)
             device.current = entry
             device.last_served = entry[0].core_id  # type: ignore[attr-defined]
-            heapq.heappush(
-                heap, (now + entry[3], _COMPLETE, seq, device.key)
-            )
+            push(heap, (now + entry[3], _COMPLETE, seq, device.key))
             seq += 1
 
         def schedule_grant(device: _DeviceState, now: int) -> None:
@@ -637,7 +673,7 @@ class SystemSimulator:
             nonlocal seq
             if device.current is None and not device.grant_pending:
                 device.grant_pending = True
-                heapq.heappush(heap, (now, _GRANT, seq, device.key))
+                push(heap, (now, _GRANT, seq, device.key))
                 seq += 1
 
         def dma_issue(state: _DmaState, now: int) -> None:
@@ -649,43 +685,32 @@ class SystemSimulator:
             schedule_grant(device, now)
 
         while heap:
-            now, kind, _, payload = heapq.heappop(heap)
-            if kind == _STEP:
-                advance(cores[payload], now)
-            elif kind == _GRANT:
-                device = device_list[payload]
-                device.grant_pending = False
-                grant(device, now)
-            elif kind == _ISSUE:
+            now, kind, _, payload = pop(heap)
+            if kind == _ISSUE:
                 state = cores[payload]
                 rid = state.pending_rid
                 miss = state.miss_by_rid[rid]
                 if miss >= 0:
                     state.acc[miss] += 1
                 device = state.device_by_rid[rid]
-                device.queue.append(
-                    (state, rid, state.issue_time, state.service_by_rid[rid])
-                )
-                schedule_grant(device, now)
-            elif kind == _DMA_TICK:
-                agent_state = dma[payload]
-                if agent_state.remaining > 0:
-                    if agent_state.outstanding < agent_state.agent.queue_depth:
-                        dma_issue(agent_state, now)
-                    else:
-                        agent_state.deferred += 1
-                    if agent_state.remaining > 0:
-                        heapq.heappush(
-                            heap,
-                            (
-                                now + agent_state.agent.period,
-                                _DMA_TICK,
-                                seq,
-                                payload,
-                            ),
-                        )
-                        seq += 1
-            else:  # _COMPLETE
+                service = state.service_by_rid[rid]
+                entry = (state, rid, state.issue_time, service)
+                if (
+                    device.current is not None
+                    or device.grant_pending
+                    or (heap and heap[0][0] == now)
+                ):
+                    device.queue.append(entry)
+                    schedule_grant(device, now)
+                else:
+                    # Inline grant: an idle device with no arbitration
+                    # pending has an empty queue, so this is the one
+                    # request its cycle's grant would serve.
+                    device.current = entry
+                    device.last_served = state.core_id
+                    push(heap, (now + service, _COMPLETE, seq, device.key))
+                    seq += 1
+            elif kind == _COMPLETE:
                 device = device_list[payload]
                 entry = device.current
                 assert entry is not None
@@ -714,16 +739,62 @@ class SystemSimulator:
                         blocking = 0
                     elif blocking:
                         state.acc[state.stall_by_rid[rid]] += blocking
-                    state.overlap_credit = overlap
                     state.agg_count[rid] += 1
                     state.agg_wait[rid] += wait
                     if blocking < state.agg_bmin[rid]:
                         state.agg_bmin[rid] = blocking
                     if blocking > state.agg_bmax[rid]:
                         state.agg_bmax[rid] = blocking
-                    state.pending_rid = -1
-                    advance(state, now)
-                grant(device, now)
+                    cursor = state.cursor
+                    next_rid = (
+                        state.rid_list[cursor]
+                        if cursor < state.n_requests
+                        else -1
+                    )
+                    if next_rid >= 0 and not state.solo_by_rid[next_rid]:
+                        # advance()'s first step, inline: the next
+                        # request goes to a shared device.
+                        gap = state.gap_list[cursor] - overlap
+                        if gap < 0:
+                            state.overlap_credit = -gap
+                            gap = 0
+                        else:
+                            state.overlap_credit = 0
+                        state.cursor = cursor + 1
+                        state.pending_rid = next_rid
+                        state.issue_time = now + gap
+                        push(heap, (now + gap, _ISSUE, seq, state.core_id))
+                        seq += 1
+                    else:
+                        state.overlap_credit = overlap
+                        advance(state, now)
+                if device.queue:
+                    grant(device, now)
+            elif kind == _GRANT:
+                device = device_list[payload]
+                device.grant_pending = False
+                if device.current is None and device.queue:
+                    grant(device, now)
+            elif kind == _STEP:
+                advance(cores[payload], now)
+            else:  # _DMA_TICK
+                agent_state = dma[payload]
+                if agent_state.remaining > 0:
+                    if agent_state.outstanding < agent_state.agent.queue_depth:
+                        dma_issue(agent_state, now)
+                    else:
+                        agent_state.deferred += 1
+                    if agent_state.remaining > 0:
+                        push(
+                            heap,
+                            (
+                                now + agent_state.agent.period,
+                                _DMA_TICK,
+                                seq,
+                                payload,
+                            ),
+                        )
+                        seq += 1
 
         stats = {
             core_id: state.finalize() for core_id, state in cores.items()

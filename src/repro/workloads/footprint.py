@@ -16,13 +16,11 @@ The inversion uses the same Table 2 constants the models use:
 
 Every helper returns :class:`~repro.workloads.spec.RequestBlock` objects;
 :func:`isolation_cycles` computes a program's exact single-core execution
-time without the event engine (isolation timing is purely sequential), so
-builders can pad tasks to a target CCNT.
+time in closed form over its compiled arrays (isolation timing is purely
+sequential), so builders can pad tasks to a target CCNT.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.errors import WorkloadError
 from repro.platform.targets import Operation, Target
@@ -174,32 +172,19 @@ def isolation_cycles(
 ) -> int:
     """Exact single-core execution time of a program, computed directly.
 
-    In isolation the core never waits on arbitration, so over the
-    compiled arrays the time is ``Σ max(0, gap − credit) + Σ service +
-    max(0, final_gap − credit_last)``, where a request's credit is the
-    overlap of the request before it (zero for the first).  The core's
-    next step waits for transaction *completion* (one outstanding
-    request); the overlap only discounts the next gap.  Merging gap runs
-    in the compile step is timing-exact, so this matches
-    :func:`repro.sim.system.run_isolation` cycle-for-cycle (a property
-    the test-suite asserts) at a fraction of the cost — used by workload
-    builders to pad programs to a target CCNT.
+    In isolation the core never waits on arbitration, so the time is the
+    closed form of :meth:`~repro.sim.program.CompiledProgram.isolation_time`
+    over the compiled arrays — the same helper
+    :meth:`repro.sim.system.SystemSimulator.run` uses for a run with one
+    core and no DMA agent, so this equals that run's finish time (a
+    property the test-suite asserts) without building its counters.
+    Used by workload builders to pad programs to a target CCNT.
     """
     timing = timing or tc27x_sim_timing()
     compiled = program.compiled()
-    if not compiled.n_requests:
-        return compiled.final_gap
     requests = compiled.requests
-    service = np.array(
-        [timing.service_time(r) for r in requests], dtype=np.int64
-    )
-    overlap = np.array(
+    return compiled.isolation_time(
+        [timing.service_time(r) for r in requests],
         [timing.device(r.target).overlap(r) for r in requests],
-        dtype=np.int64,
+        compiled.rid_counts(),
     )
-    rids = compiled.request_ids
-    credit = np.zeros(len(rids), dtype=np.int64)
-    credit[1:] = overlap[rids[:-1]]
-    gap_time = np.maximum(compiled.gaps - credit, 0).sum()
-    trailing = max(0, compiled.final_gap - int(overlap[rids[-1]]))
-    return int(gap_time + service[rids].sum()) + trailing

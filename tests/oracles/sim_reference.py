@@ -76,6 +76,34 @@ class _CoreState:
         self.wait_cycles = 0
 
 
+def _record(
+    stats: TransactionStats, service: int, blocking: int, wait: int
+) -> None:
+    """Fold one completed transaction into its key's statistics."""
+    stats.count += 1
+    stats.min_service = (
+        service
+        if stats.min_service is None
+        else min(stats.min_service, service)
+    )
+    stats.max_service = (
+        service
+        if stats.max_service is None
+        else max(stats.max_service, service)
+    )
+    stats.min_blocking = (
+        blocking
+        if stats.min_blocking is None
+        else min(stats.min_blocking, blocking)
+    )
+    stats.max_blocking = (
+        blocking
+        if stats.max_blocking is None
+        else max(stats.max_blocking, blocking)
+    )
+    stats.total_wait += wait
+
+
 def _single_master_targets(
     programs: Mapping[int, TaskProgram], dma_agents: Sequence[DmaAgent]
 ) -> set[Target]:
@@ -293,9 +321,14 @@ class ReferenceSimulator(SystemSimulator):
                     state.true_counts[key_] = (
                         state.true_counts.get(key_, 0) + 1
                     )
-                    stats[state.core_id].setdefault(
-                        key_, TransactionStats()
-                    ).record(service, blocking, wait)
+                    _record(
+                        stats[state.core_id].setdefault(
+                            key_, TransactionStats()
+                        ),
+                        service,
+                        blocking,
+                        wait,
+                    )
                     state.pending = None
                     advance(state, now)
                 grant(device, now)

@@ -237,6 +237,32 @@ class TestCli:
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["soundness", "--requests", "0"],
+            [
+                "submit", "--coordinator", "http://127.0.0.1:1",
+                "soundness", "--requests", "0",
+            ],
+        ],
+        ids=" ".join,
+    )
+    def test_requests_flag_rejected_before_any_network_call(
+        self, capsys, monkeypatch, argv
+    ):
+        def no_network(*args, **kwargs):
+            raise AssertionError("contacted the network")
+
+        monkeypatch.setattr("urllib.request.urlopen", no_network)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert (
+            "argument --requests: must be at least 1"
+            in capsys.readouterr().err
+        )
+
     @pytest.mark.parametrize("command", ["figure4", "models"])
     def test_unwritable_export_path_is_a_usage_error(
         self, capsys, tmp_path, command
