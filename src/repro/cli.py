@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import math
 import sys
 from typing import Any, Callable, Iterator, Sequence
 
@@ -150,6 +151,23 @@ def _positive_int(text: str) -> int:
         ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of the duration flags (``watch --poll``/``--timeout``,
+    ``serve --lease-seconds``/``--worker-ttl``): a finite number above 0.
+    NaN is refused too: no deadline ever passes it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}"
+        ) from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text}"
+        )
     return value
 
 
@@ -1074,14 +1092,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--lease-seconds",
-        type=float,
+        type=_positive_float,
         default=60.0,
         metavar="S",
         help="lease duration; silent workers lose their units after S",
     )
     p.add_argument(
         "--worker-ttl",
-        type=float,
+        type=_positive_float,
         default=30.0,
         metavar="S",
         help="how long a silent worker still counts as live",
@@ -1125,11 +1143,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("job_id")
     p.add_argument("--coordinator", metavar="URL")
     p.add_argument(
-        "--poll", type=float, default=0.5, metavar="S",
+        "--poll", type=_positive_float, default=0.5, metavar="S",
         help="seconds between progress polls",
     )
     p.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
+        "--timeout", type=_positive_float, default=None, metavar="S",
         help="give up after S seconds (default: wait forever)",
     )
     p.add_argument(

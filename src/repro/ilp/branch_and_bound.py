@@ -202,7 +202,7 @@ def _chained_root(form, warm, c_min, eq_cache):
         return None
 
     rhs = tableau[:, n : n + m_ub] @ form.b_ub
-    nonzero = np.flatnonzero(form.b_eq)
+    nonzero = form.b_eq.nonzero()[0]
     if nonzero.size:
         key = basis.tobytes()
         eq_inverse = eq_cache.get(key)
@@ -232,15 +232,13 @@ def _floor_heuristic(
     candidate = x.copy()
     mask = form.integer_mask
     candidate[mask] = np.floor(candidate[mask] + INTEGRALITY_TOLERANCE)
-    if np.any(candidate < lower - INTEGRALITY_TOLERANCE):
+    if (candidate < lower - INTEGRALITY_TOLERANCE).any():
         return None
-    if form.a_ub.size and np.any(
-        form.a_ub @ candidate > form.b_ub + 1e-6
-    ):
+    if form.a_ub.size and (form.a_ub @ candidate > form.b_ub + 1e-6).any():
         return None
-    if form.a_eq.size and np.any(
+    if form.a_eq.size and (
         np.abs(form.a_eq @ candidate - form.b_eq) > 1e-6
-    ):
+    ).any():
         return None
     return candidate
 
@@ -255,8 +253,8 @@ def _bound_codes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """
     codes = np.concatenate(
         [
-            2 * np.flatnonzero(upper != np.inf),
-            2 * np.flatnonzero(lower > 0.0) + 1,
+            2 * (upper != np.inf).nonzero()[0],
+            2 * (lower > 0.0).nonzero()[0] + 1,
         ]
     )
     codes.sort()
@@ -273,7 +271,7 @@ def _most_fractional(x: np.ndarray, integer_mask: np.ndarray) -> int | None:
     columns would otherwise steer the search into an exponential
     staircase (observed before this rule existed).
     """
-    columns = np.flatnonzero(integer_mask)
+    columns = integer_mask.nonzero()[0]
     if columns.size == 0:
         return None
     values = x[columns]

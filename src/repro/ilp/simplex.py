@@ -29,6 +29,19 @@ Two properties serve the batch-solving layer (:mod:`repro.ilp.batch`):
   cold solves of one instance therefore return bit-identical results,
   which is what lets warm-started sweeps share solver state without
   influencing any artefact.
+
+Branch-and-bound pays per node more than per pivot, so two shortcuts
+keep a node cheap without changing any pivot or result:
+
+* **child screen** — a branching child whose reduced bound row is
+  violated with no negative coefficient, under a parent with no
+  violated row, is the dual simplex's immediate ``INFEASIBLE``;
+  :func:`warm_solve_insert_row` answers it from that one row, without
+  building the extended tableau;
+* **polish quick exit** — :func:`_canonical_polish` first tests only
+  the nonbasic columns whose objective reduced cost vanishes (the only
+  ones that can ever be eligible) and returns at once when none is;
+  the full reduced-cost matrix is built only when a pivot is due.
 """
 
 from __future__ import annotations
@@ -122,7 +135,7 @@ def _ratio_test(
     ``-1`` when the column is unbounded.
     """
     column = tableau[:, entering]
-    candidates = np.flatnonzero(column > TOLERANCE)
+    candidates = (column > TOLERANCE).nonzero()[0]
     if candidates.size == 0:
         return -1
     ratios = (tableau[candidates, -1] / column[candidates]).tolist()
@@ -143,10 +156,10 @@ def _ratio_test(
 
 
 def _entering_index(reduced: np.ndarray) -> int:
-    """Bland entering scan as one masked ``flatnonzero`` (first negative
+    """Bland entering scan as one masked ``nonzero`` (first negative
     reduced cost); semantics identical to the scalar scan in
     ``tests/oracles/simplex_kernels.py``."""
-    negative = np.flatnonzero(reduced < -TOLERANCE)
+    negative = (reduced < -TOLERANCE).nonzero()[0]
     return int(negative[0]) if negative.size else -1
 
 
@@ -223,7 +236,7 @@ def _dual_iterate(
             )
         # Leaving row: smallest basis index among primal-infeasible rows
         # (basis entries are unique, so argmin is unambiguous).
-        violated = np.flatnonzero(tableau[:, -1] < -TOLERANCE)
+        violated = (tableau[:, -1] < -TOLERANCE).nonzero()[0]
         if violated.size == 0:
             return LpStatus.OPTIMAL, iterations
         leaving = int(violated[np.argmin(basis[violated])])
@@ -235,7 +248,7 @@ def _dual_iterate(
         # tolerance) improvements — exactly the scalar scan's semantics
         # (its tie clause only ever fired before the first acceptance).
         row = tableau[leaving, :-1]
-        candidates = np.flatnonzero(row < -TOLERANCE)
+        candidates = (row < -TOLERANCE).nonzero()[0]
         if candidates.size == 0:
             # A violated row with no negative coefficient certifies
             # primal infeasibility.
@@ -252,6 +265,38 @@ def _dual_iterate(
         _pivot(tableau, basis, leaving, entering)
         reduced -= reduced[entering] * tableau[leaving, :-1]
         iterations += 1
+
+
+def _polish_rows(
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    n: int,
+    reduced0: np.ndarray,
+    columns: np.ndarray,
+) -> np.ndarray:
+    """The canonical polish's reduced costs over ``columns``.
+
+    Row 0 holds the objective's reduced costs; row ``1 + k`` those of
+    the coordinate objective ``e_k``: a unit entry in column ``k``, less
+    the tableau row of ``x_k`` when it is basic.
+    """
+    rows = np.zeros((n + 1, columns.size))
+    rows[0] = reduced0[columns]
+    units = (columns < n).nonzero()[0]
+    rows[1 + columns[units], units] = 1.0
+    structural = basis < n
+    # Basis entries are unique, so fancy-indexed subtraction is safe.
+    rows[1 + basis[structural]] -= tableau[:, columns][structural]
+    return rows
+
+
+def _eligible(rows: np.ndarray) -> np.ndarray:
+    """Polish eligibility: entry ``[k, j]`` is set when column ``j``
+    improves ``x_k`` while leaving the objective and every coordinate
+    before ``k`` unchanged (reduced costs within tolerance)."""
+    small = np.abs(rows) <= TOLERANCE
+    locked_ok = np.logical_and.accumulate(small[:-1], axis=0)
+    return (rows[1:] > TOLERANCE) & locked_ok
 
 
 def _canonical_polish(
@@ -277,9 +322,16 @@ def _canonical_polish(
     the warm-started batch solver's bit-identical-to-cold guarantee
     rests on.
 
-    Unique-optimum instances take zero pivots (no eligible column ever
-    improves).  An unbounded face direction (impossible for the bounded
-    contention instances) simply leaves that coordinate as-is.
+    Most calls pivot zero times, and a quick exit answers those without
+    the full ``(n + 1) x cols`` reduced-cost matrix: basic columns are
+    exact unit columns, so every one of their reduced costs is exactly
+    zero and none is ever eligible.  Only the nonbasic columns with a
+    vanishing objective reduced cost (a handful) can be, and the same
+    eligibility test on just those columns decides whether any pivot is
+    due.  ``tests/oracles/simplex_kernels.py`` keeps the full-matrix
+    check as the oracle.  An unbounded face direction (impossible for
+    the bounded contention instances) simply leaves that coordinate
+    as-is.
 
     ``reduced0``, when given, must be the objective's reduced-cost row
     for the *current* tableau state — callers coming straight from
@@ -289,36 +341,33 @@ def _canonical_polish(
     Returns the number of polish pivots, counted against the shared
     budget.
     """
-    m, width = tableau.shape
-    cols = width - 1
     if reduced0 is None:
         reduced0 = cost[:-1] - cost[basis] @ tableau[:, :-1]
-    # Row 0: reduced costs of the objective; row 1+k: reduced costs of
-    # the coordinate objective e_k.  All evolve with the tableau so that
-    # eligibility stays elementwise comparisons.
-    reduced = np.zeros((n + 1, cols))
-    reduced[0] = reduced0
-    coords = np.arange(n)
-    reduced[coords + 1, coords] = 1.0
-    structural = basis < n
-    if np.any(structural):
-        # Basis entries are unique, so fancy-indexed subtraction is safe.
-        reduced[1 + basis[structural]] -= tableau[structural, :-1]
+    # Quick exit: only nonbasic columns with a vanishing objective
+    # reduced cost can be eligible (see above).
+    flat = np.abs(reduced0) <= TOLERANCE
+    flat[basis] = False
+    if not _eligible(
+        _polish_rows(tableau, basis, n, reduced0, flat.nonzero()[0])
+    ).any():
+        return 0
+    # All rows evolve with the tableau so that eligibility stays
+    # elementwise comparisons.
+    reduced = _polish_rows(
+        tableau, basis, n, reduced0, np.arange(tableau.shape[1] - 1)
+    )
 
     # Face pivots leave every already-locked row untouched (the entering
     # column's locked reduced costs are ~0), so a step that went quiet
     # can never reactivate.  Taking the globally smallest active step
     # after each pivot therefore reproduces the sequential
-    # step-0-to-completion, then step-1, ... order exactly — and lets
-    # the common no-pivot case finish in one vectorised check.
+    # step-0-to-completion, then step-1, ... order exactly.
     iterations = 0
     abandoned = np.zeros(n, dtype=bool)  # unbounded-face coordinates
     while True:
-        small = np.abs(reduced) <= TOLERANCE
-        locked_ok = np.logical_and.accumulate(small[:-1], axis=0)
-        eligible = (reduced[1:] > TOLERANCE) & locked_ok
+        eligible = _eligible(reduced)
         eligible[abandoned] = False
-        active = np.flatnonzero(eligible.any(axis=1))
+        active = eligible.any(axis=1).nonzero()[0]
         if active.size == 0:
             return iterations
         if iterations >= iteration_budget:
@@ -329,7 +378,7 @@ def _canonical_polish(
         # Bland: smallest coordinate still improvable, then the smallest
         # eligible entering column.
         step = int(active[0])
-        entering = int(np.flatnonzero(eligible[step])[0])
+        entering = int(eligible[step].nonzero()[0][0])
 
         leaving = _ratio_test(tableau, basis, entering)
         if leaving < 0:
@@ -388,7 +437,7 @@ def _recover(
     cost[:n] = c
     iterations = 0
     try:
-        if np.any(tableau[:, -1] < -TOLERANCE):
+        if (tableau[:, -1] < -TOLERANCE).any():
             status, its = _dual_iterate(
                 tableau, basis, cost, max_iterations
             )
@@ -457,7 +506,10 @@ def warm_solve_insert_row(
     current basis — the raw row touches a single structural column, so
     the reduction is at most one rank-1 subtraction — and hand the
     result to the shared dual-simplex recovery.  The canonical polish
-    makes the answer independent of this shortcut.  Inputs are not
+    makes the answer independent of this shortcut.  A child the dual
+    simplex would declare infeasible at 0 pivots (its bound row the only
+    violated row, with no negative coefficient) is answered from that
+    row alone, before the extended tableau is built.  Inputs are not
     mutated; ``None`` falls back to a cold solve.
 
     Args:
@@ -479,7 +531,7 @@ def warm_solve_insert_row(
     new_row[column] = sigma
     new_row[column_at] = 1.0
     new_row[-1] = rhs
-    hit = np.flatnonzero(basis == column)
+    hit = (basis == column).nonzero()[0]
     if hit.size:
         # ``column`` is basic: eliminate it via its (identity) row.  The
         # inserted slack column is zero in that row, so the 1 stays
@@ -488,6 +540,24 @@ def warm_solve_insert_row(
         source = tableau[int(hit[0])]
         new_row[:column_at] -= sigma * source[:column_at]
         new_row[column_at + 1 :] -= sigma * source[column_at:]
+
+    shifted = np.where(basis >= column_at, basis + 1, basis)
+    new_basis = np.empty(m + 1, dtype=basis.dtype)
+    new_basis[:row_position] = shifted[:row_position]
+    new_basis[row_position] = column_at
+    new_basis[row_position + 1 :] = shifted[row_position:]
+    if (
+        new_row[-1] < -TOLERANCE
+        and not (new_row[:-1] < -TOLERANCE).any()
+        and not (tableau[:, -1] < -TOLERANCE).any()
+    ):
+        # The dual simplex's verdict at 0 pivots: the bound row is the
+        # only violated row, so it leaves first, and with no negative
+        # coefficient it certifies infeasibility.  Answer it here,
+        # without the extended tableau.
+        return LpResult(
+            LpStatus.INFEASIBLE, np.empty(0), np.inf, 0, basis=new_basis
+        )
 
     # One allocation instead of two ``np.insert`` passes: copy the four
     # quadrants around the inserted row/column, zero the new slack
@@ -506,12 +576,6 @@ def warm_solve_insert_row(
     extended[row_position + 1 :, column_at + 1 :] = tableau[
         row_position:, column_at:
     ]
-
-    shifted = np.where(basis >= column_at, basis + 1, basis)
-    new_basis = np.empty(m + 1, dtype=basis.dtype)
-    new_basis[:row_position] = shifted[:row_position]
-    new_basis[row_position] = column_at
-    new_basis[row_position + 1 :] = shifted[row_position:]
     return _recover(extended, new_basis, c, max_iterations, keep_tableau)
 
 

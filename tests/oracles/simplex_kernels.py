@@ -1,11 +1,12 @@
 """Scalar simplex kernels: the parity oracles of ``repro.ilp.simplex``.
 
 Each function is the per-row (or per-column) Python loop the library's
-whole-array kernel replaced.  The kernel parity tests compare them on
-random inputs, and the whole-solve test monkeypatches them into
-``repro.ilp.simplex`` in place of ``_pivot``, ``_ratio_test`` and
-``_entering_index``; pivot sequence, iteration count and final vertex
-bytes must all stay the same.
+whole-array kernel replaced, or, for the canonical polish, the
+full-matrix check the library's quick exit screens.  The kernel parity
+tests compare them on random inputs, and the whole-solve test
+monkeypatches them into ``repro.ilp.simplex`` in place of ``_pivot``,
+``_ratio_test``, ``_entering_index`` and ``_canonical_polish``; pivot
+sequence, iteration count and final vertex bytes must all stay the same.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import IlpNumericalError
+from repro.ilp import simplex
 from repro.ilp.simplex import TOLERANCE
 
 
@@ -62,3 +64,66 @@ def reference_entering_index(reduced: np.ndarray) -> int:
         if r < -TOLERANCE:
             return j
     return -1
+
+
+def reference_canonical_polish(
+    tableau: np.ndarray,
+    basis: np.ndarray,
+    cost: np.ndarray,
+    n: int,
+    iteration_budget: int,
+    reduced0: np.ndarray | None = None,
+) -> int:
+    """Move an optimal basis to the lexicographically greatest optimal
+    vertex, building the whole ``(n + 1) x cols`` reduced-cost matrix on
+    every call.
+
+    Row 0 holds the objective's reduced costs and row ``1 + k`` those of
+    the coordinate objective ``e_k``; a column is eligible for step
+    ``k`` when it improves ``x_k`` while every earlier row stays within
+    tolerance.  The globally smallest active step is taken after each
+    pivot.  Pivots go through ``repro.ilp.simplex``'s ``_ratio_test`` and
+    ``_pivot``, looked up at call time, so the whole-solve test drives
+    this oracle with whichever kernels it swapped in.  Returns the
+    number of polish pivots.
+    """
+    m, width = tableau.shape
+    cols = width - 1
+    if reduced0 is None:
+        reduced0 = cost[:-1] - cost[basis] @ tableau[:, :-1]
+    reduced = np.zeros((n + 1, cols))
+    reduced[0] = reduced0
+    coords = np.arange(n)
+    reduced[coords + 1, coords] = 1.0
+    structural = basis < n
+    if np.any(structural):
+        reduced[1 + basis[structural]] -= tableau[structural, :-1]
+
+    iterations = 0
+    abandoned = np.zeros(n, dtype=bool)  # unbounded-face coordinates
+    while True:
+        small = np.abs(reduced) <= TOLERANCE
+        locked_ok = np.logical_and.accumulate(small[:-1], axis=0)
+        eligible = (reduced[1:] > TOLERANCE) & locked_ok
+        eligible[abandoned] = False
+        active = np.flatnonzero(eligible.any(axis=1))
+        if active.size == 0:
+            return iterations
+        if iterations >= iteration_budget:
+            raise IlpNumericalError(
+                f"canonicalisation exceeded {iteration_budget} pivots; "
+                "instance is numerically pathological"
+            )
+        step = int(active[0])
+        entering = int(np.flatnonzero(eligible[step])[0])
+
+        leaving = simplex._ratio_test(tableau, basis, entering)
+        if leaving < 0:
+            abandoned[step] = True
+            continue
+
+        simplex._pivot(tableau, basis, leaving, entering)
+        reduced -= reduced[:, entering : entering + 1] * tableau[
+            leaving, :-1
+        ]
+        iterations += 1

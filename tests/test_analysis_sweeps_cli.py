@@ -245,23 +245,45 @@ class TestCli:
                 "submit", "--coordinator", "http://127.0.0.1:1",
                 "soundness", "--requests", "0",
             ],
+            *(
+                ["watch", "abc", "--coordinator", "http://127.0.0.1:1",
+                 flag, value]
+                for flag, value in (
+                    ("--poll", "0"),
+                    ("--poll", "-1"),
+                    ("--poll", "nan"),
+                    ("--timeout", "nan"),
+                    ("--timeout", "inf"),
+                    ("--timeout", "0"),
+                )
+            ),
+            ["serve", "--port", "0", "--lease-seconds", "0"],
+            ["serve", "--port", "0", "--lease-seconds", "nan"],
+            ["serve", "--port", "0", "--worker-ttl", "-1"],
+            ["serve", "--port", "0", "--worker-ttl", "inf"],
         ],
         ids=" ".join,
     )
     def test_requests_flag_rejected_before_any_network_call(
         self, capsys, monkeypatch, argv
     ):
+        """A bad count or duration flag (the one before the last word)
+        is a usage error before any request is sent or port bound."""
+
         def no_network(*args, **kwargs):
             raise AssertionError("contacted the network")
 
         monkeypatch.setattr("urllib.request.urlopen", no_network)
+        monkeypatch.setattr("socket.socket.bind", no_network)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert (
-            "argument --requests: must be at least 1"
-            in capsys.readouterr().err
-        )
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be " in err
+        if argv[-2] == "--requests":
+            assert "must be at least 1" in err
+        else:
+            assert f"must be a finite number above 0, got {argv[-1]}" in err
 
     @pytest.mark.parametrize("command", ["figure4", "models"])
     def test_unwritable_export_path_is_a_usage_error(

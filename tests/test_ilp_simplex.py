@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.ilp.simplex import LpStatus, solve_lp
+from repro.ilp import simplex
+from repro.ilp.simplex import (
+    TOLERANCE,
+    LpStatus,
+    solve_lp,
+    warm_solve_insert_row,
+)
 
 
 def minimize(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
@@ -124,3 +130,104 @@ class TestAgainstScipy:
         else:
             assert ours.status is LpStatus.OPTIMAL
             assert ours.objective == pytest.approx(reference.fun, abs=1e-6)
+
+
+class TestChildScreen:
+    """``warm_solve_insert_row`` answers a child that is dead at 0 dual
+    pivots from its bound row alone; every other child still goes
+    through the shared recovery."""
+
+    # max 2 x0 + 3 x1 + x2 st x0 + x1 + x2 <= 10, x0 + 2 x1 <= 8,
+    # x2 <= 6: optimal at x = (8, 0, 2) with basis (x2, x0, s2).
+    C = np.array([-2.0, -3.0, -1.0])
+    A_UB = np.array([[1.0, 1.0, 1.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    B_UB = np.array([10.0, 8.0, 6.0])
+    EMPTY_EQ = (np.empty((0, 3)), np.empty(0))
+
+    @pytest.fixture
+    def parent(self):
+        result = solve_lp(
+            self.C, self.A_UB, self.B_UB, *self.EMPTY_EQ, keep_tableau=True
+        )
+        assert result.status is LpStatus.OPTIMAL
+        assert result.basis.tolist() == [2, 0, 5]
+        return result
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"recover": 0, "dual": 0}
+        recover, dual = simplex._recover, simplex._dual_iterate
+
+        def counting_recover(*args, **kwargs):
+            counts["recover"] += 1
+            return recover(*args, **kwargs)
+
+        def counting_dual(*args, **kwargs):
+            counts["dual"] += 1
+            return dual(*args, **kwargs)
+
+        monkeypatch.setattr(simplex, "_recover", counting_recover)
+        monkeypatch.setattr(simplex, "_dual_iterate", counting_dual)
+        return counts
+
+    def child(self, parent, column, sigma, rhs, tableau=None):
+        """The child adding ``sigma * x[column] <= rhs`` as a fourth row."""
+        return warm_solve_insert_row(
+            parent.tableau if tableau is None else tableau,
+            parent.basis,
+            self.C,
+            row_position=3,
+            column=column,
+            sigma=sigma,
+            rhs=rhs,
+        )
+
+    def cold_child(self, column, sigma, rhs):
+        row = np.zeros((1, 3))
+        row[0, column] = sigma
+        return solve_lp(
+            self.C,
+            np.vstack([self.A_UB, row]),
+            np.append(self.B_UB, rhs),
+            *self.EMPTY_EQ,
+        )
+
+    def test_dead_bound_row_is_answered_without_recovery(self, parent, calls):
+        # x0 >= 9: x0 is basic in row 1 (x0 + 2 x1 + s1 = 8), whose
+        # coefficients are all non-negative, so the reduced bound row
+        # reads 2 x1 + s1 + s3 = -1.
+        result = self.child(parent, column=0, sigma=-1.0, rhs=-9.0)
+        assert result.status is LpStatus.INFEASIBLE
+        assert result.iterations == 0
+        assert calls == {"recover": 0, "dual": 0}
+        # The basis the dual simplex would have reported: the parent's,
+        # with the new slack (column 3 + 3) basic in the new row.
+        assert result.basis.tolist() == [2, 0, 5, 6]
+        assert result.x.size == 0 and result.objective == np.inf
+        assert self.cold_child(0, -1.0, -9.0).status is LpStatus.INFEASIBLE
+
+    def test_one_negative_coefficient_takes_its_dual_pivot(
+        self, parent, calls
+    ):
+        # x1 >= 1: x1 is nonbasic, so the reduced row -x1 + s3 = -1 has
+        # one negative coefficient and the dual simplex pivots x1 in.
+        result = self.child(parent, column=1, sigma=-1.0, rhs=-1.0)
+        assert calls == {"recover": 1, "dual": 1}
+        assert result.status is LpStatus.OPTIMAL
+        assert result.iterations == 1
+        cold = self.cold_child(1, -1.0, -1.0)
+        assert result.objective == pytest.approx(cold.objective)
+        assert result.x == pytest.approx(cold.x)
+
+    def test_violated_parent_row_goes_through_the_dual_simplex(
+        self, parent, calls
+    ):
+        # The same dead bound row as above, but the parent's first row
+        # (x2, the smallest basic index) is itself below -TOLERANCE: the
+        # dual simplex would pivot that row first, so there is no screen.
+        tableau = parent.tableau.copy()
+        tableau[0, -1] = -4.0 * TOLERANCE
+        result = self.child(parent, 0, -1.0, -9.0, tableau=tableau)
+        assert calls == {"recover": 1, "dual": 1}
+        assert result.status is LpStatus.INFEASIBLE
+        assert result.iterations >= 1

@@ -8,8 +8,10 @@ three ways:
 * **kernel parity** — the whole-array ``_pivot`` / ``_ratio_test`` /
   ``_entering_index`` kernels produce bit-identical tableaus and
   identical index choices to their scalar oracles
-  (``tests/oracles/simplex_kernels.py``) on random inputs, and whole LP
-  solves driven by either kernel set agree exactly;
+  (``tests/oracles/simplex_kernels.py``) on random inputs, the
+  canonical polish with its quick exit matches the full-matrix oracle
+  polish on degenerate optima, and whole LP solves driven by either
+  kernel set agree exactly;
 * **warm-extension equivalence** — the tableau-extension entry points
   (``warm_solve_insert_row`` / ``warm_solve_shift_rhs`` /
   ``warm_solve_rhs``) land on the same optimum as a cold solve of
@@ -38,6 +40,7 @@ from hypothesis import strategies as st
 
 from oracles.sim_reference import ReferenceSimulator
 from oracles.simplex_kernels import (
+    reference_canonical_polish,
     reference_entering_index,
     reference_pivot,
     reference_ratio_test,
@@ -47,6 +50,7 @@ from repro.ilp import simplex
 from repro.ilp.simplex import (
     TOLERANCE,
     LpStatus,
+    _canonical_polish,
     _entering_index,
     _pivot,
     _ratio_test,
@@ -204,17 +208,145 @@ def test_full_solves_identical_under_reference_kernels(lp):
     must match, not merely the optimum.
     """
     vectorised = _solve_outcome(lp)
-    originals = (simplex._pivot, simplex._ratio_test, simplex._entering_index)
+    originals = (
+        simplex._pivot,
+        simplex._ratio_test,
+        simplex._entering_index,
+        simplex._canonical_polish,
+    )
     simplex._pivot = reference_pivot
     simplex._ratio_test = reference_ratio_test
     simplex._entering_index = reference_entering_index
+    simplex._canonical_polish = reference_canonical_polish
     try:
         scalar = _solve_outcome(lp)
     finally:
-        simplex._pivot, simplex._ratio_test, simplex._entering_index = (
-            originals
-        )
+        (
+            simplex._pivot,
+            simplex._ratio_test,
+            simplex._entering_index,
+            simplex._canonical_polish,
+        ) = originals
     assert vectorised == scalar
+
+
+@st.composite
+def degenerate_lps(draw):
+    """LPs with wide optimal faces, like the contention ILPs' pf0/pf1
+    split: each base column appears one to three times (equal costs and
+    coefficients), every coefficient is non-negative and a cap row
+    bounds the total.  Optionally one bound row is then inserted into
+    the solved LP's tableau, as branch-and-bound does, so the polish
+    also starts from dual-simplex bases."""
+    m = draw(st.integers(1, 3))
+    columns, costs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        column = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        cost = draw(st.integers(-4, 0))
+        copies = draw(st.integers(1, 3))
+        columns += [column] * copies
+        costs += [cost] * copies
+    order = draw(st.permutations(range(len(columns))))
+    n = len(order)
+    a_ub = np.vstack(
+        [np.array([columns[j] for j in order], dtype=float).T, np.ones(n)]
+    )
+    b_ub = np.array(
+        draw(st.lists(st.integers(0, 9), min_size=m + 1, max_size=m + 1)),
+        dtype=float,
+    )
+    c = np.array([costs[j] for j in order], dtype=float)
+    bound = draw(
+        st.none()
+        | st.tuples(st.integers(0, n - 1), st.booleans(), st.integers(0, 4))
+    )
+    return c, a_ub, b_ub, bound
+
+
+def _polish_inputs(c, a_ub, b_ub, bound):
+    """Every ``_canonical_polish`` call a solve of the drawn LP (and of
+    its bound-row child) makes, as copies of its arguments."""
+    calls = []
+
+    def recording(tableau, basis, cost, n, budget, reduced0=None):
+        calls.append(
+            (
+                tableau.copy(),
+                basis.copy(),
+                cost.copy(),
+                n,
+                budget,
+                None if reduced0 is None else reduced0.copy(),
+            )
+        )
+        return _canonical_polish(tableau, basis, cost, n, budget, reduced0)
+
+    simplex._canonical_polish = recording
+    try:
+        parent = solve_lp(
+            c, a_ub, b_ub, np.empty((0, c.size)), np.empty(0),
+            keep_tableau=True,
+        )
+        if bound is not None and parent.tableau is not None:
+            column, lower, value = bound
+            warm_solve_insert_row(
+                parent.tableau,
+                parent.basis,
+                c,
+                row_position=a_ub.shape[0],
+                column=column,
+                sigma=-1.0 if lower else 1.0,
+                rhs=-float(value) if lower else float(value),
+            )
+    finally:
+        simplex._canonical_polish = _canonical_polish
+    return calls
+
+
+def _polish_both(call):
+    """Run the library polish and the full-matrix oracle on copies of
+    one recorded call; returns each side's (outcome, basis, tableau)."""
+    tableau, basis, cost, n, budget, reduced0 = call
+    outcomes = []
+    for polish in (_canonical_polish, reference_canonical_polish):
+        t, b = tableau.copy(), basis.copy()
+        r0 = None if reduced0 is None else reduced0.copy()
+        try:
+            outcome = polish(t, b, cost, n, budget, r0)
+        except IlpNumericalError:
+            outcome = "raised"
+        outcomes.append((outcome, b.tolist(), t.tobytes()))
+    return outcomes
+
+
+#: Twin columns 0 and 2 (cost -1) under x0 + x2 <= 4 beside a zero-cost
+#: x1 under the cap x0 + x1 + x2 <= 6: phase 2 ends with the cap's slack
+#: basic, and the polish pivots x1 in to reach the lexicographically
+#: greatest optimum (4, 2, 0).  The child x1 >= 1 then polishes warm.
+TWIN_LP = (
+    np.array([-1.0, 0.0, -1.0]),
+    np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]),
+    np.array([4.0, 6.0]),
+    (1, True, 1),
+)
+
+
+@example(lp=TWIN_LP)
+@SETTINGS
+@given(lp=degenerate_lps())
+def test_polish_matches_reference_on_degenerate_optima(lp):
+    """The quick exit changes no polish: equal pivot counts, bases and
+    tableau bytes against the full-matrix oracle."""
+    for call in _polish_inputs(*lp):
+        library, oracle = _polish_both(call)
+        assert library == oracle
+
+
+def test_degenerate_example_exercises_polish_pivots():
+    """The pinned example reaches the full polish loop, so the parity
+    test above compares real polish pivots, not only the quick exit."""
+    calls = _polish_inputs(*TWIN_LP)
+    assert [_polish_both(call)[0][0] for call in calls] == [1, 0]
 
 
 # ---------------------------------------------------------------------------
