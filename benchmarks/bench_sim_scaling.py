@@ -14,6 +14,12 @@ assert the library engine delivers **at least 3x** the co-run
 requests-per-second of the oracle.  The measured numbers land
 in the session's JSON report (``.benchmarks/engine_report.json``) via
 the shared ``report`` fixture and seed the repo's ``BENCH_SIM.json``.
+
+The DMA back-pressure record does the same for one saturating
+``dma-pressure`` member (a period-2, depth-8 agent above the app's
+priority on the LMU) and also reports the library engine's event pushes
+per kind, where parking a full agent and granting its issues inline
+remove most of the tick and arbitration events.
 """
 
 import pickle
@@ -21,12 +27,15 @@ import time
 
 import pytest
 
+import repro.sim.system as system
 from oracles.sim_reference import ReferenceSimulator
 from repro.analysis.report import render_table
+from repro.engine.families import expand_family
 from repro.platform.deployment import scenario_1
 from repro.sim.system import SystemSimulator
 from repro.workloads.control_loop import build_control_loop
 from repro.workloads.loads import build_load
+from sim_events import counted_pushes
 
 #: The library engine and its oracle, under the report's labels.
 ENGINES = {"compiled": SystemSimulator, "reference": ReferenceSimulator}
@@ -34,6 +43,19 @@ ENGINES = {"compiled": SystemSimulator, "reference": ReferenceSimulator}
 #: Acceptance criterion: the library engine must simulate the co-run
 #: case at least this many times faster than the step-generator oracle.
 MIN_CORUN_SPEEDUP = 3.0
+
+#: The back-pressure record's member: the app against a higher-priority
+#: DMA agent that saturates the LMU (period 2) through a depth-8 queue.
+DMA_MEMBER = "dma-pressure/scenario1-qd8-p2-c8000"
+
+#: Report names of the library engine's event kinds.
+EVENT_KINDS = {
+    system._STEP: "step",
+    system._ISSUE: "issue",
+    system._COMPLETE: "complete",
+    system._DMA_TICK: "dma_tick",
+    system._GRANT: "grant",
+}
 
 
 @pytest.mark.benchmark(group="sim-throughput")
@@ -160,3 +182,76 @@ def test_engine_equivalence_and_speedup(benchmark, report):
         ),
     )
     report.record("sim_engine_scaling", payload)
+
+
+@pytest.mark.benchmark(group="sim-throughput")
+def test_dma_back_pressure(benchmark, report):
+    """Library engine = oracle on a saturating DMA member; reports the
+    speedup over the oracle and the library's event pushes per kind."""
+    (member,) = (
+        m for m in expand_family("dma-pressure") if m.name == DMA_MEMBER
+    )
+    spec = member.spec
+    programs = spec.programs()
+    agents = spec.dma_agents()
+    kwargs = {
+        "arbitration": spec.arbitration,
+        "priorities": spec.priority_map(),
+    }
+    seconds = {}
+    pickles = {}
+    for engine, simulator in ENGINES.items():
+        sim = simulator(**kwargs)
+        sim.run(programs, agents)  # warm: compile outside the timing
+        if engine == "compiled":
+            result = benchmark.pedantic(
+                lambda: sim.run(programs, agents), rounds=3, iterations=1
+            )
+            seconds[engine] = benchmark.stats.stats.min
+        else:
+            seconds[engine], result = _best_seconds(
+                lambda: sim.run(programs, agents)
+            )
+        pickles[engine] = pickle.dumps(result)
+    assert pickles["compiled"] == pickles["reference"], (
+        f"{DMA_MEMBER}: the library engine and the oracle diverged"
+    )
+
+    with counted_pushes() as counts:
+        SystemSimulator(**kwargs).run(programs, agents)
+    pushes = {EVENT_KINDS[kind]: counts[kind] for kind in sorted(counts)}
+    transactions = sum(
+        stats.count
+        for core in result.cores.values()
+        for stats in core.transactions.values()
+    ) + sum(agent.served for agent in result.dma.values())
+    speedup = seconds["reference"] / max(seconds["compiled"], 1e-12)
+    benchmark.extra_info["sri_requests"] = transactions
+
+    report.add(
+        f"P2b — DMA back-pressure ({DMA_MEMBER})",
+        render_table(
+            ["transactions", "ref s", "compiled s", "speedup", "pushes"],
+            [
+                [
+                    transactions,
+                    f"{seconds['reference']:.4f}",
+                    f"{seconds['compiled']:.4f}",
+                    f"{speedup:.2f}x",
+                    " ".join(f"{k}={v}" for k, v in pushes.items()),
+                ]
+            ],
+        ),
+    )
+    report.record(
+        "sim_dma_back_pressure",
+        {
+            "member": DMA_MEMBER,
+            "sri_requests": transactions,
+            "reference_seconds": round(seconds["reference"], 4),
+            "compiled_seconds": round(seconds["compiled"], 4),
+            "speedup": round(speedup, 3),
+            "byte_identical": True,
+            "pushes": pushes,
+        },
+    )

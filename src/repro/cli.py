@@ -60,6 +60,7 @@ import contextlib
 import dataclasses
 import math
 import sys
+import threading
 from typing import Any, Callable, Iterator, Sequence
 
 from repro import paper
@@ -154,10 +155,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: Longest value a duration flag takes.  Half of ``threading.TIMEOUT_MAX``
+#: leaves room for the poll backoff's jitter (a delay grows by up to 10%):
+#: ``time.sleep`` refuses ``TIMEOUT_MAX`` itself and overflows above it.
+_MAX_DURATION_S = threading.TIMEOUT_MAX / 2
+
+
 def _positive_float(text: str) -> float:
     """argparse type of the duration flags (``watch --poll``/``--timeout``,
-    ``serve --lease-seconds``/``--worker-ttl``): a finite number above 0.
-    NaN is refused too: no deadline ever passes it."""
+    ``serve --lease-seconds``/``--worker-ttl``): a finite number above 0
+    and at most :data:`_MAX_DURATION_S`.  NaN is refused too: no deadline
+    ever passes it."""
     try:
         value = float(text)
     except ValueError:
@@ -167,6 +175,10 @@ def _positive_float(text: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(
             f"must be a finite number above 0, got {text}"
+        )
+    if value > _MAX_DURATION_S:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {_MAX_DURATION_S:g} seconds, got {text}"
         )
     return value
 

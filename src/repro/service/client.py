@@ -196,7 +196,7 @@ def wait_for_job(
     unreachable coordinator is retried for ``unreachable_grace`` seconds
     (the queue is durable — a restart picks the job straight back up)
     before the transport fault propagates.  The ``timeout`` deadline is
-    checked on every poll, answered or not.
+    checked on every poll, answered or not, and no sleep runs past it.
 
     Args:
         poll: initial seconds between status requests.
@@ -209,10 +209,15 @@ def wait_for_job(
     Raises:
         JobCancelledError: the job was cancelled and will never complete.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
+    # The backoff owns the deadline: it clips each sleep to the time
+    # left and reports when none is.  Clock and sleep are looked up on
+    # this module's ``time`` at call time, so a test can swap in a fake.
     backoff = RetryPolicy(
-        initial=poll, multiplier=1.6, max_delay=max(poll, 1.0)
-    ).backoff()
+        initial=poll,
+        multiplier=1.6,
+        max_delay=max(poll, 1.0),
+        deadline=timeout,
+    ).backoff(clock=time.monotonic, sleep_fn=time.sleep)
     last_contact = time.monotonic()
     last_done: int | None = None
     while True:
@@ -244,11 +249,10 @@ def wait_for_job(
             if done != last_done:
                 last_done = done
                 backoff.reset()
-        if deadline is not None and time.monotonic() >= deadline:
+        if not backoff.sleep():
             raise EngineError(
                 f"job {job_id} not complete after {timeout:g}s ({state})"
             )
-        backoff.sleep(poll)
 
 
 def wait_for_results(

@@ -14,7 +14,8 @@ following request's gap.  An isolation run is computed in closed form
 over those arrays (:meth:`~repro.sim.program.CompiledProgram.isolation_time`,
 which :func:`repro.workloads.footprint.isolation_cycles` shares); in a
 co-run, uncontended transactions complete inline, off the event heap,
-and an issue alone in its cycle is granted without an arbitration event.
+most shared ones cost a single completion event, and a DMA agent with a
+full queue parks instead of ticking (see :mod:`repro.sim.system`).
 
 Its semantics oracle, a step-generator walk that replays the per-step
 object stream, lives in ``tests/oracles/sim_reference.py``.  The

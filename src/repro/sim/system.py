@@ -35,13 +35,19 @@ distinct request, the finish time from
 :meth:`~repro.sim.program.CompiledProgram.isolation_time` — no walk, no
 heap.  A co-run walks the arrays with integer cursors and heap-schedules
 only transactions on *shared* devices (a core alone on a device advances
-through whole request runs inline); an issue that finds its device idle
-and nothing else due in its cycle is granted on the spot instead of
-through an arbitration event, and counter/statistics updates go to
-per-request accumulators.  Its semantics oracle, a step-generator walk
-with one heap event per step, issue, grant and completion, lives in
-``tests/oracles/sim_reference.py``; the equivalence suite pins the two
-byte-identical on pickled :class:`SimResult`\\ s.
+through whole request runs inline), and most of those cost one
+completion event: a core's next request joins its busy device's queue,
+or starts service on its idle device, without an issue event; an issue
+or DMA tick that finds its device idle with nothing else due in its
+cycle is granted on the spot instead of through an arbitration event;
+and a DMA agent whose queue is full parks until its next completion
+instead of ticking every period.  Observables are folded once per run
+from the per-request counts and from per-request wait sums and
+extremes, which only transactions that waited update.  Its semantics
+oracle, a step-generator walk with one heap event per step, issue,
+grant and completion, lives in ``tests/oracles/sim_reference.py``; the
+equivalence suite pins the two byte-identical on pickled
+:class:`SimResult`\\ s.
 """
 
 from __future__ import annotations
@@ -125,9 +131,9 @@ class SimResult:
             ) from exc
 
 
-#: Blocking-extreme sentinels of the per-request aggregation (plain ints
-#: keep the hot-loop comparisons int-vs-int).
-_BLOCKING_MAX_SENTINEL = 1 << 62
+#: Minimum-wait sentinel of the per-request aggregation (a plain int keeps
+#: the hot-loop comparison int-vs-int).
+_WAIT_MIN_SENTINEL = 1 << 62
 
 #: Counter accumulators are lists indexed by a counter's position here
 #: (an int index, not an enum hash, per update).
@@ -139,13 +145,17 @@ class _CompiledCoreState:
     """Mutable execution state of one core over its compiled program.
 
     Everything the per-transaction hot path needs is pre-resolved per
-    *distinct* request (``*_by_rid`` lists) when the run starts, and
-    every observable is accumulated in plain-int per-rid cells.  Counter
-    updates go to ``acc``, a list indexed by position in ``_COUNTERS``:
-    ``stall_by_rid`` and ``miss_by_rid`` hold those positions, −1 for a
-    request that counts no miss.  The :class:`CounterBank`, ground-truth
-    counts and per-key :class:`TransactionStats` are folded out once in
-    :meth:`finalize` — in the same key order and with the same values as
+    *distinct* request (``*_by_rid`` lists) when the run starts.  A
+    finished program has completed each of its transactions once, so
+    request counts and miss counters follow from
+    :meth:`~repro.sim.program.CompiledProgram.rid_counts`, and a
+    transaction that did not wait contributes only its distinct request's
+    constants.  Only a transaction that waited touches the per-rid
+    accumulators: wait sum, number of waited transactions, smallest and
+    largest wait, and — where the overlap exceeds the service — the part
+    of the wait that slack absorbed.  :meth:`finalize` folds them into
+    the :class:`CounterBank`, the ground-truth counts and the per-key
+    :class:`TransactionStats`, with the same values and key order as
     per-transaction updates would give (all the folds commute: sums,
     saturating sums, and min/max extremes).
     """
@@ -167,11 +177,11 @@ class _CompiledCoreState:
         "key_by_rid",
         "solo_by_rid",
         "device_by_rid",
-        "acc",
-        "agg_count",
         "agg_wait",
-        "agg_bmin",
-        "agg_bmax",
+        "agg_waited",
+        "agg_wmin",
+        "agg_wmax",
+        "agg_slack",
         "pending_rid",
         "issue_time",
         "overlap_credit",
@@ -217,67 +227,74 @@ class _CompiledCoreState:
         ]
         self.key_by_rid = [(r.target, r.operation) for r in requests]
         n = len(requests)
-        self.acc = [0] * len(_COUNTERS)
-        self.agg_count = [0] * n
         self.agg_wait = [0] * n
-        self.agg_bmin = [_BLOCKING_MAX_SENTINEL] * n
-        self.agg_bmax = [-1] * n
+        self.agg_waited = [0] * n
+        self.agg_wmin = [_WAIT_MIN_SENTINEL] * n
+        self.agg_wmax = [0] * n
+        self.agg_slack = [0] * n
 
-    def run_alone(self) -> None:
+    def run_alone(self, counts: list[int]) -> None:
         """Execute the whole program with no other master on the SRI.
 
-        Every transaction is then served the cycle it is issued: its wait
-        is zero and its blocking the constant ``max(0, service −
-        overlap)`` of its distinct request.  So each distinct request's
-        counter increments, count and blocking extremes follow from its
-        number of occurrences (one ``np.bincount``), and the finish time
-        is :meth:`~repro.sim.program.CompiledProgram.isolation_time`.
+        Every transaction is then served the cycle it is issued, so no
+        accumulator is touched and :meth:`finalize` folds the run from
+        ``counts`` (:meth:`~repro.sim.program.CompiledProgram.rid_counts`)
+        alone.  The finish time is
+        :meth:`~repro.sim.program.CompiledProgram.isolation_time`.
         """
-        counts = self.compiled.rid_counts()
-        acc = self.acc
-        services = self.service_by_rid
-        overlaps = self.overlap_by_rid
-        for rid, count in enumerate(counts):
-            miss = self.miss_by_rid[rid]
-            if miss >= 0:
-                acc[miss] += count
-            blocking = services[rid] - overlaps[rid]
-            if blocking < 0:
-                blocking = 0
-            elif blocking:
-                acc[self.stall_by_rid[rid]] += blocking * count
-            self.agg_count[rid] = count
-            self.agg_bmin[rid] = blocking
-            self.agg_bmax[rid] = blocking
         self.finish_time = self.compiled.isolation_time(
-            services, overlaps, counts
+            self.service_by_rid, self.overlap_by_rid, counts
         )
 
-    def finalize(self) -> dict[tuple[Target, Operation], "TransactionStats"]:
+    def finalize(
+        self, counts: list[int]
+    ) -> dict[tuple[Target, Operation], "TransactionStats"]:
         """Fold the per-rid accumulators into the run's observables.
+
+        A transaction of request ``rid`` that waited ``w`` cycles blocks
+        its core ``max(0, w + service − overlap)`` cycles, which is
+        monotone in ``w``: the blocking extremes follow from the wait
+        extremes (0 when some transaction did not wait).  The stall sum
+        is ``count·(service − overlap) + Σ w`` when the overlap does not
+        exceed the service, and ``Σ w − Σ min(w, overlap − service)``
+        when it does.
 
         Key order: the deduped request table is in first-appearance
         order, so each (target, operation) key is first seen here at the
         point the program first completed it — the dicts iterate as a
         per-transaction walk would build them.
         """
-        bank = CounterBank()
-        for counter, amount in zip(_COUNTERS, self.acc):
-            if amount:
-                bank.increment(counter, amount)
-        self.bank = bank
+        acc = [0] * len(_COUNTERS)
         true_counts: dict[tuple[Target, Operation], int] = {}
         stats: dict[tuple[Target, Operation], TransactionStats] = {}
         for rid, key in enumerate(self.key_by_rid):
-            count = self.agg_count[rid]
+            count = counts[rid]
             if not count:
                 continue
+            miss = self.miss_by_rid[rid]
+            if miss >= 0:
+                acc[miss] += count
+            service = self.service_by_rid[rid]
+            base = service - self.overlap_by_rid[rid]
+            waits = self.agg_wait[rid]
+            if base >= 0:
+                stall = count * base + waits
+            else:
+                stall = waits - self.agg_slack[rid]
+            if stall:
+                acc[self.stall_by_rid[rid]] += stall
+            low = self.agg_wmin[rid] if self.agg_waited[rid] == count else 0
+            bmin = low + base
+            bmax = self.agg_wmax[rid] + base
+            if bmin < 0:
+                bmin = 0
+            if bmax < 0:
+                bmax = 0
             true_counts[key] = true_counts.get(key, 0) + count
             entry = stats.get(key)
             if entry is None:
                 entry = stats[key] = TransactionStats()
             entry.count += count
-            service = self.service_by_rid[rid]
             entry.min_service = (
                 service
                 if entry.min_service is None
@@ -288,8 +305,6 @@ class _CompiledCoreState:
                 if entry.max_service is None
                 else max(entry.max_service, service)
             )
-            bmin = self.agg_bmin[rid]
-            bmax = self.agg_bmax[rid]
             entry.min_blocking = (
                 bmin
                 if entry.min_blocking is None
@@ -300,7 +315,12 @@ class _CompiledCoreState:
                 if entry.max_blocking is None
                 else max(entry.max_blocking, bmax)
             )
-            entry.total_wait += self.agg_wait[rid]
+            entry.total_wait += waits
+        bank = CounterBank()
+        for counter, amount in zip(_COUNTERS, acc):
+            if amount:
+                bank.increment(counter, amount)
+        self.bank = bank
         self.true_counts = true_counts
         self.wait_cycles = sum(self.agg_wait)
         return stats
@@ -311,11 +331,17 @@ class _DmaState:
 
     ``service`` and ``device`` are resolved once when the run starts (the
     agent issues one fixed transaction template, so its timing and target
-    never change).
+    never change).  ``parked`` is the cycle of the agent's last issue
+    attempt while its queue is full and no tick is scheduled, −1 while it
+    ticks.  ``tick_seq`` is the heap tie-breaker of its ticks after the
+    first.
     """
 
     __slots__ = (
         "agent",
+        "core_id",  # uniform master-id field for the arbiter
+        "period",
+        "queue_depth",
         "remaining",
         "outstanding",
         "deferred",
@@ -324,20 +350,23 @@ class _DmaState:
         "wait_cycles",
         "service",
         "device",
+        "parked",
+        "tick_seq",
     )
 
     def __init__(self, agent: DmaAgent) -> None:
         self.agent = agent
+        self.core_id = agent.master_id
+        self.period = agent.period
+        self.queue_depth = agent.queue_depth
         self.remaining = agent.count
         self.outstanding = 0
         self.deferred = 0  # issue attempts postponed by a full queue
         self.served = 0
         self.finish_time = agent.start_time if agent.count == 0 else None
         self.wait_cycles = 0
-
-    @property
-    def core_id(self) -> int:  # uniform master-id accessor for the arbiter
-        return self.agent.master_id
+        self.parked = -1
+        self.tick_seq = 0
 
 
 #: A queued transaction: (requester state, request id, issue time,
@@ -350,10 +379,19 @@ class _DeviceState:
     """Mutable state of one SRI slave: in-flight transaction and queue.
 
     ``key`` is the device's heap payload index; ``grant_pending`` says an
-    arbitration event is already queued for this cycle.
+    arbitration event is already queued for this cycle; ``busy_until`` is
+    the completion cycle of ``current``.
     """
 
-    __slots__ = ("target", "current", "queue", "last_served", "key", "grant_pending")
+    __slots__ = (
+        "target",
+        "current",
+        "queue",
+        "last_served",
+        "key",
+        "grant_pending",
+        "busy_until",
+    )
 
     def __init__(self, target: Target, key: int = -1) -> None:
         self.target = target
@@ -362,6 +400,7 @@ class _DeviceState:
         self.last_served = -1
         self.key = key
         self.grant_pending = False
+        self.busy_until = -1
 
 
 _STEP = 0
@@ -371,7 +410,7 @@ _DMA_TICK = 3
 # An idle device's arbitration event sorts after every other event kind
 # at the same timestamp, so it sees every request raised in the cycle.  A
 # busy device arbitrates inline at its completion instead, among the
-# requests queued by then, and an issue with nothing else due in its
+# requests queued by then, and a request with nothing else due in its
 # cycle is granted inline, since its arbitration event would pop next.
 _GRANT = 4
 
@@ -431,8 +470,18 @@ class SystemSimulator:
             A :class:`SimResult` with per-core (and per-agent) observables.
 
         Equivalence to the step-generator oracle
-        (``tests/oracles/sim_reference.py``) rests on six facts, each
-        pinned by the equivalence suite:
+        (``tests/oracles/sim_reference.py``) rests on the oracle's
+        same-cycle order: steps, then issues, then completions (a
+        single-master one before the shared ones), then DMA ticks, then
+        arbitration events; heap sequence numbers break the remaining
+        ties.  Every shortcut below either drops an event whose handler
+        would change nothing, or does an event's work earlier, when
+        nothing that could observe the difference runs in between; so
+        every completion is still scheduled in the same relative order.
+        Round-robin distance and priority class depend only on the
+        master, so arbitration ties occur only among one master's
+        entries, where the earliest-queued wins.  One fact per
+        shortcut, each pinned by the equivalence suite:
 
         * merging a run of gap-only steps into the next request's gap is
           timing-exact (``max(0, G - credit)`` elapsed, ``max(0,
@@ -447,31 +496,64 @@ class SystemSimulator:
           and goes to a shared device whose transaction also completes
           in that cycle, the request is queued before that completion
           arbitrates.  The oracle states the rule with an event kind of
-          its own, sorted before the shared completions;
+          its own, sorted before the shared completions.  Known
+          exception: the walk schedules the master's next shared issue
+          when an inline chain starts, the oracle at its last
+          completion, so that issue can take a sequence number ahead of
+          a same-cycle issue the oracle orders first; on rare runs the
+          two then arbitrate differently (a strict-xfail test pins one
+          such run; ROADMAP, completion-grants item);
         * an isolation run (one core, no DMA agent) has only
           single-master devices, so it is one chain of inline
-          transactions, each with zero wait and the constant blocking
-          ``max(0, service − overlap)`` of its distinct request.  It is
-          computed in closed form, with no walk: per-request counts from
-          one ``np.bincount``, the finish time from
-          :meth:`~repro.sim.program.CompiledProgram.isolation_time`;
+          transactions, each with zero wait.  Only its finish time needs
+          computing: :meth:`~repro.sim.program.CompiledProgram.isolation_time`,
+          in closed form over the arrays;
         * scheduling an arbitration event only when the device is idle
           drops exactly the grant events that were no-ops (a busy
           device's next grant happens inline at its completion, in the
           oracle too), and event *sequence numbers* only break heap ties —
           same-cycle issues still all enqueue before the grant fires;
-        * an issue that finds its device idle, no arbitration event
-          queued for it and no other event at its cycle arbitrates
-          inline.  The arbitration event it would queue sorts after
-          every other kind at its cycle, none is pending, and the issue
-          handler queues nothing after it, so that event would be popped
-          next; skipping the push shifts later sequence numbers but not
-          their order;
-        * every observable aggregation (counters, stats extremes, wait
-          sums, ground-truth counts) commutes, so batching them per
-          distinct request changes no final value, and the deduped
-          request table's first-appearance order reproduces every
-          observable dict's insertion order.
+        * an issue or a DMA tick that finds its device idle, no
+          arbitration event queued for it and no other event at its
+          cycle arbitrates inline.  The arbitration event it would queue
+          sorts after every other kind at its cycle, none is pending, and
+          its handler queues nothing else in that cycle, so that event
+          would be popped next;
+        * a completing core's device arbitrates before the core's next
+          request is placed: that request is issued no earlier than the
+          completion, and the oracle raises it by an issue event, after
+          the completion's arbitration.  The request is then placed
+          directly.  If its device is busy until at least the issue
+          cycle, it joins the queue at once: issues pop before the
+          completions of their cycle, so the issue event would have
+          queued it, with no effect, before that device's next
+          arbitration.  If the device is idle, has no arbitration event
+          queued and no event at all is due by the issue cycle, its
+          service starts at once: its issue event would pop next and be
+          granted inline.  Otherwise the issue event is scheduled;
+        * every observable fold (counters, stats extremes, wait sums,
+          ground-truth counts) commutes, and a finished program completes
+          each transaction once, so counts and miss counters come from
+          ``rid_counts()`` and a transaction that did not wait touches no
+          accumulator.  The blocking ``max(0, wait + service − overlap)``
+          is monotone in the wait, so its extremes come from the wait
+          extremes; the deduped request table's first-appearance order
+          reproduces every observable dict's insertion order;
+        * a DMA tick that finds its agent's queue full only adds one
+          deferral, and until the agent's next completion every further
+          tick would do the same, since only its own completions drain
+          its queue and ticks pop after the completions of their cycle.
+          So a full tick parks the agent instead of scheduling the next
+          tick; that completion adds the skipped ticks before the
+          completion's cycle, ``(now − parked − 1) // period``, and
+          schedules the next tick only if the queue is no longer full.
+          A tick's sequence number is its agent's fixed rank (longest
+          period, latest start, lowest id first) after every first
+          tick: the order in which the tick chains would push them, so a
+          tick scheduled late sorts where the chain would have put it.
+          A deferred re-issue at a completion joins the device queue
+          without an arbitration event: the completion arbitrates next,
+          leaving the device busy when that event would pop.
         """
         if not programs:
             raise SimulationError("no programs to run")
@@ -491,8 +573,11 @@ class SystemSimulator:
         if not dma and len(cores) == 1:
             (alone,) = cores.values()
             alone.prepare(timing)
-            alone.run_alone()
-            return self._collect(cores, {alone.core_id: alone.finalize()})
+            counts = alone.compiled.rid_counts()
+            alone.run_alone(counts)
+            return self._collect(
+                cores, {alone.core_id: alone.finalize(counts)}
+            )
 
         # Master census: a device with a single master needs no
         # arbitration — its transactions are served the cycle they
@@ -553,6 +638,16 @@ class SystemSimulator:
             elif dma_state.remaining:
                 push(heap, (agent.start_time, _DMA_TICK, seq, master_id))
                 seq += 1
+        # Every later tick is pushed one period before it pops, so ticks
+        # of one cycle pop longest period first, then latest start, then
+        # lowest id; fixed sequence numbers keep that order however late
+        # a parked agent's tick is scheduled.
+        for dma_state in sorted(
+            dma.values(),
+            key=lambda s: (-s.period, -s.agent.start_time, s.core_id),
+        ):
+            dma_state.tick_seq = seq
+            seq += 1
 
         all_ids = list(cores) + list(dma)
         rr_modulus = max(all_ids) + 2  # cyclic distance for round-robin
@@ -560,76 +655,6 @@ class SystemSimulator:
         priority_of = {
             master_id: self._priority(master_id) for master_id in all_ids
         }
-
-        def advance(state: _CompiledCoreState, now: int) -> None:
-            """Walk the compiled arrays from the core's cursor.
-
-            Consecutive solo-device transactions are executed inline
-            (zero wait, completion at ``issue + service``); the walk
-            only stops to heap-schedule a shared-device issue, or to
-            finish the program.
-            """
-            nonlocal seq
-            cursor = state.cursor
-            n = state.n_requests
-            gap_list = state.gap_list
-            rid_list = state.rid_list
-            solo = state.solo_by_rid
-            services = state.service_by_rid
-            overlaps = state.overlap_by_rid
-            misses = state.miss_by_rid
-            stalls = state.stall_by_rid
-            acc = state.acc
-            agg_count = state.agg_count
-            agg_bmin = state.agg_bmin
-            agg_bmax = state.agg_bmax
-            credit = state.overlap_credit
-            while True:
-                if cursor >= n:
-                    state.cursor = cursor
-                    state.overlap_credit = 0
-                    trailing = state.final_gap - credit
-                    state.finish_time = (
-                        now + trailing if trailing > 0 else now
-                    )
-                    return
-                gap = gap_list[cursor]
-                if credit:
-                    gap -= credit
-                    if gap < 0:
-                        credit = -gap
-                        gap = 0
-                    else:
-                        credit = 0
-                when = now + gap
-                rid = rid_list[cursor]
-                cursor += 1
-                if solo[rid]:
-                    miss = misses[rid]
-                    if miss >= 0:
-                        acc[miss] += 1
-                    service = services[rid]
-                    overlap = overlaps[rid]
-                    blocking = service - overlap
-                    if blocking < 0:
-                        blocking = 0
-                    elif blocking:
-                        acc[stalls[rid]] += blocking
-                    agg_count[rid] += 1
-                    if blocking < agg_bmin[rid]:
-                        agg_bmin[rid] = blocking
-                    if blocking > agg_bmax[rid]:
-                        agg_bmax[rid] = blocking
-                    now = when + service
-                    credit = overlap
-                    continue
-                state.cursor = cursor
-                state.overlap_credit = credit
-                state.pending_rid = rid
-                state.issue_time = when
-                push(heap, (when, _ISSUE, seq, state.core_id))
-                seq += 1
-                return
 
         def grant(device: _DeviceState, now: int) -> None:
             """Start serving the next request queued on an idle device.
@@ -664,140 +689,226 @@ class SystemSimulator:
             entry = queue.pop(chosen)
             device.current = entry
             device.last_served = entry[0].core_id  # type: ignore[attr-defined]
-            push(heap, (now + entry[3], _COMPLETE, seq, device.key))
+            device.busy_until = done = now + entry[3]
+            push(heap, (done, _COMPLETE, seq, device.key))
             seq += 1
 
-        def schedule_grant(device: _DeviceState, now: int) -> None:
-            """Queue one arbitration event unless the device is busy (its
-            completion grants inline) or one is already queued."""
+        def arbitrate(device: _DeviceState, now: int) -> None:
+            """Arbitrate a device whose queue just gained a request.
+
+            A busy device arbitrates at its completion, and a pending
+            arbitration event already covers the cycle.  Otherwise the
+            device is granted inline when nothing else is due in its
+            cycle (its arbitration event would pop next), else through
+            that event.
+            """
             nonlocal seq
-            if device.current is None and not device.grant_pending:
+            if device.current is not None or device.grant_pending:
+                return
+            if heap and heap[0][0] == now:
                 device.grant_pending = True
                 push(heap, (now, _GRANT, seq, device.key))
                 seq += 1
+            else:
+                grant(device, now)
+
+        def place(state: _CompiledCoreState, rid: int, when: int) -> None:
+            """Queue, start or schedule a core's shared request issued
+            at ``when`` — the last thing its caller's handler does."""
+            nonlocal seq
+            device = state.device_by_rid[rid]
+            if device.current is not None:
+                if device.busy_until >= when:
+                    device.queue.append(
+                        (state, rid, when, state.service_by_rid[rid])
+                    )
+                    return
+            elif not device.grant_pending and (
+                not heap or heap[0][0] > when
+            ):
+                service = state.service_by_rid[rid]
+                device.current = (state, rid, when, service)
+                device.last_served = state.core_id
+                device.busy_until = done = when + service
+                push(heap, (done, _COMPLETE, seq, device.key))
+                seq += 1
+                return
+            state.pending_rid = rid
+            state.issue_time = when
+            push(heap, (when, _ISSUE, seq, state.core_id))
+            seq += 1
+
+        def advance(state: _CompiledCoreState, now: int) -> None:
+            """Walk the compiled arrays from the core's cursor.
+
+            Consecutive solo-device transactions are executed inline
+            (zero wait, completion at ``issue + service``); the walk
+            only stops to place a shared-device request, or to finish
+            the program.
+            """
+            cursor = state.cursor
+            n = state.n_requests
+            gap_list = state.gap_list
+            rid_list = state.rid_list
+            solo = state.solo_by_rid
+            services = state.service_by_rid
+            overlaps = state.overlap_by_rid
+            credit = state.overlap_credit
+            while cursor < n:
+                gap = gap_list[cursor]
+                if credit:
+                    gap -= credit
+                    if gap < 0:
+                        credit = -gap
+                        gap = 0
+                    else:
+                        credit = 0
+                rid = rid_list[cursor]
+                cursor += 1
+                if solo[rid]:
+                    now += gap + services[rid]
+                    credit = overlaps[rid]
+                    continue
+                state.cursor = cursor
+                state.overlap_credit = credit
+                place(state, rid, now + gap)
+                return
+            state.cursor = cursor
+            state.overlap_credit = 0
+            trailing = state.final_gap - credit
+            state.finish_time = now + trailing if trailing > 0 else now
 
         def dma_issue(state: _DmaState, now: int) -> None:
-            """Put one DMA transaction on the wire."""
+            """Put one DMA transaction on the wire (no arbitration)."""
             state.outstanding += 1
             state.remaining -= 1
-            device = state.device
-            device.queue.append((state, -1, now, state.service))
-            schedule_grant(device, now)
+            state.device.queue.append((state, -1, now, state.service))
 
         while heap:
             now, kind, _, payload = pop(heap)
-            if kind == _ISSUE:
-                state = cores[payload]
-                rid = state.pending_rid
-                miss = state.miss_by_rid[rid]
-                if miss >= 0:
-                    state.acc[miss] += 1
-                device = state.device_by_rid[rid]
-                service = state.service_by_rid[rid]
-                entry = (state, rid, state.issue_time, service)
-                if (
-                    device.current is not None
-                    or device.grant_pending
-                    or (heap and heap[0][0] == now)
-                ):
-                    device.queue.append(entry)
-                    schedule_grant(device, now)
-                else:
-                    # Inline grant: an idle device with no arbitration
-                    # pending has an empty queue, so this is the one
-                    # request its cycle's grant would serve.
-                    device.current = entry
-                    device.last_served = state.core_id
-                    push(heap, (now + service, _COMPLETE, seq, device.key))
-                    seq += 1
-            elif kind == _COMPLETE:
+            if kind == _COMPLETE:
                 device = device_list[payload]
                 entry = device.current
                 assert entry is not None
                 requester, rid, issue_time, service = entry
-                device.current = None
                 wait = now - service - issue_time
                 if wait < 0:
                     raise SimulationError("causality violation in simulator")
-                if rid < 0:  # DMA master
-                    requester.outstanding -= 1
-                    requester.served += 1
-                    requester.wait_cycles += wait
-                    if requester.deferred and requester.remaining:
-                        requester.deferred -= 1
-                        dma_issue(requester, now)
-                    if (
-                        requester.remaining == 0
-                        and requester.outstanding == 0
-                    ):
-                        requester.finish_time = now
-                else:
+                if rid >= 0:
+                    # The device arbitrates before the core's next request
+                    # is placed (see run()'s docstring).
+                    if device.queue:
+                        grant(device, now)
+                    else:
+                        device.current = None
                     state = requester
                     overlap = state.overlap_by_rid[rid]
-                    blocking = now - issue_time - overlap
-                    if blocking < 0:
-                        blocking = 0
-                    elif blocking:
-                        state.acc[state.stall_by_rid[rid]] += blocking
-                    state.agg_count[rid] += 1
-                    state.agg_wait[rid] += wait
-                    if blocking < state.agg_bmin[rid]:
-                        state.agg_bmin[rid] = blocking
-                    if blocking > state.agg_bmax[rid]:
-                        state.agg_bmax[rid] = blocking
+                    if wait:
+                        state.agg_wait[rid] += wait
+                        state.agg_waited[rid] += 1
+                        if wait < state.agg_wmin[rid]:
+                            state.agg_wmin[rid] = wait
+                        if wait > state.agg_wmax[rid]:
+                            state.agg_wmax[rid] = wait
+                        if overlap > service:
+                            slack = overlap - service
+                            state.agg_slack[rid] += (
+                                wait if wait < slack else slack
+                            )
                     cursor = state.cursor
-                    next_rid = (
-                        state.rid_list[cursor]
-                        if cursor < state.n_requests
-                        else -1
-                    )
-                    if next_rid >= 0 and not state.solo_by_rid[next_rid]:
-                        # advance()'s first step, inline: the next
-                        # request goes to a shared device.
-                        gap = state.gap_list[cursor] - overlap
-                        if gap < 0:
-                            state.overlap_credit = -gap
-                            gap = 0
-                        else:
-                            state.overlap_credit = 0
-                        state.cursor = cursor + 1
-                        state.pending_rid = next_rid
-                        state.issue_time = now + gap
-                        push(heap, (now + gap, _ISSUE, seq, state.core_id))
-                        seq += 1
+                    if cursor < state.n_requests:
+                        rid = state.rid_list[cursor]
+                        if not state.solo_by_rid[rid]:
+                            # advance()'s first step, inline: the next
+                            # request goes to a shared device.
+                            gap = state.gap_list[cursor] - overlap
+                            if gap < 0:
+                                state.overlap_credit = -gap
+                                gap = 0
+                            else:
+                                state.overlap_credit = 0
+                            state.cursor = cursor + 1
+                            place(state, rid, now + gap)
+                            continue
+                    state.overlap_credit = overlap
+                    advance(state, now)
+                    continue
+                agent_state = requester
+                agent_state.outstanding -= 1
+                agent_state.served += 1
+                agent_state.wait_cycles += wait
+                parked = agent_state.parked
+                if parked >= 0:
+                    # Only a parked agent has deferrals, and it has
+                    # transactions left (it parked with some, and issued
+                    # none since).
+                    period = agent_state.period
+                    skipped = (now - parked - 1) // period
+                    deferred = agent_state.deferred + skipped
+                    if deferred:
+                        deferred -= 1
+                        dma_issue(agent_state, now)
+                    agent_state.deferred = deferred
+                    last_tick = parked + skipped * period
+                    if not agent_state.remaining:
+                        agent_state.parked = -1
+                    elif agent_state.outstanding < agent_state.queue_depth:
+                        agent_state.parked = -1
+                        push(
+                            heap,
+                            (
+                                last_tick + period,
+                                _DMA_TICK,
+                                agent_state.tick_seq,
+                                agent_state.core_id,
+                            ),
+                        )
                     else:
-                        state.overlap_credit = overlap
-                        advance(state, now)
+                        agent_state.parked = last_tick
+                if not agent_state.remaining and not agent_state.outstanding:
+                    agent_state.finish_time = now
                 if device.queue:
                     grant(device, now)
+                else:
+                    device.current = None
+            elif kind == _ISSUE:
+                state = cores[payload]
+                rid = state.pending_rid
+                device = state.device_by_rid[rid]
+                device.queue.append(
+                    (state, rid, state.issue_time, state.service_by_rid[rid])
+                )
+                arbitrate(device, now)
             elif kind == _GRANT:
                 device = device_list[payload]
                 device.grant_pending = False
                 if device.current is None and device.queue:
                     grant(device, now)
-            elif kind == _STEP:
-                advance(cores[payload], now)
-            else:  # _DMA_TICK
+            elif kind == _DMA_TICK:
                 agent_state = dma[payload]
                 if agent_state.remaining > 0:
-                    if agent_state.outstanding < agent_state.agent.queue_depth:
+                    if agent_state.outstanding < agent_state.queue_depth:
                         dma_issue(agent_state, now)
+                        arbitrate(agent_state.device, now)
+                        if agent_state.remaining > 0:
+                            push(
+                                heap,
+                                (
+                                    now + agent_state.period,
+                                    _DMA_TICK,
+                                    agent_state.tick_seq,
+                                    payload,
+                                ),
+                            )
                     else:
                         agent_state.deferred += 1
-                    if agent_state.remaining > 0:
-                        push(
-                            heap,
-                            (
-                                now + agent_state.agent.period,
-                                _DMA_TICK,
-                                seq,
-                                payload,
-                            ),
-                        )
-                        seq += 1
+                        agent_state.parked = now
+            else:  # _STEP
+                advance(cores[payload], now)
 
         stats = {
-            core_id: state.finalize() for core_id, state in cores.items()
+            core_id: state.finalize(state.compiled.rid_counts())
+            for core_id, state in cores.items()
         }
         return self._collect(cores, stats, dma)
 

@@ -5,7 +5,10 @@ at a time and puts every step, issue, grant and completion on one event
 heap.  The library engine walks pre-compiled arrays, completes
 single-master transactions inline and heap-schedules only what another
 master can observe; the equivalence suite pins the two byte-identical on
-pickled :class:`~repro.sim.system.SimResult`\\ s.
+pickled :class:`~repro.sim.system.SimResult`\\ s.  Only construction and
+result collection are shared: the oracle keeps its own core, device and
+DMA-agent state classes, so no bookkeeping field of the library's event
+loop can leak into it.
 
 Event order at one timestamp is steps, issues, single-master
 completions, shared completions, DMA ticks, grants; sequence numbers
@@ -29,13 +32,7 @@ from repro.platform.targets import Operation, Target
 from repro.sim.dma import DmaAgent
 from repro.sim.program import Step, TaskProgram
 from repro.sim.requests import SriRequest
-from repro.sim.system import (
-    SimResult,
-    SystemSimulator,
-    TransactionStats,
-    _DeviceState,
-    _DmaState,
-)
+from repro.sim.system import SimResult, SystemSimulator, TransactionStats
 
 _STEP = 0
 _ISSUE = 1
@@ -45,6 +42,45 @@ _DMA_TICK = 4
 # Grants sort after every other event kind at the same timestamp, so all
 # same-cycle requests are enqueued before the slave arbitrates.
 _GRANT = 5
+
+
+class _DmaState:
+    """Mutable execution state of one DMA agent."""
+
+    __slots__ = (
+        "agent",
+        "remaining",
+        "outstanding",
+        "deferred",
+        "served",
+        "finish_time",
+        "wait_cycles",
+    )
+
+    def __init__(self, agent: DmaAgent) -> None:
+        self.agent = agent
+        self.remaining = agent.count
+        self.outstanding = 0
+        self.deferred = 0  # issue attempts postponed by a full queue
+        self.served = 0
+        self.finish_time = agent.start_time if agent.count == 0 else None
+        self.wait_cycles = 0
+
+    @property
+    def core_id(self) -> int:  # uniform master-id accessor for the arbiter
+        return self.agent.master_id
+
+
+class _DeviceState:
+    """Mutable state of one SRI slave: in-flight transaction and queue."""
+
+    __slots__ = ("target", "current", "queue", "last_served")
+
+    def __init__(self, target: Target) -> None:
+        self.target = target
+        self.current: tuple[object, SriRequest, int] | None = None
+        self.queue: list[tuple[object, SriRequest, int]] = []
+        self.last_served = -1
 
 
 class _CoreState:

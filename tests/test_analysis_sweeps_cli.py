@@ -1,5 +1,8 @@
 """Tests for the sweep API and the command-line interface."""
 
+import random
+import threading
+
 import pytest
 
 from repro import paper
@@ -8,9 +11,10 @@ from repro.analysis.sweeps import (
     deployment_sweep,
     dirty_latency_sensitivity,
 )
-from repro.cli import main
+from repro.cli import _MAX_DURATION_S, main
 from repro.errors import ModelError
 from repro.platform.deployment import scenario_1, scenario_2
+from repro.service.retry import RetryPolicy
 
 
 class TestContenderScaleSweep:
@@ -252,6 +256,8 @@ class TestCli:
                     ("--poll", "0"),
                     ("--poll", "-1"),
                     ("--poll", "nan"),
+                    ("--poll", "1e300"),
+                    ("--poll", "9e9"),
                     ("--timeout", "nan"),
                     ("--timeout", "inf"),
                     ("--timeout", "0"),
@@ -282,8 +288,42 @@ class TestCli:
         assert f"argument {argv[-2]}: must be " in err
         if argv[-2] == "--requests":
             assert "must be at least 1" in err
+        elif argv[-1] in ("1e300", "9e9"):  # finite, but too long to sleep
+            assert (
+                f"must be at most {_MAX_DURATION_S:g} seconds, got {argv[-1]}"
+                in err
+            )
         else:
             assert f"must be a finite number above 0, got {argv[-1]}" in err
+
+    def test_longest_duration_still_sleeps_at_full_jitter(self):
+        """``watch --poll`` takes up to ``_MAX_DURATION_S``, and the poll
+        backoff may stretch a delay by its 10% jitter: even then the
+        sleep must start.  ``time.sleep`` raises at once on a duration it
+        refuses, so a sleeper still alive after a short join passed."""
+
+        class HighestJitter(random.Random):
+            def uniform(self, a, b):
+                return b
+
+        backoff = RetryPolicy(
+            initial=_MAX_DURATION_S,
+            multiplier=1.6,
+            max_delay=_MAX_DURATION_S,
+        ).backoff(rng=HighestJitter())
+        errors = []
+
+        def sleeper():
+            try:
+                backoff.sleep()
+            except (OverflowError, OSError, ValueError) as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=sleeper, daemon=True)
+        thread.start()
+        thread.join(0.2)
+        assert errors == []
+        assert thread.is_alive()
 
     @pytest.mark.parametrize("command", ["figure4", "models"])
     def test_unwritable_export_path_is_a_usage_error(

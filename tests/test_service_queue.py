@@ -24,6 +24,7 @@ from repro.engine.remote.wire import (
     encode_unit_result,
 )
 from repro.errors import EngineError
+from repro.service import client
 from repro.service.client import (
     job_status,
     list_jobs,
@@ -445,6 +446,39 @@ class TestServiceErrors:
                 unreachable_grace=5,
             )
         assert time.monotonic() - started < 2.0
+
+    @pytest.mark.parametrize("answered", [False, True])
+    def test_wait_sleeps_are_clipped_to_the_timeout(
+        self, monkeypatch, answered
+    ):
+        """A poll interval longer than the timeout sleeps only up to the
+        deadline, so ``repro watch --poll 5 --timeout 1`` gives up after
+        1 s, whether the coordinator answers or not."""
+
+        class FakeTime:
+            now = 0.0
+            slept: list[float] = []
+
+            @classmethod
+            def monotonic(cls) -> float:
+                return cls.now
+
+            @classmethod
+            def sleep(cls, seconds: float) -> None:
+                cls.slept.append(seconds)
+                cls.now += seconds
+
+        def status(url, job_id):
+            if not answered:
+                raise ConnectionRefusedError("coordinator down")
+            return {"done": 0, "total_units": 3}
+
+        monkeypatch.setattr(client, "time", FakeTime)
+        monkeypatch.setattr(client, "job_status", status)
+        with pytest.raises(EngineError, match="not complete after 1s"):
+            wait_for_job("http://127.0.0.1:1", "x", poll=5, timeout=1)
+        assert FakeTime.slept == [1.0]
+        assert FakeTime.now == 1.0
 
 
 # ----------------------------------------------------------------------
