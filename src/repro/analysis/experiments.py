@@ -34,9 +34,14 @@ from typing import Mapping, Sequence
 from repro import paper
 from repro.analysis.mbta import CorunObservation, observe_corun
 from repro.core.ilp_ptac import IlpPtacOptions
+from repro.core.ptac import AccessProfile
 # counter_based_model_names is re-exported: the matrix driver is its
 # historical home, and the family matrix shares the same filter.
-from repro.core.registry import counter_based_model_names, get_model
+from repro.core.registry import (
+    counter_based_model_names,
+    get_model,
+    require_counter_based,
+)
 from repro.core.results import WcetEstimate
 from repro.core.wcet import contention_bound
 from repro.counters.readings import TaskReadings
@@ -221,12 +226,20 @@ def figure4_paper_mode(
 # ----------------------------------------------------------------------
 @dataclasses.dataclass(frozen=True)
 class ScenarioSimData:
-    """Measured inputs of one scenario in simulation mode."""
+    """Measured inputs of one scenario in simulation mode.
+
+    The counter readings are what the models see; the ground-truth
+    access profiles feed only the ``ideal`` rung of the ablation ladder.
+    ``corun_observations`` stays empty until :func:`_simulate_datasets`
+    adds the co-run stage.
+    """
 
     scenario: DeploymentScenario
     app_readings: TaskReadings
+    app_profile: AccessProfile
     app_isolation_cycles: int
     load_readings: Mapping[str, TaskReadings]
+    load_profiles: Mapping[str, AccessProfile]
     corun_observations: Mapping[str, CorunObservation]
 
 
@@ -235,47 +248,38 @@ def simulate_scenario(
     *,
     scale: float = 1 / 16,
     timing: SimTiming | None = None,
-    with_coruns: bool = True,
 ) -> ScenarioSimData:
-    """Measure the application and the loads on the simulator.
+    """Measure the application and the loads in isolation on the simulator.
 
     This is the expensive half of simulation mode and an engine job in
-    its own right: the sim-mode drivers schedule it once per scenario and
-    a caching engine reuses the measurement across drivers and sweeps.
+    its own right: Table 6, Figure 4 and the ablation schedule it once
+    per scenario and a caching engine reuses the measurement across
+    artefacts and sweeps.  The co-runs are a separate job
+    (:func:`_corun_observations`), so Table 6 and the ablation never pay
+    for them.
 
     Args:
         scenario_name: which reference scenario to reproduce.
         scale: workload scale relative to the paper's full-size run.
         timing: simulator timing.
-        with_coruns: also co-run the application against each load to
-            collect observed multicore times (the soundness check).
     """
     scenario = reference_scenario(scenario_name)
     app_program, _ = build_control_loop(scenario, scale=scale)
-    app_result = run_isolation(app_program, timing=timing)
-    app_readings = app_result.readings
-    isolation = app_readings.require_ccnt()
-
-    load_readings: dict[str, TaskReadings] = {}
-    coruns: dict[str, CorunObservation] = {}
-    for load in LOAD_LEVELS:
-        load_program = build_load(scenario_name, load, scale=scale)
-        load_readings[load] = run_isolation(
-            load_program, core=2, timing=timing
-        ).readings
-        if with_coruns:
-            coruns[load] = observe_corun(
-                app_program,
-                {2: load_program},
-                isolation,
-                timing=timing,
-            )
+    app = run_isolation(app_program, timing=timing)
+    loads = {
+        load: run_isolation(
+            build_load(scenario_name, load, scale=scale), core=2, timing=timing
+        )
+        for load in LOAD_LEVELS
+    }
     return ScenarioSimData(
         scenario=scenario,
-        app_readings=app_readings,
-        app_isolation_cycles=isolation,
-        load_readings=load_readings,
-        corun_observations=coruns,
+        app_readings=app.readings,
+        app_profile=app.profile,
+        app_isolation_cycles=app.readings.require_ccnt(),
+        load_readings={load: r.readings for load, r in loads.items()},
+        load_profiles={load: r.profile for load, r in loads.items()},
+        corun_observations={},
     )
 
 
@@ -345,10 +349,12 @@ def _corun_observations(
 def _simulate_datasets(
     scale: float,
     timing: SimTiming | None,
-    with_coruns: bool,
     engine: ExperimentEngine | None,
+    *,
+    with_coruns: bool = False,
 ) -> list[ScenarioSimData]:
-    """Measure both scenarios, in two independently-cached job stages."""
+    """Measure both scenarios, in two independently-cached job stages:
+    the isolation measurements, then (``with_coruns``) the co-runs."""
     datasets = run_jobs(
         [
             job(
@@ -356,7 +362,6 @@ def _simulate_datasets(
                 scenario_name,
                 scale=scale,
                 timing=timing,
-                with_coruns=False,
                 label=f"simulate:{scenario_name}:scale={scale:g}",
             )
             for scenario_name in SCENARIOS
@@ -392,18 +397,19 @@ def figure4_sim_mode(
     profile: LatencyProfile | None = None,
     timing: SimTiming | None = None,
     options: IlpPtacOptions = IlpPtacOptions(),
-    with_coruns: bool = True,
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
     """Figure 4 end-to-end on the simulator (counters measured, models
     applied, predictions validated against observed co-runs).
 
-    Two engine phases: the per-scenario measurements run first (parallel
-    across scenarios, cached across drivers), then one model job per bar
-    (any registered counter-based model via ``models=``).
+    Two engine phases: the per-scenario isolation measurements and
+    co-runs run first (parallel across scenarios; the measurement is the
+    one Table 6 and the ablation use, so a caching engine shares it),
+    then one model job per bar (any registered counter-based model via
+    ``models=``).
     """
     profile = profile or tc27x_latency_profile()
-    datasets = _simulate_datasets(scale, timing, with_coruns, engine)
+    datasets = _simulate_datasets(scale, timing, engine, with_coruns=True)
     model_jobs = []
     for scenario_name, data in zip(SCENARIOS, datasets):
         for model in models:
@@ -444,7 +450,7 @@ def table6_sim_mode(
 ) -> list[Table6Row]:
     """Regenerate Table 6 on the simulator and pair it with the paper's
     readings scaled by the same factor (shape comparison)."""
-    datasets = _simulate_datasets(scale, None, with_coruns=False, engine=engine)
+    datasets = _simulate_datasets(scale, None, engine)
     rows: list[Table6Row] = []
     for scenario_name, data in zip(SCENARIOS, datasets):
         rows.append(
@@ -481,7 +487,7 @@ class AblationRow:
 
 def _ablation_scenario_rows(
     scenario_name: str,
-    scale: float,
+    data: ScenarioSimData,
     models: tuple[str, ...],
     options: IlpPtacOptions | None,
 ) -> list[AblationRow]:
@@ -493,10 +499,7 @@ def _ablation_scenario_rows(
     the ladder is a pure information-degree comparison.
     """
     profile = tc27x_latency_profile()
-    scenario = reference_scenario(scenario_name)
-    app_program, _ = build_control_loop(scenario, scale=scale)
-    app_result = run_isolation(app_program)
-    isolation = app_result.readings.require_ccnt()
+    isolation = data.app_isolation_cycles
     blind = [m for m in models if "-" in _model_loads(m)]
     aware = [m for m in models if "-" not in _model_loads(m)]
 
@@ -505,11 +508,11 @@ def _ablation_scenario_rows(
     def append(model: str, load: str, readings_b, profile_b) -> None:
         bound = contention_bound(
             model,
-            app_result.readings,
+            data.app_readings,
             profile,
-            scenario,
+            data.scenario,
             readings_b,
-            access_profile_a=app_result.profile,
+            access_profile_a=data.app_profile,
             access_profile_b=profile_b,
             options=options,
         )
@@ -526,10 +529,10 @@ def _ablation_scenario_rows(
     for model in blind:
         append(model, "-", None, None)
     for load in LOAD_LEVELS:
-        load_program = build_load(scenario_name, load, scale=scale)
-        load_result = run_isolation(load_program, core=2)
         for model in aware:
-            append(model, load, load_result.readings, load_result.profile)
+            append(
+                model, load, data.load_readings[load], data.load_profiles[load]
+            )
     return rows
 
 
@@ -601,14 +604,7 @@ def model_scenario_matrix_jobs(
     model_names = (
         tuple(models) if models is not None else counter_based_model_names()
     )
-    for name in model_names:
-        capabilities = get_model(name).capabilities  # fail fast
-        if not capabilities.counter_based:
-            raise ModelError(
-                f"model {name!r} cannot join the matrix: scenario runs "
-                "measure counter readings only, so pick counter-based "
-                f"models ({', '.join(counter_based_model_names())})"
-            )
+    require_counter_based(model_names)
     registry = default_registry()
     resolved = [
         registry.get(spec) if isinstance(spec, str) else spec
@@ -635,20 +631,25 @@ def information_ablation(
     (deployment knowledge about τa), ``ilp-ptac`` (+ contender counters)
     and ``ideal`` (ground-truth PTACs, unobtainable on real hardware).
     Any registered model name can join the ladder via ``models=``.
+
+    Two engine phases: the ladder of each scenario is one job over the
+    isolation measurement Table 6 and Figure 4 use, so with a caching
+    engine the three artefacts simulate each scenario once between them.
     """
     for model in models:
         get_model(model)  # fail fast on unknown names, before any job
+    datasets = _simulate_datasets(scale, None, engine)
     row_lists = run_jobs(
         [
             job(
                 _ablation_scenario_rows,
                 scenario_name,
-                scale,
+                data,
                 tuple(models),
                 options,
                 label=f"ablation:{scenario_name}",
             )
-            for scenario_name in SCENARIOS
+            for scenario_name, data in zip(SCENARIOS, datasets)
         ],
         engine,
     )

@@ -3,21 +3,18 @@
 The paper evaluates pairs (application on core 1, one contender on
 core 2) and notes the model extends to more contenders.  The TC277 has
 three cores, so the realistic integration question is: application plus
-*two* co-runners.  This driver runs that experiment end to end:
+*two* co-runners.  Each load pairing is one
+:class:`~repro.engine.scenario.ScenarioSpec` — the control loop on
+core 1, the first load on core 0, the second on core 2 — run end to end
+by :func:`repro.engine.experiment.run_spec`: measure every task alone,
+bound the joint contention with ``ilp-ptac``'s joint counterpart (the
+multi-contender ILP ``ilp-ptac-multi``) next to the sum of the pairwise
+``ilp-ptac`` bounds, then co-run all three cores to check the bound.
 
-1. measure the application and both contenders in isolation;
-2. bound the joint contention with the multi-contender ILP (the
-   registered ``ilp-ptac-multi`` model) and with the naive sum of
-   pairwise ``ilp-ptac`` bounds;
-3. co-run all three cores on the simulator and verify both bounds cover
-   the observation — and report how much the joint formulation saves.
-
-The experiment is engine-batched: the application's isolation run is one
-(cacheable) job shared by every pairing, then each load pairing is an
-independent job.  Beyond three cores, register an N-core
-:class:`~repro.engine.scenario.ScenarioSpec` and use
-:func:`repro.engine.experiment.run_spec`, which generalises this driver
-to any core count.
+This module only builds one spec job per pairing and reshapes each
+:class:`~repro.engine.experiment.ScenarioRunResult` into a
+:class:`ThreeCoreRow`; for any other layout, register a spec and call
+``run_spec`` directly.
 """
 
 from __future__ import annotations
@@ -27,15 +24,12 @@ from typing import Sequence
 
 from repro.analysis.experiments import reference_scenario
 from repro.core.ilp_ptac import IlpPtacOptions
-from repro.core.wcet import contention_bound
-from repro.counters.readings import TaskReadings
 from repro.engine.batch import job
+from repro.engine.experiment import run_spec
 from repro.engine.runner import ExperimentEngine, run_jobs
-from repro.platform.latency import LatencyProfile, tc27x_latency_profile
-from repro.sim.system import SystemSimulator, run_isolation
+from repro.engine.scenario import ScenarioSpec, WorkloadRef
+from repro.platform.latency import LatencyProfile
 from repro.sim.timing import SimTiming
-from repro.workloads.control_loop import build_control_loop
-from repro.workloads.loads import build_load
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,74 +74,19 @@ class ThreeCoreRow:
         return self.pairwise_sum_delta - self.joint_delta
 
 
-def _rename(readings: TaskReadings, name: str) -> TaskReadings:
-    return dataclasses.replace(readings, name=name)
-
-
-def _app_isolation(
-    scenario_name: str, scale: float, timing: SimTiming | None
-) -> TaskReadings:
-    """Job: the application's isolation measurement (shared by pairings)."""
-    scenario = reference_scenario(scenario_name)
-    app_program, _ = build_control_loop(scenario, scale=scale)
-    return run_isolation(app_program, timing=timing).readings
-
-
-def _three_core_pair_row(
-    scenario_name: str,
-    first: str,
-    second: str,
-    app_readings: TaskReadings,
-    scale: float,
-    profile: LatencyProfile,
-    timing: SimTiming | None,
-    options: IlpPtacOptions | None,
-) -> ThreeCoreRow:
-    """Job: one (load, load) pairing — bounds plus three-core co-run."""
-    scenario = reference_scenario(scenario_name)
-    app_program, _ = build_control_loop(scenario, scale=scale)
-    isolation = app_readings.require_ccnt()
-
-    program_0 = build_load(scenario_name, first, scale=scale)
-    program_2 = build_load(scenario_name, second, scale=scale)
-    readings_0 = _rename(
-        run_isolation(program_0, core=0, timing=timing).readings,
-        f"{first}-Load@core0",
-    )
-    readings_2 = _rename(
-        run_isolation(program_2, core=2, timing=timing).readings,
-        f"{second}-Load@core2",
-    )
-
-    joint = contention_bound(
-        "ilp-ptac-multi",
-        app_readings,
-        profile,
-        scenario,
-        contenders=(readings_0, readings_2),
-        options=options,
-    ).delta_cycles
-    pairwise = sum(
-        contention_bound(
-            "ilp-ptac", app_readings, profile, scenario, contender,
-            options=options,
-        ).delta_cycles
-        for contender in (readings_0, readings_2)
-    )
-
-    observed = (
-        SystemSimulator(timing)
-        .run({0: program_0, 1: app_program, 2: program_2})
-        .readings(1)
-        .require_ccnt()
-    )
-    return ThreeCoreRow(
-        scenario=scenario_name,
-        loads=(first, second),
-        isolation_cycles=isolation,
-        joint_delta=joint,
-        pairwise_sum_delta=pairwise,
-        observed_cycles=observed,
+def _pairing_spec(
+    scenario_name: str, first: str, second: str, scale: float
+) -> ScenarioSpec:
+    """The TC277 layout of one pairing: the control loop on core 1,
+    ``first`` on core 0 and ``second`` on core 2."""
+    return ScenarioSpec(
+        name=f"{scenario_name}-3core-{first}+{second}",
+        base=scenario_name,
+        app=WorkloadRef.control_loop(scale=scale),
+        contenders=(
+            (0, WorkloadRef.load(first, scale=scale)),
+            (2, WorkloadRef.load(second, scale=scale)),
+        ),
     )
 
 
@@ -166,42 +105,37 @@ def three_core_experiment(
     Args:
         scenario_name: ``"scenario1"`` or ``"scenario2"``.
         load_pairs: contender levels for cores 0 and 2.
-        scale: workload scale (the application is the Table 6 control
-            loop; the 1.6E core 0 gets the second load generator).
-        profile, timing, options: the usual knobs.
-        engine: optional execution engine (pairings run in parallel; the
-            application's isolation measurement is computed once).
+        scale: workload scale of the application (the Table 6 control
+            loop) and both loads.
+        profile, timing, options: the usual knobs, passed to
+            :func:`~repro.engine.experiment.run_spec`.
+        engine: optional execution engine (one ``run_spec`` job per
+            pairing, so pairings run in parallel and cache as specs).
     """
     reference_scenario(scenario_name)  # validate the name before any work
-    profile = profile or tc27x_latency_profile()
-
-    app_readings = run_jobs(
+    results = run_jobs(
         [
             job(
-                _app_isolation,
-                scenario_name,
-                scale,
-                timing,
-                label=f"three-core:{scenario_name}:isolation",
-            )
-        ],
-        engine,
-    )[0]
-    return run_jobs(
-        [
-            job(
-                _three_core_pair_row,
-                scenario_name,
-                first,
-                second,
-                app_readings,
-                scale,
-                profile,
-                timing,
-                options,
+                run_spec,
+                _pairing_spec(scenario_name, first, second, scale),
+                model="ilp-ptac",
+                profile=profile,
+                timing=timing,
+                options=options,
                 label=f"three-core:{scenario_name}:{first}+{second}",
             )
             for first, second in load_pairs
         ],
         engine,
     )
+    return [
+        ThreeCoreRow(
+            scenario=scenario_name,
+            loads=(first, second),
+            isolation_cycles=result.isolation_cycles,
+            joint_delta=result.joint_delta,
+            pairwise_sum_delta=result.pairwise_sum_delta,
+            observed_cycles=result.observed_cycles,
+        )
+        for (first, second), result in zip(load_pairs, results)
+    ]

@@ -45,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+from typing import Iterable
 
 from repro.core.fsb import (
     fsb_closed_form,
@@ -494,6 +495,23 @@ def counter_based_model_names() -> tuple[str, ...]:
     )
 
 
+def require_counter_based(names: Iterable[str]) -> None:
+    """Reject any named model a scenario run cannot drive.
+
+    The one gate of :func:`~repro.engine.experiment.run_spec`, the
+    model x scenario matrix and the scenario families, called before
+    any of their jobs runs: a scenario run measures counter readings
+    only, so each model must be counter-based.
+    """
+    for name in names:
+        if not get_model(name).capabilities.counter_based:
+            raise ModelError(
+                f"model {name!r} cannot drive a scenario run: scenario "
+                "runs measure counter readings only, so pick counter-based "
+                f"models ({', '.join(counter_based_model_names())})"
+            )
+
+
 def model_bound(model: str, context: AnalysisContext) -> ContentionBound:
     """Run a registered model over a context, both addressed as data.
 
@@ -514,4 +532,5 @@ __all__ = [
     "model_names",
     "model_specs",
     "register_model",
+    "require_counter_based",
 ]

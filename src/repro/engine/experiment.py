@@ -23,7 +23,7 @@ import dataclasses
 
 from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.model import AnalysisContext
-from repro.core.registry import get_model, model_names
+from repro.core.registry import get_model, model_names, require_counter_based
 from repro.core.wcet import contention_bound
 from repro.counters.readings import TaskReadings
 from repro.engine.batch import job
@@ -165,13 +165,8 @@ def run_spec(
     """
     if isinstance(spec, str):
         spec = default_registry().get(spec)
-    capabilities = get_model(model).capabilities  # validate the name early
-    if not capabilities.counter_based:
-        raise ModelError(
-            f"model {model!r} cannot drive a scenario run: run_spec only "
-            "measures counter readings, so pick a counter-based model "
-            "such as 'ilp-ptac' or 'ftc-refined'"
-        )
+    require_counter_based((model,))
+    capabilities = get_model(model).capabilities
     # The name must resolve always (fail fast on typos), but the
     # descriptor capability only matters when there is DMA to bound —
     # a DMA-less spec ignores dma_model, as documented.

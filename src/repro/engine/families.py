@@ -55,7 +55,11 @@ import itertools
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.ilp_ptac import IlpPtacOptions
-from repro.core.registry import counter_based_model_names, get_model
+from repro.core.registry import (
+    counter_based_model_names,
+    get_model,
+    require_counter_based,
+)
 from repro.engine.experiment import ScenarioRunResult, spec_job
 from repro.engine.registry import default_registry
 from repro.engine.runner import ExperimentEngine, run_jobs
@@ -474,16 +478,6 @@ def _member_subset(
     return tuple(by_name[name] for name in names)
 
 
-def _require_counter_based(names: Sequence[str]) -> None:
-    for name in names:
-        if not get_model(name).capabilities.counter_based:
-            raise ModelError(
-                f"model {name!r} cannot join a family matrix: member "
-                "runs measure counter readings only, so pick "
-                f"counter-based models ({', '.join(counter_based_model_names())})"
-            )
-
-
 def _resolve_models(
     family: ScenarioFamily,
     models: Sequence[str] | None,
@@ -516,7 +510,6 @@ def _resolve_models(
     dma_models = descriptor or (dma_model or family.default_dma_model,)
     if matrix or len(counter) > 1:
         counter = counter or counter_based_model_names()
-        _require_counter_based(counter)
     elif not counter:
         counter = (family.default_model,)
         if get_model(family.default_model).capabilities.needs_dma_agents:
@@ -526,6 +519,7 @@ def _resolve_models(
                 "families need a counter-based default for the core "
                 "contenders"
             )
+    require_counter_based(counter)
     return counter, dma_models
 
 
@@ -635,7 +629,7 @@ def family_matrix(
     matrix does not route a descriptor model to the DMA side.
     """
     if models is not None:
-        _require_counter_based(models)
+        require_counter_based(models)
     jobs = family_jobs(
         family,
         models=models,

@@ -201,50 +201,6 @@ class LatencyProfile:
             )
         return min(eligible)
 
-    def max_latency(
-        self,
-        operation: Operation,
-        targets: tuple[Target, ...] | None = None,
-        *,
-        dirty_targets: frozenset[Target] = frozenset(),
-    ) -> int:
-        """Worst delay a single ``operation`` request of the task under
-        analysis can suffer (Eqs. 6-7 of the paper).
-
-        A request of τa to target ``t`` can be delayed by *any* request type
-        the contender can issue to ``t``, so the maximum ranges over every
-        valid operation on each eligible target.
-
-        Args:
-            operation: the τa request type being delayed.
-            targets: targets τa's ``operation`` requests can reach
-                (defaults to the architectural set, which yields the fully
-                time-composable Eqs. 6-7).
-            dirty_targets: targets on which dirty evictions may occur, so
-                the dirty latency applies (Scenario 2's cacheable LMU data).
-        """
-        if targets is None:
-            targets = targets_for(operation)
-        worst = 0
-        for target in targets:
-            if not is_valid_pair(target, operation):
-                continue
-            for contender_op in (Operation.CODE, Operation.DATA):
-                if not is_valid_pair(target, contender_op):
-                    continue
-                worst = max(
-                    worst,
-                    self.latency(
-                        target, contender_op, dirty=target in dirty_targets
-                    ),
-                )
-        if worst == 0:
-            raise PlatformError(
-                f"no target in {[t.value for t in targets]} can serve "
-                f"{operation.value!r} accesses"
-            )
-        return worst
-
     def as_table(self) -> dict[str, dict[str, int | None]]:
         """Render the profile as a Table-2-shaped nested dict (for reports)."""
         table: dict[str, dict[str, int | None]] = {}

@@ -57,7 +57,11 @@ class DeviceTiming:
     overlap_write: int = 0
 
     def __post_init__(self) -> None:
-        if self.service_sequential <= 0 or self.service_random <= 0:
+        if (
+            self.service_sequential <= 0
+            or self.service_random <= 0
+            or (self.service_dirty is not None and self.service_dirty <= 0)
+        ):
             raise SimulationError("service times must be positive")
         if self.service_sequential > self.service_random:
             raise SimulationError(

@@ -6,14 +6,7 @@ from repro.workloads.control_loop import (
     split_code_misses,
     split_data_rw,
 )
-from repro.workloads.footprint import (
-    cacheable_data_miss_block,
-    code_blocks,
-    code_random_fraction,
-    dflash_data_block,
-    isolation_cycles,
-    uncached_lmu_data_block,
-)
+from repro.workloads.footprint import isolation_cycles
 from repro.workloads.kernels import (
     compile_kernel,
     fir_filter_kernel,
@@ -49,12 +42,8 @@ __all__ = [
     "all_loads",
     "build_control_loop",
     "build_load",
-    "cacheable_data_miss_block",
     "characterization_suite",
     "compile_kernel",
-    "code_blocks",
-    "code_random_fraction",
-    "dflash_data_block",
     "fir_filter_kernel",
     "isolation_cycles",
     "kernel_suite",
@@ -68,5 +57,4 @@ __all__ = [
     "split_code_misses",
     "split_data_rw",
     "spread_counts",
-    "uncached_lmu_data_block",
 ]

@@ -10,9 +10,11 @@ We reconstruct it behaviourally: each loop iteration acquires input
 signals (data reads), computes (code fetches spilling out of the
 instruction cache into the PFlash), and publishes status (data writes).
 Block counts are *inverted from the paper's Table 6 counter readings*
-(see :mod:`repro.workloads.footprint`), so running the reconstruction in
-isolation on the simulator reproduces the published counter footprint —
-scaled by an optional factor to keep simulations fast.
+(:func:`split_code_misses` and :func:`split_data_rw` below, shared with
+the load generators), so running the reconstruction in isolation on the
+simulator reproduces the published counter footprint — scaled by an
+optional factor to keep simulations fast; the CCNT padding uses
+:func:`repro.workloads.footprint.isolation_cycles`.
 
 Exactness: code miss counts are split into explicit sequential/random
 sub-populations and data stalls into a read/write Diophantine split

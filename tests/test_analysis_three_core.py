@@ -3,7 +3,9 @@
 import pytest
 
 from repro.analysis.three_core import ThreeCoreRow, three_core_experiment
+from repro.engine import run_spec
 from repro.errors import ModelError
+from repro.store import ResultStore
 
 
 class TestThreeCoreExperiment:
@@ -78,3 +80,44 @@ class TestThreeCoreExperiment:
         assert row.joint_saving == 100
         assert row.sound
         assert row.observed_slowdown == pytest.approx(1.2)
+
+
+class TestThreeCoreIsASpecRun:
+    def test_pairing_equals_registered_three_core_spec(self):
+        """The H+L pairing at 1/32 is the registered scenario1-3core
+        layout, so both entry points must report the same run."""
+        (row,) = three_core_experiment("scenario1", [("H", "L")], scale=1 / 32)
+        run = run_spec("scenario1-3core")
+        for field in (
+            "isolation_cycles",
+            "joint_delta",
+            "pairwise_sum_delta",
+            "observed_cycles",
+            "joint_prediction",
+            "observed_slowdown",
+            "sound",
+            "joint_saving",
+        ):
+            assert getattr(row, field) == getattr(run, field), field
+
+    def test_cache_dir_records_one_scenario_run_cell_per_pairing(
+        self, tmp_path
+    ):
+        from repro import cli
+
+        argv = ["three-core", "--scale", "128", "--cache-dir", str(tmp_path)]
+        assert cli.main(argv) == 0
+        store = ResultStore(tmp_path)
+        try:
+            cells = store.rows(store.resolve("latest"))
+        finally:
+            store.close()
+        assert sorted(cell["cell"] for cell in cells) == [
+            f"three-core/scenario1-3core-{loads}/ilp-ptac/dma-occupancy"
+            for loads in ("H+H", "H+L", "M+M")
+        ]
+        for cell in cells:
+            assert cell["kind"] == "three-core"
+            assert cell["bound"] > 0
+            assert cell["predicted"] >= cell["observed"] > 1.0
+            assert cell["sound"] is True

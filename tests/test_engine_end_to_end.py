@@ -115,6 +115,21 @@ class TestCacheSkipsResimulation:
         assert process_engine.stats.executed == executed
         assert len(rows) == 4
 
+    def test_table6_reuses_ablation_measurements(self):
+        from repro.analysis.experiments import (
+            information_ablation,
+            table6_sim_mode,
+        )
+
+        engine = ExperimentEngine(cache=ResultCache())
+        information_ablation(scale=1 / 32, engine=engine)
+        executed, cached = engine.stats.executed, engine.stats.cached
+        table6_sim_mode(scale=1 / 32, engine=engine)
+        # The ladder runs over the same per-scenario measurement Table 6
+        # reads, so Table 6 simulates nothing of its own.
+        assert engine.stats.executed == executed
+        assert engine.stats.cached == cached + 2
+
     def test_sweep_reuses_cached_solves_point_by_point(self, process_engine):
         args = (
             paper.table6("scenario1", "app"),

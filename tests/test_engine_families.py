@@ -39,6 +39,7 @@ from repro.engine import (
     builtin_families,
     default_registry,
     expand_family,
+    family_jobs,
     family_matrix,
     family_names,
     get_family,
@@ -356,6 +357,12 @@ class TestFamilyDrivers:
     def test_family_matrix_rejects_non_counter_models(self):
         with pytest.raises(ModelError, match="counter-based"):
             family_matrix("cacheability", models=("dma-occupancy",))
+
+    def test_single_model_batch_rejected_before_any_job(self):
+        # The gate runs while the batch is built, not inside the
+        # first member's run_spec.
+        with pytest.raises(ModelError, match="cannot drive a scenario run"):
+            family_jobs("cacheability", models=("ideal",))
 
     def test_run_family_accepts_family_objects(self):
         family = tiny_family()

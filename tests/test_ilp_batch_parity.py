@@ -277,9 +277,7 @@ class TestSolverParity:
         """Simulation-mode parity: the simulator-measured Table 6
         readings drive the same warm/cold equivalence as the published
         ones."""
-        data = simulate_scenario(
-            "scenario1", scale=1 / 32, with_coruns=False
-        )
+        data = simulate_scenario("scenario1", scale=1 / 32)
         for load, readings_b in data.load_readings.items():
             with cold_solves():
                 cold = ilp_ptac_bound(

@@ -81,29 +81,6 @@ class TestDerivedQuantities:
         with pytest.raises(PlatformError):
             profile.cs_min(Operation.CODE, targets=(Target.DFL,))
 
-    def test_l_co_max_architectural(self, profile):
-        # Eq. 6: worst over pf0/pf1/lmu of code & data latencies = 16.
-        assert profile.max_latency(Operation.CODE) == 16
-
-    def test_l_da_max_architectural(self, profile):
-        # Eq. 7: adds the DFlash, hence 43.
-        assert profile.max_latency(Operation.DATA) == 43
-
-    def test_l_co_max_with_dirty_lmu(self, profile):
-        # With dirty evictions enabled on the LMU, its 21-cycle latency
-        # dominates the 16-cycle flash.
-        assert (
-            profile.max_latency(
-                Operation.CODE, dirty_targets=frozenset({Target.LMU})
-            )
-            == 21
-        )
-
-    def test_max_latency_restricted(self, profile):
-        assert (
-            profile.max_latency(Operation.DATA, targets=(Target.LMU,)) == 11
-        )
-
     def test_latency_dirty_only_for_data(self, profile):
         # A code fetch can never be a dirty eviction.
         assert profile.latency(Target.LMU, Operation.CODE, dirty=True) == 11

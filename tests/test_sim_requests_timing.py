@@ -69,6 +69,15 @@ class TestDeviceTiming:
         with pytest.raises(SimulationError):
             DeviceTiming(service_sequential=20, service_random=16)
 
+    @pytest.mark.parametrize("service_dirty", [0, -3])
+    def test_dirty_service_must_be_positive(self, service_dirty):
+        with pytest.raises(SimulationError, match="must be positive"):
+            DeviceTiming(
+                service_sequential=11,
+                service_random=11,
+                service_dirty=service_dirty,
+            )
+
     def test_service_selection(self):
         device = DeviceTiming(
             service_sequential=12, service_random=16, service_dirty=21

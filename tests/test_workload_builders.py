@@ -1,4 +1,4 @@
-"""Tests for the footprint block builders, program helpers and probes."""
+"""Tests for footprint-matched request blocks, program helpers and probes."""
 
 import pytest
 
@@ -7,94 +7,100 @@ from repro.platform.targets import Operation, Target
 from repro.sim.program import concatenate, program_from_steps, repeat
 from repro.sim.requests import MissKind, code_fetch, data_access
 from repro.sim.system import run_isolation
-from repro.workloads.footprint import (
-    cacheable_data_miss_block,
-    code_blocks,
-    dflash_data_block,
-    uncached_lmu_data_block,
-)
+from repro.workloads.control_loop import split_code_misses, split_data_rw
 from repro.workloads.microbenchmarks import probe
+from repro.workloads.spec import RequestBlock, spread_counts
+
+
+def _readings(*blocks: RequestBlock):
+    """Isolation readings of the blocks run back to back."""
+    program = program_from_steps(
+        "blocks", [step for block in blocks for step in block.steps()]
+    )
+    return run_isolation(program).readings
 
 
 class TestCodeBlocks:
     def test_footprint_reconstruction(self):
-        blocks = code_blocks(1_000, 10_000)
-        assert sum(b.count for b in blocks) == 1_000
-        program = program_from_steps(
-            "code",
-            [step for block in blocks for step in block.steps()],
-        )
-        readings = run_isolation(program).readings
+        # The control loop's inversion: random misses stall 16 cycles,
+        # sequential (prefetch-stream) ones 6, spread over both banks.
+        n_random, n_sequential = split_code_misses(1_000, 10_000)
+        blocks = [
+            RequestBlock(
+                target=target,
+                operation=Operation.CODE,
+                count=share,
+                gap=2,
+                sequential_fraction=fraction,
+                miss_kind=MissKind.ICACHE_MISS,
+            )
+            for count, fraction in ((n_sequential, 1.0), (n_random, 0.0))
+            for target, share in zip(
+                (Target.PF0, Target.PF1), spread_counts(count, [1.0, 1.0])
+            )
+        ]
+        readings = _readings(*blocks)
         assert readings.pm == 1_000
-        assert readings.ps == pytest.approx(10_000, abs=16)
-
-    def test_single_target(self):
-        blocks = code_blocks(100, 600, targets=(Target.PF0,))
-        assert len(blocks) == 1
-        assert blocks[0].target is Target.PF0
-
-    def test_zero_misses(self):
-        assert code_blocks(0, 0) == []
-
-    def test_unachievable_average_rejected(self):
-        with pytest.raises(WorkloadError):
-            code_blocks(100, 100)  # avg 1 < cs_min 6
-        with pytest.raises(WorkloadError):
-            code_blocks(100, 2_000)  # avg 20 > l_max 16
-
-    def test_stalls_without_misses_rejected(self):
-        with pytest.raises(WorkloadError):
-            code_blocks(0, 50)
+        assert readings.ps == 10_000
 
 
 class TestDataBlocks:
     def test_uncached_lmu_block_consumes_budget(self):
-        block = uncached_lmu_data_block(10_500)
-        assert block is not None
-        program = program_from_steps("data", list(block.steps()))
-        readings = run_isolation(program).readings
-        assert readings.ds == pytest.approx(10_500, abs=12)
+        reads, writes = split_data_rw(10_500)
+        readings = _readings(
+            RequestBlock(Target.LMU, Operation.DATA, count=reads),
+            RequestBlock(
+                Target.LMU, Operation.DATA, count=writes, write_fraction=1.0
+            ),
+        )
+        assert readings.ds == 10_500
         assert readings.dmc == 0  # uncached: invisible to D$ counters
 
     def test_zero_budget(self):
-        assert uncached_lmu_data_block(0) is None
+        assert split_data_rw(0) == (0, 0)
 
     def test_below_one_access_rejected(self):
-        with pytest.raises(WorkloadError):
-            uncached_lmu_data_block(5)
+        with pytest.raises(WorkloadError, match="below one access"):
+            split_data_rw(5)
 
     def test_cacheable_miss_block(self):
-        block = cacheable_data_miss_block(25, Target.PF0)
-        assert block is not None
-        program = program_from_steps("misses", list(block.steps()))
-        readings = run_isolation(program).readings
+        readings = _readings(
+            RequestBlock(
+                Target.PF0,
+                Operation.DATA,
+                count=25,
+                sequential_fraction=1.0,
+                miss_kind=MissKind.DCACHE_MISS_CLEAN,
+            )
+        )
         assert readings.dmc == 25
         assert readings.dmd == 0
 
     def test_cacheable_dirty_block(self):
-        block = cacheable_data_miss_block(
-            10, Target.LMU, dirty_fraction=1.0
+        readings = _readings(
+            RequestBlock(
+                Target.LMU,
+                Operation.DATA,
+                count=10,
+                sequential_fraction=1.0,
+                miss_kind=MissKind.DCACHE_MISS_DIRTY,
+                dirty_fraction=1.0,
+            )
         )
-        assert block is not None
-        readings = run_isolation(
-            program_from_steps("dirty", list(block.steps()))
-        ).readings
         assert readings.dmd == 10
         assert readings.ds == 210  # 21 cycles per dirty eviction
 
-    def test_cacheable_zero(self):
-        assert cacheable_data_miss_block(0, Target.PF0) is None
-
     def test_dflash_block(self):
-        block = dflash_data_block(5, write_fraction=1.0)
-        assert block is not None
-        readings = run_isolation(
-            program_from_steps("dfl", list(block.steps()))
-        ).readings
+        readings = _readings(
+            RequestBlock(
+                Target.DFL,
+                Operation.DATA,
+                count=5,
+                gap=4,
+                write_fraction=1.0,
+            )
+        )
         assert readings.ds == 5 * 42  # buffered DFlash writes
-
-    def test_dflash_zero(self):
-        assert dflash_data_block(0) is None
 
 
 class TestProgramHelpers:

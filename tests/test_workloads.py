@@ -13,7 +13,7 @@ from repro.workloads.control_loop import (
     split_code_misses,
     split_data_rw,
 )
-from repro.workloads.footprint import code_random_fraction, isolation_cycles
+from repro.workloads.footprint import isolation_cycles
 from repro.workloads.loads import all_loads, build_load, load_readings
 from repro.workloads.spec import (
     RequestBlock,
@@ -176,12 +176,6 @@ class TestSplits:
             split_data_rw(9)  # below one access
         with pytest.raises(WorkloadError):
             split_data_rw(19)  # no non-negative solution
-
-    def test_code_random_fraction_band(self):
-        assert code_random_fraction(100, 600) == pytest.approx(0.0)
-        assert code_random_fraction(100, 1600) == pytest.approx(1.0)
-        with pytest.raises(WorkloadError):
-            code_random_fraction(100, 1700)
 
 
 class TestControlLoop:
