@@ -19,7 +19,10 @@ The DMA back-pressure record does the same for one saturating
 ``dma-pressure`` member (a period-2, depth-8 agent above the app's
 priority on the LMU) and also reports the library engine's event pushes
 per kind, where parking a full agent and granting its issues inline
-remove most of the tick and arbitration events.
+remove most of the tick and arbitration events.  The lone-survivor
+record does it for a member whose period-24 agent outlives the app by
+361,856 cycles, and asserts the pushes per kind: the agent finishes in
+closed form at the first tick that finds it alone.
 """
 
 import pickle
@@ -47,6 +50,22 @@ MIN_CORUN_SPEEDUP = 3.0
 #: The back-pressure record's member: the app against a higher-priority
 #: DMA agent that saturates the LMU (period 2) through a depth-8 queue.
 DMA_MEMBER = "dma-pressure/scenario1-qd8-p2-c8000"
+
+#: The lone-survivor record's member: the app (done at cycle 22,131)
+#: against a higher-priority period-24, depth-1 LMU agent that runs to
+#: cycle 383,987.
+LONE_MEMBER = "dma-pressure/scenario2-qd1-p24-c16000"
+
+#: The library engine's pushes per kind on the lone-survivor member.
+#: They are deterministic, so they are asserted (walking the agent's
+#: whole run would push 16,000 ticks and 16,031 completions).
+LONE_PUSHES = {
+    "step": 1,
+    "issue": 17,
+    "complete": 497,
+    "dma_tick": 467,
+    "grant": 1,
+}
 
 #: Report names of the library engine's event kinds.
 EVENT_KINDS = {
@@ -184,13 +203,11 @@ def test_engine_equivalence_and_speedup(benchmark, report):
     report.record("sim_engine_scaling", payload)
 
 
-@pytest.mark.benchmark(group="sim-throughput")
-def test_dma_back_pressure(benchmark, report):
-    """Library engine = oracle on a saturating DMA member; reports the
-    speedup over the oracle and the library's event pushes per kind."""
-    (member,) = (
-        m for m in expand_family("dma-pressure") if m.name == DMA_MEMBER
-    )
+def _member_run(benchmark, name):
+    """Run one ``dma-pressure`` member on both engines (the library's
+    under ``benchmark``), assert byte-identical results, and count the
+    library engine's heap pushes per kind."""
+    (member,) = (m for m in expand_family("dma-pressure") if m.name == name)
     spec = member.spec
     programs = spec.programs()
     agents = spec.dma_agents()
@@ -214,7 +231,7 @@ def test_dma_back_pressure(benchmark, report):
             )
         pickles[engine] = pickle.dumps(result)
     assert pickles["compiled"] == pickles["reference"], (
-        f"{DMA_MEMBER}: the library engine and the oracle diverged"
+        f"{name}: the library engine and the oracle diverged"
     )
 
     with counted_pushes() as counts:
@@ -225,33 +242,56 @@ def test_dma_back_pressure(benchmark, report):
         for core in result.cores.values()
         for stats in core.transactions.values()
     ) + sum(agent.served for agent in result.dma.values())
-    speedup = seconds["reference"] / max(seconds["compiled"], 1e-12)
     benchmark.extra_info["sri_requests"] = transactions
-
-    report.add(
-        f"P2b — DMA back-pressure ({DMA_MEMBER})",
-        render_table(
-            ["transactions", "ref s", "compiled s", "speedup", "pushes"],
-            [
-                [
-                    transactions,
-                    f"{seconds['reference']:.4f}",
-                    f"{seconds['compiled']:.4f}",
-                    f"{speedup:.2f}x",
-                    " ".join(f"{k}={v}" for k, v in pushes.items()),
-                ]
-            ],
+    return result, {
+        "member": name,
+        "sri_requests": transactions,
+        "reference_seconds": round(seconds["reference"], 4),
+        "compiled_seconds": round(seconds["compiled"], 4),
+        "speedup": round(
+            seconds["reference"] / max(seconds["compiled"], 1e-12), 3
         ),
+        "byte_identical": True,
+        "pushes": pushes,
+    }
+
+
+def _member_table(payload):
+    return render_table(
+        ["transactions", "ref s", "compiled s", "speedup", "pushes"],
+        [
+            [
+                payload["sri_requests"],
+                f"{payload['reference_seconds']:.4f}",
+                f"{payload['compiled_seconds']:.4f}",
+                f"{payload['speedup']:.2f}x",
+                " ".join(f"{k}={v}" for k, v in payload["pushes"].items()),
+            ]
+        ],
     )
-    report.record(
-        "sim_dma_back_pressure",
-        {
-            "member": DMA_MEMBER,
-            "sri_requests": transactions,
-            "reference_seconds": round(seconds["reference"], 4),
-            "compiled_seconds": round(seconds["compiled"], 4),
-            "speedup": round(speedup, 3),
-            "byte_identical": True,
-            "pushes": pushes,
-        },
+
+
+@pytest.mark.benchmark(group="sim-throughput")
+def test_dma_back_pressure(benchmark, report):
+    """Library engine = oracle on a saturating DMA member; reports the
+    speedup over the oracle and the library's event pushes per kind."""
+    _, payload = _member_run(benchmark, DMA_MEMBER)
+    report.add(
+        f"P2b — DMA back-pressure ({DMA_MEMBER})", _member_table(payload)
     )
+    report.record("sim_dma_back_pressure", payload)
+
+
+@pytest.mark.benchmark(group="sim-throughput")
+def test_lone_survivor(benchmark, report):
+    """Library engine = oracle on a member whose DMA agent outlives the
+    app by 361,856 cycles, with the library's pushes per kind pinned:
+    the agent's tail after the app ends costs one tick."""
+    result, payload = _member_run(benchmark, LONE_MEMBER)
+    assert result.core(1).readings.ccnt == 22_131
+    assert result.dma_result(9).finish_time == 383_987
+    assert payload["pushes"] == LONE_PUSHES, payload["pushes"]
+    report.add(
+        f"P2c — lone survivor ({LONE_MEMBER})", _member_table(payload)
+    )
+    report.record("sim_lone_survivor", payload)

@@ -14,8 +14,9 @@ following request's gap.  An isolation run is computed in closed form
 over those arrays (:meth:`~repro.sim.program.CompiledProgram.isolation_time`,
 which :func:`repro.workloads.footprint.isolation_cycles` shares); in a
 co-run, uncontended transactions complete inline, off the event heap,
-most shared ones cost a single completion event, and a DMA agent with a
-full queue parks instead of ticking (see :mod:`repro.sim.system`).
+most shared ones cost a single completion event, a DMA agent with a
+full queue parks instead of ticking, and the last master left finishes
+in closed form (see :mod:`repro.sim.system`).
 
 Its semantics oracle, a step-generator walk that replays the per-step
 object stream, lives in ``tests/oracles/sim_reference.py``.  The

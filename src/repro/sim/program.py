@@ -106,43 +106,49 @@ class CompiledProgram:
     def compute_cycles(self) -> int:
         return int(self.gaps.sum()) + self.final_gap
 
-    def isolation_time(
+    def time_alone(
         self,
+        start: int,
         service: Sequence[int],
         overlap: Sequence[int],
-        counts: Sequence[int],
     ) -> int:
-        """Finish time of this program alone on the SRI, in closed form.
+        """Cycles from the issue of request ``start`` to this program's
+        end with no other master on the SRI, in closed form.
 
         With no other master every transaction is served the cycle it is
-        issued, so the time is ``Σ max(0, gap − credit) + Σ service +
-        max(0, final_gap − credit_last)``, where a request's credit is
-        the overlap of the request before it (zero for the first).  The
+        issued, so the time is ``Σ service + Σ max(0, gap − credit) +
+        max(0, final_gap − credit_last)`` over requests ``start`` on,
+        where a request's credit is the overlap of the request before it
+        (the first gap, spent before the issue, is not counted).  The
         core waits for each transaction's *completion* (one outstanding
         request); the overlap only discounts the next gap.
 
         Args:
+            start: index of a request, ``0 <= start < n_requests``.
             service: service time of each distinct request, by rid.
             overlap: pipeline overlap of each distinct request, by rid.
-            counts: :meth:`rid_counts`.
         """
-        rid_list = self.rid_list
-        if not rid_list:
-            return self.final_gap
-        gaps = self.gaps
-        # One temporary: the credit each request after the first starts
-        # with, turned in place into its uncovered gap.
-        credit = np.asarray(overlap, dtype=np.int64)[self.request_ids[:-1]]
-        np.subtract(gaps[1:], credit, out=credit)
+        rids = self.request_ids[start:]
+        busy = np.asarray(service, dtype=np.int64)[rids].sum()
+        # The credit each request after ``start`` starts with, turned in
+        # place into its uncovered gap.
+        credit = np.asarray(overlap, dtype=np.int64)[rids[:-1]]
+        np.subtract(self.gaps[start + 1 :], credit, out=credit)
         np.maximum(credit, 0, out=credit)
-        busy = sum(count * cycles for count, cycles in zip(counts, service))
-        trailing = self.final_gap - overlap[rid_list[-1]]
+        trailing = self.final_gap - overlap[self.rid_list[-1]]
         return (
-            int(gaps[0])
-            + int(credit.sum())
-            + busy
-            + (trailing if trailing > 0 else 0)
+            int(busy) + int(credit.sum()) + (trailing if trailing > 0 else 0)
         )
+
+    def isolation_time(
+        self, service: Sequence[int], overlap: Sequence[int]
+    ) -> int:
+        """Finish time of this program alone on the SRI: its leading gap
+        plus :meth:`time_alone` from the first request (the final gap
+        alone for a program without requests)."""
+        if not self.rid_list:
+            return self.final_gap
+        return int(self.gaps[0]) + self.time_alone(0, service, overlap)
 
     def steps(self) -> Iterator[Step]:
         """A step stream with these arrays' timing.

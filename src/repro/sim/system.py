@@ -41,7 +41,11 @@ or starts service on its idle device, without an issue event; an issue
 or DMA tick that finds its device idle with nothing else due in its
 cycle is granted on the spot instead of through an arbitration event;
 and a DMA agent whose queue is full parks until its next completion
-instead of ticking every period.  Observables are folded once per run
+instead of ticking every period.  The last master left runs without
+events: a core finishes in closed form from the next shared request it
+places (:meth:`~repro.sim.program.CompiledProgram.time_alone`), a DMA
+agent with nothing outstanding and ``period >= service`` from the next
+tick.  Observables are folded once per run
 from the per-request counts and from per-request wait sums and
 extremes, which only transactions that waited update.  Its semantics
 oracle, a step-generator walk with one heap event per step, issue,
@@ -232,19 +236,6 @@ class _CompiledCoreState:
         self.agg_wmin = [_WAIT_MIN_SENTINEL] * n
         self.agg_wmax = [0] * n
         self.agg_slack = [0] * n
-
-    def run_alone(self, counts: list[int]) -> None:
-        """Execute the whole program with no other master on the SRI.
-
-        Every transaction is then served the cycle it is issued, so no
-        accumulator is touched and :meth:`finalize` folds the run from
-        ``counts`` (:meth:`~repro.sim.program.CompiledProgram.rid_counts`)
-        alone.  The finish time is
-        :meth:`~repro.sim.program.CompiledProgram.isolation_time`.
-        """
-        self.finish_time = self.compiled.isolation_time(
-            self.service_by_rid, self.overlap_by_rid, counts
-        )
 
     def finalize(
         self, counts: list[int]
@@ -508,6 +499,23 @@ class SystemSimulator:
           transactions, each with zero wait.  Only its finish time needs
           computing: :meth:`~repro.sim.program.CompiledProgram.isolation_time`,
           in closed form over the arrays;
+        * a core that places a shared request while it is the last
+          unfinished master finishes there: no other master can queue on
+          any device again, so each of its remaining transactions waits
+          0 cycles and touches no accumulator, and its finish time is
+          the request's issue cycle plus
+          :meth:`~repro.sim.program.CompiledProgram.time_alone` from that
+          request.  Nothing is scheduled (the heap is then empty: every
+          pending event belongs to an unfinished master);
+        * a DMA tick that finds its agent the last unfinished master,
+          with nothing outstanding and ``period >= service``, finishes
+          the agent the same way: no other master can queue again, so
+          each remaining transaction is served at its tick, done before
+          the next one, and the agent ends at ``now + (remaining − 1)·
+          period + service`` with no wait (the arithmetic of
+          :meth:`~repro.sim.dma.DmaAgent.uncontended_result`).  An agent
+          with a transaction outstanding, or a period below its service,
+          still queues behind itself and keeps its events;
         * scheduling an arbitration event only when the device is idle
           drops exactly the grant events that were no-ops (a busy
           device's next grant happens inline at its completion, in the
@@ -573,10 +581,12 @@ class SystemSimulator:
         if not dma and len(cores) == 1:
             (alone,) = cores.values()
             alone.prepare(timing)
-            counts = alone.compiled.rid_counts()
-            alone.run_alone(counts)
+            alone.finish_time = alone.compiled.isolation_time(
+                alone.service_by_rid, alone.overlap_by_rid
+            )
             return self._collect(
-                cores, {alone.core_id: alone.finalize(counts)}
+                cores,
+                {alone.core_id: alone.finalize(alone.compiled.rid_counts())},
             )
 
         # Master census: a device with a single master needs no
@@ -622,6 +632,8 @@ class SystemSimulator:
         for core_id in sorted(cores):
             push(heap, (0, _STEP, seq, core_id))
             seq += 1
+        # Masters with transactions still to finish through the heap.
+        unfinished = len(cores)
         for master_id, dma_state in sorted(dma.items()):
             agent = dma_state.agent
             if (
@@ -638,6 +650,7 @@ class SystemSimulator:
             elif dma_state.remaining:
                 push(heap, (agent.start_time, _DMA_TICK, seq, master_id))
                 seq += 1
+                unfinished += 1
         # Every later tick is pushed one period before it pops, so ticks
         # of one cycle pop longest period first, then latest start, then
         # lowest id; fixed sequence numbers keep that order however late
@@ -714,8 +727,18 @@ class SystemSimulator:
 
         def place(state: _CompiledCoreState, rid: int, when: int) -> None:
             """Queue, start or schedule a core's shared request issued
-            at ``when`` — the last thing its caller's handler does."""
-            nonlocal seq
+            at ``when`` — the last thing its caller's handler does.  The
+            last master left finishes the rest of its program in closed
+            form instead."""
+            nonlocal seq, unfinished
+            if unfinished == 1:
+                state.finish_time = when + state.compiled.time_alone(
+                    state.cursor - 1,
+                    state.service_by_rid,
+                    state.overlap_by_rid,
+                )
+                unfinished = 0
+                return
             device = state.device_by_rid[rid]
             if device.current is not None:
                 if device.busy_until >= when:
@@ -746,6 +769,7 @@ class SystemSimulator:
             only stops to place a shared-device request, or to finish
             the program.
             """
+            nonlocal unfinished
             cursor = state.cursor
             n = state.n_requests
             gap_list = state.gap_list
@@ -777,6 +801,7 @@ class SystemSimulator:
             state.overlap_credit = 0
             trailing = state.final_gap - credit
             state.finish_time = now + trailing if trailing > 0 else now
+            unfinished -= 1
 
         def dma_issue(state: _DmaState, now: int) -> None:
             """Put one DMA transaction on the wire (no arbitration)."""
@@ -867,6 +892,7 @@ class SystemSimulator:
                         agent_state.parked = last_tick
                 if not agent_state.remaining and not agent_state.outstanding:
                     agent_state.finish_time = now
+                    unfinished -= 1
                 if device.queue:
                     grant(device, now)
                 else:
@@ -887,7 +913,22 @@ class SystemSimulator:
             elif kind == _DMA_TICK:
                 agent_state = dma[payload]
                 if agent_state.remaining > 0:
-                    if agent_state.outstanding < agent_state.queue_depth:
+                    if (
+                        unfinished == 1
+                        and not agent_state.outstanding
+                        and agent_state.period >= agent_state.service
+                    ):
+                        # The last master left, with nothing queued:
+                        # uncontended_result()'s arithmetic from now on.
+                        agent_state.served += agent_state.remaining
+                        agent_state.finish_time = (
+                            now
+                            + (agent_state.remaining - 1) * agent_state.period
+                            + agent_state.service
+                        )
+                        agent_state.remaining = 0
+                        unfinished = 0
+                    elif agent_state.outstanding < agent_state.queue_depth:
                         dma_issue(agent_state, now)
                         arbitrate(agent_state.device, now)
                         if agent_state.remaining > 0:

@@ -34,5 +34,4 @@ def isolation_cycles(
     return compiled.isolation_time(
         [timing.service_time(r) for r in requests],
         [timing.device(r.target).overlap(r) for r in requests],
-        compiled.rid_counts(),
     )

@@ -1,4 +1,4 @@
-"""The simulator's fast paths: isolation in closed form, co-run event diet.
+"""The simulator's fast paths: closed forms and the co-run event diet.
 
 ``SystemSimulator.run`` computes a run with one core and no DMA agent
 without walking the program (counters and blocking extremes per distinct
@@ -8,11 +8,14 @@ starts service on its idle device without an issue event, observables
 are folded once per run from per-request wait extremes and sums, a DMA
 agent with a full queue parks instead of ticking, and an issue that finds
 its device idle with nothing else due in its cycle is granted inline
-instead of through an arbitration event.  All of it must leave every
-pickled :class:`SimResult` byte-identical to the step-generator oracle
-(``tests/oracles/sim_reference.py``); the event counts pin that the
-shortcuts are actually taken.  One known, older divergence from the
-oracle is pinned as a strict xfail.
+instead of through an arbitration event.  The last master left finishes
+without heap events: a core from the request it places
+(``CompiledProgram.time_alone``), a DMA agent with nothing outstanding
+and ``period >= service`` from the tick that finds it alone.  All of it
+must leave every pickled :class:`SimResult` byte-identical to the
+step-generator oracle (``tests/oracles/sim_reference.py``); the event
+counts pin that the shortcuts are actually taken.  One known, older
+divergence from the oracle is pinned as a strict xfail.
 """
 
 import itertools
@@ -169,10 +172,11 @@ def test_single_core_runs_match_oracle(steps, timing, core, dma):
 
 def test_corun_event_diet():
     """Scenario 1's app against H-Load at scale 1/256: every transaction
-    is one completion event, and only 206 of the 6083 still need an
-    issue event (their device is free before they are issued, and
-    another event is due by then); only issues that meet another event
-    in their cycle still queue an arbitration event."""
+    until the load ends is one completion event, and only 206 of them
+    still need an issue event (their device is free before they are
+    issued, and another event is due by then); only issues that meet
+    another event in their cycle still queue an arbitration event.  The
+    app's last 2052 transactions run alone and take no event at all."""
     scale = 1 / 256
     app, _ = build_control_loop(scenario_1(), scale=scale)
     load = build_load("scenario1", "H", scale=scale)
@@ -182,12 +186,11 @@ def test_corun_event_diet():
     assert pickle.dumps(result) == pickle.dumps(
         ReferenceSimulator().run(programs)
     )
-    transactions = app.request_count() + load.request_count()
-    assert transactions == 6083
+    assert app.request_count() + load.request_count() == 6083
     assert dict(pushes) == {
         system._STEP: 2,
         system._ISSUE: 206,
-        system._COMPLETE: transactions,
+        system._COMPLETE: 4031,
         system._GRANT: 125,
     }
 
@@ -197,7 +200,8 @@ def test_dma_event_diet():
     the LMU: the agent parks while its queue is full instead of ticking
     every period, its re-issues at completions and its ticks onto an
     idle LMU need no arbitration event, and the victim's LMU requests
-    join the busy device's queue without an issue event."""
+    join the busy device's queue without an issue event.  The agent
+    finishes first, and the victim's last 9 LMU reads take no event."""
     victim = program_from_steps(
         "victim", [(3, _LMU_READ), (2, _PF_CODE)] * 10
     )
@@ -210,13 +214,40 @@ def test_dma_event_diet():
     )
     assert result.dma_result(9).served == 60
     assert result.core(1).total_wait_cycles == 657
-    # 60 DMA and 10 LMU completions; PF0 is the victim's alone.  The
-    # parent engine pushed 287 ticks, 52 grants and 10 issues here.
+    # 60 DMA completions and the victim's first LMU one; PF0 is the
+    # victim's alone.  Ticking every period, the engine pushed 287
+    # ticks, 52 grants and 10 issues here.
     assert dict(pushes) == {
         system._STEP: 1,
         system._ISSUE: 1,
-        system._COMPLETE: 70,
+        system._COMPLETE: 61,
         system._DMA_TICK: 10,
+    }
+
+
+def test_lone_agent_event_diet():
+    """A period-24, depth-1 DMA agent on the LMU outlives its victim:
+    the first tick that finds it alone, with nothing outstanding,
+    finishes its remaining 49 transactions in closed form, where a
+    tick-by-tick walk would push 60 ticks and 70 completions."""
+    victim = program_from_steps(
+        "victim", [(3, _LMU_READ), (2, _PF_CODE)] * 10
+    )
+    agent = DmaAgent(9, _LMU_READ, count=60, period=24, queue_depth=1)
+    with counted_pushes() as pushes:
+        result = system.SystemSimulator().run({1: victim}, (agent,))
+    assert pickle.dumps(result) == pickle.dumps(
+        ReferenceSimulator().run({1: victim}, (agent,))
+    )
+    assert result.core(1).readings.ccnt == 261
+    assert result.dma_result(9).finish_time == result.makespan == 1427
+    # The victim's 10 LMU reads and the agent's first 11 transactions;
+    # the twelfth tick (cycle 264) closes the agent's tail.
+    assert dict(pushes) == {
+        system._STEP: 1,
+        system._ISSUE: 10,
+        system._COMPLETE: 21,
+        system._DMA_TICK: 12,
     }
 
 
@@ -261,6 +292,59 @@ _LMU_STREAM = data_access(Target.LMU, sequential=True)
     timing=_SLACK_TIMING,
     dma=DmaAgent(9, _LMU_STREAM, count=12, period=2, queue_depth=3),
     priority=True,
+)
+# The last master left finishes without events.  Core 1 outlives core
+# 0: its requests from cycle 84 on close in one step.
+@example(
+    cores=[
+        [(0, _LMU_STREAM)] * 3,
+        [(1, _LMU_STREAM), (2, _PF_CODE)] * 8,
+    ],
+    timing=_SLACK_TIMING,
+    dma=None,
+    priority=False,
+)
+@example(  # core 0 outlives the DMA agent and core 1 (PF0 alone)
+    cores=[[(3, _LMU_STREAM)] * 12, [(0, _PF_CODE)] * 4],
+    timing=_SLACK_TIMING,
+    dma=DmaAgent(9, _LMU_STREAM, count=6, period=3, queue_depth=2),
+    priority=False,
+)
+@example(  # the agent outlives both cores, at period == service (12)
+    cores=[
+        [(0, _LMU_STREAM)] + [(0, _PF_CODE)] * 6,
+        [(1, _LMU_STREAM)] + [(0, _PF_CODE)] * 6,
+    ],
+    timing=_SLACK_TIMING,
+    dma=DmaAgent(
+        9, _LMU_STREAM, count=20, period=12, queue_depth=1, start_time=30
+    ),
+    priority=False,
+)
+@example(  # core 1, above the agent, ends with the agent's queue full:
+    # only a tick that finds the queue drained may close the agent
+    cores=[[], [(0, _LMU_STREAM)] * 10],
+    timing=_SLACK_TIMING,
+    dma=DmaAgent(9, _LMU_STREAM, count=40, period=16, queue_depth=3),
+    priority=True,
+)
+@example(  # period 5 < service 12: the agent alone still backs up
+    cores=[[(0, _LMU_STREAM)] * 2, [(4, _LMU_STREAM)]],
+    timing=_SLACK_TIMING,
+    dma=DmaAgent(
+        9, _LMU_STREAM, count=15, period=5, queue_depth=2, start_time=40
+    ),
+    priority=False,
+)
+@example(  # three cores, two of which finish first
+    cores=[
+        [(0, _LMU_STREAM)] * 2,
+        [(1, _LMU_STREAM)] * 4,
+        [(0, _LMU_STREAM), (3, _PF_CODE)] * 6,
+    ],
+    timing=_SLACK_TIMING,
+    dma=None,
+    priority=False,
 )
 @given(
     cores=st.lists(_STEPS, min_size=2, max_size=3),
