@@ -23,7 +23,6 @@ from typing import Iterator, Sequence
 from repro.errors import SimulationError
 from repro.sim.program import Step, TaskProgram
 from repro.sim.system import SystemSimulator
-from repro.sim.timing import SimTiming
 
 
 def delayed(program: TaskProgram, offset: int) -> TaskProgram:
@@ -100,7 +99,6 @@ def alignment_sweep(
     max_offset: int | None = None,
     step: int = 1,
     keep_contender_busy: bool = True,
-    timing: SimTiming | None = None,
 ) -> AlignmentResult:
     """Exhaustively search contender release offsets for the worst case.
 
@@ -118,9 +116,8 @@ def alignment_sweep(
         keep_contender_busy: loop the contender so it stays active for
             the victim's entire run (otherwise late offsets let the
             victim finish uncontended).
-        timing: simulator timing.
     """
-    sim = SystemSimulator(timing)
+    sim = SystemSimulator()
     isolation = (
         sim.run({1: victim}).readings(1).require_ccnt()
     )

@@ -23,10 +23,9 @@ from repro.core.ilp_ptac import IlpPtacOptions, ilp_ptac_bound
 from repro.counters.readings import TaskReadings
 from repro.errors import SimulationError
 from repro.platform.deployment import DeploymentScenario
-from repro.platform.latency import LatencyProfile, tc27x_latency_profile
+from repro.platform.latency import tc27x_latency_profile
 from repro.sim.program import Step, TaskProgram
 from repro.sim.system import run_isolation
-from repro.sim.timing import SimTiming
 
 
 def throttled(program: TaskProgram, min_gap: int) -> TaskProgram:
@@ -78,8 +77,6 @@ def throttle_sweep(
     scenario: DeploymentScenario,
     *,
     gaps: Sequence[int] = (0, 4, 8, 16, 32, 64),
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
 ) -> list[ThrottlePoint]:
     """The bandwidth-regulation trade-off curve.
@@ -99,12 +96,12 @@ def throttle_sweep(
     the windowed variant divides counters by the run-length ratio, which
     is the per-window bound an enforcement regime guarantees.
     """
-    profile = profile or tc27x_latency_profile()
+    profile = tc27x_latency_profile()
     points = []
     baseline_cycles: int | None = None
     for gap in gaps:
         regulated = throttled(contender, gap)
-        result = run_isolation(regulated, core=2, timing=timing)
+        result = run_isolation(regulated, core=2)
         readings = result.readings
         cycles = readings.require_ccnt()
         if baseline_cycles is None:

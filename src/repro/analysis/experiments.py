@@ -52,9 +52,8 @@ from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.engine.scenario import ScenarioSpec
 from repro.errors import ModelError
 from repro.platform.deployment import DeploymentScenario, named_scenarios
-from repro.platform.latency import LatencyProfile, tc27x_latency_profile
+from repro.platform.latency import tc27x_latency_profile
 from repro.sim.system import run_isolation
-from repro.sim.timing import SimTiming
 from repro.workloads.control_loop import build_control_loop
 from repro.workloads.loads import LOAD_LEVELS, build_load
 
@@ -145,7 +144,6 @@ def _paper_model_row(
     scenario_name: str,
     load: str,
     model: str,
-    profile: LatencyProfile,
     options: IlpPtacOptions | None,
 ) -> Figure4Row:
     """Job: one Figure 4 bar (scenario × model × load, published readings)."""
@@ -156,7 +154,8 @@ def _paper_model_row(
     )
     isolation = paper.ISOLATION_CYCLES[scenario_name]
     bound = contention_bound(
-        model, readings_a, profile, scenario, readings_b, options=options
+        model, readings_a, tc27x_latency_profile(), scenario, readings_b,
+        options=options,
     )
     return Figure4Row(
         scenario=scenario_name,
@@ -171,7 +170,6 @@ def _paper_model_row(
 def figure4_paper_jobs(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
-    profile: LatencyProfile | None = None,
     options: IlpPtacOptions = IlpPtacOptions(),
 ) -> list:
     """The job batch behind paper-counters Figure 4.
@@ -181,7 +179,6 @@ def figure4_paper_jobs(
     a coordinator, and ``repro watch`` renders the identical figure
     from the collected results.
     """
-    profile = profile or tc27x_latency_profile()
     jobs = []
     for scenario_name in SCENARIOS:
         for model in models:
@@ -192,7 +189,6 @@ def figure4_paper_jobs(
                         scenario_name,
                         load,
                         model,
-                        profile,
                         options,
                         label=(
                             f"figure4-paper:{scenario_name}:{model}:{load}"
@@ -205,7 +201,6 @@ def figure4_paper_jobs(
 def figure4_paper_mode(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
-    profile: LatencyProfile | None = None,
     options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
@@ -216,8 +211,7 @@ def figure4_paper_mode(
     accepts any registered counter-based model names.
     """
     return run_jobs(
-        figure4_paper_jobs(models=models, profile=profile, options=options),
-        engine,
+        figure4_paper_jobs(models=models, options=options), engine
     )
 
 
@@ -247,7 +241,6 @@ def simulate_scenario(
     scenario_name: str,
     *,
     scale: float = 1 / 16,
-    timing: SimTiming | None = None,
 ) -> ScenarioSimData:
     """Measure the application and the loads in isolation on the simulator.
 
@@ -261,14 +254,13 @@ def simulate_scenario(
     Args:
         scenario_name: which reference scenario to reproduce.
         scale: workload scale relative to the paper's full-size run.
-        timing: simulator timing.
     """
     scenario = reference_scenario(scenario_name)
     app_program, _ = build_control_loop(scenario, scale=scale)
-    app = run_isolation(app_program, timing=timing)
+    app = run_isolation(app_program)
     loads = {
         load: run_isolation(
-            build_load(scenario_name, load, scale=scale), core=2, timing=timing
+            build_load(scenario_name, load, scale=scale), core=2
         )
         for load in LOAD_LEVELS
     }
@@ -288,14 +280,13 @@ def _sim_model_row(
     load: str,
     model: str,
     data: ScenarioSimData,
-    profile: LatencyProfile,
     options: IlpPtacOptions | None,
 ) -> Figure4Row:
     """Job: one Figure 4 bar (scenario × model × load, measured counters)."""
     readings_b = data.load_readings[load] if load != "-" else None
     bound = contention_bound(
-        model, data.app_readings, profile, data.scenario, readings_b,
-        options=options,
+        model, data.app_readings, tc27x_latency_profile(), data.scenario,
+        readings_b, options=options,
     )
     if load == "-":
         # Contender-blind bars must cover the worst co-run of any load.
@@ -323,7 +314,6 @@ def _sim_model_row(
 def _corun_observations(
     scenario_name: str,
     scale: float,
-    timing: SimTiming | None,
     isolation_cycles: int,
 ) -> dict[str, CorunObservation]:
     """Job: co-run the application against each load level.
@@ -338,17 +328,13 @@ def _corun_observations(
     for load in LOAD_LEVELS:
         load_program = build_load(scenario_name, load, scale=scale)
         coruns[load] = observe_corun(
-            app_program,
-            {2: load_program},
-            isolation_cycles,
-            timing=timing,
+            app_program, {2: load_program}, isolation_cycles
         )
     return coruns
 
 
 def _simulate_datasets(
     scale: float,
-    timing: SimTiming | None,
     engine: ExperimentEngine | None,
     *,
     with_coruns: bool = False,
@@ -361,7 +347,6 @@ def _simulate_datasets(
                 simulate_scenario,
                 scenario_name,
                 scale=scale,
-                timing=timing,
                 label=f"simulate:{scenario_name}:scale={scale:g}",
             )
             for scenario_name in SCENARIOS
@@ -376,7 +361,6 @@ def _simulate_datasets(
                 _corun_observations,
                 scenario_name,
                 scale,
-                timing,
                 data.app_isolation_cycles,
                 label=f"corun:{scenario_name}:scale={scale:g}",
             )
@@ -394,8 +378,6 @@ def figure4_sim_mode(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
     scale: float = 1 / 16,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
@@ -408,8 +390,7 @@ def figure4_sim_mode(
     then one model job per bar (any registered counter-based model via
     ``models=``).
     """
-    profile = profile or tc27x_latency_profile()
-    datasets = _simulate_datasets(scale, timing, engine, with_coruns=True)
+    datasets = _simulate_datasets(scale, engine, with_coruns=True)
     model_jobs = []
     for scenario_name, data in zip(SCENARIOS, datasets):
         for model in models:
@@ -421,7 +402,6 @@ def figure4_sim_mode(
                         load,
                         model,
                         data,
-                        profile,
                         options,
                         label=f"figure4-sim:{scenario_name}:{model}:{load}",
                     )
@@ -450,7 +430,7 @@ def table6_sim_mode(
 ) -> list[Table6Row]:
     """Regenerate Table 6 on the simulator and pair it with the paper's
     readings scaled by the same factor (shape comparison)."""
-    datasets = _simulate_datasets(scale, None, engine)
+    datasets = _simulate_datasets(scale, engine)
     rows: list[Table6Row] = []
     for scenario_name, data in zip(SCENARIOS, datasets):
         rows.append(
@@ -545,8 +525,6 @@ def model_scenario_matrix(
     *,
     models: Sequence[str] | None = None,
     specs: Sequence[ScenarioSpec | str] | None = None,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[ScenarioRunResult]:
@@ -570,18 +548,12 @@ def model_scenario_matrix(
             to all of them).
         specs: scenario specs or registered names (defaults to every
             registered spec).
-        profile: Table 2 constants.
-        timing: simulator timing.
         options: ILP knobs shared by every cell.
         engine: optional execution engine (parallel cells, caching).
     """
     return run_jobs(
         model_scenario_matrix_jobs(
-            models=models,
-            specs=specs,
-            profile=profile,
-            timing=timing,
-            options=options,
+            models=models, specs=specs, options=options
         ),
         engine,
     )
@@ -591,8 +563,6 @@ def model_scenario_matrix_jobs(
     *,
     models: Sequence[str] | None = None,
     specs: Sequence[ScenarioSpec | str] | None = None,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
 ) -> list:
     """The job batch behind :func:`model_scenario_matrix`.
@@ -611,7 +581,7 @@ def model_scenario_matrix_jobs(
         for spec in (specs if specs is not None else registry.specs())
     ]
     return [
-        spec_job(spec, model, profile, timing, options)
+        spec_job(spec, model, options)
         for spec in resolved
         for model in model_names
     ]
@@ -638,7 +608,7 @@ def information_ablation(
     """
     for model in models:
         get_model(model)  # fail fast on unknown names, before any job
-    datasets = _simulate_datasets(scale, None, engine)
+    datasets = _simulate_datasets(scale, engine)
     row_lists = run_jobs(
         [
             job(

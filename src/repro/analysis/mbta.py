@@ -28,7 +28,6 @@ from repro.platform.deployment import DeploymentScenario
 from repro.platform.latency import LatencyProfile
 from repro.sim.program import TaskProgram
 from repro.sim.system import SimResult, SystemSimulator
-from repro.sim.timing import SimTiming
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,7 +52,6 @@ def measure_isolation(
     *,
     runs: int = 1,
     variant: Callable[[int], TaskProgram] | None = None,
-    timing: SimTiming | None = None,
     core: int = 1,
 ) -> IsolationMeasurement:
     """Run the measurement protocol: isolation runs, high-watermark.
@@ -64,12 +62,11 @@ def measure_isolation(
         variant: optional hook mapping the run index to a program variant
             (models input-dependent paths; defaults to replaying the same
             program, which is deterministic on the simulator).
-        timing: simulator timing.
         core: core to pin the task on (the paper uses core 1).
     """
     if runs < 1:
         raise SimulationError("at least one isolation run is required")
-    sim = SystemSimulator(timing)
+    sim = SystemSimulator()
     hwm_readings: TaskReadings | None = None
     cycles: list[int] = []
     for index in range(runs):
@@ -140,7 +137,6 @@ def observe_corun(
     contender_programs: Sequence[TaskProgram] | Mapping[int, TaskProgram],
     isolation_cycles: int,
     *,
-    timing: SimTiming | None = None,
     core: int = 1,
 ) -> CorunObservation:
     """Run the task against contenders and report the observed slowdown.
@@ -150,7 +146,6 @@ def observe_corun(
         contender_programs: contenders, either a sequence (assigned to the
             next core ids) or an explicit core mapping.
         isolation_cycles: the isolation high-watermark to normalise by.
-        timing: simulator timing.
         core: the analysed task's core.
     """
     if isolation_cycles <= 0:
@@ -170,7 +165,7 @@ def observe_corun(
     if len(programs) < 2:
         raise SimulationError("a co-run needs at least one contender")
 
-    result = SystemSimulator(timing).run(programs)
+    result = SystemSimulator().run(programs)
     task = result.core(core)
     observed = task.readings.require_ccnt()
     return CorunObservation(

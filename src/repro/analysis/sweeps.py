@@ -33,19 +33,18 @@ from repro.engine.batch import job
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.errors import ModelError
 from repro.platform.deployment import DeploymentScenario
-from repro.platform.latency import LatencyProfile, tc27x_latency_profile
+from repro.platform.latency import tc27x_latency_profile
 
 
 def _ilp_delta(
     readings_a: TaskReadings,
     readings_b: TaskReadings | None,
-    profile: LatencyProfile,
     scenario: DeploymentScenario,
     options: IlpPtacOptions,
 ) -> int:
     """Job: one ILP-PTAC solve, reduced to its Δ-cycles bound."""
     return ilp_ptac_bound(
-        readings_a, readings_b, profile, scenario, options
+        readings_a, readings_b, tc27x_latency_profile(), scenario, options
     ).bound.delta_cycles
 
 
@@ -73,7 +72,6 @@ def contender_scale_sweep(
     scenario: DeploymentScenario,
     *,
     scales: Sequence[float] = (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0),
-    profile: LatencyProfile | None = None,
     isolation_cycles: int | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
@@ -85,7 +83,6 @@ def contender_scale_sweep(
         reference_contender: the contender whose footprint is scaled.
         scenario: shared deployment scenario.
         scales: footprint multipliers (1.0 = the reference itself).
-        profile: Table 2 constants.
         isolation_cycles: optional isolation time for normalised output.
         options: ILP knobs.
         engine: optional execution engine (parallel solves, caching).
@@ -99,7 +96,6 @@ def contender_scale_sweep(
     for scale in scales:
         if scale <= 0:
             raise ModelError("scales must be positive")
-    profile = profile or tc27x_latency_profile()
     options = options or IlpPtacOptions()
 
     jobs = [
@@ -107,7 +103,6 @@ def contender_scale_sweep(
             _ilp_delta,
             readings_a,
             None,
-            profile,
             scenario,
             dataclasses.replace(options, contender_constraints=False),
             label=f"sweep:{scenario.name}:ceiling",
@@ -124,7 +119,6 @@ def contender_scale_sweep(
                 _ilp_delta,
                 readings_a,
                 contender,
-                profile,
                 scenario,
                 options,
                 label=f"sweep:{scenario.name}:x{scale:g}",
@@ -160,7 +154,6 @@ def deployment_sweep(
     readings_b: TaskReadings,
     scenarios: Mapping[str, DeploymentScenario],
     *,
-    profile: LatencyProfile | None = None,
     isolation_cycles: int | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
@@ -175,7 +168,6 @@ def deployment_sweep(
     """
     if not scenarios:
         raise ModelError("at least one scenario is required")
-    profile = profile or tc27x_latency_profile()
     options = options or IlpPtacOptions()
     names = list(scenarios)
     deltas = run_jobs(
@@ -184,7 +176,6 @@ def deployment_sweep(
                 _ilp_delta,
                 readings_a,
                 readings_b,
-                profile,
                 scenarios[name],
                 options,
                 label=f"deployment:{name}",
@@ -231,7 +222,6 @@ def dirty_latency_sensitivity(
     readings_b: TaskReadings,
     scenario: DeploymentScenario,
     *,
-    profile: LatencyProfile | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> DirtySensitivity:
@@ -243,7 +233,6 @@ def dirty_latency_sensitivity(
     contribution — useful when deciding whether write-through
     configuration (no dirty lines) buys a meaningful bound reduction.
     """
-    profile = profile or tc27x_latency_profile()
     clean_scenario = dataclasses.replace(
         scenario, dirty_targets=frozenset()
     )
@@ -254,7 +243,6 @@ def dirty_latency_sensitivity(
                 _ilp_delta,
                 readings_a,
                 readings_b,
-                profile,
                 scenario,
                 options,
                 label=f"dirty:{scenario.name}:with",
@@ -263,7 +251,6 @@ def dirty_latency_sensitivity(
                 _ilp_delta,
                 readings_a,
                 readings_b,
-                profile,
                 clean_scenario,
                 options,
                 label=f"dirty:{scenario.name}:without",

@@ -28,8 +28,6 @@ from repro.engine.batch import job
 from repro.engine.experiment import run_spec
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.engine.scenario import ScenarioSpec, WorkloadRef
-from repro.platform.latency import LatencyProfile
-from repro.sim.timing import SimTiming
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,8 +93,6 @@ def three_core_experiment(
     load_pairs: Sequence[tuple[str, str]] = (("H", "L"), ("M", "M"), ("H", "H")),
     *,
     scale: float = 1 / 32,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[ThreeCoreRow]:
@@ -107,7 +103,7 @@ def three_core_experiment(
         load_pairs: contender levels for cores 0 and 2.
         scale: workload scale of the application (the Table 6 control
             loop) and both loads.
-        profile, timing, options: the usual knobs, passed to
+        options: ILP knobs passed to
             :func:`~repro.engine.experiment.run_spec`.
         engine: optional execution engine (one ``run_spec`` job per
             pairing, so pairings run in parallel and cache as specs).
@@ -119,8 +115,6 @@ def three_core_experiment(
                 run_spec,
                 _pairing_spec(scenario_name, first, second, scale),
                 model="ilp-ptac",
-                profile=profile,
-                timing=timing,
                 options=options,
                 label=f"three-core:{scenario_name}:{first}+{second}",
             )

@@ -19,9 +19,8 @@ from repro.core.wcet import contention_bound
 from repro.engine.batch import job
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.platform.deployment import DeploymentScenario
-from repro.platform.latency import LatencyProfile, tc27x_latency_profile
+from repro.platform.latency import tc27x_latency_profile
 from repro.sim.program import TaskProgram
-from repro.sim.timing import SimTiming
 from repro.workloads.synthetic import random_task_pair
 
 #: Models every soundness case runs by default (counter-based family).
@@ -70,8 +69,6 @@ def check_soundness(
     scenario: DeploymentScenario,
     *,
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     name: str = "",
 ) -> SoundnessCase:
     """Full pipeline soundness check for one (τa, τb) pair.
@@ -80,9 +77,9 @@ def check_soundness(
     registered model's bound from the measured counters, co-runs the
     pair, and compares predictions against the observation.
     """
-    profile = profile or tc27x_latency_profile()
-    measurement_a = measure_isolation(task, timing=timing)
-    measurement_b = measure_isolation(contender, core=2, timing=timing)
+    profile = tc27x_latency_profile()
+    measurement_a = measure_isolation(task)
+    measurement_b = measure_isolation(contender, core=2)
 
     bounds = {
         model: contention_bound(
@@ -99,9 +96,7 @@ def check_soundness(
         for model, bound in bounds.items()
     }
 
-    observation = observe_corun(
-        task, {2: contender}, measurement_a.hwm_cycles, timing=timing
-    )
+    observation = observe_corun(task, {2: contender}, measurement_a.hwm_cycles)
     violations = tuple(
         model
         for model, predicted in predictions.items()
@@ -146,8 +141,6 @@ def soundness_sweep(
     scenario: DeploymentScenario,
     *,
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     engine: ExperimentEngine | None = None,
 ) -> SoundnessSweep:
     """Run :func:`check_soundness` over many task pairs.
@@ -165,8 +158,6 @@ def soundness_sweep(
                 contender,
                 scenario,
                 models=tuple(models),
-                profile=profile,
-                timing=timing,
                 name=f"{task.name} vs {contender.name}",
                 label=f"soundness:{task.name} vs {contender.name}",
                 cacheable=False,
@@ -183,8 +174,6 @@ def _random_soundness_case(
     seed: int,
     max_requests: int,
     models: tuple[str, ...],
-    profile: LatencyProfile | None,
-    timing: SimTiming | None,
 ) -> SoundnessCase:
     """Job: one seeded pair through the full soundness pipeline."""
     task, contender = random_task_pair(
@@ -195,8 +184,6 @@ def _random_soundness_case(
         contender,
         scenario,
         models=models,
-        profile=profile,
-        timing=timing,
         name=f"{task.name} vs {contender.name}",
     )
 
@@ -207,8 +194,6 @@ def random_soundness_jobs(
     pairs: int,
     max_requests: int = 2_000,
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
 ) -> list:
     """The job batch behind :func:`random_soundness_sweep`.
 
@@ -223,8 +208,6 @@ def random_soundness_jobs(
             seed,
             max_requests,
             tuple(models),
-            profile,
-            timing,
             label=f"soundness:{scenario.name}:seed={seed}",
         )
         for seed in range(pairs)
@@ -237,8 +220,6 @@ def random_soundness_sweep(
     pairs: int,
     max_requests: int = 2_000,
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     engine: ExperimentEngine | None = None,
 ) -> SoundnessSweep:
     """Seeded randomized soundness sweep, fully engine-parallel.
@@ -251,12 +232,7 @@ def random_soundness_sweep(
     """
     cases = run_jobs(
         random_soundness_jobs(
-            scenario,
-            pairs=pairs,
-            max_requests=max_requests,
-            models=models,
-            profile=profile,
-            timing=timing,
+            scenario, pairs=pairs, max_requests=max_requests, models=models
         ),
         engine,
     )

@@ -1,7 +1,7 @@
 """Content-addressed result cache for the experiment engine.
 
 Every engine job is a pure function of picklable inputs (a scenario spec,
-counter readings, a timing configuration, model options), so its result
+counter readings, model names, ILP options), so its result
 can be cached under a *stable content hash* of those inputs.  Repeated
 sweeps and figure regenerations then skip re-simulation entirely: the
 second identical run performs zero simulator or solver work (asserted by

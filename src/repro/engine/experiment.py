@@ -33,7 +33,6 @@ from repro.engine.scenario import ScenarioSpec
 from repro.errors import ModelError
 from repro.platform.latency import LatencyProfile, tc27x_latency_profile
 from repro.sim.system import SystemSimulator
-from repro.sim.timing import SimTiming
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,8 +138,6 @@ def run_spec(
     *,
     model: str = "ilp-ptac",
     dma_model: str = "dma-occupancy",
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
 ) -> ScenarioRunResult:
     """Execute one spec end to end (measure → bound → co-run → check).
@@ -159,8 +156,6 @@ def run_spec(
         dma_model: registered model bounding the declared DMA masters'
             interference from their transfer descriptors (must declare
             ``needs_dma_agents``); ignored for specs without DMA.
-        profile: Table 2 constants.
-        timing: simulator timing.
         options: ILP knobs shared by the joint and pairwise solves.
     """
     if isinstance(spec, str):
@@ -182,10 +177,9 @@ def run_spec(
             "must consume transfer descriptors "
             f"({', '.join(descriptor_models)})"
         )
-    profile = profile or tc27x_latency_profile()
+    profile = tc27x_latency_profile()
     deployment = spec.deployment()
     simulator = SystemSimulator(
-        timing,
         arbitration=spec.arbitration,
         priorities=spec.priority_map(),
     )
@@ -260,8 +254,6 @@ def run_specs(
     engine: ExperimentEngine | None = None,
     model: str = "ilp-ptac",
     dma_model: str = "dma-occupancy",
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
 ) -> list[ScenarioRunResult]:
     """Run many specs as one engine batch (parallel-safe, cacheable).
@@ -282,7 +274,7 @@ def run_specs(
     ]
     return run_jobs(
         [
-            spec_job(spec, model, profile, timing, options, dma_model=dma_model)
+            spec_job(spec, model, options, dma_model=dma_model)
             for spec in resolved
         ],
         engine,
@@ -292,8 +284,6 @@ def run_specs(
 def spec_job(
     spec: ScenarioSpec,
     model: str,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
     *,
     dma_model: str = "dma-occupancy",
@@ -310,8 +300,6 @@ def spec_job(
         spec,
         model=model,
         dma_model=dma_model,
-        profile=profile,
-        timing=timing,
         options=options,
         label=f"run-spec:{spec.name}:{model}",
     )

@@ -70,10 +70,8 @@ from repro.platform.cacheability import (
     dirty_eviction_targets,
     placement_matrix,
 )
-from repro.platform.latency import LatencyProfile
 from repro.platform.targets import Operation, Target
 from repro.registry import Registry
-from repro.sim.timing import SimTiming
 
 #: Workload scale of the builtin families (keeps full expansions fast).
 _FAMILY_SCALE = 1 / 256
@@ -530,8 +528,6 @@ def family_jobs(
     dma_model: str | None = None,
     matrix: bool = False,
     members: Sequence[str] | None = None,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
 ) -> list:
     """The one family batch: behind :func:`run_family`,
@@ -560,7 +556,7 @@ def family_jobs(
     counter, dma_models = _resolve_models(family, models, dma_model, matrix)
     selected = _member_subset(expand_family(family), members)
     return [
-        spec_job(member.spec, model, profile, timing, options, dma_model=dma)
+        spec_job(member.spec, model, options, dma_model=dma)
         for dma in dma_models
         for member in selected
         for model in counter
@@ -584,8 +580,6 @@ def run_family(
     model: str | None = None,
     dma_model: str | None = None,
     members: Sequence[str] | None = None,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[FamilyRunResult]:
@@ -602,8 +596,6 @@ def run_family(
         models=(model,) if model else None,
         dma_model=dma_model,
         members=members,
-        profile=profile,
-        timing=timing,
         options=options,
     )
     return family_results(family, run_jobs(jobs, engine))
@@ -615,8 +607,6 @@ def family_matrix(
     models: Sequence[str] | None = None,
     dma_model: str | None = None,
     members: Sequence[str] | None = None,
-    profile: LatencyProfile | None = None,
-    timing: SimTiming | None = None,
     options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[FamilyRunResult]:
@@ -636,8 +626,6 @@ def family_matrix(
         dma_model=dma_model,
         matrix=True,
         members=members,
-        profile=profile,
-        timing=timing,
         options=options,
     )
     return family_results(family, run_jobs(jobs, engine))

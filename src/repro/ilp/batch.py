@@ -171,7 +171,6 @@ class BatchSolver:
         model: IlpModel,
         *,
         node_limit: int = 100_000,
-        verify: bool = True,
     ) -> Solution:
         """Solve ``model`` with warm-start state for its structure.
 
@@ -204,7 +203,7 @@ class BatchSolver:
         self.stats.simplex_iterations += solution.stats.simplex_iterations
         self.stats.nodes += solution.stats.nodes
 
-        if verify and solution.status is SolveStatus.OPTIMAL:
+        if solution.status is SolveStatus.OPTIMAL:
             violations = model.check(dict(solution.values))
             if violations:
                 raise IlpError(

@@ -354,7 +354,6 @@ class IlpModel:
         backend: str = "bnb",
         *,
         node_limit: int = 100_000,
-        verify: bool = True,
     ) -> Solution:
         """Solve the model.
 
@@ -363,8 +362,6 @@ class IlpModel:
                 ``"scipy"`` (``scipy.optimize.milp``) or ``"lp"`` (the LP
                 relaxation only — used to quantify the integrality gap).
             node_limit: branch-and-bound node budget.
-            verify: re-check the returned point against every constraint
-                (cheap, and turns solver bugs into loud errors).
 
         Returns:
             A :class:`~repro.ilp.solution.Solution` in maximisation
@@ -385,7 +382,9 @@ class IlpModel:
         else:
             solution = self._solve_relaxation()
 
-        if verify and solution.status is SolveStatus.OPTIMAL and backend != "lp":
+        # Re-check the returned point against every constraint (cheap,
+        # and it turns solver bugs into loud errors).
+        if solution.status is SolveStatus.OPTIMAL and backend != "lp":
             violations = self.check(dict(solution.values))
             if violations:
                 raise IlpError(

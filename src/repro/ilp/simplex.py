@@ -56,8 +56,10 @@ from repro.errors import IlpNumericalError
 #: Feasibility / optimality tolerance of the pivoting rules.
 TOLERANCE = 1e-9
 
-#: Hard cap on simplex pivots; Bland's rule guarantees finite termination,
-#: this guards against numerical stalls on pathological input.
+#: Hard cap on the simplex pivots of one solve (both phases, or a warm
+#: re-solve's dual and primal pivots together); Bland's rule guarantees
+#: finite termination, this guards against numerical stalls on
+#: pathological input.
 MAX_ITERATIONS = 20_000
 
 
@@ -411,7 +413,6 @@ def _recover(
     tableau: np.ndarray,
     basis: np.ndarray,
     c: np.ndarray,
-    max_iterations: int,
     keep_tableau: bool,
 ) -> LpResult | None:
     """Re-optimise an already-reduced ``[x | slacks | rhs]`` tableau.
@@ -438,9 +439,7 @@ def _recover(
     iterations = 0
     try:
         if (tableau[:, -1] < -TOLERANCE).any():
-            status, its = _dual_iterate(
-                tableau, basis, cost, max_iterations
-            )
+            status, its = _dual_iterate(tableau, basis, cost, MAX_ITERATIONS)
             iterations += its
             if status is LpStatus.INFEASIBLE:
                 return LpResult(
@@ -451,7 +450,7 @@ def _recover(
                     basis=basis.copy(),
                 )
         status, its, reduced_row = _iterate(
-            tableau, basis, cost, max_iterations - iterations
+            tableau, basis, cost, MAX_ITERATIONS - iterations
         )
         iterations += its
         if status is LpStatus.UNBOUNDED:
@@ -467,7 +466,7 @@ def _recover(
             basis,
             cost,
             n,
-            max_iterations - iterations,
+            MAX_ITERATIONS - iterations,
             reduced0=reduced_row,
         )
     except IlpNumericalError:
@@ -492,7 +491,6 @@ def warm_solve_insert_row(
     sigma: float,
     rhs: float,
     *,
-    max_iterations: int = MAX_ITERATIONS,
     keep_tableau: bool = False,
 ) -> LpResult | None:
     """Solve an instance that adds one bound row to a solved parent.
@@ -576,7 +574,7 @@ def warm_solve_insert_row(
     extended[row_position + 1 :, column_at + 1 :] = tableau[
         row_position:, column_at:
     ]
-    return _recover(extended, new_basis, c, max_iterations, keep_tableau)
+    return _recover(extended, new_basis, c, keep_tableau)
 
 
 def warm_solve_shift_rhs(
@@ -586,7 +584,6 @@ def warm_solve_shift_rhs(
     row_position: int,
     delta: float,
     *,
-    max_iterations: int = MAX_ITERATIONS,
     keep_tableau: bool = False,
 ) -> LpResult | None:
     """Solve an instance that tightens one bound row of a solved parent.
@@ -602,7 +599,7 @@ def warm_solve_shift_rhs(
     n = c.shape[0]
     extended = tableau.copy()
     extended[:, -1] += delta * extended[:, n + row_position]
-    return _recover(extended, basis.copy(), c, max_iterations, keep_tableau)
+    return _recover(extended, basis.copy(), c, keep_tableau)
 
 
 def warm_solve_rhs(
@@ -611,7 +608,6 @@ def warm_solve_rhs(
     c: np.ndarray,
     rhs: np.ndarray,
     *,
-    max_iterations: int = MAX_ITERATIONS,
     keep_tableau: bool = False,
 ) -> LpResult | None:
     """Solve an instance whose reduced right-hand column is now ``rhs``.
@@ -626,7 +622,7 @@ def warm_solve_rhs(
     """
     extended = tableau.copy()
     extended[:, -1] = rhs
-    return _recover(extended, basis.copy(), c, max_iterations, keep_tableau)
+    return _recover(extended, basis.copy(), c, keep_tableau)
 
 
 def solve_lp(
@@ -636,7 +632,6 @@ def solve_lp(
     a_eq: np.ndarray,
     b_eq: np.ndarray,
     *,
-    max_iterations: int = MAX_ITERATIONS,
     keep_tableau: bool = False,
 ) -> LpResult:
     """Minimise ``c @ x`` subject to ``a_ub x <= b_ub``, ``a_eq x == b_eq``,
@@ -648,7 +643,6 @@ def solve_lp(
         b_ub: inequality right-hand sides, shape ``(m_ub,)``.
         a_eq: equality matrix, shape ``(m_eq, n)`` (may be empty).
         b_eq: equality right-hand sides, shape ``(m_eq,)``.
-        max_iterations: pivot budget shared by both phases.
         keep_tableau: attach the final reduced tableau (artificial
             columns trimmed) to an optimal result, for
             :func:`warm_solve_insert_row` /
@@ -731,7 +725,7 @@ def solve_lp(
     if n_art:
         phase1_cost = np.zeros(total_cols + 1)
         phase1_cost[n + n_slack : n + n_slack + n_art] = 1.0
-        status, its, _ = _iterate(tableau, basis, phase1_cost, max_iterations)
+        status, its, _ = _iterate(tableau, basis, phase1_cost, MAX_ITERATIONS)
         iterations += its
         if status is not LpStatus.OPTIMAL:  # pragma: no cover - defensive
             raise IlpNumericalError("phase 1 cannot be unbounded")
@@ -768,7 +762,7 @@ def solve_lp(
         big = 1.0 + np.abs(c).sum() * 1e6
         phase2_cost[n + n_slack :] = big
     status, its, reduced_row = _iterate(
-        tableau, basis, phase2_cost, max_iterations - iterations
+        tableau, basis, phase2_cost, MAX_ITERATIONS - iterations
     )
     iterations += its
     if status is LpStatus.UNBOUNDED:
@@ -787,7 +781,7 @@ def solve_lp(
         basis,
         phase2_cost,
         n,
-        max_iterations - iterations,
+        MAX_ITERATIONS - iterations,
         reduced0=reduced_row,
     )
     # Clamp tiny negatives introduced by roundoff (inside _extract).

@@ -1010,18 +1010,13 @@ def run_isolation(
     program: TaskProgram,
     *,
     core: int = 1,
-    timing: SimTiming | None = None,
 ) -> CoreResult:
     """Run one task alone (the paper's measurement protocol, step 1)."""
-    return SystemSimulator(timing).run({core: program}).core(core)
+    return SystemSimulator().run({core: program}).core(core)
 
 
-def run_corun(
-    programs: Mapping[int, TaskProgram],
-    *,
-    timing: SimTiming | None = None,
-) -> SimResult:
+def run_corun(programs: Mapping[int, TaskProgram]) -> SimResult:
     """Co-run tasks on different cores, contending on the SRI."""
     if len(programs) < 2:
         raise SimulationError("a co-run needs at least two programs")
-    return SystemSimulator(timing).run(programs)
+    return SystemSimulator().run(programs)

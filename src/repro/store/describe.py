@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from typing import Any
 
-#: The only platform target today; the platform registry planned in the
-#: ROADMAP will thread real names through here.
+#: The one platform every experiment runs (the TC27x of the paper's Table 2);
+#: stored per cell so a run records the platform its numbers belong to.
 DEFAULT_PLATFORM = "tc27x"
 
 #: Identity + value keys of one described cell.  ``cell`` is the

@@ -34,7 +34,6 @@ from repro.platform.deployment import DeploymentScenario
 from repro.platform.targets import Operation, Target
 from repro.sim.program import TaskProgram
 from repro.sim.requests import MissKind
-from repro.sim.timing import SimTiming
 from repro.workloads.footprint import isolation_cycles
 from repro.workloads.spec import RequestBlock, WorkloadSpec, spread_counts
 
@@ -202,8 +201,6 @@ def build_control_loop(
     *,
     scale: float = 1.0,
     name: str = "app",
-    chunks: int = DEFAULT_CHUNKS,
-    timing: SimTiming | None = None,
 ) -> tuple[TaskProgram, ControlLoopLayout]:
     """Build the control-loop application for a reference scenario.
 
@@ -213,8 +210,6 @@ def build_control_loop(
         scale: footprint scale relative to the paper's full-size run
             (1.0 reproduces Table 6; benchmarks default to 1/16).
         name: task name carried into readings.
-        chunks: how many loop iterations the populations interleave over.
-        timing: simulator timing used for the CCNT padding computation.
 
     Returns:
         The replayable program and the resolved layout (for reports).
@@ -259,14 +254,14 @@ def build_control_loop(
         pf_const_misses=pf_const,
         epilogue_gap=0,
     )
-    chunks = max(1, min(chunks, max(1, target.pm)))
+    chunks = max(1, min(DEFAULT_CHUNKS, max(1, target.pm)))
     spec = WorkloadSpec(
         name=name, blocks=tuple(_chunked_blocks(layout, chunks))
     )
 
     # Pad with trailing computation to the derived isolation time.
     iso_target = int(math.ceil(paper.ISOLATION_CYCLES[scenario.name] * scale))
-    body_cycles = isolation_cycles(spec.program(), timing)
+    body_cycles = isolation_cycles(spec.program())
     epilogue = max(0, iso_target - body_cycles)
     layout = dataclasses.replace(layout, epilogue_gap=epilogue)
     spec = dataclasses.replace(spec, epilogue_gap=epilogue)

@@ -47,7 +47,6 @@ def build_load(
     level: str,
     *,
     scale: float = 1.0,
-    chunks: int = LOAD_CHUNKS,
 ) -> TaskProgram:
     """Build a load-generator program matching a (scaled) footprint.
 
@@ -81,7 +80,7 @@ def build_load(
         raise WorkloadError(f"unknown scenario {scenario_name!r}")
     lmu_reads, lmu_writes = split_data_rw(data_budget)
 
-    chunks = max(1, min(chunks, max(1, target.pm)))
+    chunks = max(1, min(LOAD_CHUNKS, max(1, target.pm)))
     code_rand_shares = spread_counts(code_random, [1.0] * chunks)
     code_seq_shares = spread_counts(code_sequential, [1.0] * chunks)
     read_shares = spread_counts(lmu_reads, [1.0] * chunks)

@@ -9,7 +9,6 @@ from repro.engine.cache import ResultCache
 from repro.engine.runner import ExperimentEngine, run_jobs
 from repro.errors import EngineError
 from repro.platform.deployment import scenario_1
-from repro.platform.latency import tc27x_latency_profile
 
 # A cheap, picklable, module-level job function.
 from repro.analysis.sweeps import _ilp_delta
@@ -18,7 +17,6 @@ from repro.analysis.sweeps import _ilp_delta
 def _solve_jobs(scales):
     readings_a = paper.table6("scenario1", "app")
     contender = paper.table6("scenario1", "H-Load")
-    profile = tc27x_latency_profile()
     scenario = scenario_1()
     options = IlpPtacOptions()
     return [
@@ -26,7 +24,6 @@ def _solve_jobs(scales):
             _ilp_delta,
             readings_a,
             contender.scaled(scale),
-            profile,
             scenario,
             options,
             label=f"x{scale:g}",
@@ -185,7 +182,6 @@ class TestPooledSolves:
     def test_pooled_solves_match_serial(self):
         """Same-structure solves spread over two pool processes, each
         with its own warm pool, agree with one serial warm chain."""
-        profile = tc27x_latency_profile()
         scenario = scenario_1()
         scales = (0.5, 1.0, 2.0)
 
@@ -195,7 +191,6 @@ class TestPooledSolves:
                     _ilp_delta,
                     paper.table6("scenario1", "app"),
                     paper.table6("scenario1", "H-Load").scaled(scale),
-                    profile,
                     scenario,
                     IlpPtacOptions(),
                 )
