@@ -16,18 +16,23 @@ integration".  This module packages that use case:
 * :func:`dirty_latency_sensitivity` — how much of a Scenario 2 bound is
   attributable to the LMU's bracketed 21-cycle dirty-miss latency.
 
-Every sweep point is an independent ILP solve, so each sweep is one
-engine batch: pass ``engine=`` to fan the solves out over cores and to
-cache them content-addressed (a repeated sweep, or one sharing points
-with an earlier sweep, skips the solver entirely).
+Every sweep point is an independent ILP solve run as an engine job:
+pass ``engine=`` to fan the solves out over cores and to cache them
+content-addressed (a repeated sweep, or one sharing points with an
+earlier sweep, skips the solver entirely).  The deployment and dirty
+sweeps are one batch each.  A contender-scale sweep is two batches on
+the same engine: its ceiling first, then one batch of points, each of
+which gets the solved ceiling as the upper bound at which its
+branch-and-bound may stop.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Mapping, Sequence
 
-from repro.core.ilp_ptac import IlpPtacOptions, ilp_ptac_bound
+from repro.core.ilp_ptac import IlpPtacOptions, _single_contender_builder
 from repro.counters.readings import TaskReadings
 from repro.engine.batch import job
 from repro.engine.runner import ExperimentEngine, run_jobs
@@ -41,11 +46,23 @@ def _ilp_delta(
     readings_b: TaskReadings | None,
     scenario: DeploymentScenario,
     options: IlpPtacOptions,
+    ceiling: int | None = None,
 ) -> int:
-    """Job: one ILP-PTAC solve, reduced to its Δ-cycles bound."""
-    return ilp_ptac_bound(
+    """Job: one ILP-PTAC solve, reduced to its Δ-cycles bound.
+
+    ``ceiling``, when given, is a bound the solve cannot exceed (the
+    time-composable bound of the same τa and options), so
+    branch-and-bound stops as soon as its incumbent reaches it; the
+    result is the one the full search returns.
+    """
+    builder = _single_contender_builder(
         readings_a, readings_b, tc27x_latency_profile(), scenario, options
-    ).bound.delta_cycles
+    )
+    readout = builder.solve(
+        "ilp-ptac" if builder.contenders else "ilp-ptac-tc",
+        upper_bound=ceiling,
+    )
+    return readout.bound.delta_cycles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +95,13 @@ def contender_scale_sweep(
 ) -> list[SweepPoint]:
     """ILP-PTAC bound as a function of contender load.
 
+    The sweep runs its ceiling (the time-composable bound) first, as a
+    one-job batch, then one batch of points on the same engine.  The
+    one-contender ILP is the time-composable one plus the contender's
+    columns and rows, so no point exceeds the ceiling: each point job
+    gets it as the upper bound at which branch-and-bound stops, and a
+    saturated point closes as soon as its incumbent reaches it.
+
     Args:
         readings_a: the analysed task's isolation readings.
         reference_contender: the contender whose footprint is scaled.
@@ -94,20 +118,26 @@ def contender_scale_sweep(
     if not scales:
         raise ModelError("at least one scale is required")
     for scale in scales:
-        if scale <= 0:
-            raise ModelError("scales must be positive")
+        if not math.isfinite(scale) or scale <= 0:
+            raise ModelError(
+                f"scales must be positive and finite, got {scale!r}"
+            )
     options = options or IlpPtacOptions()
 
-    jobs = [
-        job(
-            _ilp_delta,
-            readings_a,
-            None,
-            scenario,
-            dataclasses.replace(options, contender_constraints=False),
-            label=f"sweep:{scenario.name}:ceiling",
-        )
-    ]
+    (ceiling,) = run_jobs(
+        [
+            job(
+                _ilp_delta,
+                readings_a,
+                None,
+                scenario,
+                dataclasses.replace(options, contender_constraints=False),
+                label=f"sweep:{scenario.name}:ceiling",
+            )
+        ],
+        engine,
+    )
+    jobs = []
     for scale in scales:
         contender = (
             reference_contender
@@ -121,11 +151,11 @@ def contender_scale_sweep(
                 contender,
                 scenario,
                 options,
+                ceiling,
                 label=f"sweep:{scenario.name}:x{scale:g}",
             )
         )
-    results = run_jobs(jobs, engine)
-    ceiling, deltas = results[0], results[1:]
+    deltas = run_jobs(jobs, engine)
 
     return [
         SweepPoint(

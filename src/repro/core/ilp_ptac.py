@@ -521,14 +521,18 @@ class _IlpPtacBuilder:
             pair: solution.int_value(var) for pair, var in variables.items()
         }
 
-    def solve(self, model_name: str) -> _Readout:
+    def solve(
+        self, model_name: str, *, upper_bound: float | None = None
+    ) -> _Readout:
         """Build, solve and read the bound back, named ``model_name``.
 
         Cycles are attributed per pair and ``n_ba`` family, so the bound
-        is the sum of what the rounded counts carry.
+        is the sum of what the rounded counts carry.  ``upper_bound`` is
+        a known upper bound on the optimum, passed to the solver (see
+        :func:`solve_contention_ilp`).
         """
         solution = solve_contention_ilp(
-            self.build(), self.options
+            self.build(), self.options, upper_bound=upper_bound
         ).require_optimal()
         interference = tuple(
             self.counts(solution, n_ba) for n_ba in self.template.n_ba
@@ -559,7 +563,12 @@ class _IlpPtacBuilder:
         return _Readout(bound, interference, per_family, solution)
 
 
-def solve_contention_ilp(model: IlpModel, options: IlpPtacOptions) -> Solution:
+def solve_contention_ilp(
+    model: IlpModel,
+    options: IlpPtacOptions,
+    *,
+    upper_bound: float | None = None,
+) -> Solution:
     """Solve a contention ILP honouring the options' solver knobs.
 
     The shared dispatch of every ILP-backed model (the one ILP-PTAC
@@ -571,12 +580,17 @@ def solve_contention_ilp(model: IlpModel, options: IlpPtacOptions) -> Solution:
     from each other's root tableaus, with results
     bit-identical to a cold :meth:`~repro.ilp.model.IlpModel.solve`.
     The ``scipy`` and ``lp`` backends go to ``IlpModel.solve`` unchanged.
+
+    ``upper_bound``, when given, must bound the optimum from above (a
+    contender-scale sweep passes its time-composable ceiling, which no
+    one-contender instance exceeds).  Only ``bnb`` uses it, to stop
+    branching once its incumbent reaches it; the solution is the same.
     """
     if options.backend == "bnb":
         from repro.ilp.batch import default_batch_solver
 
         return default_batch_solver().solve(
-            model, node_limit=options.node_limit
+            model, node_limit=options.node_limit, upper_bound=upper_bound
         )
     return model.solve(
         backend=options.backend, node_limit=options.node_limit

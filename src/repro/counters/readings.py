@@ -128,8 +128,10 @@ class TaskReadings:
         row of Table 6 and to shrink workloads for fast simulation.  Counts
         are rounded *up* so scaled readings never under-approximate.
         """
-        if factor <= 0:
-            raise CounterError("scale factor must be positive")
+        if not math.isfinite(factor) or factor <= 0:
+            raise CounterError(
+                f"scale factor must be positive and finite, got {factor!r}"
+            )
 
         def scale(value: int) -> int:
             return int(math.ceil(value * factor))

@@ -171,6 +171,7 @@ class BatchSolver:
         model: IlpModel,
         *,
         node_limit: int = 100_000,
+        upper_bound: float | None = None,
     ) -> Solution:
         """Solve ``model`` with warm-start state for its structure.
 
@@ -178,13 +179,22 @@ class BatchSolver:
         feasibility re-check of the returned point — while reusing the
         pooled root state of the model's structure signature and
         banking the refreshed state for the next same-structure solve.
+
+        ``upper_bound``, when given, is a proven upper bound on the
+        model's optimum (a contender-scale sweep passes its
+        time-composable ceiling): branch-and-bound stops once its
+        incumbent reaches it.  The solution is unchanged, only its
+        stats shrink (see
+        :func:`~repro.ilp.branch_and_bound.solve_bnb_warm`).
         """
         form = model.standard_form()
         signature = structure_signature(form)
         warm = self._pool.get(signature)
         if warm is None:
             self.stats.structures += 1
-        solution, state = solve_bnb_warm(form, warm, node_limit=node_limit)
+        solution, state = solve_bnb_warm(
+            form, warm, node_limit=node_limit, upper_bound=upper_bound
+        )
         if warm is not None and state.basis is None:
             # An infeasible/degenerate point may produce no fresh state;
             # keep the previous basis for the next point.  The root

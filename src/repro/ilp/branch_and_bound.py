@@ -28,6 +28,7 @@ import math
 
 import numpy as np
 
+from repro.errors import IlpError
 from repro.ilp.model import StandardForm
 from repro.ilp.simplex import (
     LpStatus,
@@ -306,6 +307,7 @@ def solve_bnb_warm(
     warm: BnbWarmStart | None = None,
     *,
     node_limit: int = 100_000,
+    upper_bound: float | None = None,
 ) -> tuple[Solution, BnbWarmStart]:
     """Warm-started :func:`solve_bnb`, for batched same-structure solves.
 
@@ -321,11 +323,44 @@ def solve_bnb_warm(
       kept no tableau solves cold) — typically a single dual pivot
       instead of a full solve.
 
+    ``upper_bound``, when given, is a proven upper bound on the optimum
+    objective (constant included), such as the optimum of a relaxation
+    of the instance.  The search stops as soon as its incumbent reaches
+    it, even with open nodes or an exhausted node budget, and reports
+    ``OPTIMAL``.  The solution is unchanged: the incumbent is replaced
+    only by strictly better points, so one that reaches a bound on the
+    optimum is the one the full search returns; only the stats shrink.
+    An incumbent more than :data:`INTEGRALITY_TOLERANCE` above the bound
+    proves the bound wrong and raises :class:`~repro.errors.IlpError`.
+
     The returned bound and solution are identical to a cold
     :func:`solve_bnb`.  Returns the solution together with the state to
     feed into the next same-structure solve.
     """
-    return _solve(form, node_limit, warm=warm, reuse_bases=True)
+    return _solve(
+        form, node_limit, warm=warm, reuse_bases=True, upper_bound=upper_bound
+    )
+
+
+def _reaches(
+    form: StandardForm, value: float, upper_bound: float | None
+) -> bool:
+    """Whether a new incumbent of (constant-free) objective ``value``
+    reaches the caller's ``upper_bound`` on the optimum.
+
+    Raises:
+        IlpError: the incumbent exceeds the bound, which therefore is
+            not a bound on the optimum.
+    """
+    if upper_bound is None:
+        return False
+    objective = value + form.objective_constant
+    if objective > upper_bound + INTEGRALITY_TOLERANCE:
+        raise IlpError(
+            f"incumbent objective {objective} exceeds the upper bound "
+            f"{upper_bound} given for the optimum"
+        )
+    return objective >= upper_bound
 
 
 def _solve(
@@ -333,6 +368,7 @@ def _solve(
     node_limit: int,
     warm: BnbWarmStart | None,
     reuse_bases: bool,
+    upper_bound: float | None = None,
 ) -> tuple[Solution, BnbWarmStart]:
     n = form.n_variables
     c_min = -form.c  # the simplex minimises
@@ -452,6 +488,9 @@ def _solve(
             if value > incumbent_value:
                 incumbent_value = value
                 incumbent_x = rounded
+                if _reaches(form, value, upper_bound):
+                    heap.clear()  # proven optimal: every open node is dead
+                    break
             if bound <= incumbent_value + INTEGRALITY_TOLERANCE:
                 continue
 
@@ -464,6 +503,9 @@ def _solve(
                 incumbent_x = result.x.copy()
                 mask = form.integer_mask
                 incumbent_x[mask] = np.round(incumbent_x[mask])
+                if _reaches(form, value, upper_bound):
+                    heap.clear()
+                    break
             continue
 
         value = result.x[branch_j]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from readings_strategy import task_readings
 from repro import paper
 from repro.core import ilp_ptac
 from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac, ilp_ptac_bound
@@ -160,23 +161,6 @@ class TestLpBackend:
         assert relaxed.joint_delta >= exact.joint_delta
 
 
-@st.composite
-def _readings(draw, name):
-    """Counter readings a measurement could produce: every code miss
-    costs at least 6 stall cycles, every data miss at least 11."""
-    ps = draw(st.integers(0, 60_000))
-    ds = draw(st.integers(0, 60_000))
-    clean = draw(st.integers(0, ds // 11))
-    return TaskReadings(
-        name,
-        pmem_stall=ps,
-        dmem_stall=ds,
-        pcache_miss=draw(st.integers(0, ps // 6)),
-        dcache_miss_clean=clean,
-        dcache_miss_dirty=draw(st.integers(0, ds // 11 - clean)),
-    )
-
-
 def _solved_models(bound):
     """The ILPs ``bound()`` solves (every backend's solve goes through
     ``solve_contention_ilp``), and its outcome: the result, or the
@@ -184,10 +168,10 @@ def _solved_models(bound):
     models = []
     solve = ilp_ptac.solve_contention_ilp
 
-    def recording(model, options):
+    def recording(model, options, *, upper_bound=None):
         if model not in models:
             models.append(model)
-        return solve(model, options)
+        return solve(model, options, upper_bound=upper_bound)
 
     with mock.patch.object(ilp_ptac, "solve_contention_ilp", recording):
         try:
@@ -207,8 +191,8 @@ def _solved_models(bound):
     stall_budget=st.sampled_from(("minimum", "exact")),
     exact_codes=st.booleans(),
     backend=st.sampled_from(("bnb", "lp")),
-    app=_readings("app"),
-    contender=_readings("rival"),
+    app=task_readings("app"),
+    contender=task_readings("rival"),
 )
 def test_one_contender_builds_the_single_contender_ilp(
     scenario_name, stall_budget, exact_codes, backend, app, contender

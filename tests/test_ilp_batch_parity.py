@@ -54,12 +54,13 @@ SCALES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 class _ColdSolver:
     """Stands in for the per-thread batch solver: every solve is a
-    cold :meth:`IlpModel.solve`."""
+    cold :meth:`IlpModel.solve`, a full search that ignores any
+    ``upper_bound`` (a sweep's ceiling)."""
 
     def __init__(self):
         self.solves = 0
 
-    def solve(self, model, *, node_limit=100_000):
+    def solve(self, model, *, node_limit=100_000, upper_bound=None):
         self.solves += 1
         return model.solve(node_limit=node_limit)
 

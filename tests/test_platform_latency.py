@@ -60,6 +60,22 @@ class TestTable2Values:
             profile.stall_cycles(Target.DFL, Operation.CODE)
 
 
+class TestOneProfilePerProcess:
+    def test_every_call_returns_the_table2_profile(self):
+        first = tc27x_latency_profile()
+        assert tc27x_latency_profile() is first
+        columns = ("l_max", "l_max_dirty", "l_min", "cs_code", "cs_data")
+        table2 = {
+            "lmu": (11, 21, 11, 11, 10),
+            "pf0": (16, None, 12, 6, 11),
+            "pf1": (16, None, 12, 6, 11),
+            "dfl": (43, None, 43, None, 42),
+        }
+        assert first.as_table() == {
+            target: dict(zip(columns, row)) for target, row in table2.items()
+        }
+
+
 class TestDerivedQuantities:
     """Eqs. 2-3 and 6-7 over the architectural target sets."""
 

@@ -7,11 +7,13 @@ practice: empty or invalid scale sequences, missing/zero isolation times
 the saturation ceiling.
 """
 
+import math
+
 import pytest
 
 from repro import paper
 from repro.analysis.sweeps import contender_scale_sweep, deployment_sweep
-from repro.errors import ModelError
+from repro.errors import CounterError, ModelError
 from repro.platform.deployment import scenario_1
 
 
@@ -39,6 +41,16 @@ class TestScalesValidation:
     def test_non_positive_scales_rejected(self, app, contender, sc1, bad):
         with pytest.raises(ModelError, match="positive"):
             contender_scale_sweep(app, contender, sc1, scales=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scales_rejected(self, app, contender, sc1, bad):
+        with pytest.raises(ModelError, match="finite"):
+            contender_scale_sweep(app, contender, sc1, scales=(1.0, bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reading_scale_rejected(self, contender, bad):
+        with pytest.raises(CounterError, match="finite"):
+            contender.scaled(bad)
 
     def test_invalid_scale_rejected_before_any_solve(
         self, app, contender, sc1
