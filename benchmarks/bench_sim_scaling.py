@@ -23,21 +23,31 @@ remove most of the tick and arbitration events.  The lone-survivor
 record does it for a member whose period-24 agent outlives the app by
 361,856 cycles, and asserts the pushes per kind: the agent finishes in
 closed form at the first tick that finds it alone.
+
+The compile record compiles both reference scenarios' application and
+H/M/L loads at scale 1/16, the best of :data:`COMPILE_REPEATS` compiles
+of a fresh program each, and asserts that every compile, and the
+builder's own program, equals the step-walk compile of the spec's
+per-request oracle steps (``tests/oracles/spec_steps.py``).
 """
 
+import dataclasses
 import pickle
 import time
 
+import numpy as np
 import pytest
 
 import repro.sim.system as system
 from oracles.sim_reference import ReferenceSimulator
+from oracles.spec_steps import oracle_spec_steps
 from repro.analysis.report import render_table
 from repro.engine.families import expand_family
-from repro.platform.deployment import scenario_1
+from repro.platform.deployment import scenario_1, scenario_2
+from repro.sim.program import compile_program, program_from_steps
 from repro.sim.system import SystemSimulator
-from repro.workloads.control_loop import build_control_loop
-from repro.workloads.loads import build_load
+from repro.workloads.control_loop import _control_loop_spec, build_control_loop
+from repro.workloads.loads import LOAD_LEVELS, _load_spec, build_load
 from sim_events import counted_pushes
 
 #: The library engine and its oracle, under the report's labels.
@@ -66,6 +76,9 @@ LONE_PUSHES = {
     "dma_tick": 467,
     "grant": 1,
 }
+
+#: Compiles per workload in the compile record (the best one counts).
+COMPILE_REPEATS = 5
 
 #: Report names of the library engine's event kinds.
 EVENT_KINDS = {
@@ -295,3 +308,86 @@ def test_lone_survivor(benchmark, report):
         f"P2c — lone survivor ({LONE_MEMBER})", _member_table(payload)
     )
     report.record("sim_lone_survivor", payload)
+
+
+def _reference_workloads(scale):
+    """Label -> (the builder's program, the spec behind it) for both
+    reference scenarios' application and H/M/L loads."""
+    workloads = {}
+    for scenario in (scenario_1(), scenario_2()):
+        program, layout = build_control_loop(scenario, scale=scale)
+        spec, _ = _control_loop_spec(scenario.name, scale, "app")
+        workloads[f"{scenario.name}/app"] = (
+            program,
+            dataclasses.replace(spec, epilogue_gap=layout.epilogue_gap),
+        )
+        for level in LOAD_LEVELS:
+            workloads[f"{scenario.name}/{level}-Load"] = (
+                build_load(scenario.name, level, scale=scale),
+                _load_spec(scenario.name, level, scale),
+            )
+    return workloads
+
+
+def _assert_same_compile(compiled, expected, label):
+    assert np.array_equal(compiled.gaps, expected.gaps), label
+    assert np.array_equal(compiled.request_ids, expected.request_ids), label
+    assert compiled.requests == expected.requests, label
+    assert compiled.final_gap == expected.final_gap, label
+
+
+@pytest.mark.benchmark(group="sim-compile")
+def test_compile(benchmark, report):
+    """Every reference workload at 1/16 compiles to the arrays of its
+    oracle step walk; reports the best-of-N compile per workload."""
+    scale = 1 / 16
+    workloads = _reference_workloads(scale)
+    rows = []
+    records = {}
+    for label, (program, spec) in workloads.items():
+        expected = compile_program(
+            program_from_steps(spec.name, oracle_spec_steps(spec))
+        )
+        _assert_same_compile(program.compiled(), expected, label)
+        best = float("inf")
+        for _ in range(COMPILE_REPEATS):
+            fresh = spec.program()
+            start = time.perf_counter()
+            compiled = compile_program(fresh)
+            best = min(best, time.perf_counter() - start)
+            _assert_same_compile(compiled, expected, label)
+        rows.append(
+            [label, len(spec.blocks), compiled.n_requests, f"{best * 1e3:.3f}"]
+        )
+        records[label] = {
+            "blocks": len(spec.blocks),
+            "sri_requests": compiled.n_requests,
+            "compile_seconds": round(best, 6),
+        }
+
+    specs = [spec for _, spec in workloads.values()]
+    benchmark.pedantic(
+        lambda: [compile_program(spec.program()) for spec in specs],
+        rounds=COMPILE_REPEATS,
+        iterations=1,
+    )
+    benchmark.extra_info["sri_requests"] = sum(
+        record["sri_requests"] for record in records.values()
+    )
+    report.add(
+        "P2d — reference workload compiles (scale 1/16, best of "
+        f"{COMPILE_REPEATS})",
+        render_table(["workload", "blocks", "requests", "compile ms"], rows),
+    )
+    report.record(
+        "sim_compile",
+        {
+            "scale": scale,
+            "repeats": COMPILE_REPEATS,
+            "workloads": records,
+            "total_compile_seconds": round(
+                sum(record["compile_seconds"] for record in records.values()),
+                6,
+            ),
+        },
+    )

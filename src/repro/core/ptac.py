@@ -91,8 +91,10 @@ class AccessProfile:
 
     def scaled(self, factor: float, *, task: str | None = None) -> "AccessProfile":
         """Profile with every count scaled (rounded up, conservatively)."""
-        if factor <= 0:
-            raise ModelError("scale factor must be positive")
+        if not math.isfinite(factor) or factor <= 0:
+            raise ModelError(
+                f"scale factor must be positive and finite, got {factor!r}"
+            )
         return AccessProfile(
             task=task if task is not None else f"{self.task}x{factor:g}",
             counts={

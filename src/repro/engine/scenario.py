@@ -20,6 +20,7 @@ that needs it (programs themselves hold closures and cannot travel).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.errors import EngineError
 from repro.platform.deployment import (
@@ -75,8 +76,11 @@ class WorkloadRef:
             raise EngineError("synthetic workloads need a seed")
         if self.kind == "spec" and self.spec is None:
             raise EngineError("spec workloads need an explicit WorkloadSpec")
-        if self.scale <= 0:
-            raise EngineError("workload scale must be positive")
+        if not math.isfinite(self.scale) or self.scale <= 0:
+            raise EngineError(
+                "workload scale must be positive and finite, "
+                f"got {self.scale!r}"
+            )
 
     # -- constructors --------------------------------------------------
     @classmethod
@@ -381,8 +385,10 @@ class ScenarioSpec:
 
     def scaled(self, factor: float) -> "ScenarioSpec":
         """The same deployment with every workload footprint scaled."""
-        if factor <= 0:
-            raise EngineError("scale factor must be positive")
+        if not math.isfinite(factor) or factor <= 0:
+            raise EngineError(
+                f"scale factor must be positive and finite, got {factor!r}"
+            )
         return dataclasses.replace(
             self,
             app=dataclasses.replace(self.app, scale=self.app.scale * factor),

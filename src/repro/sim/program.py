@@ -19,6 +19,7 @@ materialise per-request steps); each form can produce the other.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import weakref
 from typing import Callable, Iterable, Iterator, Sequence
@@ -94,6 +95,16 @@ class CompiledProgram:
     @property
     def n_requests(self) -> int:
         return len(self.rid_list)
+
+    def with_final_gap(self, final_gap: int) -> "CompiledProgram":
+        """These arrays with another trailing gap.
+
+        The arrays, the request table and their list mirrors are shared,
+        not copied; nothing mutates a compiled program.
+        """
+        clone = copy.copy(self)
+        clone.final_gap = final_gap
+        return clone
 
     def rid_counts(self) -> list[int]:
         """Occurrences of each distinct request, indexed by rid."""
@@ -190,6 +201,18 @@ def compile_program(program: "TaskProgram") -> CompiledProgram:
         compiled = _compile_steps(program)
     _COMPILE_CACHE[program] = compiled
     return compiled
+
+
+def share_compiled(program: "TaskProgram", compiled: CompiledProgram) -> None:
+    """Memoise ``compiled`` as ``program``'s arrays, without compiling it.
+
+    For a builder that already holds the arrays ``program`` compiles to
+    (a padded control loop reuses its epilogue-free compile with another
+    trailing gap).  The memo is per program object: a pickled program
+    carries its builder, not these arrays, and compiles afresh where it
+    is unpickled.
+    """
+    _COMPILE_CACHE[program] = compiled
 
 
 def _compile_steps(program: "TaskProgram") -> CompiledProgram:

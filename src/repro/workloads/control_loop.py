@@ -25,6 +25,7 @@ cycles of the (scaled) targets rather than drifting with sampling noise.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 from repro import paper
@@ -32,10 +33,15 @@ from repro.counters.readings import TaskReadings
 from repro.errors import WorkloadError
 from repro.platform.deployment import DeploymentScenario
 from repro.platform.targets import Operation, Target
-from repro.sim.program import TaskProgram
+from repro.sim.program import TaskProgram, compile_program, share_compiled
 from repro.sim.requests import MissKind
 from repro.workloads.footprint import isolation_cycles
-from repro.workloads.spec import RequestBlock, WorkloadSpec, spread_counts
+from repro.workloads.spec import (
+    RequestBlock,
+    WorkloadSpec,
+    share_blocks,
+    spread_counts,
+)
 
 #: Number of loop iterations the request budget is spread over; keeps the
 #: acquisition/compute/update phases interleaving in co-runs the way a real
@@ -204,6 +210,10 @@ def build_control_loop(
 ) -> tuple[TaskProgram, ControlLoopLayout]:
     """Build the control-loop application for a reference scenario.
 
+    The spec behind the program is built once per process for each
+    (scenario, scale, name); every call returns a fresh program, so its
+    compiled arrays live only as long as the program does.
+
     Args:
         scenario: ``scenario_1()`` or ``scenario_2()`` (the two deployment
             variants of Section 4.2).
@@ -219,16 +229,35 @@ def build_control_loop(
             "the control loop is defined for the two reference scenarios; "
             f"got {scenario.name!r}"
         )
-    if scale <= 0 or scale > 1.0:
+    if not 0.0 < scale <= 1.0:  # also rejects NaN
         raise WorkloadError("scale must be in (0, 1]")
+    spec, layout = _control_loop_spec(scenario.name, scale, name)
 
-    target = paper.table6(scenario.name, "app")
+    # Pad with trailing computation to the derived isolation time, read
+    # off the epilogue-free arrays.  The padded program differs from them
+    # only in its trailing gap, so it shares them instead of compiling
+    # the spec again.
+    body = compile_program(spec.program())
+    iso_target = int(math.ceil(paper.ISOLATION_CYCLES[scenario.name] * scale))
+    epilogue = max(0, iso_target - isolation_cycles(body))
+    program = dataclasses.replace(spec, epilogue_gap=epilogue).program()
+    share_compiled(program, body.with_final_gap(epilogue))
+    return program, dataclasses.replace(layout, epilogue_gap=epilogue)
+
+
+# Bounded, so a long-lived worker that meets many scales stays small.
+@functools.lru_cache(maxsize=256)
+def _control_loop_spec(
+    scenario_name: str, scale: float, name: str
+) -> tuple[WorkloadSpec, ControlLoopLayout]:
+    """The control loop's epilogue-free spec and layout (memoised)."""
+    target = paper.table6(scenario_name, "app")
     if scale != 1.0:
         target = target.scaled(scale, name=name)
 
     code_random, code_sequential = split_code_misses(target.pm, target.ps)
 
-    if scenario.name == "scenario1":
+    if scenario_name == "scenario1":
         lmu_clean = pf_const = 0
         data_budget = target.ds
     else:
@@ -256,13 +285,6 @@ def build_control_loop(
     )
     chunks = max(1, min(DEFAULT_CHUNKS, max(1, target.pm)))
     spec = WorkloadSpec(
-        name=name, blocks=tuple(_chunked_blocks(layout, chunks))
+        name=name, blocks=share_blocks(_chunked_blocks(layout, chunks))
     )
-
-    # Pad with trailing computation to the derived isolation time.
-    iso_target = int(math.ceil(paper.ISOLATION_CYCLES[scenario.name] * scale))
-    body_cycles = isolation_cycles(spec.program())
-    epilogue = max(0, iso_target - body_cycles)
-    layout = dataclasses.replace(layout, epilogue_gap=epilogue)
-    spec = dataclasses.replace(spec, epilogue_gap=epilogue)
-    return spec.program(), layout
+    return spec, layout

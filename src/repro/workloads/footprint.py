@@ -11,12 +11,12 @@ form over the compiled arrays (isolation timing is purely sequential).
 
 from __future__ import annotations
 
-from repro.sim.program import TaskProgram
+from repro.sim.program import CompiledProgram, TaskProgram
 from repro.sim.timing import SimTiming, tc27x_sim_timing
 
 
 def isolation_cycles(
-    program: TaskProgram, timing: SimTiming | None = None
+    program: TaskProgram | CompiledProgram, timing: SimTiming | None = None
 ) -> int:
     """Exact single-core execution time of a program, computed directly.
 
@@ -26,10 +26,13 @@ def isolation_cycles(
     :meth:`repro.sim.system.SystemSimulator.run` uses for a run with one
     core and no DMA agent, so this equals that run's finish time (a
     property the test-suite asserts) without building its counters.
-    Used by workload builders to pad programs to a target CCNT.
+    Used by workload builders to pad programs to a target CCNT; a builder
+    that holds the arrays already passes them instead of the program.
     """
     timing = timing or tc27x_sim_timing()
-    compiled = program.compiled()
+    compiled = (
+        program if isinstance(program, CompiledProgram) else program.compiled()
+    )
     requests = compiled.requests
     return compiled.isolation_time(
         [timing.service_time(r) for r in requests],

@@ -14,6 +14,8 @@ deployment configurations apply equally to contenders).
 
 from __future__ import annotations
 
+import functools
+
 from repro import paper
 from repro.counters.readings import TaskReadings
 from repro.errors import WorkloadError
@@ -21,7 +23,12 @@ from repro.platform.targets import Operation, Target
 from repro.sim.program import TaskProgram
 from repro.sim.requests import MissKind
 from repro.workloads.control_loop import split_code_misses, split_data_rw
-from repro.workloads.spec import RequestBlock, WorkloadSpec, spread_counts
+from repro.workloads.spec import (
+    RequestBlock,
+    WorkloadSpec,
+    share_blocks,
+    spread_counts,
+)
 
 #: Loop interleaving granularity of the load generators.
 LOAD_CHUNKS = 16
@@ -50,6 +57,10 @@ def build_load(
 ) -> TaskProgram:
     """Build a load-generator program matching a (scaled) footprint.
 
+    The spec behind the program is built once per process for each
+    (scenario, level, scale); every call returns a fresh program, so its
+    compiled arrays live only as long as the program does.
+
     Args:
         scenario_name: ``"scenario1"`` or ``"scenario2"`` (decides where
             the contender's data traffic goes, per Figure 3).
@@ -57,8 +68,15 @@ def build_load(
         scale: additional footprint scale (the same factor applied to the
             application keeps the experiment proportions intact).
     """
-    if scale <= 0 or scale > 1.0:
+    if not 0.0 < scale <= 1.0:  # also rejects NaN
         raise WorkloadError("scale must be in (0, 1]")
+    return _load_spec(scenario_name, level, scale).program()
+
+
+# Bounded, so a long-lived worker that meets many scales stays small.
+@functools.lru_cache(maxsize=256)
+def _load_spec(scenario_name: str, level: str, scale: float) -> WorkloadSpec:
+    """The load generator's spec (memoised)."""
     target = load_readings(scenario_name, level)
     if scale != 1.0:
         target = target.scaled(scale, name=target.name)
@@ -142,8 +160,7 @@ def build_load(
                     miss_kind=MissKind.UNCACHED,
                 )
             )
-    spec = WorkloadSpec(name=target.name, blocks=tuple(blocks))
-    return spec.program()
+    return WorkloadSpec(name=target.name, blocks=share_blocks(blocks))
 
 
 def all_loads(

@@ -12,10 +12,12 @@ across runs and scales — important because the experiment drivers tune
 blocks to hit the paper's Table 6 readings.
 
 A spec compiles straight to the simulator's
-:class:`~repro.sim.program.CompiledProgram` arrays: each block yields its
-per-request mix decisions as one numpy column of variant codes plus the
-few distinct requests those codes name, so no
-:class:`~repro.sim.requests.SriRequest` is built per transaction.
+:class:`~repro.sim.program.CompiledProgram` arrays, so no
+:class:`~repro.sim.requests.SriRequest` is built per transaction: a run
+of constant-fill blocks becomes one ``np.repeat`` of per-block request
+ids, and a block with a fractional mix yields its per-request mix
+decisions as one numpy column of variant codes plus the few distinct
+requests those codes name.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,22 +156,6 @@ class RequestBlock:
         count = self.count
         if not count:
             return np.zeros(0, dtype=np.uint8), {}
-        fractions = (
-            self.sequential_fraction,
-            self.write_fraction,
-            self.dirty_fraction,
-        )
-        if all(fraction in (0.0, 1.0) for fraction in fractions):
-            # Constant fills (every control-loop and load block): one
-            # variant, and a dirty block never advances its writes.
-            code = _SEQUENTIAL if self.sequential_fraction else 0
-            if self.dirty_fraction:
-                code |= _DIRTY
-            elif self.write_fraction:
-                code |= _WRITE
-            return np.full(count, code, dtype=np.uint8), {
-                code: self._variant(code)
-            }
         codes = _FractionSequencer(self.sequential_fraction).take(count)
         codes = codes.astype(np.uint8)
         if self.operation is Operation.DATA:
@@ -187,6 +173,27 @@ class RequestBlock:
             for code in unique[np.argsort(first)].tolist()
         }
         return codes, variants
+
+    def _constant_code(self) -> int | None:
+        """The one variant code of a constant-fill block, else ``None``.
+
+        Every fraction of a constant-fill block (every control-loop and
+        load block) is exactly 0 or 1, so each of its requests is the same
+        variant; a dirty block never advances its writes.
+        """
+        fractions = (
+            self.sequential_fraction,
+            self.write_fraction,
+            self.dirty_fraction,
+        )
+        if not all(fraction in (0.0, 1.0) for fraction in fractions):
+            return None
+        code = _SEQUENTIAL if self.sequential_fraction else 0
+        if self.dirty_fraction:
+            code |= _DIRTY
+        elif self.write_fraction:
+            code |= _WRITE
+        return code
 
     def _variant(self, code: int) -> SriRequest:
         """The request a variant code stands for."""
@@ -213,8 +220,7 @@ class RequestBlock:
 
     def scaled(self, factor: float) -> "RequestBlock":
         """The same block with ``count`` scaled (rounded half-up)."""
-        if factor <= 0:
-            raise WorkloadError("scale factor must be positive")
+        _check_factor(factor)
         return dataclasses.replace(
             self, count=int(math.floor(self.count * factor + 0.5))
         )
@@ -253,24 +259,49 @@ class WorkloadSpec:
         )
 
     def _compile(self) -> CompiledProgram:
-        """The spec's program as arrays, built from the block columns.
+        """The spec's program as arrays, built per block, not per request.
 
-        Each block's variants join one request table in first-appearance
-        order, as the step walk would meet them.  Every iteration restarts
-        the sequencers, so one iteration's arrays are tiled over
+        Requests join one table in first-appearance order, as the step
+        walk would meet them.  A run of constant-fill blocks becomes one
+        ``np.repeat`` of per-block request ids, and each distinct variant
+        of them, keyed by (target, operation, miss kind, variant code),
+        builds its :class:`SriRequest` once.  A block with a fractional
+        mix ends the run and contributes its :meth:`RequestBlock.columns`;
+        a block without requests contributes nothing.  Every iteration
+        restarts the sequencers, so one iteration's arrays are tiled over
         ``iterations``; the epilogue is the trailing gap.
         """
         table: dict[SriRequest, int] = {}
-        # Seeded with an empty array so a spec without requests concatenates.
-        rids: list[np.ndarray] = [np.zeros(0, dtype=np.int64)]
+        rid_of_variant: dict[tuple[Target, Operation, MissKind, int], int] = {}
         rid_of_code = np.zeros(_DIRTY << 1, dtype=np.int64)
+        rids: list[np.ndarray] = []
+        # The current run of constant-fill blocks: one rid and count each.
+        run_rids: list[int] = []
+        run_counts: list[int] = []
         for block in self.blocks:
+            if not block.count:
+                continue
+            code = block._constant_code()
+            if code is not None:
+                variant = (
+                    block.target, block.operation, block.miss_kind, code
+                )
+                rid = rid_of_variant.get(variant)
+                if rid is None:
+                    rid = table.setdefault(block._variant(code), len(table))
+                    rid_of_variant[variant] = rid
+                run_rids.append(rid)
+                run_counts.append(block.count)
+                continue
+            rids.append(_repeat(run_rids, run_counts))
+            run_rids, run_counts = [], []
             codes, variants = block.columns()
             for code, request in variants.items():
                 rid_of_code[code] = table.setdefault(request, len(table))
             rids.append(rid_of_code[codes])
-        gaps = np.repeat(
-            np.array([block.gap for block in self.blocks], dtype=np.int64),
+        rids.append(_repeat(run_rids, run_counts))
+        gaps = _repeat(
+            [block.gap for block in self.blocks],
             [block.count for block in self.blocks],
         )
         return CompiledProgram(
@@ -297,12 +328,37 @@ class WorkloadSpec:
 
     def scaled(self, factor: float, *, name: str | None = None) -> "WorkloadSpec":
         """Spec with every block count scaled (shrinking for fast tests)."""
+        _check_factor(factor)
         return dataclasses.replace(
             self,
             name=name if name is not None else self.name,
             blocks=tuple(block.scaled(factor) for block in self.blocks),
             epilogue_gap=int(self.epilogue_gap * factor),
         )
+
+
+def share_blocks(blocks: Iterable[RequestBlock]) -> tuple[RequestBlock, ...]:
+    """``blocks``, with equal blocks sharing one object.
+
+    The workload builders memoise their specs for the life of the
+    process, and most of a spec's blocks repeat (a scenario-1 control
+    loop at scale 1/16 is 192 blocks, 8 of them distinct): sharing equal
+    blocks keeps what the memos hold to the distinct ones.
+    """
+    shared: dict[RequestBlock, RequestBlock] = {}
+    return tuple(shared.setdefault(block, block) for block in blocks)
+
+
+def _check_factor(factor: float) -> None:
+    if not math.isfinite(factor) or factor <= 0:
+        raise WorkloadError(
+            f"scale factor must be positive and finite, got {factor!r}"
+        )
+
+
+def _repeat(values: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """``values[i]`` repeated ``counts[i]`` times, in order, as int64."""
+    return np.repeat(np.array(values, dtype=np.int64), counts)
 
 
 def spread_counts(total: int, weights: Sequence[float]) -> list[int]:

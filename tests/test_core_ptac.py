@@ -1,5 +1,7 @@
 """Tests for access profiles (PTACs)."""
 
+import math
+
 import pytest
 
 from repro.core.ptac import AccessProfile, profile_from_pairs
@@ -73,6 +75,11 @@ class TestTransformations:
     def test_scaled_rejects_nonpositive(self, profile):
         with pytest.raises(ModelError):
             profile.scaled(0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_scaled_rejects_non_finite(self, profile, factor):
+        with pytest.raises(ModelError, match="positive and finite"):
+            profile.scaled(factor)
 
     def test_merged(self, profile):
         other = AccessProfile("u", {(Target.PF0, Operation.CODE): 7})

@@ -1,5 +1,6 @@
 """Tests for declarative scenario specs and the named registry."""
 
+import math
 import pickle
 
 import pytest
@@ -26,6 +27,12 @@ class TestWorkloadRef:
             WorkloadRef(kind="spec")  # missing spec
         with pytest.raises(EngineError):
             WorkloadRef.load("H", scale=0)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        # At construction, not later inside run_spec as a CounterError.
+        with pytest.raises(EngineError, match="positive and finite"):
+            WorkloadRef.control_loop(scale=scale)
 
     def test_control_loop_requires_reference_base(self):
         # Rejected at construction, not deep inside a worker at run time.
@@ -143,6 +150,12 @@ class TestScenarioSpec:
         assert spec.contenders[0][1].scale == pytest.approx(1 / 64)
         with pytest.raises(EngineError):
             spec.scaled(0)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf])
+    def test_scaled_rejects_non_finite(self, factor):
+        spec = get_scenario("scenario1-pair-H")
+        with pytest.raises(EngineError, match="positive and finite"):
+            spec.scaled(factor)
 
     def test_custom_base_deployment(self):
         spec = ScenarioSpec(

@@ -1,14 +1,14 @@
 """Workload specs compile straight to arrays, exactly as their step walk.
 
 :meth:`WorkloadSpec.program` builds its
-:class:`~repro.sim.program.CompiledProgram` from per-block numpy columns
-of variant codes, and :func:`~repro.workloads.footprint.isolation_cycles`
-reads those arrays.  The oracle here is the per-request generator that
-used to be ``RequestBlock.steps()``: one :class:`SriRequest` per
-transaction, drawn from three :class:`_FractionSequencer` instances
-advanced one decision at a time.  Compiling the oracle's stream through
-the step walk (:func:`program_from_steps`) must give the same arrays,
-request table, trailing gap and steps.
+:class:`~repro.sim.program.CompiledProgram` per block, not per request: a
+run of constant-fill blocks becomes one ``np.repeat`` of request ids, and
+a block with a fractional mix contributes its numpy column of variant
+codes.  :func:`~repro.workloads.footprint.isolation_cycles` reads those
+arrays.  The oracle is the per-request step generator in
+``oracles/spec_steps.py``; compiling its stream through the step walk
+(:func:`program_from_steps`) must give the same arrays, request table,
+trailing gap and steps.
 """
 
 import math
@@ -18,9 +18,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles.sim_reference import ReferenceSimulator
+from oracles.spec_steps import oracle_block_steps, oracle_spec_steps
 from repro.platform.targets import VALID_PAIRS, Operation, Target
 from repro.sim.program import compile_program, program_from_steps
-from repro.sim.requests import MissKind, SriRequest, code_fetch, data_access
+from repro.sim.requests import MissKind, code_fetch, data_access
 from repro.sim.system import SystemSimulator, run_isolation
 from repro.workloads.footprint import isolation_cycles
 from repro.workloads.spec import RequestBlock, WorkloadSpec, _FractionSequencer
@@ -38,45 +39,6 @@ _SIMULATORS = (SystemSimulator(), ReferenceSimulator())
 
 
 # ----------------------------------------------------------------------
-# The oracle: the per-request step generator
-# ----------------------------------------------------------------------
-def oracle_block_steps(block):
-    sequential = _FractionSequencer(block.sequential_fraction)
-    writes = _FractionSequencer(block.write_fraction)
-    dirty = _FractionSequencer(block.dirty_fraction)
-    for _ in range(block.count):
-        is_dirty = block.operation is Operation.DATA and dirty.next()
-        miss_kind = block.miss_kind
-        if is_dirty:
-            miss_kind = MissKind.DCACHE_MISS_DIRTY
-        elif miss_kind is MissKind.DCACHE_MISS_DIRTY:
-            miss_kind = MissKind.DCACHE_MISS_CLEAN
-        yield (
-            block.gap,
-            SriRequest(
-                target=block.target,
-                operation=block.operation,
-                miss_kind=miss_kind,
-                sequential=sequential.next(),
-                write=(
-                    block.operation is Operation.DATA
-                    and not is_dirty
-                    and writes.next()
-                ),
-                dirty_eviction=is_dirty,
-            ),
-        )
-
-
-def oracle_spec_steps(spec):
-    for _ in range(spec.iterations):
-        for block in spec.blocks:
-            yield from oracle_block_steps(block)
-    if spec.epilogue_gap:
-        yield (spec.epilogue_gap, None)
-
-
-# ----------------------------------------------------------------------
 # Strategies
 # ----------------------------------------------------------------------
 #: Constant fills, arbitrary floats and the rationals n/d (d < 200) on
@@ -90,10 +52,14 @@ fractions = st.one_of(
 )
 
 
+#: Only the constant fills: every block drawn with these is constant-fill.
+constant_fills = st.sampled_from([0.0, 1.0])
+
+
 @st.composite
-def request_blocks(draw):
+def request_blocks(draw, fractions=fractions, max_count=400):
     target, operation = draw(st.sampled_from(VALID_PAIRS))
-    count = draw(st.integers(0, 400))
+    count = draw(st.integers(0, max_count))
     gap = draw(st.integers(0, 6))
     sequential = draw(fractions)
     if operation is Operation.CODE:
@@ -117,12 +83,32 @@ def request_blocks(draw):
     )
 
 
-workload_specs = st.builds(
-    WorkloadSpec,
-    name=st.just("spec"),
-    blocks=st.lists(request_blocks(), min_size=0, max_size=4).map(tuple),
-    iterations=st.integers(1, 3),
-    epilogue_gap=st.one_of(st.just(0), st.integers(1, 50)),
+def _specs(block_lists):
+    return st.builds(
+        WorkloadSpec,
+        name=st.just("spec"),
+        blocks=block_lists.map(tuple),
+        iterations=st.integers(1, 3),
+        epilogue_gap=st.one_of(st.just(0), st.integers(1, 50)),
+    )
+
+
+#: A few blocks of up to 400 requests each.
+workload_specs = _specs(st.lists(request_blocks(), max_size=4))
+
+#: 16-96 blocks of up to 12 requests (the builders emit 80-192) mixing
+#: constant-fill, any-mix and zero-count blocks, so runs of constant
+#: fills start, end and break everywhere.
+long_workload_specs = _specs(
+    st.lists(
+        st.one_of(
+            request_blocks(constant_fills, max_count=12),
+            request_blocks(max_count=12),
+            request_blocks(max_count=0),
+        ),
+        min_size=16,
+        max_size=96,
+    )
 )
 
 #: 1/197 is the first density whose accumulator replay differs from the
@@ -176,6 +162,59 @@ CONSTANT_SPEC = WorkloadSpec(
 )
 
 
+#: Each place a run of constant fills ends: two constant blocks, a
+#: fractional block (whose clean write is the second block's request), a
+#: zero-count block (whose variant occurs nowhere else, so it must not
+#: enter the table) and a last constant block (whose dirty-miss kind
+#: falls back to the clean write already in the table).
+RUN_SPEC = WorkloadSpec(
+    name="spec",
+    blocks=(
+        RequestBlock(
+            Target.PF0,
+            Operation.CODE,
+            count=5,
+            gap=2,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.ICACHE_MISS,
+        ),
+        RequestBlock(
+            Target.LMU,
+            Operation.DATA,
+            count=4,
+            write_fraction=1.0,
+            miss_kind=MissKind.DCACHE_MISS_CLEAN,
+        ),
+        RequestBlock(
+            Target.LMU,
+            Operation.DATA,
+            count=9,
+            gap=3,
+            sequential_fraction=0.5,
+            write_fraction=1 / 3,
+            miss_kind=MissKind.DCACHE_MISS_CLEAN,
+            dirty_fraction=0.25,
+        ),
+        RequestBlock(
+            Target.PF1,
+            Operation.DATA,
+            count=0,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.DCACHE_MISS_CLEAN,
+        ),
+        RequestBlock(
+            Target.LMU,
+            Operation.DATA,
+            count=6,
+            write_fraction=1.0,
+            miss_kind=MissKind.DCACHE_MISS_DIRTY,
+        ),
+    ),
+    iterations=2,
+    epilogue_gap=9,
+)
+
+
 # ----------------------------------------------------------------------
 # Compile equivalence
 # ----------------------------------------------------------------------
@@ -189,11 +228,7 @@ def test_pinned_density_differs_from_the_closed_form():
     assert decisions != closed_form
 
 
-@SETTINGS
-@example(spec=PINNED_SPEC)
-@example(spec=CONSTANT_SPEC)
-@given(spec=workload_specs)
-def test_spec_compiles_like_its_step_walk(spec):
+def _assert_compiles_like_its_step_walk(spec):
     oracle_steps = list(oracle_spec_steps(spec))
     expected = compile_program(program_from_steps("spec", oracle_steps))
     program = spec.program()
@@ -210,16 +245,55 @@ def test_spec_compiles_like_its_step_walk(spec):
         assert list(block.steps()) == list(oracle_block_steps(block))
 
 
-@SETTINGS
-@example(spec=PINNED_SPEC)
-@example(spec=CONSTANT_SPEC)
-@given(spec=workload_specs)
-def test_spec_isolation_cycles_match_both_engines(spec):
+def _assert_isolation_cycles_match_both_engines(spec):
     program = spec.program()
     cycles = isolation_cycles(program)
     for simulator in _SIMULATORS:
         readings = simulator.run({1: program}).readings(1)
         assert cycles == (readings.ccnt or 0)
+
+
+@SETTINGS
+@example(spec=PINNED_SPEC)
+@example(spec=CONSTANT_SPEC)
+@given(spec=workload_specs)
+def test_spec_compiles_like_its_step_walk(spec):
+    _assert_compiles_like_its_step_walk(spec)
+
+
+@SETTINGS
+@example(spec=RUN_SPEC)
+@given(spec=long_workload_specs)
+def test_long_spec_compiles_like_its_step_walk(spec):
+    _assert_compiles_like_its_step_walk(spec)
+
+
+@SETTINGS
+@example(spec=PINNED_SPEC)
+@example(spec=CONSTANT_SPEC)
+@given(spec=workload_specs)
+def test_spec_isolation_cycles_match_both_engines(spec):
+    _assert_isolation_cycles_match_both_engines(spec)
+
+
+@SETTINGS
+@example(spec=RUN_SPEC)
+@given(spec=long_workload_specs)
+def test_long_spec_isolation_cycles_match_both_engines(spec):
+    _assert_isolation_cycles_match_both_engines(spec)
+
+
+def test_run_spec_tables_each_request_once():
+    # The zero-count block's PF1 fill never enters the table; the
+    # fractional block's clean writes and every request of the dirty-miss
+    # block reuse the second block's entry.
+    compiled = RUN_SPEC.program().compiled()
+    assert len(compiled.requests) == 5
+    assert Target.PF1 not in {request.target for request in compiled.requests}
+    assert compiled.requests[1] == data_access(
+        Target.LMU, write=True, miss_kind=MissKind.DCACHE_MISS_CLEAN
+    )
+    assert compiled.request_ids[:24].tolist().count(1) == 4 + 2 + 6
 
 
 def test_each_emitted_request_is_a_table_entry():

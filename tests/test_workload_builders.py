@@ -1,13 +1,43 @@
-"""Tests for footprint-matched request blocks, program helpers and probes."""
+"""Tests for footprint-matched request blocks, the memoised workload
+builders, program helpers and probes."""
 
+import gc
+import math
+import pickle
+import weakref
+
+import numpy as np
 import pytest
 
+from repro import paper
+from repro.analysis.experiments import (
+    figure4_sim_mode,
+    information_ablation,
+    table6_sim_mode,
+)
+from repro.analysis.export import (
+    ablation_rows,
+    figure4_rows,
+    table6_rows,
+    three_core_rows,
+    to_json,
+)
+from repro.analysis.three_core import three_core_experiment
 from repro.errors import WorkloadError
+from repro.platform.deployment import scenario_1, scenario_2
 from repro.platform.targets import Operation, Target
 from repro.sim.program import concatenate, program_from_steps, repeat
 from repro.sim.requests import MissKind, code_fetch, data_access
 from repro.sim.system import run_isolation
-from repro.workloads.control_loop import split_code_misses, split_data_rw
+from repro.sim.timing import tc27x_sim_timing
+from repro.workloads import control_loop, loads
+from repro.workloads.control_loop import (
+    build_control_loop,
+    split_code_misses,
+    split_data_rw,
+)
+from repro.workloads.footprint import isolation_cycles
+from repro.workloads.loads import build_load
 from repro.workloads.microbenchmarks import probe
 from repro.workloads.spec import RequestBlock, spread_counts
 
@@ -101,6 +131,123 @@ class TestDataBlocks:
             )
         )
         assert readings.ds == 5 * 42  # buffered DFlash writes
+
+
+def _clear_builder_memos():
+    control_loop._control_loop_spec.cache_clear()
+    loads._load_spec.cache_clear()
+
+
+def _same_arrays(left, right):
+    """Two compiled programs hold equal arrays, lists, table and gap."""
+    assert np.array_equal(left.gaps, right.gaps)
+    assert np.array_equal(left.request_ids, right.request_ids)
+    assert left.gap_list == right.gap_list
+    assert left.rid_list == right.rid_list
+    assert left.requests == right.requests
+    assert left.final_gap == right.final_gap
+
+
+class TestBuilderMemo:
+    """The builders memoise specs, never programs or arrays."""
+
+    def test_equal_calls_return_distinct_programs(self):
+        first, first_layout = build_control_loop(scenario_2(), scale=1 / 64)
+        second, second_layout = build_control_loop(scenario_2(), scale=1 / 64)
+        assert first is not second
+        assert first_layout == second_layout
+        _same_arrays(first.compiled(), second.compiled())
+        assert first.compiled() is not second.compiled()
+        load_a = build_load("scenario2", "M", scale=1 / 64)
+        load_b = build_load("scenario2", "M", scale=1 / 64)
+        assert load_a is not load_b
+        _same_arrays(load_a.compiled(), load_b.compiled())
+
+    def test_memo_pins_no_arrays(self):
+        program, _ = build_control_loop(scenario_1(), scale=1 / 64)
+        load = build_load("scenario1", "H", scale=1 / 64)
+        refs = [
+            weakref.ref(array)
+            for compiled in (program.compiled(), load.compiled())
+            for array in (compiled.gaps, compiled.request_ids)
+        ]
+        del program, load
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
+        # The specs stay memoised.
+        build_control_loop(scenario_1(), scale=1 / 64)
+        assert control_loop._control_loop_spec.cache_info().hits >= 1
+
+    @pytest.mark.parametrize("scenario_f", [scenario_1, scenario_2])
+    @pytest.mark.parametrize("denominator", [2, 16, 128, 4096])
+    def test_padded_program_equals_its_spec_compiled_afresh(
+        self, scenario_f, denominator
+    ):
+        program, layout = build_control_loop(
+            scenario_f(), scale=1 / denominator
+        )
+        shared = program.compiled()
+        # The program's own builder, and a pickled copy, compile the
+        # padded spec from scratch.
+        _same_arrays(shared, program.array_builder())
+        _same_arrays(shared, pickle.loads(pickle.dumps(program)).compiled())
+        assert shared.final_gap == layout.epilogue_gap > 0
+
+    @pytest.mark.parametrize("scenario_f", [scenario_1, scenario_2])
+    @pytest.mark.parametrize(
+        "denominator", [1, 2, 16, 32, 100, 128, 1000, 4096, 100_000]
+    )
+    def test_padding_falls_short_by_the_last_overlap(
+        self, scenario_f, denominator
+    ):
+        scenario = scenario_f()
+        scale = 1 / denominator
+        try:
+            program, layout = build_control_loop(scenario, scale=scale)
+        except WorkloadError:
+            assert scenario.name == "scenario2"  # misses exceed DMEM_STALL
+            return
+        target = math.ceil(paper.ISOLATION_CYCLES[scenario.name] * scale)
+        compiled = program.compiled()
+        body = isolation_cycles(compiled.with_final_gap(0))
+        cycles = isolation_cycles(program)
+        if not layout.epilogue_gap:
+            assert cycles == body >= target
+            return
+        assert body + layout.epilogue_gap == target
+        # The epilogue is a trailing gap, so the last request's pipeline
+        # overlap hides up to that many of its cycles (see ROADMAP).
+        timing = tc27x_sim_timing()
+        last = compiled.requests[compiled.rid_list[-1]]
+        overlap = timing.device(last.target).overlap(last)
+        assert cycles == target - min(overlap, layout.epilogue_gap)
+
+    @pytest.mark.parametrize(
+        "artefact", ["table6", "figure4-sim", "three-core", "ablation"]
+    )
+    def test_artefact_rows_do_not_depend_on_the_memo(self, artefact):
+        scale = 1 / 128
+        run, flatten = {
+            "table6": (lambda: table6_sim_mode(scale=scale), table6_rows),
+            "figure4-sim": (
+                lambda: figure4_sim_mode(scale=scale),
+                figure4_rows,
+            ),
+            "three-core": (
+                lambda: three_core_experiment("scenario1", scale=scale),
+                three_core_rows,
+            ),
+            "ablation": (
+                lambda: information_ablation(scale=scale),
+                ablation_rows,
+            ),
+        }[artefact]
+        _clear_builder_memos()
+        cold = to_json(flatten(run()))
+        hits = control_loop._control_loop_spec.cache_info().hits
+        warm = to_json(flatten(run()))
+        assert control_loop._control_loop_spec.cache_info().hits > hits
+        assert warm == cold
 
 
 class TestProgramHelpers:

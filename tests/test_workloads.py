@@ -1,5 +1,7 @@
 """Tests for workload specs, footprint inversion and the generators."""
 
+import math
+
 import pytest
 
 from repro import paper
@@ -21,6 +23,10 @@ from repro.workloads.spec import (
     spread_counts,
 )
 from repro.workloads.synthetic import random_task_pair, random_workload
+
+#: Scales that are not finite numbers, which every scaling entry point
+#: rejects with its own error instead of a raw ValueError/OverflowError.
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestSpreadCounts:
@@ -119,6 +125,12 @@ class TestRequestBlock:
         assert block.scaled(0.5).count == 50
         assert block.scaled(0.014).count == 1  # floor(1.4 + .5)
 
+    @pytest.mark.parametrize("factor", NON_FINITE)
+    def test_scaled_rejects_non_finite(self, factor):
+        block = RequestBlock(Target.LMU, Operation.DATA, count=100)
+        with pytest.raises(WorkloadError, match="positive and finite"):
+            block.scaled(factor)
+
 
 class TestWorkloadSpec:
     def test_expected_profile_matches_program(self):
@@ -144,6 +156,18 @@ class TestWorkloadSpec:
         )
         # block gap 1 + 11-cycle LMU read + 500 epilogue cycles.
         assert run_isolation(spec.program()).readings.require_ccnt() == 512
+
+    @pytest.mark.parametrize("factor", NON_FINITE)
+    @pytest.mark.parametrize("blocks", [0, 1])
+    def test_scaled_rejects_non_finite(self, factor, blocks):
+        # Without blocks only the epilogue would be scaled.
+        spec = WorkloadSpec(
+            name="t",
+            blocks=(RequestBlock(Target.LMU, Operation.DATA, 10),)[:blocks],
+            epilogue_gap=50,
+        )
+        with pytest.raises(WorkloadError, match="positive and finite"):
+            spec.scaled(factor)
 
 
 class TestSplits:
@@ -209,6 +233,11 @@ class TestControlLoop:
         with pytest.raises(WorkloadError):
             build_control_loop(scenario_1(), scale=2)
 
+    @pytest.mark.parametrize("scale", NON_FINITE)
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match=r"scale must be in \(0, 1\]"):
+            build_control_loop(scenario_1(), scale=scale)
+
     def test_scenario2_has_cache_misses(self):
         program, layout = build_control_loop(scenario_2(), scale=1 / 64)
         readings = run_isolation(program).readings
@@ -249,6 +278,11 @@ class TestLoads:
     def test_unknown_scenario(self):
         with pytest.raises(WorkloadError):
             build_load("scenario9", "H")
+
+    @pytest.mark.parametrize("scale", NON_FINITE)
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(WorkloadError, match=r"scale must be in \(0, 1\]"):
+            build_load("scenario1", "H", scale=scale)
 
 
 class TestSynthetic:
