@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterator, Sequence
 
-from repro.core.ilp_ptac import IlpPtacOptions, ilp_ptac_bound
+from repro.core.ilp_ptac import ilp_ptac_bound
 from repro.counters.readings import TaskReadings
 from repro.errors import SimulationError
 from repro.platform.deployment import DeploymentScenario
@@ -77,7 +77,6 @@ def throttle_sweep(
     scenario: DeploymentScenario,
     *,
     gaps: Sequence[int] = (0, 4, 8, 16, 32, 64),
-    options: IlpPtacOptions | None = None,
 ) -> list[ThrottlePoint]:
     """The bandwidth-regulation trade-off curve.
 
@@ -113,7 +112,7 @@ def throttle_sweep(
         density = baseline_cycles / cycles
         windowed = readings.scaled(min(1.0, density), name=readings.name)
         delta = ilp_ptac_bound(
-            victim_readings, windowed, profile, scenario, options
+            victim_readings, windowed, profile, scenario
         ).bound.delta_cycles
         points.append(
             ThrottlePoint(

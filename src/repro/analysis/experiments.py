@@ -33,7 +33,6 @@ from typing import Mapping, Sequence
 
 from repro import paper
 from repro.analysis.mbta import CorunObservation, observe_corun
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.ptac import AccessProfile
 # counter_based_model_names is re-exported: the matrix driver is its
 # historical home, and the family matrix shares the same filter.
@@ -144,7 +143,6 @@ def _paper_model_row(
     scenario_name: str,
     load: str,
     model: str,
-    options: IlpPtacOptions | None,
 ) -> Figure4Row:
     """Job: one Figure 4 bar (scenario × model × load, published readings)."""
     scenario = reference_scenario(scenario_name)
@@ -154,8 +152,7 @@ def _paper_model_row(
     )
     isolation = paper.ISOLATION_CYCLES[scenario_name]
     bound = contention_bound(
-        model, readings_a, tc27x_latency_profile(), scenario, readings_b,
-        options=options,
+        model, readings_a, tc27x_latency_profile(), scenario, readings_b
     )
     return Figure4Row(
         scenario=scenario_name,
@@ -170,7 +167,6 @@ def _paper_model_row(
 def figure4_paper_jobs(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
-    options: IlpPtacOptions = IlpPtacOptions(),
 ) -> list:
     """The job batch behind paper-counters Figure 4.
 
@@ -189,7 +185,6 @@ def figure4_paper_jobs(
                         scenario_name,
                         load,
                         model,
-                        options,
                         label=(
                             f"figure4-paper:{scenario_name}:{model}:{load}"
                         ),
@@ -201,7 +196,6 @@ def figure4_paper_jobs(
 def figure4_paper_mode(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
-    options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
     """Figure 4 from the published Table 6 readings.
@@ -210,9 +204,7 @@ def figure4_paper_mode(
     contender-aware models once per (scenario, load level).  ``models``
     accepts any registered counter-based model names.
     """
-    return run_jobs(
-        figure4_paper_jobs(models=models, options=options), engine
-    )
+    return run_jobs(figure4_paper_jobs(models=models), engine)
 
 
 # ----------------------------------------------------------------------
@@ -280,13 +272,12 @@ def _sim_model_row(
     load: str,
     model: str,
     data: ScenarioSimData,
-    options: IlpPtacOptions | None,
 ) -> Figure4Row:
     """Job: one Figure 4 bar (scenario × model × load, measured counters)."""
     readings_b = data.load_readings[load] if load != "-" else None
     bound = contention_bound(
         model, data.app_readings, tc27x_latency_profile(), data.scenario,
-        readings_b, options=options,
+        readings_b,
     )
     if load == "-":
         # Contender-blind bars must cover the worst co-run of any load.
@@ -378,7 +369,6 @@ def figure4_sim_mode(
     *,
     models: Sequence[str] = DEFAULT_FIGURE4_MODELS,
     scale: float = 1 / 16,
-    options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[Figure4Row]:
     """Figure 4 end-to-end on the simulator (counters measured, models
@@ -402,7 +392,6 @@ def figure4_sim_mode(
                         load,
                         model,
                         data,
-                        options,
                         label=f"figure4-sim:{scenario_name}:{model}:{load}",
                     )
                 )
@@ -469,7 +458,6 @@ def _ablation_scenario_rows(
     scenario_name: str,
     data: ScenarioSimData,
     models: tuple[str, ...],
-    options: IlpPtacOptions | None,
 ) -> list[AblationRow]:
     """Job: the full information ladder of one scenario.
 
@@ -494,7 +482,6 @@ def _ablation_scenario_rows(
             readings_b,
             access_profile_a=data.app_profile,
             access_profile_b=profile_b,
-            options=options,
         )
         rows.append(
             AblationRow(
@@ -525,7 +512,6 @@ def model_scenario_matrix(
     *,
     models: Sequence[str] | None = None,
     specs: Sequence[ScenarioSpec | str] | None = None,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[ScenarioRunResult]:
     """Run every model over every scenario spec — the full matrix.
@@ -538,24 +524,20 @@ def model_scenario_matrix(
     models' joint bounds line up for comparison.
 
     Cell jobs fan out one per (spec, model); each cell's pairwise and
-    joint ILPs share its worker's warm-start pool.  With a caching
-    engine the matrix is also incremental: cells are
-    content-addressed by (spec, model), and repeated invocations only
-    compute what changed.
+    joint ILPs share its worker's warm-start pool.  A model name fixes
+    its ILP configuration, so with a caching engine the matrix is also
+    incremental: cells are content-addressed by (spec, model), and
+    repeated invocations only compute what changed.
 
     Args:
         models: registered model names (must be counter-based; defaults
             to all of them).
         specs: scenario specs or registered names (defaults to every
             registered spec).
-        options: ILP knobs shared by every cell.
         engine: optional execution engine (parallel cells, caching).
     """
     return run_jobs(
-        model_scenario_matrix_jobs(
-            models=models, specs=specs, options=options
-        ),
-        engine,
+        model_scenario_matrix_jobs(models=models, specs=specs), engine
     )
 
 
@@ -563,7 +545,6 @@ def model_scenario_matrix_jobs(
     *,
     models: Sequence[str] | None = None,
     specs: Sequence[ScenarioSpec | str] | None = None,
-    options: IlpPtacOptions | None = None,
 ) -> list:
     """The job batch behind :func:`model_scenario_matrix`.
 
@@ -581,7 +562,7 @@ def model_scenario_matrix_jobs(
         for spec in (specs if specs is not None else registry.specs())
     ]
     return [
-        spec_job(spec, model, options)
+        spec_job(spec, model)
         for spec in resolved
         for model in model_names
     ]
@@ -591,7 +572,6 @@ def information_ablation(
     *,
     models: Sequence[str] = DEFAULT_ABLATION_MODELS,
     scale: float = 1 / 32,
-    options: IlpPtacOptions = IlpPtacOptions(),
     engine: ExperimentEngine | None = None,
 ) -> list[AblationRow]:
     """Quantify what each level of information buys (experiment A1).
@@ -616,7 +596,6 @@ def information_ablation(
                 scenario_name,
                 data,
                 tuple(models),
-                options,
                 label=f"ablation:{scenario_name}",
             )
             for scenario_name, data in zip(SCENARIOS, datasets)

@@ -98,8 +98,9 @@ def analyse(
     """Turn an isolation measurement into a contention-aware WCET estimate.
 
     ``model`` is any registered contention-model name (see
-    ``repro models``); ``contenders`` feeds multi-contender models and
-    further keywords (ILP options, DMA agents, ...) are forwarded to
+    ``repro models``), which also fixes its ILP configuration;
+    ``contenders`` feeds multi-contender models and further keywords
+    (access profiles, DMA agents, ...) are forwarded to
     :func:`~repro.core.wcet.contention_bound`.
     """
     return wcet_estimate(

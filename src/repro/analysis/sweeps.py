@@ -32,7 +32,7 @@ import dataclasses
 import math
 from typing import Mapping, Sequence
 
-from repro.core.ilp_ptac import IlpPtacOptions, _single_contender_builder
+from repro.core.ilp_ptac import IlpPtacOptions, _IlpPtacBuilder
 from repro.counters.readings import TaskReadings
 from repro.engine.batch import job
 from repro.engine.runner import ExperimentEngine, run_jobs
@@ -40,29 +40,49 @@ from repro.errors import ModelError
 from repro.platform.deployment import DeploymentScenario
 from repro.platform.latency import tc27x_latency_profile
 
+#: The paper's ILP configuration, which every sweep solves.
+_PAPER_OPTIONS = IlpPtacOptions()
+
 
 def _ilp_delta(
     readings_a: TaskReadings,
     readings_b: TaskReadings | None,
     scenario: DeploymentScenario,
-    options: IlpPtacOptions,
     ceiling: int | None = None,
 ) -> int:
-    """Job: one ILP-PTAC solve, reduced to its Δ-cycles bound.
+    """Job: one ILP-PTAC solve in the paper's configuration, reduced to
+    its Δ-cycles bound.
 
-    ``ceiling``, when given, is a bound the solve cannot exceed (the
-    time-composable bound of the same τa and options), so
+    ``readings_b=None`` solves the time-composable ILP, the
+    ``ilp-ptac-tc`` bound.  ``ceiling``, when given, is a bound the
+    solve cannot exceed (the time-composable bound of the same τa), so
     branch-and-bound stops as soon as its incumbent reaches it; the
     result is the one the full search returns.
     """
-    builder = _single_contender_builder(
-        readings_a, readings_b, tc27x_latency_profile(), scenario, options
+    contenders = () if readings_b is None else (readings_b,)
+    builder = _IlpPtacBuilder(
+        readings_a,
+        contenders,
+        tc27x_latency_profile(),
+        scenario,
+        _PAPER_OPTIONS,
     )
     readout = builder.solve(
-        "ilp-ptac" if builder.contenders else "ilp-ptac-tc",
-        upper_bound=ceiling,
+        "ilp-ptac" if contenders else "ilp-ptac-tc", upper_bound=ceiling
     )
     return readout.bound.delta_cycles
+
+
+def _check_isolation(isolation_cycles: int | None) -> None:
+    """Reject a negative or non-finite isolation time (``None`` and
+    ``0`` leave the sweep's output unnormalised)."""
+    if isolation_cycles is not None and (
+        not math.isfinite(isolation_cycles) or isolation_cycles < 0
+    ):
+        raise ModelError(
+            "isolation_cycles must be finite and not negative, got "
+            f"{isolation_cycles!r}"
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,10 +110,10 @@ def contender_scale_sweep(
     *,
     scales: Sequence[float] = (0.125, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 4.0),
     isolation_cycles: int | None = None,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[SweepPoint]:
-    """ILP-PTAC bound as a function of contender load.
+    """ILP-PTAC bound as a function of contender load, in the paper's
+    ILP configuration.
 
     The sweep runs its ceiling (the time-composable bound) first, as a
     one-job batch, then one batch of points on the same engine.  The
@@ -107,8 +127,9 @@ def contender_scale_sweep(
         reference_contender: the contender whose footprint is scaled.
         scenario: shared deployment scenario.
         scales: footprint multipliers (1.0 = the reference itself).
-        isolation_cycles: optional isolation time for normalised output.
-        options: ILP knobs.
+        isolation_cycles: optional isolation time for normalised output
+            (``0`` leaves it unnormalised; a negative or non-finite
+            time is rejected).
         engine: optional execution engine (parallel solves, caching).
 
     Returns:
@@ -122,7 +143,7 @@ def contender_scale_sweep(
             raise ModelError(
                 f"scales must be positive and finite, got {scale!r}"
             )
-    options = options or IlpPtacOptions()
+    _check_isolation(isolation_cycles)
 
     (ceiling,) = run_jobs(
         [
@@ -131,7 +152,6 @@ def contender_scale_sweep(
                 readings_a,
                 None,
                 scenario,
-                dataclasses.replace(options, contender_constraints=False),
                 label=f"sweep:{scenario.name}:ceiling",
             )
         ],
@@ -150,7 +170,6 @@ def contender_scale_sweep(
                 readings_a,
                 contender,
                 scenario,
-                options,
                 ceiling,
                 label=f"sweep:{scenario.name}:x{scale:g}",
             )
@@ -185,7 +204,6 @@ def deployment_sweep(
     scenarios: Mapping[str, DeploymentScenario],
     *,
     isolation_cycles: int | None = None,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[DeploymentComparison]:
     """Compare candidate deployments by their worst-case contention.
@@ -198,7 +216,7 @@ def deployment_sweep(
     """
     if not scenarios:
         raise ModelError("at least one scenario is required")
-    options = options or IlpPtacOptions()
+    _check_isolation(isolation_cycles)
     names = list(scenarios)
     deltas = run_jobs(
         [
@@ -207,7 +225,6 @@ def deployment_sweep(
                 readings_a,
                 readings_b,
                 scenarios[name],
-                options,
                 label=f"deployment:{name}",
             )
             for name in names
@@ -252,7 +269,6 @@ def dirty_latency_sensitivity(
     readings_b: TaskReadings,
     scenario: DeploymentScenario,
     *,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> DirtySensitivity:
     """Quantify the cost of assuming dirty evictions on the LMU.
@@ -266,7 +282,6 @@ def dirty_latency_sensitivity(
     clean_scenario = dataclasses.replace(
         scenario, dirty_targets=frozenset()
     )
-    options = options or IlpPtacOptions()
     with_dirty, without_dirty = run_jobs(
         [
             job(
@@ -274,7 +289,6 @@ def dirty_latency_sensitivity(
                 readings_a,
                 readings_b,
                 scenario,
-                options,
                 label=f"dirty:{scenario.name}:with",
             ),
             job(
@@ -282,7 +296,6 @@ def dirty_latency_sensitivity(
                 readings_a,
                 readings_b,
                 clean_scenario,
-                options,
                 label=f"dirty:{scenario.name}:without",
             ),
         ],

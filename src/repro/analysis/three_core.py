@@ -23,7 +23,6 @@ import dataclasses
 from typing import Sequence
 
 from repro.analysis.experiments import reference_scenario
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.engine.batch import job
 from repro.engine.experiment import run_spec
 from repro.engine.runner import ExperimentEngine, run_jobs
@@ -93,18 +92,18 @@ def three_core_experiment(
     load_pairs: Sequence[tuple[str, str]] = (("H", "L"), ("M", "M"), ("H", "H")),
     *,
     scale: float = 1 / 32,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[ThreeCoreRow]:
     """Run the three-core evaluation for several contender pairings.
+
+    The bounds are the paper's ILP configuration, fixed by the model
+    names ``ilp-ptac`` and ``ilp-ptac-multi``.
 
     Args:
         scenario_name: ``"scenario1"`` or ``"scenario2"``.
         load_pairs: contender levels for cores 0 and 2.
         scale: workload scale of the application (the Table 6 control
             loop) and both loads.
-        options: ILP knobs passed to
-            :func:`~repro.engine.experiment.run_spec`.
         engine: optional execution engine (one ``run_spec`` job per
             pairing, so pairings run in parallel and cache as specs).
     """
@@ -115,7 +114,6 @@ def three_core_experiment(
                 run_spec,
                 _pairing_spec(scenario_name, first, second, scale),
                 model="ilp-ptac",
-                options=options,
                 label=f"three-core:{scenario_name}:{first}+{second}",
             )
             for first, second in load_pairs

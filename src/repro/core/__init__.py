@@ -5,8 +5,10 @@ Every model is a registered, name-addressable object implementing the
 description, declared :class:`~repro.core.model.ModelCapabilities` and a
 ``bound(context)`` entry point over the uniform
 :class:`~repro.core.model.AnalysisContext` record (readings, latency
-profile, scenario, contender set, access profiles, DMA descriptors, ILP
-options).  The default :mod:`repro.core.registry` ships the full family:
+profile, scenario, contender set, access profiles, DMA descriptors, bus
+timing).  An ILP-backed model fixes its ILP configuration where it is
+registered; the context carries none.  The default
+:mod:`repro.core.registry` ships the full family:
 
 * ``ftc-baseline`` / ``ftc-refined`` — fully time-composable bounds
   (Section 3.4, Eqs. 2-8);

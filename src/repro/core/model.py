@@ -34,7 +34,6 @@ import dataclasses
 from typing import Callable, Protocol, runtime_checkable
 
 from repro.core.fsb import FsbTiming
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.ptac import AccessProfile
 from repro.core.results import ContentionBound
 from repro.counters.readings import TaskReadings
@@ -77,8 +76,8 @@ class ModelCapabilities:
             higher-priority-master access profile.
         needs_dma_agents: requires DMA transfer descriptors.
         needs_fsb_timing: requires front-side-bus timing constants.
-        needs_ilp: solves an ILP (informational; such models honour the
-            ``backend`` / ``node_limit`` knobs of the options).
+        needs_ilp: solves an ILP (informational; each such model fixes
+            its :class:`~repro.core.ilp_ptac.IlpPtacOptions`).
         time_composable: the bound holds against *any* co-runner.
         dma_aware: the bound covers multi-outstanding, higher-priority
             masters (which break the round-robin alignment assumption).
@@ -160,7 +159,6 @@ class AnalysisContext:
             access counts of contenders or higher-priority masters.
         dma_agents: DMA transfer descriptors of higher-priority masters.
         fsb_timing: bus timing for the FSB reduction models.
-        options: ILP knobs, honoured by the ILP-backed models.
         task: victim name for models that need no τa measurements at
             all (the occupancy bounds); defaults to the readings' /
             profile's task name, else ``"victim"``.
@@ -174,7 +172,6 @@ class AnalysisContext:
     contender_profiles: tuple[AccessProfile, ...] = ()
     dma_agents: tuple[DmaAgent, ...] = ()
     fsb_timing: FsbTiming | None = None
-    options: IlpPtacOptions | None = None
     task: str | None = None
 
     def __post_init__(self) -> None:
@@ -189,11 +186,6 @@ class AnalysisContext:
     def contender(self) -> TaskReadings | None:
         """The first contender's readings (single-contender models)."""
         return self.contenders[0] if self.contenders else None
-
-    @property
-    def resolved_options(self) -> IlpPtacOptions:
-        """The ILP options, defaulted to the paper's configuration."""
-        return self.options or IlpPtacOptions()
 
     @property
     def task_name(self) -> str:

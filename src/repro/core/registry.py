@@ -50,12 +50,11 @@ from typing import Iterable
 from repro.core.fsb import (
     fsb_closed_form,
     fsb_ftc_closed_form,
-    fsb_latency_profile,
-    fsb_scenario,
+    fsb_via_crossbar_ilp,
 )
 from repro.core.ftc import ftc_baseline, ftc_refined
 from repro.core.ideal import ideal_bound
-from repro.core.ilp_ptac import ilp_ptac_bound
+from repro.core.ilp_ptac import IlpPtacOptions, ilp_ptac_bound
 from repro.core.model import (
     AnalysisContext,
     ContentionModel,
@@ -87,16 +86,16 @@ def _ilp_ptac(context: AnalysisContext) -> ContentionBound:
         context.contender,
         context.profile,
         context.scenario,
-        context.options,
     ).bound
 
 
 def _ilp_ptac_tc(context: AnalysisContext) -> ContentionBound:
-    options = dataclasses.replace(
-        context.resolved_options, contender_constraints=False
-    )
     return ilp_ptac_bound(
-        context.readings, None, context.profile, context.scenario, options
+        context.readings,
+        None,
+        context.profile,
+        context.scenario,
+        IlpPtacOptions(contender_constraints=False),
     ).bound
 
 
@@ -106,7 +105,6 @@ def _ilp_ptac_multi(context: AnalysisContext) -> ContentionBound:
         context.contenders,
         context.profile,
         context.scenario,
-        context.options,
     ).bound
 
 
@@ -250,15 +248,8 @@ def _fsb_ftc(context: AnalysisContext) -> ContentionBound:
 
 
 def _fsb_crossbar_ilp(context: AnalysisContext) -> ContentionBound:
-    options = dataclasses.replace(
-        context.resolved_options, use_exact_code_counts=False
-    )
-    result = ilp_ptac_bound(
-        context.readings,
-        context.contenders[0],
-        fsb_latency_profile(context.fsb_timing),
-        fsb_scenario(),
-        options,
+    result = fsb_via_crossbar_ilp(
+        context.readings, context.contenders[0], context.fsb_timing
     )
     return dataclasses.replace(result.bound, model="fsb-crossbar-ilp")
 

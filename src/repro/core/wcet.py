@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.core.model import AnalysisContext
 from repro.core.registry import get_model
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.ptac import AccessProfile
 from repro.core.results import ContentionBound, WcetEstimate
 from repro.counters.readings import TaskReadings
@@ -42,7 +41,6 @@ def contention_bound(
     contender_profiles=(),
     dma_agents=(),
     fsb_timing=None,
-    options: IlpPtacOptions | None = None,
     task: str | None = None,
 ) -> ContentionBound:
     """Compute Δcont with any registered model.
@@ -65,7 +63,6 @@ def contention_bound(
             higher-priority-master access profiles.
         dma_agents: DMA transfer descriptors (``dma-occupancy``).
         fsb_timing: bus timing constants (the ``fsb-*`` reductions).
-        options: ILP knobs, forwarded to the ILP-backed models.
         task: victim name for models needing no τa measurements.
 
     Raises:
@@ -88,7 +85,6 @@ def contention_bound(
         contender_profiles=profiles,
         dma_agents=tuple(dma_agents),
         fsb_timing=fsb_timing,
-        options=options,
         task=task,
     )
     return spec.bound(context)
@@ -103,7 +99,6 @@ def wcet_estimate(
     *,
     isolation_cycles: int | None = None,
     contenders=(),
-    options: IlpPtacOptions | None = None,
     **context_kwargs,
 ) -> WcetEstimate:
     """One-call WCET estimate: isolation time + model contention bound.
@@ -118,7 +113,6 @@ def wcet_estimate(
         isolation_cycles: override for the isolation execution time
             (e.g. a high-watermark over many runs rather than one run).
         contenders: contender readings for multi-contender models.
-        options: ILP knobs.
         **context_kwargs: any further :func:`contention_bound` keyword
             (access profiles, DMA agents, FSB timing, task name).
     """
@@ -129,7 +123,6 @@ def wcet_estimate(
         scenario,
         readings_b,
         contenders=contenders,
-        options=options,
         **context_kwargs,
     )
     cycles = (

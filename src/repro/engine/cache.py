@@ -1,11 +1,12 @@
 """Content-addressed result cache for the experiment engine.
 
 Every engine job is a pure function of picklable inputs (a scenario spec,
-counter readings, model names, ILP options), so its result
-can be cached under a *stable content hash* of those inputs.  Repeated
-sweeps and figure regenerations then skip re-simulation entirely: the
-second identical run performs zero simulator or solver work (asserted by
-the engine test-suite via the runner's execution counter).
+counter readings, model names, each of which fixes its model's ILP
+configuration), so its result can be cached under a *stable content
+hash* of those inputs.  Repeated sweeps and figure regenerations then
+skip re-simulation entirely: the second identical run performs zero
+simulator or solver work (asserted by the engine test-suite via the
+runner's execution counter).
 
 The hash is structural, not ``repr``-based: dataclasses, enums, mappings,
 sets and plain objects are canonicalised into a JSON document whose SHA-256

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.model import AnalysisContext
 from repro.core.registry import get_model, model_names, require_counter_based
 from repro.core.wcet import contention_bound
@@ -138,7 +137,6 @@ def run_spec(
     *,
     model: str = "ilp-ptac",
     dma_model: str = "dma-occupancy",
-    options: IlpPtacOptions | None = None,
 ) -> ScenarioRunResult:
     """Execute one spec end to end (measure → bound → co-run → check).
 
@@ -156,7 +154,11 @@ def run_spec(
         dma_model: registered model bounding the declared DMA masters'
             interference from their transfer descriptors (must declare
             ``needs_dma_agents``); ignored for specs without DMA.
-        options: ILP knobs shared by the joint and pairwise solves.
+
+    An ILP-backed model solves with the configuration its registration
+    fixes; another :class:`~repro.core.ilp_ptac.IlpPtacOptions` is
+    passed straight to :func:`~repro.core.ilp_ptac.ilp_ptac_bound` or
+    :func:`~repro.core.multicontender.multi_contender_bound`.
     """
     if isinstance(spec, str):
         spec = default_registry().get(spec)
@@ -196,8 +198,7 @@ def run_spec(
 
     pairwise = tuple(
         contention_bound(
-            model, app.readings, profile, deployment, contender,
-            options=options,
+            model, app.readings, profile, deployment, contender
         ).delta_cycles
         for contender in contender_readings
     )
@@ -208,7 +209,7 @@ def run_spec(
     elif capabilities.max_contenders is None:
         joint = contention_bound(
             model, app.readings, profile, deployment,
-            contenders=tuple(contender_readings), options=options,
+            contenders=tuple(contender_readings),
         ).delta_cycles
     elif capabilities.joint_counterpart is not None:
         # The model declares its multi-contender generalisation (one
@@ -216,7 +217,6 @@ def run_spec(
         joint = contention_bound(
             capabilities.joint_counterpart, app.readings, profile,
             deployment, contenders=tuple(contender_readings),
-            options=options,
         ).delta_cycles
     else:
         # No joint formulation: per-contender bounds are additive under
@@ -254,7 +254,6 @@ def run_specs(
     engine: ExperimentEngine | None = None,
     model: str = "ilp-ptac",
     dma_model: str = "dma-occupancy",
-    options: IlpPtacOptions | None = None,
 ) -> list[ScenarioRunResult]:
     """Run many specs as one engine batch (parallel-safe, cacheable).
 
@@ -274,7 +273,7 @@ def run_specs(
     ]
     return run_jobs(
         [
-            spec_job(spec, model, options, dma_model=dma_model)
+            spec_job(spec, model, dma_model=dma_model)
             for spec in resolved
         ],
         engine,
@@ -284,7 +283,6 @@ def run_specs(
 def spec_job(
     spec: ScenarioSpec,
     model: str,
-    options: IlpPtacOptions | None = None,
     *,
     dma_model: str = "dma-occupancy",
 ):
@@ -300,6 +298,5 @@ def spec_job(
         spec,
         model=model,
         dma_model=dma_model,
-        options=options,
         label=f"run-spec:{spec.name}:{model}",
     )

@@ -54,7 +54,6 @@ import functools
 import itertools
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.core.registry import (
     counter_based_model_names,
     get_model,
@@ -528,7 +527,6 @@ def family_jobs(
     dma_model: str | None = None,
     matrix: bool = False,
     members: Sequence[str] | None = None,
-    options: IlpPtacOptions | None = None,
 ) -> list:
     """The one family batch: behind :func:`run_family`,
     :func:`family_matrix` and ``repro family`` (direct or queued).
@@ -556,7 +554,7 @@ def family_jobs(
     counter, dma_models = _resolve_models(family, models, dma_model, matrix)
     selected = _member_subset(expand_family(family), members)
     return [
-        spec_job(member.spec, model, options, dma_model=dma)
+        spec_job(member.spec, model, dma_model=dma)
         for dma in dma_models
         for member in selected
         for model in counter
@@ -580,7 +578,6 @@ def run_family(
     model: str | None = None,
     dma_model: str | None = None,
     members: Sequence[str] | None = None,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[FamilyRunResult]:
     """Run every member of a family as one engine batch.
@@ -596,7 +593,6 @@ def run_family(
         models=(model,) if model else None,
         dma_model=dma_model,
         members=members,
-        options=options,
     )
     return family_results(family, run_jobs(jobs, engine))
 
@@ -607,7 +603,6 @@ def family_matrix(
     models: Sequence[str] | None = None,
     dma_model: str | None = None,
     members: Sequence[str] | None = None,
-    options: IlpPtacOptions | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[FamilyRunResult]:
     """Run every member under every model — one family, full matrix.
@@ -626,6 +621,5 @@ def family_matrix(
         dma_model=dma_model,
         matrix=True,
         members=members,
-        options=options,
     )
     return family_results(family, run_jobs(jobs, engine))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import paper
-from repro.core.ilp_ptac import IlpPtacOptions
 from repro.engine.batch import Job, as_jobs, job
 from repro.engine.cache import ResultCache
 from repro.engine.runner import ExperimentEngine, run_jobs
@@ -18,14 +17,12 @@ def _solve_jobs(scales):
     readings_a = paper.table6("scenario1", "app")
     contender = paper.table6("scenario1", "H-Load")
     scenario = scenario_1()
-    options = IlpPtacOptions()
     return [
         job(
             _ilp_delta,
             readings_a,
             contender.scaled(scale),
             scenario,
-            options,
             label=f"x{scale:g}",
         )
         for scale in scales
@@ -192,7 +189,6 @@ class TestPooledSolves:
                     paper.table6("scenario1", "app"),
                     paper.table6("scenario1", "H-Load").scaled(scale),
                     scenario,
-                    IlpPtacOptions(),
                 )
                 for scale in scales
             ]

@@ -3,15 +3,17 @@
 Complements ``test_analysis_sweeps_cli.py`` (which covers the nominal
 curves) with the boundary behaviours an exploration tool meets in
 practice: empty or invalid scale sequences, missing/zero isolation times
-(no normalisation possible) and single-point sweeps that start beyond
-the saturation ceiling.
+(no normalisation possible), negative or non-finite ones (rejected) and
+single-point sweeps that start beyond the saturation ceiling.
 """
 
 import math
+from unittest import mock
 
 import pytest
 
 from repro import paper
+from repro.analysis import sweeps
 from repro.analysis.sweeps import contender_scale_sweep, deployment_sweep
 from repro.errors import CounterError, ModelError
 from repro.platform.deployment import scenario_1
@@ -111,6 +113,21 @@ class TestIsolationNormalisation:
             app, contender, {"sc1": sc1}, isolation_cycles=0
         )
         assert rows[0].slowdown is None
+
+    @pytest.mark.parametrize("bad", [-1, -5, math.nan, math.inf])
+    def test_bad_isolation_rejected_before_any_job(
+        self, app, contender, sc1, bad
+    ):
+        with mock.patch.object(sweeps, "run_jobs") as run_jobs:
+            with pytest.raises(ModelError, match="finite and not negative"):
+                contender_scale_sweep(
+                    app, contender, sc1, scales=(1.0,), isolation_cycles=bad
+                )
+            with pytest.raises(ModelError, match="finite and not negative"):
+                deployment_sweep(
+                    app, contender, {"sc1": sc1}, isolation_cycles=bad
+                )
+        run_jobs.assert_not_called()
 
 
 class TestSinglePointSaturation:
