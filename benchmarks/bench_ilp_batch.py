@@ -15,21 +15,31 @@ the exact repeated-structure regime the layer targets:
   simplex iterations**, and — now that the simplex kernels are numpy
   whole-array operations — **at least a 3x wall-clock speedup** too.
 
+A second record runs the contender-scale sweep's own job,
+``_ilp_delta``, over a fixed grid (both reference scenarios, 300 scales
+each, every point with its scenario's ceiling), cold and through one
+batch solver.  It asserts equal deltas and the exact number of chained
+roots the batch solver answers at their stored basis, without recovery.
+
 The measured trajectory lands in the session's JSON report
 (``.benchmarks/engine_report.json``) via the shared ``report`` fixture
 and seeds the repo's ``BENCH_ILP.json``, so CI tracks the cold/warm
 ratio over time.
 """
 
+import contextlib
 import time
+from unittest import mock
 
 import pytest
 
 from repro import paper
 from repro.analysis.report import render_table
+from repro.analysis.sweeps import _ilp_delta
 from repro.core.ilp_ptac import IlpPtacOptions, build_ilp_ptac
+from repro.ilp import batch, branch_and_bound, simplex
 from repro.ilp.batch import BatchSolver
-from repro.platform.deployment import scenario_1, scenario_2
+from repro.platform.deployment import named_scenarios, scenario_1, scenario_2
 from repro.platform.latency import tc27x_latency_profile
 
 #: The Figure 4 contender ladder, densified into a sweep (the H/M/L
@@ -153,5 +163,146 @@ def test_ilp_batch_warm_start(benchmark, report):
             "warm_seconds": round(warm_seconds, 4),
             "wall_clock_speedup": round(speedup, 3),
             "warm_hit_rate": round(solver.stats.warm_hit_rate, 3),
+        },
+    )
+
+
+#: The sweep record's grid: per reference scenario, this many contender
+#: scales spread evenly over [0.05, 4.0).
+SWEEP_RECORD_SCALES = 300
+
+#: Chained roots of the sweep record's batch pass that keep their
+#: certified stored basis and skip recovery.  Exact: the grid, the pool
+#: (fresh) and the solver are deterministic.
+SWEEP_RECORD_SHORTCUTS = 590
+
+
+class _ColdSolver:
+    """Stands in for the batch solver: each solve a cold
+    :meth:`IlpModel.solve`, the full search."""
+
+    def __init__(self):
+        self.stats = batch.BatchSolverStats()
+
+    def solve(self, model, *, node_limit=100_000, upper_bound=None):
+        solution = model.solve(node_limit=node_limit)
+        self.stats.solves += 1
+        self.stats.simplex_iterations += solution.stats.simplex_iterations
+        self.stats.nodes += solution.stats.nodes
+        return solution
+
+
+def _sweep_record_deltas():
+    """Every job of the grid: per scenario its ceiling, then each scale's
+    point against it, as ``contender_scale_sweep`` runs them."""
+    scenarios = named_scenarios()
+    deltas = []
+    for name in ("scenario1", "scenario2"):
+        app = paper.table6(name, "app")
+        hload = paper.table6(name, "H-Load")
+        ceiling = _ilp_delta(app, None, scenarios[name])
+        deltas.append(ceiling)
+        for k in range(SWEEP_RECORD_SCALES):
+            scale = 0.05 + k * 3.95 / SWEEP_RECORD_SCALES
+            deltas.append(
+                _ilp_delta(app, hload.scaled(scale), scenarios[name], ceiling)
+            )
+    return deltas
+
+
+@contextlib.contextmanager
+def _solving_with(solver):
+    with mock.patch.object(batch, "default_batch_solver", lambda: solver):
+        yield solver
+
+
+@contextlib.contextmanager
+def _counted_chained_roots():
+    """Count chained roots, and those of them answered without
+    ``_recover``."""
+    counts = {"chained": 0, "shortcut": 0}
+    solve_rhs = branch_and_bound.warm_solve_rhs
+    recover = simplex._recover
+    recovered = []
+
+    def counting_recover(*args, **kwargs):
+        recovered.append(1)
+        return recover(*args, **kwargs)
+
+    def counting_rhs(*args, **kwargs):
+        before = len(recovered)
+        result = solve_rhs(*args, **kwargs)
+        counts["chained"] += 1
+        counts["shortcut"] += len(recovered) == before
+        return result
+
+    with mock.patch.object(simplex, "_recover", counting_recover), \
+            mock.patch.object(
+                branch_and_bound, "warm_solve_rhs", counting_rhs
+            ):
+        yield counts
+
+
+@pytest.mark.benchmark(group="ilp-batch")
+def test_ilp_sweep_job_record(report):
+    with _solving_with(_ColdSolver()) as cold_solver:
+        start = time.perf_counter()
+        cold = _sweep_record_deltas()
+        cold_seconds = time.perf_counter() - start
+
+    with _solving_with(BatchSolver()) as solver, \
+            _counted_chained_roots() as counts:
+        warm = _sweep_record_deltas()
+    assert warm == cold
+    assert solver.stats.solves == len(cold) == 2 * SWEEP_RECORD_SCALES + 2
+    assert counts["shortcut"] == SWEEP_RECORD_SHORTCUTS, counts
+
+    warm_seconds = float("inf")
+    for _ in range(TIMING_ROUNDS):
+        with _solving_with(BatchSolver()):
+            start = time.perf_counter()
+            _sweep_record_deltas()
+            warm_seconds = min(warm_seconds, time.perf_counter() - start)
+
+    speedup = cold_seconds / warm_seconds
+    report.add(
+        f"P1b — sweep jobs, cold vs one batch solver ({len(cold)} solves)",
+        render_table(
+            ["mode", "simplex iterations", "bnb nodes", "seconds"],
+            [
+                [
+                    "cold",
+                    cold_solver.stats.simplex_iterations,
+                    cold_solver.stats.nodes,
+                    f"{cold_seconds:.3f}",
+                ],
+                [
+                    "batch",
+                    solver.stats.simplex_iterations,
+                    solver.stats.nodes,
+                    f"{warm_seconds:.3f}",
+                ],
+                [
+                    "roots at their basis",
+                    f"{counts['shortcut']} of {counts['chained']} chained",
+                    "",
+                    f"{speedup:.2f}x",
+                ],
+            ],
+        ),
+    )
+    report.record(
+        "ilp_sweep_job",
+        {
+            "sweep_solves": len(cold),
+            "cold_simplex_iterations": cold_solver.stats.simplex_iterations,
+            "warm_simplex_iterations": solver.stats.simplex_iterations,
+            "cold_nodes": cold_solver.stats.nodes,
+            "warm_nodes": solver.stats.nodes,
+            "chained_roots": counts["chained"],
+            "shortcut_roots": counts["shortcut"],
+            "cold_seconds": round(cold_seconds, 4),
+            "warm_seconds": round(warm_seconds, 4),
+            "wall_clock_speedup": round(speedup, 3),
         },
     )

@@ -51,11 +51,16 @@ names too, from two on); the counter readings reach only the right-hand
 sides of the stall-budget and Table 5 rows.  So the expression code
 assembles each such *structure* once, into a per-process memoised
 template (its standard form built and its structure signature hashed
-once), and every model is an instance of it: a full :class:`IlpModel`
-sharing the template's variables and read-only arrays, with only the
-counter rows rewritten.  A sweep of thousands of points builds a handful
-of templates, and the batch solver chains their roots without comparing
-matrices, since every instance carries the template's very ``a_ub``.
+once), and every model is an instance of it: a full, copy-on-write
+:class:`IlpModel` (:meth:`~repro.ilp.model.IlpModel.with_rhs`) sharing
+the template's variables, constraints and read-only arrays, whose only
+new arrays are the right-hand sides; its rewritten counter rows are made
+only if something reads its constraints.  The builder memoises each
+structure per profile and scenario object, and reads the counts back
+off the solver's point through the template's per-family column
+indices.  A sweep of thousands of points builds a handful of templates,
+and the batch solver chains their roots without comparing matrices,
+since every instance carries the template's very ``a_ub``.
 """
 
 from __future__ import annotations
@@ -63,7 +68,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import weakref
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.core.results import ContentionBound
 from repro.counters.readings import TaskReadings
@@ -150,16 +158,23 @@ class _Readout:
 
     Attributes:
         bound: the contention bound over every ``n_ba`` family.
-        interference: per ``n_ba`` family (one per contender, or the
+        pairs: the scenario's valid pairs, the order of :attr:`counts`.
+        counts: per ``n_ba`` family (one per contender, or the
             time-composable one), the worst-case interfering counts.
         cycles: per ``n_ba`` family, the interference cycles it carries.
         solution: raw solver result.
     """
 
     bound: ContentionBound
-    interference: tuple[dict[Pair, int], ...]
+    pairs: tuple[Pair, ...]
+    counts: tuple[list[int], ...]
     cycles: tuple[int, ...]
     solution: Solution
+
+    @functools.cached_property
+    def interference(self) -> tuple[dict[Pair, int], ...]:
+        """:attr:`counts` keyed by pair."""
+        return tuple(dict(zip(self.pairs, counts)) for counts in self.counts)
 
 
 #: Contention-ILP templates kept in memory per process, one per
@@ -234,6 +249,9 @@ class _Template:
             reading)``: the constraint's position in the model, the task
             whose readings it uses (0 for τa, ``i`` for the ``i``-th
             contender) and the :class:`TaskReadings` attribute.
+        columns_a, columns_ba, columns_b: the columns of ``n_a`` and of
+            each ``n_ba`` and ``n_b`` family, in pair order; the readout
+            indexes the solver's point with them.
     """
 
     def __init__(self, structure: _Structure) -> None:
@@ -259,6 +277,14 @@ class _Template:
         for task, (who, variables) in enumerate(tasks):
             self._add_stall_profile(task, who, variables)
             self._add_tailoring(task, who, variables)
+        column = {var: j for j, var in enumerate(self.model.variables)}
+
+        def columns(family: dict[Pair, Var]) -> np.ndarray:
+            return np.array([column[family[pair]] for pair in self.pairs])
+
+        self.columns_a = columns(self.n_a)
+        self.columns_ba = [columns(family) for family in self.n_ba]
+        self.columns_b = [columns(family) for family in self.n_b]
         # Memoised on the form, which every instance's form copies.
         structure_signature(self.model.standard_form())
 
@@ -429,6 +455,24 @@ def _template(structure: _Structure) -> _Template:
     return _Template(structure)
 
 
+#: :meth:`_IlpPtacBuilder.structure`'s memo: per (profile id, scenario
+#: id, stall-budget mode, exact-code-count option, contender count,
+#: contender names), weak references to the profile and the scenario,
+#: and their structure.  An entry answers only while both references
+#: still lead to the very objects asked about, so an id reused after its
+#: object died misses, and the memo keeps no profile or scenario alive
+#: (a pull worker unpickles fresh ones for every job).  Past
+#: :data:`TEMPLATE_CACHE_SIZE` entries the memo starts over.
+_STRUCTURES: dict[
+    tuple,
+    tuple[
+        "weakref.ref[LatencyProfile]",
+        "weakref.ref[DeploymentScenario]",
+        _Structure,
+    ],
+] = {}
+
+
 class _IlpPtacBuilder:
     """Instantiates the contention ILP of τa against zero, one or several
     contenders (see :class:`_Template`), solves it and reads it back.
@@ -457,9 +501,35 @@ class _IlpPtacBuilder:
 
     # ------------------------------------------------------------------
     def structure(self) -> _Structure:
-        """The memo key of this instance's template."""
-        profile, scenario = self.profile, self.scenario
-        return _Structure(
+        """The memo key of this instance's template.
+
+        Itself memoised per profile and scenario *object*, with the
+        options and contenders that shape it: a sweep brings the same
+        two objects to every point, so only its first point reads the
+        latencies and stall cycles.
+        """
+        profile, scenario, options = self.profile, self.scenario, self.options
+        names = (
+            tuple(c.name for c in self.contenders)
+            if len(self.contenders) > 1
+            else ()
+        )
+        key = (
+            id(profile),
+            id(scenario),
+            options.stall_budget,
+            options.use_exact_code_counts,
+            len(self.contenders),
+            names,
+        )
+        entry = _STRUCTURES.get(key)
+        if (
+            entry is not None
+            and entry[0]() is profile
+            and entry[1]() is scenario
+        ):
+            return entry[2]
+        structure = _Structure(
             pairs=self.pairs,
             latencies=tuple(
                 scenario.interference_latency(profile, target, op)
@@ -468,19 +538,22 @@ class _IlpPtacBuilder:
             stall_cycles=tuple(
                 profile.stall_cycles(target, op) for target, op in self.pairs
             ),
-            stall_budget=self.options.stall_budget,
+            stall_budget=options.stall_budget,
             code_count_exact=(
-                self.options.use_exact_code_counts
-                and scenario.code_count_exact
+                options.use_exact_code_counts and scenario.code_count_exact
             ),
             data_count_lower_bounded=scenario.data_count_lower_bounded,
             contenders=len(self.contenders),
-            names=(
-                tuple(c.name for c in self.contenders)
-                if len(self.contenders) > 1
-                else ()
-            ),
+            names=names,
         )
+        if len(_STRUCTURES) >= TEMPLATE_CACHE_SIZE:
+            _STRUCTURES.clear()
+        _STRUCTURES[key] = (
+            weakref.ref(profile),
+            weakref.ref(scenario),
+            structure,
+        )
+        return structure
 
     def build(self) -> IlpModel:
         """This instance of its structure's template.
@@ -489,8 +562,9 @@ class _IlpPtacBuilder:
         memoised; every instance is the template with the rows that read
         the counters rewritten to this instance's readings
         (:meth:`~repro.ilp.model.IlpModel.with_rhs`).  The returned model
-        is a full :class:`IlpModel`, named after the tasks and scenario,
-        that shares the template's variables and read-only arrays.
+        is a full, copy-on-write :class:`IlpModel`, named after the tasks
+        and scenario, that shares the template's variables, constraints
+        and read-only arrays.
         """
         self.template = template = _template(self.structure())
         readings = (self.readings_a, *self.contenders)
@@ -503,23 +577,21 @@ class _IlpPtacBuilder:
         )
         return self.model
 
-    def counts(
-        self, solution: Solution, variables: Mapping[Pair, Var]
-    ) -> dict[Pair, int]:
-        """One variable family's counts at the optimum.
+    def counts(self, solution: Solution, columns: np.ndarray) -> list[int]:
+        """One variable family's counts at the optimum, in pair order, by
+        the family's columns (one of the template's ``columns_*``).
 
         With the ``lp`` backend the relaxation optimum is fractional;
         rounding each count *up* keeps the reported bound sound (the LP
         optimum already dominates the ILP optimum).
         """
         if self.options.backend == "lp":
-            return {
-                pair: int(math.ceil(solution.value(var) - 1e-9))
-                for pair, var in variables.items()
-            }
-        return {
-            pair: solution.int_value(var) for pair, var in variables.items()
-        }
+            assert solution.x is not None
+            return [
+                int(math.ceil(value - 1e-9))
+                for value in solution.x[columns].tolist()
+            ]
+        return solution.int_values(columns)
 
     def solve(
         self, model_name: str, *, upper_bound: float | None = None
@@ -534,33 +606,40 @@ class _IlpPtacBuilder:
         solution = solve_contention_ilp(
             self.build(), self.options, upper_bound=upper_bound
         ).require_optimal()
-        interference = tuple(
-            self.counts(solution, n_ba) for n_ba in self.template.n_ba
+        template = self.template
+        counts = tuple(
+            self.counts(solution, columns) for columns in template.columns_ba
         )
-        latency = dict(zip(self.pairs, self.template.structure.latencies))
-        breakdown: dict[Pair, int] = {}
-        op_totals = {Operation.CODE: 0, Operation.DATA: 0}
-        for pair in self.pairs:
-            cycles = sum(counts[pair] for counts in interference)
-            cycles *= latency[pair]
-            if cycles:
-                breakdown[pair] = cycles
-            op_totals[pair[1]] += cycles
+        latencies = template.structure.latencies
+        cycles = [
+            sum(per_family) * latency
+            for per_family, latency in zip(zip(*counts), latencies)
+        ]
+        total = sum(cycles)
+        code = sum(
+            pair_cycles
+            for pair_cycles, (_, op) in zip(cycles, self.pairs)
+            if op is Operation.CODE
+        )
         bound = ContentionBound(
             model=model_name,
             task=self.readings_a.name,
             contenders=tuple(c.name for c in self.contenders),
-            delta_cycles=sum(op_totals.values()),
-            op_breakdown=op_totals,
-            breakdown=breakdown,
+            delta_cycles=total,
+            op_breakdown={Operation.CODE: code, Operation.DATA: total - code},
+            breakdown={
+                pair: pair_cycles
+                for pair, pair_cycles in zip(self.pairs, cycles)
+                if pair_cycles
+            },
             scenario=self.scenario.name,
             time_composable=not self.contenders,
         )
         per_family = tuple(
-            sum(counts[pair] * latency[pair] for pair in self.pairs)
-            for counts in interference
+            sum(count * latency for count, latency in zip(family, latencies))
+            for family in counts
         )
-        return _Readout(bound, interference, per_family, solution)
+        return _Readout(bound, self.pairs, counts, per_family, solution)
 
 
 def solve_contention_ilp(
@@ -664,12 +743,16 @@ def ilp_ptac_bound(
     )
     solution = readout.solution
     template = builder.template
+
+    def by_pair(columns) -> dict[Pair, int]:
+        return dict(zip(builder.pairs, builder.counts(solution, columns)))
+
     return IlpPtacResult(
         bound=readout.bound,
         interference=readout.interference[0],
-        worst_profile_a=builder.counts(solution, template.n_a),
+        worst_profile_a=by_pair(template.columns_a),
         worst_profile_b=(
-            builder.counts(solution, template.n_b[0]) if template.n_b else {}
+            by_pair(template.columns_b[0]) if template.columns_b else {}
         ),
         model=builder.model,
         solution=solution,

@@ -19,8 +19,11 @@ This module is the reuse layer:
   signature and threads it through consecutive
   :func:`~repro.ilp.branch_and_bound.solve_bnb_warm` calls: the previous
   root tableau chains the next root relaxation (the new right-hand side
-  written into its rhs column and a few dual pivots instead of Phase 1;
-  a chained root that is not optimal solves cold).
+  written into its rhs column instead of Phase 1; a chained root that is
+  not optimal solves cold).  Most sweep roots keep their stored basis:
+  when that basis is certified for the instance's matrices and costs
+  and the new column is non-negative, the root is read off at it with
+  no pivot at all; otherwise a few dual pivots recover it.
 
 Determinism: warm-started solves return **bit-identical** solutions to
 cold ones — the simplex lands every LP on the canonical optimal vertex
@@ -45,10 +48,9 @@ import threading
 
 import numpy as np
 
-from repro.errors import IlpError
 from repro.ilp.branch_and_bound import BnbWarmStart, solve_bnb_warm
 from repro.ilp.model import IlpModel, StandardForm
-from repro.ilp.solution import Solution, SolveStatus
+from repro.ilp.solution import Solution
 
 __all__ = [
     "BatchSolver",
@@ -138,7 +140,11 @@ class BatchSolver:
     Holds one :class:`~repro.ilp.branch_and_bound.BnbWarmStart` per
     :func:`structure_signature` and threads it through consecutive
     solves, so a sweep over one (model, scenario) pair pays the Phase-1
-    simplex once and recovers every later root by a few dual pivots.
+    simplex once and answers every later root at the stored basis, or
+    recovers it by a few dual pivots.  A signature ignores coefficient
+    values, so the pooled state keeps the matrices and costs its cached
+    columns and certificate hold for, and a root with other matrices
+    starts afresh.
 
     Solutions are **bit-identical** to cold :meth:`IlpModel.solve`
     calls — the canonical-vertex simplex makes the search path
@@ -176,7 +182,8 @@ class BatchSolver:
         """Solve ``model`` with warm-start state for its structure.
 
         Mirrors ``model.solve(backend="bnb")`` — including the
-        feasibility re-check of the returned point — while reusing the
+        feasibility re-check of the returned point
+        (:meth:`~repro.ilp.model.IlpModel.recheck`) — while reusing the
         pooled root state of the model's structure signature and
         banking the refreshed state for the next same-structure solve.
 
@@ -196,30 +203,19 @@ class BatchSolver:
             form, warm, node_limit=node_limit, upper_bound=upper_bound
         )
         if warm is not None and state.basis is None:
-            # An infeasible/degenerate point may produce no fresh state;
-            # keep the previous basis for the next point.  The root
-            # tableau rides along only with its own basis: the chaining
-            # path pairs the two, so restoring one without the other
-            # would chain from inconsistent state.
-            state = dataclasses.replace(
-                state,
-                basis=warm.basis,
-                root_tableau=warm.root_tableau,
-                root_arrays=warm.root_arrays,
-            )
+            # A solve that reached no root produces no fresh state; keep
+            # the pooled one whole.  Its root tableau, matrices, cached
+            # B^-1 E_eq columns and certificate all belong to its basis,
+            # so restoring some without the others would chain from
+            # inconsistent state.
+            state = warm
         self._pool[signature] = state
         self.stats.solves += 1
         self.stats.warm_hits += 1 if warm is not None else 0
         self.stats.simplex_iterations += solution.stats.simplex_iterations
         self.stats.nodes += solution.stats.nodes
 
-        if solution.status is SolveStatus.OPTIMAL:
-            violations = model.check(dict(solution.values))
-            if violations:
-                raise IlpError(
-                    "warm-started solve returned an infeasible point: "
-                    + "; ".join(violations[:5])
-                )
+        model.recheck(solution, "warm-started solve")
         return solution
 
 

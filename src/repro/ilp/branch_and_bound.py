@@ -69,20 +69,29 @@ class BnbWarmStart:
             negated), when one was produced; the next root *chains* from
             it by rewriting the right-hand column instead of solving the
             root cold.
-        root_arrays: the ``(a_ub, a_eq)`` the stored root tableau
-            solved.  Chaining verifies the matrices are equal (structure
-            signatures only pledge equal sparsity).
-        eq_cache: maps a basis (as bytes) to ``B^-1 E_eq`` — the
-            equality rows carry no slack column, so their ``B^-1 e_i``
-            needs one small linear solve; root bases repeat across a
-            sweep, so the solve amortises to once per distinct basis.
-            The dict is threaded through successive states by identity.
+        root_arrays: the ``(a_ub, a_eq, c)`` of the instance whose root
+            produced the tableau.  Chaining needs equal matrices
+            (structure signatures only pledge equal sparsity), and the
+            certificate also equal costs.
+        eq_cache: maps a basis (as bytes) to ``B^-1 E_eq`` under the
+            matrices of :attr:`root_arrays` — the equality rows carry no
+            slack column, so their ``B^-1 e_i`` needs one small linear
+            solve; root bases repeat across a sweep, so the solve
+            amortises to once per distinct basis.  The dict is threaded
+            through successive states by identity while their matrices
+            stay equal; a root with other matrices starts a new one.
+        certified: the root result was
+            :attr:`~repro.ilp.simplex.LpResult.certified`: a chained
+            root at this basis whose ``B^-1 b`` is non-negative, under
+            the same matrices and costs, is answered without recovery
+            (:func:`~repro.ilp.simplex.warm_solve_rhs`).
     """
 
     basis: np.ndarray | None = None
     root_tableau: np.ndarray | None = None
-    root_arrays: tuple[np.ndarray, np.ndarray] | None = None
+    root_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     eq_cache: dict | None = None
+    certified: bool = False
 
 
 @dataclasses.dataclass(order=True)
@@ -167,6 +176,12 @@ def _basis_eq_inverse(
     return inverse
 
 
+def _same(array: np.ndarray, other: np.ndarray) -> bool:
+    """Whether two arrays hold equal values (instances of one template
+    share theirs, which answers without a comparison)."""
+    return array is other or np.array_equal(array, other)
+
+
 def _chained_root(form, warm, c_min, eq_cache):
     """Solve the root relaxation by chaining from the previous root.
 
@@ -174,32 +189,22 @@ def _chained_root(form, warm, c_min, eq_cache):
     only right-hand sides, so the new root's reduced rhs column is
     ``B^-1 @ b`` for the stored basis — assembled from the tableau's own
     slack columns (``B^-1`` on the inequality rows) and the cached
-    equality-row columns — followed by the usual dual-simplex recovery.
-    The column is computed from ``b`` itself, never as the stored column
-    plus ``B^-1 @ (b_new - b_old)``: shifting would carry each point's
-    rounding error into the next, and along a long sweep a zero row
-    drifted past the dual ratio test's tolerance and read as a
-    certificate of infeasibility.  Returns ``None`` (fall back to a cold
-    solve) whenever the stored state does not provably apply.
+    equality-row columns — followed by the usual dual-simplex recovery,
+    or none when the stored basis is certified for these costs (see
+    :class:`BnbWarmStart`).  The caller has checked the matrices equal
+    the stored root's.  The column is computed from ``b`` itself, never
+    as the stored column plus ``B^-1 @ (b_new - b_old)``: shifting would
+    carry each point's rounding error into the next, and along a long
+    sweep a zero row drifted past the dual ratio test's tolerance and
+    read as a certificate of infeasibility.  Returns ``None`` (fall back
+    to a cold solve) whenever the stored state does not provably apply.
     """
     tableau = warm.root_tableau
     basis = warm.basis
-    prev_a_ub, prev_a_eq = warm.root_arrays
     n = form.n_variables
     m_ub = form.a_ub.shape[0]
     m = m_ub + form.a_eq.shape[0]
     if basis is None or tableau.shape != (m, n + m_ub + 1):
-        return None
-    # Signatures only pledge matching sparsity; chaining additionally
-    # needs the coefficients themselves unchanged.  (The objective may
-    # move: recovery then simply pays primal pivots after the dual ones.)
-    if form.a_ub is not prev_a_ub and not np.array_equal(
-        form.a_ub, prev_a_ub
-    ):
-        return None
-    if form.a_eq is not prev_a_eq and not np.array_equal(
-        form.a_eq, prev_a_eq
-    ):
         return None
 
     rhs = tableau[:, n : n + m_ub] @ form.b_ub
@@ -213,7 +218,12 @@ def _chained_root(form, warm, c_min, eq_cache):
                 return None
             eq_cache[key] = eq_inverse
         rhs += eq_inverse[:, nonzero] @ form.b_eq[nonzero]
-    return warm_solve_rhs(tableau, basis, c_min, rhs, keep_tableau=True)
+    # The objective may move: recovery then pays primal pivots after
+    # the dual ones, and the certificate does not apply.
+    certified = warm.certified and _same(form.c, warm.root_arrays[2])
+    return warm_solve_rhs(
+        tableau, basis, c_min, rhs, keep_tableau=True, certified=certified
+    )
 
 
 def _floor_heuristic(
@@ -315,7 +325,9 @@ def solve_bnb_warm(
     per-structure pool that feeds this):
 
     * the previous solve's root tableau *chains* this root relaxation:
-      its right-hand column is recomputed from the new ``b`` and a few
+      its right-hand column is recomputed from the new ``b``; a
+      certified stored basis (:class:`BnbWarmStart`) under the same
+      costs answers a non-negative column as it stands, otherwise a few
       dual pivots recover (a root whose matrices changed, or whose
       chained relaxation is not optimal, solves cold);
     * within the tree, each child LP *extends its parent's final
@@ -373,18 +385,23 @@ def _solve(
     n = form.n_variables
     c_min = -form.c  # the simplex minimises
     integral_data = bool(
-        np.all(form.c == np.round(form.c)) and np.all(form.integer_mask)
+        (form.c == np.round(form.c)).all() and form.integer_mask.all()
     )
 
     incumbent_x: np.ndarray | None = None
     incumbent_value = -np.inf
     root_basis: np.ndarray | None = None
     root_tableau: np.ndarray | None = None
-    eq_cache: dict = (
-        warm.eq_cache
-        if warm is not None and warm.eq_cache is not None
-        else {}
-    )
+    root_certified = False
+    # Chaining, and the cached B^-1 E_eq columns, need the stored root's
+    # very matrices; a root with others starts a cache of its own.
+    chainable = False
+    eq_cache: dict = {}
+    if warm is not None and warm.root_arrays is not None:
+        a_ub, a_eq, _ = warm.root_arrays
+        chainable = _same(form.a_ub, a_ub) and _same(form.a_eq, a_eq)
+        if chainable and warm.eq_cache is not None:
+            eq_cache = warm.eq_cache
     total_iterations = 0
     nodes_explored = 0
     counter = itertools.count()
@@ -409,11 +426,7 @@ def _solve(
             continue
 
         result = None
-        if (
-            node.priority == -np.inf
-            and warm is not None
-            and warm.root_tableau is not None
-        ):
+        if node.priority == -np.inf and chainable:
             # Fast path: chain this root from the previous sweep point's
             # root tableau — a rhs-column write instead of a cold solve.
             result = _chained_root(form, warm, c_min, eq_cache)
@@ -461,6 +474,7 @@ def _solve(
                 # convention either way), so the kept tableau is always
                 # convention-consistent with the raw ``b`` vectors.
                 root_tableau = result.tableau
+                root_certified = result.certified
 
         if result.status is LpStatus.INFEASIBLE:
             continue
@@ -563,9 +577,12 @@ def _solve(
         basis=root_basis,
         root_tableau=root_tableau,
         root_arrays=(
-            (form.a_ub, form.a_eq) if root_tableau is not None else None
+            (form.a_ub, form.a_eq, form.c)
+            if root_tableau is not None
+            else None
         ),
         eq_cache=eq_cache,
+        certified=root_certified,
     )
     if incumbent_x is None:
         if heap:  # ran out of node budget with no incumbent
@@ -580,6 +597,7 @@ def _solve(
     return Solution(
         status=status,
         objective=float(incumbent_value + form.objective_constant),
-        values=form.assignment(incumbent_x),
+        x=incumbent_x,
+        variables=form.variables,
         stats=stats,
     ), state

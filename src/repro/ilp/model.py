@@ -15,7 +15,6 @@ bounds, optional upper bounds, integer or continuous domains, ``<=``,
 
 from __future__ import annotations
 
-import copy
 from typing import Mapping
 
 import numpy as np
@@ -139,16 +138,14 @@ class StandardForm:
                 array.flags.writeable = False
         b_ub = self.b_ub.copy()
         b_eq = self.b_eq.copy()
+        rows = self.constraint_rows
         for k, value in rhs.items():
-            block, row, sign = self.constraint_rows[k]
+            block, row, sign = rows[k]
             (b_ub if block == "ub" else b_eq)[row] = sign * value
-        form = copy.copy(self)
+        form = object.__new__(StandardForm)
+        form.__dict__.update(self.__dict__)
         form.b_ub, form.b_eq = b_ub, b_eq
         return form
-
-    def assignment(self, x: np.ndarray) -> dict[Var, float]:
-        """Zip a solution vector back onto the model variables."""
-        return {var: float(x[j]) for j, var in enumerate(self.variables)}
 
 
 class IlpModel:
@@ -170,6 +167,19 @@ class IlpModel:
         self._constraints: list[Constraint] = []
         self._objective: LinExpr = LinExpr()
         self._form: StandardForm | None = None
+        # Copy-on-write (see :meth:`with_rhs`): ``_shared`` marks the
+        # three lists above as shared with other models, and ``_rhs``
+        # holds right-hand sides not yet written into ``_constraints``.
+        self._shared = False
+        self._rhs: dict[int, float] | None = None
+
+    def _own(self) -> None:
+        """Give this model lists of its own before it changes them."""
+        if self._shared:
+            self._constraints = list(self.constraints)
+            self._variables = list(self._variables)
+            self._names = set(self._names)
+            self._shared = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -193,6 +203,7 @@ class IlpModel:
         """
         if name in self._names:
             raise IlpError(f"duplicate variable name {name!r}")
+        self._own()
         var = Var(name=name, lower=lower, upper=upper, integer=integer)
         self._variables.append(var)
         self._names.add(name)
@@ -208,6 +219,7 @@ class IlpModel:
             )
         if name:
             constraint = constraint.named(name)
+        self._own()
         self._constraints.append(constraint)
         self._form = None
         return constraint
@@ -228,6 +240,14 @@ class IlpModel:
 
     @property
     def constraints(self) -> tuple[Constraint, ...]:
+        if self._rhs is not None:
+            # First read of a copy-on-write instance: write its
+            # right-hand sides into a list of its own.
+            constraints = list(self._constraints)
+            for k, value in self._rhs.items():
+                constraints[k] = constraints[k].with_rhs(value)
+            self._constraints = constraints
+            self._rhs = None
         return tuple(self._constraints)
 
     @property
@@ -236,7 +256,7 @@ class IlpModel:
 
     def constraint_named(self, name: str) -> Constraint:
         """Find a constraint by its display name."""
-        for constraint in self._constraints:
+        for constraint in self.constraints:
             if constraint.name == name:
                 return constraint
         raise IlpError(f"model has no constraint named {name!r}")
@@ -263,30 +283,35 @@ class IlpModel:
         """A copy of this model whose constraint ``k`` has right-hand side
         ``rhs[k]`` (``k`` counts :attr:`constraints` in order).
 
-        The copy shares this model's variables, objective and untouched
-        constraints, and comes with its standard form already built
-        (:meth:`StandardForm.with_rhs`): only ``b_ub`` and ``b_eq`` are
-        new.  It owns its variable, name and constraint lists, so
-        ``add_var``, ``add_constraint`` or ``maximize`` on it never
-        reach this model.  It is named ``name``, or this model's name.
+        The copy is copy-on-write: it shares this model's variables,
+        names, constraints and objective, and comes with its standard
+        form already built (:meth:`StandardForm.with_rhs`: only ``b_ub``
+        and ``b_eq`` are new).  Its rewritten constraints are made only
+        when something reads :attr:`constraints`.  Whichever of the two
+        models is changed first (``add_var``, ``add_constraint``) takes
+        lists of its own, so neither change reaches the other.  The copy
+        is named ``name``, or this model's name.
         """
-        constraints = list(self._constraints)
-        for k, value in rhs.items():
-            constraints[k] = constraints[k].with_rhs(value)
+        # The rhs a rewritten constraint reports (``-(0.0 - v)``: a
+        # zero reads -0.0), so the form holds the very rows that
+        # lowering the rewritten constraints gives.
+        folded = {k: -(0.0 - float(value)) for k, value in rhs.items()}
         model = IlpModel(self.name if name is None else name)
-        model._variables = list(self._variables)
-        model._names = set(self._names)
-        model._constraints = constraints
+        model._variables = self._variables
+        model._names = self._names
+        model._constraints = self._constraints
+        if self._rhs is not None:
+            folded = {**self._rhs, **folded}
+        model._rhs = folded
         model._objective = self._objective
-        model._form = self.standard_form().with_rhs(
-            {k: constraints[k].rhs for k in rhs}
-        )
+        model._form = self.standard_form().with_rhs(folded)
+        model._shared = self._shared = True
         return model
 
     def check(self, values: dict[Var, float], *, tolerance: float = 1e-6) -> list[str]:
         """Return human-readable violations of ``values`` (empty = feasible).
 
-        Used by tests and by :meth:`solve`'s internal self-check.  A
+        Used by tests and by :meth:`recheck` to word a failure.  A
         fully-assigned point is first screened against the dense
         standard-form arrays (one matmul per constraint block); the
         per-constraint walk that renders messages only runs when the
@@ -303,7 +328,7 @@ class IlpModel:
             if x is not None and self._screen_point(form, x, tolerance):
                 return []
         violations = []
-        for constraint in self._constraints:
+        for constraint in self.constraints:
             if not constraint.is_satisfied(values, tolerance=tolerance):
                 violations.append(f"violated: {constraint!r}")
         for var in self._variables:
@@ -329,20 +354,20 @@ class IlpModel:
         constraint row (the form folds ``>=`` rows in negated), the
         variable bounds, and integrality.
         """
-        if form.a_ub.size and np.any(form.a_ub @ x > form.b_ub + tolerance):
+        if form.a_ub.size and (form.a_ub @ x > form.b_ub + tolerance).any():
             return False
-        if form.a_eq.size and np.any(
+        if form.a_eq.size and (
             np.abs(form.a_eq @ x - form.b_eq) > tolerance
-        ):
+        ).any():
             return False
-        if np.any(x < form.lower - tolerance):
+        if (x < form.lower - tolerance).any():
             return False
-        if np.any(x > form.upper + tolerance):
+        if (x > form.upper + tolerance).any():
             return False
         integral = x[form.integer_mask]
-        if integral.size and np.any(
+        if integral.size and (
             np.abs(integral - np.round(integral)) > tolerance
-        ):
+        ).any():
             return False
         return True
 
@@ -382,16 +407,33 @@ class IlpModel:
         else:
             solution = self._solve_relaxation()
 
-        # Re-check the returned point against every constraint (cheap,
-        # and it turns solver bugs into loud errors).
-        if solution.status is SolveStatus.OPTIMAL and backend != "lp":
-            violations = self.check(dict(solution.values))
-            if violations:
-                raise IlpError(
-                    f"backend {backend!r} returned an infeasible point: "
-                    + "; ".join(violations[:5])
-                )
+        if backend != "lp":
+            self.recheck(solution, f"backend {backend!r}")
         return solution
+
+    def recheck(self, solution: Solution, solver: str) -> None:
+        """Re-check an optimal ``solution`` of this model, turning solver
+        bugs into loud errors.
+
+        The point is screened as an array against the standard form; the
+        named constraints are walked (:meth:`check`) only to word a
+        failure.  :meth:`solve` and the batch solver both call this.
+
+        Raises:
+            IlpError: the point violates the model; the message starts
+                with ``solver`` and names up to five violations.
+        """
+        if solution.status is not SolveStatus.OPTIMAL:
+            return
+        assert solution.x is not None
+        if self._screen_point(self.standard_form(), solution.x, 1e-6):
+            return
+        violations = self.check(solution.values)
+        if violations:
+            raise IlpError(
+                f"{solver} returned an infeasible point: "
+                + "; ".join(violations[:5])
+            )
 
     def _solve_relaxation(self) -> Solution:
         """Solve the LP relaxation with the bundled simplex."""
@@ -416,7 +458,8 @@ class IlpModel:
         return Solution(
             status=status,
             objective=-result.objective + form.objective_constant,
-            values=form.assignment(result.x),
+            x=result.x,
+            variables=form.variables,
             stats=SolveStats(
                 simplex_iterations=result.iterations, backend="lp"
             ),

@@ -54,6 +54,7 @@ def solve_scipy(form: StandardForm) -> Solution:
     return Solution(
         status=SolveStatus.OPTIMAL,
         objective=float(form.c @ x + form.objective_constant),
-        values=form.assignment(x),
+        x=x,
+        variables=form.variables,
         stats=stats,
     )

@@ -30,7 +30,7 @@ Two properties serve the batch-solving layer (:mod:`repro.ilp.batch`):
   which is what lets warm-started sweeps share solver state without
   influencing any artefact.
 
-Branch-and-bound pays per node more than per pivot, so two shortcuts
+Branch-and-bound pays per node more than per pivot, so three shortcuts
 keep a node cheap without changing any pivot or result:
 
 * **child screen** — a branching child whose reduced bound row is
@@ -41,7 +41,11 @@ keep a node cheap without changing any pivot or result:
 * **polish quick exit** — :func:`_canonical_polish` first tests only
   the nonbasic columns whose objective reduced cost vanishes (the only
   ones that can ever be eligible) and returns at once when none is;
-  the full reduced-cost matrix is built only when a pivot is due.
+  the full reduced-cost matrix is built only when a pivot is due;
+* **same-basis roots** — a recovery that ends with no polish pivot
+  marks its result :attr:`LpResult.certified`, and
+  :func:`warm_solve_rhs` answers a new non-negative right-hand column
+  at such a basis without recovering, at 0 iterations.
 """
 
 from __future__ import annotations
@@ -90,6 +94,12 @@ class LpResult:
             was asked to ``keep_tableau``.  Branch-and-bound extends it
             in place of refactorising a child instance from scratch
             (see :func:`warm_solve_insert_row`).
+        certified: set on an optimal re-solve whose final basis had no
+            reduced cost below ``-TOLERANCE`` and made the canonical
+            polish pivot zero times.  Both facts read only the basis,
+            the tableau's ``[x | slacks]`` block and the costs, so
+            :func:`warm_solve_rhs` may answer a new right-hand side at
+            this basis directly (see there).
     """
 
     status: LpStatus
@@ -98,6 +108,7 @@ class LpResult:
     iterations: int
     basis: np.ndarray | None = None
     tableau: np.ndarray | None = None
+    certified: bool = False
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -405,7 +416,8 @@ def _extract(
     structural = basis < n
     # Basis entries are unique, so the fancy-indexed scatter is safe.
     x[basis[structural]] = tableau[structural, -1]
-    x[np.abs(x) < TOLERANCE] = np.abs(x[np.abs(x) < TOLERANCE])
+    tiny = np.abs(x) < TOLERANCE
+    x[tiny] = np.abs(x[tiny])
     return x, float(c @ x)
 
 
@@ -461,7 +473,7 @@ def _recover(
                 iterations,
                 basis=basis.copy(),
             )
-        iterations += _canonical_polish(
+        polish = _canonical_polish(
             tableau,
             basis,
             cost,
@@ -469,6 +481,7 @@ def _recover(
             MAX_ITERATIONS - iterations,
             reduced0=reduced_row,
         )
+        iterations += polish
     except IlpNumericalError:
         return None
     x, objective = _extract(tableau, basis, c)
@@ -479,6 +492,7 @@ def _recover(
         iterations,
         basis=basis.copy(),
         tableau=tableau if keep_tableau else None,
+        certified=polish == 0,
     )
 
 
@@ -609,6 +623,7 @@ def warm_solve_rhs(
     rhs: np.ndarray,
     *,
     keep_tableau: bool = False,
+    certified: bool = False,
 ) -> LpResult | None:
     """Solve an instance whose reduced right-hand column is now ``rhs``.
 
@@ -619,9 +634,28 @@ def warm_solve_rhs(
     (equality rows), turning a sweep-point root solve into one column
     write and a few dual pivots.  Inputs are not mutated; ``None``
     falls back to a cold solve.
+
+    ``certified`` pledges that ``tableau`` and ``basis`` are those of an
+    :attr:`LpResult.certified` result, re-solved against the same costs
+    ``c``.  When ``rhs`` then has no entry below ``-TOLERANCE``, the
+    recovery would make no dual pivot, find no negative reduced cost and
+    make no polish pivot, so the answer is read off at this basis
+    without it: the vertex, basis and tableau :func:`_recover` returns,
+    at 0 iterations.
     """
     extended = tableau.copy()
     extended[:, -1] = rhs
+    if certified and not (rhs < -TOLERANCE).any():
+        x, objective = _extract(extended, basis, c)
+        return LpResult(
+            LpStatus.OPTIMAL,
+            x,
+            objective,
+            0,
+            basis=basis.copy(),
+            tableau=extended if keep_tableau else None,
+            certified=True,
+        )
     return _recover(extended, basis.copy(), c, keep_tableau)
 
 

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Mapping
+
+import numpy as np
 
 from repro.errors import IlpError
 from repro.ilp.expr import LinExpr, Var
@@ -39,22 +42,52 @@ class SolveStats:
     backend: str = "bnb"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Solution:
     """An (attempted) solution of an ILP model.
+
+    The point is kept as the solver's array; :attr:`values`, the
+    ``Var``-keyed view, is derived from it on first use.  Solutions
+    compare by status, objective, values and stats.
 
     Attributes:
         status: solve outcome; check :attr:`SolveStatus.ok` before reading
             values.
         objective: objective value at the returned point (maximisation).
-        values: assignment of every model variable.
+        x: the point, one entry per model variable in column order
+            (read-only), or ``None`` when no point was found.
+        variables: the model variables, in the column order of :attr:`x`.
         stats: solver effort counters.
     """
 
     status: SolveStatus
     objective: float = 0.0
-    values: Mapping[Var, float] = dataclasses.field(default_factory=dict)
+    x: np.ndarray | None = None
+    variables: tuple[Var, ...] = ()
     stats: SolveStats = dataclasses.field(default_factory=SolveStats)
+
+    def __post_init__(self) -> None:
+        if self.x is not None:
+            self.x.flags.writeable = False
+
+    @functools.cached_property
+    def values(self) -> Mapping[Var, float]:
+        """Assignment of every model variable (empty without a point)."""
+        if self.x is None:
+            return {}
+        return dict(zip(self.variables, self.x.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Solution):
+            return NotImplemented
+        return (
+            self.status is other.status
+            and self.objective == other.objective
+            and self.values == other.values
+            and self.stats == other.stats
+        )
+
+    __hash__ = None  # type: ignore[assignment]
 
     def require_optimal(self) -> "Solution":
         """Return self, raising :class:`IlpError` unless status is optimal."""
@@ -86,6 +119,23 @@ class Solution:
                 f"value {raw} of {item!r} is not integral within {tolerance}"
             )
         return int(rounded)
+
+    def int_values(
+        self, columns: np.ndarray, *, tolerance: float = 1e-6
+    ) -> list[int]:
+        """:meth:`int_value` of the variables in ``columns`` (indices into
+        :attr:`x`), read straight off the point."""
+        self.require_optimal()
+        assert self.x is not None
+        raw = self.x[columns].tolist()
+        rounded = [round(value) for value in raw]
+        for value, near, column in zip(raw, rounded, columns.tolist()):
+            if abs(value - near) > tolerance:
+                raise IlpError(
+                    f"value {value} of {self.variables[column]!r} is not "
+                    f"integral within {tolerance}"
+                )
+        return rounded
 
     def by_name(self) -> dict[str, float]:
         """Values keyed by variable name (stable for reports/tests)."""

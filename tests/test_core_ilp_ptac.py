@@ -194,19 +194,25 @@ class TestWitnessConsistency:
 
 
 def _with_n_ba_past_its_cap(solution):
-    """``solution`` with its first ``n_ba`` count raised past every cap."""
-    var = next(v for v in solution.values if v.name.startswith("n_ba["))
-    values = dict(solution.values)
-    values[var] += 10**6
-    return dataclasses.replace(solution, values=values)
+    """``solution`` with its first ``n_ba`` count raised past every cap.
+
+    The corruption lands in the point array the solver returns, which is
+    what the re-check screens and what ``values`` derives from.
+    """
+    column = next(
+        j
+        for j, var in enumerate(solution.variables)
+        if var.name.startswith("n_ba[")
+    )
+    x = solution.x.copy()
+    x[column] += 10**6
+    return dataclasses.replace(solution, x=x)
 
 
 class TestFeasibilityRecheck:
     """A solver that returns an infeasible point is caught, not trusted."""
 
-    def test_warm_solve_of_a_bound(
-        self, app_sc1, hload_sc1, profile, sc1, monkeypatch
-    ):
+    def _corrupt_warm_solves(self, monkeypatch):
         solve_bnb_warm = batch.solve_bnb_warm
 
         def corrupt(form, warm, **kwargs):
@@ -214,6 +220,11 @@ class TestFeasibilityRecheck:
             return _with_n_ba_past_its_cap(solution), state
 
         monkeypatch.setattr(batch, "solve_bnb_warm", corrupt)
+
+    def test_warm_solve_of_a_bound(
+        self, app_sc1, hload_sc1, profile, sc1, monkeypatch
+    ):
+        self._corrupt_warm_solves(monkeypatch)
         with pytest.raises(IlpError, match="infeasible point"):
             ilp_ptac_bound(app_sc1, hload_sc1, profile, sc1)
 
@@ -231,6 +242,23 @@ class TestFeasibilityRecheck:
         model = build_ilp_ptac(app_sc1, hload_sc1, profile, sc1)
         with pytest.raises(IlpError, match="infeasible point"):
             model.solve()
+
+    def test_failure_names_the_violated_constraints(
+        self, app_sc1, hload_sc1, profile, sc1, monkeypatch
+    ):
+        """The array screen only detects a violation; the message is
+        worded from the named constraints the raised count breaks."""
+        self._corrupt_warm_solves(monkeypatch)
+        with pytest.raises(IlpError) as raised:
+            ilp_ptac_bound(app_sc1, hload_sc1, profile, sc1)
+        message = str(raised.value)
+        assert message.startswith(
+            "warm-started solve returned an infeasible point: violated: "
+        )
+        # n_ba[pf0,co] is the first n_ba count: its class total and its
+        # caps by τa's and τb's requests on pf0 no longer hold.
+        for name in ("total_ba_co", "cap_a[pf0,co]", "cap_b[pf0,co]"):
+            assert f"violated: {name}: " in message, name
 
 
 class TestVariantsAndFlags:

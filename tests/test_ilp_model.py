@@ -181,6 +181,51 @@ class TestWithRhs:
             assert getattr(source.standard_form(), field).tobytes() == data
         assert source.solve().objective == 18.0
 
+    def test_changing_the_source_leaves_its_copies_alone(self):
+        source = self._model()
+        copy = source.with_rhs({0: 9})
+        objective = copy.solve().objective
+        names = [v.name for v in copy.variables]
+        w = source.add_var("w", upper=5)
+        source.add_constraint(w <= 2, name="late")
+        assert [v.name for v in copy.variables] == names
+        assert [c.name for c in copy.constraints] == ["le", "ge", "eq"]
+        assert copy.standard_form().n_variables == len(names)
+        assert copy.solve().objective == objective
+        assert len(source.constraints) == 4
+
+    def test_rewritten_constraints_are_made_when_read(self, monkeypatch):
+        from repro.ilp.expr import Constraint
+
+        rewrites = []
+        with_rhs = Constraint.with_rhs
+        monkeypatch.setattr(
+            Constraint,
+            "with_rhs",
+            lambda self, rhs: rewrites.append(rhs) or with_rhs(self, rhs),
+        )
+        source = self._model()
+        copy = source.with_rhs({0: 9, 2: 0})
+        copy.solve()
+        assert rewrites == []
+        constraints = copy.constraints
+        assert rewrites == [9.0, -0.0]
+        assert constraints[1] is source.constraints[1]
+        assert [c.rhs for c in constraints] == [9.0, 1.0, 0.0]
+        assert copy.constraints == constraints
+        assert len(rewrites) == 2
+
+    def test_copy_of_a_copy_keeps_both_rewrites(self):
+        source = self._model()
+        copy = source.with_rhs({0: 9}).with_rhs({2: 5}, name="twice")
+        assert copy.name == "twice"
+        assert [c.rhs for c in copy.constraints] == [9.0, 1.0, 5.0]
+        form, fresh = copy.standard_form(), StandardForm(copy)
+        for field in FORM_ARRAYS:
+            assert getattr(form, field).tobytes() == (
+                getattr(fresh, field).tobytes()
+            ), field
+
 
 def _same(items, others):
     """Element-wise identity (``Var.__eq__`` builds a constraint)."""
@@ -225,3 +270,36 @@ class TestSolutionApi:
         x = model.add_var("x", upper=1)
         model.maximize(x + 0)
         assert model.solve().by_name() == {"x": 1.0}
+
+    @pytest.mark.parametrize("backend", ["bnb", "scipy", "lp"])
+    def test_values_derive_from_the_point(self, backend):
+        model = IlpModel()
+        x = model.add_var("x", upper=3)
+        y = model.add_var("y", upper=2)
+        model.add_constraint(x + y <= 4)
+        model.maximize(2 * x + y)
+        solution = model.solve(backend)
+        assert _same(solution.variables, (x, y))
+        assert solution.x.tolist() == [3.0, 1.0]
+        assert not solution.x.flags.writeable
+        assert solution.values == {x: 3.0, y: 1.0}
+        assert solution.int_values(np.array([1, 0])) == [1, 3]
+        assert solution == model.solve(backend)
+        assert solution != model.with_rhs({0: 3}).solve(backend)
+
+    def test_int_values_checks_integrality(self):
+        model = IlpModel()
+        x = model.add_var("x", upper=1.5, integer=False)
+        model.maximize(x + 0)
+        solution = model.solve()
+        with pytest.raises(IlpError, match="not integral"):
+            solution.int_values(np.array([0]))
+
+    def test_no_point_no_values(self):
+        model = IlpModel()
+        x = model.add_var("x")
+        model.add_constraint(x <= 1)
+        model.add_constraint(x >= 2)
+        model.maximize(x + 0)
+        solution = model.solve()
+        assert solution.x is None and solution.values == {}
