@@ -4,7 +4,6 @@ from repro.analysis.alignment import (
     AlignmentResult,
     alignment_sweep,
     delayed,
-    looped,
 )
 from repro.analysis.characterization import (
     CharacterizationResult,
@@ -60,7 +59,6 @@ from repro.analysis.validation import (
     SoundnessCase,
     SoundnessSweep,
     check_soundness,
-    random_soundness_sweep,
     soundness_sweep,
 )
 
@@ -91,7 +89,6 @@ __all__ = [
     "information_ablation",
     "measure_isolation",
     "observe_corun",
-    "random_soundness_sweep",
     "reference_scenario",
     "render_ablation",
     "render_artifact",
@@ -112,5 +109,4 @@ __all__ = [
     "throttle_sweep",
     "throttled",
     "delayed",
-    "looped",
 ]

@@ -21,7 +21,7 @@ import dataclasses
 from typing import Iterator, Sequence
 
 from repro.errors import SimulationError
-from repro.sim.program import Step, TaskProgram
+from repro.sim.program import Step, TaskProgram, repeat
 from repro.sim.system import SystemSimulator
 
 
@@ -39,19 +39,6 @@ def delayed(program: TaskProgram, offset: int) -> TaskProgram:
     return TaskProgram(
         name=f"{program.name}@+{offset}", stream_factory=factory
     )
-
-
-def looped(program: TaskProgram, times: int) -> TaskProgram:
-    """The program repeated back-to-back (keeps a contender active for
-    the victim's whole execution)."""
-    if times < 1:
-        raise SimulationError("loop count must be positive")
-
-    def factory() -> Iterator[Step]:
-        for _ in range(times):
-            yield from program.steps()
-
-    return TaskProgram(name=f"{program.name}x{times}", stream_factory=factory)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,17 +93,19 @@ def alignment_sweep(
         victim: the task under analysis (core 1).
         contender: the interfering task (core 2).
         offsets: explicit offsets to test; default is
-            ``range(0, max_offset, step)``.
+            ``range(0, max_offset + 1, step)``.
         max_offset: sweep end when ``offsets`` is not given; defaults to
             the largest device service time (the paper's per-request
             alignment uncertainty is bounded by one service window, so
             sweeping one window covers every distinct relative phase of
             periodic streams).
-        step: sweep granularity in cycles.
+        step: sweep granularity in cycles (at least 1).
         keep_contender_busy: loop the contender so it stays active for
             the victim's entire run (otherwise late offsets let the
             victim finish uncontended).
     """
+    if step < 1:
+        raise SimulationError(f"sweep step must be at least 1, got {step}")
     sim = SystemSimulator()
     isolation = (
         sim.run({1: victim}).readings(1).require_ccnt()
@@ -138,7 +127,7 @@ def alignment_sweep(
             1, sim.run({2: contender}).readings(2).require_ccnt()
         )
         repeats = max(1, -(-2 * isolation // contender_cycles))
-        rival = looped(contender, repeats)
+        rival = repeat(f"{contender.name}x{repeats}", contender, repeats)
 
     per_offset: list[tuple[int, int]] = []
     worst_cycles, worst_offset = 0, offsets[0]

@@ -148,7 +148,7 @@ def soundness_sweep(
     Each pair is one engine job.  Note task programs carry closures, so
     a process-mode engine transparently demotes these jobs to in-process
     execution; for fully parallel sweeps generate the pairs inside the
-    job via :func:`random_soundness_sweep`.
+    job via :func:`random_soundness_jobs`.
     """
     cases = run_jobs(
         [
@@ -195,11 +195,15 @@ def random_soundness_jobs(
     max_requests: int = 2_000,
     models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
 ) -> list:
-    """The job batch behind :func:`random_soundness_sweep`.
+    """The seeded randomized soundness sweep as one job batch.
 
-    One seeded pair per job, pair construction *inside* the job, so
-    every job is plain picklable data — runnable by the local engine,
-    a remote worker pool or the analysis-service queue alike.
+    Equivalent to :func:`soundness_sweep` over
+    ``random_task_pair(scenario, seed=s)`` for ``s in range(pairs)``,
+    but each job builds its pair itself, so every job is plain picklable
+    data — the model *names* included — runnable by the local engine or
+    the analysis-service queue and cached per model set.
+    ``SoundnessSweep(tuple(run_jobs(jobs, engine)))`` is the sweep, as
+    ``repro soundness`` runs it.
     """
     return [
         job(
@@ -212,28 +216,3 @@ def random_soundness_jobs(
         )
         for seed in range(pairs)
     ]
-
-
-def random_soundness_sweep(
-    scenario: DeploymentScenario,
-    *,
-    pairs: int,
-    max_requests: int = 2_000,
-    models: Sequence[str] = DEFAULT_SOUNDNESS_MODELS,
-    engine: ExperimentEngine | None = None,
-) -> SoundnessSweep:
-    """Seeded randomized soundness sweep, fully engine-parallel.
-
-    Equivalent to building ``random_task_pair(scenario, seed=s)`` for
-    ``s in range(pairs)`` and calling :func:`soundness_sweep`, but the
-    pair construction happens *inside* each job, so every job is plain
-    data — the model *names* included — and can run in a worker process
-    or hit the result cache (keyed per model set).
-    """
-    cases = run_jobs(
-        random_soundness_jobs(
-            scenario, pairs=pairs, max_requests=max_requests, models=models
-        ),
-        engine,
-    )
-    return SoundnessSweep(cases=tuple(cases))

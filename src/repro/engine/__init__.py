@@ -12,7 +12,7 @@ The engine layer decouples *what* an experiment is from *how* it runs:
 * :mod:`repro.engine.families` — declarative :class:`ScenarioFamily`
   grids expanded into many member specs (``expand_family``,
   ``register_family_members``) and batched end to end
-  (``run_family`` / ``family_matrix``, both built by ``family_jobs``);
+  (``run_family``, or ``family_jobs`` for the CLI's ``--matrix``);
   the builtin dma-pressure / priority-arbitration / cacheability
   families probe the contention regimes the paper scopes out;
 * :mod:`repro.engine.batch` / :mod:`repro.engine.runner` — experiments as
@@ -51,7 +51,6 @@ from repro.engine.families import (
     default_family_registry,
     expand_family,
     family_jobs,
-    family_matrix,
     family_names,
     family_results,
     get_family,
@@ -98,7 +97,6 @@ __all__ = [
     "default_registry",
     "expand_family",
     "family_jobs",
-    "family_matrix",
     "family_names",
     "family_results",
     "get_family",

@@ -253,7 +253,6 @@ def run_specs(
     *,
     engine: ExperimentEngine | None = None,
     model: str = "ilp-ptac",
-    dma_model: str = "dma-occupancy",
 ) -> list[ScenarioRunResult]:
     """Run many specs as one engine batch (parallel-safe, cacheable).
 
@@ -264,20 +263,14 @@ def run_specs(
         model: registered contention-model name; travels through each
             job as plain data, so it is picklable for process-mode
             fan-out and participates in the content-addressed cache key
-            (the same spec under two models caches separately).
-        dma_model: registered DMA-descriptor model for specs with DMA.
+            (the same spec under two models caches separately).  Specs
+            with DMA take their DMA bound from ``dma-occupancy``.
     """
     resolved = [
         default_registry().get(spec) if isinstance(spec, str) else spec
         for spec in specs
     ]
-    return run_jobs(
-        [
-            spec_job(spec, model, dma_model=dma_model)
-            for spec in resolved
-        ],
-        engine,
-    )
+    return run_jobs([spec_job(spec, model) for spec in resolved], engine)
 
 
 def spec_job(

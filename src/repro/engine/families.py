@@ -6,10 +6,11 @@ build function mapping one grid point to a
 :class:`~repro.engine.scenario.ScenarioSpec` (or ``None`` to skip an
 illegal point — the cacheability family filters Table 3 violations that
 way).  ``expand_family`` materialises the grid, ``register_family``
-registers it by name, and :func:`run_family` /
-:func:`family_matrix` batch every member through the experiment engine
-(:func:`family_jobs` builds that batch for them and for the CLI), so
-"add a sweep" is three lines of axes instead of a new driver::
+registers it by name, and :func:`run_family` batches every member
+through the experiment engine (:func:`family_jobs` builds that batch for
+it and for the CLI, whose ``--matrix`` runs every member under every
+counter-based model), so "add a sweep" is three lines of axes instead of
+a new driver::
 
     from repro.engine import ScenarioFamily, register_family, run_family
 
@@ -478,7 +479,6 @@ def _member_subset(
 def _resolve_models(
     family: ScenarioFamily,
     models: Sequence[str] | None,
-    dma_model: str | None,
     matrix: bool,
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Split a caller's model names into (counter models, DMA models).
@@ -486,25 +486,14 @@ def _resolve_models(
     ``repro family dma-pressure --model dma-occupancy`` names a
     *descriptor* model; routing it to the DMA side (with the family's
     default driving the core contenders) keeps the CLI surface a single
-    ``--model`` flag for both kinds.  Naming a descriptor model next to
-    a *different* explicit ``dma_model`` is rejected rather than
-    silently resolved: the caller asked for two different DMA bounds at
-    once.
+    ``--model`` flag for both kinds.
     """
     names = tuple(models or ())
     descriptor = tuple(
         name for name in names if get_model(name).capabilities.needs_dma_agents
     )
     counter = tuple(name for name in names if name not in descriptor)
-    clash = [name for name in descriptor if dma_model not in (None, name)]
-    if clash:
-        raise ModelError(
-            f"family {family.name!r}: model={clash[0]!r} is a "
-            f"DMA-descriptor model and routes to the DMA side, but "
-            f"dma_model={dma_model!r} was also given — pass one or "
-            "the other"
-        )
-    dma_models = descriptor or (dma_model or family.default_dma_model,)
+    dma_models = descriptor or (family.default_dma_model,)
     if matrix or len(counter) > 1:
         counter = counter or counter_based_model_names()
     elif not counter:
@@ -524,12 +513,11 @@ def family_jobs(
     family: "ScenarioFamily | str",
     *,
     models: Sequence[str] | None = None,
-    dma_model: str | None = None,
     matrix: bool = False,
     members: Sequence[str] | None = None,
 ) -> list:
-    """The one family batch: behind :func:`run_family`,
-    :func:`family_matrix` and ``repro family`` (direct or queued).
+    """The one family batch: behind :func:`run_family` and
+    ``repro family`` (direct or queued).
 
     One :func:`~repro.engine.experiment.spec_job` per (DMA model,
     member, counter model), in that order, members in grid order;
@@ -539,10 +527,9 @@ def family_jobs(
         family: a :class:`ScenarioFamily` or registered name.
         models: registered names of either kind.  DMA-descriptor models
             (``dma-occupancy``, ``dma-rr-alignment``) bound the members'
-            DMA traffic, the grid running once per bound; the others
-            bound the core contenders (default: the family's model).
-        dma_model: the DMA bound when ``models`` names none (default:
-            the family's).
+            DMA traffic, the grid running once per bound (default: the
+            family's); the others bound the core contenders (default:
+            the family's model).
         matrix: run the family matrix — every counter-based model in
             ``models`` (all registered ones if it names none) over every
             member.  Naming several counter-based models implies it.
@@ -551,7 +538,7 @@ def family_jobs(
     """
     if isinstance(family, str):
         family = get_family(family)
-    counter, dma_models = _resolve_models(family, models, dma_model, matrix)
+    counter, dma_models = _resolve_models(family, models, matrix)
     selected = _member_subset(expand_family(family), members)
     return [
         spec_job(member.spec, model, dma_model=dma)
@@ -576,7 +563,6 @@ def run_family(
     family: "ScenarioFamily | str",
     *,
     model: str | None = None,
-    dma_model: str | None = None,
     members: Sequence[str] | None = None,
     engine: ExperimentEngine | None = None,
 ) -> list[FamilyRunResult]:
@@ -584,42 +570,10 @@ def run_family(
 
     ``model`` is one registered name of either kind: a DMA-descriptor
     model is routed to the DMA side, with the family default driving
-    the cores, and passing a *different* descriptor model as
-    ``dma_model`` at the same time is rejected.  The other arguments
-    are :func:`family_jobs`'s; ``engine=None`` runs serially.
+    the cores.  The other arguments are :func:`family_jobs`'s;
+    ``engine=None`` runs serially.
     """
     jobs = family_jobs(
-        family,
-        models=(model,) if model else None,
-        dma_model=dma_model,
-        members=members,
-    )
-    return family_results(family, run_jobs(jobs, engine))
-
-
-def family_matrix(
-    family: "ScenarioFamily | str",
-    *,
-    models: Sequence[str] | None = None,
-    dma_model: str | None = None,
-    members: Sequence[str] | None = None,
-    engine: ExperimentEngine | None = None,
-) -> list[FamilyRunResult]:
-    """Run every member under every model — one family, full matrix.
-
-    Rows come back member-major in grid order (models in the given
-    order within each member), mirroring
-    :func:`~repro.analysis.experiments.model_scenario_matrix`.
-    ``models`` must all be counter-based: unlike ``repro family``, the
-    matrix does not route a descriptor model to the DMA side.
-    """
-    if models is not None:
-        require_counter_based(models)
-    jobs = family_jobs(
-        family,
-        models=models,
-        dma_model=dma_model,
-        matrix=True,
-        members=members,
+        family, models=(model,) if model else None, members=members
     )
     return family_results(family, run_jobs(jobs, engine))

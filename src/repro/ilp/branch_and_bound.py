@@ -35,7 +35,6 @@ from repro.ilp.simplex import (
     solve_lp,
     warm_solve_insert_row,
     warm_solve_rhs,
-    warm_solve_shift_rhs,
 )
 from repro.ilp.solution import Solution, SolveStats, SolveStatus
 
@@ -100,10 +99,12 @@ class _Node:
 
     ``priority`` is the negated parent LP bound so that ``heapq`` pops the
     most promising node first; ``counter`` breaks ties FIFO.  In warm
-    mode ``ext`` carries the parent LP's final tableau plus the one
-    bound-row edit that turns it into this node; without it (cold mode,
-    a parent that kept no tableau, past the reuse cap) the node solves
-    cold.
+    mode ``ext`` carries the parent LP's final tableau and basis plus
+    the :func:`~repro.ilp.simplex.warm_solve_insert_row` arguments of
+    the one bound row that turns it into this node; without it (cold
+    mode, a parent that kept no tableau, past the reuse cap, or a child
+    that re-bounds a column already carrying that bound row) the node
+    solves cold.
     """
 
     priority: float
@@ -332,8 +333,9 @@ def solve_bnb_warm(
       chained relaxation is not optimal, solves cold);
     * within the tree, each child LP *extends its parent's final
       tableau* by the one branching bound row (a child whose parent
-      kept no tableau solves cold) — typically a single dual pivot
-      instead of a full solve.
+      kept no tableau, or whose column already carries that bound row,
+      solves cold) — typically a single dual pivot instead of a full
+      solve.
 
     ``upper_bound``, when given, is a proven upper bound on the optimum
     objective (constant included), such as the optimum of a relaxation
@@ -438,20 +440,13 @@ def _solve(
                 result = None
         if node.ext is not None:
             # Fast path: extend the parent's final tableau by the one
-            # bound-row edit — no child matrices, no Phase 1.
-            tableau, parent_basis, op = node.ext
-            if op[0] == "insert":
-                result = warm_solve_insert_row(
-                    tableau, parent_basis, c_min,
-                    op[1], op[2], op[3], op[4],
-                    keep_tableau=True,
-                )
-            else:
-                result = warm_solve_shift_rhs(
-                    tableau, parent_basis, c_min,
-                    op[1], op[2],
-                    keep_tableau=True,
-                )
+            # new bound row — no child matrices, no Phase 1.
+            tableau, parent_basis, row_pos, column, sigma, rhs = node.ext
+            result = warm_solve_insert_row(
+                tableau, parent_basis, c_min,
+                row_pos, column, sigma, rhs,
+                keep_tableau=True,
+            )
         if result is None:
             a_ub, b_ub = _bound_rows(form, node.lower, node.upper)
             result = solve_lp(
@@ -545,25 +540,19 @@ def _solve(
             m0 = form.a_ub.shape[0]
             codes = _bound_codes(node.lower, node.upper)
             # Down child: upper-bound row (code 2j); up child:
-            # lower-bound row (code 2j+1, rhs -ceil).  Branching is
-            # always strict (floor < upper, ceil > lower), so a
-            # tighten's delta is a negative integer.
+            # lower-bound row (code 2j+1, rhs -ceil).  A child whose
+            # column already carries that row solves cold.
             for child, code, sigma, bound in (
                 (down, 2 * branch_j, 1.0, float(math.floor(value))),
                 (up, 2 * branch_j + 1, -1.0, float(-math.ceil(value))),
             ):
                 pos = int(np.searchsorted(codes, code))
-                row_pos = m0 + pos
                 if pos < codes.shape[0] and codes[pos] == code:
-                    old = (
-                        node.upper[branch_j]
-                        if sigma > 0
-                        else -node.lower[branch_j]
-                    )
-                    op = ("shift", row_pos, bound - float(old))
-                else:
-                    op = ("insert", row_pos, branch_j, sigma, bound)
-                child.ext = (result.tableau, result.basis, op)
+                    continue
+                child.ext = (
+                    result.tableau, result.basis,
+                    m0 + pos, branch_j, sigma, bound,
+                )
         heapq.heappush(heap, down)
         heapq.heappush(heap, up)
 

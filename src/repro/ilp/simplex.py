@@ -20,8 +20,8 @@ Two properties serve the batch-solving layer (:mod:`repro.ilp.batch`):
 
 * **tableau extension** — ``solve_lp(..., keep_tableau=True)`` hands back
   the final reduced tableau and basis, and the ``warm_solve_*`` entry
-  points re-optimise an edited copy of it (one added bound row, one
-  moved right-hand side) with a few dual-simplex pivots instead of a
+  points re-optimise an edited copy of it (one added bound row, or a
+  new right-hand column) with a few dual-simplex pivots instead of a
   Phase-1 restart;
 * **canonical vertices** — every optimal solve finishes on the
   lexicographically greatest optimal point, so the reported vertex is a
@@ -591,31 +591,6 @@ def warm_solve_insert_row(
     return _recover(extended, new_basis, c, keep_tableau)
 
 
-def warm_solve_shift_rhs(
-    tableau: np.ndarray,
-    basis: np.ndarray,
-    c: np.ndarray,
-    row_position: int,
-    delta: float,
-    *,
-    keep_tableau: bool = False,
-) -> LpResult | None:
-    """Solve an instance that tightens one bound row of a solved parent.
-
-    When branching re-bounds an already-bounded variable, the child's
-    constraint rows are the parent's with a single right-hand side moved
-    by ``delta``.  The reduced right-hand column shifts by
-    ``delta * B^-1 e_i``, and ``B^-1 e_i`` is already sitting in the
-    tableau as the row's slack column — so the whole child setup is one
-    scaled column addition, then the shared dual-simplex recovery.
-    Inputs are not mutated; ``None`` falls back to a cold solve.
-    """
-    n = c.shape[0]
-    extended = tableau.copy()
-    extended[:, -1] += delta * extended[:, n + row_position]
-    return _recover(extended, basis.copy(), c, keep_tableau)
-
-
 def warm_solve_rhs(
     tableau: np.ndarray,
     basis: np.ndarray,
@@ -627,10 +602,9 @@ def warm_solve_rhs(
 ) -> LpResult | None:
     """Solve an instance whose reduced right-hand column is now ``rhs``.
 
-    The whole-column form of :func:`warm_solve_shift_rhs`, for callers
-    that hold ``B^-1 @ b`` for the new ``b`` — the batch layer's
-    root-to-root chaining assembles it from the tableau's own slack
-    columns (inequality rows) plus a cached ``B^-1 E_eq`` solve
+    For callers that hold ``B^-1 @ b`` for the new ``b`` — the batch
+    layer's root-to-root chaining assembles it from the tableau's own
+    slack columns (inequality rows) plus a cached ``B^-1 E_eq`` solve
     (equality rows), turning a sweep-point root solve into one column
     write and a few dual pivots.  Inputs are not mutated; ``None``
     falls back to a cold solve.
@@ -679,10 +653,9 @@ def solve_lp(
         b_eq: equality right-hand sides, shape ``(m_eq,)``.
         keep_tableau: attach the final reduced tableau (artificial
             columns trimmed) to an optimal result, for
-            :func:`warm_solve_insert_row` /
-            :func:`warm_solve_shift_rhs` extension.  Skipped when
-            residual artificials are pinned in the basis — such a
-            tableau cannot seed an extension.
+            :func:`warm_solve_insert_row` / :func:`warm_solve_rhs`
+            extension.  Skipped when residual artificials are pinned in
+            the basis — such a tableau cannot seed an extension.
 
     Returns:
         An :class:`LpResult`; ``x`` has shape ``(n,)`` when optimal.

@@ -10,11 +10,12 @@ We reconstruct it behaviourally: each loop iteration acquires input
 signals (data reads), computes (code fetches spilling out of the
 instruction cache into the PFlash), and publishes status (data writes).
 Block counts are *inverted from the paper's Table 6 counter readings*
-(:func:`split_code_misses` and :func:`split_data_rw` below, shared with
-the load generators), so running the reconstruction in isolation on the
-simulator reproduces the published counter footprint — scaled by an
-optional factor to keep simulations fast; the CCNT padding uses
-:func:`repro.workloads.footprint.isolation_cycles`.
+(:func:`split_code_misses` and :func:`split_data_rw` below) and spread
+over the loop iterations by :func:`repro.workloads.spec.chunked_blocks`,
+all shared with the load generators, so running the reconstruction in
+isolation on the simulator reproduces the published counter footprint —
+scaled by an optional factor to keep simulations fast; the CCNT padding
+uses :func:`repro.workloads.footprint.isolation_cycles`.
 
 Exactness: code miss counts are split into explicit sequential/random
 sub-populations and data stalls into a read/write Diophantine split
@@ -36,12 +37,7 @@ from repro.platform.targets import Operation, Target
 from repro.sim.program import TaskProgram, compile_program, share_compiled
 from repro.sim.requests import MissKind
 from repro.workloads.footprint import isolation_cycles
-from repro.workloads.spec import (
-    RequestBlock,
-    WorkloadSpec,
-    share_blocks,
-    spread_counts,
-)
+from repro.workloads.spec import RequestBlock, WorkloadSpec, chunked_blocks
 
 #: Number of loop iterations the request budget is spread over; keeps the
 #: acquisition/compute/update phases interleaving in co-runs the way a real
@@ -107,99 +103,6 @@ class ControlLoopLayout:
     lmu_clean_misses: int
     pf_const_misses: int
     epilogue_gap: int
-
-
-def _chunked_blocks(
-    layout: ControlLoopLayout, chunks: int
-) -> list[RequestBlock]:
-    """Interleave the phase populations over loop iterations.
-
-    Each chunk is one burst of control-loop iterations: acquisition reads,
-    computation fetches (with the random/sequential mix), optional
-    constant-table misses, then status-update writes.
-    """
-    code_rand = spread_counts(layout.code_random, [1.0] * chunks)
-    code_seq = spread_counts(layout.code_sequential, [1.0] * chunks)
-    reads = spread_counts(layout.lmu_reads, [1.0] * chunks)
-    writes = spread_counts(layout.lmu_writes, [1.0] * chunks)
-    lmu_miss = spread_counts(layout.lmu_clean_misses, [1.0] * chunks)
-    pf_miss = spread_counts(layout.pf_const_misses, [1.0] * chunks)
-
-    blocks: list[RequestBlock] = []
-    for chunk in range(chunks):
-        # -- acquisition: read input signals from the shared LMU ---------
-        if reads[chunk]:
-            blocks.append(
-                RequestBlock(
-                    target=Target.LMU,
-                    operation=Operation.DATA,
-                    count=reads[chunk],
-                    gap=1,
-                    miss_kind=MissKind.UNCACHED,
-                )
-            )
-        if lmu_miss[chunk]:
-            blocks.append(
-                RequestBlock(
-                    target=Target.LMU,
-                    operation=Operation.DATA,
-                    count=lmu_miss[chunk],
-                    gap=1,
-                    sequential_fraction=1.0,
-                    miss_kind=MissKind.DCACHE_MISS_CLEAN,
-                )
-            )
-        # -- computation: code spilling into the PFlash banks ------------
-        for flavour_count, fraction in (
-            (code_seq[chunk], 1.0),
-            (code_rand[chunk], 0.0),
-        ):
-            if not flavour_count:
-                continue
-            for target, share in zip(
-                (Target.PF0, Target.PF1),
-                spread_counts(flavour_count, [1.0, 1.0]),
-            ):
-                if share:
-                    blocks.append(
-                        RequestBlock(
-                            target=target,
-                            operation=Operation.CODE,
-                            count=share,
-                            gap=2,
-                            sequential_fraction=fraction,
-                            miss_kind=MissKind.ICACHE_MISS,
-                        )
-                    )
-        if pf_miss[chunk]:
-            for target, share in zip(
-                (Target.PF0, Target.PF1),
-                spread_counts(pf_miss[chunk], [1.0, 1.0]),
-            ):
-                if share:
-                    blocks.append(
-                        RequestBlock(
-                            target=target,
-                            operation=Operation.DATA,
-                            count=share,
-                            gap=1,
-                            sequential_fraction=1.0,
-                            miss_kind=MissKind.DCACHE_MISS_CLEAN,
-                        )
-                    )
-        # -- status update: publish outputs to the shared LMU ------------
-        if writes[chunk]:
-            blocks.append(
-                RequestBlock(
-                    target=Target.LMU,
-                    operation=Operation.DATA,
-                    count=writes[chunk],
-                    gap=1,
-                    write_fraction=1.0,
-                    miss_kind=MissKind.UNCACHED,
-                )
-            )
-    return blocks
 
 
 def build_control_loop(
@@ -283,8 +186,45 @@ def _control_loop_spec(
         pf_const_misses=pf_const,
         epilogue_gap=0,
     )
-    chunks = max(1, min(DEFAULT_CHUNKS, max(1, target.pm)))
-    spec = WorkloadSpec(
-        name=name, blocks=share_blocks(_chunked_blocks(layout, chunks))
+    # Each chunk is one burst of loop iterations, gap 1 unless noted:
+    # acquisition reads (and cacheable LMU misses), computation fetches
+    # spilling into the PFlash banks (and constant-table misses), then
+    # status-update writes.
+    phases = (
+        RequestBlock(Target.LMU, Operation.DATA, lmu_reads),
+        RequestBlock(
+            Target.LMU,
+            Operation.DATA,
+            lmu_clean,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.DCACHE_MISS_CLEAN,
+        ),
+        RequestBlock(
+            Target.PF0,
+            Operation.CODE,
+            code_sequential,
+            gap=2,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.ICACHE_MISS,
+        ),
+        RequestBlock(
+            Target.PF0,
+            Operation.CODE,
+            code_random,
+            gap=2,
+            miss_kind=MissKind.ICACHE_MISS,
+        ),
+        RequestBlock(
+            Target.PF0,
+            Operation.DATA,
+            pf_const,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.DCACHE_MISS_CLEAN,
+        ),
+        RequestBlock(
+            Target.LMU, Operation.DATA, lmu_writes, write_fraction=1.0
+        ),
     )
+    chunks = min(DEFAULT_CHUNKS, max(1, target.pm))
+    spec = WorkloadSpec(name=name, blocks=chunked_blocks(phases, chunks))
     return spec, layout

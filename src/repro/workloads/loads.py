@@ -23,12 +23,7 @@ from repro.platform.targets import Operation, Target
 from repro.sim.program import TaskProgram
 from repro.sim.requests import MissKind
 from repro.workloads.control_loop import split_code_misses, split_data_rw
-from repro.workloads.spec import (
-    RequestBlock,
-    WorkloadSpec,
-    share_blocks,
-    spread_counts,
-)
+from repro.workloads.spec import RequestBlock, WorkloadSpec, chunked_blocks
 
 #: Loop interleaving granularity of the load generators.
 LOAD_CHUNKS = 16
@@ -98,69 +93,40 @@ def _load_spec(scenario_name: str, level: str, scale: float) -> WorkloadSpec:
         raise WorkloadError(f"unknown scenario {scenario_name!r}")
     lmu_reads, lmu_writes = split_data_rw(data_budget)
 
-    chunks = max(1, min(LOAD_CHUNKS, max(1, target.pm)))
-    code_rand_shares = spread_counts(code_random, [1.0] * chunks)
-    code_seq_shares = spread_counts(code_sequential, [1.0] * chunks)
-    read_shares = spread_counts(lmu_reads, [1.0] * chunks)
-    write_shares = spread_counts(lmu_writes, [1.0] * chunks)
-    miss_shares = spread_counts(clean_misses, [1.0] * chunks)
-
-    blocks: list[RequestBlock] = []
-    for chunk in range(chunks):
-        for flavour_count, fraction in (
-            (code_seq_shares[chunk], 1.0),
-            (code_rand_shares[chunk], 0.0),
-        ):
-            if not flavour_count:
-                continue
-            for pf, share in zip(
-                (Target.PF0, Target.PF1),
-                spread_counts(flavour_count, [1.0, 1.0]),
-            ):
-                if share:
-                    blocks.append(
-                        RequestBlock(
-                            target=pf,
-                            operation=Operation.CODE,
-                            count=share,
-                            gap=0,
-                            sequential_fraction=fraction,
-                            miss_kind=MissKind.ICACHE_MISS,
-                        )
-                    )
-        if miss_shares[chunk]:
-            blocks.append(
-                RequestBlock(
-                    target=Target.LMU,
-                    operation=Operation.DATA,
-                    count=miss_shares[chunk],
-                    gap=0,
-                    sequential_fraction=1.0,
-                    miss_kind=MissKind.DCACHE_MISS_CLEAN,
-                )
-            )
-        if read_shares[chunk]:
-            blocks.append(
-                RequestBlock(
-                    target=Target.LMU,
-                    operation=Operation.DATA,
-                    count=read_shares[chunk],
-                    gap=0,
-                    miss_kind=MissKind.UNCACHED,
-                )
-            )
-        if write_shares[chunk]:
-            blocks.append(
-                RequestBlock(
-                    target=Target.LMU,
-                    operation=Operation.DATA,
-                    count=write_shares[chunk],
-                    gap=0,
-                    write_fraction=1.0,
-                    miss_kind=MissKind.UNCACHED,
-                )
-            )
-    return WorkloadSpec(name=target.name, blocks=share_blocks(blocks))
+    # A tight loop: code fetches, then LMU traffic, no computation gaps.
+    phases = (
+        RequestBlock(
+            Target.PF0,
+            Operation.CODE,
+            code_sequential,
+            gap=0,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.ICACHE_MISS,
+        ),
+        RequestBlock(
+            Target.PF0,
+            Operation.CODE,
+            code_random,
+            gap=0,
+            miss_kind=MissKind.ICACHE_MISS,
+        ),
+        RequestBlock(
+            Target.LMU,
+            Operation.DATA,
+            clean_misses,
+            gap=0,
+            sequential_fraction=1.0,
+            miss_kind=MissKind.DCACHE_MISS_CLEAN,
+        ),
+        RequestBlock(Target.LMU, Operation.DATA, lmu_reads, gap=0),
+        RequestBlock(
+            Target.LMU, Operation.DATA, lmu_writes, gap=0, write_fraction=1.0
+        ),
+    )
+    chunks = min(LOAD_CHUNKS, max(1, target.pm))
+    return WorkloadSpec(
+        name=target.name, blocks=chunked_blocks(phases, chunks)
+    )
 
 
 def all_loads(

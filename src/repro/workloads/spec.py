@@ -349,6 +349,45 @@ def share_blocks(blocks: Iterable[RequestBlock]) -> tuple[RequestBlock, ...]:
     return tuple(shared.setdefault(block, block) for block in blocks)
 
 
+def chunked_blocks(
+    phases: Sequence[RequestBlock], chunks: int
+) -> tuple[RequestBlock, ...]:
+    """The phases of a loop, each spread evenly over ``chunks`` iterations.
+
+    A phase is a whole population: a block whose ``count`` is the loop's
+    total and whose other fields its requests share.  Each chunk holds
+    every phase's share (:func:`spread_counts`) in phase order; a phase
+    on PF0 splits each share over both PFlash banks, PF0 first.  An
+    empty share adds no block, and equal blocks share one object
+    (:func:`share_blocks`).
+    """
+    banks = (Target.PF0, Target.PF1)
+    spreads = [spread_counts(phase.count, [1.0] * chunks) for phase in phases]
+    blocks: list[RequestBlock] = []
+    for chunk in range(chunks):
+        for phase, shares in zip(phases, spreads):
+            share = shares[chunk]
+            if phase.target is Target.PF0:
+                parts = zip(banks, spread_counts(share, [1.0, 1.0]))
+            else:
+                parts = zip((phase.target,), (share,))
+            for target, count in parts:
+                if count:
+                    blocks.append(
+                        RequestBlock(
+                            target,
+                            phase.operation,
+                            count,
+                            phase.gap,
+                            phase.sequential_fraction,
+                            phase.write_fraction,
+                            phase.miss_kind,
+                            phase.dirty_fraction,
+                        )
+                    )
+    return share_blocks(blocks)
+
+
 def _check_factor(factor: float) -> None:
     if not math.isfinite(factor) or factor <= 0:
         raise WorkloadError(

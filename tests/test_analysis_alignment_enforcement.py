@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.analysis import alignment
 from repro.analysis.alignment import (
     AlignmentResult,
     alignment_sweep,
     delayed,
-    looped,
 )
 from repro.analysis.enforcement import throttle_sweep, throttled
 from repro.core.ilp_ptac import ilp_ptac_bound
@@ -39,14 +39,6 @@ class TestProgramTransforms:
     def test_delayed_negative_rejected(self):
         with pytest.raises(SimulationError):
             delayed(lmu_stream("t", 1, 0), -1)
-
-    def test_looped_multiplies_requests(self):
-        program = lmu_stream("t", 5, 0)
-        assert looped(program, 3).request_count() == 15
-
-    def test_looped_validation(self):
-        with pytest.raises(SimulationError):
-            looped(lmu_stream("t", 1, 0), 0)
 
     def test_throttled_stretches_short_gaps_only(self):
         program = program_from_steps(
@@ -109,6 +101,17 @@ class TestAlignmentSweep:
         with pytest.raises(SimulationError):
             alignment_sweep(
                 lmu_stream("v", 2, 0), lmu_stream("r", 2, 0), offsets=[]
+            )
+
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_below_one_rejected_before_any_run(self, step, monkeypatch):
+        def no_simulator():
+            pytest.fail("simulated before checking the step")
+
+        monkeypatch.setattr(alignment, "SystemSimulator", no_simulator)
+        with pytest.raises(SimulationError, match="step must be at least 1"):
+            alignment_sweep(
+                lmu_stream("v", 2, 0), lmu_stream("r", 2, 0), step=step
             )
 
     def test_disjoint_targets_alignment_invariant(self):

@@ -18,11 +18,12 @@ from repro.analysis.experiments import figure4_paper_mode, figure4_sim_mode
 from repro.analysis.report import render_figure4
 from repro.analysis.sweeps import contender_scale_sweep
 from repro.analysis.three_core import three_core_experiment
-from repro.analysis.validation import random_soundness_sweep
+from repro.analysis.validation import random_soundness_jobs
 from repro.engine import (
     ExperimentEngine,
     ResultCache,
     get_scenario,
+    run_jobs,
     run_spec,
     run_specs,
 )
@@ -76,13 +77,10 @@ class TestParallelEqualsSerial:
         assert parallel == serial
 
     def test_soundness(self, process_engine):
-        serial = random_soundness_sweep(
-            scenario_1(), pairs=3, max_requests=300
-        )
-        parallel = random_soundness_sweep(
-            scenario_1(), pairs=3, max_requests=300, engine=process_engine
-        )
-        assert parallel.cases == serial.cases
+        jobs = random_soundness_jobs(scenario_1(), pairs=3, max_requests=300)
+        serial = run_jobs(jobs, None)
+        parallel = run_jobs(jobs, process_engine)
+        assert parallel == serial
 
     def test_run_specs_process_pool(self):
         names = ["scenario1-pair-H", "scenario1-pair-L"]

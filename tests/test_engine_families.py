@@ -40,11 +40,12 @@ from repro.engine import (
     default_registry,
     expand_family,
     family_jobs,
-    family_matrix,
     family_names,
+    family_results,
     get_family,
     register_family_members,
     run_family,
+    run_jobs,
     stable_hash,
     temporary_families,
     temporary_scenarios,
@@ -349,14 +350,13 @@ class TestFamilyDrivers:
             "cacheability/co-pf1-da-dfl-nc",
         ]
         models = ("ftc-refined", "ilp-ptac")
-        cells = family_matrix("cacheability", models=models, members=members)
+        jobs = family_jobs(
+            "cacheability", models=models, matrix=True, members=members
+        )
+        cells = family_results("cacheability", run_jobs(jobs, None))
         assert [(c.member.name, c.run.model) for c in cells] == [
             (member, model) for member in members for model in models
         ]
-
-    def test_family_matrix_rejects_non_counter_models(self):
-        with pytest.raises(ModelError, match="counter-based"):
-            family_matrix("cacheability", models=("dma-occupancy",))
 
     def test_single_model_batch_rejected_before_any_job(self):
         # The gate runs while the batch is built, not inside the
@@ -381,26 +381,6 @@ class TestFamilyDrivers:
         # Unknown names still fail fast, DMA or not.
         with pytest.raises(ModelError, match="unknown model"):
             run_spec(spec, dma_model="nope")
-
-    def test_explicit_dma_model_wins_over_defaults(self):
-        results = run_family(
-            "dma-pressure",
-            dma_model="dma-rr-alignment",
-            members=["dma-pressure/scenario1-qd1-p24-c8000"],
-        )
-        assert results[0].run.dma_model == "dma-rr-alignment"
-        assert results[0].run.model == "ilp-ptac"
-
-    def test_conflicting_descriptor_models_rejected(self):
-        """Regression: model= routing must not silently discard an
-        explicit, different dma_model."""
-        with pytest.raises(ModelError, match="pass one or the other"):
-            run_family(
-                "dma-pressure",
-                model="dma-rr-alignment",
-                dma_model="dma-occupancy",
-                members=["dma-pressure/scenario1-qd1-p24-c8000"],
-            )
 
 
 class TestReadmeFamiliesSection:

@@ -27,13 +27,14 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.export import matrix_artifact
 from repro.analysis.report import render_artifact, render_figure4
-from repro.analysis.validation import random_soundness_sweep
+from repro.analysis.validation import SoundnessSweep, random_soundness_jobs
 from repro.engine import (
     EXECUTION_MODES,
     EngineStats,
     ExperimentEngine,
     ResultCache,
     get_scenario,
+    run_jobs,
 )
 from repro.engine.batch import job
 from repro.engine.remote.wire import PROTOCOL_VERSION
@@ -115,13 +116,11 @@ class TestRemoteMatchesSerial:
         assert engine.stats.fallbacks == 0
 
     def test_soundness_batch(self, service_fleet):
-        scenario = scenario_1()
-        serial = random_soundness_sweep(scenario, pairs=2, max_requests=300)
+        jobs = random_soundness_jobs(scenario_1(), pairs=2, max_requests=300)
+        serial = SoundnessSweep(tuple(run_jobs(jobs, None)))
         coordinator, _workers = service_fleet()
         engine = _service_engine(coordinator)
-        remote = random_soundness_sweep(
-            scenario, pairs=2, max_requests=300, engine=engine
-        )
+        remote = SoundnessSweep(tuple(run_jobs(jobs, engine)))
         assert remote == serial
         assert remote.all_sound
         assert engine.stats.fallbacks == 0
@@ -215,14 +214,12 @@ class TestFaultInjection:
     def test_worker_killed_mid_soundness_batch(
         self, start_coordinator, start_pull
     ):
-        scenario = scenario_1()
-        serial = random_soundness_sweep(scenario, pairs=3, max_requests=300)
+        jobs = random_soundness_jobs(scenario_1(), pairs=3, max_requests=300)
+        serial = run_jobs(jobs, None)
         remote, _coordinator = _kill_one_worker_mid_batch(
             start_coordinator,
             start_pull,
-            lambda engine: random_soundness_sweep(
-                scenario, pairs=3, max_requests=300, engine=engine
-            ),
+            lambda engine: run_jobs(jobs, engine),
         )
         assert remote == serial
 

@@ -371,8 +371,9 @@ class TestWarmStartMachinery:
         def no_extension(*args, **kwargs):
             raise AssertionError("a child extended a tableau")
 
-        for name in ("warm_solve_insert_row", "warm_solve_shift_rhs"):
-            monkeypatch.setattr(branch_and_bound, name, no_extension)
+        monkeypatch.setattr(
+            branch_and_bound, "warm_solve_insert_row", no_extension
+        )
         cold = solve_bnb(form)
         assert cold.stats.nodes > 1  # it branched
         warm, state = solve_bnb_warm(form)
@@ -380,6 +381,53 @@ class TestWarmStartMachinery:
         again, _ = solve_bnb_warm(form, state)
         for solution in (warm, again):
             assert_identical(cold, solution)
+
+    def test_rebounding_child_solves_cold(self, monkeypatch):
+        """A child that re-bounds a column already carrying that bound
+        row gets no tableau extension and solves cold; every other child
+        inserts its one new row, and the result matches a cold solve."""
+        model = IlpModel("rebound")
+        x = model.add_var("x")
+        y = model.add_var("y")
+        model.add_constraint(7 * x + 4 * y <= 11.5)
+        model.add_constraint(3 * x + 8 * y <= 10.5)
+        model.maximize(6 * x + 5 * y)
+        form = model.standard_form()
+        cold = solve_bnb(form)
+
+        inserted = []
+        cold_rows = []
+        insert_row = branch_and_bound.warm_solve_insert_row
+        cold_lp = branch_and_bound.solve_lp
+
+        def counted_insert(
+            tableau, basis, c, row_position, column, sigma, rhs, **kwargs
+        ):
+            inserted.append((column, sigma, rhs))
+            return insert_row(
+                tableau, basis, c, row_position, column, sigma, rhs,
+                **kwargs,
+            )
+
+        def counted_cold(c, a_ub, b_ub, *args, **kwargs):
+            cold_rows.append(
+                list(zip(map(tuple, a_ub.tolist()), b_ub.tolist()))
+            )
+            return cold_lp(c, a_ub, b_ub, *args, **kwargs)
+
+        monkeypatch.setattr(
+            branch_and_bound, "warm_solve_insert_row", counted_insert
+        )
+        monkeypatch.setattr(branch_and_bound, "solve_lp", counted_cold)
+        warm, _ = solve_bnb_warm(form)
+        assert_identical(cold, warm)
+        assert len(inserted) + len(cold_rows) == warm.stats.nodes == 7
+        # The root, then the one child that moves x <= 1 to x <= 0.
+        root, child = cold_rows
+        assert len(root) == form.a_ub.shape[0]
+        assert (0, 1.0, 1.0) in inserted  # x <= 1 went in as a new row
+        assert ((1.0, 0.0), 0.0) in child
+        assert ((1.0, 0.0), 1.0) not in child
 
     def test_root_chains_across_a_large_rhs_change(self, profile):
         """Chaining a root from an instance whose coefficients differ by

@@ -349,7 +349,9 @@ class TestHeadIsClean:
     """The repo's own guardrail: the sweep must be clean at HEAD."""
 
     def test_src_and_tests_lint_clean(self):
-        run = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
+        run = lint_paths(
+            [str(REPO_ROOT / name) for name in ("src", "tests", "examples")]
+        )
         assert run.findings == (), "\n".join(
             finding.format() for finding in run.findings
         )

@@ -7,13 +7,16 @@ model API's ``profile`` — never through the experiment functions, jobs
 and workload constructors above them, whose arguments also feed every
 job's cache key.  The same holds for the ILP configuration: a registered
 model name fixes it, or an ``IlpPtacOptions`` goes straight to the
-ILP-PTAC functions.
+ILP-PTAC functions.  And each thing is done one way: the second ways
+pinned in ``GONE`` and ``NO_DMA_MODEL`` stay gone.
 """
 
 from __future__ import annotations
 
 import inspect
 
+import repro.analysis
+import repro.engine
 from repro.analysis import (
     alignment,
     enforcement,
@@ -27,6 +30,7 @@ from repro.analysis.characterization import characterize
 from repro.core import ilp_ptac, multicontender, wcet
 from repro.core.model import AnalysisContext
 from repro.engine import experiment, families
+from repro.engine.families import ScenarioFamily
 from repro.ilp import simplex
 from repro.ilp.batch import BatchSolver
 from repro.ilp.model import IlpModel
@@ -50,7 +54,6 @@ ONE_PLATFORM = (
     validation.check_soundness,
     validation.soundness_sweep,
     validation.random_soundness_jobs,
-    validation.random_soundness_sweep,
     validation._random_soundness_case,
     sweeps.contender_scale_sweep,
     sweeps.deployment_sweep,
@@ -66,7 +69,6 @@ ONE_PLATFORM = (
     experiment.spec_job,
     families.family_jobs,
     families.run_family,
-    families.family_matrix,
     control_loop.build_control_loop,
     system.run_isolation,
     system.run_corun,
@@ -78,7 +80,6 @@ FIXED = (
     (BatchSolver.solve, "verify"),
     (simplex.solve_lp, "max_iterations"),
     (simplex.warm_solve_insert_row, "max_iterations"),
-    (simplex.warm_solve_shift_rhs, "max_iterations"),
     (simplex.warm_solve_rhs, "max_iterations"),
     (control_loop.build_control_loop, "chunks"),
     (loads.build_load, "chunks"),
@@ -90,7 +91,7 @@ def _parameters(fn) -> set[str]:
 
 
 def test_platform_knobs_live_where_the_constants_are_consumed():
-    assert len(ONE_PLATFORM) == 33
+    assert len(ONE_PLATFORM) == 31
     knobs = [
         f"{fn.__module__}.{fn.__qualname__}({name})"
         for fn in ONE_PLATFORM
@@ -129,7 +130,6 @@ FIXED_ILP = (
     experiment.spec_job,
     families.family_jobs,
     families.run_family,
-    families.family_matrix,
     wcet.contention_bound,
     wcet.wcet_estimate,
     AnalysisContext,
@@ -137,7 +137,7 @@ FIXED_ILP = (
 
 
 def test_ilp_options_live_on_the_ilp_functions():
-    assert len(FIXED_ILP) == 24
+    assert len(FIXED_ILP) == 23
     knobs = [
         f"{fn.__module__}.{fn.__qualname__}"
         for fn in FIXED_ILP
@@ -151,3 +151,46 @@ def test_ilp_options_live_on_the_ilp_functions():
         ilp_ptac.solve_contention_ilp,
     ):
         assert "options" in _parameters(consumer), consumer
+
+
+#: Second ways to do one thing, and the module that held each: a program
+#: loops through ``sim.program.repeat``, a family batch is ``family_jobs``
+#: run by ``run_jobs``, a soundness batch is ``random_soundness_jobs``
+#: run by ``run_jobs``, and a branching child either inserts its bound
+#: row into the parent's tableau or solves cold.
+GONE = (
+    (alignment, "looped"),
+    (repro.analysis, "looped"),
+    (families, "family_matrix"),
+    (repro.engine, "family_matrix"),
+    (validation, "random_soundness_sweep"),
+    (repro.analysis, "random_soundness_sweep"),
+    (simplex, "warm_solve_shift_rhs"),
+)
+
+#: Batches whose DMA bound is named by a descriptor model in ``models`` /
+#: ``model`` (or the family's default), not by a ``dma_model`` keyword.
+NO_DMA_MODEL = (
+    families.family_jobs,
+    families.run_family,
+    experiment.run_specs,
+)
+
+
+def test_one_way_to_do_each_thing():
+    present = [
+        f"{module.__name__}.{name}"
+        for module, name in GONE
+        if hasattr(module, name)
+    ]
+    assert not present, present
+    knobs = [
+        f"{fn.__module__}.{fn.__qualname__}"
+        for fn in NO_DMA_MODEL
+        if "dma_model" in _parameters(fn)
+    ]
+    assert not knobs, knobs
+    # The one job per spec still carries the bound family_jobs sets.
+    for fn in (experiment.spec_job, experiment.run_spec):
+        assert "dma_model" in _parameters(fn), fn
+    assert "default_dma_model" in _parameters(ScenarioFamily)

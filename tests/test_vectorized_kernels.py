@@ -13,10 +13,10 @@ three ways:
   polish on degenerate optima, and whole LP solves driven by either
   kernel set agree exactly;
 * **warm-extension equivalence** — the tableau-extension entry points
-  (``warm_solve_insert_row`` / ``warm_solve_shift_rhs`` /
-  ``warm_solve_rhs``) land on the same optimum as a cold solve of
-  the explicitly assembled child instance (the canonical polish makes
-  the vertex independent of the solve path);
+  (``warm_solve_insert_row`` / ``warm_solve_rhs``) land on the same
+  optimum as a cold solve of the explicitly assembled child instance
+  (the canonical polish makes the vertex independent of the solve
+  path);
 * **engine equivalence** — :class:`SystemSimulator` and the
   step-generator oracle (``tests/oracles/sim_reference.py``) produce
   byte-identical pickled :class:`SimResult` objects on builtin families,
@@ -57,7 +57,6 @@ from repro.ilp.simplex import (
     solve_lp,
     warm_solve_insert_row,
     warm_solve_rhs,
-    warm_solve_shift_rhs,
 )
 from repro.platform.deployment import scenario_1, scenario_2
 from repro.platform.targets import Target
@@ -423,24 +422,6 @@ def test_insert_row_matches_cold_child(column, lower, value):
 
 
 @SETTINGS
-@given(row=st.integers(0, 2), delta_num=st.integers(-24, 24))
-def test_shift_rhs_matches_cold_child(row, delta_num):
-    parent = _solved_parent()
-    delta = delta_num / 4.0
-
-    warm = warm_solve_shift_rhs(
-        parent.tableau, parent.basis, PARENT_C, row, delta
-    )
-    if warm is None:
-        return
-
-    b_ub = PARENT_B_UB.copy()
-    b_ub[row] += delta
-    cold = solve_lp(PARENT_C, PARENT_A_UB, b_ub, *_EMPTY_EQ)
-    _assert_same_optimum(warm, cold)
-
-
-@SETTINGS
 @given(deltas=st.lists(st.integers(-16, 16), min_size=3, max_size=3))
 def test_rhs_delta_matches_cold_child(deltas):
     """The whole-column form with ``B^-1 b`` assembled from the
@@ -468,7 +449,6 @@ def test_extension_entry_points_do_not_mutate_inputs():
         tableau, basis, PARENT_C, row_position=3, column=1, sigma=1.0,
         rhs=2.0,
     )
-    warm_solve_shift_rhs(tableau, basis, PARENT_C, 0, -1.5)
     warm_solve_rhs(tableau, basis, PARENT_C, np.array([0.25, -0.5, 0.0]))
 
     assert np.array_equal(tableau, parent.tableau)

@@ -2,6 +2,7 @@
 builders, program helpers and probes."""
 
 import gc
+import hashlib
 import math
 import pickle
 import weakref
@@ -146,6 +147,41 @@ def _same_arrays(left, right):
     assert left.rid_list == right.rid_list
     assert left.requests == right.requests
     assert left.final_gap == right.final_gap
+
+
+#: sha256 of the builders' specs, layouts and block-sharing patterns
+#: (see test_builder_specs_are_pinned).
+SPECS_DIGEST = (
+    "d3b2ca46d75235b2617f97626337c40e3be69993ff4f93a92fd7e1ab3719ef8b"
+)
+
+
+def test_builder_specs_are_pinned():
+    """The control loop's and the loads' specs stay what they are.
+
+    Covers both scenarios at five scales, both task names and every load
+    level: 50 specs.  Each contributes the ``repr`` of its blocks and of
+    the control loop's layout, and which block objects it shares (the
+    first index of each block object), so a change to the shared phase
+    layout that moves a single request or block fails here.
+    """
+    digest = hashlib.sha256()
+
+    def add(spec, layout):
+        first: dict[int, int] = {}
+        sharing = [
+            first.setdefault(id(block), index)
+            for index, block in enumerate(spec.blocks)
+        ]
+        digest.update(repr((spec, layout, sharing)).encode())
+
+    for scenario in ("scenario1", "scenario2"):
+        for scale in (1.0, 1 / 16, 1 / 32, 1 / 128, 1 / 1000):
+            for name in ("app", "τa"):
+                add(*control_loop._control_loop_spec(scenario, scale, name))
+            for level in ("H", "M", "L"):
+                add(loads._load_spec(scenario, level, scale), None)
+    assert digest.hexdigest() == SPECS_DIGEST
 
 
 class TestBuilderMemo:

@@ -20,6 +20,7 @@ from repro.workloads.loads import all_loads, build_load, load_readings
 from repro.workloads.spec import (
     RequestBlock,
     WorkloadSpec,
+    chunked_blocks,
     spread_counts,
 )
 from repro.workloads.synthetic import random_task_pair, random_workload
@@ -46,6 +47,49 @@ class TestSpreadCounts:
             spread_counts(5, [])
         with pytest.raises(WorkloadError):
             spread_counts(5, [0, 0])
+
+
+class TestChunkedBlocks:
+    """The one phase layout the control loop and the loads share."""
+
+    CODE = RequestBlock(
+        Target.PF0, Operation.CODE, 7, 2, miss_kind=MissKind.ICACHE_MISS
+    )
+    WRITES = RequestBlock(
+        Target.LMU, Operation.DATA, 5, 1, write_fraction=1.0
+    )
+
+    def test_each_chunk_holds_every_phase_share_in_phase_order(self):
+        blocks = chunked_blocks([self.WRITES, self.CODE], 3)
+        targets = [block.target for block in blocks]
+        assert targets == [Target.LMU, Target.PF0, Target.PF1] * 3
+        writes = [b.count for b in blocks if b.target is Target.LMU]
+        assert writes == spread_counts(5, [1.0] * 3)
+        assert sum(b.count for b in blocks) == 5 + 7
+        for block in blocks:
+            phase = self.WRITES if block.target is Target.LMU else self.CODE
+            assert (block.operation, block.gap, block.write_fraction) == (
+                phase.operation, phase.gap, phase.write_fraction
+            )
+            assert block.miss_kind is phase.miss_kind
+
+    def test_pf0_phase_splits_each_share_over_both_banks(self):
+        blocks = chunked_blocks([self.CODE], 2)
+        # Shares 4 and 3 of 7; each splits PF0 first.
+        assert [(b.target, b.count) for b in blocks] == [
+            (Target.PF0, 2), (Target.PF1, 2),
+            (Target.PF0, 2), (Target.PF1, 1),
+        ]
+        pf1 = RequestBlock(Target.PF1, Operation.CODE, 4)
+        assert [b.target for b in chunked_blocks([pf1], 2)] == [
+            Target.PF1, Target.PF1
+        ]
+
+    def test_empty_shares_add_nothing_and_equal_blocks_share(self):
+        blocks = chunked_blocks([self.WRITES], 8)
+        # 5 requests over 8 chunks: three chunks hold none.
+        assert [b.count for b in blocks] == [1] * 5
+        assert all(block is blocks[0] for block in blocks)
 
 
 class TestRequestBlock:
