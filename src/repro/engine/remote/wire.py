@@ -58,6 +58,31 @@ _LEASE_KIND = "lease-grant"
 _UNIT_RESULT_KIND = "unit-result"
 _JOB_RESULTS_KIND = "job-results"
 
+#: URL paths of the coordinator endpoints.
+HEALTH_PATH = "/healthz"
+SUBMIT_PATH = "/submit"
+JOBS_PATH = "/jobs"
+WORKERS_PATH = "/workers"
+REGISTER_PATH = "/register"
+LEASE_PATH = "/lease"
+COMPLETE_PATH = "/complete"
+HEARTBEAT_PATH = "/heartbeat"
+
+#: Envelope kinds of the plain-JSON service documents (the job- and
+#: result-carrying ones above have their own encoders).
+REGISTER_KIND = "worker-register"
+REGISTERED_KIND = "worker-registered"
+LEASE_REQUEST_KIND = "lease-request"
+HEARTBEAT_KIND = "heartbeat"
+HEARTBEAT_ACK_KIND = "heartbeat-ack"
+ACCEPTED_KIND = "job-accepted"
+UNIT_ACCEPTED_KIND = "unit-accepted"
+STATUS_KIND = "job-status"
+LIST_KIND = "job-list"
+WORKER_LIST_KIND = "worker-list"
+CANCEL_KIND = "job-cancel"
+CANCELLED_KIND = "job-cancelled"
+
 
 @dataclasses.dataclass(frozen=True)
 class WireJob:
@@ -290,28 +315,35 @@ def decode_submit(data: bytes) -> tuple[list[WireJob], str, dict]:
     return decode_job_entries(document.get("jobs")), label, meta
 
 
-def encode_lease(grant: dict | None) -> bytes:
+def encode_lease(grant: dict | None, *, waited: bool = False) -> bytes:
     """Serialise one lease response (coordinator → worker).
 
-    ``grant`` is ``None`` for an empty queue; the special field
-    ``unregistered`` tells a worker the coordinator does not know its id
-    (e.g. after a coordinator restart) and it must re-register.  A real
-    grant carries ``job_id``/``unit``/``fence``/``lease_seconds`` plus
-    the unit's job entries (already-encoded dicts, straight from the
-    queue store).
+    ``grant`` is ``None`` for an empty queue, and ``waited`` marks an
+    empty answer to a waiting lease whose wait ran out; the special
+    field ``unregistered`` tells a worker the coordinator does not know
+    its id (e.g. after a coordinator restart) and it must re-register.
+    A real grant carries ``job_id``/``unit``/``fence``/``lease_seconds``
+    plus the unit's job entries (already-encoded dicts, straight from
+    the queue store).
     """
     if grant is None:
-        return encode_document(_LEASE_KIND, {"empty": True})
+        fields = {"empty": True, "waited": True} if waited else {"empty": True}
+        return encode_document(_LEASE_KIND, fields)
     return encode_document(_LEASE_KIND, {"empty": False, **grant})
 
 
 def decode_lease(data: bytes) -> dict | None:
-    """Parse a lease response; ``None`` means the queue was empty."""
+    """Parse a lease response.
+
+    ``None`` means the queue was empty and the coordinator answered at
+    once; ``{"waited": True}`` means it was empty for the whole wait of
+    a waiting lease.
+    """
     document = _envelope(data, _LEASE_KIND)
     if document.get("unregistered"):
         return {"unregistered": True}
     if document.get("empty"):
-        return None
+        return {"waited": True} if document.get("waited") is True else None
     grant = {
         "job_id": document.get("job_id"),
         "unit": document.get("unit"),

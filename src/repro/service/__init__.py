@@ -11,9 +11,12 @@ hosts, join and leave at will:
 * **workers** (:mod:`~repro.service.pull`) dial *in*: they
   auto-register, lease units, execute them (shared
   :class:`~repro.engine.cache.ResultCache` dedupe included, and a warm
-  ILP solver that lives as long as the worker) and heartbeat; a worker
-  that vanishes has its leases re-queued under a bumped fence, so
-  nothing is lost and nothing is double-counted;
+  ILP solver that lives as long as the worker) and heartbeat.  An idle
+  worker's lease request waits on the coordinator until a unit is
+  queued, so a submitted batch starts at once instead of at the next
+  poll.  A worker that vanishes has its leases re-queued under a bumped
+  fence when they expire, and one that stops cleanly hands them back at
+  once, so nothing is lost and nothing is double-counted;
 * **clients** (:mod:`~repro.service.client`) submit and walk away:
   ``repro submit`` queues one of the CLI's single-batch commands, and
   any engine batch runs through the queue via ``mode="service"``.  Both
@@ -50,57 +53,82 @@ are quarantined.  The chaos suite (``tests/test_service_chaos.py``,
 with the fault-injecting proxy in ``tests/chaos_proxy.py``) is the
 standing proof that the exactly-once and byte-identity guarantees
 survive scripted network and process faults.
+
+The names below are loaded from their submodule on first use, so a
+pull worker does not load the client and a process that hosts a
+coordinator does not load the worker.
 """
 
-from repro.service.client import (
-    ServiceExecutor,
-    cancel_job,
-    coordinator_health,
-    fetch_results,
-    job_status,
-    job_values,
-    list_jobs,
-    list_workers,
-    submit_jobs,
-    wait_for_job,
-    wait_for_results,
-)
-from repro.service.coordinator import (
-    DEFAULT_COORDINATOR_PORT,
-    CoordinatorServer,
-    serve,
-)
-from repro.service.pull import PullWorker, serve_pull
-from repro.service.retry import (
-    Backoff,
-    RetryPolicy,
-    retryable_exchange,
-    retryable_fault,
-)
-from repro.service.store import JobRecord, JobStore, UnitSpec
+from __future__ import annotations
 
-__all__ = [
-    "Backoff",
-    "CoordinatorServer",
-    "DEFAULT_COORDINATOR_PORT",
-    "JobRecord",
-    "JobStore",
-    "PullWorker",
-    "RetryPolicy",
-    "ServiceExecutor",
-    "UnitSpec",
-    "cancel_job",
-    "coordinator_health",
-    "fetch_results",
-    "job_status",
-    "job_values",
-    "list_jobs",
-    "list_workers",
-    "retryable_exchange",
-    "retryable_fault",
-    "serve",
-    "serve_pull",
-    "submit_jobs",
-    "wait_for_job",
-    "wait_for_results",
-]
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.service.client import (
+        ServiceExecutor,
+        cancel_job,
+        coordinator_health,
+        fetch_results,
+        job_status,
+        job_values,
+        list_jobs,
+        list_workers,
+        submit_jobs,
+        wait_for_job,
+        wait_for_results,
+    )
+    from repro.service.coordinator import (
+        DEFAULT_COORDINATOR_PORT,
+        CoordinatorServer,
+        serve,
+    )
+    from repro.service.pull import PullWorker, serve_pull
+    from repro.service.retry import (
+        Backoff,
+        RetryPolicy,
+        retryable_exchange,
+        retryable_fault,
+    )
+    from repro.service.store import JobRecord, JobStore, UnitSpec
+
+#: Each public name and the submodule that defines it.
+_SUBMODULES = {
+    "Backoff": "retry",
+    "CoordinatorServer": "coordinator",
+    "DEFAULT_COORDINATOR_PORT": "coordinator",
+    "JobRecord": "store",
+    "JobStore": "store",
+    "PullWorker": "pull",
+    "RetryPolicy": "retry",
+    "ServiceExecutor": "client",
+    "UnitSpec": "store",
+    "cancel_job": "client",
+    "coordinator_health": "client",
+    "fetch_results": "client",
+    "job_status": "client",
+    "job_values": "client",
+    "list_jobs": "client",
+    "list_workers": "client",
+    "retryable_exchange": "retry",
+    "retryable_fault": "retry",
+    "serve": "coordinator",
+    "serve_pull": "pull",
+    "submit_jobs": "client",
+    "wait_for_job": "client",
+    "wait_for_results": "client",
+}
+
+__all__ = sorted(_SUBMODULES)
+
+
+def __getattr__(name: str) -> Any:
+    """Import the submodule that defines ``name`` and return it from
+    there (PEP 562)."""
+    submodule = _SUBMODULES.get(name)
+    if submodule is None:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        )
+    module = importlib.import_module(f"{__name__}.{submodule}")
+    return getattr(module, name)

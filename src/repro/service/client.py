@@ -37,16 +37,6 @@ from typing import Any, Callable, Sequence
 
 from repro.engine.batch import Job, job_cache_key
 from repro.engine.remote.wire import (
-    WireJob,
-    WireResult,
-    decode_document,
-    decode_job_results,
-    encode_document,
-    encode_submit,
-)
-from repro.engine.runner import EngineStats
-from repro.errors import EngineError, JobCancelledError, RemoteError
-from repro.service.coordinator import (
     ACCEPTED_KIND,
     CANCEL_KIND,
     CANCELLED_KIND,
@@ -57,7 +47,15 @@ from repro.service.coordinator import (
     SUBMIT_PATH,
     WORKER_LIST_KIND,
     WORKERS_PATH,
+    WireJob,
+    WireResult,
+    decode_document,
+    decode_job_results,
+    encode_document,
+    encode_submit,
 )
+from repro.engine.runner import EngineStats
+from repro.errors import EngineError, JobCancelledError, RemoteError
 from repro.service.retry import (
     REQUEST_POLICY,
     TRANSPORT_ERRORS,

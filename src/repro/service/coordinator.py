@@ -12,7 +12,23 @@ envelopes (:mod:`repro.engine.remote.wire`) over plain HTTP:
   ``/lease`` → execute → POST ``/complete``, renewing their leases with
   POST ``/heartbeat`` — no static worker list anywhere.  A worker whose
   heartbeats stop has its leases expire and re-queued (fence bumped), so
-  another worker picks its units up.
+  another worker picks its units up; a worker that stops cleanly sends
+  one last heartbeat marked ``leaving``, which drops its registration
+  and re-queues what it holds at once.
+
+The lease protocol.  A lease request names its worker and may carry a
+``wait`` in seconds (a finite number, at least 0).  Without ``wait`` it
+is answered at once: a grant, or an empty answer.  With ``wait`` and
+nothing to lease, it blocks on one condition for up to ``wait``
+seconds.  Every transition that makes a unit leasable notifies it
+(submission, a fence re-queue of a rejected completion, a release or
+eviction, an expired-lease reclaim), and it also wakes at the earliest
+lease expiry, so a dead worker's unit is reclaimed and re-leased when
+its lease runs out.  It then answers with a grant, or with an empty
+answer marked ``waited``; a worker leases again at once after that and
+paces itself only after an empty answer without the mark (a coordinator
+that predates waiting leases).  Stopping the coordinator answers every
+waiting lease empty.
 
 Scheduling is first come, first served: every job of a submitted batch
 becomes its own unit, and a lease takes the oldest queued unit.  A
@@ -39,17 +55,40 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import secrets
+import select
+import socket
 import threading
 import time
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from typing import Any, Callable
 
 from repro.engine.cache import ResultCache, is_miss
 from repro.engine.remote.wire import (
+    ACCEPTED_KIND,
+    CANCEL_KIND,
+    CANCELLED_KIND,
+    COMPLETE_PATH,
+    HEALTH_PATH,
+    HEARTBEAT_ACK_KIND,
+    HEARTBEAT_KIND,
+    HEARTBEAT_PATH,
+    JOBS_PATH,
+    LEASE_PATH,
+    LEASE_REQUEST_KIND,
+    LIST_KIND,
     PROTOCOL_VERSION,
+    REGISTER_KIND,
+    REGISTER_PATH,
+    REGISTERED_KIND,
+    STATUS_KIND,
+    SUBMIT_PATH,
+    UNIT_ACCEPTED_KIND,
+    WORKER_LIST_KIND,
+    WORKERS_PATH,
     WireResult,
     decode_document,
     decode_result_entries,
@@ -75,30 +114,10 @@ DEFAULT_COORDINATOR_PORT = 8751
 #: of a test or benchmark fleet take that long.
 SERVE_POLL_SECONDS = 0.05
 
-#: URL paths of the coordinator endpoints.
-HEALTH_PATH = "/healthz"
-SUBMIT_PATH = "/submit"
-JOBS_PATH = "/jobs"
-WORKERS_PATH = "/workers"
-REGISTER_PATH = "/register"
-LEASE_PATH = "/lease"
-COMPLETE_PATH = "/complete"
-HEARTBEAT_PATH = "/heartbeat"
-
-#: Envelope kinds of the plain-JSON service documents (the job/result
-#: carrying ones live in :mod:`repro.engine.remote.wire`).
-REGISTER_KIND = "worker-register"
-REGISTERED_KIND = "worker-registered"
-LEASE_REQUEST_KIND = "lease-request"
-HEARTBEAT_KIND = "heartbeat"
-HEARTBEAT_ACK_KIND = "heartbeat-ack"
-ACCEPTED_KIND = "job-accepted"
-UNIT_ACCEPTED_KIND = "unit-accepted"
-STATUS_KIND = "job-status"
-LIST_KIND = "job-list"
-WORKER_LIST_KIND = "worker-list"
-CANCEL_KIND = "job-cancel"
-CANCELLED_KIND = "job-cancelled"
+#: Shortest sleep of a waiting lease that is due to wake at a lease
+#: expiry: an expiry is reclaimed only once it is strictly past, so a
+#: wake-up that lands on it exactly must not turn into a spin.
+_EXPIRY_SLACK_SECONDS = 0.001
 
 
 @dataclasses.dataclass
@@ -148,6 +167,17 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         else:
             self._send(200, response)
 
+    def _hung_up(self) -> bool:
+        """Whether the client has closed its end of this connection — a
+        worker that died while its lease request waited."""
+        try:
+            readable, _, _ = select.select([self.connection], [], [], 0)
+            return bool(readable) and not self.connection.recv(
+                1, socket.MSG_PEEK
+            )
+        except (OSError, ValueError):
+            return True
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         server = self.server
         if self.path == HEALTH_PATH:
@@ -173,7 +203,7 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
         routes = {
             SUBMIT_PATH: server.handle_submit,
             REGISTER_PATH: server.handle_register,
-            LEASE_PATH: server.handle_lease,
+            LEASE_PATH: lambda body: server.handle_lease(body, self._hung_up),
             COMPLETE_PATH: server.handle_complete,
             HEARTBEAT_PATH: server.handle_heartbeat,
         }
@@ -233,6 +263,12 @@ class CoordinatorServer(ThreadingHTTPServer):
         worker_ttl: float = 30.0,
         quarantine_limit: int = 3,
     ) -> None:
+        # Before the socket binds: a failed bind calls server_close().
+        self._lock = threading.RLock()
+        #: Waiting leases block here; notified whenever a unit becomes
+        #: leasable, a registration is dropped, or the server closes.
+        self._leasable = threading.Condition(self._lock)
+        self._closing = False
         super().__init__((host, port), _CoordinatorHandler)
         self.store = store
         self.cache = cache
@@ -245,7 +281,6 @@ class CoordinatorServer(ThreadingHTTPServer):
         #: uploading malformed completions.  A quarantined id is dead;
         #: the process behind it may re-register under a fresh id.
         self.quarantined_workers: dict[str, str] = {}
-        self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
 
     @property
@@ -293,6 +328,8 @@ class CoordinatorServer(ThreadingHTTPServer):
                 )
             )
         job_id = self.store.submit(units, label=label, meta=meta)
+        if len(born_done) < len(units):
+            self._wake_leases()
         # The run record is opened at submission (even with nothing born
         # done yet), so the job id is a valid `repro diff` selector the
         # moment `repro submit` prints it.
@@ -301,7 +338,7 @@ class CoordinatorServer(ThreadingHTTPServer):
 
     def handle_status(self, job_id: str) -> bytes:
         """One job's progress (unit states included)."""
-        self.store.reclaim_expired()
+        self._reclaim_expired()
         record = self.store.job(job_id)
         if record is None:
             raise KeyError(f"unknown job id {job_id!r}")
@@ -319,7 +356,7 @@ class CoordinatorServer(ThreadingHTTPServer):
         )
 
     def handle_job_list(self) -> bytes:
-        self.store.reclaim_expired()
+        self._reclaim_expired()
         jobs = [self._job_fields(record) for record in self.store.jobs()]
         return encode_document(LIST_KIND, {"jobs": jobs})
 
@@ -435,46 +472,97 @@ class CoordinatorServer(ThreadingHTTPServer):
             {"worker_id": worker_id, "lease_seconds": self.lease_seconds},
         )
 
-    def handle_lease(self, body: bytes) -> bytes:
-        """Grant the requesting worker one queued unit (or none)."""
+    def handle_lease(
+        self, body: bytes, hung_up: Callable[[], bool] | None = None
+    ) -> bytes:
+        """Grant the requesting worker one queued unit (or none).
+
+        A request without ``wait`` is answered at once.  One with
+        ``wait`` blocks while nothing is leasable, for up to that many
+        seconds (see the module docstring), and answers empty with
+        ``waited`` set when the time runs out.  ``hung_up`` tells
+        whether the requester has closed its connection: a worker that
+        died while its request waited is granted nothing.
+        """
         document = decode_document(body, LEASE_REQUEST_KIND)
         worker_id = document.get("worker_id")
         if not isinstance(worker_id, str):
             raise RemoteError("lease request carries no worker_id")
-        now = time.monotonic()
-        with self._lock:
+        wait = _lease_wait(document.get("wait"))
+        with self._leasable:
             info = self.workers.get(worker_id)
             if info is None:
                 # Unknown id — typically a worker that outlived a
                 # coordinator restart.  Tell it to re-register; any unit
                 # it still executes completes by fence, not by id.
                 return encode_lease({"unregistered": True})
-            info.last_seen = now
+            now = time.monotonic()
+            deadline = None if wait is None else now + wait
             # A worker holds one unit at a time and asks again only
             # after completing or dropping it, so any unit still leased
             # to it was lost in transit (a grant it never received) —
             # re-queue it now instead of letting heartbeats renew it.
-            self.store.release_worker(worker_id)
-            self.store.reclaim_expired(now)
-            choice = self.store.oldest_queued_unit()
-            if choice is None:
-                return encode_lease(None)
-            job_id, unit_index = choice
-            leased = self.store.lease(
-                job_id, unit_index, worker_id, now + self.lease_seconds
-            )
-            if leased is None:  # raced away between pick and lease
-                return encode_lease(None)
-            fence, entries, _indices = leased
-        return encode_lease(
-            {
-                "job_id": job_id,
-                "unit": unit_index,
-                "fence": fence,
-                "lease_seconds": self.lease_seconds,
-                "jobs": entries,
-            }
+            if self.store.release_worker(worker_id):
+                self._leasable.notify_all()
+            while True:
+                info.last_seen = now
+                if self.store.reclaim_expired(now):
+                    self._leasable.notify_all()
+                grant = self._lease_oldest(worker_id, now)
+                if grant is not None or deadline is None:
+                    break
+                if self._closing or now >= deadline:
+                    return encode_lease(None, waited=True)
+                self._leasable.wait(self._lease_sleep(now, deadline))
+                if self.workers.get(worker_id) is not info:
+                    return encode_lease({"unregistered": True})
+                if self._closing or (hung_up is not None and hung_up()):
+                    return encode_lease(None, waited=True)
+                now = time.monotonic()
+        return encode_lease(grant)
+
+    def _lease_oldest(self, worker_id: str, now: float) -> dict | None:
+        """Lease the oldest queued unit to ``worker_id``: its grant
+        fields, or ``None`` when nothing is queued."""
+        choice = self.store.oldest_queued_unit()
+        if choice is None:
+            return None
+        job_id, unit_index = choice
+        leased = self.store.lease(
+            job_id, unit_index, worker_id, now + self.lease_seconds
         )
+        if leased is None:  # raced away between pick and lease
+            return None
+        fence, entries, _indices = leased
+        return {
+            "job_id": job_id,
+            "unit": unit_index,
+            "fence": fence,
+            "lease_seconds": self.lease_seconds,
+            "jobs": entries,
+        }
+
+    def _lease_sleep(self, now: float, deadline: float) -> float:
+        """How long a waiting lease sleeps before it looks again: up to
+        its deadline, the earliest lease expiry or one lease period.  A
+        lease granted while it sleeps expires a whole lease period after
+        its grant, so the last bound keeps it from sleeping past that
+        expiry too."""
+        sleep = min(deadline - now, self.lease_seconds)
+        expiry = self.store.next_lease_expiry()
+        if expiry is not None:
+            sleep = min(sleep, max(expiry - now, _EXPIRY_SLACK_SECONDS))
+        return sleep
+
+    def _wake_leases(self) -> None:
+        """Wake every waiting lease to look at the queue again."""
+        with self._leasable:
+            self._leasable.notify_all()
+
+    def _reclaim_expired(self) -> None:
+        """Re-queue expired leases, waking waiting leases if any were."""
+        if self.store.reclaim_expired():
+            self._wake_leases()
 
     def handle_complete(self, body: bytes) -> bytes:
         """Record one executed unit, fenced and shape-validated.
@@ -496,7 +584,8 @@ class CoordinatorServer(ThreadingHTTPServer):
             self.store.unit_job_count(job_id, unit_index),
         )
         if defect is not None:
-            self.store.requeue(job_id, unit_index, document["fence"])
+            if self.store.requeue(job_id, unit_index, document["fence"]):
+                self._wake_leases()
             self._record_invalid_completion(worker_id, defect)
             raise RemoteError(
                 f"rejected completion of {job_id}/{unit_index}: {defect}"
@@ -525,7 +614,7 @@ class CoordinatorServer(ThreadingHTTPServer):
         rest of the fleet picks the work up immediately instead of
         waiting out the lease expiry.
         """
-        with self._lock:
+        with self._leasable:
             info = self.workers.get(worker_id)
             if info is None:
                 return
@@ -537,7 +626,8 @@ class CoordinatorServer(ThreadingHTTPServer):
                 f"evicted after {info.invalid_completions} invalid "
                 f"completions (last: {defect})"
             )
-        self.store.release_worker(worker_id)
+            self.store.release_worker(worker_id)
+            self._leasable.notify_all()
 
     def _store_results(
         self, job_id: str, unit_index: int, result_entries: list[dict]
@@ -590,20 +680,32 @@ class CoordinatorServer(ThreadingHTTPServer):
             )
 
     def handle_heartbeat(self, body: bytes) -> bytes:
-        """Renew a worker's leases; absorb its execution counters."""
+        """Renew a worker's leases; absorb its execution counters.
+
+        A heartbeat marked ``leaving`` is a worker's last: it drops the
+        registration, re-queues whatever the worker still holds and
+        wakes its waiting lease, which answers ``unregistered``.
+        """
         document = decode_document(body, HEARTBEAT_KIND)
         worker_id = document.get("worker_id")
         if not isinstance(worker_id, str):
             raise RemoteError("heartbeat carries no worker_id")
         stats = document.get("stats")
         now = time.monotonic()
-        with self._lock:
+        with self._leasable:
             info = self.workers.get(worker_id)
             known = info is not None
             if info is not None:
                 info.last_seen = now
                 if isinstance(stats, dict):
                     info.stats = stats
+            if document.get("leaving") is True:
+                self.workers.pop(worker_id, None)
+                self.store.release_worker(worker_id)
+                self._leasable.notify_all()
+                return encode_document(
+                    HEARTBEAT_ACK_KIND, {"known": known, "cancelled": []}
+                )
         cancelled: list[str] = []
         if known:
             self.store.renew_leases(worker_id, now + self.lease_seconds)
@@ -628,6 +730,13 @@ class CoordinatorServer(ThreadingHTTPServer):
         self._thread = thread
         return self
 
+    def server_close(self) -> None:
+        """Release the socket and answer every waiting lease, empty."""
+        with self._leasable:
+            self._closing = True
+            self._leasable.notify_all()
+        super().server_close()
+
     def stop(self) -> None:
         """Stop serving and release the socket (the store stays open)."""
         self.shutdown()
@@ -635,6 +744,25 @@ class CoordinatorServer(ThreadingHTTPServer):
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
+
+
+def _lease_wait(value: object) -> float | None:
+    """A lease request's ``wait``: ``None`` to answer at once, else a
+    finite number of seconds, at least 0 (anything else is refused)."""
+    if value is None:
+        return None
+    seconds = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            seconds = float(value)
+        except OverflowError:
+            pass
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise RemoteError(
+            f"lease wait must be a finite number of seconds >= 0, "
+            f"not {value!r}"
+        )
+    return seconds
 
 
 def serve(

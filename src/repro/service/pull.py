@@ -6,8 +6,11 @@ everything:
 
 1. **register** — POST ``/register``, receiving a coordinator-issued
    worker id;
-2. **lease loop** — POST ``/lease`` for the next unit; an empty queue
-   backs off briefly and asks again, a grant executes each job through
+2. **lease loop** — POST ``/lease`` for the next unit, asking the
+   coordinator to wait up to :data:`LEASE_WAIT_SECONDS` for one, so an
+   idle worker starts a newly submitted unit as soon as it is queued
+   (an empty answer after the wait leases again at once); a grant
+   executes each job through
    :func:`~repro.engine.remote.worker.execute_wire_job` (shared
    :class:`ResultCache` consult, then the job on this thread, whose
    batch ILP solver stays warm across every unit the worker runs);
@@ -26,27 +29,23 @@ a coordinator restart), and a lease or heartbeat answered
 still complete, because completions are fenced, not owner-checked.
 Heartbeat acks also carry cancelled job ids, so a worker abandons the
 rest of a cancelled unit mid-execution instead of finishing work
-nobody will accept.
+nobody will accept.  A coordinator that predates waiting leases answers
+an empty queue at once, without the ``waited`` mark; the worker then
+asks again after ``idle_poll`` seconds.  :meth:`PullWorker.stop` sends
+one last heartbeat marked ``leaving``: the coordinator re-queues what
+the worker holds at once and answers its waiting lease.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import signal
 import threading
 import time
 import urllib.request
 
 from repro.engine.cache import ResultCache
 from repro.engine.remote.wire import (
-    decode_document,
-    decode_lease,
-    encode_document,
-    encode_unit_result,
-)
-from repro.engine.remote.worker import execute_wire_job
-from repro.engine.runner import EngineStats
-from repro.errors import RemoteError
-from repro.service.coordinator import (
     COMPLETE_PATH,
     HEARTBEAT_ACK_KIND,
     HEARTBEAT_KIND,
@@ -57,15 +56,32 @@ from repro.service.coordinator import (
     REGISTER_PATH,
     REGISTERED_KIND,
     UNIT_ACCEPTED_KIND,
+    decode_document,
+    decode_lease,
+    encode_document,
+    encode_unit_result,
 )
+from repro.engine.remote.worker import execute_wire_job
+from repro.engine.runner import EngineStats
+from repro.errors import RemoteError
 from repro.service.retry import (
     TRANSPORT_ERRORS,
     RetryPolicy,
     retryable_exchange,
 )
 
-#: How long an idle worker waits before asking for work again.
+#: How long a lease request asks the coordinator to wait for a unit,
+#: well under the HTTP timeouts of anything in between (the chaos
+#: proxy's upstream timeout is 60 s).
+LEASE_WAIT_SECONDS = 20.0
+
+#: How long an idle worker waits before asking for work again when its
+#: coordinator answered an empty queue at once (one that does not wait).
 IDLE_POLL_SECONDS = 0.2
+
+#: HTTP timeout of the ``leaving`` heartbeat :meth:`PullWorker.stop`
+#: sends, so a hung coordinator cannot hold a stopping worker.
+LEAVE_TIMEOUT_SECONDS = 2.0
 
 #: Cap of the unreachable-coordinator retry backoff.
 MAX_BACKOFF_SECONDS = 5.0
@@ -82,8 +98,12 @@ class PullWorker:
             ``directory=`` pointing at a shared path and a whole worker
             fleet dedupes against one disk cache: a job any worker (or
             any past run) completed is answered without re-executing.
-        idle_poll: seconds between lease attempts on an empty queue.
-        timeout: per-request HTTP timeout.
+        idle_poll: the first delay of the reconnect backoff, and the
+            pause before leasing again when the coordinator answers an
+            empty queue at once (one that does not hold waiting
+            leases).  A coordinator that waits paces the loop itself.
+        timeout: per-request HTTP timeout (a waiting lease adds its
+            wait).
 
     The loop runs on the calling thread via :meth:`run`, or in a daemon
     thread via :meth:`start`/:meth:`stop` (tests, benchmarks).
@@ -116,14 +136,18 @@ class PullWorker:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
-    def _post(self, path: str, body: bytes) -> bytes:
+    def _post(
+        self, path: str, body: bytes, timeout: float | None = None
+    ) -> bytes:
         request = urllib.request.Request(
             self.coordinator_url + path,
             data=body,
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+        with urllib.request.urlopen(
+            request, timeout=self.timeout if timeout is None else timeout
+        ) as resp:
             return resp.read()
 
     # ------------------------------------------------------------------
@@ -144,11 +168,16 @@ class PullWorker:
         self.worker_id = worker_id
         return worker_id
 
-    def _lease(self) -> dict | None:
-        body = encode_document(
-            LEASE_REQUEST_KIND, {"worker_id": self.worker_id}
-        )
-        return decode_lease(self._post(LEASE_PATH, body))
+    def _lease(self, wait: float | None = None) -> dict | None:
+        """One lease request; with ``wait`` the coordinator may hold it
+        that many seconds for a unit to be queued."""
+        fields: dict = {"worker_id": self.worker_id}
+        timeout = self.timeout
+        if wait is not None:
+            fields["wait"] = wait
+            timeout += wait
+        body = encode_document(LEASE_REQUEST_KIND, fields)
+        return decode_lease(self._post(LEASE_PATH, body, timeout))
 
     def _complete(self, grant: dict, results) -> bool:
         """Upload one unit's results; returns whether they were accepted.
@@ -171,17 +200,22 @@ class PullWorker:
         )
         return bool(answer.get("accepted"))
 
-    def _heartbeat(self) -> bool:
-        """One heartbeat round-trip; returns whether we are still known."""
-        body = encode_document(
-            HEARTBEAT_KIND,
-            {
-                "worker_id": self.worker_id,
-                "stats": dataclasses.asdict(self.stats),
-            },
-        )
+    def _heartbeat(
+        self, leaving: bool = False, timeout: float | None = None
+    ) -> bool:
+        """One heartbeat round-trip; returns whether we are still known.
+
+        A ``leaving`` heartbeat is the worker's last (see :meth:`stop`).
+        """
+        fields: dict = {
+            "worker_id": self.worker_id,
+            "stats": dataclasses.asdict(self.stats),
+        }
+        if leaving:
+            fields["leaving"] = True
+        body = encode_document(HEARTBEAT_KIND, fields)
         document = decode_document(
-            self._post(HEARTBEAT_PATH, body), HEARTBEAT_ACK_KIND
+            self._post(HEARTBEAT_PATH, body, timeout), HEARTBEAT_ACK_KIND
         )
         cancelled = document.get("cancelled")
         if isinstance(cancelled, list):
@@ -207,18 +241,22 @@ class PullWorker:
                 try:
                     if self.worker_id is None:
                         self.register()
-                    grant = self._lease()
+                    grant = self._lease(LEASE_WAIT_SECONDS)
                 except TRANSPORT_ERRORS + (RemoteError,):
                     # Coordinator down or restarting: retry with backoff.
                     self._stop.wait(backoff.next_delay() or self.idle_poll)
                     continue
                 backoff.reset()
-                if grant is not None and grant.get("unregistered"):
+                if grant is None:
+                    # Answered at once by a coordinator that does not
+                    # wait: pace the next ask.
+                    self._stop.wait(self.idle_poll)
+                    continue
+                if grant.get("unregistered"):
                     # Coordinator restarted and lost the registry.
                     self.worker_id = None
                     continue
-                if grant is None:
-                    self._stop.wait(self.idle_poll)
+                if grant.get("waited"):
                     continue
                 self._execute_grant(grant)
         finally:
@@ -307,8 +345,21 @@ class PullWorker:
         return self
 
     def stop(self) -> None:
-        """Signal the loop to exit and join its threads."""
+        """Signal the loop to exit, leave the coordinator and join the
+        threads.
+
+        Leaving is one heartbeat marked ``leaving``, best effort: the
+        coordinator drops the registration, re-queues a unit this worker
+        holds (or is being granted) at once instead of after the lease
+        period, and answers the loop's waiting lease, so the loop sees
+        the stop without waiting out its lease request.
+        """
         self._stop.set()
+        if self.worker_id is not None:
+            try:
+                self._heartbeat(leaving=True, timeout=LEAVE_TIMEOUT_SECONDS)
+            except TRANSPORT_ERRORS + (RemoteError,):
+                pass
         for thread in (self._thread, self._heartbeat_thread):
             if thread is not None:
                 thread.join(timeout=5)
@@ -326,8 +377,15 @@ def serve_pull(
     (``repro worker --coordinator URL``).
 
     Prints the registration line scripts parse, then leases until
-    interrupted.
+    interrupted.  SIGINT stops it even when the process started with
+    SIGINT ignored (a background job of a non-interactive shell), where
+    Python installs no ``KeyboardInterrupt`` handler of its own.
     """
+    if (
+        threading.current_thread() is threading.main_thread()
+        and signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+    ):
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     cache = ResultCache(directory=cache_dir) if cache_dir else None
     worker = PullWorker(coordinator_url, name=name, cache=cache)
     RetryPolicy(deadline=60.0).call(

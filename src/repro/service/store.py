@@ -9,8 +9,8 @@ each unit moves through three states::
        ▲                 │
        └──lease expiry───┘   (fence += 1 on every lease and re-queue)
 
-A lease expiry, a quarantined worker's release and a rejected
-completion all re-queue a unit through one fenced statement.  A queue
+A lease expiry, a quarantined or leaving worker's release and a
+rejected completion all re-queue a unit through one fenced statement.  A queue
 file written before units lost their scheduling-group column keeps that
 column; nothing reads it, so it needs no migration.
 
@@ -368,6 +368,17 @@ class JobStore:
             )
             return cursor.rowcount
 
+    def next_lease_expiry(self) -> float | None:
+        """The earliest expiry of a live lease (a ``time.monotonic()``
+        reading), or ``None`` when no unit is leased — when a waiting
+        lease must next look for an expired lease to reclaim."""
+        with self._lock:
+            row = self._conn.execute(
+                "SELECT MIN(lease_expiry) FROM units WHERE state = ?",
+                (LEASED,),
+            ).fetchone()
+        return row[0]
+
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
@@ -456,9 +467,9 @@ class JobStore:
 
     def release_worker(self, worker_id: str) -> list[tuple[str, int]]:
         """Re-queue every live lease held by ``worker_id`` (fence
-        bumped) — the immediate reassignment behind worker quarantine,
-        where waiting for lease expiry would leave a misbehaving
-        worker's units dangling."""
+        bumped) — the immediate reassignment behind worker quarantine
+        and a worker's clean stop, where waiting for lease expiry would
+        leave the worker's units dangling."""
         with self._lock, self._conn:
             rows = self._conn.execute(
                 "SELECT job_id, unit_index, fence FROM units "

@@ -15,7 +15,7 @@ coordinator from the command line::
 
     PYTHONPATH=src python tests/chaos_proxy.py \\
         --upstream http://127.0.0.1:8751 --port 8752 \\
-        --fault 'latency:times=5' --fault 'kill:path=/lease,after=10' \\
+        --fault 'latency:times=5' --fault 'kill:path=/lease,after=3' \\
         --kill-cmd 'pkill -9 -f "repro [s]erve --port 8751"'
 
 Fault kinds (:data:`FAULT_KINDS`):

@@ -248,6 +248,11 @@ class TestServiceEnvelopes:
         )
 
         assert decode_lease(encode_lease(None)) is None
+        # An empty answer to a waiting lease carries its marker; to an
+        # older worker, which only reads "empty", it is a plain one.
+        waited = encode_lease(None, waited=True)
+        assert decode_lease(waited) == {"waited": True}
+        assert json.loads(waited)["empty"] is True
         again = decode_lease(encode_lease({"unregistered": True}))
         assert again == {"unregistered": True}
         grant = {

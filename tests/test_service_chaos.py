@@ -14,22 +14,21 @@ from __future__ import annotations
 import base64
 import http.client
 import sqlite3
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import service_jobs
 from chaos_proxy import ChaosProxy, FaultPlan, FaultRule, parse_fault_spec
 from repro.analysis.experiments import figure4_paper_mode
 from repro.analysis.report import render_figure4
 from repro.engine import ExperimentEngine
-from repro.engine.remote.wire import (
-    WireResult,
-    encode_unit_result,
-    validate_result_entries,
-)
+from repro.engine.remote.wire import validate_result_entries
 from repro.errors import EngineError, JobCancelledError, RemoteError
+from repro.service import client
 from repro.service.client import (
     cancel_job,
     coordinator_health,
@@ -38,11 +37,7 @@ from repro.service.client import (
     submit_jobs,
     wait_for_job,
 )
-from repro.service.coordinator import (
-    COMPLETE_PATH,
-    WORKERS_PATH,
-    CoordinatorServer,
-)
+from repro.service.coordinator import WORKERS_PATH, CoordinatorServer
 from repro.service.pull import PullWorker
 from repro.service.retry import (
     REQUEST_POLICY,
@@ -52,7 +47,7 @@ from repro.service.retry import (
     retryable_fault,
 )
 from repro.service.store import LEASED, QUEUED, JobStore, UnitSpec
-from service_jobs import collect, slow_jobs, wait_workers
+from service_jobs import collect, slow_jobs, upload_malformed, wait_workers
 
 
 def _http_error(code: int) -> urllib.error.HTTPError:
@@ -61,7 +56,13 @@ def _http_error(code: int) -> urllib.error.HTTPError:
 
 @pytest.fixture
 def start_proxy(request):
-    """Factory: a chaos proxy in front of an upstream, stopped on teardown."""
+    """Factory: a chaos proxy in front of an upstream, stopped on teardown.
+
+    Fixtures tear down in the reverse order of their set-up, so a test
+    whose workers dial through the proxy requests this fixture before
+    ``start_pull``: the workers then leave through the proxy before it
+    stops.
+    """
 
     def _start(upstream, plan=None, kill=None):
         proxy = ChaosProxy(upstream, plan=plan, kill=kill).start()
@@ -560,26 +561,6 @@ class TestResultValidation:
 # ----------------------------------------------------------------------
 # Worker quarantine: malformed completions evict, work is reassigned
 # ----------------------------------------------------------------------
-def _upload_malformed(worker, grant, fence):
-    """POST a wrong-shaped completion of ``grant`` under ``fence`` (two
-    result entries for a one-job unit) and expect the 400 rejection."""
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        worker._post(
-            COMPLETE_PATH,
-            encode_unit_result(
-                worker_id=worker.worker_id,
-                job_id=grant["job_id"],
-                unit=grant["unit"],
-                fence=fence,
-                results=[
-                    WireResult(ok=True, value="forged"),
-                    WireResult(ok=True, value="extra"),
-                ],
-            ),
-        )
-    assert excinfo.value.code == 400
-
-
 class TestWorkerQuarantine:
     def test_three_malformed_completions_evict_the_worker(
         self, start_coordinator, start_pull, tmp_path
@@ -600,7 +581,7 @@ class TestWorkerQuarantine:
         # Upload a wrong-shaped completion for each grant: two result
         # entries for a one-job unit.
         for grant in grants:
-            _upload_malformed(saboteur, grant, grant["fence"])
+            upload_malformed(saboteur, grant, grant["fence"])
 
         # Third strike: evicted, leases released, future leases refused.
         assert saboteur.worker_id in coordinator.quarantined_workers
@@ -640,7 +621,7 @@ class TestWorkerQuarantine:
         uploader's heartbeats renew a lease nobody will complete."""
         coordinator = start_coordinator()
         mangler, grant, job_id = self._one_unit_job(coordinator, tmp_path)
-        _upload_malformed(mangler, grant, grant["fence"])
+        upload_malformed(mangler, grant, grant["fence"])
 
         [unit] = coordinator.store.units(job_id)
         assert unit.state == QUEUED
@@ -662,14 +643,14 @@ class TestWorkerQuarantine:
     ):
         coordinator = start_coordinator()
         mangler, grant, job_id = self._one_unit_job(coordinator, tmp_path)
-        _upload_malformed(mangler, grant, grant["fence"])
+        upload_malformed(mangler, grant, grant["fence"])
         honest = PullWorker(coordinator.url, name="honest")
         honest.register()
         regrant = honest._lease()
 
         # A second mangled upload of the old grant carries a stale fence:
         # rejected, and the honest worker's lease is untouched.
-        _upload_malformed(mangler, grant, grant["fence"])
+        upload_malformed(mangler, grant, grant["fence"])
         [unit] = coordinator.store.units(job_id)
         assert unit.state == LEASED
         assert unit.lease_owner == honest.worker_id
@@ -785,7 +766,7 @@ FAULT_PLANS = {
 class TestChaosEndToEnd:
     @pytest.mark.parametrize("fault", sorted(FAULT_PLANS))
     def test_fault_class_preserves_parity_and_exactly_once(
-        self, fault, start_coordinator, start_pull, start_proxy, tmp_path
+        self, fault, start_coordinator, start_proxy, start_pull, tmp_path
     ):
         serial = figure4_paper_mode()
         coordinator = start_coordinator(lease_seconds=1.5)
@@ -820,7 +801,7 @@ class TestChaosEndToEnd:
         assert any(r["kind"] == fault for r in plan.injections)
 
     def test_kill_fault_coordinator_restart_mid_job(
-        self, request, start_pull, start_proxy, tmp_path
+        self, request, monkeypatch, start_proxy, start_pull, tmp_path
     ):
         serial = figure4_paper_mode()
         store = JobStore(tmp_path / "queue.sqlite")
@@ -830,15 +811,33 @@ class TestChaosEndToEnd:
         request.addfinalizer(lambda: state["server"].stop())
         request.addfinalizer(store.close)
 
+        # The kill must land once both batches are queued: the engine's
+        # figure-4 submission has no retry and would fall back in-process
+        # (as documented) if it met the restart.  The slow batch's units
+        # hold both workers until that submission has been answered, so
+        # the only /lease requests before then are each worker's first,
+        # waiting one; the fifth, the kill, follows two more completions.
+        queued = threading.Event()
+        monkeypatch.setitem(service_jobs.GATES, "kill", queued)
+
         def kill():
             # The mid-request crash: stop the coordinator and bring a
             # fresh one up on the same port over the same durable store
             # (the in-process equivalent of a supervisor restart loop).
+            state["queued at kill"] = queued.is_set()
             state["server"].stop()
             state["server"] = CoordinatorServer(
                 port=port, store=store, lease_seconds=2.0
             ).start()
 
+        submit = client.submit_jobs
+
+        def submit_then_open(*args, **kwargs):
+            job_id = submit(*args, **kwargs)
+            queued.set()
+            return job_id
+
+        monkeypatch.setattr(client, "submit_jobs", submit_then_open)
         plan = FaultPlan(
             [FaultRule("kill", path="/lease", after=4, times=1)], seed=3
         )
@@ -850,7 +849,7 @@ class TestChaosEndToEnd:
         log = tmp_path / "runs.log"
         job_id = submit_jobs(
             proxy.url,
-            slow_jobs(log, count=6, delay=0.1),
+            slow_jobs(log, count=6, delay=0.1, gate="kill"),
             label="kill",
             retry=REQUEST_POLICY.with_deadline(10.0),
         )
@@ -866,6 +865,7 @@ class TestChaosEndToEnd:
         ]
         # The kill really happened, and despite it no unit ran twice.
         assert proxy.kills == 1
+        assert state["queued at kill"]
         assert sorted(log.read_text().split()) == sorted(
             f"unit{i}" for i in range(6)
         )

@@ -10,7 +10,17 @@ the results — and rendered artefacts — are byte-identical to
 
 from __future__ import annotations
 
+import math
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
+import threading
 import time
+import urllib.error
+from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import pytest
 
@@ -21,6 +31,7 @@ from repro.engine.batch import job
 from repro.engine.remote.wire import (
     WireResult,
     decode_document,
+    encode_document,
     encode_unit_result,
 )
 from repro.errors import EngineError
@@ -34,10 +45,13 @@ from repro.service.client import (
 )
 from repro.service.coordinator import (
     COMPLETE_PATH,
+    LEASE_PATH,
+    LEASE_REQUEST_KIND,
     UNIT_ACCEPTED_KIND,
     CoordinatorServer,
+    _CoordinatorHandler,
 )
-from repro.service.pull import PullWorker
+from repro.service.pull import LEASE_WAIT_SECONDS, PullWorker
 from repro.service.store import (
     DONE,
     LEASE_HORIZON_SECONDS,
@@ -46,7 +60,7 @@ from repro.service.store import (
     JobStore,
     UnitSpec,
 )
-from service_jobs import collect, slow_jobs, wait_workers
+from service_jobs import collect, slow_jobs, upload_malformed, wait_workers
 
 
 def _boom(message: str) -> None:
@@ -701,3 +715,353 @@ class TestServiceCli:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith("repro: error: ") and url in line
+
+
+# ----------------------------------------------------------------------
+# Waiting leases: an idle worker's lease request blocks on the
+# coordinator until a unit is leasable.  Synchronised on threads and
+# events: a test learns that a lease is waiting from the coordinator's
+# condition, never from a sleep.
+# ----------------------------------------------------------------------
+class _ReportingCondition(threading.Condition):
+    """The coordinator's lease condition, releasing :attr:`sleeps` once
+    per waiting lease that goes to sleep on it."""
+
+    def __init__(self, lock):
+        super().__init__(lock)
+        self.sleeps = threading.Semaphore(0)
+
+    def wait(self, timeout=None):
+        self.sleeps.release()
+        return super().wait(timeout)
+
+
+def _watch_leases(coordinator) -> _ReportingCondition:
+    condition = _ReportingCondition(coordinator._lock)
+    coordinator._leasable = condition
+    return condition
+
+
+def _asleep(condition) -> None:
+    """Block until one more waiting lease has gone to sleep."""
+    assert condition.sleeps.acquire(timeout=10), "no lease waited"
+
+
+def _registered(url, name):
+    worker = PullWorker(url, name=name)
+    worker.register()
+    return worker
+
+
+@pytest.fixture
+def background():
+    """A thread pool for lease requests that block."""
+    pool = ThreadPoolExecutor(max_workers=2)
+    yield pool
+    pool.shutdown(wait=False, cancel_futures=True)
+
+
+class TestWaitingLease:
+    def test_waiting_lease_is_granted_when_a_batch_is_submitted(
+        self, start_coordinator, background, tmp_path
+    ):
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        worker = _registered(coordinator.url, "idle")
+        pending = background.submit(worker._lease, 30.0)
+        _asleep(leases)
+        assert not pending.done()
+        job_id = submit_jobs(
+            coordinator.url, slow_jobs(tmp_path / "runs.log", count=2)
+        )
+        grant = pending.result(timeout=5)
+        assert (grant["job_id"], grant["unit"], grant["fence"]) == (
+            job_id, 0, 1,
+        )
+
+    def test_waiting_lease_on_an_idle_queue_runs_out_waited(
+        self, start_coordinator
+    ):
+        coordinator = start_coordinator()
+        worker = _registered(coordinator.url, "idle")
+        started = time.monotonic()
+        assert worker._lease(0.05) == {"waited": True}
+        assert time.monotonic() - started >= 0.05
+        assert worker._lease(0) == {"waited": True}
+
+    def test_lease_without_wait_is_answered_at_once(
+        self, start_coordinator
+    ):
+        coordinator = start_coordinator()
+        worker = _registered(coordinator.url, "old")
+        # The empty answer of a coordinator that did not hold the
+        # request: no "waited" marker, so the worker paces itself.
+        assert worker._lease() is None
+
+    def test_wait_that_is_not_a_finite_non_negative_number_is_refused(
+        self, start_coordinator
+    ):
+        coordinator = start_coordinator()
+        worker = _registered(coordinator.url, "bad")
+        for wait in (-1, -0.5, math.nan, math.inf, -math.inf, "soon", True,
+                     [1], 10**400):
+            body = encode_document(
+                LEASE_REQUEST_KIND,
+                {"worker_id": worker.worker_id, "wait": wait},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                worker._post(LEASE_PATH, body)
+            assert excinfo.value.code == 400, wait
+            message = excinfo.value.read()
+            assert b"lease wait must be a finite number" in message, wait
+
+    def test_fence_rejected_completion_wakes_a_waiting_lease(
+        self, start_coordinator, background, tmp_path
+    ):
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        mangler = _registered(coordinator.url, "mangler")
+        job_id = submit_jobs(
+            coordinator.url, slow_jobs(tmp_path / "runs.log", count=1)
+        )
+        grant = mangler._lease()
+        honest = _registered(coordinator.url, "honest")
+        pending = background.submit(honest._lease, 30.0)
+        _asleep(leases)
+        upload_malformed(mangler, grant, grant["fence"])
+        regrant = pending.result(timeout=5)
+        assert (regrant["job_id"], regrant["unit"]) == (job_id, 0)
+        assert regrant["fence"] == grant["fence"] + 2
+
+    def test_quarantine_eviction_wakes_a_waiting_lease(
+        self, start_coordinator, background, tmp_path
+    ):
+        coordinator = start_coordinator()
+        coordinator.quarantine_limit = 1
+        leases = _watch_leases(coordinator)
+        saboteur = _registered(coordinator.url, "saboteur")
+        job_id = submit_jobs(
+            coordinator.url, slow_jobs(tmp_path / "runs.log", count=1)
+        )
+        grant = saboteur._lease()
+        honest = _registered(coordinator.url, "honest")
+        pending = background.submit(honest._lease, 30.0)
+        _asleep(leases)
+        # A stale fence re-queues nothing itself: only the eviction it
+        # triggers releases the saboteur's live lease.
+        upload_malformed(saboteur, grant, grant["fence"] - 1)
+        assert saboteur.worker_id in coordinator.quarantined_workers
+        regrant = pending.result(timeout=5)
+        assert (regrant["job_id"], regrant["unit"]) == (job_id, 0)
+
+    def test_lease_expiry_wakes_a_waiting_lease(
+        self, start_coordinator, background, tmp_path
+    ):
+        coordinator = start_coordinator(lease_seconds=30.0)
+        leases = _watch_leases(coordinator)
+        crasher = _registered(coordinator.url, "crasher")
+        job_id = submit_jobs(
+            coordinator.url, slow_jobs(tmp_path / "runs.log", count=1)
+        )
+        grant = crasher._lease()  # then silence: no heartbeat, no upload
+        # The crasher's lease has 0.2 s left: far less than a lease
+        # period or the survivor's wait, so only a wake-up at the
+        # earliest expiry re-leases the unit in time.
+        expiry = time.monotonic() + 0.2
+        coordinator.store.renew_leases(crasher.worker_id, expiry)
+        survivor = _registered(coordinator.url, "survivor")
+        pending = background.submit(survivor._lease, 30.0)
+        _asleep(leases)
+        regrant = pending.result(timeout=5)
+        assert time.monotonic() >= expiry
+        assert (regrant["job_id"], regrant["unit"]) == (job_id, 0)
+        assert regrant["fence"] == grant["fence"] + 2
+
+    def test_waiting_lease_of_an_evicted_worker_is_unregistered(
+        self, start_coordinator, background, tmp_path
+    ):
+        coordinator = start_coordinator()
+        coordinator.quarantine_limit = 1
+        leases = _watch_leases(coordinator)
+        holder = _registered(coordinator.url, "holder")
+        submit_jobs(coordinator.url, slow_jobs(tmp_path / "runs.log", count=1))
+        grant = holder._lease()
+        saboteur = _registered(coordinator.url, "saboteur")
+        pending = background.submit(saboteur._lease, 30.0)
+        _asleep(leases)
+        upload_malformed(saboteur, grant, grant["fence"] - 1)
+        assert pending.result(timeout=5) == {"unregistered": True}
+
+    def test_many_waiting_leases_share_a_batch_exactly_once(
+        self, start_coordinator, tmp_path
+    ):
+        """Eight waiting leases race for a five-unit batch under a short
+        thread switch interval: each unit is granted once, and the three
+        leases left over keep waiting until the coordinator stops."""
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        workers = [_registered(coordinator.url, f"w{i}") for i in range(8)]
+        interval = sys.getswitchinterval()
+        pool = ThreadPoolExecutor(max_workers=len(workers))
+        sys.setswitchinterval(1e-5)
+        try:
+            pending = [pool.submit(w._lease, 30.0) for w in workers]
+            for _ in workers:
+                _asleep(leases)
+            job_id = submit_jobs(
+                coordinator.url, slow_jobs(tmp_path / "runs.log", count=5)
+            )
+            completed = as_completed(pending, timeout=10)
+            first = [next(completed).result() for _ in range(5)]
+            coordinator.stop()
+            answers = [future.result(timeout=5) for future in pending]
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False, cancel_futures=True)
+        assert sorted((grant["job_id"], grant["unit"]) for grant in first) == [
+            (job_id, unit) for unit in range(5)
+        ]
+        assert sum(answer == {"waited": True} for answer in answers) == 3
+
+    def test_worker_that_hung_up_while_waiting_is_granted_nothing(
+        self, start_coordinator, background, tmp_path
+    ):
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        worker = _registered(coordinator.url, "gone")
+        body = encode_document(
+            LEASE_REQUEST_KIND, {"worker_id": worker.worker_id, "wait": 30.0}
+        )
+        pending = background.submit(
+            coordinator.handle_lease, body, lambda: True
+        )
+        _asleep(leases)
+        job_id = submit_jobs(
+            coordinator.url, slow_jobs(tmp_path / "runs.log", count=1)
+        )
+        answer = decode_document(pending.result(timeout=5), "lease-grant")
+        assert answer["empty"] is True
+        [unit] = coordinator.store.units(job_id)
+        assert unit.state == QUEUED and unit.fence == 0
+
+    def test_hung_up_reads_whether_the_client_closed_its_end(self):
+        ours, theirs = socket.socketpair()
+        with ours:
+            probe = type("Probe", (), {"connection": ours})()
+            assert not _CoordinatorHandler._hung_up(probe)
+            theirs.close()
+            assert _CoordinatorHandler._hung_up(probe)
+
+    def test_worker_leases_again_at_once_after_a_waited_answer(
+        self, monkeypatch
+    ):
+        """The loop paces itself only when its coordinator did not hold
+        the request: after an answer marked "waited" it asks again at
+        once, after a plain empty answer it sleeps ``idle_poll``."""
+        worker = PullWorker("http://127.0.0.1:9", idle_poll=0.2)
+        worker.worker_id = "w-test"
+        answers = [{"waited": True}, {"waited": True}, None, None]
+        asked, slept = [], []
+
+        def lease(wait=None):
+            asked.append(wait)
+            if len(asked) == len(answers):
+                worker._stop.set()
+            return answers[len(asked) - 1]
+
+        def pause(timeout=None):
+            slept.append(timeout)
+            return worker._stop.is_set()
+
+        monkeypatch.setattr(worker, "_lease", lease)
+        monkeypatch.setattr(worker, "_start_heartbeat", lambda: None)
+        monkeypatch.setattr(worker._stop, "wait", pause)
+        worker.run()
+        assert asked == [LEASE_WAIT_SECONDS] * 4
+        assert slept == [0.2, 0.2]
+
+
+class TestStopWithWaitingLeases:
+    def test_worker_stop_answers_its_waiting_lease(self, start_coordinator):
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        worker = PullWorker(coordinator.url, name="leaving").start()
+        loop = worker._thread
+        try:
+            _asleep(leases)
+        finally:
+            started = time.monotonic()
+            worker.stop()
+        assert time.monotonic() - started < 1.0
+        assert not loop.is_alive()
+        assert coordinator.workers == {}
+
+    def test_coordinator_stop_answers_waiting_leases(
+        self, start_coordinator, background
+    ):
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        workers = [_registered(coordinator.url, f"w{i}") for i in range(2)]
+        pending = [background.submit(w._lease, 30.0) for w in workers]
+        _asleep(leases)
+        _asleep(leases)
+        started = time.monotonic()
+        coordinator.stop()
+        assert [p.result(timeout=5) for p in pending] == [
+            {"waited": True}, {"waited": True},
+        ]
+        assert time.monotonic() - started < 1.0
+
+    def test_stopping_worker_hands_its_unit_back_at_once(
+        self, start_coordinator, tmp_path
+    ):
+        coordinator = start_coordinator(lease_seconds=30.0)
+        worker = _registered(coordinator.url, "stopping")
+        job_id = submit_jobs(
+            coordinator.url, slow_jobs(tmp_path / "runs.log", count=1)
+        )
+        grant = worker._lease()
+        worker.stop()
+        [unit] = coordinator.store.units(job_id)
+        assert unit.state == QUEUED and unit.fence == grant["fence"] + 1
+        assert coordinator.workers == {}
+
+    def test_sigint_stops_a_worker_started_with_sigint_ignored(
+        self, start_coordinator
+    ):
+        """A background job of a non-interactive shell starts with
+        SIGINT ignored; ``repro worker`` must still stop on it, promptly
+        and through its clean leave, while its lease request waits."""
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        command = [
+            sys.executable, "-m", "repro", "worker",
+            "--coordinator", coordinator.url, "--name", "background",
+        ]
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+        try:
+            process = subprocess.Popen(
+                command,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                cwd=str(root),
+            )
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        try:
+            assert b"registered with" in process.stdout.readline()
+            _asleep(leases)
+            started = time.monotonic()
+            process.send_signal(signal.SIGINT)
+            out, err = process.communicate(timeout=10)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, err
+        assert time.monotonic() - started < 3.0
+        assert b"worker stopped" in out
+        assert coordinator.workers == {}
