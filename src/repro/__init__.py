@@ -61,106 +61,118 @@ Registering and running a new deployment scenario::
     print(run_spec("my-quad").sound)   # measured, bounded, co-run: True
 """
 
-from repro.core import (
-    AccessProfile,
-    AnalysisContext,
-    ContentionBound,
-    ContentionModel,
-    IlpPtacOptions,
-    ModelCapabilities,
-    ModelSpec,
-    WcetEstimate,
-    access_count_bounds,
-    contention_bound,
-    ftc_baseline,
-    ftc_refined,
-    get_model,
-    ideal_bound,
-    ilp_ptac_bound,
-    model_names,
-    multi_contender_bound,
-    register_model,
-    temporary_models,
-    wcet_estimate,
-)
-from repro.counters import DebugCounter, TaskReadings
-from repro.engine import (
-    DmaSpec,
-    ExperimentEngine,
-    ResultCache,
-    ScenarioFamily,
-    ScenarioSpec,
-    WorkloadRef,
-    expand_family,
-    register_family,
-    register_scenario,
-    run_family,
-    run_spec,
-    temporary_families,
-    temporary_scenarios,
-)
-from repro.errors import ReproError
-from repro.platform import (
-    DeploymentScenario,
-    LatencyProfile,
-    Operation,
-    Target,
-    architectural_scenario,
-    custom_scenario,
-    scenario_1,
-    scenario_2,
-    tc277,
-    tc27x_latency_profile,
-)
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        AccessProfile,
+        AnalysisContext,
+        ContentionBound,
+        ContentionModel,
+        IlpPtacOptions,
+        ModelCapabilities,
+        ModelSpec,
+        WcetEstimate,
+        access_count_bounds,
+        contention_bound,
+        ftc_baseline,
+        ftc_refined,
+        get_model,
+        ideal_bound,
+        ilp_ptac_bound,
+        model_names,
+        multi_contender_bound,
+        register_model,
+        temporary_models,
+        wcet_estimate,
+    )
+    from repro.counters import DebugCounter, TaskReadings
+    from repro.engine import (
+        DmaSpec,
+        ExperimentEngine,
+        ResultCache,
+        ScenarioFamily,
+        ScenarioSpec,
+        WorkloadRef,
+        expand_family,
+        register_family,
+        register_scenario,
+        run_family,
+        run_spec,
+        temporary_families,
+        temporary_scenarios,
+    )
+    from repro.errors import ReproError
+    from repro.platform import (
+        DeploymentScenario,
+        LatencyProfile,
+        Operation,
+        Target,
+        architectural_scenario,
+        custom_scenario,
+        scenario_1,
+        scenario_2,
+        tc277,
+        tc27x_latency_profile,
+    )
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessProfile",
-    "AnalysisContext",
-    "ContentionBound",
-    "ContentionModel",
-    "DebugCounter",
-    "DeploymentScenario",
-    "ExperimentEngine",
-    "IlpPtacOptions",
-    "LatencyProfile",
-    "ModelCapabilities",
-    "ModelSpec",
-    "Operation",
-    "DmaSpec",
-    "ReproError",
-    "ResultCache",
-    "ScenarioFamily",
-    "ScenarioSpec",
-    "Target",
-    "TaskReadings",
-    "WcetEstimate",
-    "WorkloadRef",
-    "__version__",
-    "access_count_bounds",
-    "architectural_scenario",
-    "contention_bound",
-    "custom_scenario",
-    "expand_family",
-    "ftc_baseline",
-    "ftc_refined",
-    "get_model",
-    "ideal_bound",
-    "ilp_ptac_bound",
-    "model_names",
-    "multi_contender_bound",
-    "register_family",
-    "register_model",
-    "register_scenario",
-    "run_family",
-    "run_spec",
-    "scenario_1",
-    "scenario_2",
-    "tc277",
-    "tc27x_latency_profile",
-    "temporary_families",
-    "temporary_models",
-    "temporary_scenarios",
-    "wcet_estimate",
-]
+# Each name is loaded from its sub-package on first use, so importing
+# ``repro`` (which every ``import repro.<layer>`` does first) loads no layer.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "AccessProfile": "core",
+        "AnalysisContext": "core",
+        "ContentionBound": "core",
+        "ContentionModel": "core",
+        "IlpPtacOptions": "core",
+        "ModelCapabilities": "core",
+        "ModelSpec": "core",
+        "WcetEstimate": "core",
+        "access_count_bounds": "core",
+        "contention_bound": "core",
+        "ftc_baseline": "core",
+        "ftc_refined": "core",
+        "get_model": "core",
+        "ideal_bound": "core",
+        "ilp_ptac_bound": "core",
+        "model_names": "core",
+        "multi_contender_bound": "core",
+        "register_model": "core",
+        "temporary_models": "core",
+        "wcet_estimate": "core",
+        "DebugCounter": "counters",
+        "TaskReadings": "counters",
+        "DmaSpec": "engine",
+        "ExperimentEngine": "engine",
+        "ResultCache": "engine",
+        "ScenarioFamily": "engine",
+        "ScenarioSpec": "engine",
+        "WorkloadRef": "engine",
+        "expand_family": "engine",
+        "register_family": "engine",
+        "register_scenario": "engine",
+        "run_family": "engine",
+        "run_spec": "engine",
+        "temporary_families": "engine",
+        "temporary_scenarios": "engine",
+        "ReproError": "errors",
+        "DeploymentScenario": "platform",
+        "LatencyProfile": "platform",
+        "Operation": "platform",
+        "Target": "platform",
+        "architectural_scenario": "platform",
+        "custom_scenario": "platform",
+        "scenario_1": "platform",
+        "scenario_2": "platform",
+        "tc277": "platform",
+        "tc27x_latency_profile": "platform",
+    },
+)
+__all__ += ["__version__"]

@@ -51,58 +51,37 @@ as one engine batch each, so they can also be queued fire-and-forget:
 direct command does and queues the same jobs, and ``repro watch``
 renders the results with the direct command's renderer.  Each of them
 is defined once — its subparser, its job builder and its renderer.
+
+Importing this module and building its parser loads no analysis,
+engine, store or service code: each handler (job builders and renderers
+included) imports its layer on entry, so ``repro --help`` and
+``repro platform`` start without numpy, and ``repro table3`` without
+the result store.  ``repro --profile`` therefore counts the command's
+own imports too.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
+import gc
 import math
 import sys
 import threading
-from typing import Any, Callable, Iterator, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+)
 
-from repro import paper
-from repro.analysis.characterization import characterize
-from repro.analysis.experiments import (
-    figure4_paper_jobs,
-    figure4_sim_mode,
-    information_ablation,
-    model_scenario_matrix_jobs,
-    table6_sim_mode,
-)
-from repro.analysis.report import (
-    render_ablation,
-    render_artifact,
-    render_figure4,
-    render_latency_table,
-    render_models,
-    render_placement_table,
-    render_soundness,
-    render_table,
-    render_table6,
-)
-from repro.analysis.sweeps import contender_scale_sweep
-from repro.analysis.three_core import three_core_experiment
-from repro.analysis.validation import SoundnessSweep, random_soundness_jobs
-from repro.core.registry import default_model_registry
-from repro.engine import (
-    ExperimentArtifact,
-    ExperimentEngine,
-    ResultCache,
-    default_family_registry,
-    default_registry,
-    expand_family,
-    family_jobs,
-    family_results,
-    run_jobs,
-    run_specs,
-)
 from repro.errors import ReproError
-from repro.platform.deployment import scenario_1, scenario_2
-from repro.platform.tc27x import tc277
-from repro.store import ResultStore
+
+if TYPE_CHECKING:
+    from repro.engine import ExperimentArtifact, ExperimentEngine
+    from repro.store import ResultStore
 
 
 def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
@@ -119,8 +98,16 @@ def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
     """
     jobs = getattr(args, "jobs", 1)
     cache_dir = getattr(args, "cache_dir", None)
-    store = ResultStore(cache_dir) if cache_dir is not None else None
     coordinator = getattr(args, "coordinator", None)
+    if not coordinator and jobs == 1 and cache_dir is None:
+        return None
+    from repro.engine import ExperimentEngine, ResultCache
+
+    store = None
+    if cache_dir is not None:
+        from repro.store import ResultStore
+
+        store = ResultStore(cache_dir)
     if coordinator:
         engine = ExperimentEngine(
             mode="service",
@@ -128,15 +115,13 @@ def _engine(args: argparse.Namespace) -> ExperimentEngine | None:
             cache=ResultCache(directory=cache_dir),
             store=store,
         )
-    elif jobs > 1 or cache_dir is not None:
+    else:
         engine = ExperimentEngine(
             mode="process" if jobs > 1 else "serial",
             workers=jobs if jobs > 1 else None,
             cache=ResultCache(directory=cache_dir),
             store=store,
         )
-    else:
-        return None
     args._engine_instance = engine
     return engine
 
@@ -233,14 +218,23 @@ def _render_or_write(
 
         write_artifact(item, args.export)
         return f"wrote {len(item)} {noun} to {args.export}"
-    return render() if render is not None else render_artifact(item)
+    if render is not None:
+        return render()
+    from repro.analysis.report import render_artifact
+
+    return render_artifact(item)
 
 
 def _scenario(args: argparse.Namespace):
+    from repro.platform.deployment import scenario_1, scenario_2
+
     return scenario_1() if args.scenario == 1 else scenario_2()
 
 
 def _cmd_table2(args: argparse.Namespace) -> str:
+    from repro.analysis.characterization import characterize
+    from repro.analysis.report import render_latency_table
+
     result = characterize()
     return render_latency_table(
         result.profile, title="Table 2 (measured on the simulator)"
@@ -248,10 +242,15 @@ def _cmd_table2(args: argparse.Namespace) -> str:
 
 
 def _cmd_table3(args: argparse.Namespace) -> str:
+    from repro.analysis.report import render_placement_table
+
     return render_placement_table(title="Table 3")
 
 
 def _cmd_table6(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import table6_sim_mode
+    from repro.analysis.report import render_table6
+
     scale = 1 / args.scale
     return render_table6(
         table6_sim_mode(scale=scale, engine=_engine(args)), scale=scale
@@ -274,11 +273,14 @@ def _figure4_jobs(args: argparse.Namespace) -> list:
             "feed the models), so it cannot be queued as one job; run "
             "`repro figure4 --mode sim --coordinator URL` instead"
         )
+    from repro.analysis.experiments import figure4_paper_jobs
+
     return figure4_paper_jobs(**_figure4_models(args))
 
 
 def _figure4_render(rows: Sequence[Any], args: argparse.Namespace) -> str:
     from repro.analysis.export import figure4_artifact
+    from repro.analysis.report import render_figure4
 
     if args.mode == "paper":
         title = "Figure 4 (paper-counters mode)"
@@ -293,6 +295,8 @@ def _figure4_render(rows: Sequence[Any], args: argparse.Namespace) -> str:
 
 
 def _matrix_jobs(args: argparse.Namespace) -> list:
+    from repro.analysis.experiments import model_scenario_matrix_jobs
+
     return model_scenario_matrix_jobs(
         models=tuple(args.model) if args.model else None,
         specs=tuple(args.spec) if args.spec else None,
@@ -314,6 +318,8 @@ def _matrix_render(results: Sequence[Any], args: argparse.Namespace) -> str:
 
 
 def _family_jobs(args: argparse.Namespace) -> list:
+    from repro.engine.families import family_jobs
+
     return family_jobs(
         args.family,
         models=args.model,
@@ -324,6 +330,7 @@ def _family_jobs(args: argparse.Namespace) -> list:
 
 def _family_render(results: Sequence[Any], args: argparse.Namespace) -> str:
     from repro.analysis.export import family_artifact
+    from repro.engine.families import family_results
 
     rows = family_results(args.family, results)
     # --matrix, or several counter-based models, ran the family matrix.
@@ -337,6 +344,8 @@ def _family_render(results: Sequence[Any], args: argparse.Namespace) -> str:
 
 
 def _soundness_jobs(args: argparse.Namespace) -> list:
+    from repro.analysis.validation import random_soundness_jobs
+
     return random_soundness_jobs(
         _scenario(args),
         pairs=args.pairs,
@@ -347,13 +356,15 @@ def _soundness_jobs(args: argparse.Namespace) -> list:
 def _soundness_render(
     results: Sequence[Any], args: argparse.Namespace
 ) -> str:
+    from repro.analysis.report import render_soundness
+    from repro.analysis.validation import SoundnessSweep
+
     return render_soundness(
         SoundnessSweep(cases=tuple(results)), _scenario(args).name
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class _Batch:
+class _Batch(NamedTuple):
     """A command whose work is one engine batch.
 
     Attributes:
@@ -390,6 +401,8 @@ _BATCHES = {
 
 
 def _run_batch(args: argparse.Namespace) -> str:
+    from repro.engine.runner import run_jobs
+
     batch = _BATCHES[args.command]
     return batch.render(run_jobs(batch.jobs(args), _engine(args)), args)
 
@@ -397,6 +410,8 @@ def _run_batch(args: argparse.Namespace) -> str:
 def _cmd_figure4(args: argparse.Namespace) -> str:
     if args.mode == "paper":
         return _run_batch(args)
+    from repro.analysis.experiments import figure4_sim_mode
+
     rows = figure4_sim_mode(
         scale=1 / args.scale, engine=_engine(args), **_figure4_models(args)
     )
@@ -404,13 +419,19 @@ def _cmd_figure4(args: argparse.Namespace) -> str:
 
 
 def _cmd_ablation(args: argparse.Namespace) -> str:
+    from repro.analysis.experiments import information_ablation
+    from repro.analysis.report import render_ablation
+
     return render_ablation(
         information_ablation(scale=1 / args.scale, engine=_engine(args))
     )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> str:
+    from repro import paper
     from repro.analysis.export import sweep_artifact
+    from repro.analysis.report import render_table
+    from repro.analysis.sweeps import contender_scale_sweep
 
     scenario = _scenario(args)
     readings_a = paper.table6(scenario.name, "app")
@@ -438,12 +459,14 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_three_core(args: argparse.Namespace) -> str:
+    from repro.analysis.export import three_core_artifact
+    from repro.analysis.report import render_artifact
+    from repro.analysis.three_core import three_core_experiment
+
     scenario_name = f"scenario{args.scenario}"
     rows = three_core_experiment(
         scenario_name, scale=1 / args.scale, engine=_engine(args)
     )
-    from repro.analysis.export import three_core_artifact
-
     return render_artifact(
         three_core_artifact(
             rows,
@@ -456,6 +479,9 @@ def _cmd_three_core(args: argparse.Namespace) -> str:
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> str:
+    from repro.analysis.report import render_table
+    from repro.engine.registry import default_registry
+
     registry = default_registry()
     return render_table(
         ["name", "base", "cores", "description"],
@@ -469,6 +495,8 @@ def _cmd_scenarios(args: argparse.Namespace) -> str:
 
 def _cmd_models(args: argparse.Namespace) -> str:
     from repro.analysis.export import models_artifact
+    from repro.analysis.report import render_models
+    from repro.core.registry import default_model_registry
 
     registry = default_model_registry()
     return _render_or_write(
@@ -480,13 +508,15 @@ def _cmd_models(args: argparse.Namespace) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from repro.analysis.export import scenario_run_artifact
+    from repro.engine.experiment import run_specs
+    from repro.engine.registry import default_registry
+
     registry = default_registry()
     names = registry.names() if args.all else args.scenario
     if not names:
         return "nothing to run (name scenarios or pass --all)"
     results = run_specs(names, model=args.model, engine=_engine(args))
-    from repro.analysis.export import scenario_run_artifact
-
     item = scenario_run_artifact(
         results, title=f"Scenario runs ({len(results)} specs)"
     )
@@ -494,6 +524,9 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_families(args: argparse.Namespace) -> str:
+    from repro.analysis.report import render_table
+    from repro.engine.families import default_family_registry, expand_family
+
     registry = default_family_registry()
     return render_table(
         ["name", "members", "axes", "description"],
@@ -511,6 +544,8 @@ def _cmd_families(args: argparse.Namespace) -> str:
 
 
 def _cmd_platform(args: argparse.Namespace) -> str:
+    from repro.platform.tc27x import tc277
+
     return tc277().block_diagram()
 
 
@@ -579,6 +614,8 @@ def _cmd_submit(args: argparse.Namespace) -> str:
     from repro.service import submit_jobs
 
     if args.list or not args.name:
+        from repro.analysis.report import render_table
+
         return render_table(
             ["name", "description"],
             [[name, batch.help] for name, batch in _BATCHES.items()],
@@ -686,6 +723,7 @@ def _cmd_watch(args: argparse.Namespace) -> str:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> str:
+    from repro.analysis.report import render_table
     from repro.service import cancel_job, list_jobs, list_workers
 
     url = _require_coordinator(args)
@@ -756,6 +794,8 @@ def _result_store(args: argparse.Namespace) -> ResultStore:
             "this command reads the result store: pass --cache-dir PATH "
             "(the store lives beside the cache's version namespaces)"
         )
+    from repro.store import ResultStore
+
     return ResultStore(args.cache_dir)
 
 
@@ -819,6 +859,8 @@ def _cmd_lint(args: argparse.Namespace) -> str:
 
 def _cmd_store(args: argparse.Namespace) -> str:
     """List the result store's recorded runs (or maintain it)."""
+    from repro.analysis.report import render_table
+
     store = _result_store(args)
     lines: list[str] = []
     if store.quarantined:
@@ -859,10 +901,12 @@ def _cmd_store(args: argparse.Namespace) -> str:
 
 def _cmd_cache(args: argparse.Namespace) -> str:
     """Inspect the disk cache's version namespaces (or prune stale ones)."""
+    import os as _os
+
+    from repro import __version__
+    from repro.analysis.report import render_table
     from repro.engine.cache import cache_namespaces, prune_stale_versions
     from repro.store.resultstore import STORE_FILENAME
-
-    import os as _os
 
     if not args.cache_dir:
         raise ReproError("pass --cache-dir PATH to inspect a disk cache")
@@ -872,7 +916,7 @@ def _cmd_cache(args: argparse.Namespace) -> str:
         # worth compacting away while we are here.
         store_path = _os.path.join(args.cache_dir, STORE_FILENAME)
         if _os.path.exists(store_path):
-            store = ResultStore(args.cache_dir)
+            store = _result_store(args)
             store.delete_runs([f"backfill-v{version}" for version in pruned])
             store.vacuum()
         if not pruned:
@@ -880,8 +924,6 @@ def _cmd_cache(args: argparse.Namespace) -> str:
         return "pruned stale cache namespaces: " + ", ".join(
             f"v{version}" for version in pruned
         )
-    from repro import __version__
-
     rows = []
     for version, path in cache_namespaces(args.cache_dir):
         entries = len(list(path.glob("*.pkl")))
@@ -895,7 +937,23 @@ def _cmd_cache(args: argparse.Namespace) -> str:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse command tree (exposed for tests and docs)."""
+    """The argparse command tree (exposed for tests and docs).
+
+    The tree is a few thousand objects in reference cycles that die
+    together once the command line is parsed, so it is built with the
+    cyclic garbage collector paused: a collection mid-build would only
+    move them to an older generation, where they outlive their use.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _command_tree()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _command_tree() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

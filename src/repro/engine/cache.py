@@ -38,6 +38,7 @@ from collections.abc import Mapping, Set
 from pathlib import Path
 from typing import Any
 
+from repro import __version__
 from repro.errors import EngineError
 
 #: Sentinel distinguishing "cached None" from "not cached".
@@ -161,8 +162,6 @@ class ResultCache:
         self._lock = threading.Lock()
         self._directory: Path | None = None
         if directory is not None:
-            from repro import __version__  # deferred: package-init cycle
-
             self._directory = Path(directory) / f"v{__version__}"
             self._directory.mkdir(parents=True, exist_ok=True)
 
@@ -312,8 +311,6 @@ def prune_stale_versions(
     missing files are ignored.
     """
     if active is None:
-        from repro import __version__  # deferred: package-init cycle
-
         active = __version__
     pruned: list[str] = []
     for version, path in cache_namespaces(directory):

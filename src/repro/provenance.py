@@ -34,6 +34,8 @@ import os
 import subprocess
 import time
 
+from repro import __version__
+
 #: Environment override for the recorded git revision (CI images and
 #: installed wheels have no ``.git`` to ask).
 GIT_REV_ENV = "REPRO_GIT_REV"
@@ -112,8 +114,6 @@ def git_revision(cwd: str | os.PathLike | None = None) -> str | None:
 
 def run_metadata() -> dict[str, str | None]:
     """The standard provenance stamp of one recorded run."""
-    from repro import __version__  # deferred: package-init cycle
-
     return {
         "library_version": __version__,
         "git_rev": git_revision(),

@@ -61,8 +61,9 @@ coordinator does not load the worker.
 
 from __future__ import annotations
 
-import importlib
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.service.client import (
@@ -92,43 +93,31 @@ if TYPE_CHECKING:
     )
     from repro.service.store import JobRecord, JobStore, UnitSpec
 
-#: Each public name and the submodule that defines it.
-_SUBMODULES = {
-    "Backoff": "retry",
-    "CoordinatorServer": "coordinator",
-    "DEFAULT_COORDINATOR_PORT": "coordinator",
-    "JobRecord": "store",
-    "JobStore": "store",
-    "PullWorker": "pull",
-    "RetryPolicy": "retry",
-    "ServiceExecutor": "client",
-    "UnitSpec": "store",
-    "cancel_job": "client",
-    "coordinator_health": "client",
-    "fetch_results": "client",
-    "job_status": "client",
-    "job_values": "client",
-    "list_jobs": "client",
-    "list_workers": "client",
-    "retryable_exchange": "retry",
-    "retryable_fault": "retry",
-    "serve": "coordinator",
-    "serve_pull": "pull",
-    "submit_jobs": "client",
-    "wait_for_job": "client",
-    "wait_for_results": "client",
-}
-
-__all__ = sorted(_SUBMODULES)
-
-
-def __getattr__(name: str) -> Any:
-    """Import the submodule that defines ``name`` and return it from
-    there (PEP 562)."""
-    submodule = _SUBMODULES.get(name)
-    if submodule is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    module = importlib.import_module(f"{__name__}.{submodule}")
-    return getattr(module, name)
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "Backoff": "retry",
+        "CoordinatorServer": "coordinator",
+        "DEFAULT_COORDINATOR_PORT": "coordinator",
+        "JobRecord": "store",
+        "JobStore": "store",
+        "PullWorker": "pull",
+        "RetryPolicy": "retry",
+        "ServiceExecutor": "client",
+        "UnitSpec": "store",
+        "cancel_job": "client",
+        "coordinator_health": "client",
+        "fetch_results": "client",
+        "job_status": "client",
+        "job_values": "client",
+        "list_jobs": "client",
+        "list_workers": "client",
+        "retryable_exchange": "retry",
+        "retryable_fault": "retry",
+        "serve": "coordinator",
+        "serve_pull": "pull",
+        "submit_jobs": "client",
+        "wait_for_job": "client",
+        "wait_for_results": "client",
+    },
+)

@@ -33,16 +33,22 @@ nobody will accept.  A coordinator that predates waiting leases answers
 an empty queue at once, without the ``waited`` mark; the worker then
 asks again after ``idle_poll`` seconds.  :meth:`PullWorker.stop` sends
 one last heartbeat marked ``leaving``: the coordinator re-queues what
-the worker holds at once and answers its waiting lease.
+the worker holds at once and answers its waiting lease.  A request the
+heartbeat could not answer (the route to the coordinator is gone) has
+its socket shut down.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import signal
+import socket
 import threading
 import time
 import urllib.request
+import weakref
+from typing import Any
 
 from repro.engine.cache import ResultCache
 from repro.engine.remote.wire import (
@@ -85,6 +91,74 @@ LEAVE_TIMEOUT_SECONDS = 2.0
 
 #: Cap of the unreachable-coordinator retry backoff.
 MAX_BACKOFF_SECONDS = 5.0
+
+
+class _InFlight:
+    """The sockets of one worker's requests in flight.
+
+    :meth:`cut` shuts each of them down, so a thread blocked on an
+    answer (a waiting lease) reads end-of-file at once, and shuts down
+    any request that connects after it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sockets: weakref.WeakSet[socket.socket] = weakref.WeakSet()
+        self._cut = False
+
+    def add(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._sockets.add(sock)
+            cut = self._cut
+        if cut:
+            _shut(sock)
+
+    def cut(self) -> None:
+        with self._lock:
+            self._cut = True
+            sockets = list(self._sockets)
+        for sock in sockets:
+            _shut(sock)
+
+    def reopen(self) -> None:
+        with self._lock:
+            self._cut = False
+
+
+def _shut(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # closed already
+        pass
+
+
+class _TrackedConnection(http.client.HTTPConnection):
+    """An HTTP connection that adds its socket to an :class:`_InFlight`."""
+
+    def __init__(
+        self, *args: Any, in_flight: _InFlight, **kwargs: Any
+    ) -> None:
+        super().__init__(*args, **kwargs)
+        self._in_flight = in_flight
+
+    def connect(self) -> None:
+        super().connect()
+        self._in_flight.add(self.sock)
+
+
+class _TrackedHTTPHandler(urllib.request.HTTPHandler):
+    """``urllib``'s plain-HTTP handler over :class:`_TrackedConnection`."""
+
+    def __init__(self, in_flight: _InFlight) -> None:
+        super().__init__()
+        self._in_flight = in_flight
+
+    def http_open(
+        self, req: urllib.request.Request
+    ) -> http.client.HTTPResponse:
+        return self.do_open(
+            _TrackedConnection, req, in_flight=self._in_flight
+        )
 
 
 class PullWorker:
@@ -132,6 +206,10 @@ class PullWorker:
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._heartbeat_thread: threading.Thread | None = None
+        self._in_flight = _InFlight()
+        self._opener = urllib.request.build_opener(
+            _TrackedHTTPHandler(self._in_flight)
+        )
 
     # ------------------------------------------------------------------
     # Transport
@@ -145,7 +223,7 @@ class PullWorker:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with urllib.request.urlopen(
+        with self._opener.open(
             request, timeout=self.timeout if timeout is None else timeout
         ) as resp:
             return resp.read()
@@ -337,6 +415,7 @@ class PullWorker:
     def start(self) -> "PullWorker":
         """Run the loop in a daemon thread (tests and benchmarks)."""
         self._stop.clear()
+        self._in_flight.reopen()
         thread = threading.Thread(
             target=self.run, name="repro-pull-worker", daemon=True
         )
@@ -352,7 +431,9 @@ class PullWorker:
         coordinator drops the registration, re-queues a unit this worker
         holds (or is being granted) at once instead of after the lease
         period, and answers the loop's waiting lease, so the loop sees
-        the stop without waiting out its lease request.
+        the stop without waiting out its lease request.  Requests still
+        in flight after it (a waiting lease whose route to the
+        coordinator is gone) have their sockets shut down.
         """
         self._stop.set()
         if self.worker_id is not None:
@@ -360,6 +441,7 @@ class PullWorker:
                 self._heartbeat(leaving=True, timeout=LEAVE_TIMEOUT_SECONDS)
             except TRANSPORT_ERRORS + (RemoteError,):
                 pass
+        self._in_flight.cut()
         for thread in (self._thread, self._heartbeat_thread):
             if thread is not None:
                 thread.join(timeout=5)
@@ -380,7 +462,12 @@ def serve_pull(
     interrupted.  SIGINT stops it even when the process started with
     SIGINT ignored (a background job of a non-interactive shell), where
     Python installs no ``KeyboardInterrupt`` handler of its own.
+
+    The job layer (:mod:`repro.analysis` and the layers it drives) is
+    loaded before registering, so no leased unit waits on an import.
     """
+    import repro.analysis  # noqa: F401  (loads the job layer)
+
     if (
         threading.current_thread() is threading.main_thread()
         and signal.getsignal(signal.SIGINT) is signal.SIG_IGN

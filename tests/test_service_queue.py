@@ -23,6 +23,7 @@ import urllib.error
 from concurrent.futures import ThreadPoolExecutor, as_completed
 
 import pytest
+from chaos_proxy import ChaosProxy
 
 from repro.analysis.experiments import figure4_paper_mode
 from repro.analysis.report import render_figure4
@@ -995,6 +996,36 @@ class TestStopWithWaitingLeases:
         assert time.monotonic() - started < 1.0
         assert not loop.is_alive()
         assert coordinator.workers == {}
+
+    def test_worker_stop_cuts_a_lease_whose_route_is_gone(
+        self, start_coordinator
+    ):
+        """With its route to the coordinator gone while the lease waits,
+        the worker cannot leave; stop() cuts the waiting request."""
+        coordinator = start_coordinator()
+        leases = _watch_leases(coordinator)
+        proxy = ChaosProxy(coordinator.url).start()
+        worker = PullWorker(proxy.url, name="cut-off").start()
+        loop = worker._thread
+        try:
+            _asleep(leases)
+            proxy.stop()
+        finally:
+            started = time.monotonic()
+            worker.stop()
+        assert time.monotonic() - started < 1.0
+        assert not loop.is_alive()
+
+    def test_request_connecting_after_the_cut_is_shut_down(self):
+        """A request whose thread passed the stop check just before
+        stop() cut the worker's requests reads end-of-file at once."""
+        worker = PullWorker("http://127.0.0.1:9")
+        worker._in_flight.cut()
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            ours.settimeout(1.0)
+            worker._in_flight.add(ours)
+            assert ours.recv(1) == b""
 
     def test_coordinator_stop_answers_waiting_leases(
         self, start_coordinator, background
